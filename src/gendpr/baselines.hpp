@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "gendpr/config.hpp"
-#include "gendpr/node.hpp"
+#include "gendpr/session.hpp"
 #include "genome/cohort.hpp"
 
 namespace gendpr::core {

@@ -17,7 +17,7 @@
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
 #include "net/hub.hpp"
-#include "net/network.hpp"
+#include "net/memory_hub.hpp"
 #include "net/uring_hub.hpp"
 #include "tee/attestation.hpp"
 #include "wire/buffer_pool.hpp"
@@ -64,19 +64,22 @@ std::uint32_t event_loops_of(const FederationSpec& spec) {
   return loops == 0 ? 1 : loops;
 }
 
-/// Stable loop assignment for a GDO: a Fibonacci-hash of the index, so the
-/// placement depends only on (gdo, num_loops) — never on thread timing —
-/// and every run shards (and therefore behaves) identically.
+/// Stable loop assignment for a GDO: depends only on (gdo, num_loops),
+/// never on thread timing, so every run shards (and behaves) identically.
 std::size_t loop_index_of(std::uint32_t gdo, std::size_t num_loops) {
-  const std::uint64_t mixed =
-      (std::uint64_t{gdo} * 0x9E3779B97F4A7C15ull) >> 32;
-  return static_cast<std::size_t>(mixed % num_loops);
+  return gdo % num_loops;
 }
 
-/// Creates the hub flavor for `transport` (epoll or uring) on `loop`.
+/// Creates the hub for `transport` on `loop`: in-memory for in_process,
+/// otherwise an epoll or io_uring socket hub listening on loopback.
 Result<std::unique_ptr<net::Hub>> make_hub(FederationSpec::TransportMode mode,
+                                           net::MemoryHub::Registry& registry,
                                            net::EventLoop& loop,
                                            net::NodeId node) {
+  if (mode == FederationSpec::TransportMode::in_process) {
+    return std::unique_ptr<net::Hub>(
+        std::make_unique<net::MemoryHub>(registry, loop, node));
+  }
   if (mode == FederationSpec::TransportMode::uring) {
     auto hub = net::UringHub::create(loop, node, 0);
     if (!hub.ok()) return hub.error();
@@ -87,16 +90,28 @@ Result<std::unique_ptr<net::Hub>> make_hub(FederationSpec::TransportMode mode,
   return std::unique_ptr<net::Hub>(std::move(hub).take());
 }
 
+const char* transport_label(FederationSpec::TransportMode mode) {
+  switch (mode) {
+    case FederationSpec::TransportMode::in_process:
+      return "in_process";
+    case FederationSpec::TransportMode::epoll:
+      return "epoll";
+    case FederationSpec::TransportMode::uring:
+      return "uring";
+  }
+  return "?";
+}
+
 /// Runs the whole federation as sans-IO sessions on event-loop threads: one
-/// hub (epoll- or io_uring-backed) per GDO on loopback TCP (members dial
-/// the leader — the star topology the protocol already assumes), one
-/// EpollSessionDriver per session, sessions sharded across
-/// `spec.event_loops` EventLoops by a stable hash of the GDO index. With
-/// one loop everything runs on the calling thread (the classic PR 8 mode);
-/// with more, each loop gets its own thread and cross-loop work travels
-/// only through EventLoop::post. Fills `member_compute_ms` for the
-/// distributed-wall-time model.
-Result<StudyResult> run_event_loop_federation(
+/// hub per GDO (members dial the leader — the star topology the protocol
+/// already assumes), one SessionDriver per session. In process, the hubs
+/// are in-memory and every GDO gets its own loop thread, the parallelism of
+/// one host per GDO. Over sockets (epoll or io_uring hubs on loopback TCP)
+/// the sessions are sharded across `spec.event_loops` loops. The leader's
+/// loop runs on the calling thread and every other loop on its own thread;
+/// cross-loop work travels only through EventLoop::post. Fills
+/// `member_compute_ms` for the distributed-wall-time model.
+Result<StudyResult> run_sessions(
     const genome::Cohort& cohort, const FederationSpec& spec,
     FederationSpec::TransportMode transport,
     std::vector<std::unique_ptr<tee::Platform>>& platforms,
@@ -112,8 +127,11 @@ Result<StudyResult> run_event_loop_federation(
                      "the epoll transport");
     transport = FederationSpec::TransportMode::epoll;
   }
-  const std::size_t num_loops = std::max<std::size_t>(
-      1, std::min<std::size_t>(event_loops_of(spec), spec.num_gdos));
+  const std::size_t num_loops =
+      transport == FederationSpec::TransportMode::in_process
+          ? spec.num_gdos
+          : std::max<std::size_t>(
+                1, std::min<std::size_t>(event_loops_of(spec), spec.num_gdos));
 
   std::vector<std::unique_ptr<net::EventLoop>> loops;
   loops.reserve(num_loops);
@@ -129,16 +147,17 @@ Result<StudyResult> run_event_loop_federation(
   };
 
   // One buffer pool for the whole run: sessions serialize records into it,
-  // hubs return queued frame storage to it after the kernel writes. It is
-  // thread-safe, so sessions sharded across loops share it freely, and it
-  // must outlive every hub and session below.
+  // hubs return frame storage to it once delivered. It is thread-safe, so
+  // sessions sharded across loops share it freely, and it must outlive
+  // every hub and session below.
   wire::BufferPool run_pool;
+  net::MemoryHub::Registry registry;
 
   // All loop-owned objects (hubs, sessions, drivers) are built and wired on
   // this thread BEFORE any loop thread starts; thread creation publishes
   // them. After that, each object is touched only by its loop's thread.
-  auto leader_hub_result =
-      make_hub(transport, loop_of(leader_gdo), node_id_of(leader_gdo));
+  auto leader_hub_result = make_hub(transport, registry, loop_of(leader_gdo),
+                                    node_id_of(leader_gdo));
   if (!leader_hub_result.ok()) return leader_hub_result.error();
   std::unique_ptr<net::Hub> leader_hub = std::move(leader_hub_result).take();
   leader_hub->set_buffer_pool(&run_pool);
@@ -157,7 +176,7 @@ Result<StudyResult> run_event_loop_federation(
   std::vector<std::unique_ptr<MemberSession>> members;
   for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
     if (g == leader_gdo) continue;
-    auto hub = make_hub(transport, loop_of(g), node_id_of(g));
+    auto hub = make_hub(transport, registry, loop_of(g), node_id_of(g));
     if (!hub.ok()) return hub.error();
     member_gdos.push_back(g);
     member_hubs.push_back(std::move(hub).take());
@@ -178,11 +197,11 @@ Result<StudyResult> run_event_loop_federation(
     }
   }
 
-  EpollSessionDriver leader_driver(loop_of(leader_gdo), *leader_hub, leader);
-  std::vector<std::unique_ptr<EpollSessionDriver>> member_drivers;
+  SessionDriver leader_driver(loop_of(leader_gdo), *leader_hub, leader);
+  std::vector<std::unique_ptr<SessionDriver>> member_drivers;
   member_drivers.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    member_drivers.push_back(std::make_unique<EpollSessionDriver>(
+    member_drivers.push_back(std::make_unique<SessionDriver>(
         loop_of(member_gdos[i]), *member_hubs[i], *members[i]));
   }
 
@@ -227,27 +246,30 @@ Result<StudyResult> run_event_loop_federation(
   }
   leader_driver.start();
 
-  if (num_loops == 1) {
-    loops[0]->run_until(
-        [&] { return all_done.load(std::memory_order_acquire); });
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_loops);
-    for (std::size_t i = 0; i < num_loops; ++i) {
-      threads.emplace_back([&all_done, loop = loops[i].get()] {
-        // poll_once (not run_until): a loop whose sessions all finished
-        // still has nothing to tear down until every loop is done, and the
-        // bounded wait means even a lost wakeup cannot hang the join.
-        while (!all_done.load(std::memory_order_acquire)) {
-          loop->poll_once(std::chrono::milliseconds{100});
-        }
-      });
+  // poll_once (not run_until): a loop whose sessions all finished still has
+  // nothing to tear down until every loop is done, and the bounded wait
+  // means even a lost wakeup cannot hang the join.
+  const auto run_loop = [&all_done](net::EventLoop& loop) {
+    while (!all_done.load(std::memory_order_acquire)) {
+      loop.poll_once(std::chrono::milliseconds{100});
     }
-    for (auto& thread : threads) thread.join();
+  };
+  // The leader's loop runs on this thread, the others on their own. Keeping
+  // the leader, which holds a study's largest buffers, on the caller's
+  // thread lets successive studies reuse the same allocator arena.
+  const std::size_t leader_loop = loop_index_of(leader_gdo, num_loops);
+  std::vector<std::thread> threads;
+  threads.reserve(num_loops - 1);
+  for (std::size_t i = 0; i < num_loops; ++i) {
+    if (i == leader_loop) continue;
+    threads.emplace_back(
+        [&run_loop, loop = loops[i].get()] { run_loop(*loop); });
   }
+  run_loop(*loops[leader_loop]);
+  for (auto& thread : threads) thread.join();
 
-  // Loop threads are joined (or the single loop returned): session and hub
-  // state is safely readable from this thread again.
+  // Loop threads are joined: session and hub state is safely readable from
+  // this thread again.
   if (spec.obs != nullptr) {
     std::uint64_t pauses = 0;
     std::uint64_t resumes = 0;
@@ -265,10 +287,7 @@ Result<StudyResult> run_event_loop_federation(
       harvest(member_gdos[i], *member_hubs[i]);
       stalled += member_drivers[i]->stalled_flushes();
     }
-    spec.obs->metrics.set_label(
-        "net.transport",
-        transport == FederationSpec::TransportMode::uring ? "uring"
-                                                          : "epoll");
+    spec.obs->metrics.set_label("net.transport", transport_label(transport));
     spec.obs->metrics.set_gauge("net.event_loops",
                                 static_cast<double>(num_loops));
     spec.obs->metrics.add_counter("net.backpressure.pauses", pauses);
@@ -282,9 +301,9 @@ Result<StudyResult> run_event_loop_federation(
     }
 
     // Zero-copy path accounting: pool behavior plus per-hub wire stats.
-    // copies_per_frame divides every payload copy the compatibility shims
-    // performed by the frames actually queued — 0.0 means the pooled path
-    // carried every data frame without an intermediate copy.
+    // copies_per_frame divides every payload copy into a pooled buffer
+    // (WireBuffer::from_payload: the handshake messages) by the frames
+    // actually sent; the sealed-record path itself copies nothing.
     std::uint64_t frames_sent = 0;
     std::uint64_t writev_batches = 0;
     std::uint64_t dial_dropped = 0;
@@ -320,7 +339,7 @@ Result<StudyResult> run_event_loop_federation(
 
   StudyResult study = leader.result();
   // The leader hub terminates both directions of every link in the star, so
-  // its meter sees all protocol traffic — same vantage as a TCP leader.
+  // its meter sees all protocol traffic, whatever carries the bytes.
   study.network_bytes_total = leader_hub->meter().total_bytes();
   study.leader_bytes_received =
       leader_hub->meter().bytes_received_by(node_id_of(leader_gdo));
@@ -329,65 +348,6 @@ Result<StudyResult> run_event_loop_federation(
     member_compute_ms.push_back(member->compute_ms());
   }
   return study;
-}
-
-/// The classic thread-per-node fabric: MemberNode service threads plus the
-/// LeaderNode study on the caller's thread, over in-process mailboxes.
-Result<StudyResult> run_threaded_federation(
-    const genome::Cohort& cohort, const FederationSpec& spec,
-    std::vector<std::unique_ptr<tee::Platform>>& platforms,
-    std::uint32_t leader_gdo,
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-    const StudyAnnounce& announce, common::ThreadPool* pool,
-    obs::SpanId study_span, std::chrono::milliseconds receive_timeout,
-    std::vector<double>& member_compute_ms) {
-  net::Network network;
-
-  LeaderNode leader(network, *platforms[leader_gdo], leader_gdo,
-                    spec.num_gdos,
-                    cohort.cases.slice_rows(ranges[leader_gdo].first,
-                                            ranges[leader_gdo].second),
-                    cohort.controls, announce);
-  leader.set_receive_timeout(receive_timeout);
-  leader.set_observability(spec.obs, study_span);
-
-  std::vector<std::unique_ptr<MemberNode>> members;
-  for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
-    if (g == leader_gdo) continue;
-    members.push_back(std::make_unique<MemberNode>(
-        network, *platforms[g], g, leader_gdo,
-        cohort.cases.slice_rows(ranges[g].first, ranges[g].second)));
-    members.back()->set_receive_timeout(receive_timeout);
-    members.back()->set_observability(spec.obs);
-    members.back()->set_pool(pool);
-  }
-  // A member that failed at construction (EPC limit) would never handshake
-  // and the leader would wait forever - surface the error up front.
-  for (const auto& member : members) {
-    if (!member->status().ok()) return member->status().error();
-  }
-  for (auto& member : members) member->start();
-
-  auto result = leader.run_study(pool);
-
-  if (!result.ok()) {
-    // Unblock members still waiting on their mailboxes before joining.
-    for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
-      if (g != leader_gdo) network.detach(node_id_of(g));
-    }
-  }
-  for (auto& member : members) member->join();
-  if (!result.ok()) return result;
-
-  // Surface any member-side failure (e.g. tampering detected) even when the
-  // leader finished: a correct run requires every node to have succeeded.
-  for (const auto& member : members) {
-    if (!member->status().ok()) return member->status().error();
-  }
-  for (const auto& member : members) {
-    member_compute_ms.push_back(member->compute_ms());
-  }
-  return result;
 }
 
 }  // namespace
@@ -454,17 +414,10 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   setup_span.end();
 
   std::vector<double> member_compute_ms;
-  const FederationSpec::TransportMode transport = transport_mode_of(spec);
-  auto result =
-      transport != FederationSpec::TransportMode::in_process
-          ? run_event_loop_federation(cohort, spec, transport, platforms,
-                                      leader_gdo, ranges, announce,
-                                      pool.get(), study_span.id(),
-                                      receive_timeout, member_compute_ms)
-          : run_threaded_federation(cohort, spec, platforms, leader_gdo,
-                                    ranges, announce, pool.get(),
-                                    study_span.id(), receive_timeout,
-                                    member_compute_ms);
+  auto result = run_sessions(cohort, spec, transport_mode_of(spec), platforms,
+                             leader_gdo, ranges, announce, pool.get(),
+                             study_span.id(), receive_timeout,
+                             member_compute_ms);
   if (spec.obs != nullptr && pool != nullptr) {
     spec.obs->metrics.add_counter("pool.tasks_completed",
                                   pool->tasks_completed());

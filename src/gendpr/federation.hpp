@@ -1,6 +1,6 @@
-// One-call federation runner: wires up the network fabric, quoting
-// authority, per-GDO platforms and nodes, elects a leader, runs the study,
-// and tears everything down. This is the public entry point the examples,
+// One-call federation runner: wires up the hubs, quoting authority, per-GDO
+// platforms and protocol sessions, elects a leader, runs the study, and
+// tears everything down. This is the public entry point the examples,
 // integration tests, and benchmark harness build on.
 #pragma once
 
@@ -8,30 +8,32 @@
 
 #include "common/error.hpp"
 #include "gendpr/config.hpp"
-#include "gendpr/node.hpp"
+#include "gendpr/session.hpp"
 #include "genome/cohort.hpp"
 #include "obs/observability.hpp"
 
 namespace gendpr::core {
 
 struct FederationSpec {
-  /// How the nodes talk to each other. `in_process` is the classic fabric:
-  /// one thread per node over net::Network mailboxes. `epoll` runs every
-  /// GDO as a sans-IO session on EpollHub sockets (loopback TCP) driven by
-  /// event loops — same sessions, same bytes, same results. `uring` is the
-  /// same wiring on io_uring-backed hubs (completion model), falling back
-  /// to epoll with a log line on kernels without io_uring. The
+  /// What carries the frames between the GDO sessions; every mode runs the
+  /// same sessions under the same event-loop driver, so the bytes and the
+  /// results are the same. `in_process` moves pooled buffers between
+  /// in-memory hubs (net::MemoryHub), one event-loop thread per GDO.
+  /// `epoll` uses EpollHub sockets on loopback TCP. `uring` is the same
+  /// wiring on io_uring-backed hubs (completion model), falling back to
+  /// epoll with a log line on kernels without io_uring. The
   /// GENDPR_TRANSPORT environment variable ("epoll" / "uring" /
   /// "in_process") overrides this field when set.
   enum class TransportMode { in_process, epoll, uring };
   TransportMode transport = TransportMode::in_process;
 
   /// Number of event-loop threads the epoll/uring transports shard their
-  /// sessions across (sessions are assigned by a stable hash of the GDO
-  /// index, so the placement — and every protocol byte — is independent of
-  /// thread timing). 1 = the classic single-loop mode, run on the calling
-  /// thread. Capped at the number of GDOs. The GENDPR_EVENT_LOOPS
-  /// environment variable overrides this field when set.
+  /// sessions across (GDO g runs on loop g mod event_loops, so the
+  /// placement — and every protocol byte — is independent of thread
+  /// timing). 1 = the single-loop mode, run on the calling thread. Capped
+  /// at the number of GDOs; `in_process` always runs one loop per GDO. The
+  /// GENDPR_EVENT_LOOPS environment variable overrides this field when
+  /// set.
   std::uint32_t event_loops = 1;
 
   std::uint32_t num_gdos = 3;

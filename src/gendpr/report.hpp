@@ -12,7 +12,7 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "gendpr/node.hpp"
+#include "gendpr/session.hpp"
 #include "obs/json.hpp"
 #include "obs/observability.hpp"
 

@@ -235,8 +235,7 @@ bool ProtocolSession::input_ready() noexcept {
 void ProtocolSession::suspend_for_input(std::coroutine_handle<> handle) noexcept {
   resume_ = handle;
   wants_ = SessionWants::recv;
-  // Fresh deadline per wait: the same per-call semantics the blocking loops
-  // got from Mailbox::receive_for(receive_timeout_).
+  // Fresh deadline per wait: every receive gets the full timeout.
   if (receive_timeout_ > std::chrono::milliseconds{0}) {
     wait_deadline_ = now_ + receive_timeout_;
   } else {

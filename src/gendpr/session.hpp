@@ -11,11 +11,10 @@
 // under any front-end.
 //
 // The protocol bodies are written once as C++20 coroutines (run_protocol)
-// that suspend at their receive and send-flush points; the blocking node
-// pumps (node.hpp), the epoll driver (session_driver.hpp), step-level unit
-// tests, and the fuzz harnesses are all just different drivers of the same
-// coroutine. Sessions speak GDO indices; translating them to transport node
-// ids is the driver's job.
+// that suspend at their receive and send-flush points; the event-loop host
+// (session_driver.hpp), step-level unit tests, and the fuzz harnesses are
+// all just different drivers of the same coroutine. Sessions speak GDO
+// indices; translating them to transport node ids is the driver's job.
 #pragma once
 
 #include <chrono>
@@ -95,8 +94,8 @@ class ProtocolSession {
   ProtocolSession& operator=(const ProtocolSession&) = delete;
 
   /// Bounds every protocol wait (kNoDeadline = wait forever). Each recv
-  /// suspension takes a fresh deadline of now + timeout, matching the
-  /// per-call semantics of Mailbox::receive_for. Call before start().
+  /// suspension takes a fresh deadline of now + timeout. Call before
+  /// start().
   void set_receive_timeout(std::chrono::milliseconds timeout) noexcept {
     receive_timeout_ = timeout;
   }
@@ -317,8 +316,8 @@ class ProtocolSession {
 };
 
 /// Member-side protocol session: handshakes with the leader, then answers
-/// phase requests until the study completes. The exact logic MemberNode ran
-/// on its service thread, with every mailbox wait a suspension point.
+/// phase requests until the study completes, every wait a suspension
+/// point.
 class MemberSession : public ProtocolSession {
  public:
   MemberSession(tee::Platform& platform, std::uint32_t gdo_index,
@@ -354,10 +353,10 @@ class MemberSession : public ProtocolSession {
 };
 
 /// Leader-side protocol session: establishes channels to every member, then
-/// drives the three phases and produces the study result. The exact logic
-/// LeaderNode::run_study_impl ran, with gathers and broadcasts suspending
-/// instead of blocking; the transport-meter fields of StudyResult are left
-/// for the driver (the session has no transport to read them from).
+/// drives the three phases and produces the study result, its gathers and
+/// broadcasts suspending instead of blocking. The transport-meter fields of
+/// StudyResult are left for the driver (the session has no transport to
+/// read them from).
 class LeaderSession : public ProtocolSession {
  public:
   LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,

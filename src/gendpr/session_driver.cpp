@@ -7,8 +7,8 @@ namespace gendpr::core {
 
 using Clock = ProtocolSession::Clock;
 
-EpollSessionDriver::EpollSessionDriver(net::EventLoop& loop, net::Hub& hub,
-                                       ProtocolSession& session)
+SessionDriver::SessionDriver(net::EventLoop& loop, net::Hub& hub,
+                             ProtocolSession& session)
     : loop_(&loop), hub_(&hub), session_(&session) {
   hub_->set_frame_handler([this](net::NodeId from, common::BytesView payload) {
     if (from == net::kNoNode) return;
@@ -49,19 +49,19 @@ EpollSessionDriver::EpollSessionDriver(net::EventLoop& loop, net::Hub& hub,
   });
 }
 
-EpollSessionDriver::~EpollSessionDriver() {
+SessionDriver::~SessionDriver() {
   if (deadline_timer_.has_value()) loop_->cancel_timer(*deadline_timer_);
   hub_->set_frame_handler(nullptr);
   hub_->set_peer_lost_handler(nullptr);
   hub_->set_backpressure_handler(nullptr);
 }
 
-void EpollSessionDriver::start() {
+void SessionDriver::start() {
   session_->start(Clock::now());
   pump();
 }
 
-void EpollSessionDriver::close() {
+void SessionDriver::close() {
   // A session stalled at its flush point is suspended waiting for the send
   // acknowledgement, not for transport events — release it first so the
   // closed notification lands on a session that can observe it.
@@ -75,7 +75,7 @@ void EpollSessionDriver::close() {
   pump();
 }
 
-void EpollSessionDriver::pump() {
+void SessionDriver::pump() {
   // Reentrancy guard: hub_->send inside the loop below can synchronously
   // tear a connection down and fire the peer-lost handler, which calls
   // pump() again. The inner call must not acknowledge the flush the outer
@@ -134,7 +134,7 @@ void EpollSessionDriver::pump() {
   pumping_ = false;
 }
 
-void EpollSessionDriver::rearm_deadline() {
+void SessionDriver::rearm_deadline() {
   if (deadline_timer_.has_value()) {
     loop_->cancel_timer(*deadline_timer_);
     deadline_timer_.reset();

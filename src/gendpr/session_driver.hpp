@@ -1,10 +1,10 @@
-// Event-loop front-end for the sans-IO protocol sessions.
+// The host driver of the sans-IO protocol sessions.
 //
-// An EpollSessionDriver binds one ProtocolSession to one net::Hub (epoll or
-// io_uring backed) on a shared EventLoop: hub frames become session on_frame
-// events, hub losses become on_peer_lost, the session's recv deadline is
-// mirrored into a loop timer that fires on_tick, and every wants()==send
-// flush is pushed into the hub's write buffers.
+// A SessionDriver binds one ProtocolSession to one net::Hub (in-memory,
+// epoll or io_uring) on a shared EventLoop: hub frames become session
+// on_frame events, hub losses become on_peer_lost, the session's recv
+// deadline is mirrored into a loop timer that fires on_tick, and every
+// wants()==send flush is handed to the hub.
 //
 // Write-side backpressure: when the hub reports a connection above its high
 // watermark, the driver withholds the on_sends_complete acknowledgement —
@@ -12,9 +12,7 @@
 // until the hub drains below the low watermark. Only this session stalls;
 // every other session on the loop keeps running, so a slow peer can never
 // head-of-line-block the federation. Any number of drivers (a whole
-// federation) can share one loop thread — the single-threaded counterpart
-// of the thread-per-node hosts in node.hpp, running the exact same
-// sessions.
+// federation) can share one loop thread, or each can get a loop of its own.
 #pragma once
 
 #include <cstdint>
@@ -29,17 +27,16 @@
 
 namespace gendpr::core {
 
-class EpollSessionDriver {
+class SessionDriver {
  public:
   /// Binds `session` to `hub` on `loop`; all three must outlive the driver.
   /// The hub's frame/peer-lost/backpressure handlers are claimed by this
   /// driver.
-  EpollSessionDriver(net::EventLoop& loop, net::Hub& hub,
-                     ProtocolSession& session);
-  ~EpollSessionDriver();
+  SessionDriver(net::EventLoop& loop, net::Hub& hub, ProtocolSession& session);
+  ~SessionDriver();
 
-  EpollSessionDriver(const EpollSessionDriver&) = delete;
-  EpollSessionDriver& operator=(const EpollSessionDriver&) = delete;
+  SessionDriver(const SessionDriver&) = delete;
+  SessionDriver& operator=(const SessionDriver&) = delete;
 
   /// Invoked (once) on the loop thread when the session reaches done or
   /// failed. Set before start().

@@ -1,7 +1,4 @@
-// Study outcome types shared by the sans-IO sessions and the node hosts.
-//
-// Split out of node.hpp so the protocol sessions (session.hpp) can populate
-// a StudyResult without depending on the blocking host layer.
+// Study outcome types shared by the sans-IO sessions and their driver.
 #pragma once
 
 #include <chrono>
@@ -10,7 +7,7 @@
 #include <vector>
 
 #include "gendpr/trusted.hpp"
-#include "net/network.hpp"
+#include "net/hub.hpp"
 
 namespace gendpr::core {
 
@@ -63,10 +60,9 @@ struct StudyResult {
   std::uint64_t leader_bytes_received = 0;
   std::uint64_t epc_peak_leader = 0;
   std::uint64_t epc_peak_members_max = 0;
-  /// Per-link traffic snapshot from the leader's transport meter, taken
-  /// before teardown. The in-process fabric's meter sees every link; a TCP
-  /// hub's meter sees both directions of every link the leader terminates,
-  /// which in the star topology is likewise all protocol traffic.
+  /// Per-link traffic snapshot from the leader hub's meter, taken before
+  /// teardown. The meter sees both directions of every link the leader
+  /// terminates, which in the star topology is all protocol traffic.
   std::vector<net::TrafficMeter::Link> network_links;
   /// EPC peak per GDO, indexed by GDO. The leader fills its own entry; the
   /// single-host runner fills every entry before tearing platforms down.

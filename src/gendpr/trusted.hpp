@@ -9,8 +9,9 @@
 // per-combination survivor lists.
 //
 // All methods take and return plaintext protocol messages; the untrusted
-// host (node.hpp) moves only SecureChannel ciphertext. The split mirrors
-// the paper's enclave boundary: decisions happen here, transport out there.
+// host (session_driver.hpp) moves only SecureChannel ciphertext. The split
+// mirrors the paper's enclave boundary: decisions happen here, transport out
+// there.
 #pragma once
 
 #include <cstdint>

@@ -4,10 +4,10 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 namespace gendpr::net {
 
@@ -126,7 +126,7 @@ void EventLoop::run_due_timers() {
 }
 
 void EventLoop::poll_once(std::chrono::milliseconds max_wait) {
-  std::vector<epoll_event> events(64);
+  std::array<epoll_event, 64> events;
   const int n = ::epoll_wait(epoll_fd_, events.data(),
                              static_cast<int>(events.size()),
                              wait_timeout_ms(max_wait));

@@ -1,12 +1,12 @@
-// Common surface of the nonblocking socket hubs (epoll and io_uring).
+// The one transport seam of the federation.
 //
-// A Hub is one GDO endpoint on an EventLoop: it owns the framed loopback
-// TCP connections of that node, delivers inbound frames and peer losses
-// through callbacks, and queues outbound frames for asynchronous delivery.
-// EpollHub (readiness-driven) and UringHub (completion-driven) both derive
-// from this class, so the session driver, the federation runner, and the
-// StudyAcceptor are written once against the seam and never know which
-// kernel interface is underneath.
+// A Hub is one GDO endpoint on an EventLoop: it owns the links of that
+// node, delivers inbound frames and peer losses through callbacks, and
+// queues outbound frames for asynchronous delivery. MemoryHub (in-process,
+// no sockets), EpollHub (readiness-driven TCP) and UringHub
+// (completion-driven TCP) all derive from this class, so the session
+// driver, the federation runner, and the StudyAcceptor are written once
+// against the seam and never know what carries the bytes.
 //
 // Write-side backpressure lives here: every connection accounts the bytes
 // queued but not yet on the wire, and crossing the high watermark fires the
@@ -21,15 +21,57 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "net/network.hpp"
 #include "wire/buffer_pool.hpp"
 
 namespace gendpr::net {
+
+/// Federation-unique node identifier. 0 is reserved as "unassigned".
+using NodeId = std::uint32_t;
+inline constexpr NodeId kNoNode = 0;
+
+/// Payload byte counters per directed link, plus totals, for the §7.1
+/// bandwidth accounting. Thread-safe.
+class TrafficMeter {
+ public:
+  void record(NodeId from, NodeId to, std::size_t bytes);
+
+  std::uint64_t total_bytes() const;
+  std::uint64_t total_messages() const;
+  std::uint64_t bytes_sent_by(NodeId node) const;
+  std::uint64_t bytes_received_by(NodeId node) const;
+
+  /// One directed link's accumulated volume.
+  struct Link {
+    NodeId from = kNoNode;
+    NodeId to = kNoNode;
+    std::uint64_t bytes = 0;
+    std::uint64_t messages = 0;
+  };
+
+  /// Point-in-time copy of every link, ordered by (from, to). This is how
+  /// per-link accounting outlives the meter's owner: run reports snapshot
+  /// the links before the transport is torn down.
+  std::vector<Link> snapshot() const;
+
+  void reset();
+
+ private:
+  struct LinkStats {
+    std::uint64_t bytes = 0;
+    std::uint64_t messages = 0;
+  };
+  mutable std::mutex mutex_;
+  std::map<std::pair<NodeId, NodeId>, LinkStats> links_;
+};
 
 class Hub {
  public:
@@ -80,7 +122,8 @@ class Hub {
   Hub& operator=(const Hub&) = delete;
 
   NodeId self() const noexcept { return self_; }
-  /// Listening port (0 for an adopt-only hub fed by a StudyAcceptor).
+  /// Listening port (0 for an adopt-only hub fed by a StudyAcceptor, and
+  /// for in-memory hubs).
   std::uint16_t port() const noexcept { return port_; }
 
   /// Delivery callback for every data frame (hellos are consumed here).
@@ -119,7 +162,8 @@ class Hub {
 
   /// Starts a nonblocking dial to a peer hub. Frames sent to `peer` before
   /// the dial completes are buffered and flushed (after the hello) once it
-  /// does; if every attempt fails the peer is reported lost.
+  /// does; if every attempt fails the peer is reported lost. In-memory hubs
+  /// ignore the address and link to the peer's registered hub.
   virtual void connect_peer(NodeId peer, const std::string& host,
                             std::uint16_t port, DialOptions options) = 0;
   void connect_peer(NodeId peer, const std::string& host, std::uint16_t port) {
@@ -134,8 +178,8 @@ class Hub {
   /// live or in-flight connection to the peer.
   virtual common::Status send_frame(NodeId to, wire::WireBuffer buf) = 0;
 
-  /// Compatibility convenience over send_frame for callers holding an
-  /// owning payload (tests, legacy paths): copies once into a pooled buffer.
+  /// Convenience over send_frame for callers holding an owning payload
+  /// (tests, tools): copies once into a pooled buffer.
   common::Status send(NodeId to, common::Bytes payload) {
     return send_frame(to, wire::WireBuffer::from_payload(
                               pool(), common::BytesView(payload.data(),
@@ -148,7 +192,8 @@ class Hub {
   /// Adopts an established inbound connection whose hello was already
   /// consumed by a StudyAcceptor. Ownership of `fd` transfers to the hub;
   /// `leftover` is whatever the acceptor read past the hello and is fed to
-  /// the framer first. Must run on the hub's loop thread.
+  /// the framer first. Must run on the hub's loop thread. Socket hubs only:
+  /// an in-memory hub closes the fd and reports the peer lost.
   virtual void adopt_inbound(int fd, NodeId peer, common::Bytes leftover) = 0;
 
  protected:

@@ -162,19 +162,13 @@ void WireBuffer::finish_frame(std::uint32_t from) {
   finished_ = true;
 }
 
-common::Bytes WireBuffer::take_payload() && {
-  common::Bytes out = std::move(storage_);
-  out.erase(out.begin(),
-            out.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes));
+void WireBuffer::discard() noexcept {
   if (pool_ != nullptr) {
-    if (!out.empty()) {
-      pool_->note_copy();
-    }
     pool_->forfeit();
     pool_ = nullptr;
   }
+  common::Bytes().swap(storage_);
   finished_ = false;
-  return out;
 }
 
 common::Bytes WireBuffer::release_storage() && {

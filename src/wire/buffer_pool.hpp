@@ -12,9 +12,9 @@
 // Ownership walks a cycle: pool → session (serialize + seal) → hub (queued
 // for the kernel) → pool (returned by ~WireBuffer once written). The pool
 // never hands the same storage to two owners; `outstanding` tracks buffers
-// currently out of the pool and `copies` counts every payload byte-copy the
-// compatibility shims (`from_payload`, `take_payload`) still perform — the
-// quantity `wire.copies_per_frame` reports.
+// currently out of the pool and `copies` counts every payload byte-copy into
+// a pooled buffer (`from_payload`, used for the unpooled handshake messages)
+// — the quantity `wire.copies_per_frame` reports.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ class BufferPool {
     std::uint64_t misses = 0;       // acquisitions that had to allocate
     std::uint64_t outstanding = 0;  // buffers currently out of the pool
     std::uint64_t peak_outstanding = 0;
-    std::uint64_t copies = 0;  // payload copies through the compat shims
+    std::uint64_t copies = 0;  // payload copies made by from_payload
   };
 
   /// `max_retained` caps the freelist; 0 means "use GENDPR_POOL_BUFFERS".
@@ -51,11 +51,10 @@ class BufferPool {
   /// Returns storage to the freelist (or frees it past the cap).
   void release(common::Bytes storage);
 
-  /// A buffer left the pool permanently (its bytes were moved out).
+  /// A buffer left the pool for good (its storage was freed instead).
   void forfeit() noexcept;
 
-  /// Accounting hook for the compatibility copies (`from_payload`,
-  /// `take_payload`).
+  /// Accounting hook for the copies `from_payload` makes.
   void note_copy() noexcept;
 
   Stats stats() const;
@@ -96,8 +95,9 @@ class WireBuffer {
   WireBuffer(const WireBuffer&) = delete;
   WireBuffer& operator=(const WireBuffer&) = delete;
 
-  /// Compatibility shim: pooled buffer whose payload is a copy of `payload`
-  /// (counted in BufferPool::Stats::copies).
+  /// Pooled buffer whose payload is a copy of `payload` (counted in
+  /// BufferPool::Stats::copies): how bytes produced outside the pool, such
+  /// as handshake messages, enter the frame path.
   static WireBuffer from_payload(BufferPool& pool, common::BytesView payload);
 
   /// Adopts an already-encoded whole frame (header included), e.g. a hello
@@ -115,6 +115,9 @@ class WireBuffer {
   /// Fills the frame header for sender `from` over the current payload.
   void finish_frame(std::uint32_t from);
 
+  /// Frees the storage instead of returning it to the pool.
+  void discard() noexcept;
+
   /// Whole wire frame (header + payload); valid only after finish_frame().
   common::BytesView frame() const noexcept {
     return common::BytesView(storage_.data(), storage_.size());
@@ -128,11 +131,6 @@ class WireBuffer {
   }
   bool empty() const noexcept { return storage_.size() <= kHeaderBytes; }
   std::size_t size() const noexcept { return payload_size(); }
-
-  /// Compatibility shim for owning consumers (threaded transport, tests):
-  /// strips the header headroom and yields the payload as owning Bytes.
-  /// Costs one memmove, counted in BufferPool::Stats::copies.
-  common::Bytes take_payload() &&;
 
   /// Storage handoff for in-place serialization: release, append through a
   /// wire::Writer, adopt back. The storage keeps its header/seq headroom.

@@ -1,20 +1,25 @@
-// Federation over the event-loop front-ends: every GDO is a sans-IO session
-// on its own hub (loopback TCP), driven by one or more event-loop threads.
+// Federation over the socket hubs: every GDO is a sans-IO session on its
+// own hub (loopback TCP), driven by one or more event-loop threads.
 // Whatever the transport (epoll, io_uring) and however the sessions are
 // sharded across loops, the results must be bit-identical to the
-// thread-per-node fabric.
+// in-process run over in-memory hubs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "gendpr/federation.hpp"
+#include "gendpr/report.hpp"
 #include "gendpr/session.hpp"
 #include "gendpr/session_driver.hpp"
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
 #include "net/uring_hub.hpp"
+#include "obs/observability.hpp"
+#include "session_harness.hpp"
 #include "tee/attestation.hpp"
 
 namespace gendpr::core {
@@ -40,17 +45,17 @@ TEST(EpollFederationTest, EightGdoStudyOnOneThreadMatchesThreaded) {
   spec.parallel_combinations = false;
 
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok()) << threaded.error().to_string();
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok()) << in_process.error().to_string();
 
   spec.transport = FederationSpec::TransportMode::epoll;
   const auto epoll = run_federated_study(cohort, spec);
   ASSERT_TRUE(epoll.ok()) << epoll.error().to_string();
 
-  EXPECT_EQ(epoll.value().outcome.l_prime, threaded.value().outcome.l_prime);
+  EXPECT_EQ(epoll.value().outcome.l_prime, in_process.value().outcome.l_prime);
   EXPECT_EQ(epoll.value().outcome.l_double_prime,
-            threaded.value().outcome.l_double_prime);
-  EXPECT_EQ(epoll.value().outcome.l_safe, threaded.value().outcome.l_safe);
+            in_process.value().outcome.l_double_prime);
+  EXPECT_EQ(epoll.value().outcome.l_safe, in_process.value().outcome.l_safe);
 
   // The leader hub terminates every star link, so real traffic was metered.
   EXPECT_GT(epoll.value().network_bytes_total, 0u);
@@ -70,8 +75,8 @@ TEST(EpollFederationTest, MultiLoopShardingMatchesSingleLoop) {
   spec.seed = 17;
   spec.parallel_combinations = false;
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok()) << threaded.error().to_string();
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok()) << in_process.error().to_string();
 
   obs::Observability observability;
   spec.transport = FederationSpec::TransportMode::epoll;
@@ -80,10 +85,11 @@ TEST(EpollFederationTest, MultiLoopShardingMatchesSingleLoop) {
   const auto sharded = run_federated_study(cohort, spec);
   ASSERT_TRUE(sharded.ok()) << sharded.error().to_string();
 
-  EXPECT_EQ(sharded.value().outcome.l_prime, threaded.value().outcome.l_prime);
+  EXPECT_EQ(sharded.value().outcome.l_prime,
+            in_process.value().outcome.l_prime);
   EXPECT_EQ(sharded.value().outcome.l_double_prime,
-            threaded.value().outcome.l_double_prime);
-  EXPECT_EQ(sharded.value().outcome.l_safe, threaded.value().outcome.l_safe);
+            in_process.value().outcome.l_double_prime);
+  EXPECT_EQ(sharded.value().outcome.l_safe, in_process.value().outcome.l_safe);
   EXPECT_EQ(sharded.value().network_links.size(), 14u);
   EXPECT_EQ(observability.metrics.gauge("net.event_loops"), 3.0);
 }
@@ -100,8 +106,8 @@ TEST(EpollFederationTest, UringTransportMatchesThreaded) {
   spec.seed = 17;
   spec.parallel_combinations = false;
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok()) << threaded.error().to_string();
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok()) << in_process.error().to_string();
 
   obs::Observability observability;
   spec.transport = FederationSpec::TransportMode::uring;
@@ -109,10 +115,10 @@ TEST(EpollFederationTest, UringTransportMatchesThreaded) {
   const auto uring = run_federated_study(cohort, spec);
   ASSERT_TRUE(uring.ok()) << uring.error().to_string();
 
-  EXPECT_EQ(uring.value().outcome.l_prime, threaded.value().outcome.l_prime);
+  EXPECT_EQ(uring.value().outcome.l_prime, in_process.value().outcome.l_prime);
   EXPECT_EQ(uring.value().outcome.l_double_prime,
-            threaded.value().outcome.l_double_prime);
-  EXPECT_EQ(uring.value().outcome.l_safe, threaded.value().outcome.l_safe);
+            in_process.value().outcome.l_double_prime);
+  EXPECT_EQ(uring.value().outcome.l_safe, in_process.value().outcome.l_safe);
   EXPECT_GT(uring.value().network_bytes_total, 0u);
 }
 
@@ -121,8 +127,8 @@ TEST(EpollFederationTest, EventLoopsEnvOverrideShardsTheStudy) {
   FederationSpec spec;
   spec.num_gdos = 4;
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok());
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok());
 
   obs::Observability observability;
   spec.transport = FederationSpec::TransportMode::epoll;
@@ -131,7 +137,7 @@ TEST(EpollFederationTest, EventLoopsEnvOverrideShardsTheStudy) {
   const auto sharded = run_federated_study(cohort, spec);
   ::unsetenv("GENDPR_EVENT_LOOPS");
   ASSERT_TRUE(sharded.ok()) << sharded.error().to_string();
-  EXPECT_EQ(sharded.value().outcome.l_safe, threaded.value().outcome.l_safe);
+  EXPECT_EQ(sharded.value().outcome.l_safe, in_process.value().outcome.l_safe);
   EXPECT_EQ(observability.metrics.gauge("net.event_loops"), 2.0);
 }
 
@@ -141,14 +147,14 @@ TEST(EpollFederationTest, TransportEnvOverrideSelectsEpoll) {
   spec.num_gdos = 3;
 
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok());
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok());
 
   ASSERT_EQ(::setenv("GENDPR_TRANSPORT", "epoll", 1), 0);
   const auto epoll = run_federated_study(cohort, spec);
   ::unsetenv("GENDPR_TRANSPORT");
   ASSERT_TRUE(epoll.ok()) << epoll.error().to_string();
-  EXPECT_EQ(epoll.value().outcome.l_safe, threaded.value().outcome.l_safe);
+  EXPECT_EQ(epoll.value().outcome.l_safe, in_process.value().outcome.l_safe);
 }
 
 TEST(EpollFederationTest, ObservabilityAndTimingsSurviveTheEpollPath) {
@@ -241,8 +247,8 @@ TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {
   MemberSession member(member_platform, 1, 0,
                        cohort.cases.slice_rows(60, 120));
 
-  EpollSessionDriver leader_driver(loop, *leader_hub.value(), leader);
-  EpollSessionDriver member_driver(loop, *member_hub.value(), member);
+  SessionDriver leader_driver(loop, *leader_hub.value(), leader);
+  SessionDriver member_driver(loop, *member_hub.value(), member);
   member_hub.value()->connect_peer(node_id_of(0), "127.0.0.1",
                                    leader_hub.value()->port());
   member_driver.start();
@@ -257,6 +263,176 @@ TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {
   ASSERT_EQ(member.wants(), SessionWants::failed);
   EXPECT_EQ(member.status().error().code, common::Errc::aborted)
       << member.status().error().to_string();
+}
+
+/// Platforms for GDOs 0..count-1 under one quoting authority.
+std::vector<std::unique_ptr<tee::Platform>> make_platforms(
+    std::uint32_t count, tee::QuotingAuthority& authority) {
+  std::vector<std::unique_ptr<tee::Platform>> platforms;
+  for (std::uint32_t g = 0; g < count; ++g) {
+    platforms.push_back(std::make_unique<tee::Platform>(
+        g + 1, authority,
+        crypto::Csprng(std::array<std::uint8_t, 32>{
+            static_cast<std::uint8_t>(g + 1)})));
+  }
+  return platforms;
+}
+
+TEST(TcpFederationTest, StudyOverRealSocketsMatchesInProcess) {
+  // Hand-assembled federation: one EpollHub per GDO "machine", members dial
+  // the leader over loopback TCP. The selection must equal an in-process
+  // run over the same cohort, and the run report must work over sockets.
+  const genome::Cohort cohort = test_cohort(300, 300, 80, 55);
+  constexpr std::uint32_t kGdos = 3;
+  const auto ranges = genome::equal_partition(300, kGdos);
+  tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{0x71});
+  auto platforms = make_platforms(kGdos, authority);
+
+  StudyAnnounce announce;
+  announce.study_id = 9;
+  announce.num_snps = 80;
+  announce.combinations =
+      Coordinator::build_combinations(kGdos, CollusionPolicy::none());
+
+  obs::Observability observability;
+  LeaderSession leader(*platforms[0], 0, kGdos,
+                       cohort.cases.slice_rows(ranges[0].first,
+                                               ranges[0].second),
+                       cohort.controls, announce);
+  leader.set_observability(&observability);
+  std::vector<std::unique_ptr<MemberSession>> members;
+  for (std::uint32_t g = 1; g < kGdos; ++g) {
+    members.push_back(std::make_unique<MemberSession>(
+        *platforms[g], g, 0,
+        cohort.cases.slice_rows(ranges[g].first, ranges[g].second)));
+    members.back()->set_observability(&observability);
+  }
+  StudyResult tcp_result;
+  {
+    SessionHarness harness(0, SessionHarness::Transport::epoll);
+    harness.add(0, leader);
+    for (std::uint32_t g = 1; g < kGdos; ++g) harness.add(g, *members[g - 1]);
+    harness.run();
+    ASSERT_TRUE(leader.status().ok()) << leader.status().error().to_string();
+    tcp_result = leader.result();
+    tcp_result.network_bytes_total = harness.hub(0).meter().total_bytes();
+    tcp_result.network_links = harness.hub(0).meter().snapshot();
+  }
+  for (const auto& member : members) {
+    EXPECT_TRUE(member->status().ok()) << member->status().error().to_string();
+    EXPECT_TRUE(member->enclave().study_complete());
+  }
+
+  FederationSpec spec;
+  spec.num_gdos = kGdos;
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok());
+  EXPECT_EQ(tcp_result.outcome.l_prime, in_process.value().outcome.l_prime);
+  EXPECT_EQ(tcp_result.outcome.l_double_prime,
+            in_process.value().outcome.l_double_prime);
+  EXPECT_EQ(tcp_result.outcome.l_safe, in_process.value().outcome.l_safe);
+  EXPECT_GT(tcp_result.network_bytes_total, 0u);
+
+  // Per-link byte counts from the leader's hub meter, the leader's EPC
+  // peak, and a trace with every protocol phase.
+  ReportContext context;
+  context.obs = &observability;
+  context.transport = "tcp";
+  const obs::JsonValue report = make_run_report(tcp_result, context);
+  const auto parsed = obs::JsonValue::parse(report.dump());
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed.value().find("transport")->as_string(), "tcp");
+  const obs::JsonValue* network_section = parsed.value().find("network");
+  ASSERT_NE(network_section, nullptr);
+  ASSERT_FALSE(network_section->find("links")->as_array().empty());
+  for (const auto& link : network_section->find("links")->as_array()) {
+    EXPECT_GT(link.find("bytes")->as_number(), 0.0);
+  }
+  const obs::JsonValue* epc_section = parsed.value().find("epc");
+  ASSERT_NE(epc_section, nullptr);
+  ASSERT_EQ(epc_section->find("per_gdo")->as_array().size(), kGdos);
+  EXPECT_GT(
+      epc_section->find("per_gdo")->as_array()[0].find("peak_bytes")
+          ->as_number(),
+      0.0);
+  const auto spans =
+      obs::TraceRecorder::spans_from_json(*parsed.value().find("trace"));
+  ASSERT_TRUE(spans.ok());
+  for (const char* phase : {"phase.maf", "phase.ld", "phase.lr"}) {
+    EXPECT_EQ(std::count_if(spans.value().begin(), spans.value().end(),
+                            [phase](const obs::Span& span) {
+                              return span.name == phase;
+                            }),
+              1)
+        << phase;
+  }
+}
+
+TEST(TcpFederationTest, MemberSafeSetsMatchLeader) {
+  const genome::Cohort cohort = test_cohort(200, 200, 50, 66);
+  tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{0x72});
+  auto platforms = make_platforms(2, authority);
+  StudyAnnounce announce;
+  announce.num_snps = 50;
+  announce.combinations =
+      Coordinator::build_combinations(2, CollusionPolicy::none());
+
+  LeaderSession leader(*platforms[0], 0, 2, cohort.cases.slice_rows(0, 100),
+                       cohort.controls, announce);
+  MemberSession member(*platforms[1], 1, 0, cohort.cases.slice_rows(100, 200));
+  SessionHarness harness(0, SessionHarness::Transport::epoll);
+  harness.add(0, leader);
+  harness.add(1, member);
+  harness.run();
+  ASSERT_TRUE(leader.status().ok()) << leader.status().error().to_string();
+  // The member's broadcast-received safe set equals the leader's outcome.
+  EXPECT_EQ(member.enclave().safe_snps(), leader.result().outcome.l_safe);
+}
+
+TEST(TcpFederationTest, KilledMemberAbortsStudyPromptly) {
+  // Three GDOs over real sockets; GDO 2's whole hub dies right after the
+  // attested handshake (machine crash). The leader's hub notices the
+  // dropped connection and the study aborts well before the 10 s deadline,
+  // with a timeout naming the dead peer; the surviving member gets an
+  // abort notice instead of hanging.
+  const genome::Cohort cohort = test_cohort(300, 200, 50, 77);
+  tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{0x73});
+  auto platforms = make_platforms(3, authority);
+  StudyAnnounce announce;
+  announce.num_snps = 50;
+  announce.combinations =
+      Coordinator::build_combinations(3, CollusionPolicy::none());
+
+  LeaderSession leader(*platforms[0], 0, 3, cohort.cases.slice_rows(0, 100),
+                       cohort.controls, announce);
+  leader.set_receive_timeout(std::chrono::milliseconds(10000));
+  MemberSession survivor(*platforms[1], 1, 0,
+                         cohort.cases.slice_rows(100, 200));
+  survivor.set_receive_timeout(std::chrono::milliseconds(10000));
+  ScriptedMember::Script script;
+  script.stop = ScriptedMember::Stop::after_handshake;
+  ScriptedMember doomed(*platforms[2], 2, 0, cohort.cases.slice_rows(200, 300),
+                        std::move(script));
+
+  SessionHarness harness(0, SessionHarness::Transport::epoll);
+  harness.add(0, leader);
+  harness.add(1, survivor);
+  harness.add(2, doomed);
+  harness.on_finished(2, [&] { harness.kill_hub(2); });
+  const auto start = std::chrono::steady_clock::now();
+  harness.run();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  ASSERT_TRUE(doomed.status().ok()) << doomed.status().error().to_string();
+  ASSERT_FALSE(leader.status().ok());
+  EXPECT_EQ(leader.status().error().code, common::Errc::timeout);
+  EXPECT_NE(leader.status().error().message.find("2"), std::string::npos)
+      << leader.status().error().to_string();
+  // Peer-loss detection beats the deadline by a wide margin.
+  EXPECT_LT(elapsed, std::chrono::seconds(8));
+  ASSERT_FALSE(survivor.status().ok());
+  EXPECT_EQ(survivor.status().error().code, common::Errc::aborted)
+      << survivor.status().error().to_string();
 }
 
 }  // namespace

@@ -7,10 +7,9 @@
 #include <chrono>
 #include <memory>
 #include <set>
-#include <thread>
 
-#include "gendpr/node.hpp"
 #include "genome/cohort.hpp"
+#include "session_harness.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -22,7 +21,6 @@ struct LeaderFixture {
                                 crypto::Csprng(std::array<std::uint8_t, 32>{1})};
   tee::Platform member_platform{2, authority,
                                 crypto::Csprng(std::array<std::uint8_t, 32>{2})};
-  net::Network network;
 
   LeaderFixture() {
     genome::CohortSpec spec;
@@ -41,36 +39,46 @@ struct LeaderFixture {
     return a;
   }
 
-  /// The leader node (GDO 0). Constructing it attaches it to the network,
-  /// so tests MUST create it (via this accessor) before starting any
-  /// adversarial member thread - otherwise the member's first message races
-  /// the leader's attach and gets dropped, deadlocking the handshake.
-  LeaderNode& leader() {
-    if (!leader_node) {
-      leader_node = std::make_unique<LeaderNode>(
-          network, leader_platform, 0, 2, cohort.cases.slice_rows(0, 100),
-          cohort.controls, announce());
-    }
-    return *leader_node;
+  /// The leader session (GDO 0) of a two-GDO study.
+  std::unique_ptr<LeaderSession> make_leader() {
+    return std::make_unique<LeaderSession>(
+        leader_platform, 0, 2, cohort.cases.slice_rows(0, 100),
+        cohort.controls, announce());
   }
 
-  common::Result<StudyResult> run_leader() {
-    return leader().run_study(nullptr);
+  /// A scripted member `gdo` holding the second half of the cases.
+  std::unique_ptr<ScriptedMember> make_member(
+      ScriptedMember::Script script, std::uint32_t gdo = 1) {
+    return std::make_unique<ScriptedMember>(member_platform, gdo, 0,
+                                            cohort.cases.slice_rows(100, 200),
+                                            std::move(script));
   }
 
-  std::unique_ptr<LeaderNode> leader_node;
+  /// Runs the leader against `member` (if any) and returns its outcome.
+  common::Status run(LeaderSession& leader, ScriptedMember* member,
+                     std::uint32_t member_gdo = 1) {
+    SessionHarness harness;
+    harness.add(0, leader);
+    if (member != nullptr) harness.add(member_gdo, *member);
+    harness.run();
+    return leader.status();
+  }
 };
+
+/// Script that answers the announce with `reply` (a sealed record).
+ScriptedMember::Script replying(ScriptedMember::Reply reply) {
+  ScriptedMember::Script script;
+  script.reply = std::move(reply);
+  return script;
+}
 
 TEST(FailureInjectionTest, GarbageHandshakeRejected) {
   LeaderFixture f;
-  f.leader();  // attach the leader before the attacker speaks
-  auto mailbox = f.network.attach(node_id_of(1));
-  std::thread attacker([&] {
-    f.network.send(node_id_of(1), node_id_of(0),
-                   common::Bytes{0xde, 0xad, 0xbe, 0xef});
-  });
-  const auto result = f.run_leader();
-  attacker.join();
+  auto leader = f.make_leader();
+  ScriptedMember::Script script;
+  script.raw_handshake = common::Bytes{0xde, 0xad, 0xbe, 0xef};
+  auto attacker = f.make_member(std::move(script));
+  const common::Status result = f.run(*leader, attacker.get());
   ASSERT_FALSE(result.ok());
   // Truncated/garbled handshake -> bad_message or attestation failure.
   EXPECT_TRUE(result.error().code == common::Errc::bad_message ||
@@ -80,129 +88,64 @@ TEST(FailureInjectionTest, GarbageHandshakeRejected) {
 
 TEST(FailureInjectionTest, HandshakeFromUnknownNodeRejected) {
   LeaderFixture f;
-  f.leader();
-  f.network.attach(node_id_of(7));
-  std::thread attacker([&] {
-    f.network.send(node_id_of(7), node_id_of(0), common::Bytes{0x01});
-  });
-  const auto result = f.run_leader();
-  attacker.join();
+  auto leader = f.make_leader();
+  ScriptedMember::Script script;
+  script.raw_handshake = common::Bytes{0x01};
+  auto attacker = f.make_member(std::move(script), /*gdo=*/6);
+  const common::Status result = f.run(*leader, attacker.get(), 6);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, common::Errc::unknown_peer);
 }
 
 TEST(FailureInjectionTest, TamperedRecordDetected) {
   LeaderFixture f;
-  f.leader();
-  // An honest member, but the "network" (this test) flips a bit in its
-  // first protocol record before delivery.
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-
-  std::thread member([&] {
-    auto channel = member_enclave.channel_to(trusted_module_measurement(),
-                                             /*initiator=*/true);
-    f.network.send(node_id_of(1), node_id_of(0),
-                   channel->handshake_message());
-    const auto leader_handshake = member_mailbox->receive();
-    ASSERT_TRUE(leader_handshake.has_value());
-    ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-
-    // Receive the study announce, answer with summary stats - but corrupt
-    // the record on its way out (simulating a compromised host).
-    const auto announce_record = member_mailbox->receive();
-    ASSERT_TRUE(announce_record.has_value());
-    auto plaintext = channel->open(announce_record->payload);
-    ASSERT_TRUE(plaintext.ok());
-    auto opened = open_envelope(plaintext.value());
-    ASSERT_TRUE(opened.ok());
-    auto announce = StudyAnnounce::deserialize(opened.value().second);
-    ASSERT_TRUE(announce.ok());
-    ASSERT_TRUE(member_enclave.on_study_announce(announce.value()).ok());
-    auto record = channel->seal(envelope(
-        MsgType::summary_stats,
-        member_enclave.make_summary_stats().serialize()));
-    ASSERT_TRUE(record.ok());
-    common::Bytes corrupted = record.value();
-    corrupted[corrupted.size() / 2] ^= 0x01;
-    f.network.send(node_id_of(1), node_id_of(0), std::move(corrupted));
-  });
-
-  const auto result = f.run_leader();
-  member.join();
+  auto leader = f.make_leader();
+  // An honest member, but its host flips a bit in its first protocol
+  // record before delivery (simulating a compromised host).
+  auto member = f.make_member(
+      replying([](GdoEnclave& enclave, tee::SecureChannel& channel) {
+        common::Bytes record =
+            channel
+                .seal(envelope(MsgType::summary_stats,
+                               enclave.make_summary_stats().serialize()))
+                .value();
+        record[record.size() / 2] ^= 0x01;
+        return record;
+      }));
+  const common::Status result = f.run(*leader, member.get());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, common::Errc::decrypt_failed);
 }
 
 TEST(FailureInjectionTest, WrongMessageTypeRejected) {
   LeaderFixture f;
-  f.leader();
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-
-  std::thread member([&] {
-    auto channel = member_enclave.channel_to(trusted_module_measurement(),
-                                             /*initiator=*/true);
-    f.network.send(node_id_of(1), node_id_of(0),
-                   channel->handshake_message());
-    const auto leader_handshake = member_mailbox->receive();
-    ASSERT_TRUE(leader_handshake.has_value());
-    ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-    const auto announce_record = member_mailbox->receive();
-    ASSERT_TRUE(announce_record.has_value());
-    ASSERT_TRUE(channel->open(announce_record->payload).ok());
-    // Reply with a phase-3 message where summary stats are expected.
-    auto record =
-        channel->seal(envelope(MsgType::phase3_result,
-                               Phase3Result{{1, 2}, 0.0}.serialize()));
-    ASSERT_TRUE(record.ok());
-    f.network.send(node_id_of(1), node_id_of(0), std::move(record).take());
-  });
-
-  const auto result = f.run_leader();
-  member.join();
+  auto leader = f.make_leader();
+  // Replies with a phase-3 message where summary stats are expected.
+  auto member = f.make_member(
+      replying([](GdoEnclave&, tee::SecureChannel& channel) {
+        return channel
+            .seal(envelope(MsgType::phase3_result,
+                           Phase3Result{{1, 2}, 0.0}.serialize()))
+            .value();
+      }));
+  const common::Status result = f.run(*leader, member.get());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, common::Errc::state_violation);
 }
 
 TEST(FailureInjectionTest, OversizedSummaryRejected) {
   LeaderFixture f;
-  f.leader();
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-
-  std::thread member([&] {
-    auto channel = member_enclave.channel_to(trusted_module_measurement(),
-                                             /*initiator=*/true);
-    f.network.send(node_id_of(1), node_id_of(0),
-                   channel->handshake_message());
-    const auto leader_handshake = member_mailbox->receive();
-    ASSERT_TRUE(leader_handshake.has_value());
-    ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-    const auto announce_record = member_mailbox->receive();
-    ASSERT_TRUE(announce_record.has_value());
-    ASSERT_TRUE(channel->open(announce_record->payload).ok());
-    // Claims counts over the wrong number of SNPs.
-    SummaryStats bogus;
-    bogus.case_counts.assign(9999, 1);
-    bogus.n_case = 100;
-    auto record =
-        channel->seal(envelope(MsgType::summary_stats, bogus.serialize()));
-    ASSERT_TRUE(record.ok());
-    f.network.send(node_id_of(1), node_id_of(0), std::move(record).take());
-  });
-
-  const auto result = f.run_leader();
-  member.join();
+  auto leader = f.make_leader();
+  // Claims counts over the wrong number of SNPs.
+  auto member = f.make_member(
+      replying([](GdoEnclave&, tee::SecureChannel& channel) {
+        SummaryStats bogus;
+        bogus.case_counts.assign(9999, 1);
+        bogus.n_case = 100;
+        return channel.seal(envelope(MsgType::summary_stats, bogus.serialize()))
+            .value();
+      }));
+  const common::Status result = f.run(*leader, member.get());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, common::Errc::bad_message);
 }
@@ -280,39 +223,12 @@ TEST(CheckpointTest, TamperedCheckpointRejected) {
 // leaves a combination without it, let the survivors finish.
 // ---------------------------------------------------------------------------
 
-/// Handshakes with the leader from `gdo` and answers the study announce with
-/// honest summary stats, then goes silent: a GDO crash right after phase 1
-/// input submission. Runs on the calling thread.
-void run_member_until_summary(net::Network& network, GdoEnclave& enclave,
-                              std::shared_ptr<net::Mailbox> mailbox,
-                              std::uint32_t gdo, std::uint32_t leader) {
-  auto channel = enclave.channel_to(trusted_module_measurement(),
-                                    /*initiator=*/true);
-  network.send(node_id_of(gdo), node_id_of(leader),
-               channel->handshake_message());
-  const auto leader_handshake = mailbox->receive();
-  ASSERT_TRUE(leader_handshake.has_value());
-  ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-  const auto announce_record = mailbox->receive();
-  ASSERT_TRUE(announce_record.has_value());
-  auto plaintext = channel->open(announce_record->payload);
-  ASSERT_TRUE(plaintext.ok());
-  auto opened = open_envelope(plaintext.value());
-  ASSERT_TRUE(opened.ok());
-  auto announce = StudyAnnounce::deserialize(opened.value().second);
-  ASSERT_TRUE(announce.ok());
-  ASSERT_TRUE(enclave.on_study_announce(announce.value()).ok());
-  auto record = channel->seal(envelope(
-      MsgType::summary_stats, enclave.make_summary_stats().serialize()));
-  ASSERT_TRUE(record.ok());
-  network.send(node_id_of(gdo), node_id_of(leader), std::move(record).take());
-}
-
 TEST(LivenessTest, MissingMemberTimesOutHandshake) {
   LeaderFixture f;
-  f.leader().set_receive_timeout(std::chrono::milliseconds(100));
+  auto leader = f.make_leader();
+  leader->set_receive_timeout(std::chrono::milliseconds(100));
   const auto start = std::chrono::steady_clock::now();
-  const auto result = f.run_leader();  // member 1 never shows up
+  const common::Status result = f.run(*leader, nullptr);  // no member 1
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, common::Errc::timeout);
   EXPECT_NE(result.error().message.find("1"), std::string::npos)
@@ -322,18 +238,12 @@ TEST(LivenessTest, MissingMemberTimesOutHandshake) {
 
 TEST(LivenessTest, SilentMemberAfterSummaryTimesOutStudy) {
   LeaderFixture f;
-  f.leader().set_receive_timeout(std::chrono::milliseconds(250));
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-  std::thread member([&] {
-    run_member_until_summary(f.network, member_enclave, member_mailbox, 1, 0);
-  });
+  auto leader = f.make_leader();
+  leader->set_receive_timeout(std::chrono::milliseconds(250));
+  auto member = f.make_member(ScriptedMember::until_summary());
   const auto start = std::chrono::steady_clock::now();
-  const auto result = f.run_leader();
-  member.join();
+  const common::Status result = f.run(*leader, member.get());
+  EXPECT_TRUE(member->status().ok()) << member->status().error().to_string();
   ASSERT_FALSE(result.ok());
   // The sole combination needs GDO 1's moments: its silence kills the study.
   EXPECT_EQ(result.error().code, common::Errc::timeout);
@@ -342,7 +252,7 @@ TEST(LivenessTest, SilentMemberAfterSummaryTimesOutStudy) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
 }
 
-/// Three-GDO federation with leader GDO 0, one honest MemberNode (GDO 1) and
+/// Three-GDO federation with leader GDO 0, one honest member (GDO 1) and
 /// one member that crashes after submitting its summary (GDO 2).
 struct ThreeGdoFixture {
   genome::Cohort cohort;
@@ -353,7 +263,6 @@ struct ThreeGdoFixture {
                           crypto::Csprng(std::array<std::uint8_t, 32>{2})};
   tee::Platform platform2{3, authority,
                           crypto::Csprng(std::array<std::uint8_t, 32>{3})};
-  net::Network network;
 
   ThreeGdoFixture() {
     genome::CohortSpec spec;
@@ -371,68 +280,63 @@ struct ThreeGdoFixture {
     a.combinations = Coordinator::build_combinations(3, policy);
     return a;
   }
+
+  /// Runs the study with GDO 2 crashing after its summary; returns the
+  /// leader's outcome and leaves the honest member's state in `honest`.
+  common::Status run(const CollusionPolicy& policy,
+                     std::chrono::milliseconds member_timeout,
+                     std::unique_ptr<MemberSession>& honest,
+                     std::unique_ptr<LeaderSession>& leader) {
+    leader = std::make_unique<LeaderSession>(
+        platform0, 0, 3, cohort.cases.slice_rows(0, 100), cohort.controls,
+        announce(policy));
+    leader->set_receive_timeout(std::chrono::milliseconds(250));
+    honest = std::make_unique<MemberSession>(platform1, 1, 0,
+                                             cohort.cases.slice_rows(100, 200));
+    honest->set_receive_timeout(member_timeout);
+    ScriptedMember crashing(platform2, 2, 0, cohort.cases.slice_rows(200, 300),
+                            ScriptedMember::until_summary());
+    SessionHarness harness;
+    harness.add(0, *leader);
+    harness.add(1, *honest);
+    harness.add(2, crashing);
+    harness.run();
+    return leader->status();
+  }
 };
 
 TEST(LivenessTest, RedundantCombinationSurvivesDeadGdo) {
   ThreeGdoFixture f;
   // f = 1: combinations {0,1}, {0,2}, {1,2} - losing GDO 2 leaves {0,1}.
-  LeaderNode leader(f.network, f.platform0, 0, 3,
-                    f.cohort.cases.slice_rows(0, 100), f.cohort.controls,
-                    f.announce(CollusionPolicy::fixed(1)));
-  leader.set_receive_timeout(std::chrono::milliseconds(250));
-  MemberNode honest(f.network, f.platform1, 1, 0,
-                    f.cohort.cases.slice_rows(100, 200));
-  honest.set_receive_timeout(std::chrono::milliseconds(5000));
-  auto mailbox2 = f.network.attach(node_id_of(2));
-  GdoEnclave enclave2(f.platform2, 2);
-  ASSERT_TRUE(
-      enclave2.provision_dataset(f.cohort.cases.slice_rows(200, 300)).ok());
-  honest.start();
-  std::thread crashing([&] {
-    run_member_until_summary(f.network, enclave2, mailbox2, 2, 0);
-  });
-
-  const auto result = leader.run_study(nullptr);
-  crashing.join();
-  honest.join();
+  std::unique_ptr<MemberSession> honest;
+  std::unique_ptr<LeaderSession> leader;
+  const common::Status result =
+      f.run(CollusionPolicy::fixed(1), std::chrono::milliseconds(5000),
+            honest, leader);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().dead_gdos, (std::vector<std::uint32_t>{2}));
-  ASSERT_TRUE(honest.status().ok()) << honest.status().error().to_string();
+  EXPECT_EQ(leader->result().dead_gdos, (std::vector<std::uint32_t>{2}));
+  ASSERT_TRUE(honest->status().ok()) << honest->status().error().to_string();
   // The surviving member converges on the same safe set as the leader.
-  EXPECT_TRUE(honest.enclave().study_complete());
-  EXPECT_EQ(honest.enclave().safe_snps(), result.value().outcome.l_safe);
+  EXPECT_TRUE(honest->enclave().study_complete());
+  EXPECT_EQ(honest->enclave().safe_snps(), leader->result().outcome.l_safe);
 }
 
 TEST(LivenessTest, SurvivingMemberReceivesAbortNotice) {
   ThreeGdoFixture f;
   // No redundancy: the single combination {0,1,2} dies with GDO 2, and the
   // leader must tell the surviving member instead of leaving it waiting.
-  LeaderNode leader(f.network, f.platform0, 0, 3,
-                    f.cohort.cases.slice_rows(0, 100), f.cohort.controls,
-                    f.announce(CollusionPolicy::none()));
-  leader.set_receive_timeout(std::chrono::milliseconds(250));
-  MemberNode honest(f.network, f.platform1, 1, 0,
-                    f.cohort.cases.slice_rows(100, 200));
-  honest.set_receive_timeout(std::chrono::milliseconds(10000));
-  auto mailbox2 = f.network.attach(node_id_of(2));
-  GdoEnclave enclave2(f.platform2, 2);
-  ASSERT_TRUE(
-      enclave2.provision_dataset(f.cohort.cases.slice_rows(200, 300)).ok());
-  honest.start();
-  std::thread crashing([&] {
-    run_member_until_summary(f.network, enclave2, mailbox2, 2, 0);
-  });
-
-  const auto result = leader.run_study(nullptr);
-  crashing.join();
-  honest.join();
+  std::unique_ptr<MemberSession> honest;
+  std::unique_ptr<LeaderSession> leader;
+  const common::Status result =
+      f.run(CollusionPolicy::none(), std::chrono::milliseconds(10000), honest,
+            leader);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, common::Errc::timeout);
   EXPECT_NE(result.error().message.find("2"), std::string::npos)
       << result.error().to_string();
-  ASSERT_FALSE(honest.status().ok());
-  EXPECT_EQ(honest.status().error().code, common::Errc::aborted)
-      << honest.status().error().to_string();
+  ASSERT_FALSE(honest->status().ok());
+  EXPECT_EQ(honest->status().error().code, common::Errc::aborted)
+      << honest->status().error().to_string();
 }
 
 }  // namespace

@@ -12,13 +12,12 @@
 
 #include <chrono>
 #include <memory>
-#include <thread>
 
 #include "gendpr/federation.hpp"
-#include "gendpr/node.hpp"
 #include "gendpr/trusted.hpp"
 #include "genome/cohort.hpp"
 #include "obs/observability.hpp"
+#include "session_harness.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -125,34 +124,6 @@ TEST(PruneEquivalenceTest, PrunedSweepDoesMeasurablyLessWork) {
             obs_unpruned.metrics.counter("lr.reference_matvecs"));
 }
 
-/// Handshakes with the leader from `gdo`, answers the announce with honest
-/// summary stats, then goes silent — a crash right after phase-1 input
-/// submission (mirrors the liveness tests in failure_injection_test.cpp).
-void run_member_until_summary(net::Network& network, GdoEnclave& enclave,
-                              std::shared_ptr<net::Mailbox> mailbox,
-                              std::uint32_t gdo, std::uint32_t leader) {
-  auto channel = enclave.channel_to(trusted_module_measurement(),
-                                    /*initiator=*/true);
-  network.send(node_id_of(gdo), node_id_of(leader),
-               channel->handshake_message());
-  const auto leader_handshake = mailbox->receive();
-  ASSERT_TRUE(leader_handshake.has_value());
-  ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-  const auto announce_record = mailbox->receive();
-  ASSERT_TRUE(announce_record.has_value());
-  auto plaintext = channel->open(announce_record->payload);
-  ASSERT_TRUE(plaintext.ok());
-  auto opened = open_envelope(plaintext.value());
-  ASSERT_TRUE(opened.ok());
-  auto announce = StudyAnnounce::deserialize(opened.value().second);
-  ASSERT_TRUE(announce.ok());
-  ASSERT_TRUE(enclave.on_study_announce(announce.value()).ok());
-  auto record = channel->seal(envelope(
-      MsgType::summary_stats, enclave.make_summary_stats().serialize()));
-  ASSERT_TRUE(record.ok());
-  network.send(node_id_of(gdo), node_id_of(leader), std::move(record).take());
-}
-
 TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
   // GDO 2 submits its summary, then goes silent; the leader declares it
   // dead mid-walk. The pruned sweep's pass restart must land on the same
@@ -172,7 +143,6 @@ TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
                             crypto::Csprng(std::array<std::uint8_t, 32>{2})};
     tee::Platform platform2{3, authority,
                             crypto::Csprng(std::array<std::uint8_t, 32>{3})};
-    net::Network network;
 
     StudyAnnounce announce;
     announce.study_id = 1;
@@ -182,34 +152,30 @@ TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
     announce.combinations =
         Coordinator::build_combinations(3, CollusionPolicy::fixed(1));
 
-    LeaderNode leader(network, platform0, 0, 3,
-                      cohort.cases.slice_rows(0, 100), cohort.controls,
-                      announce);
+    LeaderSession leader(platform0, 0, 3, cohort.cases.slice_rows(0, 100),
+                         cohort.controls, announce);
     leader.set_receive_timeout(std::chrono::milliseconds(250));
-    MemberNode honest(network, platform1, 1, 0,
-                      cohort.cases.slice_rows(100, 200));
+    MemberSession honest(platform1, 1, 0, cohort.cases.slice_rows(100, 200));
     honest.set_receive_timeout(std::chrono::milliseconds(5000));
-    auto mailbox2 = network.attach(node_id_of(2));
-    GdoEnclave enclave2(platform2, 2);
-    EXPECT_TRUE(
-        enclave2.provision_dataset(cohort.cases.slice_rows(200, 300)).ok());
-    honest.start();
-    std::thread crashing([&] {
-      run_member_until_summary(network, enclave2, mailbox2, 2, 0);
-    });
+    // GDO 2 crashes right after phase-1 input submission (mirrors the
+    // liveness tests in failure_injection_test.cpp).
+    ScriptedMember crashing(platform2, 2, 0, cohort.cases.slice_rows(200, 300),
+                            ScriptedMember::until_summary());
+    SessionHarness harness;
+    harness.add(0, leader);
+    harness.add(1, honest);
+    harness.add(2, crashing);
+    harness.run();
 
-    auto result = leader.run_study(nullptr);
-    crashing.join();
-    honest.join();
-    EXPECT_TRUE(result.ok()) << (result.ok() ? ""
-                                             : result.error().to_string());
-    if (result.ok()) {
-      EXPECT_EQ(result.value().dead_gdos, (std::vector<std::uint32_t>{2}));
-      // The surviving member converges on the leader's safe set too.
-      EXPECT_TRUE(honest.enclave().study_complete());
-      EXPECT_EQ(honest.enclave().safe_snps(), result.value().outcome.l_safe);
-    }
-    return result.ok() ? std::move(result).take() : StudyResult{};
+    EXPECT_TRUE(leader.status().ok())
+        << (leader.status().ok() ? "" : leader.status().error().to_string());
+    if (!leader.status().ok()) return StudyResult{};
+    const StudyResult& result = leader.result();
+    EXPECT_EQ(result.dead_gdos, (std::vector<std::uint32_t>{2}));
+    // The surviving member converges on the leader's safe set too.
+    EXPECT_TRUE(honest.enclave().study_complete());
+    EXPECT_EQ(honest.enclave().safe_snps(), result.outcome.l_safe);
+    return result;
   };
 
   const StudyResult unpruned = run_degraded(false);

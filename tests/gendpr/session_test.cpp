@@ -20,6 +20,11 @@ namespace {
 
 using Clock = ProtocolSession::Clock;
 
+/// Owning copy of an emitted frame's payload.
+common::Bytes bytes_of(const wire::WireBuffer& frame) {
+  return common::Bytes(frame.payload().begin(), frame.payload().end());
+}
+
 /// One delivered frame of a pumped federation, in delivery order.
 struct TranscriptEntry {
   std::uint32_t from = 0;
@@ -36,7 +41,7 @@ std::vector<TranscriptEntry> pump_federation(
   const auto collect = [&](std::uint32_t from, std::vector<OutFrame> frames) {
     for (OutFrame& frame : frames) {
       in_flight.push_back(TranscriptEntry{
-          from, frame.to_gdo, std::move(frame.payload).take_payload()});
+          from, frame.to_gdo, bytes_of(frame.payload)});
     }
   };
   for (std::uint32_t g = 0; g < sessions.size(); ++g) {
@@ -183,7 +188,7 @@ TEST(SessionTest, TruncatedHandshakeFails) {
   auto member = fixture.make_member(1);
   std::vector<OutFrame> handshake = member->step({});
   ASSERT_EQ(handshake.size(), 1u);
-  common::Bytes truncated = std::move(handshake[0].payload).take_payload();
+  common::Bytes truncated = bytes_of(handshake[0].payload);
   truncated.resize(truncated.size() / 2);
   leader->step({InFrame{1, std::move(truncated)}});
   ASSERT_EQ(leader->wants(), SessionWants::failed);
@@ -202,7 +207,7 @@ TEST(SessionTest, WrongAuthorityHandshakeIsRejected) {
                       fixture.cohort.cases.slice_rows(0, 40));
   std::vector<OutFrame> handshake = rogue.step({});
   ASSERT_EQ(handshake.size(), 1u);
-  leader->step({InFrame{1, std::move(handshake[0].payload).take_payload()}});
+  leader->step({InFrame{1, bytes_of(handshake[0].payload)}});
   ASSERT_EQ(leader->wants(), SessionWants::failed);
   EXPECT_EQ(leader->status().error().code, common::Errc::attestation_rejected);
 }
@@ -219,12 +224,12 @@ TEST(SessionTest, TamperedRecordFailsDecryption) {
   ASSERT_EQ(hs1.size(), 1u);
   ASSERT_EQ(hs2.size(), 1u);
   std::vector<OutFrame> replies =
-      leader->step({InFrame{1, std::move(hs1[0].payload).take_payload()},
-                    InFrame{2, std::move(hs2[0].payload).take_payload()}});
+      leader->step({InFrame{1, bytes_of(hs1[0].payload)},
+                    InFrame{2, bytes_of(hs2[0].payload)}});
   common::Bytes to_member1;
   for (OutFrame& frame : replies) {
     if (frame.to_gdo == 1 && to_member1.empty()) {
-      to_member1 = std::move(frame.payload).take_payload();
+      to_member1 = bytes_of(frame.payload);
     }
   }
   ASSERT_FALSE(to_member1.empty());
@@ -244,8 +249,8 @@ TEST(SessionTest, ReplayedRecordIsRejected) {
   std::vector<OutFrame> hs1 = member1->step({});
   std::vector<OutFrame> hs2 = member2->step({});
   std::vector<OutFrame> replies =
-      leader->step({InFrame{1, std::move(hs1[0].payload).take_payload()},
-                    InFrame{2, std::move(hs2[0].payload).take_payload()}});
+      leader->step({InFrame{1, bytes_of(hs1[0].payload)},
+                    InFrame{2, bytes_of(hs2[0].payload)}});
   // First frame to member 1 is its handshake reply; the next (the sealed
   // study announce) is the replay victim.
   common::Bytes reply1;
@@ -253,9 +258,9 @@ TEST(SessionTest, ReplayedRecordIsRejected) {
   for (OutFrame& frame : replies) {
     if (frame.to_gdo != 1) continue;
     if (reply1.empty()) {
-      reply1 = std::move(frame.payload).take_payload();
+      reply1 = bytes_of(frame.payload);
     } else if (announce1.empty()) {
-      announce1 = std::move(frame.payload).take_payload();
+      announce1 = bytes_of(frame.payload);
     }
   }
   ASSERT_FALSE(reply1.empty());
@@ -370,10 +375,10 @@ TEST(SessionTest, SilentMemberTimesOutAndSurvivorGetsAbortNotice) {
   std::vector<OutFrame> hs1 = member1->step({}, start);
   ASSERT_EQ(hs1.size(), 1u);
   std::vector<OutFrame> replies =
-      leader->step({InFrame{1, std::move(hs1[0].payload).take_payload()}},
+      leader->step({InFrame{1, bytes_of(hs1[0].payload)}},
                    start);
   ASSERT_EQ(replies.size(), 1u);
-  member1->step({InFrame{0, std::move(replies[0].payload).take_payload()}},
+  member1->step({InFrame{0, bytes_of(replies[0].payload)}},
                 start);
   ASSERT_EQ(member1->wants(), SessionWants::recv);
 
@@ -387,7 +392,7 @@ TEST(SessionTest, SilentMemberTimesOutAndSurvivorGetsAbortNotice) {
   ASSERT_EQ(aborts.size(), 1u);
   EXPECT_EQ(aborts[0].to_gdo, 1u);
 
-  member1->step({InFrame{0, std::move(aborts[0].payload).take_payload()}});
+  member1->step({InFrame{0, bytes_of(aborts[0].payload)}});
   ASSERT_EQ(member1->wants(), SessionWants::failed);
   EXPECT_EQ(member1->status().error().code, common::Errc::aborted);
   EXPECT_NE(member1->status().error().message.find("study aborted by leader"),
@@ -423,8 +428,8 @@ TEST(SessionTest, FramesArrivingMidComputeAreBuffered) {
   auto member2 = fixture.make_member(2);
   std::vector<OutFrame> hs1 = member1->step({});
   std::vector<OutFrame> hs2 = member2->step({});
-  leader->on_frame(1, std::move(hs1[0].payload).take_payload(), Clock::now());
-  leader->on_frame(2, std::move(hs2[0].payload).take_payload(), Clock::now());
+  leader->on_frame(1, bytes_of(hs1[0].payload), Clock::now());
+  leader->on_frame(2, bytes_of(hs2[0].payload), Clock::now());
   const std::vector<OutFrame> replies = leader->step({});
   ASSERT_EQ(leader->wants(), SessionWants::recv);
   // Handshake replies for both members plus the first sealed requests.

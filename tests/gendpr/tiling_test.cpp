@@ -11,12 +11,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "gendpr/federation.hpp"
 #include "gendpr/report.hpp"
 #include "genome/cohort.hpp"
-#include "net/network.hpp"
+#include "session_harness.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -116,32 +115,6 @@ TEST(TilingTest, EmptyFunnelCompletesWithZeroLrTiles) {
   }
 }
 
-/// Handshakes with the leader from `gdo`, processes the study announce, and
-/// then goes silent without ever sending a summary: a GDO crash right before
-/// phase-1 input submission. Unlike a crash *after* the summary, this shape
-/// is identical under any tile width, so the tiled and monolithic degraded
-/// runs see the same dead set at the same phase. Runs on the calling thread.
-void run_member_until_announce(net::Network& network, GdoEnclave& enclave,
-                               std::shared_ptr<net::Mailbox> mailbox,
-                               std::uint32_t gdo, std::uint32_t leader) {
-  auto channel = enclave.channel_to(trusted_module_measurement(),
-                                    /*initiator=*/true);
-  network.send(node_id_of(gdo), node_id_of(leader),
-               channel->handshake_message());
-  const auto leader_handshake = mailbox->receive();
-  ASSERT_TRUE(leader_handshake.has_value());
-  ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-  const auto announce_record = mailbox->receive();
-  ASSERT_TRUE(announce_record.has_value());
-  auto plaintext = channel->open(announce_record->payload);
-  ASSERT_TRUE(plaintext.ok());
-  auto opened = open_envelope(plaintext.value());
-  ASSERT_TRUE(opened.ok());
-  auto announce = StudyAnnounce::deserialize(opened.value().second);
-  ASSERT_TRUE(announce.ok());
-  ASSERT_TRUE(enclave.on_study_announce(announce.value()).ok());
-}
-
 TEST(TilingTest, DegradedDeadGdoRunMatchesMonolithic) {
   // A member that crashes before submitting any summary is declared dead
   // during the summary gather in both modes, so the surviving combinations
@@ -155,7 +128,6 @@ TEST(TilingTest, DegradedDeadGdoRunMatchesMonolithic) {
                             crypto::Csprng(std::array<std::uint8_t, 32>{2})};
     tee::Platform platform2{3, authority,
                             crypto::Csprng(std::array<std::uint8_t, 32>{3})};
-    net::Network network;
     StudyAnnounce announce;
     announce.study_id = 1;
     announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
@@ -163,26 +135,29 @@ TEST(TilingTest, DegradedDeadGdoRunMatchesMonolithic) {
     // f = 1: combinations {0,1}, {0,2}, {1,2} - losing GDO 2 leaves {0,1}.
     announce.combinations =
         Coordinator::build_combinations(3, CollusionPolicy::fixed(1));
-    LeaderNode leader(network, platform0, 0, 3,
-                      cohort.cases.slice_rows(0, 100), cohort.controls,
-                      announce);
+    LeaderSession leader(platform0, 0, 3, cohort.cases.slice_rows(0, 100),
+                         cohort.controls, announce);
     leader.set_receive_timeout(std::chrono::milliseconds(400));
-    MemberNode honest(network, platform1, 1, 0,
-                      cohort.cases.slice_rows(100, 200));
+    MemberSession honest(platform1, 1, 0, cohort.cases.slice_rows(100, 200));
     honest.set_receive_timeout(std::chrono::milliseconds(20000));
-    auto mailbox2 = network.attach(node_id_of(2));
-    GdoEnclave enclave2(platform2, 2);
-    EXPECT_TRUE(
-        enclave2.provision_dataset(cohort.cases.slice_rows(200, 300)).ok());
-    honest.start();
-    std::thread crashing([&] {
-      run_member_until_announce(network, enclave2, mailbox2, 2, 0);
-    });
-    auto result = leader.run_study(nullptr);
-    crashing.join();
-    honest.join();
+    // GDO 2 handshakes and processes the announce, then goes silent without
+    // ever sending a summary: a crash right before phase-1 input
+    // submission. Unlike a crash *after* the summary, this shape is
+    // identical under any tile width, so the tiled and monolithic degraded
+    // runs see the same dead set at the same phase.
+    ScriptedMember::Script script;
+    script.stop = ScriptedMember::Stop::after_announce;
+    ScriptedMember crashing(platform2, 2, 0, cohort.cases.slice_rows(200, 300),
+                            std::move(script));
+    SessionHarness harness;
+    harness.add(0, leader);
+    harness.add(1, honest);
+    harness.add(2, crashing);
+    harness.run();
     EXPECT_TRUE(honest.status().ok()) << honest.status().error().to_string();
-    return result;
+    return leader.status().ok() ? common::Result<StudyResult>(leader.result())
+                                : common::Result<StudyResult>(
+                                      leader.status().error());
   };
 
   const auto mono = run_with_crashing_member(0);
@@ -218,23 +193,27 @@ TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
         1, authority, crypto::Csprng(std::array<std::uint8_t, 32>{1}), limit};
     tee::Platform member_platform{
         2, authority, crypto::Csprng(std::array<std::uint8_t, 32>{2}), limit};
-    net::Network network;
     StudyAnnounce announce;
     announce.study_id = 1;
     announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
     announce.config.snp_tile_width = width;
     announce.combinations =
         Coordinator::build_combinations(2, CollusionPolicy::none());
-    LeaderNode leader(network, leader_platform, 0, 2,
-                      cohort.cases.slice_rows(0, 300), cohort.controls,
-                      announce);
+    LeaderSession leader(leader_platform, 0, 2,
+                         cohort.cases.slice_rows(0, 300), cohort.controls,
+                         announce);
     leader.set_receive_timeout(std::chrono::milliseconds(20000));
-    MemberNode member(network, member_platform, 1, 0,
-                      cohort.cases.slice_rows(300, 420));
+    MemberSession member(member_platform, 1, 0,
+                         cohort.cases.slice_rows(300, 420));
     member.set_receive_timeout(std::chrono::milliseconds(20000));
-    member.start();
-    Run run{leader.run_study(nullptr), 0, 0};
-    member.join();
+    SessionHarness harness;
+    harness.add(0, leader);
+    harness.add(1, member);
+    harness.run();
+    Run run{leader.status().ok()
+                ? common::Result<StudyResult>(leader.result())
+                : common::Result<StudyResult>(leader.status().error()),
+            0, 0};
     run.leader_peak = leader_platform.epc().peak();
     run.member_peak = member_platform.epc().peak();
     return run;

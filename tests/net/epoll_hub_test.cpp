@@ -1,14 +1,17 @@
 // EpollHub tests: nonblocking dial + hello identity exchange, ordered
-// buffering of frames sent while a dial is in flight, peer-loss reporting on
-// both connection death and dial exhaustion, and traffic metering — all on
-// a single thread.
+// buffering of frames sent while a dial is in flight, dial retries and bad
+// addresses, large and many frames over one connection, the federation's
+// star topology, peer-loss reporting on both connection death and dial
+// exhaustion, and traffic metering — all on a single thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
 
@@ -116,6 +119,128 @@ TEST(EpollHubTest, ExhaustedDialReportsPeerLost) {
   loop.run_until([&] { return !lost.empty(); });
   ASSERT_EQ(lost.size(), 1u);
   EXPECT_EQ(lost[0], 9u);
+}
+
+TEST(EpollHubTest, CreateBindsEphemeralPort) {
+  EventLoop loop;
+  auto hub = EpollHub::create(loop, 1, 0);
+  ASSERT_TRUE(hub.ok()) << hub.error().to_string();
+  EXPECT_NE(hub.value()->port(), 0);
+}
+
+TEST(EpollHubTest, BadHostRejected) {
+  EventLoop loop;
+  auto hub = EpollHub::create(loop, 1, 0);
+  ASSERT_TRUE(hub.ok());
+  std::vector<NodeId> lost;
+  hub.value()->set_peer_lost_handler(
+      [&](NodeId peer) { lost.push_back(peer); });
+  // An unparsable address never resolves itself: no retries, lost at once.
+  hub.value()->connect_peer(2, "not-an-ip", 1234);
+  EXPECT_EQ(lost, std::vector<NodeId>{2});
+  EXPECT_FALSE(hub.value()->is_connected(2));
+}
+
+TEST(EpollHubTest, ConnectRetriesUntilListenerAppears) {
+  EventLoop loop;
+  auto a = EpollHub::create(loop, 1, 0);
+  ASSERT_TRUE(a.ok());
+  std::uint16_t port = 0;
+  {
+    auto scratch = EpollHub::create(loop, 9, 0);
+    ASSERT_TRUE(scratch.ok());
+    port = scratch.value()->port();
+  }  // the port is free again; nothing is listening on it yet
+
+  std::unique_ptr<EpollHub> b;
+  loop.add_timer_after(80ms, [&] {
+    auto hub = EpollHub::create(loop, 2, port);
+    ASSERT_TRUE(hub.ok()) << hub.error().to_string();
+    b = std::move(hub).take();
+  });
+  EpollHub::DialOptions options;
+  options.max_attempts = 10;
+  options.initial_backoff = 20ms;
+  a.value()->connect_peer(2, "127.0.0.1", port, options);
+  loop.run_until([&] { return a.value()->is_connected(2); });
+  EXPECT_TRUE(a.value()->is_connected(2));
+}
+
+TEST(EpollHubTest, LargePayloadRoundTrip) {
+  EventLoop loop;
+  auto a = EpollHub::create(loop, 1, 0);
+  auto b = EpollHub::create(loop, 2, 0);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  std::vector<common::Bytes> received;
+  b.value()->set_frame_handler([&](NodeId, common::BytesView payload) {
+    received.push_back(common::Bytes(payload.begin(), payload.end()));
+  });
+  a.value()->connect_peer(2, "127.0.0.1", b.value()->port());
+
+  // Far past one receive buffer and the write watermark: the frame crosses
+  // many partial writes and reads.
+  common::Rng rng(3);
+  common::Bytes big(2 * 1024 * 1024);
+  for (auto& byte : big) byte = static_cast<std::uint8_t>(rng.next());
+  ASSERT_TRUE(a.value()->send(2, big).ok());
+  loop.run_until([&] { return !received.empty(); });
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0], big);
+}
+
+TEST(EpollHubTest, ManyMessagesPreserveOrder) {
+  EventLoop loop;
+  auto a = EpollHub::create(loop, 1, 0);
+  auto b = EpollHub::create(loop, 2, 0);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  std::vector<std::uint32_t> received;
+  b.value()->set_frame_handler([&](NodeId, common::BytesView payload) {
+    std::uint32_t value = 0;
+    for (int j = 0; j < 4; ++j) value |= std::uint32_t{payload[j]} << (8 * j);
+    received.push_back(value);
+  });
+  a.value()->connect_peer(2, "127.0.0.1", b.value()->port());
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    common::Bytes msg(4);
+    for (int j = 0; j < 4; ++j) {
+      msg[j] = static_cast<std::uint8_t>(i >> (8 * j));
+    }
+    ASSERT_TRUE(a.value()->send(2, std::move(msg)).ok());
+  }
+  loop.run_until([&] { return received.size() == 500; });
+  ASSERT_EQ(received.size(), 500u);
+  for (std::uint32_t i = 0; i < 500; ++i) EXPECT_EQ(received[i], i);
+}
+
+TEST(EpollHubTest, ThreeHubStar) {
+  // Leader hub + two members dialing in: the federation topology.
+  EventLoop loop;
+  auto leader = EpollHub::create(loop, 1, 0);
+  auto m1 = EpollHub::create(loop, 2, 0);
+  auto m2 = EpollHub::create(loop, 3, 0);
+  ASSERT_TRUE(leader.ok());
+  ASSERT_TRUE(m1.ok());
+  ASSERT_TRUE(m2.ok());
+  std::vector<NodeId> senders;
+  std::size_t replies = 0;
+  leader.value()->set_frame_handler(
+      [&](NodeId from, common::BytesView) { senders.push_back(from); });
+  m1.value()->set_frame_handler([&](NodeId, common::BytesView) { ++replies; });
+  m2.value()->set_frame_handler([&](NodeId, common::BytesView) { ++replies; });
+  m1.value()->connect_peer(1, "127.0.0.1", leader.value()->port());
+  m2.value()->connect_peer(1, "127.0.0.1", leader.value()->port());
+  ASSERT_TRUE(m1.value()->send(1, bytes_of({0xaa})).ok());
+  ASSERT_TRUE(m2.value()->send(1, bytes_of({0xbb})).ok());
+  loop.run_until([&] { return senders.size() == 2; });
+  std::sort(senders.begin(), senders.end());
+  EXPECT_EQ(senders, (std::vector<NodeId>{2, 3}));
+  // The leader can reply to both over the accepted connections.
+  ASSERT_TRUE(leader.value()->send(2, bytes_of({0x01})).ok());
+  ASSERT_TRUE(leader.value()->send(3, bytes_of({0x02})).ok());
+  loop.run_until([&] { return replies == 2; });
+  EXPECT_EQ(replies, 2u);
 }
 
 }  // namespace
