@@ -1,14 +1,13 @@
 // Ablation: what do the SIMD bit-plane kernels buy? (DESIGN.md §2.2).
 //
-// Benches the three dispatched kernels — plane popcount (allele counts),
-// AND+popcount over plane pairs (the non-marginal LD moment), and the
-// indicator-select behind LrBasis::derive — per backend over protocol-sized
-// inputs, so the portable/AVX2/AVX-512 columns of the same kernel are
-// directly comparable. A backend the CPU lacks is skipped, not faked. The
-// tail bench runs the same federated study monolithic and SNP-tiled to show
-// the tiling ablation on end-to-end time and the leader's transient EPC
-// peak (and, with GENDPR_REPORT_DIR set, drops a tiled run report CI can
-// feed through tools/check_report.py).
+// Benches the two dispatched kernels — plane popcount (allele counts) and
+// AND+popcount over plane pairs (the non-marginal LD moment) — per backend
+// over protocol-sized inputs, so the portable/AVX2/AVX-512 columns of the
+// same kernel are directly comparable. A backend the CPU lacks is skipped,
+// not faked. The tail bench runs the same federated study monolithic and
+// SNP-tiled to show the tiling ablation on end-to-end time and the leader's
+// transient EPC peak (and, with GENDPR_REPORT_DIR set, drops a tiled run
+// report CI can feed through tools/check_report.py).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -88,34 +87,6 @@ BENCHMARK(BM_Kernels_AndPopcount)
     ->Args({32768, 0})
     ->Args({32768, 1})
     ->Args({32768, 2});
-
-/// LrBasis::derive kernel: per-individual weight select off the genotype
-/// indicator. 8,192 individuals matches one basis row block at paper scale.
-void BM_Kernels_SelectWeights(benchmark::State& state) {
-  const auto backend = static_cast<KernelBackend>(state.range(1));
-  if (skip_if_unavailable(state, backend)) return;
-  const auto& ops = genome::kernels::kernel_ops_for(backend);
-  const std::size_t n = state.range(0);
-  std::mt19937_64 rng(0xfeed);
-  std::vector<std::uint8_t> indicator(n);
-  std::vector<double> when_minor(n), when_major(n), out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    indicator[i] = rng() & 1;
-    when_minor[i] = static_cast<double>(rng() % 1000) / 997.0;
-    when_major[i] = static_cast<double>(rng() % 1000) / 991.0;
-  }
-  for (auto _ : state) {
-    ops.select_weights(indicator.data(), when_minor.data(), when_major.data(),
-                       n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(state.iterations() * n * sizeof(double));
-}
-BENCHMARK(BM_Kernels_SelectWeights)
-    ->ArgNames({"n", "backend"})
-    ->Args({8192, 0})
-    ->Args({8192, 1})
-    ->Args({8192, 2});
 
 /// Tiling ablation: the same federated study monolithic (width 0) vs
 /// SNP-tiled. Total time barely moves (tiling only re-chunks messages); the

@@ -91,8 +91,9 @@ void BM_Table5_Collusion(benchmark::State& state) {
 /// intersection-aware sweep pays off. Both modes must certify the exact
 /// same safe set; the pruned row discloses how much per-combination work
 /// the shrinking candidate mask removed (fewer LD pairs fetched, fewer
-/// chi-squared evaluations, full LR derivations collapsed to chain heads
-/// plus cheap delta updates). state.range(0) = prune on/off.
+/// chi-squared evaluations). The LR phase is one sweep in both modes, so
+/// its ledger (plane tiles and bytes received, selections run) must match.
+/// state.range(0) = prune on/off.
 void BM_Table5_PruningAblation(benchmark::State& state) {
   const bool prune = state.range(0) != 0;
   const genome::Cohort& cohort =
@@ -123,9 +124,9 @@ void BM_Table5_PruningAblation(benchmark::State& state) {
   state.counters["LdMemberRequests"] =
       counter("coordinator.ld_member_requests");
   state.counters["Chi2Values"] = counter("coordinator.chi2_values_computed");
-  state.counters["LrMatvecs"] = counter("lr.combination_matvecs");
-  state.counters["LrDeltaUpdates"] =
-      counter("lr.combination_delta_updates");
+  state.counters["LrPlaneTiles"] = counter("lr.plane_tiles_received");
+  state.counters["LrPlaneBytes"] = counter("lr.plane_bytes");
+  state.counters["LrSelections"] = counter("lr.selections");
   state.counters["Total_ms"] = result.timings.total_ms;
   write_bench_report(prune ? "table5_prune_on" : "table5_prune_off", result,
                      &observability);

@@ -28,11 +28,11 @@ struct StudyConfig {
   /// transforms that provably cannot change the released sets: the MAF
   /// pass evaluates only SNPs still surviving the running mask, chi²
   /// ranks are computed for L' survivors only, LD walks stop once every
-  /// running-intersection member's fate is decided, emptied intersections
-  /// skip the remaining combinations, and LR matrices chain through
-  /// per-column delta updates instead of full basis derivations. The
-  /// released L'/L''/L_safe sets are bit-identical with pruning on or
-  /// off; only the work (and its counters) shrinks.
+  /// running-intersection member's fate is decided, and emptied
+  /// intersections skip the remaining walks. The LR phase is one sweep
+  /// either way. The released L'/L''/L_safe sets and the final power are
+  /// bit-identical with pruning on or off; only the work (and its
+  /// counters) shrinks.
   bool prune = true;
 
   bool operator==(const StudyConfig&) const = default;

@@ -186,7 +186,6 @@ Result<StudyResult> run_sessions(
         cohort.cases.slice_rows(ranges[g].first, ranges[g].second)));
     members.back()->set_receive_timeout(receive_timeout);
     members.back()->set_observability(spec.obs);
-    members.back()->set_pool(pool);
     members.back()->set_wire_pool(&run_pool);
   }
   // A member that failed to provision (EPC limit) would never handshake and
@@ -404,9 +403,7 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   // study's sealing work (federation runs in one process are sequential).
   const crypto::AeadCounters aead_before = crypto::aead_counters();
 
-  // One pool shared by the leader's per-combination LR selection and every
-  // member's per-combination basis derivations (parallel_for is safe to
-  // call concurrently from distinct caller threads).
+  // The leader's pool for the per-combination LR selections.
   std::unique_ptr<common::ThreadPool> pool;
   if (spec.parallel_combinations && announce.combinations.size() > 1) {
     pool = std::make_unique<common::ThreadPool>();

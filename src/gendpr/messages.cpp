@@ -372,6 +372,39 @@ Result<LrMatrices> LrMatrices::deserialize(common::BytesView data) {
   return msg;
 }
 
+std::size_t LrPlanes::encoded_size() const {
+  return 4 + 4 + 4 + varint_size(words.size()) + 8 * words.size();
+}
+
+void LrPlanes::serialize_into(wire::Writer& w) const {
+  w.u32(tile_index);
+  w.u32(width);
+  w.u32(words_per_column);
+  w.vector_u64(words);
+}
+
+common::Bytes LrPlanes::serialize() const { return serialize_exact(*this); }
+
+Result<LrPlanes> LrPlanes::deserialize(common::BytesView data) {
+  wire::Reader r(data);
+  LrPlanes msg;
+  for (std::uint32_t* field :
+       {&msg.tile_index, &msg.width, &msg.words_per_column}) {
+    auto v = r.u32();
+    if (!v.ok()) return v.error();
+    *field = v.value();
+  }
+  auto words = r.vector_u64();
+  if (!words.ok()) return words.error();
+  msg.words = std::move(words).take();
+  if (msg.words.size() !=
+      std::uint64_t{msg.width} * std::uint64_t{msg.words_per_column}) {
+    return make_error(Errc::bad_message, "LR plane word count mismatch");
+  }
+  if (!r.exhausted()) return trailing();
+  return msg;
+}
+
 std::size_t Phase3Result::encoded_size() const {
   return vec_u32_size(safe) + 8;
 }

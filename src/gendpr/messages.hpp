@@ -27,7 +27,7 @@ enum class MsgType : std::uint8_t {
   moments_request = 4,
   moments_response = 5,
   phase2_result = 6,
-  lr_matrices = 7,
+  lr_planes = 7,
   phase3_result = 8,
   abort_notice = 9,
 };
@@ -101,12 +101,12 @@ struct MomentsResponse {
   static common::Result<MomentsResponse> deserialize(common::BytesView data);
 };
 
-/// Leader -> members: SNPs retained after LD pruning plus the inputs needed
-/// to build correct LR matrices (paper Fig. 4 step 1). Instead of one
-/// leader-derived case-frequency vector per combination (O(C·m) doubles),
-/// the leader ships each GDO's allele counts over L'' once (O(G·m)); every
-/// member derives any combination's frequency vector locally via
-/// `combination_case_freq`. Trust-equivalent: counts and frequencies travel
+/// Leader -> members: SNPs retained after LD pruning plus the inputs of the
+/// LR test (paper Fig. 4 step 1). Instead of one case-frequency vector per
+/// combination (O(C·m) doubles), the leader ships each GDO's allele counts
+/// over L'' once (O(G·m)); any combination's frequency vector follows via
+/// `combination_case_freq`, and each member checks its own slot against
+/// its dataset. Trust-equivalent: counts and frequencies travel
 /// only between mutually attested enclaves on encrypted channels, and the
 /// per-GDO counts already crossed the wire in phase 1. Strictly smaller
 /// whenever C(G, G-f) > G, i.e. every f >= 2 setting.
@@ -119,14 +119,14 @@ struct Phase2Result {
   /// Per-GDO case population sizes (0 for dead GDOs).
   std::vector<std::uint32_t> n_case_per_gdo;
   /// GDOs the leader declared unresponsive. Combinations containing any of
-  /// them are skipped by members (§5.6 degraded mode: surviving
-  /// combinations still complete).
+  /// them are dropped (§5.6 degraded mode: surviving combinations still
+  /// complete), so members skip their slots when validating.
   std::vector<std::uint32_t> dead_gdos;
   /// Tile position within the leader's phase-3 TilePlan over L''. The
   /// monolithic protocol is the `tile_index` 0 / `num_tiles` 1 special
   /// case; with tiling, `retained`, `reference_freq` and the per-GDO count
   /// vectors hold only this tile's columns (global SNP ids stay global) and
-  /// members reply with one LrMatrices per tile. Each tile message is
+  /// members reply with one LrPlanes per tile. Each tile message is
   /// self-contained: a member needs no cross-tile state to answer it.
   std::uint32_t tile_index = 0;
   std::uint32_t num_tiles = 1;
@@ -134,9 +134,9 @@ struct Phase2Result {
   /// Case-frequency vector of the combination whose honest subset is
   /// `members`: exact u64 count and population sums over the members
   /// (in the given order) followed by one divide per SNP. Integer sums are
-  /// order-independent and the divide is a single rounding, so the leader
-  /// and every member derive bit-identical frequencies — and hence
-  /// bit-identical LR weights — from the same counts.
+  /// order-independent and the divide is a single rounding, so the
+  /// frequencies — and hence the LR weights — are bit-identical to the
+  /// centralized computation over the pooled counts.
   std::vector<double> combination_case_freq(
       const std::vector<std::uint32_t>& members) const;
 
@@ -146,13 +146,30 @@ struct Phase2Result {
   static common::Result<Phase2Result> deserialize(common::BytesView data);
 };
 
-/// Member -> leader: local LR matrices, one per combination that includes
-/// this GDO, each built with that combination's frequency vector. Under
-/// tiling, each matrix covers only the columns of `tile_index`'s slice of
-/// L'' (the reply mirrors the Phase2Result tile it answers); the leader
-/// reassembles full-width matrices column-slice by column-slice before the
-/// global safe-subset selection, which is exact because every matrix cell
-/// depends on its own column only.
+/// Member -> leader: the member's LR indicator bits over one phase-2 tile's
+/// L'' columns, sent once per tile for every combination at once. Column i
+/// is SNP-major plane `retained[i]` of the tile: `words_per_column` =
+/// ceil(n_case / 64) words, bit n set when local case n carries the minor
+/// allele, padding bits past n_case zero. Each cell of the paper's local LR
+/// matrix is `bit ? w_minor : w_major` under a combination's weights, which
+/// the leader computes itself, so this is the same information in 1/64 of
+/// the bytes.
+struct LrPlanes {
+  std::uint32_t tile_index = 0;
+  std::uint32_t width = 0;
+  std::uint32_t words_per_column = 0;
+  std::vector<std::uint64_t> words;  // width * words_per_column, by column
+
+  std::size_t encoded_size() const;
+  void serialize_into(wire::Writer& w) const;
+  common::Bytes serialize() const;
+  static common::Result<LrPlanes> deserialize(common::BytesView data);
+};
+
+/// Local LR matrices, one per combination that includes a GDO, each built
+/// with that combination's frequency vector: the paper's Fig. 4 upload.
+/// Sessions send LrPlanes instead; this codec stays as the wire-cost
+/// reference of the materialized form.
 struct LrMatrices {
   struct Entry {
     std::uint32_t combination_id = 0;

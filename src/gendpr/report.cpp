@@ -23,6 +23,9 @@ obs::JsonValue make_run_report(const StudyResult& study,
   study_section.set(
       "combination_members_total",
       static_cast<std::uint64_t>(study.combination_members_total));
+  JsonValue n_case = JsonValue::array();
+  for (std::uint32_t n : study.n_case_per_gdo) n_case.push_back(n);
+  study_section.set("n_case_per_gdo", std::move(n_case));
   JsonValue selection = JsonValue::object();
   selection.set("l_prime",
                 static_cast<std::uint64_t>(study.outcome.l_prime.size()));
@@ -95,7 +98,6 @@ obs::JsonValue make_run_report(const StudyResult& study,
   pipeline.set("maf_tiles_assessed_inline",
                static_cast<std::uint64_t>(study.maf_tiles_assessed_inline));
   pipeline.set("leader_inline_assess_ms", study.leader_inline_assess_ms);
-  pipeline.set("leader_lr_derive_ms", study.leader_lr_derive_ms);
   report.set("pipeline", std::move(pipeline));
 
   JsonValue pruning = JsonValue::object();
@@ -111,7 +113,6 @@ obs::JsonValue make_run_report(const StudyResult& study,
   pruning.set("maf_reassessments", study.pruning.maf_reassessments);
   pruning.set("ld_reassessments", study.pruning.ld_reassessments);
   pruning.set("ld_walks_skipped", study.pruning.ld_walks_skipped);
-  pruning.set("lr_selections_skipped", study.pruning.lr_selections_skipped);
   report.set("pruning", std::move(pruning));
 
   JsonValue events = JsonValue::object();

@@ -393,29 +393,12 @@ ProtocolSession::Main MemberSession::run_protocol() {
         auto result = Phase2Result::deserialize(body);
         if (!result.ok()) co_return result.error();
         const Stopwatch compute_watch;
-        auto matrices = enclave_.on_phase2(result.value(), pool_);
+        auto planes = enclave_.on_phase2(result.value());
         compute_ms_ += compute_watch.elapsed_ms();
-        if (!matrices.ok()) co_return matrices.error();
-        // One basis build per tile iff this GDO sat in any live combination,
-        // plus one basis-times-weights derivation per entry. The per-tile
-        // basis bounds this member's transient EPC footprint at O(tile).
-        // Under the intersection-aware sweep only the chain head is a full
-        // derivation; the rest are in-place delta updates.
-        if (!matrices.value().entries.empty()) {
-          obs::add_counter(obs_, "lr.basis_builds");
-          if (enclave_.prune_enabled()) {
-            obs::add_counter(obs_, "lr.combination_matvecs");
-            obs::add_counter(obs_, "lr.combination_delta_updates",
-                             matrices.value().entries.size() - 1);
-          } else {
-            obs::add_counter(obs_, "lr.combination_matvecs",
-                             matrices.value().entries.size());
-          }
-        }
+        if (!planes.ok()) co_return planes.error();
         obs::max_gauge(obs_, "epc.member.peak_bytes",
                        static_cast<double>(enclave_.platform().epc().peak()));
-        if (Status s = co_await send_reply(MsgType::lr_matrices,
-                                           matrices.value());
+        if (Status s = co_await send_reply(MsgType::lr_planes, planes.value());
             !s.ok()) {
           co_return s;
         }
@@ -848,9 +831,8 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
                                  "step.gather_lr_matrices", study_span_);
   // Phase-2 inputs go out as one self-contained message per tile of the
   // phase-3 plan (a single message when tiling is off): each body is
-  // O(G·tile) with per-GDO counts. Members start deriving on their own
-  // threads as soon as tile 0 lands, so the leader's own per-tile
-  // derivations right after the broadcast overlap the members' work.
+  // O(G·tile) with per-GDO counts. Members answer tile k with its planes
+  // while later tiles are still in flight.
   std::uint64_t phase2_body_bytes = 0;
   for (const Phase2Result& tile : coordinator_.phase2_tiles()) {
     const std::size_t body_size = tile.encoded_size();
@@ -863,15 +845,8 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
     }
   }
 
-  // --- Phase 3: derive leader tiles, gather LR matrices, select. ---
-  const Stopwatch lr_derive_watch;
-  if (Status s = coordinator_.derive_leader_lr_tiles(); !s.ok()) {
-    co_return s.error();
-  }
-  const double lr_derive_ms = lr_derive_watch.elapsed_ms();
-  obs::observe(obs_, "pipeline.lr_derive_ms", lr_derive_ms);
-
-  // Each member answers every phase-2 tile with one LrMatrices reply.
+  // --- Phase 3: gather every member's LR planes, then select. ---
+  // Each member answers every phase-2 tile with one LrPlanes reply.
   const std::uint32_t lr_tile_count = coordinator_.lr_plan().tile_count();
   std::vector<std::uint32_t> lr_tiles_left(num_gdos_, lr_tile_count);
   pending = live_members();
@@ -884,13 +859,13 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
     if (!step.value().got) break;
     auto opened = open_envelope(step.value().plaintext);
     if (!opened.ok()) co_return opened.error();
-    if (opened.value().first != MsgType::lr_matrices) {
-      co_return make_error(Errc::state_violation, "expected LR matrices");
+    if (opened.value().first != MsgType::lr_planes) {
+      co_return make_error(Errc::state_violation, "expected LR planes");
     }
-    auto matrices = LrMatrices::deserialize(opened.value().second);
-    if (!matrices.ok()) co_return matrices.error();
-    if (Status s = coordinator_.add_lr_matrices(step.value().member,
-                                                matrices.value());
+    auto planes = LrPlanes::deserialize(opened.value().second);
+    if (!planes.ok()) co_return planes.error();
+    if (Status s = coordinator_.add_lr_planes(step.value().member,
+                                              planes.value());
         !s.ok()) {
       co_return s.error();
     }
@@ -899,8 +874,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
     }
     if (pending.empty()) break;
   }
-  timings.aggregation_ms += aggregation_watch.elapsed_ms() - lr_derive_ms;
-  timings.lr_ms += lr_derive_ms;
+  timings.aggregation_ms += aggregation_watch.elapsed_ms();
   lr_gather_span.end();
 
   Stopwatch lr_watch;
@@ -930,6 +904,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   result.num_combinations = coordinator_.announce().combinations.size();
   result.live_combinations = coordinator_.live_combination_count();
   result.combination_members_total = coordinator_.combination_members_total();
+  result.n_case_per_gdo = coordinator_.case_populations();
   result.phase2_body_bytes = phase2_body_bytes;
   result.ld_pairs_fetched = coordinator_.ld_pairs_fetched();
   // network_bytes_total / leader_bytes_received / network_links belong to
@@ -956,7 +931,6 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   result.lr_tiles = lr_tile_count;
   result.maf_tiles_assessed_inline = maf_tiles_inline;
   result.leader_inline_assess_ms = inline_assess_ms;
-  result.leader_lr_derive_ms = lr_derive_ms;
   result.pruning = coordinator_.pruning_stats();
   if (obs_ != nullptr) {
     // Counters are exported by the federation runner from a run-wide delta

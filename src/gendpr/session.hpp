@@ -330,7 +330,6 @@ class MemberSession : public ProtocolSession {
   }
 
   void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
-  void set_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
 
   const GdoEnclave& enclave() const noexcept { return enclave_; }
   double compute_ms() const noexcept { return compute_ms_; }
@@ -349,7 +348,6 @@ class MemberSession : public ProtocolSession {
   common::Status provision_status_;
   double compute_ms_ = 0;
   obs::Observability* obs_ = nullptr;
-  common::ThreadPool* pool_ = nullptr;
 };
 
 /// Leader-side protocol session: establishes channels to every member, then

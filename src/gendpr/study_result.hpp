@@ -48,9 +48,11 @@ struct StudyResult {
   std::size_t num_combinations = 0;
   /// Combinations with no dead member (== num_combinations on clean runs).
   std::size_t live_combinations = 0;
-  /// Sum of |members(c)| over live combinations: the expected number of
-  /// per-member LR basis derivations (`lr.combination_matvecs`).
+  /// Sum of |members(c)| over live combinations.
   std::size_t combination_members_total = 0;
+  /// Case population per GDO from its phase-1 summary (0 for a GDO that
+  /// never reported). Public shape: it sizes each member's LR planes.
+  std::vector<std::uint32_t> n_case_per_gdo;
   /// Serialized size of the phase-2 result each member receives. With
   /// per-GDO counts this is O(G·m) instead of the old O(C·m) frequency
   /// vectors.
@@ -84,13 +86,10 @@ struct StudyResult {
   std::uint32_t snp_tile_width = 0;
   std::uint32_t maf_tiles = 1;
   std::uint32_t lr_tiles = 1;
-  /// Pipeline overlap: leader-side work done while members were still
-  /// streaming — MAF tiles assessed mid-gather and the time spent on them,
-  /// plus the leader's own LR tile derivations run right after the phase-2
-  /// tile broadcast (overlapping the members' derivations).
+  /// Pipeline overlap: MAF tiles the leader assessed while members were
+  /// still streaming summaries, and the time spent on them.
   std::size_t maf_tiles_assessed_inline = 0;
   double leader_inline_assess_ms = 0;
-  double leader_lr_derive_ms = 0;
   /// Intersection-aware sweep bookkeeping (zeros / empty when pruning off).
   PruningStats pruning;
 };

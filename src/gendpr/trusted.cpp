@@ -1,9 +1,9 @@
 #include "gendpr/trusted.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/combinatorics.hpp"
+#include "genome/kernels/kernels.hpp"
 #include "wire/serialize.hpp"
 #include "stats/association.hpp"
 
@@ -107,8 +107,7 @@ Result<MomentsResponse> GdoEnclave::on_moments_request(
   return response;
 }
 
-Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result,
-                                         common::ThreadPool* pool) {
+Result<LrPlanes> GdoEnclave::on_phase2(const Phase2Result& result) {
   if (!announce_.has_value()) {
     return make_error(Errc::state_violation, "phase2 before study announce");
   }
@@ -160,15 +159,13 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result,
                          result.retained.end());
   phase2_next_tile_ = result.tile_index + 1;
 
-  // Pass 1: validate every co-member's count slot and collect the live
-  // combinations containing this GDO (the only ones this GDO computes for).
+  // Every live combination containing this GDO must carry well-formed
+  // co-member slots: the leader weighs these bits with exactly those counts.
   std::vector<bool> slot_checked(num_gdos, false);
-  std::vector<std::size_t> own;
-  for (std::size_t c = 0; c < announce_->combinations.size(); ++c) {
-    const auto& members = announce_->combinations[c];
+  for (const auto& members : announce_->combinations) {
     if (std::find(members.begin(), members.end(), gdo_index_) ==
         members.end()) {
-      continue;  // this GDO's data is not part of combination c
+      continue;  // this GDO's data is not part of the combination
     }
     const bool combination_dead = std::any_of(
         result.dead_gdos.begin(), result.dead_gdos.end(),
@@ -197,55 +194,22 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result,
         }
       }
     }
-    own.push_back(c);
   }
 
-  LrMatrices response;
-  response.tile_index = result.tile_index;
-  if (own.empty()) return response;
-
-  // Pass 2: one genotype-fixed basis build, then one cheap derivation per
-  // combination. The basis is charged against the EPC meter while held.
-  const stats::LrBasis basis(planes_, result.retained);
-  auto basis_epc = reserve_epc(basis.storage_bytes());
-  if (!basis_epc.ok()) return basis_epc.error();
-  response.entries.resize(own.size());
-  auto derive_one = [&](std::size_t i) {
-    const std::size_t c = own[i];
-    const stats::LrWeights weights = stats::lr_weights(
-        result.combination_case_freq(announce_->combinations[c]),
-        result.reference_freq);
-    response.entries[i].combination_id = static_cast<std::uint32_t>(c);
-    response.entries[i].matrix = basis.derive(weights);
-  };
-  if (announce_->config.prune && own.size() > 1) {
-    // Intersection-aware sweep: chain the combinations instead of deriving
-    // each from scratch — adjacent combinations share all but f members, so
-    // most weight columns repeat and derive_update rewrites only the changed
-    // ones (byte-identical to a full derivation). The chain is inherently
-    // serial; entry order and values match the parallel path exactly.
-    stats::LrWeights prev_weights;
-    for (std::size_t i = 0; i < own.size(); ++i) {
-      const std::size_t c = own[i];
-      stats::LrWeights weights = stats::lr_weights(
-          result.combination_case_freq(announce_->combinations[c]),
-          result.reference_freq);
-      response.entries[i].combination_id = static_cast<std::uint32_t>(c);
-      if (i == 0) {
-        response.entries[i].matrix = basis.derive(weights);
-      } else {
-        response.entries[i].matrix = response.entries[i - 1].matrix;
-        basis.derive_update(prev_weights, weights,
-                            response.entries[i].matrix);
-      }
-      prev_weights = std::move(weights);
-    }
-  } else if (pool != nullptr && own.size() > 1) {
-    pool->parallel_for(own.size(), derive_one);
-  } else {
-    for (std::size_t i = 0; i < own.size(); ++i) derive_one(i);
+  // The tile's SNP-major planes, copied verbatim: padding bits past n_case
+  // are already zero in BitPlanes.
+  LrPlanes planes;
+  planes.tile_index = result.tile_index;
+  planes.width = static_cast<std::uint32_t>(result.retained.size());
+  planes.words_per_column =
+      static_cast<std::uint32_t>(planes_.words_per_plane());
+  planes.words.reserve(result.retained.size() * planes_.words_per_plane());
+  for (std::uint32_t snp : result.retained) {
+    const std::uint64_t* plane = planes_.plane(snp);
+    planes.words.insert(planes.words.end(), plane,
+                        plane + planes_.words_per_plane());
   }
-  return response;
+  return planes;
 }
 
 common::Bytes GdoEnclave::seal_study_checkpoint() {
@@ -328,8 +292,6 @@ std::vector<std::vector<std::uint32_t>> Coordinator::build_combinations(
   }
   return combinations;
 }
-
-struct Coordinator::CombinationInputs {};
 
 namespace {
 /// Thrown by aggregate_pair when a member response is absent; converted to a
@@ -416,6 +378,14 @@ std::size_t Coordinator::combination_members_total() const {
     if (combination_live(c)) total += announce_.combinations[c].size();
   }
   return total;
+}
+
+std::vector<std::uint32_t> Coordinator::case_populations() const {
+  std::vector<std::uint32_t> populations(num_gdos_, 0);
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (summaries_[g].has_value()) populations[g] = summaries_[g]->n_case;
+  }
+  return populations;
 }
 
 common::Error Coordinator::no_live_combination_error(
@@ -868,9 +838,8 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
                          static_cast<double>(n_ref);
   }
   // Per-GDO counts over L'' instead of per-combination frequency vectors:
-  // O(G·m) on the wire instead of O(C·m); members derive any combination's
-  // frequencies locally. Dead GDOs keep an empty slot so indices stay
-  // stable.
+  // O(G·m) on the wire instead of O(C·m). Dead GDOs keep an empty slot so
+  // indices stay stable.
   result.case_counts_per_gdo.resize(num_gdos_);
   result.n_case_per_gdo.assign(num_gdos_, 0);
   for (std::uint32_t g = 0; g < num_gdos_; ++g) {
@@ -883,37 +852,29 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
     result.n_case_per_gdo[g] = summaries_[g]->n_case;
   }
   result.dead_gdos.assign(dead_gdos_.begin(), dead_gdos_.end());
-  // The leader derives its own per-combination frequencies through the same
-  // helper the members use, so every party's LR weights are bit-identical.
-  case_freq_per_combination_.clear();
-  for (std::size_t c = 0; c < num_combinations; ++c) {
-    case_freq_per_combination_.push_back(
-        combination_live(c)
-            ? result.combination_case_freq(announce_.combinations[c])
-            : std::vector<double>{});
-  }
-  reference_freq_ = result.reference_freq;
-
-  // Fix the phase-3 tile plan over L'' and size the per-tile stores. From
-  // here on, phase-2 bodies, member LR matrices, and the leader's own
-  // derivations all travel and compute in L''-column tiles.
+  // Fix the phase-3 tile plan over L'' and size the per-GDO plane stores.
+  // From here on, phase-2 bodies and member planes travel in L''-column
+  // tiles.
   lr_plan_ = genome::TilePlan::over(
       static_cast<std::uint32_t>(l_double_prime_.size()),
       announce_.config.snp_tile_width);
-  lr_matrix_tiles_.assign(
-      num_combinations,
-      std::vector<std::map<std::uint32_t, stats::LrMatrix>>(
-          lr_plan_.tile_count()));
-  leader_tiles_.assign(num_combinations,
-                       std::vector<stats::LrMatrix>(lr_plan_.tile_count()));
-  reference_tiles_.assign(
-      num_combinations, std::vector<stats::LrMatrix>(lr_plan_.tile_count()));
-  next_lr_tile_ = 0;
+  lr_planes_.assign(num_gdos_, {});
+  lr_planes_epc_.clear();
+  lr_planes_epc_.resize(num_gdos_);
+  lr_plane_tiles_.assign(num_gdos_,
+                         std::vector<bool>(lr_plan_.tile_count(), false));
   phase2_full_ = result;
   co_return result;
 }
 
-std::vector<Phase2Result> Coordinator::phase2_tiles() const {
+std::vector<Phase2Result> Coordinator::phase2_tiles() {
+  lr_span_.emplace(obs::recorder_of(obs_), "phase.lr", study_span_);
+  lr_tile_spans_.clear();
+  lr_tile_spans_.resize(lr_plan_.tile_count());
+  for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
+    lr_tile_spans_[k].emplace(obs::recorder_of(obs_),
+                              "lr.tile." + std::to_string(k), lr_span_->id());
+  }
   std::vector<Phase2Result> tiles;
   tiles.reserve(lr_plan_.tile_count());
   for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
@@ -937,217 +898,104 @@ std::vector<Phase2Result> Coordinator::phase2_tiles() const {
   return tiles;
 }
 
-Status Coordinator::add_lr_matrices(std::uint32_t gdo_index,
-                                    const LrMatrices& matrices) {
-  if (gdo_index >= num_gdos_) {
-    return make_error(Errc::unknown_peer, "LR matrices from unknown GDO");
+bool Coordinator::lr_tile_complete(std::uint32_t tile) const {
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (g == leader_->gdo_index()) continue;  // the leader's planes are local
+    if (dead_gdos_.count(g) > 0) continue;    // dead GDOs never report
+    if (!lr_plane_tiles_[g][tile]) return false;
   }
-  if (lr_matrix_tiles_.size() != announce_.combinations.size()) {
-    return make_error(Errc::state_violation, "LR matrices before LD phase");
+  return true;
+}
+
+Status Coordinator::add_lr_planes(std::uint32_t gdo_index,
+                                  const LrPlanes& planes) {
+  if (gdo_index >= num_gdos_ || gdo_index == leader_->gdo_index()) {
+    return make_error(Errc::unknown_peer, "LR planes from unknown GDO");
   }
-  if (matrices.tile_index >= lr_plan_.tile_count()) {
-    return make_error(Errc::bad_message, "LR matrices tile index out of range");
+  if (lr_plane_tiles_.size() != num_gdos_) {
+    return make_error(Errc::state_violation, "LR planes before LD phase");
   }
-  for (const auto& entry : matrices.entries) {
-    if (entry.combination_id >= announce_.combinations.size()) {
-      return make_error(Errc::bad_message, "unknown combination id");
+  const auto reject = [gdo_index](const std::string& why) {
+    return make_error(Errc::bad_message,
+                      "gdo " + std::to_string(gdo_index) + ": " + why);
+  };
+  const std::uint32_t tile = planes.tile_index;
+  if (tile >= lr_plan_.tile_count()) {
+    return reject("LR plane tile index out of range");
+  }
+  if (lr_plane_tiles_[gdo_index][tile]) return reject("repeated LR plane tile");
+  if (planes.width != lr_plan_.width_of(tile)) {
+    return reject("LR plane width differs from the tile width");
+  }
+  if (!summaries_[gdo_index].has_value()) {
+    return reject("LR planes from a GDO without a phase-1 summary");
+  }
+  const SummaryStats& summary = *summaries_[gdo_index];
+  const std::size_t words_per_column = (summary.n_case + 63) / 64;
+  if (planes.words_per_column != words_per_column ||
+      planes.words.size() != planes.width * words_per_column) {
+    return reject("LR plane words per column disagree with the phase-1 "
+                  "population");
+  }
+  auto transient = leader_->reserve_epc(planes.words.size() * 8);
+  if (!transient.ok()) return transient.error();
+  const std::uint64_t padding =
+      summary.n_case % 64 == 0 ? 0 : ~std::uint64_t{0} << (summary.n_case % 64);
+  const genome::kernels::KernelOps& ops = genome::kernels::kernel_ops();
+  const std::uint32_t begin = lr_plan_.begin(tile);
+  for (std::uint32_t i = 0; i < planes.width; ++i) {
+    const std::uint64_t* column = planes.words.data() + i * words_per_column;
+    if (words_per_column > 0 && (column[words_per_column - 1] & padding) != 0) {
+      return reject("LR plane padding bits set past n_case");
     }
-    const auto& members = announce_.combinations[entry.combination_id];
-    if (std::find(members.begin(), members.end(), gdo_index) ==
-        members.end()) {
-      return make_error(Errc::bad_message,
-                        "LR matrix from GDO outside the combination");
+    const std::uint32_t snp = l_double_prime_[begin + i];
+    if (ops.popcount_words(column, words_per_column) !=
+        summary.case_counts[snp]) {
+      return reject("LR plane popcount disagrees with the phase-1 count of "
+                    "SNP " + std::to_string(snp));
     }
-    if (entry.matrix.cols() != lr_plan_.width_of(matrices.tile_index)) {
-      return make_error(Errc::bad_message, "LR matrix column mismatch");
-    }
-    if (entry.matrix.rows() != summaries_[gdo_index]->n_case) {
-      return make_error(Errc::bad_message, "LR matrix row count mismatch");
-    }
-    lr_matrix_tiles_[entry.combination_id][matrices.tile_index][gdo_index] =
-        entry.matrix;
+  }
+  if (!lr_planes_epc_[gdo_index].has_value()) {
+    auto stored = leader_->reserve_epc(l_double_prime_.size() *
+                                       words_per_column * 8);
+    if (!stored.ok()) return stored.error();
+    lr_planes_epc_[gdo_index] = std::move(stored).take();
+    lr_planes_[gdo_index].assign(l_double_prime_.size() * words_per_column, 0);
+  }
+  std::copy(planes.words.begin(), planes.words.end(),
+            lr_planes_[gdo_index].begin() + begin * words_per_column);
+  lr_plane_tiles_[gdo_index][tile] = true;
+  obs::add_counter(obs_, "lr.plane_tiles_received");
+  obs::add_counter(obs_, "lr.plane_bytes", planes.words.size() * 8);
+  if (tile < lr_tile_spans_.size() && lr_tile_complete(tile)) {
+    lr_tile_spans_[tile].reset();
   }
   return Status::success();
 }
 
 bool Coordinator::phase3_ready() const noexcept {
-  if (lr_matrix_tiles_.size() != announce_.combinations.size()) return false;
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-    if (!combination_live(c)) continue;  // dead combos gather nothing
-    for (std::uint32_t g : announce_.combinations[c]) {
-      if (g == leader_->gdo_index()) continue;  // computed locally
-      for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
-        if (lr_matrix_tiles_[c][k].find(g) == lr_matrix_tiles_[c][k].end()) {
-          return false;
-        }
-      }
-    }
+  if (lr_plane_tiles_.size() != num_gdos_) return false;
+  for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
+    if (!lr_tile_complete(k)) return false;
   }
   return true;
 }
 
-Status Coordinator::derive_leader_lr_tile(std::uint32_t tile) {
-  if (!lr_span_.has_value()) {
-    lr_span_.emplace(obs::recorder_of(obs_), "phase.lr", study_span_);
-  }
-  const obs::ScopedSpan tile_span(obs::recorder_of(obs_),
-                                  "lr.tile." + std::to_string(tile),
-                                  lr_span_->id());
-  const std::vector<std::uint32_t> retained =
-      lr_plan_.slice(l_double_prime_, tile);
-  std::vector<std::size_t> live;
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-    if (combination_live(c)) live.push_back(c);
-  }
-  // One EPC-charged per-tile basis at a time keeps the leader's transient
-  // working set O(tile) — the flat-memory half of the pipelined engine.
-  const bool leader_in_live = std::any_of(
-      live.begin(), live.end(), [this](std::size_t c) {
-        const auto& members = announce_.combinations[c];
-        return std::find(members.begin(), members.end(),
-                         leader_->gdo_index()) != members.end();
-      });
-  stats::LrBasis leader_basis;
-  tee::EpcAllocation leader_basis_epc;
-  if (leader_in_live) {
-    leader_basis = stats::LrBasis(leader_->planes(), retained);
-    auto epc = leader_->reserve_epc(leader_basis.storage_bytes());
-    if (!epc.ok()) return epc.error();
-    leader_basis_epc = std::move(epc).take();
-    obs::add_counter(obs_, "lr.basis_builds");
-    obs::observe(obs_, "epc.leader.tile_bytes",
-                 static_cast<double>(leader_->platform().epc().in_use()));
-  }
-  const stats::LrBasis reference_basis(reference_planes_, retained);
-  obs::add_counter(obs_, "lr.reference_basis_builds");
-  if (!announce_.config.prune) {
-    for (std::size_t c : live) {
-      const auto& members = announce_.combinations[c];
-      // Per-column weights slice exactly (lr_weights maps each column
-      // independently), so per-tile derivations are bit-identical column
-      // slices of the monolithic matrices.
-      const stats::LrWeights weights = stats::lr_weights(
-          lr_plan_.slice(case_freq_per_combination_[c], tile),
-          lr_plan_.slice(reference_freq_, tile));
-      if (std::find(members.begin(), members.end(), leader_->gdo_index()) !=
-          members.end()) {
-        leader_tiles_[c][tile] = leader_basis.derive(weights);
-        obs::add_counter(obs_, "lr.combination_matvecs");
-      }
-      reference_tiles_[c][tile] = reference_basis.derive(weights);
-      obs::add_counter(obs_, "lr.reference_matvecs");
-    }
-    return Status::success();
-  }
-  // Intersection-aware sweep: adjacent combinations in the evaluation order
-  // share G-f-1 members, so most weight columns repeat; each chain derives
-  // its head in full and delta-updates every successor in place (only
-  // columns whose weight pair changed are rewritten — derive_update leaves
-  // the rest byte-identical to a fresh derivation). Full derives keep the
-  // legacy matvec counters; delta work is disclosed by its own counters.
-  const auto order = pruning_order();
-  const std::size_t width = retained.size();
-  std::optional<stats::LrWeights> prev_leader_weights;
-  std::optional<stats::LrWeights> prev_reference_weights;
-  const stats::LrMatrix* prev_leader_matrix = nullptr;
-  const stats::LrMatrix* prev_reference_matrix = nullptr;
-  for (std::size_t c : order) {
-    const auto& members = announce_.combinations[c];
-    stats::LrWeights weights = stats::lr_weights(
-        lr_plan_.slice(case_freq_per_combination_[c], tile),
-        lr_plan_.slice(reference_freq_, tile));
-    if (std::find(members.begin(), members.end(), leader_->gdo_index()) !=
-        members.end()) {
-      if (prev_leader_matrix == nullptr) {
-        leader_tiles_[c][tile] = leader_basis.derive(weights);
-        obs::add_counter(obs_, "lr.combination_matvecs");
-      } else {
-        leader_tiles_[c][tile] = *prev_leader_matrix;
-        const std::size_t changed = leader_basis.derive_update(
-            *prev_leader_weights, weights, leader_tiles_[c][tile]);
-        obs::add_counter(obs_, "lr.combination_delta_updates");
-        obs::add_counter(obs_, "lr.delta_columns_updated", changed);
-        obs::add_counter(obs_, "lr.delta_columns_total", width);
-      }
-      prev_leader_matrix = &leader_tiles_[c][tile];
-      prev_leader_weights = weights;
-    }
-    if (prev_reference_matrix == nullptr) {
-      reference_tiles_[c][tile] = reference_basis.derive(weights);
-      obs::add_counter(obs_, "lr.reference_matvecs");
-    } else {
-      reference_tiles_[c][tile] = *prev_reference_matrix;
-      const std::size_t changed = reference_basis.derive_update(
-          *prev_reference_weights, weights, reference_tiles_[c][tile]);
-      obs::add_counter(obs_, "lr.reference_delta_updates");
-      obs::add_counter(obs_, "lr.delta_columns_updated", changed);
-      obs::add_counter(obs_, "lr.delta_columns_total", width);
-    }
-    prev_reference_matrix = &reference_tiles_[c][tile];
-    prev_reference_weights = std::move(weights);
-  }
-  return Status::success();
-}
-
-Status Coordinator::derive_leader_lr_tiles() {
-  if (leader_tiles_.size() != announce_.combinations.size()) {
-    return make_error(Errc::state_violation,
-                      "leader LR derivations before LD phase");
-  }
-  while (next_lr_tile_ < lr_plan_.tile_count()) {
-    if (Status s = derive_leader_lr_tile(next_lr_tile_); !s.ok()) return s;
-    ++next_lr_tile_;
-  }
-  return Status::success();
-}
-
-namespace {
-/// Reassembles a full-width matrix from its per-tile column slices. Pure
-/// cell copies, so the result is bit-identical to a monolithic build; the
-/// single-tile plan short-circuits to a plain copy.
-template <typename PieceFn>
-stats::LrMatrix assemble_column_tiles(const genome::TilePlan& plan,
-                                      PieceFn&& piece) {
-  if (plan.tile_count() == 0) return stats::LrMatrix();  // nothing survived
-  if (plan.tile_count() == 1) return piece(0);
-  const std::size_t rows = piece(0).rows();
-  const std::size_t total = plan.total();
-  stats::LrMatrix out(rows, total);
-  double* dst = out.values().data();
-  for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
-    const stats::LrMatrix& p = piece(k);
-    const std::size_t width = p.cols();
-    const double* src = p.values().data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::copy(src + r * width, src + (r + 1) * width,
-                dst + r * total + plan.begin(k));
-    }
-  }
-  return out;
-}
-}  // namespace
-
 Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
-  // Leader-side tile derivations normally ran pipelined (while members
-  // computed theirs); finish whatever remains, then select globally.
-  if (Status s = derive_leader_lr_tiles(); !s.ok()) {
-    lr_span_.reset();
-    return s.error();
-  }
   if (!lr_span_.has_value()) {
-    // An empty phase-3 plan (nothing survived phase 2) derives no tiles, so
-    // the phase span was never opened lazily; open it here so the selection
-    // spans below have their parent and the trace keeps every phase.
+    // Driven without phase2_tiles() (trusted-module tests): open the phase
+    // span here so the selection spans below have their parent.
     lr_span_.emplace(obs::recorder_of(obs_), "phase.lr", study_span_);
   }
+  // Tiles a since-dead member never completed close here.
+  lr_tile_spans_.clear();
   if (!phase3_ready()) {
     lr_span_.reset();
     return make_error(Errc::state_violation,
-                      "LR phase before all matrices arrived");
+                      "LR phase before all planes arrived");
   }
   const std::size_t num_combinations = announce_.combinations.size();
   std::vector<std::size_t> live;
-  live.reserve(num_combinations);
   for (std::size_t c = 0; c < num_combinations; ++c) {
     if (combination_live(c)) live.push_back(c);
   }
@@ -1155,113 +1003,79 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
     lr_span_.reset();
     return no_live_combination_error("LR phase");
   }
+
+  // The selection is a global greedy over all of L'' (running per-row
+  // sums), so each GDO's block spans every column; the leader's own block
+  // and the reference panel read their planes in place.
+  std::vector<stats::PlaneBlock> blocks(num_gdos_);
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (g == leader_->gdo_index()) {
+      blocks[g] = stats::plane_block(leader_->planes(), l_double_prime_);
+    } else if (lr_planes_epc_[g].has_value()) {
+      const std::size_t words_per_column = (summaries_[g]->n_case + 63) / 64;
+      blocks[g].rows = summaries_[g]->n_case;
+      for (std::size_t i = 0; i < l_double_prime_.size(); ++i) {
+        blocks[g].columns.push_back(lr_planes_[g].data() +
+                                    i * words_per_column);
+      }
+    }
+  }
+  const stats::PlaneBlock reference =
+      stats::plane_block(reference_planes_, l_double_prime_);
+  stats::LrSelectionParams params;
+  params.false_positive_rate = announce_.config.lr_false_positive_rate;
+  params.power_threshold = announce_.config.lr_power_threshold;
+
+  // Several combinations fan out on the pool; a single one gets the pool
+  // threaded into its selection instead. Never both: a nested parallel_for
+  // from inside a pool worker could starve.
+  const bool fan_out = pool != nullptr && live.size() > 1;
   std::vector<std::vector<std::uint32_t>> per_combination(num_combinations);
   std::vector<double> per_combination_power(num_combinations, 0.0);
-
-  // With several combinations the pool fans out across them; with a single
-  // combination it is threaded into the selection kernel instead. Never
-  // both: a nested parallel_for from inside a pool worker could starve.
-  // The pruned sweep evaluates serially regardless (eager intersection is
-  // order-sequential), so the pool always threads into the selection.
-  const bool parallel_combinations =
-      !announce_.config.prune && pool != nullptr && live.size() > 1;
-  common::ThreadPool* selection_pool = parallel_combinations ? nullptr : pool;
-
   auto evaluate = [&](std::size_t c) {
     // Combination spans may open concurrently on pool workers; the recorder
     // is thread-safe and parents are explicit, so nesting stays correct.
     const obs::ScopedSpan combination_span(
         obs::recorder_of(obs_), "lr.combination." + std::to_string(c),
         lr_span_->id());
-    obs::add_counter(obs_, "coordinator.lr_combinations");
+    obs::add_counter(obs_, "lr.selections");
     const auto& members = announce_.combinations[c];
-    // The selection is a global greedy over all of L'' (running per-row
-    // sums), so full-width matrices reassemble from the gathered column
-    // tiles first; every cell is an exact copy of its tiled counterpart.
-    stats::LrMatrix merged;
+    std::vector<stats::PlaneBlock> case_blocks;
     for (std::uint32_t g : members) {  // ascending GDO order by construction
-      if (g == leader_->gdo_index()) {
-        merged.append_rows(assemble_column_tiles(
-            lr_plan_,
-            [&](std::uint32_t k) -> const stats::LrMatrix& {
-              return leader_tiles_[c][k];
-            }));
-      } else {
-        merged.append_rows(assemble_column_tiles(
-            lr_plan_,
-            [&](std::uint32_t k) -> const stats::LrMatrix& {
-              return lr_matrix_tiles_[c][k].at(g);
-            }));
-      }
+      case_blocks.push_back(blocks[g]);
     }
-    const stats::LrMatrix reference_lr = assemble_column_tiles(
-        lr_plan_, [&](std::uint32_t k) -> const stats::LrMatrix& {
-          return reference_tiles_[c][k];
-        });
-    stats::LrSelectionParams params;
-    params.false_positive_rate = announce_.config.lr_false_positive_rate;
-    params.power_threshold = announce_.config.lr_power_threshold;
-    const stats::LrSelectionResult selection =
-        stats::select_safe_snps(merged, reference_lr, params, selection_pool);
-    std::vector<std::uint32_t> safe;
-    safe.reserve(selection.safe_columns.size());
+    // The same count-derived frequencies the matrix path weighs with.
+    const stats::LrWeights weights =
+        stats::lr_weights(phase2_full_.combination_case_freq(members),
+                          phase2_full_.reference_freq);
+    const stats::LrSelectionResult selection = stats::select_safe_snps(
+        case_blocks, reference, weights, params, fan_out ? nullptr : pool);
     for (std::uint32_t column : selection.safe_columns) {
-      safe.push_back(l_double_prime_[column]);
+      per_combination[c].push_back(l_double_prime_[column]);
     }
-    per_combination[c] = std::move(safe);
     per_combination_power[c] = selection.final_power;
   };
-
-  if (announce_.config.prune) {
-    // Eager fold over the evaluation order. Each selection still runs over
-    // all of L'' (the greedy subset search is order-dependent, so column
-    // restriction would change it); only the intersection is folded early,
-    // and once it is empty the remaining selections cannot resurrect a SNP
-    // — they are skipped outright. Skipping can leave final_power short of
-    // the unpruned maximum, but only when L_safe is already empty; the
-    // safe set itself stays bit-identical.
-    const auto order = pruning_order();
-    std::vector<std::uint32_t> fold = l_double_prime_;
-    double max_power = 0.0;
-    bool any_evaluated = false;
-    for (std::size_t idx = 0; idx < order.size(); ++idx) {
-      if (any_evaluated && fold.empty()) {
-        const std::uint64_t skipped = order.size() - idx;
-        pruning_.lr_selections_skipped += skipped;
-        obs::add_counter(obs_, "lr.selections_skipped", skipped);
-        break;
-      }
-      const std::size_t c = order[idx];
-      evaluate(c);
-      any_evaluated = true;
-      fold = intersect_sorted({fold, per_combination[c]});
-      pruning_.lr_mask_sizes.push_back(
-          static_cast<std::uint32_t>(fold.size()));
-      max_power = std::max(max_power, per_combination_power[c]);
-    }
-    outcome_.l_safe = std::move(fold);
-    outcome_.final_power = max_power;
+  if (fan_out) {
+    pool->parallel_for(live.size(), [&](std::size_t i) { evaluate(live[i]); });
   } else {
-    if (parallel_combinations) {
-      pool->parallel_for(live.size(),
-                         [&](std::size_t i) { evaluate(live[i]); });
-    } else {
-      for (std::size_t c : live) evaluate(c);
-    }
-
-    std::vector<std::vector<std::uint32_t>> live_lists;
-    std::vector<double> live_powers;
-    live_lists.reserve(live.size());
-    for (std::size_t c : live) {
-      live_lists.push_back(std::move(per_combination[c]));
-      live_powers.push_back(per_combination_power[c]);
-    }
-    outcome_.l_safe = intersect_sorted(live_lists);
-    outcome_.final_power =
-        live_powers.empty()
-            ? 0.0
-            : *std::max_element(live_powers.begin(), live_powers.end());
+    for (std::size_t c : live) evaluate(c);
   }
+
+  // Intersection is order-free; the pruned sweep folds in its evaluation
+  // order only to record the shrinking trajectory.
+  const bool prune = announce_.config.prune;
+  std::vector<std::uint32_t> l_safe = l_double_prime_;
+  double max_power = 0.0;
+  for (std::size_t c : prune ? pruning_order() : live) {
+    l_safe = intersect_sorted({l_safe, per_combination[c]});
+    max_power = std::max(max_power, per_combination_power[c]);
+    if (prune) {
+      pruning_.lr_mask_sizes.push_back(
+          static_cast<std::uint32_t>(l_safe.size()));
+    }
+  }
+  outcome_.l_safe = std::move(l_safe);
+  outcome_.final_power = max_power;
   lr_span_.reset();
   Phase3Result result;
   result.safe = outcome_.l_safe;

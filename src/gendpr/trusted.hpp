@@ -71,33 +71,22 @@ class GdoEnclave : public tee::Enclave {
   common::Status on_phase1(const Phase1Result& result);
   common::Result<MomentsResponse> on_moments_request(
       const MomentsRequest& request) const;
-  /// Builds one local LR matrix per live combination containing this GDO
-  /// (paper Fig. 4 step 2). The genotype-fixed LR basis is expanded once
-  /// from the bit planes (charged transiently against the EPC meter), each
-  /// combination's frequency vector is derived locally from the announce's
-  /// combination list and the per-GDO counts, and the matrices come out as
-  /// basis-times-weights products — bit-identical to per-combination
-  /// rebuilds. `pool` (optional) fans the derivations out across
-  /// combinations; entry order is deterministic either way. The basis is
-  /// built iff the result has at least one entry.
+  /// Answers one phase-2 tile (paper Fig. 4 step 2) with this GDO's LR
+  /// indicator planes over the tile's L'' columns: every combination's local
+  /// LR matrix is a per-column weight select over exactly these bits, and
+  /// the leader computes the weights itself. The broadcast is validated
+  /// first: this GDO's own count slot must match its dataset and every live
+  /// co-member slot must be well formed.
   ///
   /// Under tiling the leader streams `result.num_tiles` tile messages in
-  /// ascending `tile_index` order; each is handled independently (basis and
-  /// matrices over the tile's columns only, so the transient working set is
-  /// O(tile)), and L'' accumulates across the stream. Out-of-order or
-  /// repeated tiles are a protocol violation.
-  common::Result<LrMatrices> on_phase2(const Phase2Result& result,
-                                       common::ThreadPool* pool = nullptr);
+  /// ascending `tile_index` order; each is answered independently and L''
+  /// accumulates across the stream. Out-of-order or repeated tiles are a
+  /// protocol violation.
+  common::Result<LrPlanes> on_phase2(const Phase2Result& result);
   common::Status on_phase3(const Phase3Result& result);
 
   const std::vector<std::uint32_t>& retained_after_phase1() const noexcept {
     return l_prime_;
-  }
-  /// Whether the announced study runs the intersection-aware sweep (false
-  /// before any announce). The host uses it to attribute phase-2 work to
-  /// the right counters (full derivations vs delta updates).
-  bool prune_enabled() const noexcept {
-    return announce_.has_value() && announce_->config.prune;
   }
   const std::vector<std::uint32_t>& safe_snps() const noexcept {
     return l_safe_;
@@ -153,10 +142,9 @@ struct PruningStats {
   /// LD-phase pass restarts for the same reason (a walk's MissingMomentsError
   /// marks a GDO dead mid-pass).
   std::uint64_t ld_reassessments = 0;
-  /// Combinations whose LD walk / LR selection was skipped outright because
-  /// the running intersection was already empty.
+  /// Combinations whose LD walk was skipped outright because the running
+  /// intersection was already empty.
   std::uint64_t ld_walks_skipped = 0;
-  std::uint64_t lr_selections_skipped = 0;
 };
 
 /// Leader-side coordination module. Owns the reference panel (public data)
@@ -210,9 +198,11 @@ class Coordinator {
   /// True when no member of combination `combination_id` is marked dead.
   bool combination_live(std::size_t combination_id) const;
   std::size_t live_combination_count() const;
-  /// Sum of |members(c)| over the live combinations: the expected total of
-  /// per-member LR derivations (`lr.combination_matvecs`) for a clean run.
+  /// Sum of |members(c)| over the live combinations (the study's shape in
+  /// the run report).
   std::size_t combination_members_total() const;
+  /// Phase-1 case population per GDO (0 before its first summary tile).
+  std::vector<std::uint32_t> case_populations() const;
 
   /// Builds the combination table for a policy (shared by runner and tests).
   static std::vector<std::vector<std::uint32_t>> build_combinations(
@@ -257,24 +247,29 @@ class Coordinator {
   common::Task<common::Result<Phase2Result>> run_ld_phase_async(
       AsyncFetchMoments fetch);
   /// Per-tile Phase2Result bodies (column slices of run_ld_phase's return
-  /// value; one entry per lr_plan() tile). Valid after run_ld_phase.
-  std::vector<Phase2Result> phase2_tiles() const;
+  /// value; one entry per lr_plan() tile). Valid after run_ld_phase. The
+  /// LR phase starts here: this opens the `phase.lr` span and one
+  /// `lr.tile.<k>` span per tile, each closing once every live member's
+  /// planes for that tile arrived.
+  std::vector<Phase2Result> phase2_tiles();
 
   /// --- Phase 3 ---
-  common::Status add_lr_matrices(std::uint32_t gdo_index,
-                                 const LrMatrices& matrices);
+  /// Ingests one member's LR planes for one tile. Every failure names the
+  /// GDO and is bad_message: the tile index must be in range and new, the
+  /// width must equal the tile width, the words per column must equal
+  /// ceil(n_case / 64) from the GDO's phase-1 summary, padding bits past
+  /// n_case must be zero, and each column's popcount must equal the GDO's
+  /// phase-1 count for that SNP. Accepted planes are kept full-width per
+  /// GDO, charged to the leader's EPC; the decoded tile is charged as well
+  /// while it is checked and copied, so a tiled gather's transient
+  /// footprint is O(tile).
+  common::Status add_lr_planes(std::uint32_t gdo_index, const LrPlanes& planes);
   bool phase3_ready() const noexcept;
-  /// Derives the leader's own and the reference panel's per-tile LR matrix
-  /// slices for every live combination (one EPC-charged per-tile basis at a
-  /// time, so the leader's transient working set is O(tile) like the
-  /// members'). Idempotent; run_lr_phase calls it for whatever remains. The
-  /// host calls it right after broadcasting the phase-2 tiles so this
-  /// leader-side assessment overlaps the members' own tile computations.
-  common::Status derive_leader_lr_tiles();
-  /// Merges per-combination LR matrices (ascending GDO order, reassembling
-  /// full-width matrices from the per-tile column slices), runs the
-  /// safe-subset selection per combination (optionally in parallel), and
-  /// intersects. `pool` may be null for serial evaluation.
+  /// Runs the safe-subset selection per live combination on bit planes —
+  /// member blocks in ascending GDO order with the leader's own block in its
+  /// slot, the reference panel's planes, and the combination's weights —
+  /// then intersects. `pool` (may be null) fans the combinations out; with
+  /// a single live combination it is threaded into the selection instead.
   common::Result<Phase3Result> run_lr_phase(common::ThreadPool* pool);
 
   const SelectionOutcome& outcome() const noexcept { return outcome_; }
@@ -289,8 +284,6 @@ class Coordinator {
   const PruningStats& pruning_stats() const noexcept { return pruning_; }
 
  private:
-  struct CombinationInputs;
-
   /// Per-pair cache slot: aggregated member moments plus whether the
   /// legacy-mode first-touch broadcast already went out for this pair.
   struct PairMoments {
@@ -309,8 +302,9 @@ class Coordinator {
       const std::vector<std::uint32_t>& members,
       const std::vector<std::uint32_t>* only = nullptr) const;
   bool maf_tile_ready(std::uint32_t tile) const;
+  /// Every live member's planes for LR tile `tile` arrived.
+  bool lr_tile_complete(std::uint32_t tile) const;
   void assess_maf_tile(std::uint32_t tile);
-  common::Status derive_leader_lr_tile(std::uint32_t tile);
   /// Pooled case population of combination `c` (phase-1 summaries must have
   /// arrived; every live member's n_case is known before any tile is
   /// assessed).
@@ -318,6 +312,7 @@ class Coordinator {
   /// Live combinations ordered smallest case population first (ties by id):
   /// the evaluation order of the pruned sweep — small cohorts produce the
   /// most MAF/LD kills, so the intersection shrinks as early as possible.
+  /// The LR phase folds its intersection in this order too.
   std::vector<std::size_t> pruning_order() const;
   /// Pruned phase 1 only: drops every folded mask and re-assesses all tiles
   /// already assessed, over the currently-live combination set.
@@ -372,20 +367,16 @@ class Coordinator {
 
   // Phase 3 state.
   std::vector<std::uint32_t> l_double_prime_;
-  /// Full-width phase-2 result the per-tile bodies are column slices of.
+  /// Full-width phase-2 result the per-tile bodies are column slices of;
+  /// its counts give every combination's LR weights.
   Phase2Result phase2_full_;
-  std::vector<std::vector<double>> case_freq_per_combination_;
-  std::vector<double> reference_freq_;
-  /// lr_matrix_tiles_[combination_id][tile][gdo_index] -> column slice of
-  /// the member's LR matrix (only set for members of the combination).
-  /// Sized at the end of the LD phase, when the L'' tile plan is known.
-  std::vector<std::vector<std::map<std::uint32_t, stats::LrMatrix>>>
-      lr_matrix_tiles_;
-  /// Leader / reference per-tile matrix slices, [combination_id][tile];
-  /// leader entries exist only for live combinations containing the leader.
-  std::vector<std::vector<stats::LrMatrix>> leader_tiles_;
-  std::vector<std::vector<stats::LrMatrix>> reference_tiles_;
-  std::uint32_t next_lr_tile_ = 0;
+  /// Per GDO: received planes over all of L'' (column i at word
+  /// i * ceil(n_case / 64)), the EPC charge for them, and which tiles
+  /// arrived. Sized at the end of the LD phase.
+  std::vector<std::vector<std::uint64_t>> lr_planes_;
+  std::vector<std::optional<tee::EpcAllocation>> lr_planes_epc_;
+  std::vector<std::vector<bool>> lr_plane_tiles_;
+  std::vector<std::optional<obs::ScopedSpan>> lr_tile_spans_;
 
   SelectionOutcome outcome_;
 };

@@ -30,15 +30,6 @@ std::uint64_t and_popcount_words_portable(const std::uint64_t* a,
   return count;
 }
 
-void select_weights_portable(const std::uint8_t* indicator,
-                             const double* when_minor,
-                             const double* when_major, std::size_t n,
-                             double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = indicator[i] != 0 ? when_minor[i] : when_major[i];
-  }
-}
-
 }  // namespace detail
 
 namespace {
@@ -46,19 +37,16 @@ namespace {
 constexpr KernelOps kPortableOps = {
     &detail::popcount_words_portable,
     &detail::and_popcount_words_portable,
-    &detail::select_weights_portable,
 };
 
 constexpr KernelOps kAvx2Ops = {
     &detail::popcount_words_avx2,
     &detail::and_popcount_words_avx2,
-    &detail::select_weights_avx2,
 };
 
 constexpr KernelOps kAvx512Ops = {
     &detail::popcount_words_avx512,
     &detail::and_popcount_words_avx512,
-    &detail::select_weights_avx512,
 };
 
 KernelBackend best_available_backend() noexcept {

@@ -1,9 +1,8 @@
 // Runtime-dispatched SIMD kernels for the bit-plane hot loops.
 //
-// The three loops that dominate wide studies — per-plane popcounts (allele
-// counts), AND+popcount over plane pairs (the one non-marginal LD moment),
-// and the indicator-select that derives an LR matrix from a genotype-fixed
-// basis — are pure integer/select operations, so a vectorized backend can be
+// The two loops that dominate wide studies — per-plane popcounts (allele
+// counts) and AND+popcount over plane pairs (the one non-marginal LD
+// moment) — are pure integer operations, so a vectorized backend is
 // bit-identical to the portable one. This header is the seam: the same
 // pattern as crypto's AEAD engine (crypto/gcm_backend.hpp), with each ISA
 // variant compiled in its own translation unit under scoped compiler flags
@@ -22,9 +21,9 @@
 namespace gendpr::genome::kernels {
 
 enum class KernelBackend : std::uint8_t {
-  portable = 0,  // std::popcount / scalar select, any CPU
+  portable = 0,  // std::popcount, any CPU
   avx2 = 1,      // Harley-Seal CSA + vpshufb nibble-LUT popcount
-  avx512 = 2,    // vpopcntq (AVX-512F/BW/VPOPCNTDQ) + masked blends
+  avx512 = 2,    // vpopcntq (AVX-512F/BW/VPOPCNTDQ)
 };
 
 /// Stable lowercase name, exported as the run report's `kernel.backend`.
@@ -46,11 +45,6 @@ struct KernelOps {
   /// Sum of std::popcount(a[i] & b[i]) over [0..n).
   std::uint64_t (*and_popcount_words)(const std::uint64_t* a,
                                       const std::uint64_t* b, std::size_t n);
-  /// out[i] = indicator[i] != 0 ? when_minor[i] : when_major[i] — the
-  /// LrBasis row derivation (a pure select, hence exact).
-  void (*select_weights)(const std::uint8_t* indicator,
-                         const double* when_minor, const double* when_major,
-                         std::size_t n, double* out);
 };
 
 /// Ops for an explicit backend; unavailable backends resolve to portable.

@@ -1,5 +1,5 @@
 // AVX2 kernels: Harley-Seal carry-save popcount with the vpshufb nibble-LUT
-// digit counter, and a blendv-based weight select. Compiled with -mavx2 only
+// digit counter. Compiled with -mavx2 only
 // (see src/genome/CMakeLists.txt); the dispatcher guarantees the CPU and OS
 // support YMM state before any function here is called.
 #include "genome/kernels/kernels_backend.hpp"
@@ -8,7 +8,6 @@
 #include <immintrin.h>
 
 #include <bit>
-#include <cstring>
 #endif
 
 namespace gendpr::genome::kernels::detail {
@@ -120,28 +119,6 @@ std::uint64_t and_popcount_words_avx2(const std::uint64_t* a,
   return count;
 }
 
-void select_weights_avx2(const std::uint8_t* indicator,
-                         const double* when_minor, const double* when_major,
-                         std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    std::uint32_t packed;
-    std::memcpy(&packed, indicator + i, sizeof(packed));
-    const __m256i bytes = _mm256_cvtepu8_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(packed)));
-    // 0/1 lanes -> all-zero/all-one masks for the double blend.
-    const __m256i mask = _mm256_sub_epi64(_mm256_setzero_si256(), bytes);
-    const __m256d minor = _mm256_loadu_pd(when_minor + i);
-    const __m256d major = _mm256_loadu_pd(when_major + i);
-    _mm256_storeu_pd(
-        out + i,
-        _mm256_blendv_pd(major, minor, _mm256_castsi256_pd(mask)));
-  }
-  for (; i < n; ++i) {
-    out[i] = indicator[i] != 0 ? when_minor[i] : when_major[i];
-  }
-}
-
 #else  // !defined(__AVX2__)
 
 // Stubs for builds without AVX2 codegen; the dispatcher never calls them.
@@ -155,9 +132,6 @@ std::uint64_t and_popcount_words_avx2(const std::uint64_t*,
                                       const std::uint64_t*, std::size_t) {
   return 0;
 }
-
-void select_weights_avx2(const std::uint8_t*, const double*, const double*,
-                         std::size_t, double*) {}
 
 #endif  // defined(__AVX2__)
 

@@ -1,5 +1,5 @@
-// AVX-512 kernels: native vpopcntq per-lane popcounts and mask-register
-// weight blends. Compiled with -mavx512f -mavx512bw -mavx512vpopcntdq only
+// AVX-512 kernels: native vpopcntq per-lane popcounts. Compiled with
+// -mavx512f -mavx512bw -mavx512vpopcntdq only
 // (see src/genome/CMakeLists.txt); the dispatcher checks ZMM state and the
 // VPOPCNTDQ CPUID bit before calling in.
 #include "genome/kernels/kernels_backend.hpp"
@@ -10,7 +10,6 @@
 #include <immintrin.h>
 
 #include <bit>
-#include <cstring>
 #endif
 
 namespace gendpr::genome::kernels::detail {
@@ -53,26 +52,6 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,
   return count;
 }
 
-void select_weights_avx512(const std::uint8_t* indicator,
-                           const double* when_minor, const double* when_major,
-                           std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t packed;
-    std::memcpy(&packed, indicator + i, sizeof(packed));
-    const __m128i bytes =
-        _mm_cvtsi64_si128(static_cast<long long>(packed));
-    const __mmask8 mask = _mm512_cmpneq_epi64_mask(
-        _mm512_cvtepu8_epi64(bytes), _mm512_setzero_si512());
-    const __m512d minor = _mm512_loadu_pd(when_minor + i);
-    const __m512d major = _mm512_loadu_pd(when_major + i);
-    _mm512_storeu_pd(out + i, _mm512_mask_blend_pd(mask, major, minor));
-  }
-  for (; i < n; ++i) {
-    out[i] = indicator[i] != 0 ? when_minor[i] : when_major[i];
-  }
-}
-
 #else  // !GENDPR_AVX512_KERNELS
 
 // Stubs for builds without AVX-512 codegen; the dispatcher never calls them.
@@ -86,9 +65,6 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t*,
                                         const std::uint64_t*, std::size_t) {
   return 0;
 }
-
-void select_weights_avx512(const std::uint8_t*, const double*, const double*,
-                           std::size_t, double*) {}
 
 #endif  // GENDPR_AVX512_KERNELS
 

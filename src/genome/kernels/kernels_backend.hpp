@@ -19,29 +19,19 @@ std::uint64_t popcount_words_portable(const std::uint64_t* words,
 std::uint64_t and_popcount_words_portable(const std::uint64_t* a,
                                           const std::uint64_t* b,
                                           std::size_t n);
-void select_weights_portable(const std::uint8_t* indicator,
-                             const double* when_minor,
-                             const double* when_major, std::size_t n,
-                             double* out);
 
 // kernels_avx2.cpp — Harley-Seal + vpshufb LUT (compiled with -mavx2).
 bool avx2_kernels_compiled() noexcept;
 std::uint64_t popcount_words_avx2(const std::uint64_t* words, std::size_t n);
 std::uint64_t and_popcount_words_avx2(const std::uint64_t* a,
                                       const std::uint64_t* b, std::size_t n);
-void select_weights_avx2(const std::uint8_t* indicator,
-                         const double* when_minor, const double* when_major,
-                         std::size_t n, double* out);
 
-// kernels_avx512.cpp — vpopcntq + masked blends (compiled with
+// kernels_avx512.cpp — vpopcntq (compiled with
 // -mavx512f -mavx512bw -mavx512vpopcntdq).
 bool avx512_kernels_compiled() noexcept;
 std::uint64_t popcount_words_avx512(const std::uint64_t* words,
                                     std::size_t n);
 std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,
                                         const std::uint64_t* b, std::size_t n);
-void select_weights_avx512(const std::uint8_t* indicator,
-                           const double* when_minor, const double* when_major,
-                           std::size_t n, double* out);
 
 }  // namespace gendpr::genome::kernels::detail

@@ -112,7 +112,9 @@ class Hub {
   /// Zero-copy frame-path telemetry.
   struct WireStats {
     std::uint64_t frames_sent = 0;
-    std::uint64_t writev_batches = 0;  // gathered-write syscalls (epoll hub)
+    // Write batches: gathered sendmsg calls (epoll) or submitted SENDs
+    // (io_uring).
+    std::uint64_t writev_batches = 0;
     std::uint64_t dial_dropped_frames = 0;  // queued on dials that failed
   };
 

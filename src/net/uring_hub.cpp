@@ -443,6 +443,7 @@ void UringHub::maybe_submit_send(const std::shared_ptr<Conn>& conn) {
     return;
   }
   conn->send_op = raw;
+  wire_stats_.writev_batches += 1;  // one submitted SEND is one batch
 }
 
 bool UringHub::submit_connect(const std::shared_ptr<Conn>& conn) {

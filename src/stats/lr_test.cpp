@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
-
-#include "genome/kernels/kernels.hpp"
 
 namespace gendpr::stats {
 
@@ -109,87 +108,13 @@ LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
   return build_lr_matrix(planes, snps, weights, identity);
 }
 
-LrBasis::LrBasis(const genome::BitPlanes& planes,
-                 const std::vector<std::uint32_t>& snps)
-    : rows_(planes.num_individuals()),
-      cols_(snps.size()),
-      indicator_(rows_ * cols_, 0) {
-  if (rows_ == 0 || cols_ == 0) return;
-  // Same word-gather sweep as the bit-plane matrix build: one plane word
-  // covers 64 rows, gathered per column once, rows emitted contiguously.
-  std::uint8_t* out = indicator_.data();
-  std::vector<std::uint64_t> block(cols_);
-  for (std::size_t w = 0; w < planes.words_per_plane(); ++w) {
-    for (std::size_t i = 0; i < cols_; ++i) {
-      block[i] = planes.plane(snps[i])[w];
-    }
-    const std::size_t row_end = std::min(rows_, (w + 1) * 64);
-    for (std::size_t n = w * 64; n < row_end; ++n) {
-      const std::size_t k = n % 64;
-      std::uint8_t* row_out = out + n * cols_;
-      for (std::size_t i = 0; i < cols_; ++i) {
-        row_out[i] = static_cast<std::uint8_t>((block[i] >> k) & 1);
-      }
-    }
-  }
-}
-
-LrMatrix LrBasis::derive(
-    const LrWeights& weights,
-    const std::vector<std::uint32_t>& snp_to_weight_col) const {
-  LrMatrix matrix(rows_, cols_);
-  if (rows_ == 0 || cols_ == 0) return matrix;
-  std::vector<double> when_minor(cols_), when_major(cols_);
-  for (std::size_t i = 0; i < cols_; ++i) {
-    when_minor[i] = weights.when_minor[snp_to_weight_col[i]];
-    when_major[i] = weights.when_major[snp_to_weight_col[i]];
-  }
-  // The basis-times-weights product b*wm + (1-b)*wM with b in {0, 1} is a
-  // select between the two exact weight values, so every cell equals the
-  // build_lr_matrix cell bit for bit — true for every kernel backend, since
-  // the SIMD variants blend the same two doubles instead of computing.
-  const genome::kernels::KernelOps& ops = genome::kernels::kernel_ops();
-  double* out = matrix.values().data();
-  const std::uint8_t* ind = indicator_.data();
-  for (std::size_t n = 0; n < rows_; ++n) {
-    ops.select_weights(ind + n * cols_, when_minor.data(), when_major.data(),
-                       cols_, out + n * cols_);
-  }
-  return matrix;
-}
-
-LrMatrix LrBasis::derive(const LrWeights& weights) const {
-  std::vector<std::uint32_t> identity(cols_);
-  std::iota(identity.begin(), identity.end(), 0u);
-  return derive(weights, identity);
-}
-
-std::size_t LrBasis::derive_update(const LrWeights& prev,
-                                   const LrWeights& next,
-                                   LrMatrix& matrix) const {
-  if (matrix.rows() != rows_ || matrix.cols() != cols_) {
-    throw std::invalid_argument("derive_update: matrix shape mismatch");
-  }
-  std::vector<std::uint32_t> changed;
-  for (std::size_t i = 0; i < cols_; ++i) {
-    if (prev.when_minor[i] != next.when_minor[i] ||
-        prev.when_major[i] != next.when_major[i]) {
-      changed.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  if (changed.empty()) return 0;
-  // Every changed cell is the same two-way select derive() would emit;
-  // rows stay the hot loop so writes walk each row-major row once.
-  double* out = matrix.values().data();
-  const std::uint8_t* ind = indicator_.data();
-  for (std::size_t n = 0; n < rows_; ++n) {
-    double* row_out = out + n * cols_;
-    const std::uint8_t* row_ind = ind + n * cols_;
-    for (std::uint32_t i : changed) {
-      row_out[i] = row_ind[i] != 0 ? next.when_minor[i] : next.when_major[i];
-    }
-  }
-  return changed.size();
+PlaneBlock plane_block(const genome::BitPlanes& planes,
+                       const std::vector<std::uint32_t>& snps) {
+  PlaneBlock block;
+  block.rows = planes.num_individuals();
+  block.columns.reserve(snps.size());
+  for (std::uint32_t snp : snps) block.columns.push_back(planes.plane(snp));
+  return block;
 }
 
 double detection_power(const std::vector<double>& case_scores,
@@ -240,38 +165,97 @@ constexpr std::size_t kGapColumnBlock = 64;
 /// Minimum rows before per-candidate score updates are worth fanning out.
 constexpr std::size_t kParallelRowThreshold = 4096;
 
-/// Per-column mean over the rows of `m`, accumulated in ascending row order
-/// within each column (a single row-major sweep per column block), so the
-/// result is bit-identical to the naive column-major pass regardless of how
-/// many blocks run concurrently.
-void column_means_into(const LrMatrix& m, std::size_t col_begin,
-                       std::size_t col_end, std::vector<double>& means) {
-  const std::size_t width = col_end - col_begin;
-  std::vector<double> sums(width, 0.0);
-  const double* values = m.values().data();
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double* row = values + r * m.cols() + col_begin;
-    for (std::size_t i = 0; i < width; ++i) sums[i] += row[i];
-  }
-  const double denom = m.rows() > 0 ? static_cast<double>(m.rows()) : 1.0;
-  for (std::size_t i = 0; i < width; ++i) {
-    means[col_begin + i] = sums[i] / denom;
-  }
-}
+/// LR cells read straight from a materialized matrix.
+struct MatrixSource {
+  const LrMatrix& m;
 
-/// Adds (sign = +1) or rolls back (sign = -1) column `candidate` of `m` into
-/// the per-individual running scores. Rows are independent, so splitting
-/// them across the pool cannot change any result bit.
-void apply_candidate(const LrMatrix& m, std::uint32_t candidate, double sign,
-                     std::vector<double>& sums, common::ThreadPool* pool) {
-  const std::size_t rows = m.rows();
-  auto run = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      sums[r] += sign * m.at(r, candidate);
+  std::size_t rows() const noexcept { return m.rows(); }
+
+  /// sums[i] += cell(r, col_begin + i) for every row r, ascending.
+  void sum_columns(std::size_t col_begin, std::size_t col_end,
+                   double* sums) const {
+    const double* values = m.values().data();
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      const double* row = values + r * m.cols() + col_begin;
+      for (std::size_t i = 0; i < col_end - col_begin; ++i) sums[i] += row[i];
     }
-  };
+  }
+
+  /// sums[r] += sign * cell(r, c) for r in [row_begin, row_end).
+  void add_column(std::uint32_t c, double sign, double* sums,
+                  std::size_t row_begin, std::size_t row_end) const {
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+      sums[r] += sign * m.at(r, c);
+    }
+  }
+};
+
+/// LR cells selected from indicator bits and one weight pair per column;
+/// rows run through the blocks in order, as if they were concatenated.
+struct PlaneSource {
+  std::span<const PlaneBlock> blocks;
+  const LrWeights& weights;
+  std::size_t total_rows = 0;
+
+  PlaneSource(std::span<const PlaneBlock> b, const LrWeights& w)
+      : blocks(b), weights(w) {
+    for (const PlaneBlock& block : blocks) total_rows += block.rows;
+  }
+
+  std::size_t rows() const noexcept { return total_rows; }
+
+  void sum_columns(std::size_t col_begin, std::size_t col_end,
+                   double* sums) const {
+    const std::size_t width = col_end - col_begin;
+    const double* minor = weights.when_minor.data() + col_begin;
+    const double* major = weights.when_major.data() + col_begin;
+    std::uint64_t words[kGapColumnBlock];
+    for (const PlaneBlock& block : blocks) {
+      for (std::size_t base = 0; base < block.rows; base += 64) {
+        for (std::size_t i = 0; i < width; ++i) {
+          words[i] = block.columns[col_begin + i][base / 64];
+        }
+        const std::size_t bits = std::min<std::size_t>(64, block.rows - base);
+        for (std::size_t k = 0; k < bits; ++k) {
+          for (std::size_t i = 0; i < width; ++i) {
+            sums[i] += ((words[i] >> k) & 1) != 0 ? minor[i] : major[i];
+          }
+        }
+      }
+    }
+  }
+
+  void add_column(std::uint32_t c, double sign, double* sums,
+                  std::size_t row_begin, std::size_t row_end) const {
+    // sign is +-1, so these products are exact: each add below equals the
+    // matrix path's sums[r] += sign * cell.
+    const double minor = sign * weights.when_minor[c];
+    const double major = sign * weights.when_major[c];
+    std::size_t offset = 0;
+    for (const PlaneBlock& block : blocks) {
+      const std::size_t lo = std::max(row_begin, offset);
+      const std::size_t hi = std::min(row_end, offset + block.rows);
+      const std::uint64_t* column = block.columns[c];
+      for (std::size_t r = lo; r < hi; ++r) {
+        const std::size_t local = r - offset;
+        sums[r] += ((column[local / 64] >> (local % 64)) & 1) != 0 ? minor
+                                                                   : major;
+      }
+      offset += block.rows;
+    }
+  }
+};
+
+/// Adds (sign = +1) or rolls back (sign = -1) column `candidate` into the
+/// per-individual running scores. Rows are independent, so splitting them
+/// across the pool cannot change any result bit.
+template <typename Source>
+void apply_candidate(const Source& source, std::uint32_t candidate,
+                     double sign, std::vector<double>& sums,
+                     common::ThreadPool* pool) {
+  const std::size_t rows = source.rows();
   if (pool == nullptr || rows < kParallelRowThreshold) {
-    run(0, rows);
+    source.add_column(candidate, sign, sums.data(), 0, rows);
     return;
   }
   const std::size_t chunks =
@@ -280,20 +264,19 @@ void apply_candidate(const LrMatrix& m, std::uint32_t candidate, double sign,
   const std::size_t chunk_rows = (rows + chunks - 1) / chunks;
   pool->parallel_for(chunks, [&](std::size_t chunk) {
     const std::size_t begin = chunk * chunk_rows;
-    run(begin, std::min(rows, begin + chunk_rows));
+    source.add_column(candidate, sign, sums.data(), begin,
+                      std::min(rows, begin + chunk_rows));
   });
 }
 
-}  // namespace
-
-LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
-                                   const LrMatrix& reference_lr,
-                                   const LrSelectionParams& params,
-                                   common::ThreadPool* pool) {
-  if (case_lr.cols() != reference_lr.cols()) {
-    throw std::invalid_argument("select_safe_snps: column count mismatch");
-  }
-  const std::size_t cols = case_lr.cols();
+/// The safe-subset search over any cell source. Per-column means accumulate
+/// in ascending row order within each column block, so the gap pass is
+/// bit-identical however many blocks run concurrently.
+template <typename Source>
+LrSelectionResult greedy_select(const Source& cases, const Source& reference,
+                                std::size_t cols,
+                                const LrSelectionParams& params,
+                                common::ThreadPool* pool) {
   LrSelectionResult result;
   if (cols == 0) return result;
 
@@ -301,12 +284,21 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
   // mean reference LR contribution. Low-gap SNPs are admitted first.
   std::vector<double> case_means(cols, 0.0);
   std::vector<double> ref_means(cols, 0.0);
+  const auto column_means = [cols](const Source& source, std::size_t begin,
+                                   std::vector<double>& means) {
+    const std::size_t end = std::min(cols, begin + kGapColumnBlock);
+    double sums[kGapColumnBlock] = {};
+    source.sum_columns(begin, end, sums);
+    const double denom =
+        source.rows() > 0 ? static_cast<double>(source.rows()) : 1.0;
+    for (std::size_t i = 0; i < end - begin; ++i) {
+      means[begin + i] = sums[i] / denom;
+    }
+  };
   const std::size_t blocks = (cols + kGapColumnBlock - 1) / kGapColumnBlock;
   auto gap_block = [&](std::size_t block) {
-    const std::size_t begin = block * kGapColumnBlock;
-    const std::size_t end = std::min(cols, begin + kGapColumnBlock);
-    column_means_into(case_lr, begin, end, case_means);
-    column_means_into(reference_lr, begin, end, ref_means);
+    column_means(cases, block * kGapColumnBlock, case_means);
+    column_means(reference, block * kGapColumnBlock, ref_means);
   };
   if (pool != nullptr && blocks > 1) {
     pool->parallel_for(blocks, gap_block);
@@ -326,17 +318,17 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
                    });
 
   // Greedy forward admission with incremental per-individual sums.
-  std::vector<double> case_sums(case_lr.rows(), 0.0);
-  std::vector<double> ref_sums(reference_lr.rows(), 0.0);
+  std::vector<double> case_sums(cases.rows(), 0.0);
+  std::vector<double> ref_sums(reference.rows(), 0.0);
   std::vector<double> quantile_scratch;
-  quantile_scratch.reserve(reference_lr.rows());
+  quantile_scratch.reserve(reference.rows());
   std::vector<std::uint32_t> kept;
   double current_power = 0.0;
   double current_threshold = 0.0;
 
   for (std::uint32_t candidate : order) {
-    apply_candidate(case_lr, candidate, 1.0, case_sums, pool);
-    apply_candidate(reference_lr, candidate, 1.0, ref_sums, pool);
+    apply_candidate(cases, candidate, 1.0, case_sums, pool);
+    apply_candidate(reference, candidate, 1.0, ref_sums, pool);
     double threshold = 0.0;
     const double power =
         detection_power(case_sums, ref_sums, params.false_positive_rate,
@@ -347,8 +339,8 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
       current_threshold = threshold;
     } else {
       // Roll the candidate back and try the next one.
-      apply_candidate(case_lr, candidate, -1.0, case_sums, pool);
-      apply_candidate(reference_lr, candidate, -1.0, ref_sums, pool);
+      apply_candidate(cases, candidate, -1.0, case_sums, pool);
+      apply_candidate(reference, candidate, -1.0, ref_sums, pool);
     }
   }
 
@@ -357,6 +349,37 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
   result.final_power = current_power;
   result.final_threshold = current_threshold;
   return result;
+}
+
+}  // namespace
+
+LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
+                                   const LrMatrix& reference_lr,
+                                   const LrSelectionParams& params,
+                                   common::ThreadPool* pool) {
+  if (case_lr.cols() != reference_lr.cols()) {
+    throw std::invalid_argument("select_safe_snps: column count mismatch");
+  }
+  return greedy_select(MatrixSource{case_lr}, MatrixSource{reference_lr},
+                       case_lr.cols(), params, pool);
+}
+
+LrSelectionResult select_safe_snps(const std::vector<PlaneBlock>& case_blocks,
+                                   const PlaneBlock& reference,
+                                   const LrWeights& weights,
+                                   const LrSelectionParams& params,
+                                   common::ThreadPool* pool) {
+  const std::size_t cols = weights.when_minor.size();
+  const auto fits = [cols](const PlaneBlock& block) {
+    return block.columns.size() == cols;
+  };
+  if (weights.when_major.size() != cols || !fits(reference) ||
+      !std::all_of(case_blocks.begin(), case_blocks.end(), fits)) {
+    throw std::invalid_argument("select_safe_snps: column count mismatch");
+  }
+  return greedy_select(PlaneSource(case_blocks, weights),
+                       PlaneSource(std::span(&reference, 1), weights), cols,
+                       params, pool);
 }
 
 }  // namespace gendpr::stats

@@ -10,11 +10,14 @@
 // power (fraction of true case members flagged) stays below the configured
 // threshold (defaults mirror §7: FPR 0.1, power limit 0.9).
 //
-// `LrMatrix` is the exchanged artifact (one row per individual, one column
-// per SNP); GDOs build local matrices from *global* frequencies, the leader
-// concatenates them. `select_safe_snps` runs the empirical subset search:
-// SNPs are admitted in ascending order of identifying power and a candidate
-// is kept only if the resulting power stays below the limit.
+// `LrMatrix` is the paper's artifact (one row per individual, one column per
+// SNP), built from *global* frequencies; the centralized baseline still
+// materializes it. Every cell is one of two per-column weights, so the
+// federation ships indicator bits instead (`PlaneBlock`) and the leader
+// selects on them directly. `select_safe_snps` runs the empirical subset
+// search over either form: SNPs are admitted in ascending order of
+// identifying power and a candidate is kept only if the resulting power
+// stays below the limit.
 #pragma once
 
 #include <cstdint>
@@ -95,55 +98,19 @@ LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
                          const std::vector<std::uint32_t>& snps,
                          const LrWeights& weights);
 
-/// Genotype-fixed factor of the LR matrix, built once per SNP set.
-///
-/// Every LR-matrix cell is linear in the per-SNP weights over an indicator
-/// that depends only on the genotypes:
-///   cell(n, i) = b_{n,i} * when_minor[i] + (1 - b_{n,i}) * when_major[i]
-/// with b in {0, 1}. The collusion-tolerant mode (§5.6) evaluates the same
-/// genotypes under C(G, G-f) different weight vectors, so expanding the
-/// indicator once and deriving each combination's matrix as a cheap
-/// basis-times-weights product replaces C full bit-plane rebuilds with one
-/// build plus C sweeps. Because b is exactly 0 or 1, the product selects one
-/// of the two weight values verbatim — `derive` is bit-identical to
-/// `build_lr_matrix` over the same planes and SNP set (property-tested).
-class LrBasis {
- public:
-  LrBasis() = default;
-  /// Expands the 0/1 indicator of `planes` restricted to `snps` (row-major,
-  /// one byte per cell), reusing the word-gather sweep of the bit-plane
-  /// matrix build.
-  LrBasis(const genome::BitPlanes& planes,
-          const std::vector<std::uint32_t>& snps);
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t cols() const noexcept { return cols_; }
-  /// Bytes held by the expanded indicator (EPC accounting).
-  std::size_t storage_bytes() const noexcept { return indicator_.size(); }
-
-  /// Derives the LR matrix for one weight vector: one select per cell.
-  /// `snp_to_weight_col[i]` maps basis column i to its weight column.
-  LrMatrix derive(const LrWeights& weights,
-                  const std::vector<std::uint32_t>& snp_to_weight_col) const;
-
-  /// Identity-mapped overload (weight column i corresponds to basis col i).
-  LrMatrix derive(const LrWeights& weights) const;
-
-  /// Delta-evaluation for the intersection-aware combination sweep:
-  /// `matrix` must be this basis's derive() result for `prev` (identity
-  /// mapping); it is updated in place to derive(next) by recomputing only
-  /// the columns whose (when_minor, when_major) pair changed — a cell's
-  /// value depends on nothing else, so untouched columns are already
-  /// bit-identical to a fresh derivation. Returns how many columns were
-  /// recomputed.
-  std::size_t derive_update(const LrWeights& prev, const LrWeights& next,
-                            LrMatrix& matrix) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<std::uint8_t> indicator_;  // row-major, values in {0, 1}
+/// One population's LR indicator bits over a selection's columns: bit r of
+/// column i (word r / 64, bit r % 64 of `columns[i]`) is 1 when individual r
+/// carries the minor allele at that SNP, so its LR-matrix cell is
+/// `when_minor[i]`, else `when_major[i]`. Each column holds ceil(rows / 64)
+/// words. The pointers alias storage the caller keeps alive.
+struct PlaneBlock {
+  std::size_t rows = 0;
+  std::vector<const std::uint64_t*> columns;
 };
+
+/// The block of `planes` restricted to `snps` (column i is plane snps[i]).
+PlaneBlock plane_block(const genome::BitPlanes& planes,
+                       const std::vector<std::uint32_t>& snps);
 
 struct LrSelectionParams {
   double false_positive_rate = 0.1;  // beta in §7
@@ -168,6 +135,21 @@ struct LrSelectionResult {
 /// pool. Must not be the pool currently running this call (no nesting).
 LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
                                    const LrMatrix& reference_lr,
+                                   const LrSelectionParams& params,
+                                   common::ThreadPool* pool = nullptr);
+
+/// The same search driven from indicator bits and one weight pair per
+/// column instead of materialized matrices. `case_blocks` are the case
+/// populations in merge order (ascending GDO order in the protocol); every
+/// block, and `reference`, has `weights.when_minor.size()` columns. Each
+/// score update adds `bit ? when_minor : when_major` in exactly the row and
+/// column order the matrix overload reads its cells, so gap, threshold,
+/// power and the safe set are bit-identical to `select_safe_snps` over the
+/// concatenated `build_lr_matrix` matrices (property-tested). `pool` as in
+/// the matrix overload.
+LrSelectionResult select_safe_snps(const std::vector<PlaneBlock>& case_blocks,
+                                   const PlaneBlock& reference,
+                                   const LrWeights& weights,
                                    const LrSelectionParams& params,
                                    common::ThreadPool* pool = nullptr);
 

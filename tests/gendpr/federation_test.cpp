@@ -202,7 +202,7 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
   }
   // The MAF phase is assessed per tile (one tile with tiling off); the LD
   // and LR phases keep one span per combination, and the LR phase records
-  // the leader's per-tile derivations as well.
+  // each tile's plane gather as well.
   EXPECT_EQ(name_counts["maf.tile.0"], 1);
   EXPECT_EQ(name_counts["lr.tile.0"], 1);
   for (const std::string phase : {"ld", "lr"}) {

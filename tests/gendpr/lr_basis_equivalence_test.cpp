@@ -1,8 +1,10 @@
-// Property test for the collusion-tolerant LR phase: the genotype-fixed
-// basis path of GdoEnclave::on_phase2 must be bit-identical to the legacy
-// per-combination `build_lr_matrix` rebuild, across federation sizes
-// G in {3..6} and collusion bounds f in {1, 2}, in the dead-GDO degraded
-// mode, and with or without a thread pool.
+// Property test for the LR phase on bit planes: selecting on the indicator
+// planes members send (GdoEnclave::on_phase2) with the leader-computed
+// weights must be bit-identical — safe set, power and threshold — to the
+// paper's path of materialized per-combination `build_lr_matrix` matrices,
+// across federation sizes G in {3..6} and collusion bounds f in {1, 2}, in
+// the dead-GDO degraded mode, on random blocks whose row counts are not
+// multiples of 64, and with or without a thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,26 +21,29 @@ namespace gendpr::core {
 namespace {
 
 /// A federation of member enclaves plus the phase-2 broadcast a leader
-/// would send them: per-GDO counts over a retained SNP set.
+/// would send them (per-GDO counts over a retained SNP set) and the
+/// reference panel the leader holds.
 struct Federation {
   tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x42}};
   std::vector<std::unique_ptr<tee::Platform>> platforms;
   std::vector<std::unique_ptr<GdoEnclave>> enclaves;
   StudyAnnounce announce;
   Phase2Result phase2;
+  genome::BitPlanes reference;
 };
 
 Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
                            std::uint64_t seed) {
   Federation fed;
   genome::CohortSpec spec;
-  spec.num_case = 30 * num_gdos;
-  spec.num_control = 40;
+  spec.num_case = 70 * num_gdos;  // 70 rows per GDO: a padded tail word
+  spec.num_control = 90;
   spec.num_snps = 48;
   spec.seed = seed;
   const genome::Cohort cohort = genome::generate_cohort(spec);
   const auto ranges =
       genome::equal_partition(cohort.cases.num_individuals(), num_gdos);
+  fed.reference = genome::BitPlanes(cohort.controls);
 
   fed.announce.study_id = seed;
   fed.announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
@@ -79,34 +84,86 @@ bool combination_contains(const std::vector<std::uint32_t>& members,
   return std::find(members.begin(), members.end(), gdo) != members.end();
 }
 
-/// Runs on_phase2 on every enclave and checks each returned matrix against
-/// the legacy from-scratch rebuild: weights from the combination's derived
-/// frequency vector, then a full bit-plane `build_lr_matrix`. Returns the
-/// per-GDO entry counts so callers can assert coverage.
-std::vector<std::size_t> check_against_legacy_rebuild(
-    Federation& fed, common::ThreadPool* pool) {
-  std::vector<std::size_t> entry_counts;
-  for (const auto& enclave : fed.enclaves) {
-    const auto matrices = enclave->on_phase2(fed.phase2, pool);
-    EXPECT_TRUE(matrices.ok());
-    if (!matrices.ok()) return entry_counts;
-    for (const auto& entry : matrices.value().entries) {
-      const auto& members = fed.announce.combinations[entry.combination_id];
-      EXPECT_TRUE(combination_contains(members, enclave->gdo_index()));
-      const stats::LrWeights weights =
-          stats::lr_weights(fed.phase2.combination_case_freq(members),
-                            fed.phase2.reference_freq);
-      const stats::LrMatrix expected = stats::build_lr_matrix(
-          enclave->planes(), fed.phase2.retained, weights);
-      EXPECT_EQ(entry.matrix, expected)
-          << "gdo " << enclave->gdo_index() << " combination "
-          << entry.combination_id;
-    }
-    entry_counts.push_back(matrices.value().entries.size());
-  }
-  return entry_counts;
+/// Tight enough that the greedy search rejects candidates on these small
+/// cohorts, so the comparison covers roll-backs as well as admissions.
+stats::LrSelectionParams tight_params() {
+  stats::LrSelectionParams params;
+  params.power_threshold = 0.4;
+  return params;
 }
 
+void expect_same_selection(const stats::LrSelectionResult& got,
+                           const stats::LrSelectionResult& expected,
+                           const std::string& label) {
+  EXPECT_EQ(got.safe_columns, expected.safe_columns) << label;
+  EXPECT_EQ(got.final_power, expected.final_power) << label;
+  EXPECT_EQ(got.final_threshold, expected.final_threshold) << label;
+}
+
+/// Runs on_phase2 on every enclave, then selects every live combination
+/// twice: on the returned planes, and on the matrices the paper's members
+/// would have built. Returns how many combinations were compared.
+std::size_t check_against_matrix_path(Federation& fed,
+                                      common::ThreadPool* pool) {
+  std::vector<LrPlanes> planes(fed.enclaves.size());
+  std::vector<stats::PlaneBlock> blocks(fed.enclaves.size());
+  for (std::size_t i = 0; i < fed.enclaves.size(); ++i) {
+    auto reply = fed.enclaves[i]->on_phase2(fed.phase2);
+    EXPECT_TRUE(reply.ok());
+    if (!reply.ok()) return 0;
+    planes[i] = std::move(reply).take();
+    const std::size_t rows = fed.enclaves[i]->dataset().num_individuals();
+    EXPECT_EQ(planes[i].width, fed.phase2.retained.size());
+    EXPECT_EQ(planes[i].words_per_column, (rows + 63) / 64);
+    blocks[i].rows = rows;
+    for (std::size_t c = 0; c < planes[i].width; ++c) {
+      blocks[i].columns.push_back(planes[i].words.data() +
+                                  c * planes[i].words_per_column);
+    }
+  }
+  const auto enclave_of = [&fed](std::uint32_t gdo) -> std::size_t {
+    for (std::size_t i = 0; i < fed.enclaves.size(); ++i) {
+      if (fed.enclaves[i]->gdo_index() == gdo) return i;
+    }
+    return fed.enclaves.size();
+  };
+  std::size_t compared = 0;
+  for (std::size_t c = 0; c < fed.announce.combinations.size(); ++c) {
+    const auto& members = fed.announce.combinations[c];
+    const bool dead = std::any_of(
+        fed.phase2.dead_gdos.begin(), fed.phase2.dead_gdos.end(),
+        [&members](std::uint32_t g) {
+          return combination_contains(members, g);
+        });
+    if (dead) continue;
+    const stats::LrWeights weights =
+        stats::lr_weights(fed.phase2.combination_case_freq(members),
+                          fed.phase2.reference_freq);
+    stats::LrMatrix case_lr;
+    std::vector<stats::PlaneBlock> case_blocks;
+    for (std::uint32_t g : members) {
+      const std::size_t i = enclave_of(g);
+      case_lr.append_rows(stats::build_lr_matrix(
+          fed.enclaves[i]->planes(), fed.phase2.retained, weights));
+      case_blocks.push_back(blocks[i]);
+    }
+    const stats::LrSelectionResult expected = stats::select_safe_snps(
+        case_lr,
+        stats::build_lr_matrix(fed.reference, fed.phase2.retained, weights),
+        tight_params());
+    const stats::LrSelectionResult got = stats::select_safe_snps(
+        case_blocks, stats::plane_block(fed.reference, fed.phase2.retained),
+        weights, tight_params(), pool);
+    expect_same_selection(got, expected,
+                          "combination " + std::to_string(c));
+    ++compared;
+  }
+  return compared;
+}
+
+/// The "basis" is the genotype-fixed indicator every combination's matrix
+/// is a weight select over — the planes members now send; the "legacy
+/// rebuild" is the materialized per-combination LrMatrix path.
 class LrBasisEquivalenceTest
     : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>> {
 };
@@ -114,16 +171,8 @@ class LrBasisEquivalenceTest
 TEST_P(LrBasisEquivalenceTest, BasisPathMatchesLegacyRebuild) {
   const auto [num_gdos, f] = GetParam();
   Federation fed = make_federation(num_gdos, f, 7 * num_gdos + f);
-  const auto entry_counts = check_against_legacy_rebuild(fed, nullptr);
-  ASSERT_EQ(entry_counts.size(), num_gdos);
-  for (std::uint32_t g = 0; g < num_gdos; ++g) {
-    // Every combination containing GDO g yields exactly one entry.
-    std::size_t expected = 0;
-    for (const auto& members : fed.announce.combinations) {
-      if (combination_contains(members, g)) ++expected;
-    }
-    EXPECT_EQ(entry_counts[g], expected) << "gdo " << g;
-  }
+  EXPECT_EQ(check_against_matrix_path(fed, nullptr),
+            fed.announce.combinations.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -145,35 +194,85 @@ TEST(LrBasisEquivalenceDegradedTest, DeadGdoSkippedOthersBitIdentical) {
   fed.phase2.case_counts_per_gdo[3].clear();
   fed.phase2.n_case_per_gdo[3] = 0;
   fed.enclaves.pop_back();  // the dead GDO never receives the broadcast
-  const auto entry_counts = check_against_legacy_rebuild(fed, nullptr);
-  ASSERT_EQ(entry_counts.size(), 3u);
-  for (std::uint32_t g = 0; g < 3; ++g) {
-    std::size_t expected = 0;
-    for (const auto& members : fed.announce.combinations) {
-      if (combination_contains(members, g) &&
-          !combination_contains(members, 3)) {
-        ++expected;
-      }
-    }
-    EXPECT_EQ(entry_counts[g], expected) << "gdo " << g;
+  std::size_t live = 0;
+  for (const auto& members : fed.announce.combinations) {
+    if (!combination_contains(members, 3)) ++live;
   }
+  EXPECT_EQ(check_against_matrix_path(fed, nullptr), live);
 }
 
 TEST(LrBasisEquivalenceDegradedTest, PooledDerivationsMatchSerial) {
   Federation fed = make_federation(5, 2, 123);
   common::ThreadPool pool;
-  for (const auto& enclave : fed.enclaves) {
-    const auto serial = enclave->on_phase2(fed.phase2, nullptr);
-    const auto pooled = enclave->on_phase2(fed.phase2, &pool);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(pooled.ok());
-    ASSERT_EQ(serial.value().entries.size(), pooled.value().entries.size());
-    for (std::size_t i = 0; i < serial.value().entries.size(); ++i) {
-      EXPECT_EQ(serial.value().entries[i].combination_id,
-                pooled.value().entries[i].combination_id);
-      EXPECT_EQ(serial.value().entries[i].matrix,
-                pooled.value().entries[i].matrix);
+  EXPECT_EQ(check_against_matrix_path(fed, &pool),
+            fed.announce.combinations.size());
+}
+
+/// Random SNP-major planes for `rows` individuals over `cols` columns.
+genome::BitPlanes random_planes(std::size_t rows, std::size_t cols,
+                                common::Rng& rng) {
+  genome::GenotypeMatrix g(rows, cols);
+  for (std::size_t n = 0; n < rows; ++n) {
+    for (std::size_t s = 0; s < cols; ++s) {
+      if (rng.bernoulli(0.35)) g.set(n, s, true);
     }
+  }
+  return genome::BitPlanes(g);
+}
+
+/// A row count in [1, max_rows] that is not a multiple of 64.
+std::size_t ragged_rows(common::Rng& rng, std::size_t max_rows) {
+  std::size_t rows = 0;
+  while (rows == 0 || rows % 64 == 0) rows = 1 + rng.next() % max_rows;
+  return rows;
+}
+
+TEST(PlaneSelectionBlocksTest, RandomBlocksMatchMatrixPath) {
+  common::Rng rng(2024);
+  common::ThreadPool pool(4);
+  // Small blocks first; the last rounds exceed the 4,096-row threshold at
+  // which the pooled candidate updates split rows across workers.
+  for (std::size_t round = 0; round < 12; ++round) {
+    const std::size_t num_blocks = 1 + round % 6;
+    const std::size_t max_rows = round < 6 ? 200 : 1500;
+    const std::size_t cols = 1 + rng.next() % 70;
+    std::vector<genome::BitPlanes> planes;
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      planes.push_back(random_planes(ragged_rows(rng, max_rows), cols, rng));
+    }
+    const genome::BitPlanes reference =
+        random_planes(ragged_rows(rng, round < 6 ? 300 : 5000), cols, rng);
+    std::vector<std::uint32_t> snps(cols);
+    for (std::uint32_t i = 0; i < cols; ++i) snps[i] = i;
+    std::vector<double> case_freq(cols), ref_freq(cols);
+    for (std::size_t i = 0; i < cols; ++i) {
+      case_freq[i] = rng.uniform(0.05, 0.95);
+      // Every fifth column carries no signal (both weights 0).
+      ref_freq[i] = i % 5 == 0 ? case_freq[i] : rng.uniform(0.05, 0.95);
+    }
+    const stats::LrWeights weights = stats::lr_weights(case_freq, ref_freq);
+
+    stats::LrMatrix case_lr;
+    std::vector<stats::PlaneBlock> blocks;
+    for (const genome::BitPlanes& p : planes) {
+      case_lr.append_rows(stats::build_lr_matrix(p, snps, weights));
+      blocks.push_back(stats::plane_block(p, snps));
+    }
+    const stats::LrSelectionResult expected = stats::select_safe_snps(
+        case_lr, stats::build_lr_matrix(reference, snps, weights),
+        tight_params());
+    const stats::PlaneBlock reference_block =
+        stats::plane_block(reference, snps);
+    const std::string label = "round " + std::to_string(round) + ", " +
+                              std::to_string(num_blocks) + " blocks";
+    expect_same_selection(
+        stats::select_safe_snps(blocks, reference_block, weights,
+                                tight_params()),
+        expected, label + " serial");
+    expect_same_selection(
+        stats::select_safe_snps(blocks, reference_block, weights,
+                                tight_params(), &pool),
+        expected, label + " pooled");
   }
 }
 

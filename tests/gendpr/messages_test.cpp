@@ -160,6 +160,43 @@ TEST(MessagesTest, LrMatricesRoundTrip) {
   EXPECT_EQ(restored.value().entries[0].matrix, entry.matrix);
 }
 
+TEST(MessagesTest, LrPlanesRoundTrip) {
+  LrPlanes msg;
+  msg.tile_index = 3;
+  msg.width = 2;
+  msg.words_per_column = 2;
+  msg.words = {0x1, 0xffffffffffffffffull, 0x8000000000000000ull, 0x2a};
+  const common::Bytes encoded = msg.serialize();
+  EXPECT_EQ(encoded.size(), msg.encoded_size());
+  const auto restored = LrPlanes::deserialize(encoded);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value().tile_index, 3u);
+  EXPECT_EQ(restored.value().width, 2u);
+  EXPECT_EQ(restored.value().words_per_column, 2u);
+  EXPECT_EQ(restored.value().words, msg.words);
+}
+
+TEST(MessagesTest, LrPlanesTruncationRejected) {
+  LrPlanes msg{1, 3, 2, {1, 2, 3, 4, 5, 6}};
+  const common::Bytes full = msg.serialize();
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    EXPECT_FALSE(
+        LrPlanes::deserialize(common::BytesView(full.data(), len)).ok())
+        << "truncation to " << len << " accepted";
+  }
+}
+
+TEST(MessagesTest, LrPlanesShapeMustMatchWordCount) {
+  // A header whose width x words_per_column disagrees with the body is
+  // malformed, whichever side is off.
+  for (const LrPlanes& msg : {LrPlanes{0, 3, 2, {1, 2, 3, 4, 5}},
+                              LrPlanes{0, 0xffffffffu, 0xffffffffu, {1}}}) {
+    const auto restored = LrPlanes::deserialize(msg.serialize());
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.error().code, common::Errc::bad_message);
+  }
+}
+
 TEST(MessagesTest, Phase3ResultRoundTrip) {
   Phase3Result msg;
   msg.safe = {4, 8, 15};
@@ -203,15 +240,18 @@ TEST(MessagesTest, TruncationRejectedEverywhere) {
   phase2.n_case_per_gdo = {10};
   LrMatrices matrices;
   matrices.entries.push_back({0, stats::LrMatrix(2, 2)});
+  const LrPlanes planes{0, 2, 1, {7, 9}};
 
   const std::vector<common::Bytes> serialized = {
-      announce.serialize(), phase2.serialize(), matrices.serialize()};
+      announce.serialize(), phase2.serialize(), matrices.serialize(),
+      planes.serialize()};
   for (const auto& full : serialized) {
     for (std::size_t len = 0; len < full.size(); ++len) {
       const common::BytesView cut(full.data(), len);
       EXPECT_FALSE(StudyAnnounce::deserialize(cut).ok() &&
                    Phase2Result::deserialize(cut).ok() &&
-                   LrMatrices::deserialize(cut).ok())
+                   LrMatrices::deserialize(cut).ok() &&
+                   LrPlanes::deserialize(cut).ok())
           << "truncation to " << len << " accepted";
     }
   }

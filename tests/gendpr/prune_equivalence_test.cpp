@@ -1,13 +1,12 @@
 // Bit-identity of the intersection-aware combination sweep.
 //
 // The pruned sweep (StudyConfig::prune) reorders combinations, folds the
-// running intersection eagerly, truncates LD walks, skips combinations past
-// an empty intersection, and delta-derives LR matrices — all of which are
-// pure work reductions: the per-phase survivor sets L', L'', and L_safe must
-// be byte-identical to the unpruned protocol's, across collusion policies
-// and including degraded (dead-GDO) runs. final_power is NOT part of the
-// contract: once the intersection is empty, skipped selections may leave the
-// pruned maximum short of the unpruned one.
+// running intersection eagerly, truncates LD walks and skips walks past an
+// empty intersection — all of which are pure work reductions: the per-phase
+// survivor sets L', L'', and L_safe must be byte-identical to the unpruned
+// protocol's, across collusion policies and including degraded (dead-GDO)
+// runs. The LR phase runs one sweep in both modes (every live combination
+// is selected), so final_power is identical too.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -58,6 +57,8 @@ TEST(PruneEquivalenceTest, SafeSetsBitIdenticalAcrossPolicies) {
           << "G=" << g << " f=" << f;
       EXPECT_EQ(pruned.outcome.l_safe, unpruned.outcome.l_safe)
           << "G=" << g << " f=" << f;
+      EXPECT_EQ(pruned.outcome.final_power, unpruned.outcome.final_power)
+          << "G=" << g << " f=" << f;
       // The pruned sweep never fetches more distinct pairs than the
       // unpruned one (truncated walks are prefixes of full walks).
       EXPECT_LE(pruned.ld_pairs_fetched, unpruned.ld_pairs_fetched)
@@ -76,6 +77,11 @@ TEST(PruneEquivalenceTest, SafeSetsBitIdenticalAcrossPolicies) {
         EXPECT_EQ(pruned.pruning.maf_mask_sizes.back(),
                   pruned.outcome.l_prime.size());
       }
+      // The LR fold visits every live combination and lands on L_safe.
+      ASSERT_EQ(pruned.pruning.lr_mask_sizes.size(), pruned.live_combinations)
+          << "G=" << g << " f=" << f;
+      EXPECT_EQ(pruned.pruning.lr_mask_sizes.back(),
+                pruned.outcome.l_safe.size());
     }
   }
 }
@@ -100,17 +106,13 @@ TEST(PruneEquivalenceTest, PrunedSweepDoesMeasurablyLessWork) {
   const StudyResult pruned = run(cohort, 6, 2, /*prune=*/true, &obs_pruned);
   EXPECT_EQ(pruned.outcome.l_safe, unpruned.outcome.l_safe);
 
-  // Full LR derivations collapse to chain heads; the remainder shows up as
-  // delta updates, and together they conserve the unpruned budget.
-  const std::uint64_t matvecs_unpruned =
-      obs_unpruned.metrics.counter("lr.combination_matvecs");
-  const std::uint64_t matvecs_pruned =
-      obs_pruned.metrics.counter("lr.combination_matvecs");
-  const std::uint64_t deltas_pruned =
-      obs_pruned.metrics.counter("lr.combination_delta_updates");
-  EXPECT_LT(matvecs_pruned, matvecs_unpruned);
-  EXPECT_EQ(matvecs_pruned + deltas_pruned, matvecs_unpruned);
-  EXPECT_EQ(obs_unpruned.metrics.counter("lr.combination_delta_updates"), 0u);
+  // One LR sweep: both modes select every live combination on the same
+  // planes, so the LR ledger and the residual power match exactly.
+  EXPECT_EQ(pruned.outcome.final_power, unpruned.outcome.final_power);
+  EXPECT_EQ(obs_pruned.metrics.counter("lr.selections"), 15u);
+  EXPECT_EQ(obs_unpruned.metrics.counter("lr.selections"), 15u);
+  EXPECT_EQ(obs_pruned.metrics.counter("lr.plane_bytes"),
+            obs_unpruned.metrics.counter("lr.plane_bytes"));
 
   // Chi-squared work drops from C * num_snps to C * |L'| (or less when
   // walks are skipped outright).
@@ -119,9 +121,6 @@ TEST(PruneEquivalenceTest, PrunedSweepDoesMeasurablyLessWork) {
   // MAF evaluations shrink with the per-tile mask.
   EXPECT_LT(obs_pruned.metrics.counter("coordinator.maf_snps_evaluated"),
             obs_unpruned.metrics.counter("coordinator.maf_snps_evaluated"));
-  // Reference-side derivations collapse to one chain head per tile.
-  EXPECT_LT(obs_pruned.metrics.counter("lr.reference_matvecs"),
-            obs_unpruned.metrics.counter("lr.reference_matvecs"));
 }
 
 TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
@@ -183,6 +182,7 @@ TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
   EXPECT_EQ(pruned.outcome.l_prime, unpruned.outcome.l_prime);
   EXPECT_EQ(pruned.outcome.l_double_prime, unpruned.outcome.l_double_prime);
   EXPECT_EQ(pruned.outcome.l_safe, unpruned.outcome.l_safe);
+  EXPECT_EQ(pruned.outcome.final_power, unpruned.outcome.final_power);
   EXPECT_FALSE(unpruned.outcome.l_safe.empty());
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -162,24 +165,33 @@ Phase2Result make_phase2_counts(const GdoEnclave& enclave,
   return phase2;
 }
 
-TEST(GdoEnclaveTest, Phase2BuildsMatricesOnlyForOwnCombinations) {
+TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
   ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
-  StudyAnnounce announce = f.make_announce(3, CollusionPolicy::fixed(1));
-  // Combinations of 2 of {0,1,2}: {0,1}, {0,2}, {1,2}. GDO 1 is in 2 of 3.
-  ASSERT_TRUE(enclave.on_study_announce(announce).ok());
-  ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2}}).ok());
-  const Phase2Result phase2 = make_phase2_counts(enclave, {0, 1, 2});
-  const auto matrices = enclave.on_phase2(phase2);
-  ASSERT_TRUE(matrices.ok());
-  ASSERT_EQ(matrices.value().entries.size(), 2u);
-  EXPECT_EQ(matrices.value().entries[0].combination_id, 0u);
-  EXPECT_EQ(matrices.value().entries[1].combination_id, 2u);
-  for (const auto& entry : matrices.value().entries) {
-    EXPECT_EQ(entry.matrix.rows(), f.cohort.cases.num_individuals());
-    EXPECT_EQ(entry.matrix.cols(), 3u);
-  }
+  ASSERT_TRUE(enclave
+                  .on_study_announce(
+                      f.make_announce(3, CollusionPolicy::fixed(1)))
+                  .ok());
+  ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2, 5}}).ok());
+  Phase2Result phase2 = make_phase2_counts(enclave, {1, 5});
+  phase2.tile_index = 0;
+  phase2.num_tiles = 2;
+  const auto planes = enclave.on_phase2(phase2);
+  ASSERT_TRUE(planes.ok());
+  // One message for every combination: the tile's planes, verbatim.
+  const std::size_t words = enclave.planes().words_per_plane();
+  EXPECT_EQ(planes.value().tile_index, 0u);
+  EXPECT_EQ(planes.value().width, 2u);
+  EXPECT_EQ(planes.value().words_per_column, words);
+  EXPECT_EQ(words, (f.cohort.cases.num_individuals() + 63) / 64);
+  ASSERT_EQ(planes.value().words.size(), 2 * words);
+  EXPECT_TRUE(std::equal(planes.value().words.begin(),
+                         planes.value().words.begin() + words,
+                         enclave.planes().plane(1)));
+  EXPECT_TRUE(std::equal(planes.value().words.begin() + words,
+                         planes.value().words.end(),
+                         enclave.planes().plane(5)));
 }
 
 TEST(GdoEnclaveTest, Phase2FrequencySizeMismatchRejected) {
@@ -236,11 +248,11 @@ TEST(GdoEnclaveTest, Phase2SkipsCombinationsWithDeadMembers) {
   phase2.dead_gdos = {0};
   phase2.case_counts_per_gdo[0].clear();  // dead slot travels empty
   phase2.n_case_per_gdo[0] = 0;
-  const auto matrices = enclave.on_phase2(phase2);
-  ASSERT_TRUE(matrices.ok());
-  // Only {1,2} survives: {0,1} and {0,2} name the dead GDO 0.
-  ASSERT_EQ(matrices.value().entries.size(), 1u);
-  EXPECT_EQ(matrices.value().entries[0].combination_id, 2u);
+  // Only {1,2} survives: {0,1} and {0,2} name the dead GDO 0, so its empty
+  // slot is never validated and the tile is answered as usual.
+  const auto planes = enclave.on_phase2(phase2);
+  ASSERT_TRUE(planes.ok());
+  EXPECT_EQ(planes.value().width, 3u);
 }
 
 TEST(CoordinatorTest, RejectsBogusSummaries) {
@@ -319,14 +331,129 @@ TEST(CoordinatorTest, LrMatrixValidation) {
   };
   ASSERT_TRUE(coordinator.run_ld_phase(fetch).ok());
 
-  LrMatrices bad_combination;
-  bad_combination.entries.push_back({7, stats::LrMatrix(50, 1)});
-  EXPECT_FALSE(coordinator.add_lr_matrices(1, bad_combination).ok());
+  const LrPlanes planes{0, 1, 1, {0}};
+  EXPECT_EQ(coordinator.add_lr_planes(7, planes).error().code,
+            common::Errc::unknown_peer);
+  EXPECT_EQ(coordinator.add_lr_planes(0, planes).error().code,
+            common::Errc::unknown_peer);  // the leader's planes are local
+}
 
-  LrMatrices wrong_rows;
-  wrong_rows.entries.push_back(
-      {0, stats::LrMatrix(3, coordinator.outcome().l_double_prime.size())});
-  EXPECT_FALSE(coordinator.add_lr_matrices(1, wrong_rows).ok());
+TEST(CoordinatorTest, LrPlanesBeforeLdPhaseRejected) {
+  Fixture f;
+  GdoEnclave leader(f.platform, 0);
+  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
+  Coordinator coordinator(leader, f.cohort.controls, 2,
+                          f.make_announce(2, CollusionPolicy::none()));
+  EXPECT_EQ(coordinator.add_lr_planes(1, LrPlanes{}).error().code,
+            common::Errc::state_violation);
+}
+
+/// A leader and one honest member run phases 1-2 for real (tile width 8),
+/// so the member's planes for each phase-2 tile agree with its phase-1
+/// counts. Shared by the plane tamper tests below.
+struct PlaneGather {
+  Fixture f;
+  GdoEnclave leader{f.platform, 0};
+  GdoEnclave member{f.platform, 1};
+  std::optional<Coordinator> coordinator;
+  std::vector<LrPlanes> replies;
+
+  PlaneGather() {
+    EXPECT_TRUE(
+        leader.provision_dataset(f.cohort.cases.slice_rows(0, 130)).ok());
+    // 170 rows: three words per column, the last one padded.
+    EXPECT_TRUE(
+        member.provision_dataset(f.cohort.cases.slice_rows(130, 300)).ok());
+    StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
+    announce.config.snp_tile_width = 8;
+    coordinator.emplace(leader, f.cohort.controls, 2, announce);
+    EXPECT_TRUE(member.on_study_announce(announce).ok());
+    const genome::TilePlan& plan = coordinator->maf_plan();
+    for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
+      EXPECT_TRUE(coordinator
+                      ->add_summary(1, member.make_summary_tile(
+                                           plan.begin(k), plan.end(k), k))
+                      .ok());
+    }
+    const auto phase1 = coordinator->run_maf_phase();
+    EXPECT_TRUE(phase1.ok());
+    EXPECT_TRUE(member.on_phase1(phase1.value()).ok());
+    auto fetch = [this](const MomentsRequest& request,
+                        const std::vector<std::uint32_t>&) {
+      std::vector<std::optional<stats::LdMoments>> per_gdo(2);
+      per_gdo[1] = member.on_moments_request(request).value().moments;
+      return per_gdo;
+    };
+    EXPECT_TRUE(coordinator->run_ld_phase(fetch).ok());
+    for (const Phase2Result& tile : coordinator->phase2_tiles()) {
+      auto reply = member.on_phase2(tile);
+      EXPECT_TRUE(reply.ok());
+      replies.push_back(std::move(reply).take());
+    }
+  }
+
+  /// Expects `planes` to be refused as bad_message naming GDO 1, with
+  /// `why` in the reason.
+  void expect_rejected(const LrPlanes& planes, const std::string& why) {
+    const common::Status status = coordinator->add_lr_planes(1, planes);
+    ASSERT_FALSE(status.ok()) << why;
+    EXPECT_EQ(status.error().code, common::Errc::bad_message);
+    EXPECT_NE(status.error().message.find("gdo 1"), std::string::npos)
+        << status.error().message;
+    EXPECT_NE(status.error().message.find(why), std::string::npos)
+        << status.error().message;
+  }
+};
+
+TEST(CoordinatorTest, LrPlanesFromHonestMemberCompletePhase3) {
+  PlaneGather gather;
+  ASSERT_GT(gather.replies.size(), 1u);
+  EXPECT_FALSE(gather.coordinator->phase3_ready());
+  for (const LrPlanes& planes : gather.replies) {
+    ASSERT_TRUE(gather.coordinator->add_lr_planes(1, planes).ok());
+  }
+  EXPECT_TRUE(gather.coordinator->phase3_ready());
+  EXPECT_TRUE(gather.coordinator->run_lr_phase(nullptr).ok());
+}
+
+TEST(CoordinatorTest, LrPlanesFlippedBitRejected) {
+  PlaneGather gather;
+  LrPlanes planes = gather.replies[0];
+  planes.words[0] ^= 1;  // individual 0's bit in column 0
+  gather.expect_rejected(planes, "popcount");
+}
+
+TEST(CoordinatorTest, LrPlanesPaddingBitRejected) {
+  PlaneGather gather;
+  LrPlanes planes = gather.replies[0];
+  // 170 rows: bits 42..63 of each column's third word are padding.
+  planes.words[planes.words_per_column - 1] |= std::uint64_t{1} << 63;
+  gather.expect_rejected(planes, "padding");
+}
+
+TEST(CoordinatorTest, LrPlanesWrongShapeRejected) {
+  PlaneGather gather;
+  LrPlanes wide = gather.replies[0];
+  wide.width += 1;
+  wide.words.resize(wide.words.size() + wide.words_per_column, 0);
+  gather.expect_rejected(wide, "width");
+
+  LrPlanes narrow_words = gather.replies[0];
+  narrow_words.words_per_column -= 1;
+  narrow_words.words.resize(narrow_words.width *
+                            narrow_words.words_per_column);
+  gather.expect_rejected(narrow_words, "words per column");
+
+  LrPlanes out_of_range = gather.replies[0];
+  out_of_range.tile_index =
+      static_cast<std::uint32_t>(gather.replies.size());
+  gather.expect_rejected(out_of_range, "out of range");
+}
+
+TEST(CoordinatorTest, LrPlanesRepeatedTileRejected) {
+  PlaneGather gather;
+  ASSERT_TRUE(gather.coordinator->add_lr_planes(1, gather.replies[0]).ok());
+  gather.expect_rejected(gather.replies[0], "repeated");
 }
 
 /// Three-GDO coordinator with identical member summaries: every combination

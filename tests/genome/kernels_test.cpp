@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -94,36 +93,6 @@ TEST(KernelsTest, PopcountDegenerateAllZeroAllOne) {
       EXPECT_EQ(ops.popcount_words(ones.data(), n), n * 64);
       EXPECT_EQ(ops.and_popcount_words(zeros.data(), ones.data(), n), 0u);
       EXPECT_EQ(ops.and_popcount_words(ones.data(), ones.data(), n), n * 64);
-    }
-  }
-}
-
-TEST(KernelsTest, SelectWeightsMatchesPortable) {
-  common::Rng rng(7);
-  const KernelOps& portable = kernel_ops_for(KernelBackend::portable);
-  for (KernelBackend backend : available_simd_backends()) {
-    const KernelOps& ops = kernel_ops_for(backend);
-    for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 31u, 257u}) {
-      std::vector<std::uint8_t> indicator(n);
-      std::vector<double> minor(n), major(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        indicator[i] = static_cast<std::uint8_t>(rng.next() & 1);
-        minor[i] = static_cast<double>(rng.next() % 1000) / 7.0;
-        major[i] = -static_cast<double>(rng.next() % 1000) / 11.0;
-      }
-      std::vector<double> expected(n), got(n, 1e300);
-      portable.select_weights(indicator.data(), minor.data(), major.data(), n,
-                              expected.data());
-      ops.select_weights(indicator.data(), minor.data(), major.data(), n,
-                         got.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        // Bit-identity, not tolerance: a select must copy the exact double.
-        std::uint64_t e_bits, g_bits;
-        std::memcpy(&e_bits, &expected[i], 8);
-        std::memcpy(&g_bits, &got[i], 8);
-        EXPECT_EQ(g_bits, e_bits)
-            << kernel_backend_name(backend) << " n=" << n << " i=" << i;
-      }
     }
   }
 }

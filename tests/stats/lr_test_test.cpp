@@ -109,71 +109,52 @@ LrWeights random_weights(std::size_t cols, std::uint64_t seed) {
   return lr_weights(case_freq, ref_freq);
 }
 
-TEST(LrBasisTest, DeriveBitIdenticalToBitPlaneBuild) {
-  // 130 rows spans three plane words per SNP; exercises the word tail.
-  const genome::GenotypeMatrix g = random_genotypes(130, 40, 11);
-  const genome::BitPlanes planes(g);
-  const std::vector<std::uint32_t> snps = {0, 3, 7, 12, 25, 39};
-  const LrBasis basis(planes, snps);
-  EXPECT_EQ(basis.rows(), 130u);
-  EXPECT_EQ(basis.cols(), snps.size());
-  EXPECT_EQ(basis.storage_bytes(), 130u * snps.size());
-  // The same basis serves several weight vectors; each derivation must be
-  // exactly the matrix a from-scratch bit-plane build would produce.
+TEST(PlaneSelectionTest, BitIdenticalToMatrixSelection) {
+  // Two case blocks (70 and 130 rows: neither a multiple of 64, so every
+  // column has a padded tail word) and a 150-row reference. Selecting on
+  // the planes must reproduce the matrix selection bit for bit.
+  const genome::BitPlanes first(random_genotypes(70, 40, 11));
+  const genome::BitPlanes second(random_genotypes(130, 40, 12));
+  const genome::BitPlanes reference(random_genotypes(150, 40, 13));
+  const std::vector<std::uint32_t> snps = {0, 3, 7, 12, 25, 31, 36, 39};
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const LrWeights w = random_weights(snps.size(), seed);
-    EXPECT_EQ(basis.derive(w), build_lr_matrix(planes, snps, w));
+    LrMatrix case_lr = build_lr_matrix(first, snps, w);
+    case_lr.append_rows(build_lr_matrix(second, snps, w));
+    LrSelectionParams params;
+    params.power_threshold = 0.5;
+    const LrSelectionResult expected = select_safe_snps(
+        case_lr, build_lr_matrix(reference, snps, w), params);
+    const LrSelectionResult got = select_safe_snps(
+        {plane_block(first, snps), plane_block(second, snps)},
+        plane_block(reference, snps), w, params);
+    EXPECT_EQ(got.safe_columns, expected.safe_columns) << "seed " << seed;
+    EXPECT_EQ(got.final_power, expected.final_power) << "seed " << seed;
+    EXPECT_EQ(got.final_threshold, expected.final_threshold)
+        << "seed " << seed;
   }
 }
 
-TEST(LrBasisTest, SubsetColumnsMapThroughWeightIndex) {
-  const genome::GenotypeMatrix g = random_genotypes(70, 20, 17);
-  const genome::BitPlanes planes(g);
-  // Weights indexed over the full SNP range; the basis covers a subset.
-  const std::vector<std::uint32_t> snps = {2, 9, 19};
-  const LrWeights w = random_weights(20, 4);
-  const std::vector<std::uint32_t> snp_to_weight_col = {2, 9, 19};
-  const LrBasis basis(planes, snps);
-  EXPECT_EQ(basis.derive(w, snp_to_weight_col),
-            build_lr_matrix(planes, snps, w, snp_to_weight_col));
+TEST(PlaneSelectionTest, EmptyColumnsGiveEmptyResult) {
+  const genome::BitPlanes planes(random_genotypes(10, 4, 5));
+  const LrSelectionResult result = select_safe_snps(
+      {plane_block(planes, {})}, plane_block(planes, {}), LrWeights{},
+      LrSelectionParams{});
+  EXPECT_TRUE(result.safe_columns.empty());
+  EXPECT_EQ(result.final_power, 0.0);
 }
 
-TEST(LrBasisTest, DeriveUpdateMatchesFreshDerivation) {
-  const genome::GenotypeMatrix g = random_genotypes(130, 40, 23);
-  const genome::BitPlanes planes(g);
-  const std::vector<std::uint32_t> snps = {1, 4, 8, 13, 21, 34};
-  const LrBasis basis(planes, snps);
-  const LrWeights prev = random_weights(snps.size(), 5);
-
-  // Change a strict subset of the weight pairs; only those columns may be
-  // recomputed, and the result must equal a from-scratch derivation.
-  LrWeights next = prev;
-  next.when_minor[1] += 0.25;
-  next.when_major[4] -= 0.5;
-  next.when_minor[5] = 0.0;
-  next.when_major[5] = 1.0;
-  LrMatrix matrix = basis.derive(prev);
-  EXPECT_EQ(basis.derive_update(prev, next, matrix), 3u);
-  EXPECT_EQ(matrix, basis.derive(next));
-
-  // Identical weights touch nothing; the matrix chains onward unchanged.
-  EXPECT_EQ(basis.derive_update(next, next, matrix), 0u);
-  EXPECT_EQ(matrix, basis.derive(next));
-
-  // A full change degenerates to a full derivation.
-  const LrWeights far = random_weights(snps.size(), 6);
-  EXPECT_EQ(basis.derive_update(next, far, matrix), snps.size());
-  EXPECT_EQ(matrix, basis.derive(far));
-}
-
-TEST(LrBasisTest, EmptyBasisDerivesEmptyMatrix) {
-  const LrBasis empty;
-  EXPECT_EQ(empty.rows(), 0u);
-  EXPECT_EQ(empty.cols(), 0u);
-  EXPECT_EQ(empty.storage_bytes(), 0u);
-  const LrMatrix derived = empty.derive(LrWeights{});
-  EXPECT_EQ(derived.rows(), 0u);
-  EXPECT_EQ(derived.cols(), 0u);
+TEST(PlaneSelectionTest, ColumnMismatchThrows) {
+  const genome::BitPlanes planes(random_genotypes(10, 4, 5));
+  const LrWeights w = random_weights(2, 9);
+  EXPECT_THROW(select_safe_snps({plane_block(planes, {0, 1})},
+                                plane_block(planes, {0, 1, 2}), w,
+                                LrSelectionParams{}),
+               std::invalid_argument);
+  EXPECT_THROW(select_safe_snps({plane_block(planes, {0})},
+                                plane_block(planes, {0, 1}), w,
+                                LrSelectionParams{}),
+               std::invalid_argument);
 }
 
 TEST(DetectionPowerTest, SeparatedScoresFullPower) {

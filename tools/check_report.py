@@ -9,8 +9,9 @@ are validated structurally: required sections, per-phase wall times, per-link
 byte counts, per-GDO EPC peaks, the SIMD kernel backend, the tiling shape of
 the pipelined phase engine, and — when a trace is embedded — that every
 analysis phase appears exactly once, carries one ``maf.tile.<k>`` /
-``lr.tile.<k>`` span per tile, and one combination span per combination in
-the LD/LR phases. Google-benchmark JSON (``"benchmarks"`` array) gets a
+``lr.tile.<k>`` span per tile (``lr.tile.<k>`` spans the gather of tile k's
+member planes), and one combination span per combination in the LD/LR
+phases. Google-benchmark JSON (``"benchmarks"`` array) gets a
 shallow sanity check. Anything else is an error. Exits non-zero on the first
 invalid file; stdlib only, so it runs anywhere CI has python3.
 """
@@ -156,12 +157,11 @@ def check_run_report(doc):
         inline_tiles <= tiles["count"],
         "more MAF tiles assessed inline than the plan has tiles",
     )
-    for key in ("leader_inline_assess_ms", "leader_lr_derive_ms"):
-        value = pipeline.get(key)
-        require(
-            isinstance(value, (int, float)) and value >= 0,
-            f"pipeline.{key} missing or negative",
-        )
+    value = pipeline.get("leader_inline_assess_ms")
+    require(
+        isinstance(value, (int, float)) and value >= 0,
+        "pipeline.leader_inline_assess_ms missing or negative",
+    )
 
     pruning = doc.get("pruning")
     require(isinstance(pruning, dict), "missing pruning section")
@@ -190,7 +190,8 @@ def check_run_report(doc):
                 pruning["ld_mask_sizes"][-1] == selection["l_double_prime"],
                 "final LD mask size disagrees with selection.l_double_prime",
             )
-        if pruning["lr_mask_sizes"] and not pruning["lr_selections_skipped"]:
+        if pruning["lr_mask_sizes"]:
+            # The LR phase folds every live combination: one sweep, no skips.
             require(
                 pruning["lr_mask_sizes"][-1] == selection["l_safe"],
                 "final LR mask size disagrees with selection.l_safe",
@@ -199,7 +200,6 @@ def check_run_report(doc):
         "maf_reassessments",
         "ld_reassessments",
         "ld_walks_skipped",
-        "lr_selections_skipped",
     ):
         value = pruning.get(key)
         require(
@@ -214,7 +214,7 @@ def check_run_report(doc):
     require(isinstance(events.get("dead_gdos"), list), "missing events.dead_gdos")
 
     check_lr_counters(
-        doc, study, tiles, pruning, degraded=bool(events["dead_gdos"])
+        doc, study, tiles, events["dead_gdos"], selection["l_double_prime"]
     )
     check_wire_counters(doc, study, tiles, degraded=bool(events["dead_gdos"]))
 
@@ -229,117 +229,55 @@ def check_run_report(doc):
         )
 
 
-def check_lr_counters(doc, study, tiles, pruning, degraded):
-    """LR-phase accounting invariants over the exported counters.
+def check_lr_counters(doc, study, tiles, dead_gdos, l_double_prime):
+    """LR-phase ledger over the exported counters.
 
-    Every node that receives a phase-2 tile expands one genotype-fixed LR
-    basis over that tile's columns (``lr.basis_builds``) and derives one
-    matrix slice per live combination it belongs to. With T = tiles.lr_count
-    and pruning off, a clean run pins the counters exactly:
-        basis_builds == num_gdos * T
-        combination_matvecs == combination_members_total * T
-    and the leader builds the reference panel's basis once per tile.
-
-    Under the intersection-aware sweep only each per-node chain head is a
-    full derivation (``lr.combination_matvecs``); the rest are in-place
-    delta updates (``lr.combination_delta_updates``). Pruned work never
-    exceeds the unpruned budget, and full + delta derivations together
-    still conserve it on a clean run:
-        combination_matvecs <= combination_members_total * T
-        combination_matvecs + combination_delta_updates
-            == combination_members_total * T
-
-    A degraded run only bounds the totals: a member may build bases (and
-    derive matrices) and then be declared dead afterwards, so the counters
-    can reach the clean-run values but never pin to the post-mortem live
-    set.
+    Every member answers each phase-2 tile once with its indicator planes
+    (``lr.plane_tiles_received``, ``lr.plane_bytes``), and the leader runs
+    one selection per live combination (``lr.selections``). With
+    T = tiles.lr_count, M = the members (every GDO but the leader) and
+    n_g = study.n_case_per_gdo[g], a clean run pins the ledger exactly:
+        plane_tiles_received == |M| * T
+        plane_bytes == sum over M of ceil(n_g / 64) * 8 * |L''|
+        selections == live_combinations
+    A degraded run only bounds it: a member may deliver planes and be
+    declared dead afterwards, and the dead set can still grow after the
+    selections ran, so the counters lie between the survivors' ledger and
+    the clean-run one.
     """
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         return  # run was not observed; nothing to cross-check
     counters = metrics.get("counters")
     require(isinstance(counters, dict), "metrics.counters missing")
-    basis = counters.get("lr.basis_builds", 0)
-    matvecs = counters.get("lr.combination_matvecs", 0)
-    deltas = counters.get("lr.combination_delta_updates", 0)
-    ref_matvecs = counters.get("lr.reference_matvecs", 0)
-    ref_deltas = counters.get("lr.reference_delta_updates", 0)
-    num_gdos = study["num_gdos"]
-    members_total = study["combination_members_total"]
-    live_combinations = study["live_combinations"]
+    n_case = study.get("n_case_per_gdo")
+    require(
+        isinstance(n_case, list) and len(n_case) == study["num_gdos"],
+        "study.n_case_per_gdo missing or not one entry per GDO",
+    )
     lr_tiles = tiles["lr_count"]
-    pruned = pruning["enabled"]
-    if not pruned:
-        require(
-            deltas == 0 and ref_deltas == 0,
-            "delta-update counters must be zero with pruning off",
-        )
-    if lr_tiles == 0:
-        require(
-            basis == 0 and matvecs == 0 and deltas == 0,
-            "LR derivation counters must be zero with an empty phase-3 plan",
-        )
-        require(
-            counters.get("lr.reference_basis_builds", 0) == 0,
-            "no reference basis with an empty phase-3 plan",
-        )
-        return
-    if degraded:
-        require(
-            1 <= basis <= num_gdos * lr_tiles,
-            f"lr.basis_builds {basis} outside [1, {num_gdos * lr_tiles}] "
-            f"(degraded run)",
-        )
-        require(
-            matvecs + deltas >= members_total * lr_tiles,
-            f"lr derivations {matvecs}+{deltas} below the live-combination "
-            f"member-tile total {members_total * lr_tiles}",
-        )
-    else:
-        require(
-            basis == num_gdos * lr_tiles,
-            f"lr.basis_builds {basis}: expected one basis build per GDO per "
-            f"tile ({num_gdos} * {lr_tiles})",
-        )
-        if pruned:
+    members = [g for g in range(study["num_gdos"]) if g != study["leader_gdo"]]
+    survivors = [g for g in members if g not in dead_gdos]
+
+    def plane_bytes(gdos):
+        return sum((n_case[g] + 63) // 64 * 8 * l_double_prime for g in gdos)
+
+    ledger = (
+        ("lr.plane_tiles_received", len(survivors) * lr_tiles,
+         len(members) * lr_tiles),
+        ("lr.plane_bytes", plane_bytes(survivors), plane_bytes(members)),
+        ("lr.selections", study["live_combinations"],
+         study["num_combinations"]),
+    )
+    for name, clean, most in ledger:
+        value = counters.get(name, 0)
+        if dead_gdos:
             require(
-                1 <= matvecs <= members_total * lr_tiles,
-                f"lr.combination_matvecs {matvecs} outside "
-                f"[1, {members_total * lr_tiles}] (pruned run)",
-            )
-            require(
-                matvecs + deltas == members_total * lr_tiles,
-                f"lr derivations {matvecs}+{deltas}: full + delta updates "
-                f"must conserve the member-tile total "
-                f"({members_total} * {lr_tiles})",
-            )
-            require(
-                ref_matvecs == lr_tiles,
-                f"lr.reference_matvecs {ref_matvecs}: expected one chain "
-                f"head per tile ({lr_tiles})",
-            )
-            require(
-                ref_matvecs + ref_deltas == live_combinations * lr_tiles,
-                f"reference derivations {ref_matvecs}+{ref_deltas} must "
-                f"conserve the combination-tile total "
-                f"({live_combinations} * {lr_tiles})",
+                clean <= value <= most,
+                f"{name} {value} outside [{clean}, {most}] (degraded run)",
             )
         else:
-            require(
-                matvecs == members_total * lr_tiles,
-                f"lr.combination_matvecs {matvecs}: expected one derivation "
-                f"per combination member per tile "
-                f"({members_total} * {lr_tiles})",
-            )
-            require(
-                ref_matvecs == live_combinations * lr_tiles,
-                f"lr.reference_matvecs {ref_matvecs}: expected one per live "
-                f"combination per tile ({live_combinations} * {lr_tiles})",
-            )
-    require(
-        counters.get("lr.reference_basis_builds", 0) == lr_tiles,
-        "reference panel basis must be built exactly once per LR tile",
-    )
+            require(value == clean, f"{name} {value}: expected {clean}")
 
 
 def check_wire_counters(doc, study, tiles, degraded):
@@ -431,13 +369,14 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
 
     # The MAF phase is assessed per tile (combinations are an inner loop of
     # each tile span); the LD and LR phases keep per-combination spans, and
-    # the LR phase additionally records the leader's per-tile derivations.
+    # the LR phase additionally records one plane-gather span per tile.
     # Combinations naming a dead GDO are skipped, so a degraded run may
     # trace fewer combination spans than the announced count — never more.
-    # Under the intersection-aware sweep a clean run may also trace fewer:
-    # combinations past an already-empty running intersection are skipped,
-    # and phase-1/2 reassessments forced by mid-phase deaths re-open the
-    # affected tile / combination spans (never more than once per restart).
+    # Under the intersection-aware sweep a clean run may also trace fewer LD
+    # walks: combinations past an already-empty running intersection are
+    # skipped, and phase-1/2 reassessments forced by mid-phase deaths re-open
+    # the affected tile / combination spans (never more than once per
+    # restart). The LR phase selects every live combination in both modes.
     pruned = pruning["enabled"]
     maf_repeats = 1 + (pruning["maf_reassessments"] if pruned else 0)
     ld_repeats = 1 + (pruning["ld_reassessments"] if pruned else 0)
@@ -454,8 +393,7 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
         may_be_empty=pruned,
     )
     check_children(
-        "phase.lr", "lr.combination.", num_combinations,
-        exact=combination_exact, may_be_empty=pruned and tiles["lr_count"] == 0,
+        "phase.lr", "lr.combination.", num_combinations, exact=not dead_gdos,
     )
 
 

@@ -15,12 +15,11 @@ at GENDPR_BENCH_SCALE<<1 is the *shape* of the result:
     from);
   * the pruning-ablation invariants hold within the candidate itself:
     prune on/off certify the same SafeSnps, and the pruned row does
-    strictly less derivation and chi-squared work;
-  * the work-conservation ledger balances: pruning may only convert full
-    LR basis derivations (LrMatvecs) into cheaper rank-one delta updates
-    (LrDeltaUpdates), never create or destroy work —
-    on.LrMatvecs + on.LrDeltaUpdates == off.LrMatvecs, and the unpruned
-    sweep performs no delta updates at all;
+    strictly less chi-squared work;
+  * the LR ledger is the same in both rows: the LR phase is one sweep, so
+    pruning changes neither the member planes received (LrPlaneTiles,
+    LrPlaneBytes) nor the selections run (LrSelections), and every row
+    runs at least one selection;
   * LD oracle traffic is monotone: the pruned sweep asks members for at
     most as many LD windows (LdMemberRequests) as the unpruned one.
 
@@ -51,7 +50,7 @@ def check_ablation_invariants(rows, label, failures):
             f"({on.get('SafeSnps')} != {off.get('SafeSnps')})",
             failures,
         )
-    for counter in ("LrMatvecs", "Chi2Values"):
+    for counter in ("Chi2Values",):
         if not on.get(counter, 0) < off.get(counter, float("inf")):
             fail(
                 f"{label}: {counter} not reduced by pruning "
@@ -69,33 +68,27 @@ def check_ablation_invariants(rows, label, failures):
 
 
 def check_conservation(on, off, label, failures):
-    """Pruning converts matvecs into delta updates; it never invents work.
+    """Pruning leaves the LR phase alone: one sweep, one ledger.
 
-    Every combination the unpruned sweep derives with a full basis matvec
-    must appear in the pruned sweep as either a matvec or a rank-one delta
-    update — the ledger on.LrMatvecs + on.LrDeltaUpdates == off.LrMatvecs
-    balances exactly. The unpruned sweep, having nothing to reuse, performs
-    zero delta updates.
+    Members send the same planes and the leader runs the same selections
+    with pruning on or off, so LrPlaneTiles, LrPlaneBytes and LrSelections
+    must match exactly between the rows, and each row must have selected at
+    least once.
     """
-    required = ("LrMatvecs", "LrDeltaUpdates")
+    required = ("LrPlaneTiles", "LrPlaneBytes", "LrSelections")
     if any(row.get(c) is None for row in (on, off) for c in required):
-        fail(f"{label}: conservation counters missing from ablation rows",
+        fail(f"{label}: LR ledger counters missing from ablation rows",
              failures)
         return
-    if off["LrDeltaUpdates"] != 0:
-        fail(
-            f"{label}: unpruned sweep performed delta updates "
-            f"({off['LrDeltaUpdates']} != 0)",
-            failures,
-        )
-    total_on = on["LrMatvecs"] + on["LrDeltaUpdates"]
-    if total_on != off["LrMatvecs"]:
-        fail(
-            f"{label}: LR work not conserved — pruned matvecs+deltas "
-            f"{on['LrMatvecs']}+{on['LrDeltaUpdates']}={total_on} != "
-            f"unpruned matvecs {off['LrMatvecs']}",
-            failures,
-        )
+    for counter in required:
+        if on[counter] != off[counter]:
+            fail(
+                f"{label}: {counter} differs under pruning "
+                f"({on[counter]} != {off[counter]})",
+                failures,
+            )
+    if off["LrSelections"] < 1:
+        fail(f"{label}: the ablation rows ran no LR selection", failures)
 
 
 def check_wire_ablation(rows, label, failures):
