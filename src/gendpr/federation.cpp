@@ -18,7 +18,6 @@
 #include "net/event_loop.hpp"
 #include "net/hub.hpp"
 #include "net/memory_hub.hpp"
-#include "net/uring_hub.hpp"
 #include "tee/attestation.hpp"
 #include "wire/buffer_pool.hpp"
 
@@ -34,9 +33,6 @@ FederationSpec::TransportMode transport_mode_of(const FederationSpec& spec) {
   if (env != nullptr) {
     if (std::strcmp(env, "epoll") == 0) {
       return FederationSpec::TransportMode::epoll;
-    }
-    if (std::strcmp(env, "uring") == 0) {
-      return FederationSpec::TransportMode::uring;
     }
     if (std::strcmp(env, "in_process") == 0) {
       return FederationSpec::TransportMode::in_process;
@@ -71,7 +67,7 @@ std::size_t loop_index_of(std::uint32_t gdo, std::size_t num_loops) {
 }
 
 /// Creates the hub for `transport` on `loop`: in-memory for in_process,
-/// otherwise an epoll or io_uring socket hub listening on loopback.
+/// otherwise an epoll socket hub listening on loopback.
 Result<std::unique_ptr<net::Hub>> make_hub(FederationSpec::TransportMode mode,
                                            net::MemoryHub::Registry& registry,
                                            net::EventLoop& loop,
@@ -79,11 +75,6 @@ Result<std::unique_ptr<net::Hub>> make_hub(FederationSpec::TransportMode mode,
   if (mode == FederationSpec::TransportMode::in_process) {
     return std::unique_ptr<net::Hub>(
         std::make_unique<net::MemoryHub>(registry, loop, node));
-  }
-  if (mode == FederationSpec::TransportMode::uring) {
-    auto hub = net::UringHub::create(loop, node, 0);
-    if (!hub.ok()) return hub.error();
-    return std::unique_ptr<net::Hub>(std::move(hub).take());
   }
   auto hub = net::EpollHub::create(loop, node, 0);
   if (!hub.ok()) return hub.error();
@@ -95,9 +86,8 @@ const char* transport_label(FederationSpec::TransportMode mode) {
     case FederationSpec::TransportMode::in_process:
       return "in_process";
     case FederationSpec::TransportMode::epoll:
-      return "epoll";
     case FederationSpec::TransportMode::uring:
-      return "uring";
+      return "epoll";
   }
   return "?";
 }
@@ -106,7 +96,7 @@ const char* transport_label(FederationSpec::TransportMode mode) {
 /// hub per GDO (members dial the leader — the star topology the protocol
 /// already assumes), one SessionDriver per session. In process, the hubs
 /// are in-memory and every GDO gets its own loop thread, the parallelism of
-/// one host per GDO. Over sockets (epoll or io_uring hubs on loopback TCP)
+/// one host per GDO. Over sockets (epoll hubs on loopback TCP)
 /// the sessions are sharded across `spec.event_loops` loops. The leader's
 /// loop runs on the calling thread and every other loop on its own thread;
 /// cross-loop work travels only through EventLoop::post. Fills
@@ -120,11 +110,9 @@ Result<StudyResult> run_sessions(
     const StudyAnnounce& announce, common::ThreadPool* pool,
     obs::SpanId study_span, std::chrono::milliseconds receive_timeout,
     std::vector<double>& member_compute_ms) {
-  if (transport == FederationSpec::TransportMode::uring &&
-      !net::UringHub::available()) {
+  if (transport == FederationSpec::TransportMode::uring) {
     common::log_warn("federation",
-                     "io_uring unavailable on this kernel; falling back to "
-                     "the epoll transport");
+                     "the io_uring transport is gone; running epoll");
     transport = FederationSpec::TransportMode::epoll;
   }
   const std::size_t num_loops =

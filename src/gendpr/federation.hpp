@@ -19,15 +19,15 @@ struct FederationSpec {
   /// same sessions under the same event-loop driver, so the bytes and the
   /// results are the same. `in_process` moves pooled buffers between
   /// in-memory hubs (net::MemoryHub), one event-loop thread per GDO.
-  /// `epoll` uses EpollHub sockets on loopback TCP. `uring` is the same
-  /// wiring on io_uring-backed hubs (completion model), falling back to
-  /// epoll with a log line on kernels without io_uring. The
-  /// GENDPR_TRANSPORT environment variable ("epoll" / "uring" /
-  /// "in_process") overrides this field when set.
+  /// `epoll` uses EpollHub sockets on loopback TCP. `uring` runs the epoll
+  /// transport (with a log line); it stays only because the benchmark
+  /// harness names it and goes with the next benchmark-only change. The
+  /// GENDPR_TRANSPORT environment variable ("epoll" / "in_process")
+  /// overrides this field when set.
   enum class TransportMode { in_process, epoll, uring };
   TransportMode transport = TransportMode::in_process;
 
-  /// Number of event-loop threads the epoll/uring transports shard their
+  /// Number of event-loop threads the epoll transport shards its
   /// sessions across (GDO g runs on loop g mod event_loops, so the
   /// placement — and every protocol byte — is independent of thread
   /// timing). 1 = the single-loop mode, run on the calling thread. Capped

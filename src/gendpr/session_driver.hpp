@@ -1,10 +1,10 @@
 // The host driver of the sans-IO protocol sessions.
 //
-// A SessionDriver binds one ProtocolSession to one net::Hub (in-memory,
-// epoll or io_uring) on a shared EventLoop: hub frames become session
-// on_frame events, hub losses become on_peer_lost, the session's recv
-// deadline is mirrored into a loop timer that fires on_tick, and every
-// wants()==send flush is handed to the hub.
+// A SessionDriver binds one ProtocolSession to one net::Hub (in-memory or
+// epoll) on a shared EventLoop: hub frames become session on_frame events,
+// hub losses become on_peer_lost, the session's recv deadline is mirrored
+// into a loop timer that fires on_tick, and every wants()==send flush is
+// handed to the hub.
 //
 // Write-side backpressure: when the hub reports a connection above its high
 // watermark, the driver withholds the on_sends_complete acknowledgement —

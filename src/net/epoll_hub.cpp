@@ -79,11 +79,6 @@ common::Result<std::unique_ptr<EpollHub>> EpollHub::create(EventLoop& loop,
   return hub;
 }
 
-std::unique_ptr<EpollHub> EpollHub::create_adopt_only(EventLoop& loop,
-                                                      NodeId self) {
-  return std::unique_ptr<EpollHub>(new EpollHub(loop, self, -1, 0));
-}
-
 EpollHub::EpollHub(EventLoop& loop, NodeId self, int listen_fd,
                    std::uint16_t port)
     : Hub(self, port), loop_(&loop), listen_fd_(listen_fd) {}
@@ -97,10 +92,8 @@ EpollHub::~EpollHub() {
     ::close(fd);
     conn->fd = -1;
   }
-  if (listen_fd_ >= 0) {
-    loop_->unwatch(listen_fd_);
-    ::close(listen_fd_);
-  }
+  loop_->unwatch(listen_fd_);
+  ::close(listen_fd_);
 }
 
 void EpollHub::Acceptor::on_ready(std::uint32_t events) {
@@ -122,37 +115,6 @@ void EpollHub::on_acceptable() {
       continue;
     }
     conns_[fd] = conn;
-  }
-}
-
-void EpollHub::adopt_inbound(int fd, NodeId peer, common::Bytes leftover) {
-  set_nodelay(fd);
-  auto conn = std::make_shared<Conn>(this, fd);
-  conn->peer = peer;
-  conn->watched_events = EPOLLIN;
-  if (!loop_->watch(fd, EPOLLIN, conn).ok()) {
-    ::close(fd);
-    report_peer_lost(peer);
-    return;
-  }
-  conns_[fd] = conn;
-  register_established(peer, conn);
-  if (!leftover.empty()) {
-    conn->decoder.feed(common::BytesView(leftover.data(), leftover.size()));
-    // Frames the acceptor read past the hello are delivered immediately so
-    // ordering is preserved before any fresh socket reads.
-    for (;;) {
-      auto frame = conn->decoder.next();
-      if (!frame.ok()) {
-        drop_conn(conn);
-        return;
-      }
-      if (!frame.value().has_value()) break;
-      const wire::FrameDecoder::Frame f = *frame.value();
-      meter_.record(f.from, self_, f.payload.size());
-      if (frame_handler_) frame_handler_(f.from, f.payload);
-      if (conn->fd < 0) return;
-    }
   }
 }
 
@@ -208,12 +170,8 @@ void EpollHub::read_frames(const std::shared_ptr<Conn>& conn) {
       const wire::FrameDecoder::Frame f = *frame.value();
       if (conn->awaiting_hello) {
         // First frame on an inbound connection must be the hello naming the
-        // peer; anything else is a protocol violation on a raw socket. A
-        // hub accepting directly serves exactly one study, so a hello for a
-        // different study is a routing error.
-        const auto study = f.hello_study();
-        if (!study.has_value() || f.from == kNoNode ||
-            *study != study_id_) {
+        // peer; anything else is a protocol violation on a raw socket.
+        if (!f.is_hello() || f.from == kNoNode) {
           drop_conn(conn);
           return;
         }
@@ -429,9 +387,9 @@ void EpollHub::finish_dial(NodeId peer, const std::shared_ptr<Conn>& conn) {
   auto it = dials_.find(peer);
   // Hello first, then everything queued while the dial was in flight,
   // preserving send order.
-  enqueue_frame(conn,
-                wire::WireBuffer::from_frame(
-                    pool(), wire::encode_hello(self_, study_id_)));
+  wire::WireBuffer hello =
+      wire::WireBuffer::from_frame(pool(), wire::encode_hello(self_));
+  enqueue_frame(conn, std::move(hello));
   if (it != dials_.end()) {
     for (wire::WireBuffer& buf : it->second.pending) {
       meter_.record(self_, peer, buf.payload_size());

@@ -1,18 +1,19 @@
-// Nonblocking TCP endpoint driven by an EventLoop (readiness model).
+// Nonblocking TCP endpoint driven by an EventLoop (readiness model): the
+// federation's one socket transport.
 //
-// Where TcpHub spends one reader thread per peer plus an acceptor thread,
 // EpollHub is a callback front-end for a single-threaded epoll loop: frames
 // arrive through set_frame_handler, connection losses through
 // set_peer_lost_handler, and send_frame() enqueues pooled WireBuffers into a
-// per-connection write queue flushed with gathered writes (one
-// sendmsg/writev batch coalesces many small frames) as EPOLLOUT allows.
-// Crossing the per-connection write
-// watermark fires the backpressure handler (see net/hub.hpp). Dialing is
-// nonblocking with timer-driven, jittered exponential backoff, and frames
-// sent while a dial is still in flight are buffered and flushed in order
-// once it completes — so any number of GDO endpoints (and their protocol
-// sessions) can share one thread. The wire format (wire/frame.hpp, hello
-// included) is exactly TcpHub's: the hubs interoperate frame-for-frame.
+// per-connection write queue flushed with gathered writes (one sendmsg batch
+// coalesces many small frames) as EPOLLOUT allows. Crossing the
+// per-connection write watermark fires the backpressure handler (see
+// net/hub.hpp). Dialing is nonblocking with timer-driven, jittered
+// exponential backoff, and frames sent while a dial is still in flight are
+// buffered and flushed in order once it completes — so any number of GDO
+// endpoints (and their protocol sessions) can share one thread. Every
+// connection speaks the frame format of wire/frame.hpp, opening with the
+// dialer's hello; an inbound connection whose first frame is anything else
+// is dropped.
 //
 // Threading: everything here, handlers included, runs on the loop thread.
 // No locks, no atomics — the event loop is the serialization point.
@@ -42,12 +43,6 @@ class EpollHub : public Hub {
                                                           NodeId self,
                                                           std::uint16_t port);
 
-  /// Hub with no listening socket of its own: every inbound connection is
-  /// handed over by a StudyAcceptor through adopt_inbound(). Dialing out
-  /// still works.
-  static std::unique_ptr<EpollHub> create_adopt_only(EventLoop& loop,
-                                                     NodeId self);
-
   ~EpollHub() override;
 
   void connect_peer(NodeId peer, const std::string& host, std::uint16_t port,
@@ -57,8 +52,6 @@ class EpollHub : public Hub {
   common::Status send_frame(NodeId to, wire::WireBuffer buf) override;
 
   bool is_connected(NodeId peer) const override;
-
-  void adopt_inbound(int fd, NodeId peer, common::Bytes leftover) override;
 
  private:
   /// One TCP connection (inbound or dialed). Registered as the fd's
@@ -119,7 +112,7 @@ class EpollHub : public Hub {
   void report_peer_lost(NodeId peer);
 
   EventLoop* loop_;
-  int listen_fd_;  // -1 for an adopt-only hub
+  int listen_fd_;
   std::map<int, std::shared_ptr<Conn>> conns_;   // every live fd
   std::map<NodeId, std::shared_ptr<Conn>> peers_;  // established only
   std::map<NodeId, Dial> dials_;

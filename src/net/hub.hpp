@@ -3,10 +3,9 @@
 // A Hub is one GDO endpoint on an EventLoop: it owns the links of that
 // node, delivers inbound frames and peer losses through callbacks, and
 // queues outbound frames for asynchronous delivery. MemoryHub (in-process,
-// no sockets), EpollHub (readiness-driven TCP) and UringHub
-// (completion-driven TCP) all derive from this class, so the session
-// driver, the federation runner, and the StudyAcceptor are written once
-// against the seam and never know what carries the bytes.
+// no sockets) and EpollHub (readiness-driven TCP) derive from this class,
+// so the session driver and the federation runner are written once against
+// the seam and never know what carries the bytes.
 //
 // Write-side backpressure lives here: every connection accounts the bytes
 // queued but not yet on the wire, and crossing the high watermark fires the
@@ -112,9 +111,7 @@ class Hub {
   /// Zero-copy frame-path telemetry.
   struct WireStats {
     std::uint64_t frames_sent = 0;
-    // Write batches: gathered sendmsg calls (epoll) or submitted SENDs
-    // (io_uring).
-    std::uint64_t writev_batches = 0;
+    std::uint64_t writev_batches = 0;  // gathered sendmsg calls
     std::uint64_t dial_dropped_frames = 0;  // queued on dials that failed
   };
 
@@ -124,8 +121,7 @@ class Hub {
   Hub& operator=(const Hub&) = delete;
 
   NodeId self() const noexcept { return self_; }
-  /// Listening port (0 for an adopt-only hub fed by a StudyAcceptor, and
-  /// for in-memory hubs).
+  /// Listening port (0 for in-memory hubs).
   std::uint16_t port() const noexcept { return port_; }
 
   /// Delivery callback for every data frame (hellos are consumed here).
@@ -143,12 +139,6 @@ class Hub {
   }
   /// Replaces the default watermarks. Call before traffic flows.
   void set_watermarks(Watermarks watermarks) { watermarks_ = watermarks; }
-
-  /// Study this endpoint belongs to; rides in every dial's hello so a
-  /// shared acceptor can route the connection. 0 = the classic
-  /// single-study hello (empty payload, byte-identical wire format).
-  void set_study_id(std::uint64_t study_id) noexcept { study_id_ = study_id; }
-  std::uint64_t study_id() const noexcept { return study_id_; }
 
   const BackpressureStats& backpressure() const noexcept { return bp_stats_; }
   const WireStats& wire_stats() const noexcept { return wire_stats_; }
@@ -191,21 +181,12 @@ class Hub {
   /// True while an established connection to `peer` is registered.
   virtual bool is_connected(NodeId peer) const = 0;
 
-  /// Adopts an established inbound connection whose hello was already
-  /// consumed by a StudyAcceptor. Ownership of `fd` transfers to the hub;
-  /// `leftover` is whatever the acceptor read past the hello and is fed to
-  /// the framer first. Must run on the hub's loop thread. Socket hubs only:
-  /// an in-memory hub closes the fd and reports the peer lost.
-  virtual void adopt_inbound(int fd, NodeId peer, common::Bytes leftover) = 0;
-
  protected:
   Hub(NodeId self, std::uint16_t port)
       : self_(self),
         port_(port),
         jitter_rng_(std::random_device{}() ^
                     (static_cast<unsigned>(self) << 16)) {}
-
-  void set_port(std::uint16_t port) noexcept { port_ = port; }
 
   /// Backoff with uniform jitter in [backoff, 1.5*backoff): breaks the
   /// deterministic lockstep of peers reconnecting to the same endpoint.
@@ -253,7 +234,6 @@ class Hub {
 
   NodeId self_;
   std::uint16_t port_;
-  std::uint64_t study_id_ = 0;
   Watermarks watermarks_;
   BackpressureStats bp_stats_;
   WireStats wire_stats_;

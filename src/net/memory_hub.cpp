@@ -1,7 +1,5 @@
 #include "net/memory_hub.hpp"
 
-#include <unistd.h>
-
 #include <deque>
 #include <utility>
 
@@ -163,12 +161,6 @@ Status MemoryHub::send_frame(NodeId to, wire::WireBuffer buf) {
 
 bool MemoryHub::is_connected(NodeId peer) const {
   return links_.count(peer) > 0;
-}
-
-void MemoryHub::adopt_inbound(int fd, NodeId peer, common::Bytes leftover) {
-  (void)leftover;
-  ::close(fd);
-  push(inbox_, Item{Item::Kind::lost, peer, {}, nullptr});
 }
 
 }  // namespace gendpr::net

@@ -62,8 +62,6 @@ class MemoryHub : public Hub {
 
   bool is_connected(NodeId peer) const override;
 
-  void adopt_inbound(int fd, NodeId peer, common::Bytes leftover) override;
-
  private:
   /// One queued delivery: a frame, a new link from a dialing peer, or the
   /// loss of a peer (hub destroyed, or nothing registered to dial).

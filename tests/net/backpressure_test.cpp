@@ -1,4 +1,4 @@
-// Write-side backpressure under a slow reader, for both hub flavors: the
+// Write-side backpressure of EpollHub under a slow reader: the
 // per-connection queue stays bounded by the watermark (no OOM from one stuck
 // peer), pause/resume fire exactly at the high/low marks, a paused link
 // never head-of-line-blocks a healthy sibling, and killing the peer in the
@@ -14,12 +14,10 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
-#include "net/uring_hub.hpp"
 
 namespace gendpr::net {
 namespace {
@@ -85,25 +83,11 @@ struct SlowReader {
   }
 };
 
-class BackpressureTest : public ::testing::TestWithParam<const char*> {
- protected:
-  std::unique_ptr<Hub> make_hub(EventLoop& loop, NodeId self) {
-    if (std::string(GetParam()) == "uring") {
-      auto hub = UringHub::create(loop, self, 0);
-      EXPECT_TRUE(hub.ok());
-      return std::move(hub).take();
-    }
-    auto hub = EpollHub::create(loop, self, 0);
-    EXPECT_TRUE(hub.ok());
-    return std::move(hub).take();
-  }
-
-  void SetUp() override {
-    if (std::string(GetParam()) == "uring" && !UringHub::available()) {
-      GTEST_SKIP() << "io_uring not available on this kernel";
-    }
-  }
-};
+std::unique_ptr<EpollHub> make_hub(EventLoop& loop, NodeId self) {
+  auto hub = EpollHub::create(loop, self, 0);
+  EXPECT_TRUE(hub.ok());
+  return std::move(hub).take();
+}
 
 /// Sends chunks to `peer` until the hub reports the pause; the queue must
 /// stay bounded by the watermark plus the one enqueue that crossed it.
@@ -119,7 +103,7 @@ std::size_t fill_until_paused(EventLoop& loop, Hub& hub, NodeId peer,
   return sent;
 }
 
-TEST_P(BackpressureTest, SlowReaderPausesThenDrainingResumes) {
+TEST(BackpressureTest, SlowReaderPausesThenDrainingResumes) {
   EventLoop loop;
   ASSERT_TRUE(loop.valid());
   auto hub = make_hub(loop, 2);
@@ -167,7 +151,7 @@ TEST_P(BackpressureTest, SlowReaderPausesThenDrainingResumes) {
   EXPECT_EQ(reader.drained, expected);
 }
 
-TEST_P(BackpressureTest, PausedPeerDoesNotBlockASibling) {
+TEST(BackpressureTest, PausedPeerDoesNotBlockASibling) {
   EventLoop loop;
   ASSERT_TRUE(loop.valid());
   auto hub = make_hub(loop, 3);
@@ -203,7 +187,7 @@ TEST_P(BackpressureTest, PausedPeerDoesNotBlockASibling) {
   EXPECT_TRUE(paused) << "draining the fast link must not touch the slow one";
 }
 
-TEST_P(BackpressureTest, KillingPeerMidPartialWriteReleasesThePause) {
+TEST(BackpressureTest, KillingPeerMidPartialWriteReleasesThePause) {
   EventLoop loop;
   ASSERT_TRUE(loop.valid());
   auto hub = make_hub(loop, 2);
@@ -235,17 +219,8 @@ TEST_P(BackpressureTest, KillingPeerMidPartialWriteReleasesThePause) {
   EXPECT_FALSE(hub->is_connected(1));
   EXPECT_EQ(hub->backpressure().resumes, 1u);
   // Teardown with the dead conn's queue still populated must be clean
-  // (ASan/LSan guard the buffers, the uring drain guards the kernel ops).
+  // (ASan/LSan guard the buffers).
 }
-
-std::string transport_name(
-    const ::testing::TestParamInfo<const char*>& param) {
-  return std::string(param.param);
-}
-
-INSTANTIATE_TEST_SUITE_P(Transports, BackpressureTest,
-                         ::testing::Values("epoll", "uring"),
-                         transport_name);
 
 }  // namespace
 }  // namespace gendpr::net

@@ -2,10 +2,17 @@
 // buffering of frames sent while a dial is in flight, dial retries and bad
 // addresses, large and many frames over one connection, the federation's
 // star topology, peer-loss reporting on both connection death and dial
-// exhaustion, and traffic metering — all on a single thread.
+// exhaustion, traffic metering, and the inbound hello check against raw
+// sockets — all on a single thread.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -14,6 +21,7 @@
 #include "common/rng.hpp"
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
+#include "wire/frame.hpp"
 
 namespace gendpr::net {
 namespace {
@@ -212,6 +220,89 @@ TEST(EpollHubTest, ManyMessagesPreserveOrder) {
   loop.run_until([&] { return received.size() == 500; });
   ASSERT_EQ(received.size(), 500u);
   for (std::uint32_t i = 0; i < 500; ++i) EXPECT_EQ(received[i], i);
+}
+
+/// Blocking loopback client socket connected to `port`, or -1.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+common::Bytes concat(const common::Bytes& a, const common::Bytes& b) {
+  common::Bytes out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+TEST(EpollHubTest, MalformedFirstFrameDropsTheConnection) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  auto hub = EpollHub::create(loop, 1, 0);
+  ASSERT_TRUE(hub.ok());
+  std::vector<NodeId> senders;
+  hub.value()->set_frame_handler(
+      [&](NodeId from, common::BytesView) { senders.push_back(from); });
+
+  // Each stream opens with something other than an empty-payload hello from
+  // a nonzero node, then carries a data frame the hub must never deliver.
+  const common::Bytes data = wire::encode_frame(5, bytes_of({7}));
+  const common::Bytes eight = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
+  const std::vector<common::Bytes> streams = {
+      // (a) a data frame where the hello belongs
+      concat(wire::encode_frame(5, bytes_of({1, 2, 3})), data),
+      // (b) an 8-byte payload, the shape of the retired study-id hello
+      concat(wire::encode_frame(5, eight), data),
+      // (c) an empty hello naming node 0
+      concat(wire::encode_hello(kNoNode),
+             wire::encode_frame(kNoNode, bytes_of({7}))),
+  };
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const common::Bytes& stream = streams[i];
+    const int fd = raw_connect(hub.value()->port());
+    ASSERT_GE(fd, 0) << "stream " << i;
+    ASSERT_EQ(::send(fd, stream.data(), stream.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(stream.size()))
+        << "stream " << i;
+    // Bounded polls, not run_until: once the hub has closed the connection
+    // nothing wakes the loop again.
+    bool closed = false;
+    for (int poll = 0; poll < 1000 && !closed; ++poll) {
+      loop.poll_once(5ms);
+      std::uint8_t probe = 0;
+      const ssize_t n = ::recv(fd, &probe, 1, MSG_DONTWAIT);
+      closed = n == 0 || (n < 0 && errno == ECONNRESET);
+    }
+    EXPECT_TRUE(closed) << "stream " << i;
+    ::close(fd);
+    EXPECT_TRUE(senders.empty()) << "stream " << i;
+    EXPECT_FALSE(hub.value()->is_connected(5)) << "stream " << i;
+    EXPECT_FALSE(hub.value()->is_connected(kNoNode)) << "stream " << i;
+  }
+
+  // A proper dial afterwards still exchanges frames both ways.
+  auto peer = EpollHub::create(loop, 5, 0);
+  ASSERT_TRUE(peer.ok());
+  std::vector<common::Bytes> at_peer;
+  peer.value()->set_frame_handler([&](NodeId, common::BytesView payload) {
+    at_peer.push_back(common::Bytes(payload.begin(), payload.end()));
+  });
+  peer.value()->connect_peer(1, "127.0.0.1", hub.value()->port());
+  ASSERT_TRUE(peer.value()->send(1, bytes_of({9})).ok());
+  loop.run_until([&] { return !senders.empty(); });
+  EXPECT_EQ(senders, std::vector<NodeId>{5});
+  ASSERT_TRUE(hub.value()->send(5, bytes_of({10})).ok());
+  loop.run_until([&] { return at_peer.size() == 1; });
+  ASSERT_EQ(at_peer.size(), 1u);
+  EXPECT_EQ(at_peer[0], bytes_of({10}));
 }
 
 TEST(EpollHubTest, ThreeHubStar) {

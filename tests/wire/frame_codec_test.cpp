@@ -154,26 +154,27 @@ TEST(FrameCodecTest, StraddlingFramesSurvivePooledBufferReuse) {
 }
 
 TEST(FrameCodecTest, HelloFramesDecodeStudyIds) {
+  // Only the empty-payload frame is a hello. An 8-byte payload (the shape
+  // of the retired study-id hello) is an ordinary data frame.
   FrameDecoder decoder;
-  common::Bytes stream = encode_hello(3, 0);
-  const common::Bytes named = encode_hello(4, 0x1122334455667788ULL);
+  common::Bytes stream = encode_hello(3);
+  const common::Bytes eight = {1, 2, 3, 4, 5, 6, 7, 8};
+  const common::Bytes named = encode_frame(4, eight);
   stream.insert(stream.end(), named.begin(), named.end());
   decoder.feed(common::BytesView(stream.data(), stream.size()));
 
-  auto classic = decoder.next();
-  ASSERT_TRUE(classic.ok());
-  ASSERT_TRUE(classic.value().has_value());
-  EXPECT_EQ(classic.value()->from, 3u);
-  EXPECT_TRUE(classic.value()->is_hello());
-  ASSERT_TRUE(classic.value()->hello_study().has_value());
-  EXPECT_EQ(*classic.value()->hello_study(), 0u);
+  auto hello = decoder.next();
+  ASSERT_TRUE(hello.ok());
+  ASSERT_TRUE(hello.value().has_value());
+  EXPECT_EQ(hello.value()->from, 3u);
+  EXPECT_TRUE(hello.value()->is_hello());
 
-  auto multiplexed = decoder.next();
-  ASSERT_TRUE(multiplexed.ok());
-  ASSERT_TRUE(multiplexed.value().has_value());
-  EXPECT_EQ(multiplexed.value()->from, 4u);
-  ASSERT_TRUE(multiplexed.value()->hello_study().has_value());
-  EXPECT_EQ(*multiplexed.value()->hello_study(), 0x1122334455667788ULL);
+  auto eight_bytes = decoder.next();
+  ASSERT_TRUE(eight_bytes.ok());
+  ASSERT_TRUE(eight_bytes.value().has_value());
+  EXPECT_EQ(eight_bytes.value()->from, 4u);
+  EXPECT_EQ(eight_bytes.value()->payload.size(), 8u);
+  EXPECT_FALSE(eight_bytes.value()->is_hello());
 }
 
 TEST(FrameCodecTest, MalformedHeaderIsUnrecoverable) {

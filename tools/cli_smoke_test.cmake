@@ -43,3 +43,16 @@ file(READ ${WORKDIR}/release.tsv tsv)
 if(NOT tsv MATCHES "snp\tmode\tcase_count")
   message(FATAL_ERROR "release.tsv missing header")
 endif()
+
+# Only in_process and epoll name a transport; anything else is a usage error.
+foreach(bad bogus uring)
+  execute_process(
+    COMMAND ${CLI} assess ${WORKDIR} --gdos 3 --transport ${bad}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--transport ${bad} exited ${rc}, want 2")
+  endif()
+  if(NOT err MATCHES "usage: gendpr")
+    message(FATAL_ERROR "--transport ${bad} did not print the usage: ${err}")
+  endif()
+endforeach()
