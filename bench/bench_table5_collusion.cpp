@@ -86,57 +86,6 @@ void BM_Table5_Collusion(benchmark::State& state) {
                          (f < 0 ? std::string("cons") : std::to_string(f)),
                      result, &observability);
 }
-/// Pruning ablation at a Table-5 shape one step past the paper's sweep:
-/// G = 6, f = 2 is C(6, 4) = 15 combinations, the regime where the
-/// intersection-aware sweep pays off. Both modes must certify the exact
-/// same safe set; the pruned row discloses how much per-combination work
-/// the shrinking candidate mask removed (fewer LD pairs fetched, fewer
-/// chi-squared evaluations). The LR phase is one sweep in both modes, so
-/// its ledger (plane tiles and bytes received, selections run) must match.
-/// state.range(0) = prune on/off.
-void BM_Table5_PruningAblation(benchmark::State& state) {
-  const bool prune = state.range(0) != 0;
-  const genome::Cohort& cohort =
-      cohort_for(kPaperCasesFull, scaled_snps(10000));
-  obs::Observability observability;
-  core::FederationSpec spec;
-  spec.num_gdos = 6;
-  spec.policy = core::CollusionPolicy::fixed(2);
-  spec.config.prune = prune;
-  spec.obs = &observability;
-  core::StudyResult result;
-  for (auto _ : state) {
-    auto run = core::run_federated_study(cohort, spec);
-    if (!run.ok()) {
-      state.SkipWithError(run.error().to_string().c_str());
-      return;
-    }
-    result = std::move(run).take();
-  }
-
-  const auto counter = [&](const char* name) {
-    return static_cast<double>(observability.metrics.counter(name));
-  };
-  state.counters["SafeSnps"] =
-      static_cast<double>(result.outcome.l_safe.size());
-  state.counters["LdPairsFetched"] =
-      static_cast<double>(result.ld_pairs_fetched);
-  state.counters["LdMemberRequests"] =
-      counter("coordinator.ld_member_requests");
-  state.counters["Chi2Values"] = counter("coordinator.chi2_values_computed");
-  state.counters["LrPlaneTiles"] = counter("lr.plane_tiles_received");
-  state.counters["LrPlaneBytes"] = counter("lr.plane_bytes");
-  state.counters["LrSelections"] = counter("lr.selections");
-  state.counters["Total_ms"] = result.timings.total_ms;
-  write_bench_report(prune ? "table5_prune_on" : "table5_prune_off", result,
-                     &observability);
-}
-BENCHMARK(BM_Table5_PruningAblation)
-    ->Args({0})
-    ->Args({1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 BENCHMARK(BM_Table5_Collusion)
     // G = 3: f = 1, 2, {1,2}
     ->Args({3, 1})

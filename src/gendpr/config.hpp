@@ -21,18 +21,9 @@ struct StudyConfig {
   /// while members stream tile k+1. Tiling never changes results: the
   /// assembled per-phase state is independent of the tile boundaries.
   std::uint32_t snp_tile_width = 0;
-  /// Intersection-aware pruning of the collusion-tolerant combination
-  /// sweep. When on (the default), the coordinator orders combinations
-  /// smallest-case-population first, intersects the per-combination
-  /// survivor sets eagerly, and restricts per-combination work to
-  /// transforms that provably cannot change the released sets: the MAF
-  /// pass evaluates only SNPs still surviving the running mask, chi²
-  /// ranks are computed for L' survivors only, LD walks stop once every
-  /// running-intersection member's fate is decided, and emptied
-  /// intersections skip the remaining walks. The LR phase is one sweep
-  /// either way. The released L'/L''/L_safe sets and the final power are
-  /// bit-identical with pruning on or off; only the work (and its
-  /// counters) shrinks.
+  /// Ignored: the collusion sweep has one mode. Kept only because the
+  /// benchmark harness still sets it; removed by the next benchmark-only
+  /// change. It does not travel in the announce.
   bool prune = true;
 
   bool operator==(const StudyConfig&) const = default;

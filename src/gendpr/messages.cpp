@@ -33,8 +33,8 @@ std::size_t vec_f64_size(const std::vector<double>& v) {
   return varint_size(v.size()) + 8 * v.size();
 }
 
-/// 4 f64 fields + u32 tile width + u8 prune flag (see write_config).
-constexpr std::size_t kConfigBytes = 4 * 8 + 4 + 1;
+/// 4 f64 fields + u32 tile width (see write_config).
+constexpr std::size_t kConfigBytes = 4 * 8 + 4;
 
 void write_config(wire::Writer& w, const StudyConfig& config) {
   w.f64(config.maf_cutoff);
@@ -42,7 +42,6 @@ void write_config(wire::Writer& w, const StudyConfig& config) {
   w.f64(config.lr_false_positive_rate);
   w.f64(config.lr_power_threshold);
   w.u32(config.snp_tile_width);
-  w.u8(config.prune ? 1 : 0);
 }
 
 Result<StudyConfig> read_config(wire::Reader& r) {
@@ -57,9 +56,6 @@ Result<StudyConfig> read_config(wire::Reader& r) {
   auto width = r.u32();
   if (!width.ok()) return width.error();
   config.snp_tile_width = width.value();
-  auto prune = r.u8();
-  if (!prune.ok()) return prune.error();
-  config.prune = prune.value() != 0;
   return config;
 }
 

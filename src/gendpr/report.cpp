@@ -100,21 +100,6 @@ obs::JsonValue make_run_report(const StudyResult& study,
   pipeline.set("leader_inline_assess_ms", study.leader_inline_assess_ms);
   report.set("pipeline", std::move(pipeline));
 
-  JsonValue pruning = JsonValue::object();
-  pruning.set("enabled", study.pruning.enabled);
-  auto mask_array = [](const std::vector<std::uint32_t>& sizes) {
-    JsonValue arr = JsonValue::array();
-    for (std::uint32_t size : sizes) arr.push_back(size);
-    return arr;
-  };
-  pruning.set("maf_mask_sizes", mask_array(study.pruning.maf_mask_sizes));
-  pruning.set("ld_mask_sizes", mask_array(study.pruning.ld_mask_sizes));
-  pruning.set("lr_mask_sizes", mask_array(study.pruning.lr_mask_sizes));
-  pruning.set("maf_reassessments", study.pruning.maf_reassessments);
-  pruning.set("ld_reassessments", study.pruning.ld_reassessments);
-  pruning.set("ld_walks_skipped", study.pruning.ld_walks_skipped);
-  report.set("pruning", std::move(pruning));
-
   JsonValue events = JsonValue::object();
   JsonValue dead = JsonValue::array();
   for (std::uint32_t gdo : study.dead_gdos) dead.push_back(gdo);

@@ -771,9 +771,9 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
     // only its own seal (send_staged).
     StagedMessage staging = stage_envelope(MsgType::moments_request, request);
     sync_dead_peers();
-    // The coordinator names the recipients (all live members on a legacy
-    // first touch, just the combination at hand under pruning); members that
-    // died since the request was composed are dropped here.
+    // The coordinator names the recipients (every live member on a pair's
+    // first touch, only members with an empty slot on a refetch); members
+    // that died since the request was composed are dropped here.
     const std::set<std::uint32_t> live = live_members();
     std::set<std::uint32_t> fetch_pending;
     for (std::uint32_t g : targets) {
@@ -931,7 +931,6 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   result.lr_tiles = lr_tile_count;
   result.maf_tiles_assessed_inline = maf_tiles_inline;
   result.leader_inline_assess_ms = inline_assess_ms;
-  result.pruning = coordinator_.pruning_stats();
   if (obs_ != nullptr) {
     // Counters are exported by the federation runner from a run-wide delta
     // (which also covers provisioning-time sealing); only the label is set

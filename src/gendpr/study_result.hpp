@@ -90,8 +90,6 @@ struct StudyResult {
   /// still streaming summaries, and the time spent on them.
   std::size_t maf_tiles_assessed_inline = 0;
   double leader_inline_assess_ms = 0;
-  /// Intersection-aware sweep bookkeeping (zeros / empty when pruning off).
-  PruningStats pruning;
 };
 
 }  // namespace gendpr::core

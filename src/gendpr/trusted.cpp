@@ -316,33 +316,6 @@ Coordinator::Coordinator(GdoEnclave& leader_enclave,
   summary_tiles_.assign(
       num_gdos_, std::vector<bool>(maf_plan_.tile_count(), false));
   maf_survivors_.assign(announce_.combinations.size(), {});
-  maf_mask_contributors_.assign(announce_.combinations.size(), false);
-  pruning_.enabled = announce_.config.prune;
-}
-
-std::uint64_t Coordinator::combination_case_population(std::size_t c) const {
-  std::uint64_t population = 0;
-  for (std::uint32_t g : announce_.combinations[c]) {
-    if (summaries_[g].has_value()) population += summaries_[g]->n_case;
-  }
-  return population;
-}
-
-std::vector<std::size_t> Coordinator::pruning_order() const {
-  std::vector<std::size_t> order;
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-    if (combination_live(c)) order.push_back(c);
-  }
-  // Smallest pooled case population first: those cohorts see the lowest
-  // counts, so their MAF filter and LD walk kill the most SNPs and the
-  // running intersection collapses early. Ties (equal partitions are the
-  // common case) fall back to combination id, keeping the order stable.
-  std::stable_sort(order.begin(), order.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     return combination_case_population(a) <
-                            combination_case_population(b);
-                   });
-  return order;
 }
 
 Status Coordinator::mark_gdo_dead(std::uint32_t gdo_index) {
@@ -466,83 +439,27 @@ void Coordinator::assess_maf_tile(std::uint32_t tile) {
   const double cutoff = announce_.config.maf_cutoff;
   const std::uint32_t begin = maf_plan_.begin(tile);
   const std::uint32_t width = maf_plan_.width_of(tile);
-  if (!announce_.config.prune) {
-    for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-      if (!combination_live(c)) continue;  // skip combos with dead members
-      obs::add_counter(obs_, "coordinator.maf_combinations");
-      obs::add_counter(obs_, "coordinator.maf_snps_evaluated", width);
-      const auto& members = announce_.combinations[c];
-      std::uint64_t n_total = reference_.num_individuals();
-      for (std::uint32_t g : members) n_total += summaries_[g]->n_case;
-      std::vector<double> maf(width, 0.0);
-      for (std::uint32_t i = 0; i < width; ++i) {
-        std::uint64_t count = reference_counts_[begin + i];
-        for (std::uint32_t g : members) {
-          count += summaries_[g]->case_counts[begin + i];
-        }
-        maf[i] = stats::minor_allele_frequency(count, n_total);
-      }
-      // maf_filter decides per SNP, so filtering the tile and offsetting the
-      // survivors equals filtering the full vector restricted to the tile;
-      // ascending-tile appends keep each combination's list sorted.
-      for (std::uint32_t local : stats::maf_filter(maf, cutoff)) {
-        maf_survivors_[c].push_back(begin + local);
-      }
-    }
-    return;
-  }
-  // Intersection-aware sweep: the MAF decision is per SNP and independent of
-  // every other SNP, so a SNP already killed by an earlier combination can
-  // never re-enter the intersection — each later combination only evaluates
-  // the ids still alive in this tile. The per-combination survivor lists it
-  // records are subsets of the unpruned ones, but the missing elements were
-  // killed elsewhere, so the final intersection is bit-identical.
-  std::vector<std::uint32_t> mask(width);
-  for (std::uint32_t i = 0; i < width; ++i) mask[i] = begin + i;
-  const auto order = pruning_order();
-  for (std::size_t idx = 0; idx < order.size(); ++idx) {
-    const std::size_t c = order[idx];
+  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
+    if (!combination_live(c)) continue;  // skip combos with dead members
     obs::add_counter(obs_, "coordinator.maf_combinations");
-    obs::add_counter(obs_, "coordinator.maf_snps_evaluated", mask.size());
+    obs::add_counter(obs_, "coordinator.maf_snps_evaluated", width);
     const auto& members = announce_.combinations[c];
     std::uint64_t n_total = reference_.num_individuals();
     for (std::uint32_t g : members) n_total += summaries_[g]->n_case;
-    std::vector<std::uint32_t> survivors;
-    survivors.reserve(mask.size());
-    for (std::uint32_t snp : mask) {
-      std::uint64_t count = reference_counts_[snp];
+    std::vector<double> maf(width, 0.0);
+    for (std::uint32_t i = 0; i < width; ++i) {
+      std::uint64_t count = reference_counts_[begin + i];
       for (std::uint32_t g : members) {
-        count += summaries_[g]->case_counts[snp];
+        count += summaries_[g]->case_counts[begin + i];
       }
-      if (stats::minor_allele_frequency(count, n_total) >= cutoff) {
-        survivors.push_back(snp);
-      }
+      maf[i] = stats::minor_allele_frequency(count, n_total);
     }
-    for (std::uint32_t snp : survivors) maf_survivors_[c].push_back(snp);
-    mask = std::move(survivors);
-    maf_mask_contributors_[c] = true;
-    // The trajectory entry sums across tiles (tiles are assessed in order,
-    // so position idx accumulates every tile's post-combination mask size).
-    if (pruning_.maf_mask_sizes.size() <= idx) {
-      pruning_.maf_mask_sizes.resize(idx + 1, 0);
+    // maf_filter decides per SNP, so filtering the tile and offsetting the
+    // survivors equals filtering the full vector restricted to the tile;
+    // ascending-tile appends keep each combination's list sorted.
+    for (std::uint32_t local : stats::maf_filter(maf, cutoff)) {
+      maf_survivors_[c].push_back(begin + local);
     }
-    pruning_.maf_mask_sizes[idx] +=
-        static_cast<std::uint32_t>(mask.size());
-  }
-}
-
-void Coordinator::reassess_maf_tiles() {
-  // A combination whose kills are folded into the masks died: its filter
-  // decisions must be forgotten, so every assessed tile re-runs over the
-  // currently-live set. Summaries are retained full-width, so this is pure
-  // recomputation — no member round trips.
-  obs::add_counter(obs_, "coordinator.maf_reassessments");
-  ++pruning_.maf_reassessments;
-  maf_survivors_.assign(announce_.combinations.size(), {});
-  maf_mask_contributors_.assign(announce_.combinations.size(), false);
-  pruning_.maf_mask_sizes.clear();
-  for (std::uint32_t tile = 0; tile < next_maf_tile_; ++tile) {
-    assess_maf_tile(tile);
   }
 }
 
@@ -568,20 +485,6 @@ Result<Phase1Result> Coordinator::run_maf_phase() {
     return make_error(Errc::state_violation,
                       "MAF phase before all summaries arrived");
   }
-  if (announce_.config.prune) {
-    // The eager masks are only valid over combinations still alive: if a
-    // contributor died after folding in its kills, re-assess everything
-    // over the live set (matching what the unpruned path computes when it
-    // drops the dead combination's list).
-    bool contributor_died = false;
-    for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-      if (maf_mask_contributors_[c] && !combination_live(c)) {
-        contributor_died = true;
-        break;
-      }
-    }
-    if (contributor_died) reassess_maf_tiles();
-  }
   std::vector<std::vector<std::uint32_t>> per_combination;
   per_combination.reserve(announce_.combinations.size());
   for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
@@ -602,29 +505,19 @@ Result<Phase1Result> Coordinator::run_maf_phase() {
 }
 
 std::vector<double> Coordinator::combination_chi2_p_values(
-    const std::vector<std::uint32_t>& members,
-    const std::vector<std::uint32_t>* only) const {
+    const std::vector<std::uint32_t>& members) const {
   std::uint64_t n_case = 0;
   for (std::uint32_t g : members) n_case += summaries_[g]->n_case;
   const std::uint64_t n_ref = reference_.num_individuals();
   std::vector<double> p_values(announce_.num_snps, 1.0);
-  const auto one = [&](std::uint32_t l) {
+  for (std::uint32_t l : l_prime_) {
     std::uint64_t case_minor = 0;
     for (std::uint32_t g : members) case_minor += summaries_[g]->case_counts[l];
     const stats::SinglewiseTable table{case_minor, n_case,
                                        reference_counts_[l], n_ref};
     p_values[l] = stats::chi2_p_value(table);
-  };
-  if (only != nullptr) {
-    // The greedy LD walk ranks only the SNPs it visits, and it visits only
-    // L' members — the remaining num_snps - |L'| values were dead weight.
-    for (std::uint32_t l : *only) one(l);
-    obs::add_counter(obs_, "coordinator.chi2_values_computed", only->size());
-  } else {
-    for (std::uint32_t l = 0; l < announce_.num_snps; ++l) one(l);
-    obs::add_counter(obs_, "coordinator.chi2_values_computed",
-                     announce_.num_snps);
   }
+  obs::add_counter(obs_, "coordinator.chi2_values_computed", l_prime_.size());
   return p_values;
 }
 
@@ -644,17 +537,16 @@ common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
         key, stats::compute_ld_moments(reference_planes_, a, b));
   }
   PairMoments& entry = cached->second;
-  // Decide who to query this round. Legacy (unpruned) mode broadcasts to
-  // every live member the first time a pair is touched, preserving the
-  // original wire pattern; the pruned sweep fetches lazily — only the
-  // combination at hand — so pairs resolved before the intersection dies
-  // never pull moments from uninvolved members. In BOTH modes a slot that
-  // is still empty for a live member gets a targeted (re)fetch before the
-  // aggregation may fail: a stale hole left by an earlier mid-walk death
-  // (the fetch round that created the entry lost a different member) used
-  // to re-throw MissingMomentsError forever and falsely kill a healthy GDO.
+  // Decide who to query this round. The first touch of a pair broadcasts to
+  // every live member, so a clean run pays one round trip per distinct pair
+  // and every later combination reads the pair from the cache. A slot that
+  // is still empty for a live member of the combination at hand gets a
+  // targeted refetch before the aggregation may fail: otherwise a hole left
+  // by an earlier mid-walk death (the broadcast that created the entry lost
+  // a different member) would re-throw MissingMomentsError on every later
+  // touch and falsely kill a healthy GDO.
   std::vector<std::uint32_t> targets;
-  if (!announce_.config.prune && !entry.broadcast_done) {
+  if (!entry.broadcast_done) {
     for (std::uint32_t g = 0; g < num_gdos_; ++g) {
       if (g == leader_->gdo_index()) continue;
       if (dead_gdos_.count(g) > 0) continue;
@@ -673,6 +565,8 @@ common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
     request.request_id = next_moments_request_++;
     request.snp_a = a;
     request.snp_b = b;
+    // One sequential round trip on the LD critical path.
+    obs::add_counter(obs_, "ld.round_trips");
     std::vector<std::optional<stats::LdMoments>> fetched =
         co_await fetch(request, targets);
     fetched.resize(num_gdos_);
@@ -716,112 +610,45 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   const obs::ScopedSpan phase_span(obs::recorder_of(obs_), "phase.ld",
                                    study_span_);
   const std::size_t num_combinations = announce_.combinations.size();
-  if (!announce_.config.prune) {
-    std::vector<std::vector<std::uint32_t>> per_combination(num_combinations);
-    std::vector<bool> computed(num_combinations, false);
-
-    for (std::size_t c = 0; c < num_combinations; ++c) {
-      if (!combination_live(c)) continue;
-      const obs::ScopedSpan combination_span(
-          obs::recorder_of(obs_), "ld.combination." + std::to_string(c),
-          phase_span.id());
-      obs::add_counter(obs_, "coordinator.ld_combinations");
-      const auto& members = announce_.combinations[c];
-      try {
-        const std::vector<double> p_values =
-            combination_chi2_p_values(members);
-        auto pair_p_value = [this, &members, &fetch](
-                                std::uint32_t a,
-                                std::uint32_t b) -> common::Task<double> {
-          co_return stats::ld_p_value(
-              co_await aggregate_pair_async(members, a, b, fetch));
-        };
-        per_combination[c] = co_await stats::greedy_ld_prune_async(
-            l_prime_, announce_.config.ld_cutoff, p_values, pair_p_value);
-        computed[c] = true;
-      } catch (const MissingMomentsError& missing) {
-        // The GDO went silent mid-walk: declare it dead and keep going with
-        // the combinations that do not need its data.
-        dead_gdos_.insert(missing.gdo_index);
-      }
+  std::vector<std::vector<std::uint32_t>> per_combination(num_combinations);
+  for (std::size_t c = 0; c < num_combinations; ++c) {
+    if (!combination_live(c)) continue;
+    const obs::ScopedSpan combination_span(
+        obs::recorder_of(obs_), "ld.combination." + std::to_string(c),
+        phase_span.id());
+    obs::add_counter(obs_, "coordinator.ld_combinations");
+    const auto& members = announce_.combinations[c];
+    try {
+      const std::vector<double> p_values = combination_chi2_p_values(members);
+      auto pair_p_value = [this, &members, &fetch](
+                              std::uint32_t a,
+                              std::uint32_t b) -> common::Task<double> {
+        co_return stats::ld_p_value(
+            co_await aggregate_pair_async(members, a, b, fetch));
+      };
+      per_combination[c] = co_await stats::greedy_ld_prune_async(
+          l_prime_, announce_.config.ld_cutoff, p_values, pair_p_value);
+    } catch (const MissingMomentsError& missing) {
+      // The GDO went silent mid-walk: declare it dead and keep going with
+      // the combinations that do not need its data.
+      dead_gdos_.insert(missing.gdo_index);
     }
-
-    // A death discovered mid-phase invalidates every combination containing
-    // the dead GDO, including ones whose walk had already finished (their LR
-    // matrices could never be gathered in phase 3).
-    std::vector<std::vector<std::uint32_t>> live_lists;
-    for (std::size_t c = 0; c < num_combinations; ++c) {
-      if (computed[c] && combination_live(c)) {
-        live_lists.push_back(std::move(per_combination[c]));
-      }
-    }
-    if (live_lists.empty()) {
-      co_return no_live_combination_error("LD phase");
-    }
-    l_double_prime_ = intersect_sorted(live_lists);
-  } else {
-    // Intersection-aware sweep. The greedy walk is order-sequential, so a
-    // combination's walk must still run over all of L' — restricting it to
-    // the running intersection would change anchor trajectories. What IS
-    // exact: (a) chi-squared ranking restricted to L' (the walk reads no
-    // other entry), (b) truncating each walk once its anchor passes the
-    // largest id still in the running intersection I — every element of I
-    // has its fate decided by then and the walk's tail cannot affect I ∩ R,
-    // (c) skipping the remaining combinations outright when I is empty, and
-    // (d) fetching pair moments only from the members of the combination at
-    // hand. A pass restarts when a walk's MissingMomentsError kills a GDO
-    // mid-phase: the fold may hold kills from combinations now dead, and
-    // re-walking live combinations is pure cache-warm recomputation.
-    std::vector<std::uint32_t> fold;
-    for (;;) {
-      const auto order = pruning_order();
-      if (order.empty()) {
-        co_return no_live_combination_error("LD phase");
-      }
-      fold = l_prime_;
-      pruning_.ld_mask_sizes.clear();
-      bool pass_ok = true;
-      for (std::size_t idx = 0; idx < order.size(); ++idx) {
-        if (fold.empty()) {
-          const std::uint64_t skipped = order.size() - idx;
-          pruning_.ld_walks_skipped += skipped;
-          obs::add_counter(obs_, "coordinator.ld_walks_skipped", skipped);
-          break;
-        }
-        const std::size_t c = order[idx];
-        const obs::ScopedSpan combination_span(
-            obs::recorder_of(obs_), "ld.combination." + std::to_string(c),
-            phase_span.id());
-        obs::add_counter(obs_, "coordinator.ld_combinations");
-        const auto& members = announce_.combinations[c];
-        try {
-          const std::vector<double> p_values =
-              combination_chi2_p_values(members, &l_prime_);
-          auto pair_p_value = [this, &members, &fetch](
-                                  std::uint32_t a,
-                                  std::uint32_t b) -> common::Task<double> {
-            co_return stats::ld_p_value(
-                co_await aggregate_pair_async(members, a, b, fetch));
-          };
-          const std::vector<std::uint32_t> walked =
-              co_await stats::greedy_ld_prune_resolving_async(
-                  l_prime_, announce_.config.ld_cutoff, p_values,
-                  pair_p_value, fold.back());
-          fold = intersect_sorted({fold, walked});
-          pruning_.ld_mask_sizes.push_back(
-              static_cast<std::uint32_t>(fold.size()));
-        } catch (const MissingMomentsError& missing) {
-          dead_gdos_.insert(missing.gdo_index);
-          pass_ok = false;
-          break;
-        }
-      }
-      if (pass_ok) break;
-      obs::add_counter(obs_, "coordinator.ld_reassessments");
-      ++pruning_.ld_reassessments;
-    }
-    l_double_prime_ = std::move(fold);
   }
+
+  // A death discovered mid-phase invalidates every combination containing
+  // the dead GDO, including ones whose walk had already finished (their LR
+  // planes could never be gathered in phase 3). A walk that threw named one
+  // of its own members, so its combination is no longer live either.
+  std::vector<std::vector<std::uint32_t>> live_lists;
+  for (std::size_t c = 0; c < num_combinations; ++c) {
+    if (combination_live(c)) {
+      live_lists.push_back(std::move(per_combination[c]));
+    }
+  }
+  if (live_lists.empty()) {
+    co_return no_live_combination_error("LD phase");
+  }
+  l_double_prime_ = intersect_sorted(live_lists);
   outcome_.l_double_prime = l_double_prime_;
   obs::add_counter(obs_, "coordinator.ld_pairs_fetched",
                    moments_cache_.size());
@@ -1061,18 +888,11 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
     for (std::size_t c : live) evaluate(c);
   }
 
-  // Intersection is order-free; the pruned sweep folds in its evaluation
-  // order only to record the shrinking trajectory.
-  const bool prune = announce_.config.prune;
   std::vector<std::uint32_t> l_safe = l_double_prime_;
   double max_power = 0.0;
-  for (std::size_t c : prune ? pruning_order() : live) {
+  for (std::size_t c : live) {
     l_safe = intersect_sorted({l_safe, per_combination[c]});
     max_power = std::max(max_power, per_combination_power[c]);
-    if (prune) {
-      pruning_.lr_mask_sizes.push_back(
-          static_cast<std::uint32_t>(l_safe.size()));
-    }
   }
   outcome_.l_safe = std::move(l_safe);
   outcome_.final_power = max_power;

@@ -124,29 +124,6 @@ struct SelectionOutcome {
   double final_power = 0.0;
 };
 
-/// Work bookkeeping of the intersection-aware combination sweep
-/// (StudyConfig::prune). The mask-size trajectories record the running
-/// intersection's size after each evaluated combination, in evaluation
-/// order (smallest case population first); each is non-increasing by
-/// construction, and all stay empty when pruning is off. Phase-1 entries
-/// are summed across tiles, so entry i is the total number of SNPs still
-/// alive everywhere after the i-th combination folded in.
-struct PruningStats {
-  bool enabled = false;
-  std::vector<std::uint32_t> maf_mask_sizes;
-  std::vector<std::uint32_t> ld_mask_sizes;
-  std::vector<std::uint32_t> lr_mask_sizes;
-  /// Phase-1 restarts forced by the death of a combination whose kills were
-  /// already folded into the mask (the fold must forget them).
-  std::uint64_t maf_reassessments = 0;
-  /// LD-phase pass restarts for the same reason (a walk's MissingMomentsError
-  /// marks a GDO dead mid-pass).
-  std::uint64_t ld_reassessments = 0;
-  /// Combinations whose LD walk was skipped outright because the running
-  /// intersection was already empty.
-  std::uint64_t ld_walks_skipped = 0;
-};
-
 /// Leader-side coordination module. Owns the reference panel (public data)
 /// and the leader GDO's own enclave for its local dataset.
 class Coordinator {
@@ -156,9 +133,9 @@ class Coordinator {
   /// return their moments indexed by GDO index (other slots empty). The
   /// host implements it with a send/gather over the secure channels; a
   /// member that cannot be reached keeps an empty slot (and the host marks
-  /// the peer lost as usual). With pruning off the coordinator targets
-  /// every live member the first time a pair is touched, so the wire
-  /// pattern matches the original broadcast protocol.
+  /// the peer lost as usual). The coordinator targets every live member
+  /// the first time a pair is touched (the original broadcast protocol),
+  /// so each distinct pair costs one round trip on a clean run.
   using FetchMoments = std::function<std::vector<std::optional<stats::LdMoments>>(
       const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
@@ -278,14 +255,9 @@ class Coordinator {
   /// accounting; cached pairs are fetched once).
   std::size_t ld_pairs_fetched() const noexcept { return moments_cache_.size(); }
 
-  /// Whether this study runs the intersection-aware sweep (announce config).
-  bool prune_enabled() const noexcept { return announce_.config.prune; }
-  /// Sweep work bookkeeping (all zero / empty when pruning is off).
-  const PruningStats& pruning_stats() const noexcept { return pruning_; }
-
  private:
   /// Per-pair cache slot: aggregated member moments plus whether the
-  /// legacy-mode first-touch broadcast already went out for this pair.
+  /// first-touch broadcast already went out for this pair.
   struct PairMoments {
     std::vector<std::optional<stats::LdMoments>> slots;  // per GDO
     bool broadcast_done = false;
@@ -296,27 +268,14 @@ class Coordinator {
       std::uint32_t b, const AsyncFetchMoments& fetch);
   common::Error no_live_combination_error(const std::string& phase) const;
   /// Chi-squared association p-values for the combination's pooled cases vs
-  /// the reference. `only` (optional) restricts the computation to the
-  /// listed SNP ids — the LD walk reads no others; the rest stay 0.
+  /// the reference, computed over L' only — the LD walk ranks no other SNP;
+  /// the remaining entries stay 1.
   std::vector<double> combination_chi2_p_values(
-      const std::vector<std::uint32_t>& members,
-      const std::vector<std::uint32_t>* only = nullptr) const;
+      const std::vector<std::uint32_t>& members) const;
   bool maf_tile_ready(std::uint32_t tile) const;
   /// Every live member's planes for LR tile `tile` arrived.
   bool lr_tile_complete(std::uint32_t tile) const;
   void assess_maf_tile(std::uint32_t tile);
-  /// Pooled case population of combination `c` (phase-1 summaries must have
-  /// arrived; every live member's n_case is known before any tile is
-  /// assessed).
-  std::uint64_t combination_case_population(std::size_t c) const;
-  /// Live combinations ordered smallest case population first (ties by id):
-  /// the evaluation order of the pruned sweep — small cohorts produce the
-  /// most MAF/LD kills, so the intersection shrinks as early as possible.
-  /// The LR phase folds its intersection in this order too.
-  std::vector<std::size_t> pruning_order() const;
-  /// Pruned phase 1 only: drops every folded mask and re-assesses all tiles
-  /// already assessed, over the currently-live combination set.
-  void reassess_maf_tiles();
 
   GdoEnclave* leader_;
   genome::GenotypeMatrix reference_;
@@ -348,13 +307,6 @@ class Coordinator {
   /// (empty vectors for combinations that died before assessment ended).
   std::vector<std::vector<std::uint32_t>> maf_survivors_;
   std::uint32_t next_maf_tile_ = 0;
-  /// Pruned mode: combinations whose kills were folded into any tile mask.
-  /// If one of them later dies its kills are wrong to keep, so run_maf_phase
-  /// re-assesses from scratch over the live set.
-  std::vector<bool> maf_mask_contributors_;
-
-  // Intersection-aware sweep bookkeeping (prune_enabled() only).
-  PruningStats pruning_;
 
   // Phase 2 state.
   std::vector<std::uint32_t> l_prime_;

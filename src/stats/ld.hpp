@@ -107,57 +107,4 @@ std::vector<std::uint32_t> greedy_ld_prune(
       }));
 }
 
-/// Truncated walk for the intersection-aware combination sweep. Runs the
-/// exact same walk as greedy_ld_prune but returns as soon as the comparison
-/// anchor moves past `resolve_through` (a SNP id): at that point the fate of
-/// every SNP <= resolve_through is decided (each was either retained or
-/// discarded by the shared walk prefix), and everything the full walk would
-/// still retain lies beyond resolve_through. Intersecting the truncated
-/// result with any SNP set bounded by resolve_through therefore equals
-/// intersecting the full walk's result with it — while the tail of the
-/// walk (and its pair fetches) is skipped entirely. The returned list may
-/// omit retained SNPs > resolve_through; use it only for such
-/// intersections.
-template <typename AsyncPairPValueFn>
-common::Task<std::vector<std::uint32_t>> greedy_ld_prune_resolving_async(
-    std::vector<std::uint32_t> snps, double ld_cutoff,
-    std::vector<double> association_p_values, AsyncPairPValueFn pair_p_value,
-    std::uint32_t resolve_through) {
-  std::vector<std::uint32_t> retained;
-  if (snps.empty() || snps[0] > resolve_through) co_return retained;
-  if (snps.size() == 1) co_return snps;
-
-  std::uint32_t current = snps[0];
-  for (std::size_t i = 1; i < snps.size(); ++i) {
-    const std::uint32_t next = snps[i];
-    const double p = co_await pair_p_value(current, next);
-    if (p > ld_cutoff) {
-      retained.push_back(current);
-      current = next;
-    } else {
-      current = (association_p_values[next] < association_p_values[current])
-                    ? next
-                    : current;
-    }
-    if (current > resolve_through) co_return retained;
-  }
-  retained.push_back(current);
-  co_return retained;
-}
-
-/// Blocking-callback adapter over greedy_ld_prune_resolving_async.
-template <typename PairPValueFn>
-std::vector<std::uint32_t> greedy_ld_prune_resolving(
-    const std::vector<std::uint32_t>& snps, double ld_cutoff,
-    const std::vector<double>& association_p_values,
-    PairPValueFn&& pair_p_value, std::uint32_t resolve_through) {
-  return common::run_sync(greedy_ld_prune_resolving_async(
-      snps, ld_cutoff, association_p_values,
-      [&pair_p_value](std::uint32_t a,
-                      std::uint32_t b) -> common::Task<double> {
-        co_return pair_p_value(a, b);
-      },
-      resolve_through));
-}
-
 }  // namespace gendpr::stats

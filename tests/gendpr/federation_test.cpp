@@ -213,6 +213,29 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
   }
 }
 
+TEST(FederationTest, LdRoundTripsEqualPairsFetchedOnCleanRun) {
+  // The first touch of a pair broadcasts to every live member, so on a run
+  // where no GDO dies each distinct pair costs exactly one round trip on
+  // the LD critical path, however many of the C(6, 4) = 15 combination
+  // walks read it, and each round trip asks all five members.
+  const genome::Cohort cohort = test_cohort();
+  obs::Observability observability;
+  FederationSpec spec;
+  spec.num_gdos = 6;
+  spec.policy = CollusionPolicy::fixed(2);
+  spec.obs = &observability;
+  const auto result = run_federated_study(cohort, spec);
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  ASSERT_TRUE(result.value().dead_gdos.empty());
+  ASSERT_EQ(result.value().num_combinations, 15u);
+  const auto& metrics = observability.metrics;
+  const std::uint64_t pairs = metrics.counter("coordinator.ld_pairs_fetched");
+  EXPECT_GT(pairs, 0u);
+  EXPECT_EQ(pairs, result.value().ld_pairs_fetched);
+  EXPECT_EQ(metrics.counter("ld.round_trips"), pairs);
+  EXPECT_EQ(metrics.counter("coordinator.ld_member_requests"), 5 * pairs);
+}
+
 TEST(FederationTest, UnobservedRunRecordsNothing) {
   // spec.obs == nullptr must stay the zero-cost default: same outcome, no
   // crash anywhere a span or counter would have been recorded.

@@ -13,7 +13,7 @@ TEST(MessagesTest, StudyAnnounceRoundTrip) {
   msg.num_snps = 1000;
   msg.config.maf_cutoff = 0.07;
   msg.config.ld_cutoff = 1e-6;
-  msg.config.prune = false;  // non-default: the flag must survive the wire
+  msg.config.snp_tile_width = 64;  // non-default: must survive the wire
   msg.combinations = {{0, 1, 2}, {0, 1}, {2}};
   const auto restored = StudyAnnounce::deserialize(msg.serialize());
   ASSERT_TRUE(restored.ok());

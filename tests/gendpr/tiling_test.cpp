@@ -89,29 +89,24 @@ TEST(TilingTest, EmptyFunnelCompletesWithZeroLrTiles) {
   // maf_cutoff = 1.0 retains nothing (MAF tops out at 0.5): L' is empty,
   // the LD walks and LR selection have no input, and the phase-3 plan must
   // be empty - zero tiles, no phase-2 broadcast bodies - instead of a
-  // single phantom tile over zero SNPs. Exercised monolithic and tiled, in
-  // both sweep modes.
+  // single phantom tile over zero SNPs. Exercised monolithic and tiled.
   const genome::Cohort cohort = test_cohort(200, 200, 80, 11);
-  for (bool prune : {false, true}) {
-    for (std::uint32_t width : {0u, 16u}) {
-      FederationSpec spec;
-      spec.num_gdos = 3;
-      spec.policy = CollusionPolicy::fixed(1);
-      spec.config.maf_cutoff = 1.0;
-      spec.config.prune = prune;
-      spec.config.snp_tile_width = width;
-      const auto result = run_federated_study(cohort, spec);
-      ASSERT_TRUE(result.ok())
-          << "prune=" << prune << " width=" << width << ": "
-          << result.error().to_string();
-      const StudyResult& r = result.value();
-      EXPECT_TRUE(r.outcome.l_prime.empty());
-      EXPECT_TRUE(r.outcome.l_double_prime.empty());
-      EXPECT_TRUE(r.outcome.l_safe.empty());
-      EXPECT_EQ(r.lr_tiles, 0u);
-      EXPECT_EQ(r.phase2_body_bytes, 0u);
-      EXPECT_EQ(r.outcome.final_power, 0.0);
-    }
+  for (std::uint32_t width : {0u, 16u}) {
+    FederationSpec spec;
+    spec.num_gdos = 3;
+    spec.policy = CollusionPolicy::fixed(1);
+    spec.config.maf_cutoff = 1.0;
+    spec.config.snp_tile_width = width;
+    const auto result = run_federated_study(cohort, spec);
+    ASSERT_TRUE(result.ok())
+        << "width=" << width << ": " << result.error().to_string();
+    const StudyResult& r = result.value();
+    EXPECT_TRUE(r.outcome.l_prime.empty());
+    EXPECT_TRUE(r.outcome.l_double_prime.empty());
+    EXPECT_TRUE(r.outcome.l_safe.empty());
+    EXPECT_EQ(r.lr_tiles, 0u);
+    EXPECT_EQ(r.phase2_body_bytes, 0u);
+    EXPECT_EQ(r.outcome.final_power, 0.0);
   }
 }
 

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <string>
-#include <tuple>
 
 #include "common/rng.hpp"
 #include "genome/cohort.hpp"
@@ -459,21 +457,18 @@ TEST(CoordinatorTest, LrPlanesRepeatedTileRejected) {
 /// Three-GDO coordinator with identical member summaries: every combination
 /// ranks SNPs identically, so the greedy walks of {0,1} and {0,2} visit the
 /// same pairs and the second walk hits moments_cache_ entries created by the
-/// first. Shared by the stale-slot regression tests below.
+/// first. Used by the stale-slot regression test below.
 struct RefetchFixture {
   Fixture f;
   GdoEnclave leader{f.platform, 0};
   std::optional<Coordinator> coordinator;
 
-  explicit RefetchFixture(bool prune) {
+  RefetchFixture() {
     EXPECT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-    StudyAnnounce announce = f.make_announce(3, CollusionPolicy::fixed(1));
-    announce.config.prune = prune;
-    coordinator.emplace(leader, f.cohort.controls, 3, announce);
+    coordinator.emplace(leader, f.cohort.controls, 3,
+                        f.make_announce(3, CollusionPolicy::fixed(1)));
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
-    // Larger than the leader's population so the pruning order visits the
-    // leader-bearing pairs {0,1} and {0,2} before {1,2}.
     member_stats.n_case = 400;
     EXPECT_TRUE(coordinator->add_summary(1, member_stats).ok());
     EXPECT_TRUE(coordinator->add_summary(2, member_stats).ok());
@@ -482,15 +477,15 @@ struct RefetchFixture {
 };
 
 TEST(CoordinatorTest, StaleMomentsSlotRefetchedForLiveMember) {
-  // Legacy (unpruned) mode: the first touch of a pair broadcasts to all
-  // live members. If GDO 2's response is lost in transit (without GDO 2
-  // being unresponsive at the network layer, so it is never marked dead),
-  // the cached entry keeps an empty slot. When combination {0,2} later
-  // aggregates the same pair, the coordinator must re-request the missing
-  // slot from the live member instead of replaying MissingMomentsError
-  // from the stale cache entry - which used to kill combination {0,2} and
-  // {1,2} and silently shrink the assessment.
-  RefetchFixture rf(/*prune=*/false);
+  // The first touch of a pair broadcasts to all live members. If GDO 2's
+  // response is lost in transit (without GDO 2 being unresponsive at the
+  // network layer, so it is never marked dead), the cached entry keeps an
+  // empty slot. When combination {0,2} later aggregates the same pair, the
+  // coordinator must re-request the missing slot from the live member
+  // instead of replaying MissingMomentsError from the stale cache entry -
+  // which used to kill combination {0,2} and {1,2} and silently shrink the
+  // assessment.
+  RefetchFixture rf;
   std::vector<std::vector<std::uint32_t>> calls;
   auto fetch = [&](const MomentsRequest&,
                    const std::vector<std::uint32_t>& targets) {
@@ -513,29 +508,6 @@ TEST(CoordinatorTest, StaleMomentsSlotRefetchedForLiveMember) {
     refetched |= calls[i] == std::vector<std::uint32_t>{2};
   }
   EXPECT_TRUE(refetched);
-}
-
-TEST(CoordinatorTest, PrunedSweepFillsCachedPairSlotsLazily) {
-  // Pruned mode fetches per combination: {0,1} creates the cache entry with
-  // only slot 1 filled, and {0,2}'s later touch of the same pair must fetch
-  // slot 2 on the cache HIT path rather than trusting the entry complete.
-  RefetchFixture rf(/*prune=*/true);
-  bool single_member_fill = false;
-  std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> seen;
-  auto fetch = [&](const MomentsRequest& request,
-                   const std::vector<std::uint32_t>& targets) {
-    single_member_fill |= targets == std::vector<std::uint32_t>{2};
-    std::vector<std::optional<stats::LdMoments>> per_gdo(3);
-    for (std::uint32_t g : targets) {
-      // A filled slot is never re-requested.
-      EXPECT_TRUE(seen.insert({request.snp_a, request.snp_b, g}).second);
-      per_gdo[g] = stats::LdMoments{5, 5, 1, 5, 5, 50};
-    }
-    return per_gdo;
-  };
-  ASSERT_TRUE(rf.coordinator->run_ld_phase(fetch).ok());
-  EXPECT_TRUE(rf.coordinator->dead_gdos().empty());
-  EXPECT_TRUE(single_member_fill);
 }
 
 }  // namespace

@@ -163,52 +163,6 @@ def check_run_report(doc):
         "pipeline.leader_inline_assess_ms missing or negative",
     )
 
-    pruning = doc.get("pruning")
-    require(isinstance(pruning, dict), "missing pruning section")
-    require(isinstance(pruning.get("enabled"), bool), "pruning.enabled missing")
-    for key in ("maf_mask_sizes", "ld_mask_sizes", "lr_mask_sizes"):
-        sizes = pruning.get(key)
-        require(isinstance(sizes, list), f"pruning.{key} missing")
-        if not pruning["enabled"]:
-            require(not sizes, f"pruning.{key} must be empty when pruning is off")
-        # The running intersection only ever shrinks: each recorded mask size
-        # must be monotone non-increasing across the evaluation order.
-        for earlier, later in zip(sizes, sizes[1:]):
-            require(
-                later <= earlier,
-                f"pruning.{key} is not monotone non-increasing: {sizes}",
-            )
-    if pruning["enabled"]:
-        # The folds land exactly on the intersected selection sets.
-        if pruning["maf_mask_sizes"]:
-            require(
-                pruning["maf_mask_sizes"][-1] == selection["l_prime"],
-                "final MAF mask size disagrees with selection.l_prime",
-            )
-        if pruning["ld_mask_sizes"] and not pruning["ld_walks_skipped"]:
-            require(
-                pruning["ld_mask_sizes"][-1] == selection["l_double_prime"],
-                "final LD mask size disagrees with selection.l_double_prime",
-            )
-        if pruning["lr_mask_sizes"]:
-            # The LR phase folds every live combination: one sweep, no skips.
-            require(
-                pruning["lr_mask_sizes"][-1] == selection["l_safe"],
-                "final LR mask size disagrees with selection.l_safe",
-            )
-    for key in (
-        "maf_reassessments",
-        "ld_reassessments",
-        "ld_walks_skipped",
-    ):
-        value = pruning.get(key)
-        require(
-            isinstance(value, (int, float)) and value >= 0,
-            f"pruning.{key} missing or negative",
-        )
-        if not pruning["enabled"]:
-            require(value == 0, f"pruning.{key} nonzero with pruning off")
-
     events = doc.get("events")
     require(isinstance(events, dict), "missing events section")
     require(isinstance(events.get("dead_gdos"), list), "missing events.dead_gdos")
@@ -217,6 +171,7 @@ def check_run_report(doc):
         doc, study, tiles, events["dead_gdos"], selection["l_double_prime"]
     )
     check_wire_counters(doc, study, tiles, degraded=bool(events["dead_gdos"]))
+    check_ld_counters(doc, degraded=bool(events["dead_gdos"]))
 
     trace = doc.get("trace")
     if trace is not None:
@@ -225,7 +180,6 @@ def check_run_report(doc):
             study["num_combinations"],
             set(events["dead_gdos"]),
             tiles,
-            pruning,
         )
 
 
@@ -325,7 +279,27 @@ def check_wire_counters(doc, study, tiles, degraded):
     )
 
 
-def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
+def check_ld_counters(doc, degraded):
+    """LD-phase round trips over the exported counters.
+
+    The first touch of a SNP pair asks every live member at once, and later
+    combinations read the pair from the leader's cache, so a clean run makes
+    exactly one round trip per distinct pair:
+        ld.round_trips == coordinator.ld_pairs_fetched
+    A degraded run may add targeted refetches, so only clean runs are pinned.
+    """
+    counters = doc.get("metrics", {}).get("counters", {})
+    if degraded or "coordinator.ld_pairs_fetched" not in counters:
+        return
+    pairs = counters["coordinator.ld_pairs_fetched"]
+    trips = counters.get("ld.round_trips", 0)
+    require(
+        trips == pairs,
+        f"clean run made {trips} LD round trips for {pairs} distinct pairs",
+    )
+
+
+def check_trace(trace, num_combinations, dead_gdos, tiles):
     require(isinstance(trace, list) and trace, "trace section is empty")
     by_name = {}
     for span in trace:
@@ -337,7 +311,7 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
     require("study" in by_name, "trace has no root study span")
     require(len(by_name["study"]) == 1, "more than one study span")
 
-    def check_children(phase, prefix, expected, exact, repeats=1, may_be_empty=False):
+    def check_children(phase, prefix, expected, exact):
         children = [name for name in by_name if name.startswith(prefix)]
         if exact:
             require(
@@ -345,17 +319,15 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
                 f"{phase}: {len(children)} {prefix}* spans, expected {expected}",
             )
         else:
-            lower = 0 if may_be_empty else min(1, expected)
             require(
-                lower <= len(children) <= expected,
+                min(1, expected) <= len(children) <= expected,
                 f"{phase}: {len(children)} {prefix}* spans, "
                 f"expected at most {expected}",
             )
         for name in children:
             require(
-                1 <= len(by_name[name]) <= repeats,
-                f"{name} recorded {len(by_name[name])} times, "
-                f"expected at most {repeats}",
+                len(by_name[name]) == 1,
+                f"{name} recorded {len(by_name[name])} times, expected once",
             )
             for span in by_name[name]:
                 require(
@@ -370,31 +342,17 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
     # The MAF phase is assessed per tile (combinations are an inner loop of
     # each tile span); the LD and LR phases keep per-combination spans, and
     # the LR phase additionally records one plane-gather span per tile.
-    # Combinations naming a dead GDO are skipped, so a degraded run may
-    # trace fewer combination spans than the announced count — never more.
-    # Under the intersection-aware sweep a clean run may also trace fewer LD
-    # walks: combinations past an already-empty running intersection are
-    # skipped, and phase-1/2 reassessments forced by mid-phase deaths re-open
-    # the affected tile / combination spans (never more than once per
-    # restart). The LR phase selects every live combination in both modes.
-    pruned = pruning["enabled"]
-    maf_repeats = 1 + (pruning["maf_reassessments"] if pruned else 0)
-    ld_repeats = 1 + (pruning["ld_reassessments"] if pruned else 0)
-    check_children(
-        "phase.maf", "maf.tile.", tiles["count"],
-        exact=maf_repeats == 1, repeats=maf_repeats,
-    )
+    # Every span is recorded once. Combinations naming a dead GDO are
+    # skipped, so a degraded run may trace fewer combination spans than the
+    # announced count — never more.
+    check_children("phase.maf", "maf.tile.", tiles["count"], exact=True)
     if tiles["lr_count"] > 0:
         check_children("phase.lr", "lr.tile.", tiles["lr_count"], exact=True)
-    combination_exact = not dead_gdos and not pruned
-    check_children(
-        "phase.ld", "ld.combination.", num_combinations,
-        exact=combination_exact, repeats=ld_repeats,
-        may_be_empty=pruned,
-    )
-    check_children(
-        "phase.lr", "lr.combination.", num_combinations, exact=not dead_gdos,
-    )
+    for phase in ("ld", "lr"):
+        check_children(
+            f"phase.{phase}", f"{phase}.combination.", num_combinations,
+            exact=not dead_gdos,
+        )
 
 
 def check_google_benchmark(doc):

@@ -56,3 +56,17 @@ foreach(bad bogus uring)
     message(FATAL_ERROR "--transport ${bad} did not print the usage: ${err}")
   endif()
 endforeach()
+
+# Removed flags and malformed numbers are usage errors too: every numeric
+# flag must parse as one whole token, with no sign on an unsigned field.
+foreach(bad "--no-prune" "--gdos;abc" "--tile-width;-1")
+  execute_process(
+    COMMAND ${CLI} assess ${WORKDIR} ${bad}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "assess ${bad} exited ${rc}, want 2")
+  endif()
+  if(NOT err MATCHES "usage: gendpr")
+    message(FATAL_ERROR "assess ${bad} did not print the usage: ${err}")
+  endif()
+endforeach()

@@ -15,8 +15,13 @@
 //       Runs the assessment and writes the released GWAS statistics (TSV);
 //       with --dp-epsilon also publishes the withheld complement under DP
 //       (the paper's §5.5 hybrid release).
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,11 +65,36 @@ void usage() {
                "           --fpr R --power P --seed S --report FILE\n"
                "           --tile-width W (SNPs per pipeline tile, 0 = off)\n"
                "           --epc-mb M (per-enclave EPC limit, MiB)\n"
-               "           --no-prune (disable intersection-aware sweep "
-               "pruning)\n"
                "           --transport in_process|epoll "
                "--event-loops N\n"
                "  release: assess options plus --out FILE --dp-epsilon E\n");
+}
+
+/// Parses the whole token as a decimal that fits in T: no sign, no
+/// surrounding blanks, no trailing characters.
+template <typename T>
+bool parse_unsigned(const char* text, T& out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
+}
+
+/// Parses the whole token as a finite double.
+bool parse_double(const char* text, double& out) {
+  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (*end != '\0' || !std::isfinite(value)) return false;
+  out = value;
+  return true;
 }
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -77,39 +107,41 @@ bool parse_args(int argc, char** argv, Args& args) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* value = nullptr;
+    std::uint64_t epc_mb = 0;
+    bool parsed = true;
     if (flag == "--conservative") {
       args.conservative = true;
-    } else if (flag == "--no-prune") {
-      args.config.prune = false;
     } else if ((value = next()) == nullptr) {
+      std::fprintf(stderr, "unknown flag or missing value: %s\n", flag.c_str());
       return false;
     } else if (flag == "--cases") {
-      args.cases = std::strtoul(value, nullptr, 10);
+      parsed = parse_unsigned(value, args.cases);
     } else if (flag == "--controls") {
-      args.controls = std::strtoul(value, nullptr, 10);
+      parsed = parse_unsigned(value, args.controls);
     } else if (flag == "--snps") {
-      args.snps = std::strtoul(value, nullptr, 10);
+      parsed = parse_unsigned(value, args.snps);
     } else if (flag == "--gdos") {
-      args.gdos = static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      parsed = parse_unsigned(value, args.gdos);
     } else if (flag == "--seed") {
-      args.seed = std::strtoull(value, nullptr, 10);
+      parsed = parse_unsigned(value, args.seed);
     } else if (flag == "--f") {
-      args.f = static_cast<unsigned>(std::strtoul(value, nullptr, 10));
+      parsed = parse_unsigned(value, args.f.emplace());
     } else if (flag == "--maf") {
-      args.config.maf_cutoff = std::atof(value);
+      parsed = parse_double(value, args.config.maf_cutoff);
     } else if (flag == "--ld") {
-      args.config.ld_cutoff = std::atof(value);
+      parsed = parse_double(value, args.config.ld_cutoff);
     } else if (flag == "--fpr") {
-      args.config.lr_false_positive_rate = std::atof(value);
+      parsed = parse_double(value, args.config.lr_false_positive_rate);
     } else if (flag == "--power") {
-      args.config.lr_power_threshold = std::atof(value);
+      parsed = parse_double(value, args.config.lr_power_threshold);
     } else if (flag == "--tile-width") {
-      args.config.snp_tile_width =
-          static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      parsed = parse_unsigned(value, args.config.snp_tile_width);
     } else if (flag == "--epc-mb") {
-      args.epc_limit = std::strtoull(value, nullptr, 10) * 1024 * 1024;
+      parsed = parse_unsigned(value, epc_mb) &&
+               epc_mb <= std::numeric_limits<std::uint64_t>::max() >> 20;
+      args.epc_limit = epc_mb << 20;
     } else if (flag == "--dp-epsilon") {
-      args.dp_epsilon = std::atof(value);
+      parsed = parse_double(value, args.dp_epsilon.emplace());
     } else if (flag == "--out") {
       args.out = value;
     } else if (flag == "--report") {
@@ -124,10 +156,13 @@ bool parse_args(int argc, char** argv, Args& args) {
         return false;
       }
     } else if (flag == "--event-loops") {
-      args.event_loops =
-          static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
+      parsed = parse_unsigned(value, args.event_loops);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+      return false;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), value);
       return false;
     }
   }
