@@ -205,12 +205,33 @@ Result<StudyResult> run_sessions(
     }
   };
 
+  // A member whose own session fails while the leader still runs (EPC
+  // exhausted building its LD windows, say) hangs up on the leader, as its
+  // host's dropped connection would, so the leader declares it dead instead
+  // of waiting on it; its error is then the study's root cause. A member
+  // told to stop by the leader's abort notice is not one.
+  std::atomic<bool> leader_running{true};
+  std::vector<char> failed_first(member_drivers.size(), 0);
+  for (std::size_t i = 0; i < member_drivers.size(); ++i) {
+    member_drivers[i]->set_on_finished([&, i] {
+      const common::Status& status = members[i]->status();
+      if (!status.ok() && status.error().code != common::Errc::aborted &&
+          leader_running.load(std::memory_order_acquire)) {
+        failed_first[i] = 1;
+        loop_of(leader_gdo).post([&, peer = node_id_of(member_gdos[i])] {
+          if (!leader_driver.finished()) leader_driver.on_peer_lost(peer);
+        });
+      }
+      note_finished();
+    });
+  }
   // When the leader fails, surviving members normally learn it from the
   // abort notice; a member whose connection (or handshake) never came up
   // would wait forever with no timeout configured. Give the notices half a
   // second to flush, then force the stragglers' transports closed — each on
   // its own loop thread, reached through post().
   leader_driver.set_on_finished([&] {
+    leader_running.store(false, std::memory_order_release);
     const bool leader_failed = !leader.status().ok();
     note_finished();
     if (!leader_failed) return;
@@ -222,7 +243,6 @@ Result<StudyResult> run_sessions(
       }
     });
   });
-  for (auto& driver : member_drivers) driver->set_on_finished(note_finished);
 
   // Members first: their dials buffer the attestation handshakes, which
   // flush as soon as the leader's listener accepts.
@@ -317,7 +337,12 @@ Result<StudyResult> run_sessions(
     }
   }
 
-  if (!leader.status().ok()) return leader.status().error();
+  if (!leader.status().ok()) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (failed_first[i] != 0) return members[i]->status().error();
+    }
+    return leader.status().error();
+  }
   // Surface any member-side failure (e.g. tampering detected) even when the
   // leader finished: a correct run requires every node to have succeeded.
   for (const auto& member : members) {

@@ -212,16 +212,11 @@ Result<MomentsRequest> MomentsRequest::deserialize(common::BytesView data) {
   return msg;
 }
 
-std::size_t MomentsResponse::encoded_size() const { return 4 + 5 * 8 + 8; }
+std::size_t MomentsResponse::encoded_size() const { return 4 + 4; }
 
 void MomentsResponse::serialize_into(wire::Writer& w) const {
   w.u32(request_id);
-  w.f64(moments.mu_x);
-  w.f64(moments.mu_y);
-  w.f64(moments.mu_xy);
-  w.f64(moments.mu_x2);
-  w.f64(moments.mu_y2);
-  w.u64(moments.n);
+  w.u32(co_count);
 }
 
 common::Bytes MomentsResponse::serialize() const {
@@ -231,19 +226,33 @@ common::Bytes MomentsResponse::serialize() const {
 Result<MomentsResponse> MomentsResponse::deserialize(common::BytesView data) {
   wire::Reader r(data);
   MomentsResponse msg;
-  auto id = r.u32();
-  if (!id.ok()) return id.error();
-  msg.request_id = id.value();
-  for (double* field : {&msg.moments.mu_x, &msg.moments.mu_y,
-                        &msg.moments.mu_xy, &msg.moments.mu_x2,
-                        &msg.moments.mu_y2}) {
-    auto v = r.f64();
+  for (std::uint32_t* field : {&msg.request_id, &msg.co_count}) {
+    auto v = r.u32();
     if (!v.ok()) return v.error();
     *field = v.value();
   }
-  auto n = r.u64();
-  if (!n.ok()) return n.error();
-  msg.moments.n = n.value();
+  if (!r.exhausted()) return trailing();
+  return msg;
+}
+
+std::size_t LdWindow::encoded_size() const { return 4 + vec_u32_size(counts); }
+
+void LdWindow::serialize_into(wire::Writer& w) const {
+  w.u32(tile_index);
+  w.vector_u32(counts);
+}
+
+common::Bytes LdWindow::serialize() const { return serialize_exact(*this); }
+
+Result<LdWindow> LdWindow::deserialize(common::BytesView data) {
+  wire::Reader r(data);
+  LdWindow msg;
+  auto tile = r.u32();
+  if (!tile.ok()) return tile.error();
+  msg.tile_index = tile.value();
+  auto counts = r.vector_u32();
+  if (!counts.ok()) return counts.error();
+  msg.counts = std::move(counts).take();
   if (!r.exhausted()) return trailing();
   return msg;
 }
@@ -464,7 +473,7 @@ Result<std::pair<MsgType, common::BytesView>> open_envelope(
   }
   const std::uint8_t tag = data[0];
   if (tag < static_cast<std::uint8_t>(MsgType::study_announce) ||
-      tag > static_cast<std::uint8_t>(MsgType::abort_notice)) {
+      tag > static_cast<std::uint8_t>(MsgType::ld_window)) {
     return make_error(Errc::bad_message, "unknown message type");
   }
   return std::make_pair(static_cast<MsgType>(tag), data.subspan(1));

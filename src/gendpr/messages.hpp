@@ -30,7 +30,13 @@ enum class MsgType : std::uint8_t {
   lr_planes = 7,
   phase3_result = 8,
   abort_notice = 9,
+  ld_window = 10,
 };
+
+/// LD window width: every LdWindow carries, for each L' rank, the
+/// co-occurrence counts of the pairs it forms with the kLdWindow ranks
+/// before it. A protocol constant (both ends must agree on the layout).
+inline constexpr std::uint32_t kLdWindow = 8;
 
 /// Leader -> members: study parameters and the combination table for the
 /// configured collusion policy. combinations[i] lists the GDO indices whose
@@ -76,9 +82,27 @@ struct Phase1Result {
   static common::Result<Phase1Result> deserialize(common::BytesView data);
 };
 
-/// Leader -> members: request for the correlation moments of one SNP pair
-/// (Phase 2 inner loop). Pairs are requested once and cached per GDO at the
-/// leader; combination walks aggregate cached per-GDO moments.
+/// Member -> leader, unrequested, after Phase1Result: the co-occurrence
+/// counts of every L' pair within kLdWindow ranks, over one tile of
+/// TilePlan::over(|L'|, snp_tile_width) (a single tile when tiling is off).
+/// For rank i of the tile starting at rank `begin` and d = 1..kLdWindow,
+/// counts[(i - begin) * kLdWindow + d - 1] = popcount(plane[l'[i - d]] &
+/// plane[l'[i]]); entries with i < d have no partner and are zero. With the
+/// phase-1 allele counts and n_case the leader already holds, one count is
+/// everything the additive LD moments of a pair need from a member.
+struct LdWindow {
+  std::uint32_t tile_index = 0;
+  std::vector<std::uint32_t> counts;
+
+  std::size_t encoded_size() const;
+  void serialize_into(wire::Writer& w) const;
+  common::Bytes serialize() const;
+  static common::Result<LdWindow> deserialize(common::BytesView data);
+};
+
+/// Leader -> members: request for the co-occurrence count of one SNP pair
+/// the walk needs beyond the LD window (sent to every live member on the
+/// pair's first touch, to a member with a missing count afterwards).
 struct MomentsRequest {
   std::uint32_t request_id = 0;
   std::uint32_t snp_a = 0;
@@ -90,10 +114,10 @@ struct MomentsRequest {
   static common::Result<MomentsRequest> deserialize(common::BytesView data);
 };
 
-/// Member -> leader: the five additive moments plus local population size.
+/// Member -> leader: popcount(plane[snp_a] & plane[snp_b]) for the request.
 struct MomentsResponse {
   std::uint32_t request_id = 0;
-  stats::LdMoments moments;
+  std::uint32_t co_count = 0;
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;

@@ -373,6 +373,26 @@ ProtocolSession::Main MemberSession::run_protocol() {
         if (Status s = enclave_.on_phase1(result.value()); !s.ok()) {
           co_return s;
         }
+        // Phase 1 is answered with the LD windows, one per L' tile and
+        // unrequested: the leader walks tile k while later tiles are in
+        // flight. Each window is charged to this enclave while it is built
+        // and sent.
+        const genome::TilePlan plan = enclave_.ld_plan();
+        for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
+          const Stopwatch compute_watch;
+          auto charge = enclave_.reserve_epc(std::uint64_t{plan.width_of(k)} *
+                                             kLdWindow * 4);
+          if (!charge.ok()) co_return charge.error();
+          const LdWindow window =
+              enclave_.make_ld_window(plan.begin(k), plan.end(k), k);
+          compute_ms_ += compute_watch.elapsed_ms();
+          obs::max_gauge(obs_, "epc.member.peak_bytes",
+                         static_cast<double>(enclave_.platform().epc().peak()));
+          if (Status s = co_await send_reply(MsgType::ld_window, window);
+              !s.ok()) {
+            co_return s;
+          }
+        }
         break;
       }
       case MsgType::moments_request: {
@@ -760,13 +780,26 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   timings.aggregation_ms += aggregation_watch.elapsed_ms();
 
   // --- Phase 2: LD analysis. ---
+  // Members answer phase 1 with one LD window per L' tile. After every
+  // arrival the coordinator walks each tile now complete across the live
+  // members (the LD half of the inline tile engine); a pair further apart
+  // than the window costs one fetch round trip. Every wait on members,
+  // windows and fetches alike, counts as fetch wait.
   fetch_wait_ms_ = 0;
   Stopwatch ld_watch;
-  auto fetch = [this](const MomentsRequest& request,
-                      const std::vector<std::uint32_t>& targets)
-      -> common::Task<std::vector<std::optional<stats::LdMoments>>> {
+  // Ingests a window that arrived in a gather; a failure is the study's.
+  const auto take_window = [this](std::uint32_t member,
+                                  common::BytesView body) -> Status {
+    auto window = LdWindow::deserialize(body);
+    if (!window.ok()) return window.error();
+    return coordinator_.add_ld_window(member, std::move(window).take());
+  };
+  auto fetch = [this, &take_window](const MomentsRequest& request,
+                                    const std::vector<std::uint32_t>& targets)
+      -> common::Task<Coordinator::CoCounts> {
     const Stopwatch fetch_watch;
-    std::vector<std::optional<stats::LdMoments>> per_gdo(num_gdos_);
+    Coordinator::CoCounts per_gdo(num_gdos_);
+    if (fetch_error_.has_value()) co_return per_gdo;  // the study has failed
     // One serialization for the whole multicast; each target below costs
     // only its own seal (send_staged).
     StagedMessage staging = stage_envelope(MsgType::moments_request, request);
@@ -798,10 +831,19 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
         break;
       }
       if (!step.value().got) break;
+      const std::uint32_t member = step.value().member;
       auto opened = open_envelope(step.value().plaintext);
       if (!opened.ok()) {
         fetch_error_ = opened.error();
         break;
+      }
+      // A member sends all its windows before it reads a request, so later
+      // tiles' windows may precede the response on its channel.
+      if (opened.value().first == MsgType::ld_window) {
+        if (Status s = take_window(member, opened.value().second); !s.ok()) {
+          fetch_error_ = s.error();
+        }
+        continue;
       }
       if (opened.value().first != MsgType::moments_response) {
         fetch_error_ =
@@ -813,12 +855,54 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
         fetch_error_ = response.error();
         break;
       }
-      per_gdo[step.value().member] = response.value().moments;
-      fetch_pending.erase(step.value().member);
+      if (response.value().request_id != request.request_id) {
+        fetch_error_ = make_error(Errc::bad_message,
+                                  "gdo " + std::to_string(member) +
+                                      ": moments response to another request");
+        break;
+      }
+      per_gdo[member] = response.value().co_count;
+      fetch_pending.erase(member);
     }
     fetch_wait_ms_ += fetch_watch.elapsed_ms();
     co_return per_gdo;
   };
+  // Members still owing windows (a fetch may also have taken some).
+  const auto windows_pending = [this] {
+    std::set<std::uint32_t> owing;
+    for (std::uint32_t g : live_members()) {
+      if (!coordinator_.ld_windows_complete(g)) owing.insert(g);
+    }
+    return owing;
+  };
+  if (Status s = co_await coordinator_.advance_ld_walks(fetch); !s.ok()) {
+    co_return s.error();
+  }
+  if (fetch_error_.has_value()) co_return *fetch_error_;
+  for (pending = windows_pending(); !pending.empty();
+       pending = windows_pending()) {
+    const Stopwatch wait_watch;
+    auto step = co_await next_record("LD window gather", pending);
+    fetch_wait_ms_ += wait_watch.elapsed_ms();
+    if (!step.ok()) co_return step.error();
+    if (!step.value().got) break;
+    auto opened = open_envelope(step.value().plaintext);
+    if (!opened.ok()) co_return opened.error();
+    if (opened.value().first != MsgType::ld_window) {
+      co_return make_error(Errc::state_violation, "expected LD window");
+    }
+    if (Status s = take_window(step.value().member, opened.value().second);
+        !s.ok()) {
+      co_return s.error();
+    }
+    if (Status s = co_await coordinator_.advance_ld_walks(fetch); !s.ok()) {
+      co_return s.error();
+    }
+    if (fetch_error_.has_value()) co_return *fetch_error_;
+  }
+  if (coordinator_.live_combination_count() == 0) {
+    co_return dead_peers_error("LD window gather");
+  }
   auto phase2 = co_await coordinator_.run_ld_phase_async(fetch);
   if (fetch_error_.has_value()) co_return *fetch_error_;
   if (!phase2.ok()) co_return phase2.error();

@@ -420,9 +420,9 @@ class LeaderSession : public ProtocolSession {
   common::Status provision_status_;
   bool channels_established_ = false;
   /// Fatal error detected inside the phase-2 fetch callback (its signature
-  /// cannot return one); checked after the LD phase returns.
+  /// cannot return one); checked after every LD walk advance.
   std::optional<common::Error> fetch_error_;
-  double fetch_wait_ms_ = 0;  // time spent gathering member responses
+  double fetch_wait_ms_ = 0;  // LD phase: time waiting on windows and fetches
   obs::Observability* obs_ = nullptr;
   obs::SpanId study_span_ = obs::kNoSpan;
   common::ThreadPool* pool_ = nullptr;

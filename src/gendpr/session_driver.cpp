@@ -18,20 +18,7 @@ SessionDriver::SessionDriver(net::EventLoop& loop, net::Hub& hub,
     session_->on_frame(from - 1, payload, Clock::now());
     pump();
   });
-  hub_->set_peer_lost_handler([this](net::NodeId peer) {
-    if (peer == net::kNoNode) return;
-    // Hubs release a dying connection's pause before reporting the loss,
-    // so this erase is normally a no-op; kept as a belt-and-braces guard
-    // against a stall on a peer that no longer exists.
-    paused_peers_.erase(peer);
-    if (stall_pending_ && paused_peers_.empty()) {
-      stall_pending_ = false;
-      session_->on_sends_complete(std::move(stalled_failures_), Clock::now());
-      stalled_failures_.clear();
-    }
-    session_->on_peer_lost(peer - 1, Clock::now());
-    pump();
-  });
+  hub_->set_peer_lost_handler([this](net::NodeId peer) { on_peer_lost(peer); });
   hub_->set_backpressure_handler([this](net::NodeId peer, bool paused) {
     if (paused) {
       paused_peers_.insert(peer);
@@ -72,6 +59,21 @@ void SessionDriver::close() {
     stalled_failures_.clear();
   }
   session_->on_transport_closed(Clock::now());
+  pump();
+}
+
+void SessionDriver::on_peer_lost(net::NodeId peer) {
+  if (peer == net::kNoNode) return;
+  // Hubs release a dying connection's pause before reporting the loss, so
+  // this erase is normally a no-op; kept as a belt-and-braces guard against
+  // a stall on a peer that no longer exists.
+  paused_peers_.erase(peer);
+  if (stall_pending_ && paused_peers_.empty()) {
+    stall_pending_ = false;
+    session_->on_sends_complete(std::move(stalled_failures_), Clock::now());
+    stalled_failures_.clear();
+  }
+  session_->on_peer_lost(peer - 1, Clock::now());
   pump();
 }
 

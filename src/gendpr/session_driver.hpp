@@ -51,6 +51,11 @@ class SessionDriver {
   /// current and all later recv waits resume with a closed event.
   void close();
 
+  /// Reports peer `peer` gone, exactly as the hub reports a dropped
+  /// connection (the federation runner uses it when a member's own session
+  /// fails while its hub stays up).
+  void on_peer_lost(net::NodeId peer);
+
   bool finished() const noexcept {
     return session_->wants() == SessionWants::done ||
            session_->wants() == SessionWants::failed;

@@ -90,6 +90,29 @@ Status GdoEnclave::on_phase1(const Phase1Result& result) {
   return Status::success();
 }
 
+genome::TilePlan GdoEnclave::ld_plan() const {
+  if (!announce_.has_value()) return {};
+  return genome::TilePlan::over(static_cast<std::uint32_t>(l_prime_.size()),
+                                announce_->config.snp_tile_width);
+}
+
+LdWindow GdoEnclave::make_ld_window(std::uint32_t rank_begin,
+                                    std::uint32_t rank_end,
+                                    std::uint32_t tile_index) const {
+  LdWindow window;
+  window.tile_index = tile_index;
+  window.counts.assign(std::size_t{rank_end - rank_begin} * kLdWindow, 0);
+  for (std::uint32_t rank = rank_begin; rank < rank_end; ++rank) {
+    std::uint32_t* row =
+        window.counts.data() + std::size_t{rank - rank_begin} * kLdWindow;
+    for (std::uint32_t d = 1; d <= kLdWindow && d <= rank; ++d) {
+      row[d - 1] = static_cast<std::uint32_t>(
+          planes_.pair_count(l_prime_[rank - d], l_prime_[rank]));
+    }
+  }
+  return window;
+}
+
 Result<MomentsResponse> GdoEnclave::on_moments_request(
     const MomentsRequest& request) const {
   if (!announce_.has_value()) {
@@ -102,8 +125,8 @@ Result<MomentsResponse> GdoEnclave::on_moments_request(
   }
   MomentsResponse response;
   response.request_id = request.request_id;
-  response.moments =
-      stats::compute_ld_moments(planes_, request.snp_a, request.snp_b);
+  response.co_count = static_cast<std::uint32_t>(
+      planes_.pair_count(request.snp_a, request.snp_b));
   return response;
 }
 
@@ -299,6 +322,21 @@ namespace {
 struct MissingMomentsError {
   std::uint32_t gdo_index;
 };
+/// Thrown by aggregate_pair when a fetched count contradicts the member's
+/// phase-1 summary; the LD phase fails with `error`.
+struct RejectedCountError {
+  common::Error error;
+};
+
+/// Why member `gdo_index`'s count `co` for the pair (a, b) is refused.
+common::Error impossible_count(std::uint32_t gdo_index, std::uint32_t a,
+                               std::uint32_t b, std::uint32_t co) {
+  std::string message = "gdo " + std::to_string(gdo_index);
+  message += ": co-occurrence count " + std::to_string(co);
+  message += " of SNPs " + std::to_string(a) + " and " + std::to_string(b);
+  message += " disagrees with the phase-1 counts";
+  return make_error(Errc::bad_message, std::move(message));
+}
 }  // namespace
 
 Coordinator::Coordinator(GdoEnclave& leader_enclave,
@@ -499,6 +537,12 @@ Result<Phase1Result> Coordinator::run_maf_phase() {
 
   l_prime_ = intersect_sorted(per_combination);
   outcome_.l_prime = l_prime_;
+  ld_plan_ = genome::TilePlan::over(static_cast<std::uint32_t>(l_prime_.size()),
+                                    announce_.config.snp_tile_width);
+  ld_windows_.clear();
+  ld_windows_.resize(ld_plan_.tile_count());
+  for (std::vector<HeldWindow>& tile : ld_windows_) tile.resize(num_gdos_);
+  ld_windows_received_.assign(num_gdos_, 0);
   Phase1Result result;
   result.retained = l_prime_;
   return result;
@@ -509,34 +553,185 @@ std::vector<double> Coordinator::combination_chi2_p_values(
   std::uint64_t n_case = 0;
   for (std::uint32_t g : members) n_case += summaries_[g]->n_case;
   const std::uint64_t n_ref = reference_.num_individuals();
-  std::vector<double> p_values(announce_.num_snps, 1.0);
-  for (std::uint32_t l : l_prime_) {
+  std::vector<double> p_values(l_prime_.size(), 1.0);
+  for (std::size_t rank = 0; rank < l_prime_.size(); ++rank) {
+    const std::uint32_t l = l_prime_[rank];
     std::uint64_t case_minor = 0;
     for (std::uint32_t g : members) case_minor += summaries_[g]->case_counts[l];
     const stats::SinglewiseTable table{case_minor, n_case,
                                        reference_counts_[l], n_ref};
-    p_values[l] = stats::chi2_p_value(table);
+    p_values[rank] = stats::chi2_p_value(table);
   }
   obs::add_counter(obs_, "coordinator.chi2_values_computed", l_prime_.size());
   return p_values;
 }
 
-common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
-    const std::vector<std::uint32_t>& members, std::uint32_t a,
-    std::uint32_t b, const AsyncFetchMoments& fetch) {
-  const auto key = std::make_pair(a, b);
-  auto cached = moments_cache_.find(key);
-  if (cached == moments_cache_.end()) {
-    PairMoments entry;
-    entry.slots.resize(num_gdos_);
-    // The leader computes its own moments locally (word-parallel planes).
-    entry.slots[leader_->gdo_index()] =
-        stats::compute_ld_moments(leader_->planes(), a, b);
-    cached = moments_cache_.emplace(key, std::move(entry)).first;
-    reference_moments_cache_.emplace(
-        key, stats::compute_ld_moments(reference_planes_, a, b));
+std::optional<stats::LdMoments> Coordinator::member_moments(
+    std::uint32_t gdo_index, std::uint32_t a, std::uint32_t b,
+    std::uint32_t co) const {
+  const SummaryStats& summary = *summaries_[gdo_index];
+  const std::uint32_t count_a = summary.case_counts[a];
+  const std::uint32_t count_b = summary.case_counts[b];
+  if (co > std::min(count_a, count_b) ||
+      std::uint64_t{count_a} + count_b - co > summary.n_case) {
+    return std::nullopt;
   }
-  PairMoments& entry = cached->second;
+  // Binary genotypes: x = x^2, so the five sums need one count per SNP and
+  // the pair's co-occurrence count; integer sums are exact in double.
+  stats::LdMoments moments;
+  moments.mu_x = count_a;
+  moments.mu_x2 = count_a;
+  moments.mu_y = count_b;
+  moments.mu_y2 = count_b;
+  moments.mu_xy = co;
+  moments.n = summary.n_case;
+  return moments;
+}
+
+Status Coordinator::add_ld_window(std::uint32_t gdo_index, LdWindow window) {
+  if (gdo_index >= num_gdos_ || gdo_index == leader_->gdo_index()) {
+    return make_error(Errc::unknown_peer, "LD window from unknown GDO");
+  }
+  // A late window from a GDO already declared dead: its combinations are
+  // skipped, so the window is dropped.
+  if (dead_gdos_.count(gdo_index) > 0) return Status::success();
+  const auto reject = [gdo_index](const std::string& why) {
+    return make_error(Errc::bad_message,
+                      "gdo " + std::to_string(gdo_index) + ": " + why);
+  };
+  if (ld_windows_received_.size() != num_gdos_ ||
+      !summaries_[gdo_index].has_value()) {
+    return reject("LD window before the phase-1 result");
+  }
+  const std::uint32_t tile = window.tile_index;
+  if (tile >= ld_plan_.tile_count()) {
+    return reject("LD window tile index out of range");
+  }
+  if (tile < ld_windows_received_[gdo_index]) {
+    return reject("repeated LD window tile");
+  }
+  if (tile > ld_windows_received_[gdo_index]) {
+    return reject("LD window tile out of order");
+  }
+  if (tile < next_ld_tile_) {
+    return reject("LD window for a tile already walked without it");
+  }
+  const std::uint32_t begin = ld_plan_.begin(tile);
+  const std::uint32_t width = ld_plan_.width_of(tile);
+  if (window.counts.size() != std::size_t{width} * kLdWindow) {
+    return reject("LD window size is not the tile width times the window");
+  }
+  auto held = leader_->reserve_epc(window.counts.size() * 4);
+  if (!held.ok()) return held.error();
+  for (std::uint32_t i = 0; i < width; ++i) {
+    const std::uint32_t rank = begin + i;
+    for (std::uint32_t d = 1; d <= kLdWindow; ++d) {
+      const std::uint32_t co =
+          window.counts[std::size_t{i} * kLdWindow + d - 1];
+      if (d > rank) {
+        if (co != 0) {
+          return reject("LD window padding nonzero at rank " +
+                        std::to_string(rank));
+        }
+        continue;
+      }
+      const std::uint32_t a = l_prime_[rank - d];
+      const std::uint32_t b = l_prime_[rank];
+      if (!member_moments(gdo_index, a, b, co).has_value()) {
+        return impossible_count(gdo_index, a, b, co);
+      }
+    }
+  }
+  ++ld_windows_received_[gdo_index];
+  obs::add_counter(obs_, "ld.window_tiles");
+  HeldWindow& slot = ld_windows_[tile][gdo_index];
+  if (tile == next_ld_tile_) {
+    slot.counts = std::move(window.counts);
+    slot.epc = std::move(held).take();
+  } else {
+    // Ahead of the walk: sealed out of the enclave until its tile is next,
+    // so the windows held in EPC stay O(tile).
+    wire::Writer w;
+    w.vector_u32(window.counts);
+    slot.sealed = leader_->seal(w.buffer());
+    obs::add_counter(obs_, "ld.window_tiles_sealed_out");
+  }
+  return Status::success();
+}
+
+bool Coordinator::ld_windows_complete(std::uint32_t gdo_index) const {
+  return gdo_index < ld_windows_received_.size() &&
+         ld_windows_received_[gdo_index] == ld_plan_.tile_count();
+}
+
+bool Coordinator::ld_tile_ready(std::uint32_t tile) const {
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (g == leader_->gdo_index()) continue;  // the leader's data is local
+    if (dead_gdos_.count(g) > 0) continue;    // dead GDOs never report
+    if (ld_windows_received_[g] <= tile) return false;
+  }
+  return true;
+}
+
+void Coordinator::begin_ld_phase() {
+  if (ld_started_) return;
+  ld_started_ = true;
+  ld_span_.emplace(obs::recorder_of(obs_), "phase.ld", study_span_);
+  const std::size_t num_combinations = announce_.combinations.size();
+  ld_walks_.assign(num_combinations, stats::LdWalk(announce_.config.ld_cutoff));
+  ld_association_p_.assign(num_combinations, {});
+  ld_combination_spans_.clear();
+  ld_combination_spans_.resize(num_combinations);
+  for (std::size_t c = 0; c < num_combinations; ++c) {
+    if (!combination_live(c)) continue;
+    obs::add_counter(obs_, "coordinator.ld_combinations");
+    ld_combination_spans_[c].emplace(obs::recorder_of(obs_),
+                                     "ld.combination." + std::to_string(c),
+                                     ld_span_->id());
+    ld_association_p_[c] = combination_chi2_p_values(announce_.combinations[c]);
+  }
+}
+
+Coordinator::PairMoments& Coordinator::touch_pair(std::uint32_t anchor,
+                                                  std::uint32_t rank,
+                                                  bool use_windows) {
+  auto [it, created] = rank_pairs_.try_emplace(anchor);
+  PairMoments& entry = it->second;
+  if (!created) return entry;
+  ++ld_pairs_;
+  const std::uint32_t a = l_prime_[anchor];
+  const std::uint32_t b = l_prime_[rank];
+  // The leader's own and the reference moments are computed locally
+  // (word-parallel planes).
+  entry.reference = stats::compute_ld_moments(reference_planes_, a, b);
+  entry.slots.resize(num_gdos_);
+  entry.slots[leader_->gdo_index()] =
+      stats::compute_ld_moments(leader_->planes(), a, b);
+  if (!use_windows) return entry;
+  // Served by the windows when every live member's count is in one (with no
+  // live member, every pair is).
+  const std::uint32_t distance = rank - anchor;
+  const std::size_t offset =
+      std::size_t{rank - ld_plan_.begin(next_ld_tile_)} * kLdWindow +
+      distance - 1;
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (g == leader_->gdo_index() || dead_gdos_.count(g) > 0) continue;
+    if (distance > kLdWindow) return entry;
+    // Validated on arrival (add_ld_window).
+    entry.slots[g] = member_moments(
+        g, a, b, ld_windows_[next_ld_tile_][g].counts[offset]);
+  }
+  entry.broadcast_done = true;
+  obs::add_counter(obs_, "ld.window_pairs");
+  return entry;
+}
+
+common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
+    const std::vector<std::uint32_t>& members, std::uint32_t anchor,
+    std::uint32_t rank, const AsyncFetchMoments& fetch) {
+  const std::uint32_t a = l_prime_[anchor];
+  const std::uint32_t b = l_prime_[rank];
+  PairMoments& entry = rank_pairs_.at(anchor);
   // Decide who to query this round. The first touch of a pair broadcasts to
   // every live member, so a clean run pays one round trip per distinct pair
   // and every later combination reads the pair from the cache. A slot that
@@ -567,25 +762,27 @@ common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
     request.snp_b = b;
     // One sequential round trip on the LD critical path.
     obs::add_counter(obs_, "ld.round_trips");
-    std::vector<std::optional<stats::LdMoments>> fetched =
-        co_await fetch(request, targets);
+    CoCounts fetched = co_await fetch(request, targets);
     fetched.resize(num_gdos_);
-    // The fetch may have suspended; re-resolve the cache slot in case the
-    // driver touched other pairs meanwhile (map nodes are stable, but stay
-    // defensive against a future cache policy).
-    PairMoments& slot = moments_cache_.at(key);
+    // The fetch suspended; re-resolve the entry (map nodes are stable, but
+    // stay defensive against a future cache policy).
+    PairMoments& slot = rank_pairs_.at(anchor);
     for (std::uint32_t g : targets) {
-      if (fetched[g].has_value()) slot.slots[g] = fetched[g];
+      if (!fetched[g].has_value()) continue;
+      slot.slots[g] = member_moments(g, a, b, *fetched[g]);
+      if (!slot.slots[g].has_value()) {
+        throw RejectedCountError{impossible_count(g, a, b, *fetched[g])};
+      }
     }
     obs::add_counter(obs_, "coordinator.ld_member_requests", targets.size());
   }
-  const PairMoments& final_entry = moments_cache_.at(key);
-  stats::LdMoments total = reference_moments_cache_.at(key);
+  const PairMoments& final_entry = rank_pairs_.at(anchor);
+  stats::LdMoments total = final_entry.reference;
   for (std::uint32_t g : members) {
     if (!final_entry.slots[g].has_value()) {
       // A missing response from a combination member must never silently
       // skew the aggregate with zero moments: the walk for this combination
-      // aborts (run_ld_phase marks the GDO dead and drops the combination).
+      // aborts (its GDO is marked dead and the combination dropped).
       throw MissingMomentsError{g};
     }
     total += *final_entry.slots[g];
@@ -593,47 +790,107 @@ common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
   co_return total;
 }
 
+common::Task<Status> Coordinator::walk_ld_tile(std::uint32_t tile,
+                                               bool use_windows,
+                                               const AsyncFetchMoments& fetch) {
+  const obs::ScopedSpan tile_span(obs::recorder_of(obs_),
+                                  "ld.tile." + std::to_string(tile),
+                                  ld_span_->id());
+  std::vector<HeldWindow>& windows = ld_windows_[tile];
+  if (use_windows) {
+    for (HeldWindow& window : windows) {
+      if (window.sealed.empty()) continue;
+      auto plaintext = leader_->unseal(window.sealed);
+      if (!plaintext.ok()) co_return plaintext.error();
+      wire::Reader r(plaintext.value());
+      auto counts = r.vector_u32();
+      if (!counts.ok()) co_return counts.error();
+      auto held = leader_->reserve_epc(counts.value().size() * 4);
+      if (!held.ok()) co_return held.error();
+      window.counts = std::move(counts).take();
+      window.epc = std::move(held).take();
+      window.sealed.clear();
+    }
+  }
+  const std::uint32_t end = ld_plan_.end(tile);
+  for (std::uint32_t rank = std::max(ld_plan_.begin(tile), 1u); rank < end;
+       ++rank) {
+    rank_pairs_.clear();
+    for (std::size_t c = 0; c < ld_walks_.size(); ++c) {
+      if (!combination_live(c)) continue;
+      stats::LdWalk& walk = ld_walks_[c];
+      const auto& members = announce_.combinations[c];
+      try {
+        // A pair the windows do not cover goes through the fetch on its
+        // first touch (which asks every live member, whether or not this
+        // combination needs them) and whenever a member slot is empty.
+        PairMoments& entry = touch_pair(walk.anchor(), rank, use_windows);
+        stats::LdMoments total = entry.reference;
+        bool complete = entry.broadcast_done;
+        for (std::size_t k = 0; complete && k < members.size(); ++k) {
+          const std::optional<stats::LdMoments>& slot = entry.slots[members[k]];
+          complete = slot.has_value();
+          if (complete) total += *slot;
+        }
+        if (!complete) {
+          total = co_await aggregate_pair_async(members, walk.anchor(), rank,
+                                                fetch);
+        }
+        walk.step(stats::ld_p_value(total), ld_association_p_[c][walk.anchor()],
+                  ld_association_p_[c][rank]);
+      } catch (const MissingMomentsError& missing) {
+        // The GDO went silent mid-walk: declare it dead and keep going with
+        // the combinations that do not need its data.
+        dead_gdos_.insert(missing.gdo_index);
+      } catch (const RejectedCountError& rejected) {
+        co_return Status(rejected.error);
+      }
+    }
+  }
+  rank_pairs_.clear();
+  windows.clear();  // releases their EPC
+  ++next_ld_tile_;
+  co_return Status::success();
+}
+
+common::Task<Status> Coordinator::advance_ld_walks(AsyncFetchMoments fetch) {
+  begin_ld_phase();
+  while (next_ld_tile_ < ld_plan_.tile_count() &&
+         ld_tile_ready(next_ld_tile_)) {
+    if (Status s = co_await walk_ld_tile(next_ld_tile_, true, fetch);
+        !s.ok()) {
+      ld_combination_spans_.clear();
+      ld_span_.reset();
+      co_return s;
+    }
+  }
+  co_return Status::success();
+}
+
 Result<Phase2Result> Coordinator::run_ld_phase(const FetchMoments& fetch) {
   // Adapt the blocking callback onto the canonical sans-IO phase: nothing in
   // the adapted chain ever suspends, so run_sync drives it to completion on
-  // this stack (trusted-module tests and local baselines use this path).
+  // this stack (trusted-module tests use this path).
   return common::run_sync(run_ld_phase_async(
       [&fetch](const MomentsRequest& request,
                const std::vector<std::uint32_t>& targets)
-          -> common::Task<std::vector<std::optional<stats::LdMoments>>> {
-        co_return fetch(request, targets);
-      }));
+          -> common::Task<CoCounts> { co_return fetch(request, targets); }));
 }
 
 common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
     AsyncFetchMoments fetch) {
-  const obs::ScopedSpan phase_span(obs::recorder_of(obs_), "phase.ld",
-                                   study_span_);
-  const std::size_t num_combinations = announce_.combinations.size();
-  std::vector<std::vector<std::uint32_t>> per_combination(num_combinations);
-  for (std::size_t c = 0; c < num_combinations; ++c) {
-    if (!combination_live(c)) continue;
-    const obs::ScopedSpan combination_span(
-        obs::recorder_of(obs_), "ld.combination." + std::to_string(c),
-        phase_span.id());
-    obs::add_counter(obs_, "coordinator.ld_combinations");
-    const auto& members = announce_.combinations[c];
-    try {
-      const std::vector<double> p_values = combination_chi2_p_values(members);
-      auto pair_p_value = [this, &members, &fetch](
-                              std::uint32_t a,
-                              std::uint32_t b) -> common::Task<double> {
-        co_return stats::ld_p_value(
-            co_await aggregate_pair_async(members, a, b, fetch));
-      };
-      per_combination[c] = co_await stats::greedy_ld_prune_async(
-          l_prime_, announce_.config.ld_cutoff, p_values, pair_p_value);
-    } catch (const MissingMomentsError& missing) {
-      // The GDO went silent mid-walk: declare it dead and keep going with
-      // the combinations that do not need its data.
-      dead_gdos_.insert(missing.gdo_index);
-    }
+  Status walked = co_await advance_ld_walks(fetch);
+  // Tiles some live member sent no window for walk through the fetch alone.
+  while (walked.ok() && next_ld_tile_ < ld_plan_.tile_count()) {
+    walked = co_await walk_ld_tile(next_ld_tile_, false, fetch);
   }
+  if (!walked.ok()) {
+    ld_combination_spans_.clear();
+    ld_span_.reset();
+    co_return walked.error();
+  }
+  ld_combination_spans_.clear();
+  const std::size_t num_combinations = announce_.combinations.size();
 
   // A death discovered mid-phase invalidates every combination containing
   // the dead GDO, including ones whose walk had already finished (their LR
@@ -642,16 +899,16 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   std::vector<std::vector<std::uint32_t>> live_lists;
   for (std::size_t c = 0; c < num_combinations; ++c) {
     if (combination_live(c)) {
-      live_lists.push_back(std::move(per_combination[c]));
+      live_lists.push_back(ld_walks_[c].survivors(l_prime_));
     }
   }
+  ld_span_.reset();
   if (live_lists.empty()) {
     co_return no_live_combination_error("LD phase");
   }
   l_double_prime_ = intersect_sorted(live_lists);
   outcome_.l_double_prime = l_double_prime_;
-  obs::add_counter(obs_, "coordinator.ld_pairs_fetched",
-                   moments_cache_.size());
+  obs::add_counter(obs_, "coordinator.ld_pairs_fetched", ld_pairs_);
 
   Phase2Result result;
   result.retained = l_double_prime_;

@@ -69,6 +69,14 @@ class GdoEnclave : public tee::Enclave {
                                  std::uint32_t snp_end,
                                  std::uint32_t tile_index) const;
   common::Status on_phase1(const Phase1Result& result);
+  /// Tile plan over L' the LD windows stream in (empty before on_phase1).
+  genome::TilePlan ld_plan() const;
+  /// Answers phase 1 for one L' tile, unrequested: the co-occurrence counts
+  /// of every pair within kLdWindow ranks ending at ranks [rank_begin,
+  /// rank_end), laid out as LdWindow documents.
+  LdWindow make_ld_window(std::uint32_t rank_begin, std::uint32_t rank_end,
+                          std::uint32_t tile_index) const;
+  /// Answers a pair the leader needs beyond the window.
   common::Result<MomentsResponse> on_moments_request(
       const MomentsRequest& request) const;
   /// Answers one phase-2 tile (paper Fig. 4 step 2) with this GDO's LR
@@ -128,15 +136,20 @@ struct SelectionOutcome {
 /// and the leader GDO's own enclave for its local dataset.
 class Coordinator {
  public:
+  /// Co-occurrence counts of one pair, indexed by GDO (empty slot = no
+  /// answer from that GDO).
+  using CoCounts = std::vector<std::optional<std::uint32_t>>;
+
   /// `fetch_moments(request, targets)` must query exactly the member GDOs
   /// listed in `targets` (never the leader) for the requested pair and
-  /// return their moments indexed by GDO index (other slots empty). The
-  /// host implements it with a send/gather over the secure channels; a
-  /// member that cannot be reached keeps an empty slot (and the host marks
-  /// the peer lost as usual). The coordinator targets every live member
-  /// the first time a pair is touched (the original broadcast protocol),
-  /// so each distinct pair costs one round trip on a clean run.
-  using FetchMoments = std::function<std::vector<std::optional<stats::LdMoments>>(
+  /// return their co-occurrence counts indexed by GDO index (other slots
+  /// empty). The host implements it with a send/gather over the secure
+  /// channels; a member that cannot be reached keeps an empty slot (and the
+  /// host marks the peer lost as usual). Only pairs the LD windows do not
+  /// cover are fetched. The coordinator targets every live member the first
+  /// time such a pair is touched, so each costs one round trip on a clean
+  /// run.
+  using FetchMoments = std::function<CoCounts(
       const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
   /// Sans-IO form of FetchMoments: returns a Task so the protocol session
@@ -144,9 +157,8 @@ class Coordinator {
   /// (the event-loop driver resumes it frame by frame). Same contract
   /// otherwise. The blocking FetchMoments overload of run_ld_phase adapts
   /// onto this one.
-  using AsyncFetchMoments =
-      std::function<common::Task<std::vector<std::optional<stats::LdMoments>>>(
-          const MomentsRequest&, const std::vector<std::uint32_t>&)>;
+  using AsyncFetchMoments = std::function<common::Task<CoCounts>(
+      const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
   Coordinator(GdoEnclave& leader_enclave, genome::GenotypeMatrix reference,
               std::uint32_t num_gdos, StudyAnnounce announce);
@@ -210,19 +222,41 @@ class Coordinator {
   common::Result<Phase1Result> run_maf_phase();
 
   /// --- Phase 2 ---
-  /// Runs the greedy LD walk for every combination (Alg. 1 lines 28-57),
-  /// pulling member moments through `fetch` (cached per pair), and
-  /// intersects the survivors. The walk is order-sequential (each pruning
-  /// decision depends on every prior one), so phase 2 is not tiled; its
-  /// per-pair messages are already O(1). Also fixes the phase-3 tile plan
-  /// over L'' and the full-width phase-2 state the tile slices come from.
-  common::Result<Phase2Result> run_ld_phase(const FetchMoments& fetch);
-  /// Canonical (sans-IO) LD phase: identical decisions, counters, and cache
-  /// behavior to the blocking overload, but every member fetch suspends the
-  /// returned task instead of blocking a thread. `fetch` is taken by value:
-  /// the coroutine frame owns its copy across suspensions.
+  /// Plan over the ranks of L' the members' LD windows stream in (valid
+  /// after run_maf_phase).
+  const genome::TilePlan& ld_plan() const noexcept { return ld_plan_; }
+  /// Ingests one member's LD window for one ld_plan() tile. Every failure
+  /// names the GDO and is bad_message: the window must come after the MAF
+  /// phase, its tile must be in range and the GDO's next (no repeat, no
+  /// gap), it must hold width * kLdWindow counts, padding entries (no
+  /// partner rank) must be zero, and every count must fit the GDO's
+  /// phase-1 counts (co <= min(count_a, count_b) and count_a + count_b - co
+  /// <= n_case). A window from a GDO already declared dead is dropped. The
+  /// window is charged to the leader's EPC while its tile is the next to
+  /// walk; a window that arrives ahead of the walk is sealed out of the
+  /// enclave until then, so held windows stay O(tile).
+  common::Status add_ld_window(std::uint32_t gdo_index, LdWindow window);
+  /// Every ld_plan() tile of `gdo_index`'s windows arrived.
+  bool ld_windows_complete(std::uint32_t gdo_index) const;
+  /// Pipelined LD walk (Alg. 1 lines 28-57), the LD half of the inline tile
+  /// engine: for every tile whose windows arrived from all live members, in
+  /// ascending tile order, every live combination's walk moves through the
+  /// tile's ranks, then the tile's windows are released. A pair more than
+  /// kLdWindow ranks apart goes through `fetch`. The host calls this after
+  /// each window arrival; the first call opens the `phase.ld` span, so the
+  /// wait for windows sits inside the phase.
+  common::Task<common::Status> advance_ld_walks(AsyncFetchMoments fetch);
+  /// Finishes the LD phase: walks whatever advance_ld_walks has not (tiles
+  /// without windows from every live member walk entirely through `fetch`,
+  /// as for a coordinator that was never given windows) and intersects the
+  /// survivors. Also fixes the phase-3 tile plan over L'' and the
+  /// full-width phase-2 state the tile slices come from. `fetch` is taken
+  /// by value: the coroutine frame owns its copy across suspensions.
   common::Task<common::Result<Phase2Result>> run_ld_phase_async(
       AsyncFetchMoments fetch);
+  /// Blocking form of run_ld_phase_async (trusted-module tests): nothing in
+  /// the adapted chain suspends.
+  common::Result<Phase2Result> run_ld_phase(const FetchMoments& fetch);
   /// Per-tile Phase2Result bodies (column slices of run_ld_phase's return
   /// value; one entry per lr_plan() tile). Valid after run_ld_phase. The
   /// LR phase starts here: this opens the `phase.lr` span and one
@@ -251,25 +285,60 @@ class Coordinator {
 
   const SelectionOutcome& outcome() const noexcept { return outcome_; }
 
-  /// Count of distinct SNP pairs fetched during the LD phase (bandwidth
-  /// accounting; cached pairs are fetched once).
-  std::size_t ld_pairs_fetched() const noexcept { return moments_cache_.size(); }
+  /// Count of distinct SNP pairs the LD walks evaluated, served by a
+  /// window or by one fetch each.
+  std::size_t ld_pairs_fetched() const noexcept { return ld_pairs_; }
 
  private:
-  /// Per-pair cache slot: aggregated member moments plus whether the
-  /// first-touch broadcast already went out for this pair.
+  /// Moments of one pair (l'[anchor], l'[rank]) for the rank being walked:
+  /// per-GDO slots, the reference panel's moments, and whether the
+  /// first-touch broadcast already went out.
   struct PairMoments {
     std::vector<std::optional<stats::LdMoments>> slots;  // per GDO
+    stats::LdMoments reference;
     bool broadcast_done = false;
   };
 
+  /// One member's window over one L' tile: its counts in EPC while the tile
+  /// is the next to walk, otherwise sealed out of the enclave.
+  struct HeldWindow {
+    std::vector<std::uint32_t> counts;
+    tee::EpcAllocation epc;
+    common::Bytes sealed;
+  };
+
+  /// Member `gdo_index`'s moments of the pair (a, b) from its co-occurrence
+  /// count and phase-1 summary: mu_x = mu_x2 = count_a, mu_y = mu_y2 =
+  /// count_b, mu_xy = co, n = n_case. The one path from a member count to
+  /// moments, for windows and fetches alike; nullopt when the count cannot
+  /// come from that summary.
+  std::optional<stats::LdMoments> member_moments(std::uint32_t gdo_index,
+                                                 std::uint32_t a,
+                                                 std::uint32_t b,
+                                                 std::uint32_t co) const;
+  /// Opens the LD phase once: its span, one span and walk per live
+  /// combination, and the walks' association p-values.
+  void begin_ld_phase();
+  bool ld_tile_ready(std::uint32_t tile) const;
+  /// Moves every live walk through the ranks of `tile` (the next one),
+  /// reading member counts from the tile's windows when `use_windows`.
+  common::Task<common::Status> walk_ld_tile(std::uint32_t tile,
+                                            bool use_windows,
+                                            const AsyncFetchMoments& fetch);
+  /// The cache entry of pair (anchor, rank), created on first touch with
+  /// the leader's and reference moments and, when the windows cover it,
+  /// every live member's.
+  PairMoments& touch_pair(std::uint32_t anchor, std::uint32_t rank,
+                          bool use_windows);
+  /// Fallback for a pair some member slot of `members` lacks: fetches the
+  /// missing counts, then aggregates.
   common::Task<stats::LdMoments> aggregate_pair_async(
-      const std::vector<std::uint32_t>& members, std::uint32_t a,
-      std::uint32_t b, const AsyncFetchMoments& fetch);
+      const std::vector<std::uint32_t>& members, std::uint32_t anchor,
+      std::uint32_t rank, const AsyncFetchMoments& fetch);
   common::Error no_live_combination_error(const std::string& phase) const;
   /// Chi-squared association p-values for the combination's pooled cases vs
-  /// the reference, computed over L' only — the LD walk ranks no other SNP;
-  /// the remaining entries stay 1.
+  /// the reference over L', indexed by L' rank (the LD walk ranks no other
+  /// SNP).
   std::vector<double> combination_chi2_p_values(
       const std::vector<std::uint32_t>& members) const;
   bool maf_tile_ready(std::uint32_t tile) const;
@@ -308,12 +377,21 @@ class Coordinator {
   std::vector<std::vector<std::uint32_t>> maf_survivors_;
   std::uint32_t next_maf_tile_ = 0;
 
-  // Phase 2 state.
+  // Phase 2 state. Every walk moves rank by rank through ld_plan_, so a pair
+  // (anchor, rank) is only ever needed while `rank` is walked: the pair
+  // cache holds one rank's pairs, keyed by anchor rank.
   std::vector<std::uint32_t> l_prime_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, PairMoments>
-      moments_cache_;  // per pair: per-GDO moments (absent for dead GDOs)
-  std::map<std::pair<std::uint32_t, std::uint32_t>, stats::LdMoments>
-      reference_moments_cache_;
+  genome::TilePlan ld_plan_;
+  std::optional<obs::ScopedSpan> ld_span_;
+  std::vector<std::optional<obs::ScopedSpan>> ld_combination_spans_;
+  std::vector<stats::LdWalk> ld_walks_;                // per combination
+  std::vector<std::vector<double>> ld_association_p_;  // per combination
+  std::vector<std::vector<HeldWindow>> ld_windows_;    // [tile][GDO]
+  std::vector<std::uint32_t> ld_windows_received_;     // per GDO
+  std::uint32_t next_ld_tile_ = 0;
+  bool ld_started_ = false;
+  std::map<std::uint32_t, PairMoments> rank_pairs_;
+  std::size_t ld_pairs_ = 0;
   /// Monotone id for MomentsRequests (one per fetch round, not per pair).
   std::uint32_t next_moments_request_ = 0;
 

@@ -62,4 +62,14 @@ double ld_p_value(const LdMoments& m) {
   return chi2_sf(statistic, 1.0);
 }
 
+std::vector<std::uint32_t> LdWalk::survivors(
+    const std::vector<std::uint32_t>& snps) const {
+  std::vector<std::uint32_t> kept;
+  if (snps.empty()) return kept;
+  kept.reserve(retained_.size() + 1);
+  for (std::uint32_t rank : retained_) kept.push_back(snps[rank]);
+  kept.push_back(snps[anchor_]);
+  return kept;
+}
+
 }  // namespace gendpr::stats

@@ -1,10 +1,12 @@
 // Linkage disequilibrium from distributable correlation moments.
 //
-// GenDPR's Phase 2 cannot pool genotypes, so each GDO ships the five sums of
+// GenDPR's Phase 2 cannot pool genotypes, so it works on the five sums of
 // §5.4 per SNP pair (mu_l, mu_{l+1}, mu_{l,l+1}, mu_{l^2}, mu_{(l+1)^2}) plus
-// its population size; moments are additive, so the leader aggregates them
-// and evaluates the squared Pearson correlation r^2 exactly as a centralized
-// holder of all genomes would. Significance: N * r^2 is asymptotically
+// the population size per GDO; moments are additive, so the leader
+// aggregates them and evaluates the squared Pearson correlation r^2 exactly
+// as a centralized holder of all genomes would. For binary genotypes a
+// GDO's sums follow from its allele counts and one co-occurrence count per
+// pair, which is all a member sends. Significance: N * r^2 is asymptotically
 // chi-squared with 1 dof, giving the p-value compared against the paper's
 // 1e-5 LD cut-off (small p-value = dependent pair).
 #pragma once
@@ -13,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/coro.hpp"
 #include "genome/bitplanes.hpp"
 #include "genome/genotype.hpp"
 
@@ -54,57 +55,66 @@ double ld_r2(const LdMoments& moments);
 /// P-value of the correlation (chi-squared approximation: n * r^2, 1 dof).
 double ld_p_value(const LdMoments& moments);
 
-/// Greedy LD pruning over an ordered SNP list (Algorithm 1 lines 28-57):
-/// walks adjacent pairs; an independent pair (p-value > cutoff) keeps the
-/// current SNP and advances; a dependent pair keeps only the better-ranked
-/// SNP (smaller association p-value) and continues the scan from the next
-/// position. `pair_p_value(a, b)` supplies the LD p-value of a pair and
-/// abstracts who owns the genomes (local matrix or federated aggregation).
-///
-/// This is the canonical (sans-IO) form: `pair_p_value` returns a
-/// `Task<double>`, so a federated caller may suspend mid-walk while member
-/// moments are in flight. The blocking wrapper below adapts synchronous
-/// p-value callbacks onto the same walk.
-template <typename AsyncPairPValueFn>
-common::Task<std::vector<std::uint32_t>> greedy_ld_prune_async(
-    std::vector<std::uint32_t> snps, double ld_cutoff,
-    std::vector<double> association_p_values, AsyncPairPValueFn pair_p_value) {
-  std::vector<std::uint32_t> retained;
-  if (snps.empty()) co_return retained;
-  if (snps.size() == 1) co_return snps;
+/// One greedy LD walk (Algorithm 1 lines 28-57) as explicit state over the
+/// ranks of an ordered SNP list: the rank of the current comparison anchor,
+/// the next rank to compare against it, and the ranks retained so far. Each
+/// step decides one adjacent-in-walk pair: an independent pair (p-value >
+/// cutoff) keeps the anchor and makes the next SNP the anchor; a dependent
+/// pair keeps only the better-ranked SNP (smaller association p-value) as
+/// the anchor. The state advances one rank per step, so a caller may move it
+/// over any rank range and suspend between steps (the federated leader walks
+/// every combination through one L' tile at a time).
+class LdWalk {
+ public:
+  explicit LdWalk(double ld_cutoff) noexcept : ld_cutoff_(ld_cutoff) {}
 
-  std::uint32_t current = snps[0];
-  for (std::size_t i = 1; i < snps.size(); ++i) {
-    const std::uint32_t next = snps[i];
-    const double p = co_await pair_p_value(current, next);
-    if (p > ld_cutoff) {
-      // Independent: current survives; next becomes the comparison anchor.
-      retained.push_back(current);
-      current = next;
-    } else {
+  /// The next pair to decide is (anchor(), next()), as ranks.
+  std::uint32_t anchor() const noexcept { return anchor_; }
+  std::uint32_t next() const noexcept { return next_; }
+
+  /// Decides the pair (anchor(), next()) from its LD p-value and the
+  /// association p-values of its two SNPs, then moves to the next rank.
+  void step(double pair_p_value, double anchor_association_p,
+            double next_association_p) {
+    if (pair_p_value > ld_cutoff_) {
+      // Independent: the anchor survives; next becomes the anchor.
+      retained_.push_back(anchor_);
+      anchor_ = next_;
+    } else if (next_association_p < anchor_association_p) {
       // Dependent: keep only the better-ranked of the two.
-      current = (association_p_values[next] < association_p_values[current])
-                    ? next
-                    : current;
+      anchor_ = next_;
     }
+    ++next_;
   }
-  retained.push_back(current);
-  co_return retained;
-}
 
-/// Blocking-callback adapter over greedy_ld_prune_async (local baselines and
-/// property tests; nothing in the adapted walk ever suspends).
+  /// The retained SNPs once every rank of `snps` was stepped.
+  std::vector<std::uint32_t> survivors(
+      const std::vector<std::uint32_t>& snps) const;
+
+ private:
+  double ld_cutoff_;
+  std::uint32_t anchor_ = 0;
+  std::uint32_t next_ = 1;
+  std::vector<std::uint32_t> retained_;  // ranks
+};
+
+/// Greedy LD pruning over an ordered SNP list with a blocking p-value
+/// callback: `pair_p_value(a, b)` supplies the LD p-value of a pair and
+/// abstracts who owns the genomes (local baselines, oracles, property
+/// tests). Runs the same LdWalk the federated leader drives tile by tile.
 template <typename PairPValueFn>
 std::vector<std::uint32_t> greedy_ld_prune(
     const std::vector<std::uint32_t>& snps, double ld_cutoff,
     const std::vector<double>& association_p_values,
     PairPValueFn&& pair_p_value) {
-  return common::run_sync(greedy_ld_prune_async(
-      snps, ld_cutoff, association_p_values,
-      [&pair_p_value](std::uint32_t a,
-                      std::uint32_t b) -> common::Task<double> {
-        co_return pair_p_value(a, b);
-      }));
+  LdWalk walk(ld_cutoff);
+  while (walk.next() < snps.size()) {
+    const std::uint32_t a = snps[walk.anchor()];
+    const std::uint32_t b = snps[walk.next()];
+    walk.step(pair_p_value(a, b), association_p_values[a],
+              association_p_values[b]);
+  }
+  return walk.survivors(snps);
 }
 
 }  // namespace gendpr::stats

@@ -20,6 +20,7 @@
 
 #include "gendpr/session.hpp"
 #include "genome/cohort.hpp"
+#include "obs/observability.hpp"
 #include "tee/attestation.hpp"
 
 namespace {
@@ -101,6 +102,10 @@ int main(int argc, char** argv) {
   }
   LeaderSession leader(*platforms[0], 0, 3, cohort.cases.slice_rows(0, 8),
                        cohort.controls, announce);
+  // Observed only to confirm the transcript reaches every handler; the
+  // recorded frames are the same either way.
+  gendpr::obs::Observability observability;
+  leader.set_observability(&observability);
   MemberSession member1(*platforms[1], 1, 0, cohort.cases.slice_rows(8, 16));
   MemberSession member2(*platforms[2], 2, 0, cohort.cases.slice_rows(16, 24));
   std::vector<ProtocolSession*> sessions{&leader, &member1, &member2};
@@ -137,6 +142,13 @@ int main(int argc, char** argv) {
                    session->status().error().to_string().c_str());
       return 1;
     }
+  }
+
+  // The leader's seeds must carry each member's LD window, or the fuzzer
+  // would start without a frame that reaches the window handler.
+  if (observability.metrics.counter("ld.window_tiles") < 2) {
+    std::fprintf(stderr, "clean run carried no LD window per member\n");
+    return 1;
   }
 
   // Full-conversation seed plus one seed per frame, per role.

@@ -150,6 +150,28 @@ TEST(FailureInjectionTest, OversizedSummaryRejected) {
   EXPECT_EQ(result.error().code, common::Errc::bad_message);
 }
 
+TEST(FailureInjectionTest, ForgedLdWindowCountRejected) {
+  // An honest summary, then an LD window whose first real count claims more
+  // co-carriers than either SNP has: the leader must reject it against the
+  // member's own phase-1 counts, naming the member.
+  LeaderFixture f;
+  auto leader = f.make_leader();
+  ScriptedMember::Script script = ScriptedMember::until_summary();
+  script.after_phase1 = [](GdoEnclave& enclave, tee::SecureChannel& channel) {
+    const genome::TilePlan plan = enclave.ld_plan();
+    LdWindow window = enclave.make_ld_window(plan.begin(0), plan.end(0), 0);
+    window.counts[kLdWindow] = 1000000;  // rank 1 with rank 0
+    return channel.seal(envelope(MsgType::ld_window, window.serialize()))
+        .value();
+  };
+  auto member = f.make_member(std::move(script));
+  const common::Status result = f.run(*leader, member.get());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, common::Errc::bad_message);
+  EXPECT_NE(result.error().message.find("gdo 1"), std::string::npos)
+      << result.error().to_string();
+}
+
 TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
   // A member that stops answering moments requests must never let zero
   // moments skew the aggregate: it is declared dead, and with no other
@@ -168,7 +190,7 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
 
   auto silent_fetch = [](const MomentsRequest&,
                          const std::vector<std::uint32_t>&) {
-    return std::vector<std::optional<stats::LdMoments>>{};  // no responses
+    return Coordinator::CoCounts{};  // no responses
   };
   const auto result = coordinator.run_ld_phase(silent_fetch);
   ASSERT_FALSE(result.ok());

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <map>
 
+#include "gendpr/baselines.hpp"
+#include "gendpr/messages.hpp"
 #include "gendpr/report.hpp"
 #include "obs/observability.hpp"
+#include "tee/epc_meter.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -213,11 +216,12 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
   }
 }
 
-TEST(FederationTest, LdRoundTripsEqualPairsFetchedOnCleanRun) {
-  // The first touch of a pair broadcasts to every live member, so on a run
-  // where no GDO dies each distinct pair costs exactly one round trip on
-  // the LD critical path, however many of the C(6, 4) = 15 combination
-  // walks read it, and each round trip asks all five members.
+TEST(FederationTest, LdPairsServedByWindowOrOneRoundTrip) {
+  // Every pair a walk evaluates is served either by the members' LD windows
+  // (pairs within kLdWindow ranks) or, on its first touch, by one round trip
+  // that asks all five members at once; however many of the C(6, 4) = 15
+  // combination walks read it, a pair costs at most one round trip on a run
+  // where no GDO dies.
   const genome::Cohort cohort = test_cohort();
   obs::Observability observability;
   FederationSpec spec;
@@ -230,10 +234,133 @@ TEST(FederationTest, LdRoundTripsEqualPairsFetchedOnCleanRun) {
   ASSERT_EQ(result.value().num_combinations, 15u);
   const auto& metrics = observability.metrics;
   const std::uint64_t pairs = metrics.counter("coordinator.ld_pairs_fetched");
+  const std::uint64_t windowed = metrics.counter("ld.window_pairs");
+  const std::uint64_t trips = metrics.counter("ld.round_trips");
   EXPECT_GT(pairs, 0u);
   EXPECT_EQ(pairs, result.value().ld_pairs_fetched);
-  EXPECT_EQ(metrics.counter("ld.round_trips"), pairs);
-  EXPECT_EQ(metrics.counter("coordinator.ld_member_requests"), 5 * pairs);
+  EXPECT_GT(windowed, 0u);
+  EXPECT_EQ(windowed + trips, pairs);
+  EXPECT_EQ(metrics.counter("coordinator.ld_member_requests"), 5 * trips);
+  // One window per member (tiling is off).
+  EXPECT_EQ(metrics.counter("ld.window_tiles"), 5u);
+}
+
+/// First SNP at or after `from` carried by at least a fifth of the cohort
+/// (it survives the MAF filter whichever way the cohort is split).
+std::size_t common_snp(const genome::Cohort& cohort, std::size_t from) {
+  const std::size_t n = cohort.cases.num_individuals() +
+                        cohort.controls.num_individuals();
+  for (std::size_t snp = from; snp < cohort.cases.num_snps(); ++snp) {
+    std::size_t carriers = 0;
+    for (const genome::GenotypeMatrix* m : {&cohort.cases, &cohort.controls}) {
+      for (std::size_t i = 0; i < m->num_individuals(); ++i) {
+        carriers += m->get(i, snp) ? 1 : 0;
+      }
+    }
+    if (5 * carriers >= n) return snp;
+  }
+  return cohort.cases.num_snps();
+}
+
+/// Overwrites SNPs [first, first + length) with copies of SNP `first` in
+/// every genome, cases and reference alike: a run of `length` adjacent L'
+/// ranks that are pairwise dependent and tie on association, so the walk's
+/// anchor stays on the run's first SNP while the partner moves up to
+/// length - 1 ranks away.
+void copy_snp_run(genome::Cohort& cohort, std::size_t first,
+                  std::size_t length) {
+  for (genome::GenotypeMatrix* m : {&cohort.cases, &cohort.controls}) {
+    for (std::size_t i = 0; i < m->num_individuals(); ++i) {
+      const bool minor = m->get(i, first);
+      for (std::size_t snp = first + 1; snp < first + length; ++snp) {
+        m->set(i, snp, minor);
+      }
+    }
+  }
+}
+
+TEST(FederationTest, DependentRunBeyondWindowFallsBackToFetch) {
+  // Two dependent runs longer than the LD window: one of kLdWindow + 2 SNPs
+  // (its last partner sits exactly one rank past the window) and one of
+  // kLdWindow + 6. Their far pairs must go through the fetch, and the walk
+  // must still select exactly what the centralized baseline selects, with
+  // the windows whole or split into tiles.
+  genome::Cohort cohort = test_cohort();
+  const std::size_t short_run = common_snp(cohort, 20);
+  copy_snp_run(cohort, short_run, kLdWindow + 2);
+  const std::size_t long_run = common_snp(cohort, short_run + 30);
+  copy_snp_run(cohort, long_run, kLdWindow + 6);
+  ASSERT_LT(long_run + kLdWindow + 6, cohort.cases.num_snps());
+
+  const BaselineResult centralized = run_centralized(cohort, StudyConfig{});
+  const auto& l_prime = centralized.outcome.l_prime;
+  for (std::size_t snp = short_run; snp < long_run + kLdWindow + 6; ++snp) {
+    if (snp >= short_run + kLdWindow + 2 && snp < long_run) continue;
+    ASSERT_TRUE(std::binary_search(l_prime.begin(), l_prime.end(),
+                                   static_cast<std::uint32_t>(snp)))
+        << "run SNP " << snp << " filtered before the LD phase";
+  }
+
+  for (std::uint32_t width : {0u, 16u}) {
+    obs::Observability observability;
+    FederationSpec spec;
+    spec.num_gdos = 3;
+    spec.config.snp_tile_width = width;
+    spec.obs = &observability;
+    const auto result = run_federated_study(cohort, spec);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    const auto& metrics = observability.metrics;
+    EXPECT_GT(metrics.counter("ld.round_trips"), 0u) << "width " << width;
+    EXPECT_EQ(metrics.counter("ld.window_pairs") +
+                  metrics.counter("ld.round_trips"),
+              metrics.counter("coordinator.ld_pairs_fetched"))
+        << "width " << width;
+    const auto& outcome = result.value().outcome;
+    EXPECT_EQ(outcome.l_prime, centralized.outcome.l_prime);
+    EXPECT_EQ(outcome.l_double_prime, centralized.outcome.l_double_prime)
+        << "width " << width;
+    EXPECT_EQ(outcome.l_safe, centralized.outcome.l_safe) << "width " << width;
+  }
+}
+
+TEST(FederationTest, MemberOutOfEpcMidStudyEndsTheStudy) {
+  // A member that runs out of EPC building its full-width LD window fails on
+  // its own, mid-study. With no receive timeout set, the leader must learn
+  // of it as of a dropped connection instead of waiting forever, and the
+  // study reports the member's capacity_exceeded. The limit sits between
+  // the tiled run's largest peak and the monolithic members' peak, so the
+  // tiled run still completes under it.
+  const genome::Cohort cohort = test_cohort(60, 60, 600, 21);
+  auto run_with = [&](std::uint32_t width, std::uint64_t limit) {
+    FederationSpec spec;
+    spec.num_gdos = 3;
+    spec.config.snp_tile_width = width;
+    spec.epc_limit = limit;
+    return run_federated_study(cohort, spec);
+  };
+  const auto tiled = run_with(16, tee::EpcMeter::kDefaultLimitBytes);
+  ASSERT_TRUE(tiled.ok()) << tiled.error().to_string();
+  const auto mono = run_with(0, tee::EpcMeter::kDefaultLimitBytes);
+  ASSERT_TRUE(mono.ok()) << mono.error().to_string();
+  const std::uint64_t tiled_peak =
+      *std::max_element(tiled.value().epc_peak_per_gdo.begin(),
+                        tiled.value().epc_peak_per_gdo.end());
+  std::uint64_t mono_member_peak = 0;
+  for (std::uint32_t g = 0; g < 3; ++g) {
+    if (g == mono.value().leader_gdo) continue;
+    mono_member_peak =
+        std::max(mono_member_peak, mono.value().epc_peak_per_gdo[g]);
+  }
+  ASSERT_LT(tiled_peak, mono_member_peak);
+  const std::uint64_t limit = (tiled_peak + mono_member_peak) / 2;
+
+  const auto tiled_pinched = run_with(16, limit);
+  ASSERT_TRUE(tiled_pinched.ok()) << tiled_pinched.error().to_string();
+  EXPECT_EQ(tiled_pinched.value().outcome.l_safe, mono.value().outcome.l_safe);
+  const auto mono_pinched = run_with(0, limit);
+  ASSERT_FALSE(mono_pinched.ok());
+  EXPECT_EQ(mono_pinched.error().code, common::Errc::capacity_exceeded)
+      << mono_pinched.error().to_string();
 }
 
 TEST(FederationTest, UnobservedRunRecordsNothing) {

@@ -51,11 +51,52 @@ TEST(MessagesTest, MomentsRequestResponseRoundTrip) {
 
   MomentsResponse response;
   response.request_id = 17;
-  response.moments = {10.0, 20.0, 5.0, 10.0, 20.0, 100};
-  const auto restored = MomentsResponse::deserialize(response.serialize());
+  response.co_count = 5;
+  const common::Bytes encoded = response.serialize();
+  EXPECT_EQ(encoded.size(), 8u);  // request id + one u32 count
+  const auto restored = MomentsResponse::deserialize(encoded);
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value().moments.mu_xy, 5.0);
-  EXPECT_EQ(restored.value().moments.n, 100u);
+  EXPECT_EQ(restored.value().request_id, 17u);
+  EXPECT_EQ(restored.value().co_count, 5u);
+}
+
+TEST(MessagesTest, LdWindowRoundTrip) {
+  LdWindow msg;
+  msg.tile_index = 3;
+  msg.counts.assign(2 * kLdWindow, 0);
+  msg.counts[kLdWindow] = 7;
+  msg.counts.back() = 0xffffffffu;
+  const common::Bytes encoded = msg.serialize();
+  EXPECT_EQ(encoded.size(), msg.encoded_size());
+  const auto restored = LdWindow::deserialize(encoded);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value().tile_index, 3u);
+  EXPECT_EQ(restored.value().counts, msg.counts);
+
+  const auto opened = open_envelope(envelope(MsgType::ld_window, encoded));
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(opened.value().first, MsgType::ld_window);
+}
+
+TEST(MessagesTest, LdWindowMalformedRejected) {
+  LdWindow msg;
+  msg.tile_index = 1;
+  msg.counts = {1, 2, 3};
+  const common::Bytes full = msg.serialize();
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    EXPECT_FALSE(
+        LdWindow::deserialize(common::BytesView(full.data(), len)).ok())
+        << "truncation to " << len << " accepted";
+  }
+  common::Bytes trailing = full;
+  trailing.push_back(0);
+  EXPECT_FALSE(LdWindow::deserialize(trailing).ok());
+
+  // A count vector longer than the body must fail cleanly, not allocate.
+  wire::Writer w;
+  w.u32(0);
+  w.varint(0xffffffffu);
+  EXPECT_FALSE(LdWindow::deserialize(w.buffer()).ok());
 }
 
 TEST(MessagesTest, Phase2ResultRoundTrip) {
@@ -225,6 +266,10 @@ TEST(MessagesTest, EmptyEnvelopeRejected) {
 TEST(MessagesTest, UnknownTypeRejected) {
   const common::Bytes bad = {0x77, 1, 2};
   EXPECT_FALSE(open_envelope(bad).ok());
+  const common::Bytes past_last = {
+      static_cast<std::uint8_t>(static_cast<std::uint8_t>(MsgType::ld_window) +
+                                1)};
+  EXPECT_FALSE(open_envelope(past_last).ok());
   const common::Bytes zero = {0x00};
   EXPECT_FALSE(open_envelope(zero).ok());
 }

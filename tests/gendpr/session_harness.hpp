@@ -110,6 +110,9 @@ class ScriptedMember : public ProtocolSession {
     std::optional<common::Bytes> raw_handshake;
     Stop stop = Stop::after_reply;
     Reply reply;
+    /// When set, the script also takes the leader's Phase1Result into the
+    /// enclave and then sends this record (built like `reply`).
+    Reply after_phase1;
   };
 
   ScriptedMember(tee::Platform& platform, std::uint32_t gdo,
@@ -183,6 +186,25 @@ class ScriptedMember : public ProtocolSession {
     }
 
     queue_frame(leader_gdo_, script_.reply(enclave_, *channel));
+    (void)co_await flush_sends();
+    if (!script_.after_phase1) co_return common::Status::success();
+
+    Event phase1_record = co_await wait_input();
+    while (phase1_record.kind == Event::Kind::wake) {
+      phase1_record = co_await wait_input();
+    }
+    if (phase1_record.kind != Event::Kind::frame) {
+      co_return common::make_error(common::Errc::state_violation,
+                                   "scripted member: no phase-1 result");
+    }
+    auto phase1_plaintext = channel->open(phase1_record.payload);
+    if (!phase1_plaintext.ok()) co_return phase1_plaintext.error();
+    auto phase1_opened = open_envelope(phase1_plaintext.value());
+    if (!phase1_opened.ok()) co_return phase1_opened.error();
+    auto phase1 = Phase1Result::deserialize(phase1_opened.value().second);
+    if (!phase1.ok()) co_return phase1.error();
+    if (auto s = enclave_.on_phase1(phase1.value()); !s.ok()) co_return s;
+    queue_frame(leader_gdo_, script_.after_phase1(enclave_, *channel));
     (void)co_await flush_sends();
     co_return common::Status::success();
   }

@@ -124,9 +124,10 @@ TEST(SessionTest, GoldenTranscriptMatchesInProcessRun) {
   EXPECT_EQ(transcript[0].to, 0u);
   EXPECT_EQ(transcript[1].to, 0u);
 
-  // Per member: every leader request except phase1/phase3 draws a reply, so
-  // the leader sends exactly two more frames than it receives (handshake
-  // reply, announce, k moments requests, phase2, phase1+phase3 unanswered).
+  // Per member: every leader frame but phase 3 draws exactly one reply
+  // (handshake, summary for the announce, LD window for phase 1, one count
+  // per moments request, planes for phase 2), so the leader sends exactly
+  // one more frame than it receives.
   for (std::uint32_t member : {1u, 2u}) {
     std::size_t to_member = 0;
     std::size_t from_member = 0;
@@ -134,7 +135,7 @@ TEST(SessionTest, GoldenTranscriptMatchesInProcessRun) {
       if (entry.to == member) ++to_member;
       if (entry.from == member) ++from_member;
     }
-    EXPECT_EQ(to_member, from_member + 2) << "member " << member;
+    EXPECT_EQ(to_member, from_member + 1) << "member " << member;
   }
 
   // The step-driven outcome is the same study the in-process fabric runs.

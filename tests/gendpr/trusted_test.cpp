@@ -298,7 +298,7 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   EXPECT_FALSE(phase1.value().retained.empty());
 
   auto fetch = [](const MomentsRequest&, const std::vector<std::uint32_t>&) {
-    return std::vector<std::optional<stats::LdMoments>>{};
+    return Coordinator::CoCounts{};
   };
   const auto phase2 = coordinator.run_ld_phase(fetch);
   ASSERT_TRUE(phase2.ok());
@@ -323,8 +323,8 @@ TEST(CoordinatorTest, LrMatrixValidation) {
   ASSERT_TRUE(coordinator.add_summary(1, member_stats).ok());
   ASSERT_TRUE(coordinator.run_maf_phase().ok());
   auto fetch = [&](const MomentsRequest&, const std::vector<std::uint32_t>&) {
-    std::vector<std::optional<stats::LdMoments>> per_gdo(2);
-    per_gdo[1] = stats::LdMoments{5, 5, 1, 5, 5, 50};
+    Coordinator::CoCounts per_gdo(2);
+    per_gdo[1] = 1;
     return per_gdo;
   };
   ASSERT_TRUE(coordinator.run_ld_phase(fetch).ok());
@@ -378,8 +378,8 @@ struct PlaneGather {
     EXPECT_TRUE(member.on_phase1(phase1.value()).ok());
     auto fetch = [this](const MomentsRequest& request,
                         const std::vector<std::uint32_t>&) {
-      std::vector<std::optional<stats::LdMoments>> per_gdo(2);
-      per_gdo[1] = member.on_moments_request(request).value().moments;
+      Coordinator::CoCounts per_gdo(2);
+      per_gdo[1] = member.on_moments_request(request).value().co_count;
       return per_gdo;
     };
     EXPECT_TRUE(coordinator->run_ld_phase(fetch).ok());
@@ -454,6 +454,189 @@ TEST(CoordinatorTest, LrPlanesRepeatedTileRejected) {
   gather.expect_rejected(gather.replies[0], "repeated");
 }
 
+/// A leader and one honest member through phase 1 (tile width 8), plus the
+/// member's honest LD window for every L' tile. Shared by the window tests
+/// below.
+struct WindowGather {
+  Fixture f;
+  GdoEnclave leader{f.platform, 0};
+  GdoEnclave member{f.platform, 1};
+  std::optional<Coordinator> coordinator;
+  std::vector<LdWindow> windows;
+  /// Pairs the fetch was asked for (empty when no fetch happened).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> fetched;
+
+  WindowGather() {
+    EXPECT_TRUE(
+        leader.provision_dataset(f.cohort.cases.slice_rows(0, 130)).ok());
+    EXPECT_TRUE(
+        member.provision_dataset(f.cohort.cases.slice_rows(130, 300)).ok());
+    StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
+    announce.config.snp_tile_width = 8;
+    coordinator.emplace(leader, f.cohort.controls, 2, announce);
+    EXPECT_TRUE(member.on_study_announce(announce).ok());
+    const genome::TilePlan& maf_plan = coordinator->maf_plan();
+    for (std::uint32_t k = 0; k < maf_plan.tile_count(); ++k) {
+      EXPECT_TRUE(coordinator
+                      ->add_summary(1, member.make_summary_tile(
+                                           maf_plan.begin(k), maf_plan.end(k),
+                                           k))
+                      .ok());
+    }
+    const auto phase1 = coordinator->run_maf_phase();
+    EXPECT_TRUE(phase1.ok());
+    EXPECT_TRUE(member.on_phase1(phase1.value()).ok());
+    const genome::TilePlan plan = member.ld_plan();
+    EXPECT_EQ(plan.tile_count(), coordinator->ld_plan().tile_count());
+    for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
+      windows.push_back(member.make_ld_window(plan.begin(k), plan.end(k), k));
+    }
+  }
+
+  /// The member answering every fetched pair honestly.
+  Coordinator::FetchMoments honest_fetch() {
+    return [this](const MomentsRequest& request,
+                  const std::vector<std::uint32_t>&) {
+      fetched.emplace_back(request.snp_a, request.snp_b);
+      Coordinator::CoCounts per_gdo(2);
+      per_gdo[1] = member.on_moments_request(request).value().co_count;
+      return per_gdo;
+    };
+  }
+
+  /// Expects `window` to be refused as bad_message naming GDO 1, with `why`
+  /// in the reason.
+  void expect_rejected(const LdWindow& window, const std::string& why) {
+    const common::Status status = coordinator->add_ld_window(1, window);
+    ASSERT_FALSE(status.ok()) << why;
+    EXPECT_EQ(status.error().code, common::Errc::bad_message);
+    EXPECT_NE(status.error().message.find("gdo 1"), std::string::npos)
+        << status.error().message;
+    EXPECT_NE(status.error().message.find(why), std::string::npos)
+        << status.error().message;
+  }
+};
+
+TEST(CoordinatorTest, LdWindowsServeInWindowPairsWithTheSameSelection) {
+  WindowGather windowed;
+  ASSERT_GT(windowed.windows.size(), 1u);
+  for (const LdWindow& window : windowed.windows) {
+    ASSERT_TRUE(windowed.coordinator->add_ld_window(1, window).ok());
+  }
+  EXPECT_TRUE(windowed.coordinator->ld_windows_complete(1));
+  const auto with_windows =
+      windowed.coordinator->run_ld_phase(windowed.honest_fetch());
+  ASSERT_TRUE(with_windows.ok()) << with_windows.error().to_string();
+
+  // The same study walked through the fetch alone.
+  WindowGather fetch_only;
+  const auto without_windows =
+      fetch_only.coordinator->run_ld_phase(fetch_only.honest_fetch());
+  ASSERT_TRUE(without_windows.ok());
+  EXPECT_EQ(with_windows.value().retained, without_windows.value().retained);
+  EXPECT_EQ(windowed.coordinator->ld_pairs_fetched(),
+            fetch_only.coordinator->ld_pairs_fetched());
+  EXPECT_EQ(fetch_only.fetched.size(),
+            fetch_only.coordinator->ld_pairs_fetched());
+  // Only pairs further apart than the window were fetched.
+  EXPECT_LT(windowed.fetched.size(), fetch_only.fetched.size());
+  const auto& l_prime = windowed.coordinator->outcome().l_prime;
+  for (const auto& [a, b] : windowed.fetched) {
+    const auto rank = [&](std::uint32_t snp) {
+      return std::lower_bound(l_prime.begin(), l_prime.end(), snp) -
+             l_prime.begin();
+    };
+    EXPECT_GT(rank(b) - rank(a), static_cast<std::ptrdiff_t>(kLdWindow));
+  }
+}
+
+TEST(CoordinatorTest, LdWindowForgedCountRejected) {
+  WindowGather gather;
+  LdWindow forged = gather.windows[0];
+  // Rank 1's count with rank 0 exceeds either SNP's phase-1 count.
+  forged.counts[kLdWindow] = 1000000;
+  gather.expect_rejected(forged, "disagrees with the phase-1 counts");
+}
+
+TEST(CoordinatorTest, LdWindowShortRejected) {
+  WindowGather gather;
+  LdWindow short_window = gather.windows[0];
+  short_window.counts.pop_back();
+  gather.expect_rejected(short_window, "size");
+}
+
+TEST(CoordinatorTest, LdWindowPaddingRejected) {
+  WindowGather gather;
+  LdWindow padded = gather.windows[0];
+  padded.counts[0] = 1;  // rank 0 has no partner one rank back
+  gather.expect_rejected(padded, "padding");
+}
+
+TEST(CoordinatorTest, LdWindowRepeatedTileRejected) {
+  WindowGather gather;
+  ASSERT_TRUE(gather.coordinator->add_ld_window(1, gather.windows[0]).ok());
+  gather.expect_rejected(gather.windows[0], "repeated");
+}
+
+TEST(CoordinatorTest, LdWindowOutOfOrderOrRangeRejected) {
+  WindowGather gather;
+  gather.expect_rejected(gather.windows[1], "out of order");
+  LdWindow beyond = gather.windows[0];
+  beyond.tile_index = static_cast<std::uint32_t>(gather.windows.size());
+  gather.expect_rejected(beyond, "out of range");
+}
+
+TEST(CoordinatorTest, LdWindowBeforePhase1ResultRejected) {
+  Fixture f;
+  GdoEnclave leader(f.platform, 0);
+  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
+  Coordinator coordinator(leader, f.cohort.controls, 2,
+                          f.make_announce(2, CollusionPolicy::none()));
+  const common::Status status = coordinator.add_ld_window(1, LdWindow{});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, common::Errc::bad_message);
+  EXPECT_NE(status.error().message.find("gdo 1"), std::string::npos);
+  EXPECT_NE(status.error().message.find("before the phase-1 result"),
+            std::string::npos)
+      << status.error().message;
+}
+
+TEST(CoordinatorTest, LdWindowFromDeadGdoDropped) {
+  WindowGather gather;
+  ASSERT_TRUE(gather.coordinator->mark_gdo_dead(1).ok());
+  EXPECT_TRUE(gather.coordinator->add_ld_window(1, gather.windows[0]).ok());
+  EXPECT_FALSE(gather.coordinator->ld_windows_complete(1));
+}
+
+TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
+  // Member summary: every SNP carried by 30 of 50 cases, so a pair's
+  // co-occurrence count must lie in [30 + 30 - 50, 30] = [10, 30].
+  for (const std::uint32_t co : {9u, 31u}) {
+    Fixture f;
+    GdoEnclave leader(f.platform, 0);
+    ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
+    Coordinator coordinator(leader, f.cohort.controls, 2,
+                            f.make_announce(2, CollusionPolicy::none()));
+    SummaryStats member_stats;
+    member_stats.case_counts.assign(f.cohort.cases.num_snps(), 30);
+    member_stats.n_case = 50;
+    ASSERT_TRUE(coordinator.add_summary(1, member_stats).ok());
+    ASSERT_TRUE(coordinator.run_maf_phase().ok());
+    auto fetch = [co](const MomentsRequest&,
+                      const std::vector<std::uint32_t>&) {
+      Coordinator::CoCounts per_gdo(2);
+      per_gdo[1] = co;
+      return per_gdo;
+    };
+    const auto result = coordinator.run_ld_phase(fetch);
+    ASSERT_FALSE(result.ok()) << "co-count " << co << " accepted";
+    EXPECT_EQ(result.error().code, common::Errc::bad_message);
+    EXPECT_NE(result.error().message.find("gdo 1"), std::string::npos)
+        << result.error().message;
+    EXPECT_TRUE(coordinator.dead_gdos().empty());
+  }
+}
+
 /// Three-GDO coordinator with identical member summaries: every combination
 /// ranks SNPs identically, so the greedy walks of {0,1} and {0,2} visit the
 /// same pairs and the second walk hits moments_cache_ entries created by the
@@ -490,10 +673,10 @@ TEST(CoordinatorTest, StaleMomentsSlotRefetchedForLiveMember) {
   auto fetch = [&](const MomentsRequest&,
                    const std::vector<std::uint32_t>& targets) {
     calls.push_back(targets);
-    std::vector<std::optional<stats::LdMoments>> per_gdo(3);
+    Coordinator::CoCounts per_gdo(3);
     for (std::uint32_t g : targets) {
       if (calls.size() == 1 && g == 2) continue;  // drop GDO 2's response
-      per_gdo[g] = stats::LdMoments{5, 5, 1, 5, 5, 50};
+      per_gdo[g] = 1;
     }
     return per_gdo;
   };

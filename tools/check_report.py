@@ -280,22 +280,26 @@ def check_wire_counters(doc, study, tiles, degraded):
 
 
 def check_ld_counters(doc, degraded):
-    """LD-phase round trips over the exported counters.
+    """LD-phase pair accounting over the exported counters.
 
-    The first touch of a SNP pair asks every live member at once, and later
-    combinations read the pair from the leader's cache, so a clean run makes
-    exactly one round trip per distinct pair:
-        ld.round_trips == coordinator.ld_pairs_fetched
+    Members push the co-occurrence counts of every pair within the LD window
+    unasked, and a pair further apart costs one round trip on its first
+    touch, which asks every live member at once; later combinations read the
+    pair from the leader's cache. So on a clean run every distinct pair is
+    served exactly once, by a window or by one round trip:
+        ld.window_pairs + ld.round_trips == coordinator.ld_pairs_fetched
     A degraded run may add targeted refetches, so only clean runs are pinned.
     """
     counters = doc.get("metrics", {}).get("counters", {})
     if degraded or "coordinator.ld_pairs_fetched" not in counters:
         return
     pairs = counters["coordinator.ld_pairs_fetched"]
+    windowed = counters.get("ld.window_pairs", 0)
     trips = counters.get("ld.round_trips", 0)
     require(
-        trips == pairs,
-        f"clean run made {trips} LD round trips for {pairs} distinct pairs",
+        windowed + trips == pairs,
+        f"clean run served {pairs} distinct LD pairs with {windowed} window "
+        f"pairs and {trips} round trips",
     )
 
 
