@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/error.hpp"
+
 namespace gendpr::core {
 
 /// Thresholds controlling the three verification phases. Defaults are the
@@ -28,6 +30,12 @@ struct StudyConfig {
 
   bool operator==(const StudyConfig&) const = default;
 };
+
+/// Success when all four thresholds are finite and the LR false-positive
+/// rate and power limit lie in [0, 1]; otherwise invalid_argument naming
+/// the first field out of domain. The CLI, run_federated_study and the
+/// leader session check it before a study starts.
+common::Status validate(const StudyConfig& config);
 
 /// Collusion-tolerance policy (§5.6).
 struct CollusionPolicy {

@@ -370,6 +370,9 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
     return common::make_error(common::Errc::invalid_argument,
                               "federation needs at least one GDO");
   }
+  if (common::Status valid = validate(spec.config); !valid.ok()) {
+    return valid.error();
+  }
   obs::ScopedSpan study_span(obs::recorder_of(spec.obs), "study");
   obs::ScopedSpan setup_span(obs::recorder_of(spec.obs), "step.setup",
                              study_span.id());

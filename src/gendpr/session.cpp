@@ -699,6 +699,9 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   const crypto::AeadCounters aead_before = crypto::aead_counters();
   PhaseTimings timings;
 
+  if (Status valid = validate(coordinator_.announce().config); !valid.ok()) {
+    co_return valid.error();
+  }
   if (!provision_status_.ok()) co_return provision_status_.error();
   {
     const obs::ScopedSpan handshake_span(obs::recorder_of(obs_),

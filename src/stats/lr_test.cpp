@@ -1,7 +1,9 @@
 #include "stats/lr_test.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -117,6 +119,21 @@ PlaneBlock plane_block(const genome::BitPlanes& planes,
   return block;
 }
 
+namespace {
+
+/// 1-based rank of the (1 - fpr) empirical quantile among n > 0 reference
+/// scores, clamped to [1, n]. The clamp happens before the cast, so an FPR
+/// outside [0, 1] (or NaN) cannot overflow the conversion.
+std::size_t quantile_rank(double false_positive_rate, std::size_t n) {
+  const double rank =
+      std::ceil((1.0 - false_positive_rate) * static_cast<double>(n));
+  if (!(rank > 1.0)) return 1;
+  if (rank >= static_cast<double>(n)) return n;
+  return static_cast<std::size_t>(rank);
+}
+
+}  // namespace
+
 double detection_power(const std::vector<double>& case_scores,
                        const std::vector<double>& reference_scores,
                        double false_positive_rate, double* threshold_out,
@@ -127,14 +144,11 @@ double detection_power(const std::vector<double>& case_scores,
   }
   // Threshold: smallest reference score such that the fraction of reference
   // scores strictly above it is <= fpr, i.e. the (1-fpr) empirical quantile.
-  // nth_element instead of a full sort: this runs once per candidate SNP in
-  // the selection loop and dominates the LR phase at paper scale.
+  // nth_element instead of a full sort: the matrix selection calls this once
+  // per candidate SNP.
   scratch.assign(reference_scores.begin(), reference_scores.end());
-  const std::size_t n_ref = scratch.size();
-  std::size_t idx = static_cast<std::size_t>(
-      std::ceil((1.0 - false_positive_rate) * static_cast<double>(n_ref)));
-  if (idx == 0) idx = 1;
-  if (idx > n_ref) idx = n_ref;
+  const std::size_t idx =
+      quantile_rank(false_positive_rate, scratch.size());
   std::nth_element(scratch.begin(), scratch.begin() + (idx - 1),
                    scratch.end());
   const double threshold = scratch[idx - 1];
@@ -162,7 +176,7 @@ namespace {
 /// contiguous row segments, small enough to spread blocks across the pool.
 constexpr std::size_t kGapColumnBlock = 64;
 
-/// Minimum rows before per-candidate score updates are worth fanning out.
+/// Minimum rows before the matrix path fans a candidate's score update out.
 constexpr std::size_t kParallelRowThreshold = 4096;
 
 /// LR cells read straight from a materialized matrix.
@@ -207,8 +221,14 @@ struct PlaneSource {
   void sum_columns(std::size_t col_begin, std::size_t col_end,
                    double* sums) const {
     const std::size_t width = col_end - col_begin;
-    const double* minor = weights.when_minor.data() + col_begin;
-    const double* major = weights.when_major.data() + col_begin;
+    std::uint64_t minor[kGapColumnBlock];
+    std::uint64_t major[kGapColumnBlock];
+    for (std::size_t i = 0; i < width; ++i) {
+      minor[i] = std::bit_cast<std::uint64_t>(
+          weights.when_minor[col_begin + i]);
+      major[i] = std::bit_cast<std::uint64_t>(
+          weights.when_major[col_begin + i]);
+    }
     std::uint64_t words[kGapColumnBlock];
     for (const PlaneBlock& block : blocks) {
       for (std::size_t base = 0; base < block.rows; base += 64) {
@@ -218,30 +238,12 @@ struct PlaneSource {
         const std::size_t bits = std::min<std::size_t>(64, block.rows - base);
         for (std::size_t k = 0; k < bits; ++k) {
           for (std::size_t i = 0; i < width; ++i) {
-            sums[i] += ((words[i] >> k) & 1) != 0 ? minor[i] : major[i];
+            const std::uint64_t take_minor = 0 - ((words[i] >> k) & 1);
+            sums[i] += std::bit_cast<double>((minor[i] & take_minor) |
+                                             (major[i] & ~take_minor));
           }
         }
       }
-    }
-  }
-
-  void add_column(std::uint32_t c, double sign, double* sums,
-                  std::size_t row_begin, std::size_t row_end) const {
-    // sign is +-1, so these products are exact: each add below equals the
-    // matrix path's sums[r] += sign * cell.
-    const double minor = sign * weights.when_minor[c];
-    const double major = sign * weights.when_major[c];
-    std::size_t offset = 0;
-    for (const PlaneBlock& block : blocks) {
-      const std::size_t lo = std::max(row_begin, offset);
-      const std::size_t hi = std::min(row_end, offset + block.rows);
-      const std::uint64_t* column = block.columns[c];
-      for (std::size_t r = lo; r < hi; ++r) {
-        const std::size_t local = r - offset;
-        sums[r] += ((column[local / 64] >> (local % 64)) & 1) != 0 ? minor
-                                                                   : major;
-      }
-      offset += block.rows;
     }
   }
 };
@@ -249,8 +251,7 @@ struct PlaneSource {
 /// Adds (sign = +1) or rolls back (sign = -1) column `candidate` into the
 /// per-individual running scores. Rows are independent, so splitting them
 /// across the pool cannot change any result bit.
-template <typename Source>
-void apply_candidate(const Source& source, std::uint32_t candidate,
+void apply_candidate(const MatrixSource& source, std::uint32_t candidate,
                      double sign, std::vector<double>& sums,
                      common::ThreadPool* pool) {
   const std::size_t rows = source.rows();
@@ -269,19 +270,16 @@ void apply_candidate(const Source& source, std::uint32_t candidate,
   });
 }
 
-/// The safe-subset search over any cell source. Per-column means accumulate
-/// in ascending row order within each column block, so the gap pass is
-/// bit-identical however many blocks run concurrently.
+/// Column order of the greedy admission: ascending gap between the mean
+/// case and mean reference LR contribution (each SNP's identifying power
+/// alone), ties by column. Per-column means accumulate in ascending row
+/// order within each column block, so the order is bit-identical however
+/// many blocks run concurrently.
 template <typename Source>
-LrSelectionResult greedy_select(const Source& cases, const Source& reference,
-                                std::size_t cols,
-                                const LrSelectionParams& params,
-                                common::ThreadPool* pool) {
-  LrSelectionResult result;
-  if (cols == 0) return result;
-
-  // Identifying power of each SNP alone: the gap between the mean case and
-  // mean reference LR contribution. Low-gap SNPs are admitted first.
+std::vector<std::uint32_t> admission_order(const Source& cases,
+                                           const Source& reference,
+                                           std::size_t cols,
+                                           common::ThreadPool* pool) {
   std::vector<double> case_means(cols, 0.0);
   std::vector<double> ref_means(cols, 0.0);
   const auto column_means = [cols](const Source& source, std::size_t begin,
@@ -316,6 +314,20 @@ LrSelectionResult greedy_select(const Source& cases, const Source& reference,
                      if (gap[a] != gap[b]) return gap[a] < gap[b];
                      return a < b;  // deterministic tie-break
                    });
+  return order;
+}
+
+/// The safe-subset search over a materialized matrix: per-row running sums
+/// and an nth_element quantile per candidate.
+LrSelectionResult matrix_select(const MatrixSource& cases,
+                                const MatrixSource& reference,
+                                std::size_t cols,
+                                const LrSelectionParams& params,
+                                common::ThreadPool* pool) {
+  LrSelectionResult result;
+  if (cols == 0) return result;
+  const std::vector<std::uint32_t> order =
+      admission_order(cases, reference, cols, pool);
 
   // Greedy forward admission with incremental per-individual sums.
   std::vector<double> case_sums(cases.rows(), 0.0);
@@ -351,6 +363,212 @@ LrSelectionResult greedy_select(const Source& cases, const Source& reference,
   return result;
 }
 
+/// One reference individual's running LR score.
+struct RankedScore {
+  double score;
+  std::uint32_t row;
+};
+
+/// The reference scores kept in ascending order across candidates. A
+/// candidate adds one of two weights to every score, chosen by the row's
+/// bit; rounded addition is monotone, so each bit class keeps its relative
+/// order and one stable partition plus one merge re-sorts the whole array.
+/// Scores must be finite: the merge's sentinels are the two infinities.
+class SortedReference {
+ public:
+  SortedReference(const PlaneBlock& block, const LrWeights& weights)
+      : block_(block),
+        weights_(weights),
+        ranked_(block.rows),
+        runs_(block.rows + 4) {
+    for (std::size_t r = 0; r < ranked_.size(); ++r) {
+      ranked_[r] = {0.0, static_cast<std::uint32_t>(r)};
+    }
+  }
+
+  /// Adds column c's weights into the runs buffer, partitioned by bit:
+  ///   [-inf] [ones ascending] [+inf] [+inf] [zeros descending] [-inf]
+  /// Both runs are stable, so both stay sorted. The sorted array is left
+  /// as it was until commit() or roll_back().
+  void stage(std::uint32_t c) {
+    const std::uint64_t* bits = block_.columns[c];
+    const double weight[2] = {weights_.when_major[c], weights_.when_minor[c]};
+    const std::size_t n = ranked_.size();
+    std::size_t front = 1;
+    std::size_t back = n + 2;
+    for (const RankedScore& entry : ranked_) {
+      const std::uint64_t bit = (bits[entry.row / 64] >> (entry.row % 64)) & 1;
+      const RankedScore moved{entry.score + weight[bit], entry.row};
+      // Both slots lie in the unfilled gap [front, back]; only the one
+      // whose cursor advances keeps this entry.
+      runs_[front] = moved;
+      runs_[back] = moved;
+      front += bit;
+      back -= 1 - bit;
+    }
+    ones_ = front - 1;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    runs_[0].score = -kInf;
+    runs_[ones_ + 1].score = kInf;
+    runs_[ones_ + 2].score = kInf;
+    runs_[n + 3].score = -kInf;
+  }
+
+  /// The k-th smallest (1-based) staged score: the same multiset and order
+  /// statistic as sorting the staged scores and reading [k - 1]. Binary
+  /// search for how many of the k smallest come from the ones run.
+  double staged_kth(std::size_t k) const {
+    const std::size_t zeros = ranked_.size() - ones_;
+    std::size_t lo = k > zeros ? k - zeros : 0;
+    std::size_t hi = std::min(k, ones_);
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (one(mid) < zero(k - mid - 1)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    // The k smallest are ones [0, lo) and zeros [0, k - lo).
+    if (lo == 0) return zero(k - 1);
+    if (lo == k) return one(k - 1);
+    return std::max(one(lo - 1), zero(k - lo - 1));
+  }
+
+  /// Keeps the staged scores: merges the two runs back into sorted order.
+  /// Two independent merges run in one loop, the smaller half from the
+  /// runs' low ends and the larger half from their high ends, stopping at
+  /// the infinities instead of testing bounds. Ties go to the ones run at
+  /// the low end and the zeros run at the high end, so the halves split
+  /// one total order and never take the same entry.
+  void commit() {
+    const std::size_t n = ranked_.size();
+    std::size_t one_lo = 1;           // smallest one not yet placed
+    std::size_t zero_lo = n + 2;      // smallest zero not yet placed
+    std::size_t one_hi = ones_;       // largest one not yet placed
+    std::size_t zero_hi = ones_ + 3;  // largest zero not yet placed
+    RankedScore* out = ranked_.data();
+    for (std::size_t k = 0; k < n / 2; ++k) {
+      const bool low_zero = runs_[zero_lo].score < runs_[one_lo].score;
+      out[k] = runs_[low_zero ? zero_lo : one_lo];
+      one_lo += low_zero ? 0 : 1;
+      zero_lo -= low_zero ? 1 : 0;
+      const bool high_one = runs_[one_hi].score > runs_[zero_hi].score;
+      out[n - 1 - k] = runs_[high_one ? one_hi : zero_hi];
+      one_hi -= high_one ? 1 : 0;
+      zero_hi += high_one ? 0 : 1;
+    }
+    if (n % 2 != 0) {
+      const bool low_zero = runs_[zero_lo].score < runs_[one_lo].score;
+      out[n / 2] = runs_[low_zero ? zero_lo : one_lo];
+    }
+  }
+
+  /// Drops the staged scores the way the matrix path rolls a candidate
+  /// back, s = fl(fl(s + w) - w), then merges. The rollback is monotone
+  /// within each bit class only: two equal scores in different classes can
+  /// round apart, so the runs are merged again rather than reused in their
+  /// old order. Each run holds one class, so no bit is read here.
+  void roll_back(std::uint32_t c) {
+    const double minor = weights_.when_minor[c];
+    const double major = weights_.when_major[c];
+    const std::size_t n = ranked_.size();
+    for (std::size_t t = 1; t <= ones_; ++t) runs_[t].score -= minor;
+    for (std::size_t t = ones_ + 3; t <= n + 2; ++t) runs_[t].score -= major;
+    commit();
+  }
+
+ private:
+  /// The t-th smallest staged score with bit 1, and with bit 0.
+  double one(std::size_t t) const { return runs_[1 + t].score; }
+  double zero(std::size_t t) const {
+    return runs_[ranked_.size() + 2 - t].score;
+  }
+
+  const PlaneBlock& block_;
+  const LrWeights& weights_;
+  std::vector<RankedScore> ranked_;  // ascending by score
+  std::vector<RankedScore> runs_;    // stage()'s layout
+  std::size_t ones_ = 0;
+};
+
+/// sums[r] += w (sign = +1) or -= w (sign = -1) for every case row, w being
+/// column c's weight for the row's bit; returns how many updated sums
+/// exceed `threshold`. One sweep per 64-row plane word.
+std::size_t sweep_cases(std::span<const PlaneBlock> blocks,
+                        const LrWeights& weights, std::uint32_t c,
+                        double sign, double threshold, double* sums) {
+  // sign is +-1, so these products are exact and s + (-w) is s - w.
+  const double weight[2] = {sign * weights.when_major[c],
+                            sign * weights.when_minor[c]};
+  std::size_t above = 0;
+  for (const PlaneBlock& block : blocks) {
+    const std::uint64_t* bits = block.columns[c];
+    for (std::size_t base = 0; base < block.rows; base += 64) {
+      const std::uint64_t word = bits[base / 64];
+      const std::size_t n = std::min<std::size_t>(64, block.rows - base);
+      for (std::size_t k = 0; k < n; ++k) {
+        const double s = sums[k] + weight[(word >> k) & 1];
+        sums[k] = s;
+        above += s > threshold ? 1 : 0;
+      }
+      sums += n;
+    }
+  }
+  return above;
+}
+
+/// The safe-subset search on indicator bits. Every score sees the same adds
+/// and rollbacks, in the same order, as in matrix_select, and the quantile
+/// is the same order statistic, so the result is bit-identical to it.
+LrSelectionResult plane_select(std::span<const PlaneBlock> case_blocks,
+                               const PlaneBlock& reference,
+                               const LrWeights& weights, std::size_t cols,
+                               const LrSelectionParams& params,
+                               common::ThreadPool* pool) {
+  LrSelectionResult result;
+  if (cols == 0) return result;
+  const PlaneSource cases(case_blocks, weights);
+  const std::size_t case_rows = cases.rows();
+  if (case_rows == 0 || reference.rows == 0) {
+    // detection_power's empty case: threshold and power are 0 throughout.
+    if (0.0 <= params.power_threshold) {
+      result.safe_columns.resize(cols);
+      std::iota(result.safe_columns.begin(), result.safe_columns.end(), 0u);
+    }
+    return result;
+  }
+  const std::vector<std::uint32_t> order = admission_order(
+      cases, PlaneSource(std::span(&reference, 1), weights), cols, pool);
+
+  SortedReference ref(reference, weights);
+  const std::size_t rank =
+      quantile_rank(params.false_positive_rate, reference.rows);
+  std::vector<double> case_sums(case_rows, 0.0);
+  std::vector<std::uint32_t> kept;
+  for (std::uint32_t candidate : order) {
+    ref.stage(candidate);
+    const double threshold = ref.staged_kth(rank);
+    const double power =
+        static_cast<double>(sweep_cases(case_blocks, weights, candidate, 1.0,
+                                        threshold, case_sums.data())) /
+        static_cast<double>(case_rows);
+    if (power <= params.power_threshold) {
+      ref.commit();
+      kept.push_back(candidate);
+      result.final_power = power;
+      result.final_threshold = threshold;
+    } else {
+      ref.roll_back(candidate);
+      sweep_cases(case_blocks, weights, candidate, -1.0, threshold,
+                  case_sums.data());
+    }
+  }
+  std::sort(kept.begin(), kept.end());
+  result.safe_columns = std::move(kept);
+  return result;
+}
+
 }  // namespace
 
 LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
@@ -360,7 +578,7 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
   if (case_lr.cols() != reference_lr.cols()) {
     throw std::invalid_argument("select_safe_snps: column count mismatch");
   }
-  return greedy_select(MatrixSource{case_lr}, MatrixSource{reference_lr},
+  return matrix_select(MatrixSource{case_lr}, MatrixSource{reference_lr},
                        case_lr.cols(), params, pool);
 }
 
@@ -377,9 +595,15 @@ LrSelectionResult select_safe_snps(const std::vector<PlaneBlock>& case_blocks,
       !std::all_of(case_blocks.begin(), case_blocks.end(), fits)) {
     throw std::invalid_argument("select_safe_snps: column count mismatch");
   }
-  return greedy_select(PlaneSource(case_blocks, weights),
-                       PlaneSource(std::span(&reference, 1), weights), cols,
-                       params, pool);
+  // The sorted-scores engine stops its merges at infinite sentinels.
+  const auto finite = [](double w) { return std::isfinite(w); };
+  if (!std::all_of(weights.when_minor.begin(), weights.when_minor.end(),
+                   finite) ||
+      !std::all_of(weights.when_major.begin(), weights.when_major.end(),
+                   finite)) {
+    throw std::invalid_argument("select_safe_snps: non-finite LR weight");
+  }
+  return plane_select(case_blocks, reference, weights, cols, params, pool);
 }
 
 }  // namespace gendpr::stats

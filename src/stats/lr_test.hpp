@@ -129,10 +129,12 @@ struct LrSelectionResult {
 /// Empirical safe-subset search over merged case and reference LR matrices
 /// (they must have equal column counts). Deterministic: depends only on the
 /// multiset of rows, so any GDO concatenation order yields the same result.
-/// `pool` (optional) parallelises the per-column gap pass and the
-/// per-candidate score updates; every per-column and per-row accumulation
-/// keeps its serial order, so the selection is identical with or without a
-/// pool. Must not be the pool currently running this call (no nesting).
+/// Each candidate updates per-row running sums and takes the reference
+/// quantile with nth_element. `pool` (optional) parallelises the per-column
+/// gap pass and the per-candidate score updates; every per-column and
+/// per-row accumulation keeps its serial order, so the selection is
+/// identical with or without a pool. Must not be the pool currently running
+/// this call (no nesting).
 LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
                                    const LrMatrix& reference_lr,
                                    const LrSelectionParams& params,
@@ -141,12 +143,18 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
 /// The same search driven from indicator bits and one weight pair per
 /// column instead of materialized matrices. `case_blocks` are the case
 /// populations in merge order (ascending GDO order in the protocol); every
-/// block, and `reference`, has `weights.when_minor.size()` columns. Each
-/// score update adds `bit ? when_minor : when_major` in exactly the row and
-/// column order the matrix overload reads its cells, so gap, threshold,
-/// power and the safe set are bit-identical to `select_safe_snps` over the
-/// concatenated `build_lr_matrix` matrices (property-tested). `pool` as in
-/// the matrix overload.
+/// block, and `reference`, has `weights.when_minor.size()` columns, and the
+/// weights must be finite (lr_weights clamps the frequencies); a mismatch
+/// or a non-finite weight throws std::invalid_argument. The
+/// reference scores stay sorted across candidates: each candidate
+/// partitions them by bit and merges the two runs back, so the quantile is
+/// an order statistic of two sorted runs instead of an nth_element. Every
+/// score still sees `bit ? when_minor : when_major` added (and subtracted
+/// on rollback) in the matrix overload's order, so gap, threshold, power
+/// and the safe set are bit-identical to `select_safe_snps` over the
+/// concatenated `build_lr_matrix` matrices (property-tested). `pool`
+/// (optional) parallelises only the gap pass here; the candidate loop is
+/// serial. No nesting, as in the matrix overload.
 LrSelectionResult select_safe_snps(const std::vector<PlaneBlock>& case_blocks,
                                    const PlaneBlock& reference,
                                    const LrWeights& weights,
@@ -162,8 +170,8 @@ double detection_power(const std::vector<double>& case_scores,
                        double false_positive_rate, double* threshold_out);
 
 /// Same, but reuses `scratch` for the quantile's partial sort instead of
-/// allocating a reference-sized vector per call - the allocation dominated
-/// the greedy selection loop, which calls this once per candidate SNP.
+/// allocating a reference-sized vector per call: the matrix overload of
+/// `select_safe_snps` calls this once per candidate SNP.
 double detection_power(const std::vector<double>& case_scores,
                        const std::vector<double>& reference_scores,
                        double false_positive_rate, double* threshold_out,

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gendpr/baselines.hpp"
 #include "gendpr/messages.hpp"
@@ -110,6 +114,55 @@ TEST(FederationTest, ZeroGdosRejected) {
   FederationSpec spec;
   spec.num_gdos = 0;
   EXPECT_FALSE(run_federated_study(cohort, spec).ok());
+}
+
+TEST(StudyConfigTest, ValidateAcceptsClosedUnitIntervalRates) {
+  StudyConfig config;
+  EXPECT_TRUE(validate(config).ok());
+  for (double rate : {0.0, 1.0}) {
+    config.lr_false_positive_rate = rate;
+    config.lr_power_threshold = rate;
+    EXPECT_TRUE(validate(config).ok()) << rate;
+  }
+}
+
+TEST(StudyConfigTest, ValidateRejectsOutOfDomainThresholds) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, StudyConfig>> bad = {
+      {"lr_false_positive_rate", StudyConfig{.lr_false_positive_rate = 1.5}},
+      {"lr_false_positive_rate", StudyConfig{.lr_false_positive_rate = -0.1}},
+      {"lr_false_positive_rate", StudyConfig{.lr_false_positive_rate = nan}},
+      {"lr_power_threshold", StudyConfig{.lr_power_threshold = 1.01}},
+      {"lr_power_threshold", StudyConfig{.lr_power_threshold = -inf}},
+      {"maf_cutoff", StudyConfig{.maf_cutoff = inf}},
+      {"ld_cutoff", StudyConfig{.ld_cutoff = nan}},
+  };
+  for (const auto& [field, config] : bad) {
+    const common::Status status = validate(config);
+    ASSERT_FALSE(status.ok()) << field;
+    EXPECT_EQ(status.error().code, common::Errc::invalid_argument) << field;
+    EXPECT_NE(status.error().message.find(field), std::string::npos)
+        << status.error().message;
+  }
+}
+
+TEST(FederationTest, OutOfRangeFprRejectedBeforeAnySession) {
+  // An FPR above 1 used to reach the LR quantile and overflow its index
+  // cast; the study must refuse it up front instead.
+  const genome::Cohort cohort = test_cohort(100, 100, 30);
+  for (double fpr : {1.5, -0.5}) {
+    obs::Observability obs;
+    FederationSpec spec;
+    spec.num_gdos = 3;
+    spec.config.lr_false_positive_rate = fpr;
+    spec.obs = &obs;
+    const auto result = run_federated_study(cohort, spec);
+    ASSERT_FALSE(result.ok()) << fpr;
+    EXPECT_EQ(result.error().code, common::Errc::invalid_argument);
+    // Refused before setup: no span, not even the study's own, was opened.
+    EXPECT_TRUE(obs.trace.spans().empty());
+  }
 }
 
 TEST(FederationTest, NetworkCarriesOnlyCiphertext) {

@@ -175,6 +175,17 @@ TEST(SessionTest, HandshakeFromUnknownNodeFails) {
             std::string::npos);
 }
 
+TEST(SessionTest, LeaderRejectsOutOfRangeConfigBeforeHandshake) {
+  StudyFixture fixture;
+  fixture.announce.config.lr_false_positive_rate = 1.5;
+  auto leader = fixture.make_leader();
+  EXPECT_TRUE(leader->step({}).empty());
+  ASSERT_EQ(leader->wants(), SessionWants::failed);
+  EXPECT_EQ(leader->status().error().code, common::Errc::invalid_argument);
+  EXPECT_NE(leader->status().error().message.find("lr_false_positive_rate"),
+            std::string::npos);
+}
+
 TEST(SessionTest, MalformedHandshakeFails) {
   StudyFixture fixture;
   auto leader = fixture.make_leader();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -87,12 +90,13 @@ TEST(LrMatrixTest, AppendColumnMismatchThrows) {
 
 genome::GenotypeMatrix random_genotypes(std::size_t individuals,
                                         std::size_t snps,
-                                        std::uint64_t seed) {
+                                        std::uint64_t seed,
+                                        double minor_freq = 0.3) {
   common::Rng rng(seed);
   genome::GenotypeMatrix g(individuals, snps);
   for (std::size_t n = 0; n < individuals; ++n) {
     for (std::size_t s = 0; s < snps; ++s) {
-      if (rng.bernoulli(0.3)) g.set(n, s, true);
+      if (rng.bernoulli(minor_freq)) g.set(n, s, true);
     }
   }
   return g;
@@ -110,29 +114,75 @@ LrWeights random_weights(std::size_t cols, std::uint64_t seed) {
 }
 
 TEST(PlaneSelectionTest, BitIdenticalToMatrixSelection) {
-  // Two case blocks (70 and 130 rows: neither a multiple of 64, so every
-  // column has a padded tail word) and a 150-row reference. Selecting on
-  // the planes must reproduce the matrix selection bit for bit.
-  const genome::BitPlanes first(random_genotypes(70, 40, 11));
-  const genome::BitPlanes second(random_genotypes(130, 40, 12));
-  const genome::BitPlanes reference(random_genotypes(150, 40, 13));
-  const std::vector<std::uint32_t> snps = {0, 3, 7, 12, 25, 31, 36, 39};
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const LrWeights w = random_weights(snps.size(), seed);
+  // The plane path (sorted reference scores, partition by bit and merge)
+  // against the matrix path (nth_element per candidate), bit for bit.
+  // Case blocks of 70, 0 and 130 rows: off the 64-row word boundary, and
+  // one GDO with no case rows. Every fifth column has p-hat = p, so both
+  // its weights are +0.0 and every score ties with its old value. The
+  // low power limits and high FPRs reject most candidates, which drives
+  // the fl(fl(s + w) - w) rollback.
+  const std::vector<std::uint32_t> snps = {0,  2,  3,  5,  7,  9,  12, 14,
+                                           17, 20, 22, 25, 27, 31, 33, 36,
+                                           38, 39};
+  common::ThreadPool pool(2);
+  std::size_t kept = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    // Odd seeds draw cases at a higher minor-allele rate: a real signal.
+    const double case_freq = seed % 2 == 1 ? 0.4 : 0.3;
+    const genome::BitPlanes first(
+        random_genotypes(70, 40, 100 + seed, case_freq));
+    const genome::BitPlanes empty(random_genotypes(0, 40, 200 + seed));
+    const genome::BitPlanes second(
+        random_genotypes(130, 40, 300 + seed, case_freq));
+    std::vector<double> case_f(snps.size());
+    std::vector<double> ref_f(snps.size());
+    common::Rng rng(seed);
+    for (std::size_t i = 0; i < snps.size(); ++i) {
+      case_f[i] = rng.uniform(0.05, 0.95);
+      ref_f[i] = i % 5 == 0 ? case_f[i] : rng.uniform(0.05, 0.95);
+    }
+    const LrWeights w = lr_weights(case_f, ref_f);
     LrMatrix case_lr = build_lr_matrix(first, snps, w);
+    case_lr.append_rows(build_lr_matrix(empty, snps, w));
     case_lr.append_rows(build_lr_matrix(second, snps, w));
-    LrSelectionParams params;
-    params.power_threshold = 0.5;
-    const LrSelectionResult expected = select_safe_snps(
-        case_lr, build_lr_matrix(reference, snps, w), params);
-    const LrSelectionResult got = select_safe_snps(
-        {plane_block(first, snps), plane_block(second, snps)},
-        plane_block(reference, snps), w, params);
-    EXPECT_EQ(got.safe_columns, expected.safe_columns) << "seed " << seed;
-    EXPECT_EQ(got.final_power, expected.final_power) << "seed " << seed;
-    EXPECT_EQ(got.final_threshold, expected.final_threshold)
-        << "seed " << seed;
+    const std::vector<PlaneBlock> case_blocks = {plane_block(first, snps),
+                                                 plane_block(empty, snps),
+                                                 plane_block(second, snps)};
+    for (std::size_t ref_rows : {0, 1, 63, 64, 65, 150}) {
+      const genome::BitPlanes reference(
+          random_genotypes(ref_rows, 40, 400 + seed));
+      const LrMatrix ref_lr = build_lr_matrix(reference, snps, w);
+      for (double power : {0.05, 0.3, 0.6, 0.9}) {
+        for (double fpr : {0.0, 0.1, 0.5, 1.0}) {
+          LrSelectionParams params;
+          params.power_threshold = power;
+          params.false_positive_rate = fpr;
+          const LrSelectionResult expected =
+              select_safe_snps(case_lr, ref_lr, params);
+          const LrSelectionResult got = select_safe_snps(
+              case_blocks, plane_block(reference, snps), w, params,
+              seed % 3 == 0 ? &pool : nullptr);
+          const std::string where =
+              "seed " + std::to_string(seed) + " ref_rows " +
+              std::to_string(ref_rows) + " power " + std::to_string(power) +
+              " fpr " + std::to_string(fpr);
+          EXPECT_EQ(got.safe_columns, expected.safe_columns) << where;
+          kept += expected.safe_columns.size();
+          rejected += snps.size() - expected.safe_columns.size();
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_power),
+                    std::bit_cast<std::uint64_t>(expected.final_power))
+              << where;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_threshold),
+                    std::bit_cast<std::uint64_t>(expected.final_threshold))
+              << where;
+        }
+      }
+    }
   }
+  // The sweep must exercise both outcomes of the greedy test.
+  EXPECT_GT(kept, rejected / 4);
+  EXPECT_GT(rejected, kept / 4);
 }
 
 TEST(PlaneSelectionTest, EmptyColumnsGiveEmptyResult) {
@@ -155,6 +205,19 @@ TEST(PlaneSelectionTest, ColumnMismatchThrows) {
                                 plane_block(planes, {0, 1}), w,
                                 LrSelectionParams{}),
                std::invalid_argument);
+}
+
+TEST(PlaneSelectionTest, NonFiniteWeightThrows) {
+  const genome::BitPlanes planes(random_genotypes(10, 4, 5));
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    LrWeights w = random_weights(2, 9);
+    w.when_major[1] = bad;
+    EXPECT_THROW(select_safe_snps({plane_block(planes, {0, 1})},
+                                  plane_block(planes, {0, 1}), w,
+                                  LrSelectionParams{}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(DetectionPowerTest, SeparatedScoresFullPower) {

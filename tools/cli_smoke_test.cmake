@@ -70,3 +70,17 @@ foreach(bad "--no-prune" "--gdos;abc" "--tile-width;-1")
     message(FATAL_ERROR "assess ${bad} did not print the usage: ${err}")
   endif()
 endforeach()
+
+# Thresholds outside their domain are usage errors: an FPR or power limit
+# outside [0, 1], or any threshold that is not finite.
+foreach(bad "--fpr;1.5" "--fpr;-0.5" "--power;1.2" "--maf;inf" "--ld;nan")
+  execute_process(
+    COMMAND ${CLI} assess ${WORKDIR} --gdos 3 ${bad}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "assess ${bad} exited ${rc}, want 2")
+  endif()
+  if(NOT err MATCHES "invalid value")
+    message(FATAL_ERROR "assess ${bad} did not report an invalid value: ${err}")
+  endif()
+endforeach()

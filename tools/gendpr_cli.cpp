@@ -166,6 +166,11 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
   }
+  if (const common::Status valid = core::validate(args.config); !valid.ok()) {
+    std::fprintf(stderr, "invalid value: %s\n",
+                 valid.error().message.c_str());
+    return false;
+  }
   return true;
 }
 
