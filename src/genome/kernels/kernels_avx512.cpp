@@ -18,6 +18,21 @@ namespace gendpr::genome::kernels::detail {
 
 bool avx512_kernels_compiled() noexcept { return true; }
 
+namespace {
+
+/// Sum of the eight 64-bit lanes. Stored and summed in scalar code instead
+/// of _mm512_reduce_add_epi64, whose expansion GCC 12 flags with a
+/// false-positive -Wuninitialized; integer addition makes both exact.
+std::uint64_t sum_lanes(__m512i v) {
+  alignas(64) std::uint64_t lanes[8];
+  _mm512_store_si512(lanes, v);
+  std::uint64_t sum = 0;
+  for (std::uint64_t lane : lanes) sum += lane;
+  return sum;
+}
+
+}  // namespace
+
 std::uint64_t popcount_words_avx512(const std::uint64_t* words,
                                     std::size_t n) {
   __m512i total = _mm512_setzero_si512();
@@ -26,8 +41,7 @@ std::uint64_t popcount_words_avx512(const std::uint64_t* words,
     const __m512i v = _mm512_loadu_si512(words + i);
     total = _mm512_add_epi64(total, _mm512_popcnt_epi64(v));
   }
-  std::uint64_t count = static_cast<std::uint64_t>(
-      _mm512_reduce_add_epi64(total));
+  std::uint64_t count = sum_lanes(total);
   for (; i < n; ++i) {
     count += static_cast<std::uint64_t>(std::popcount(words[i]));
   }
@@ -44,8 +58,7 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,
         _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
     total = _mm512_add_epi64(total, _mm512_popcnt_epi64(v));
   }
-  std::uint64_t count = static_cast<std::uint64_t>(
-      _mm512_reduce_add_epi64(total));
+  std::uint64_t count = sum_lanes(total);
   for (; i < n; ++i) {
     count += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
   }

@@ -10,18 +10,6 @@
 
 namespace gendpr::stats {
 
-void LrMatrix::append_rows(const LrMatrix& other) {
-  if (rows_ == 0 && cols_ == 0) {
-    *this = other;
-    return;
-  }
-  if (other.cols_ != cols_) {
-    throw std::invalid_argument("LrMatrix::append_rows: column mismatch");
-  }
-  values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  rows_ += other.rows_;
-}
-
 LrWeights lr_weights(const std::vector<double>& case_freq,
                      const std::vector<double>& reference_freq,
                      double freq_floor) {
@@ -42,47 +30,18 @@ LrWeights lr_weights(const std::vector<double>& case_freq,
   return weights;
 }
 
-LrMatrix build_lr_matrix(const genome::GenotypeMatrix& genotypes,
-                         const std::vector<std::uint32_t>& snps,
-                         const LrWeights& weights,
-                         const std::vector<std::uint32_t>& snp_to_weight_col) {
-  LrMatrix matrix(genotypes.num_individuals(), snps.size());
-  for (std::size_t n = 0; n < genotypes.num_individuals(); ++n) {
-    for (std::size_t i = 0; i < snps.size(); ++i) {
-      const std::uint32_t col = snp_to_weight_col[i];
-      matrix.at(n, i) = genotypes.get(n, snps[i])
-                            ? weights.when_minor[col]
-                            : weights.when_major[col];
-    }
-  }
-  return matrix;
-}
-
-LrMatrix build_lr_matrix(const genome::GenotypeMatrix& genotypes,
-                         const std::vector<std::uint32_t>& snps,
-                         const LrWeights& weights) {
-  std::vector<std::uint32_t> identity(snps.size());
-  std::iota(identity.begin(), identity.end(), 0u);
-  return build_lr_matrix(genotypes, snps, weights, identity);
-}
-
 LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
                          const std::vector<std::uint32_t>& snps,
-                         const LrWeights& weights,
-                         const std::vector<std::uint32_t>& snp_to_weight_col) {
+                         const LrWeights& weights) {
   const std::size_t rows = planes.num_individuals();
   const std::size_t cols = snps.size();
   LrMatrix matrix(rows, cols);
   if (rows == 0 || cols == 0) return matrix;
 
-  std::vector<double> when_minor(cols), when_major(cols);
-  for (std::size_t i = 0; i < cols; ++i) {
-    when_minor[i] = weights.when_minor[snp_to_weight_col[i]];
-    when_major[i] = weights.when_major[snp_to_weight_col[i]];
-  }
-
   // One plane word covers 64 rows; gather the block's word per column once,
   // then emit the 64 rows contiguously (row-major writes).
+  const double* when_minor = weights.when_minor.data();
+  const double* when_major = weights.when_major.data();
   double* out = matrix.values().data();
   std::vector<std::uint64_t> block(cols);
   for (std::size_t w = 0; w < planes.words_per_plane(); ++w) {
@@ -100,14 +59,6 @@ LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
     }
   }
   return matrix;
-}
-
-LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
-                         const std::vector<std::uint32_t>& snps,
-                         const LrWeights& weights) {
-  std::vector<std::uint32_t> identity(snps.size());
-  std::iota(identity.begin(), identity.end(), 0u);
-  return build_lr_matrix(planes, snps, weights, identity);
 }
 
 PlaneBlock plane_block(const genome::BitPlanes& planes,

@@ -25,7 +25,6 @@
 
 #include "common/thread_pool.hpp"
 #include "genome/bitplanes.hpp"
-#include "genome/genotype.hpp"
 
 namespace gendpr::stats {
 
@@ -49,9 +48,6 @@ class LrMatrix {
   const std::vector<double>& values() const noexcept { return values_; }
   std::vector<double>& values() noexcept { return values_; }
 
-  /// Appends the rows of `other` (must have the same column count).
-  void append_rows(const LrMatrix& other);
-
   bool operator==(const LrMatrix&) const = default;
 
  private:
@@ -72,28 +68,10 @@ LrWeights lr_weights(const std::vector<double>& case_freq,
                      const std::vector<double>& reference_freq,
                      double freq_floor = 1e-6);
 
-/// Builds the LR matrix of `genotypes` restricted to `snps`, using weights
-/// computed from global frequencies (paper Fig. 4 step 2).
-LrMatrix build_lr_matrix(const genome::GenotypeMatrix& genotypes,
-                         const std::vector<std::uint32_t>& snps,
-                         const LrWeights& weights,
-                         const std::vector<std::uint32_t>& snp_to_weight_col);
-
-/// Convenience overload when `snps` indexes the weight vectors directly
-/// (weight column i corresponds to snps[i]).
-LrMatrix build_lr_matrix(const genome::GenotypeMatrix& genotypes,
-                         const std::vector<std::uint32_t>& snps,
-                         const LrWeights& weights);
-
-/// Word-parallel LR-matrix fill from SNP-major bit planes: reads one plane
-/// word per 64 individuals and writes rows contiguously, instead of one
-/// get() call per matrix cell. Output is bit-identical to the scalar build
-/// (each cell is one of the same two weight values).
-LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
-                         const std::vector<std::uint32_t>& snps,
-                         const LrWeights& weights,
-                         const std::vector<std::uint32_t>& snp_to_weight_col);
-
+/// Builds the LR matrix of `planes` restricted to `snps` (paper Fig. 4
+/// step 2), with weight column i for snps[i]. Reads one plane word per 64
+/// individuals and writes rows contiguously; each cell is one of column i's
+/// two weight values.
 LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
                          const std::vector<std::uint32_t>& snps,
                          const LrWeights& weights);

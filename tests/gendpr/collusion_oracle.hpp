@@ -23,6 +23,7 @@
 
 #include "gendpr/config.hpp"
 #include "genome/genotype.hpp"
+#include "lr_reference.hpp"
 #include "stats/association.hpp"
 #include "stats/ld.hpp"
 #include "stats/lr_test.hpp"
@@ -162,8 +163,8 @@ inline CollusionOracleResult collusion_oracle(
     const stats::LrWeights weights =
         stats::lr_weights(detail::frequencies(cases, snps), ref_freq);
     const stats::LrSelectionResult selection = stats::select_safe_snps(
-        stats::build_lr_matrix(cases, snps, weights),
-        stats::build_lr_matrix(reference, snps, weights), params);
+        stats::reference::scalar_lr_matrix(cases, snps, weights),
+        stats::reference::scalar_lr_matrix(reference, snps, weights), params);
     std::vector<std::uint32_t> safe;
     for (std::uint32_t column : selection.safe_columns) {
       safe.push_back(snps[column]);

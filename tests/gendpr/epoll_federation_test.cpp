@@ -195,10 +195,12 @@ TEST(EpollFederationTest, BroadcastSerializesEachMessageExactlyOnce) {
   const auto result = run_federated_study(cohort, spec);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
 
-  const double serializations =
-      observability.metrics.counter("wire.serializations");
-  const double reuses = observability.metrics.counter("wire.fanout_reuses");
-  const double records = observability.metrics.counter("wire.records_sent");
+  const double serializations = static_cast<double>(
+      observability.metrics.counter("wire.serializations"));
+  const double reuses =
+      static_cast<double>(observability.metrics.counter("wire.fanout_reuses"));
+  const double records =
+      static_cast<double>(observability.metrics.counter("wire.records_sent"));
   EXPECT_GT(serializations, 0.0);
   EXPECT_GT(records, 0.0);
   // Conservation: first seals plus reuses account for every sealed record.
@@ -410,8 +412,10 @@ TEST(TcpFederationTest, KilledMemberAbortsStudyPromptly) {
   survivor.set_receive_timeout(std::chrono::milliseconds(10000));
   ScriptedMember::Script script;
   script.stop = ScriptedMember::Stop::after_handshake;
+  // Copied, not moved: GCC 12 with -fsanitize=address reports the move of
+  // the disengaged `raw_handshake` as -Wmaybe-uninitialized.
   ScriptedMember doomed(*platforms[2], 2, 0, cohort.cases.slice_rows(200, 300),
-                        std::move(script));
+                        script);
 
   SessionHarness harness(0, SessionHarness::Transport::epoll);
   harness.add(0, leader);

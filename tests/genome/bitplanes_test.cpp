@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "lr_reference.hpp"
 #include "stats/ld.hpp"
 #include "stats/lr_test.hpp"
 
@@ -130,25 +131,9 @@ TEST(BitPlanesTest, LrMatrixBitIdenticalToScalar) {
     }
     const stats::LrWeights weights = stats::lr_weights(case_freq, ref_freq);
     EXPECT_EQ(stats::build_lr_matrix(planes, snps, weights),
-              stats::build_lr_matrix(m, snps, weights))
+              stats::reference::scalar_lr_matrix(m, snps, weights))
         << "n=" << n;
   }
-}
-
-TEST(BitPlanesTest, LrMatrixWithWeightColumnMapping) {
-  common::Rng rng(17);
-  const GenotypeMatrix m = random_matrix(rng, 77, 10, 0.4);
-  const BitPlanes planes(m);
-  const std::vector<std::uint32_t> snps = {4, 8, 1};
-  const std::vector<std::uint32_t> weight_cols = {2, 0, 3};
-  std::vector<double> case_freq(4), ref_freq(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    case_freq[i] = rng.uniform();
-    ref_freq[i] = rng.uniform();
-  }
-  const stats::LrWeights weights = stats::lr_weights(case_freq, ref_freq);
-  EXPECT_EQ(stats::build_lr_matrix(planes, snps, weights, weight_cols),
-            stats::build_lr_matrix(m, snps, weights, weight_cols));
 }
 
 TEST(BitPlanesTest, EmptyAndDegenerateInputs) {

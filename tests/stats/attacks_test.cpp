@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "genome/cohort.hpp"
+#include "lr_reference.hpp"
 
 namespace gendpr::stats {
 namespace {
@@ -75,7 +76,7 @@ TEST(LrScoresTest, MatchesMatrixRowSums) {
   std::vector<double> ref_freq = {0.3, 0.3, 0.3};
   const auto scores = lr_scores(pop, released, case_freq, ref_freq);
   const LrWeights weights = lr_weights(case_freq, ref_freq);
-  const LrMatrix matrix = build_lr_matrix(pop, released, weights);
+  const LrMatrix matrix = reference::scalar_lr_matrix(pop, released, weights);
   for (std::size_t n = 0; n < 15; ++n) {
     double row_sum = 0.0;
     for (std::size_t c = 0; c < 3; ++c) row_sum += matrix.at(n, c);

@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "lr_reference.hpp"
 
 namespace gendpr::stats {
 namespace {
@@ -41,7 +42,7 @@ TEST(LrMatrixTest, BuildUsesGenotypeToPickWeight) {
   g.set(1, 2, true);
   const LrWeights w = lr_weights({0.4, 0.4, 0.4}, {0.2, 0.2, 0.2});
   const std::vector<std::uint32_t> snps = {0, 1, 2};
-  const LrMatrix lr = build_lr_matrix(g, snps, w);
+  const LrMatrix lr = build_lr_matrix(genome::BitPlanes(g), snps, w);
   EXPECT_EQ(lr.rows(), 2u);
   EXPECT_EQ(lr.cols(), 3u);
   EXPECT_DOUBLE_EQ(lr.at(0, 0), w.when_major[0]);
@@ -55,37 +56,9 @@ TEST(LrMatrixTest, SubsetColumnsMapThroughWeightIndex) {
   // Weights indexed over the subset {2, 4}.
   const LrWeights w = lr_weights({0.3, 0.5}, {0.3, 0.25});
   const std::vector<std::uint32_t> snps = {2, 4};
-  const LrMatrix lr = build_lr_matrix(g, snps, w);
+  const LrMatrix lr = build_lr_matrix(genome::BitPlanes(g), snps, w);
   EXPECT_DOUBLE_EQ(lr.at(0, 0), w.when_major[0]);
   EXPECT_DOUBLE_EQ(lr.at(0, 1), w.when_minor[1]);
-}
-
-TEST(LrMatrixTest, AppendRowsConcatenates) {
-  LrMatrix a(2, 3);
-  a.at(0, 0) = 1.0;
-  a.at(1, 2) = 2.0;
-  LrMatrix b(1, 3);
-  b.at(0, 1) = 3.0;
-  a.append_rows(b);
-  EXPECT_EQ(a.rows(), 3u);
-  EXPECT_DOUBLE_EQ(a.at(2, 1), 3.0);
-  EXPECT_DOUBLE_EQ(a.at(0, 0), 1.0);
-}
-
-TEST(LrMatrixTest, AppendToEmptyAdopts) {
-  LrMatrix empty;
-  LrMatrix b(2, 4);
-  b.at(1, 3) = 5.0;
-  empty.append_rows(b);
-  EXPECT_EQ(empty.rows(), 2u);
-  EXPECT_EQ(empty.cols(), 4u);
-  EXPECT_DOUBLE_EQ(empty.at(1, 3), 5.0);
-}
-
-TEST(LrMatrixTest, AppendColumnMismatchThrows) {
-  LrMatrix a(1, 3);
-  LrMatrix b(1, 2);
-  EXPECT_THROW(a.append_rows(b), std::invalid_argument);
 }
 
 genome::GenotypeMatrix random_genotypes(std::size_t individuals,
@@ -144,8 +117,8 @@ TEST(PlaneSelectionTest, BitIdenticalToMatrixSelection) {
     }
     const LrWeights w = lr_weights(case_f, ref_f);
     LrMatrix case_lr = build_lr_matrix(first, snps, w);
-    case_lr.append_rows(build_lr_matrix(empty, snps, w));
-    case_lr.append_rows(build_lr_matrix(second, snps, w));
+    reference::append_rows(case_lr, build_lr_matrix(empty, snps, w));
+    reference::append_rows(case_lr, build_lr_matrix(second, snps, w));
     const std::vector<PlaneBlock> case_blocks = {plane_block(first, snps),
                                                  plane_block(empty, snps),
                                                  plane_block(second, snps)};

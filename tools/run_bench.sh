@@ -17,7 +17,7 @@ build_dir="${repo_root}/build-bench"
 
 benches=("$@")
 if [[ ${#benches[@]} -eq 0 ]]; then
-  benches=(bench_ablation_packing bench_ablation_lrtest bench_ablation_crypto
+  benches=(bench_ablation_packing bench_ablation_crypto
            bench_ablation_kernels bench_ablation_wire bench_fig6_runtime)
 fi
 
