@@ -50,14 +50,12 @@ BaselineResult run_centralized(const genome::Cohort& cohort,
   // "Data Aggregation": the centralized enclave ingests every genome and
   // builds the SNP-major planes its statistical kernels run on.
   Stopwatch aggregation_watch;
-  const genome::GenotypeMatrix cases = cohort.cases;        // full copy in
-  const genome::GenotypeMatrix reference = cohort.controls; // full copy in
-  const genome::BitPlanes case_planes(cases);
-  const genome::BitPlanes ref_planes(reference);
+  const genome::BitPlanes case_planes(cohort.cases);
+  const genome::BitPlanes ref_planes(cohort.controls);
   result.timings.aggregation_ms = aggregation_watch.elapsed_ms();
 
-  const std::uint64_t n_case = cases.num_individuals();
-  const std::uint64_t n_ref = reference.num_individuals();
+  const std::uint64_t n_case = case_planes.num_individuals();
+  const std::uint64_t n_ref = ref_planes.num_individuals();
 
   // "Indexing/Sorting/AlleleFreq.": counts, MAF filter, association ranking.
   Stopwatch indexing_watch;
@@ -117,26 +115,26 @@ BaselineResult run_naive_distributed(const genome::Cohort& cohort,
   BaselineResult result;
   const Stopwatch total_watch;
 
-  const genome::GenotypeMatrix& reference = cohort.controls;
-  const genome::BitPlanes ref_planes(reference);
-  const std::uint64_t n_ref = reference.num_individuals();
+  const genome::BitPlanes ref_planes(cohort.controls);
+  const std::uint64_t n_ref = ref_planes.num_individuals();
   const std::vector<std::uint32_t> ref_counts = ref_planes.allele_counts();
 
-  const auto ranges =
-      genome::equal_partition(cohort.cases.num_individuals(), num_gdos);
-  std::vector<genome::GenotypeMatrix> locals;
-  locals.reserve(num_gdos);
-  for (const auto& [begin, end] : ranges) {
-    locals.push_back(cohort.cases.slice_rows(begin, end));
-  }
   std::vector<genome::BitPlanes> local_planes;
   local_planes.reserve(num_gdos);
-  for (const auto& local : locals) local_planes.emplace_back(local);
+  for (const auto& [begin, end] :
+       genome::equal_partition(cohort.cases.num_individuals(), num_gdos)) {
+    local_planes.emplace_back(cohort.cases, begin, end);
+  }
 
   // MAF is still computed over aggregated counts - the paper observes the
   // naive scheme "is able to retain the same SNPs during the MAF evaluation".
   Stopwatch indexing_watch;
-  const std::vector<std::uint32_t> case_counts = cohort.cases.allele_counts();
+  std::vector<std::uint32_t> case_counts(cohort.cases.num_snps(), 0);
+  for (const auto& local : local_planes) {
+    for (std::size_t l = 0; l < case_counts.size(); ++l) {
+      case_counts[l] += local.allele_count(l);
+    }
+  }
   const std::uint64_t n_case = cohort.cases.num_individuals();
   std::vector<double> maf(case_counts.size(), 0.0);
   for (std::size_t l = 0; l < case_counts.size(); ++l) {

@@ -150,10 +150,16 @@ Result<StudyResult> run_sessions(
   std::unique_ptr<net::Hub> leader_hub = std::move(leader_hub_result).take();
   leader_hub->set_buffer_pool(&run_pool);
 
+  // Provisioning: every GDO's planes come straight from its row range.
+  obs::ScopedSpan provision_span(obs::recorder_of(spec.obs), "step.provision",
+                                 study_span);
+  const auto case_planes = [&](std::uint32_t gdo) {
+    return genome::BitPlanes(cohort.cases, ranges[gdo].first,
+                             ranges[gdo].second);
+  };
   LeaderSession leader(*platforms[leader_gdo], leader_gdo, spec.num_gdos,
-                       cohort.cases.slice_rows(ranges[leader_gdo].first,
-                                               ranges[leader_gdo].second),
-                       cohort.controls, announce);
+                       case_planes(leader_gdo),
+                       genome::BitPlanes(cohort.controls), announce);
   leader.set_receive_timeout(receive_timeout);
   leader.set_observability(spec.obs, study_span);
   leader.set_pool(pool);
@@ -170,8 +176,7 @@ Result<StudyResult> run_sessions(
     member_hubs.push_back(std::move(hub).take());
     member_hubs.back()->set_buffer_pool(&run_pool);
     members.push_back(std::make_unique<MemberSession>(
-        *platforms[g], g, leader_gdo,
-        cohort.cases.slice_rows(ranges[g].first, ranges[g].second)));
+        *platforms[g], g, leader_gdo, case_planes(g)));
     members.back()->set_receive_timeout(receive_timeout);
     members.back()->set_observability(spec.obs);
     members.back()->set_wire_pool(&run_pool);
@@ -183,6 +188,7 @@ Result<StudyResult> run_sessions(
       return member->provision_status().error();
     }
   }
+  provision_span.end();
 
   SessionDriver leader_driver(loop_of(leader_gdo), *leader_hub, leader);
   std::vector<std::unique_ptr<SessionDriver>> member_drivers;
@@ -372,6 +378,10 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   }
   if (common::Status valid = validate(spec.config); !valid.ok()) {
     return valid.error();
+  }
+  if (cohort.controls.num_snps() != cohort.cases.num_snps()) {
+    return common::make_error(common::Errc::invalid_argument,
+                              "reference panel and cases differ in SNP count");
   }
   obs::ScopedSpan study_span(obs::recorder_of(spec.obs), "study");
   obs::ScopedSpan setup_span(obs::recorder_of(spec.obs), "step.setup",

@@ -261,8 +261,7 @@ void ProtocolSession::deliver_event(Event event) {
 // ---------------------------------------------------------------------------
 
 MemberSession::MemberSession(tee::Platform& platform, std::uint32_t gdo_index,
-                             std::uint32_t leader_gdo,
-                             genome::GenotypeMatrix cases)
+                             std::uint32_t leader_gdo, genome::BitPlanes cases)
     : gdo_index_(gdo_index),
       leader_gdo_(leader_gdo),
       enclave_(platform, gdo_index) {
@@ -456,9 +455,8 @@ ProtocolSession::Main MemberSession::run_protocol() {
 // ---------------------------------------------------------------------------
 
 LeaderSession::LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,
-                             std::uint32_t num_gdos,
-                             genome::GenotypeMatrix cases,
-                             genome::GenotypeMatrix reference,
+                             std::uint32_t num_gdos, genome::BitPlanes cases,
+                             genome::BitPlanes reference,
                              StudyAnnounce announce)
     : gdo_index_(gdo_index),
       num_gdos_(num_gdos),

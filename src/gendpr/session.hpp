@@ -321,7 +321,7 @@ class ProtocolSession {
 class MemberSession : public ProtocolSession {
  public:
   MemberSession(tee::Platform& platform, std::uint32_t gdo_index,
-                std::uint32_t leader_gdo, genome::GenotypeMatrix cases);
+                std::uint32_t leader_gdo, genome::BitPlanes cases);
   ~MemberSession() override;
 
   /// Dataset provisioning outcome (EPC failures surface before start()).
@@ -358,8 +358,8 @@ class MemberSession : public ProtocolSession {
 class LeaderSession : public ProtocolSession {
  public:
   LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,
-                std::uint32_t num_gdos, genome::GenotypeMatrix cases,
-                genome::GenotypeMatrix reference, StudyAnnounce announce);
+                std::uint32_t num_gdos, genome::BitPlanes cases,
+                genome::BitPlanes reference, StudyAnnounce announce);
   ~LeaderSession() override;
 
   void set_observability(obs::Observability* obs,

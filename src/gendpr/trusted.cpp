@@ -26,21 +26,16 @@ GdoEnclave::GdoEnclave(tee::Platform& platform, std::uint32_t gdo_index)
     : tee::Enclave(platform, kTrustedModuleName, kTrustedModuleVersion),
       gdo_index_(gdo_index) {}
 
-Status GdoEnclave::provision_dataset(genome::GenotypeMatrix cases) {
+Status GdoEnclave::provision_dataset(genome::BitPlanes cases) {
   auto allocation = reserve_epc(cases.storage_bytes());
   if (!allocation.ok()) return allocation.error();
-  genome::BitPlanes planes(cases);
-  auto plane_allocation = reserve_epc(planes.storage_bytes());
-  if (!plane_allocation.ok()) return plane_allocation.error();
-  dataset_epc_ = std::move(allocation).take();
-  planes_epc_ = std::move(plane_allocation).take();
-  cases_ = std::move(cases);
-  planes_ = std::move(planes);
+  planes_epc_ = std::move(allocation).take();
+  planes_ = std::move(cases);
   return Status::success();
 }
 
 Status GdoEnclave::on_study_announce(const StudyAnnounce& announce) {
-  if (announce.num_snps != cases_.num_snps()) {
+  if (announce.num_snps != planes_.num_snps()) {
     return make_error(Errc::invalid_argument,
                       "announced SNP count does not match local dataset");
   }
@@ -61,7 +56,7 @@ Status GdoEnclave::on_study_announce(const StudyAnnounce& announce) {
 SummaryStats GdoEnclave::make_summary_stats() const {
   SummaryStats stats;
   stats.case_counts = planes_.allele_counts();
-  stats.n_case = static_cast<std::uint32_t>(cases_.num_individuals());
+  stats.n_case = static_cast<std::uint32_t>(planes_.num_individuals());
   return stats;
 }
 
@@ -72,7 +67,7 @@ SummaryStats GdoEnclave::make_summary_tile(std::uint32_t snp_begin,
   SummaryStats stats;
   stats.case_counts.assign(view.allele_counts(),
                            view.allele_counts() + view.num_snps());
-  stats.n_case = static_cast<std::uint32_t>(cases_.num_individuals());
+  stats.n_case = static_cast<std::uint32_t>(planes_.num_individuals());
   stats.tile_index = tile_index;
   return stats;
 }
@@ -119,8 +114,8 @@ Result<MomentsResponse> GdoEnclave::on_moments_request(
     return make_error(Errc::state_violation,
                       "moments request before study announce");
   }
-  if (request.snp_a >= cases_.num_snps() ||
-      request.snp_b >= cases_.num_snps()) {
+  if (request.snp_a >= planes_.num_snps() ||
+      request.snp_b >= planes_.num_snps()) {
     return make_error(Errc::bad_message, "moments request SNP out of range");
   }
   MomentsResponse response;
@@ -156,7 +151,7 @@ Result<LrPlanes> GdoEnclave::on_phase2(const Phase2Result& result) {
                       "per-GDO counts do not cover this GDO");
   }
   for (std::uint32_t snp : result.retained) {
-    if (snp >= cases_.num_snps()) {
+    if (snp >= planes_.num_snps()) {
       return make_error(Errc::bad_message, "phase2 SNP out of range");
     }
   }
@@ -172,7 +167,7 @@ Result<LrPlanes> GdoEnclave::on_phase2(const Phase2Result& result) {
   // The leader cannot misattribute this GDO's contribution: its slot must
   // match the local dataset exactly (the counts it reported in phase 1,
   // restricted to L'').
-  if (result.n_case_per_gdo[gdo_index_] != cases_.num_individuals() ||
+  if (result.n_case_per_gdo[gdo_index_] != planes_.num_individuals() ||
       result.case_counts_per_gdo[gdo_index_] !=
           planes_.allele_counts(result.retained)) {
     return make_error(Errc::bad_message,
@@ -340,15 +335,13 @@ common::Error impossible_count(std::uint32_t gdo_index, std::uint32_t a,
 }  // namespace
 
 Coordinator::Coordinator(GdoEnclave& leader_enclave,
-                         genome::GenotypeMatrix reference,
-                         std::uint32_t num_gdos, StudyAnnounce announce)
+                         genome::BitPlanes reference, std::uint32_t num_gdos,
+                         StudyAnnounce announce)
     : leader_(&leader_enclave),
-      reference_(std::move(reference)),
-      reference_planes_(reference_),
+      reference_planes_(std::move(reference)),
       num_gdos_(num_gdos),
       announce_(std::move(announce)),
       summaries_(num_gdos) {
-  reference_counts_ = reference_planes_.allele_counts();
   maf_plan_ = genome::TilePlan::over(announce_.num_snps,
                                      announce_.config.snp_tile_width);
   summary_tiles_.assign(
@@ -482,11 +475,11 @@ void Coordinator::assess_maf_tile(std::uint32_t tile) {
     obs::add_counter(obs_, "coordinator.maf_combinations");
     obs::add_counter(obs_, "coordinator.maf_snps_evaluated", width);
     const auto& members = announce_.combinations[c];
-    std::uint64_t n_total = reference_.num_individuals();
+    std::uint64_t n_total = reference_planes_.num_individuals();
     for (std::uint32_t g : members) n_total += summaries_[g]->n_case;
     std::vector<double> maf(width, 0.0);
     for (std::uint32_t i = 0; i < width; ++i) {
-      std::uint64_t count = reference_counts_[begin + i];
+      std::uint64_t count = reference_planes_.allele_count(begin + i);
       for (std::uint32_t g : members) {
         count += summaries_[g]->case_counts[begin + i];
       }
@@ -552,14 +545,14 @@ std::vector<double> Coordinator::combination_chi2_p_values(
     const std::vector<std::uint32_t>& members) const {
   std::uint64_t n_case = 0;
   for (std::uint32_t g : members) n_case += summaries_[g]->n_case;
-  const std::uint64_t n_ref = reference_.num_individuals();
+  const std::uint64_t n_ref = reference_planes_.num_individuals();
   std::vector<double> p_values(l_prime_.size(), 1.0);
   for (std::size_t rank = 0; rank < l_prime_.size(); ++rank) {
     const std::uint32_t l = l_prime_[rank];
     std::uint64_t case_minor = 0;
     for (std::uint32_t g : members) case_minor += summaries_[g]->case_counts[l];
-    const stats::SinglewiseTable table{case_minor, n_case,
-                                       reference_counts_[l], n_ref};
+    const stats::SinglewiseTable table{
+        case_minor, n_case, reference_planes_.allele_count(l), n_ref};
     p_values[rank] = stats::chi2_p_value(table);
   }
   obs::add_counter(obs_, "coordinator.chi2_values_computed", l_prime_.size());
@@ -913,12 +906,12 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   Phase2Result result;
   result.retained = l_double_prime_;
   result.reference_freq.resize(l_double_prime_.size());
-  const std::uint64_t n_ref = reference_.num_individuals();
+  const std::uint64_t n_ref = reference_planes_.num_individuals();
   for (std::size_t i = 0; i < l_double_prime_.size(); ++i) {
     result.reference_freq[i] =
         n_ref == 0 ? 0.0
                    : static_cast<double>(
-                         reference_counts_[l_double_prime_[i]]) /
+                         reference_planes_.allele_count(l_double_prime_[i])) /
                          static_cast<double>(n_ref);
   }
   // Per-GDO counts over L'' instead of per-combination frequency vectors:

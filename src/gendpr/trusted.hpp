@@ -27,7 +27,6 @@
 #include "gendpr/config.hpp"
 #include "gendpr/messages.hpp"
 #include "genome/bitplanes.hpp"
-#include "genome/genotype.hpp"
 #include "genome/tile_plan.hpp"
 #include "obs/observability.hpp"
 #include "stats/ld.hpp"
@@ -50,13 +49,11 @@ class GdoEnclave : public tee::Enclave {
 
   std::uint32_t gdo_index() const noexcept { return gdo_index_; }
 
-  /// Loads the GDO's local case genotypes into the enclave (models decrypting
-  /// the sealed local dataset; accounted against the EPC meter). Also builds
-  /// the SNP-major bit-plane transpose the statistical kernels run on; the
-  /// planes are charged against the EPC meter like the dataset itself.
-  common::Status provision_dataset(genome::GenotypeMatrix cases);
+  /// Loads the GDO's local case genotypes into the enclave as SNP-major bit
+  /// planes, the one layout its statistical kernels run on (models
+  /// decrypting the sealed local dataset; charged against the EPC meter).
+  common::Status provision_dataset(genome::BitPlanes cases);
 
-  const genome::GenotypeMatrix& dataset() const noexcept { return cases_; }
   const genome::BitPlanes& planes() const noexcept { return planes_; }
 
   /// --- protocol handlers (member role) ---
@@ -110,9 +107,7 @@ class GdoEnclave : public tee::Enclave {
 
  private:
   std::uint32_t gdo_index_;
-  genome::GenotypeMatrix cases_;
   genome::BitPlanes planes_;
-  tee::EpcAllocation dataset_epc_;
   tee::EpcAllocation planes_epc_;
 
   std::optional<StudyAnnounce> announce_;
@@ -160,7 +155,7 @@ class Coordinator {
   using AsyncFetchMoments = std::function<common::Task<CoCounts>(
       const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
-  Coordinator(GdoEnclave& leader_enclave, genome::GenotypeMatrix reference,
+  Coordinator(GdoEnclave& leader_enclave, genome::BitPlanes reference,
               std::uint32_t num_gdos, StudyAnnounce announce);
 
   const StudyAnnounce& announce() const noexcept { return announce_; }
@@ -347,7 +342,6 @@ class Coordinator {
   void assess_maf_tile(std::uint32_t tile);
 
   GdoEnclave* leader_;
-  genome::GenotypeMatrix reference_;
   genome::BitPlanes reference_planes_;
   std::uint32_t num_gdos_;
   StudyAnnounce announce_;
@@ -371,7 +365,6 @@ class Coordinator {
   // summary_tiles_[g][k] tracks which tiles of GDO g have arrived.
   std::vector<std::optional<SummaryStats>> summaries_;  // per GDO
   std::vector<std::vector<bool>> summary_tiles_;
-  std::vector<std::uint32_t> reference_counts_;
   /// Per-combination MAF survivors accumulated in ascending tile order
   /// (empty vectors for combinations that died before assessment ended).
   std::vector<std::vector<std::uint32_t>> maf_survivors_;

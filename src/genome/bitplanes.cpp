@@ -1,32 +1,58 @@
 #include "genome/bitplanes.hpp"
 
-#include <bit>
+#include <algorithm>
 
 #include "genome/kernels/kernels.hpp"
 
 namespace gendpr::genome {
 
-BitPlanes::BitPlanes(const GenotypeMatrix& genotypes)
-    : num_individuals_(genotypes.num_individuals()),
+namespace {
+
+/// In-place transpose of a 64x64 bit matrix (bit c of block[r] is row r,
+/// column c): swaps the off-diagonal halves, then quarters, down to single
+/// bits (Hacker's Delight, §7-3).
+void transpose_64x64(std::uint64_t block[64]) noexcept {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned width = 32; width != 0; width >>= 1, mask ^= mask << width) {
+    for (unsigned r = 0; r < 64; r = ((r | width) + 1) & ~width) {
+      const std::uint64_t swap =
+          ((block[r] >> width) ^ block[r | width]) & mask;
+      block[r] ^= swap << width;
+      block[r | width] ^= swap;
+    }
+  }
+}
+
+}  // namespace
+
+BitPlanes::BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
+                     std::size_t row_end)
+    : num_individuals_(row_end - row_begin),
       num_snps_(genotypes.num_snps()),
-      words_per_plane_((genotypes.num_individuals() + 63) / 64),
-      words_(genotypes.num_snps() * words_per_plane_, 0),
-      counts_(genotypes.num_snps(), 0) {
-  // Transpose by scattering each row's set bits into its column planes.
-  // Padding bits past num_snps in a row byte are never set by the matrix,
-  // so only real SNP indices are touched; individual indices past
-  // num_individuals are never written, keeping tail words zero.
-  for (std::size_t n = 0; n < num_individuals_; ++n) {
-    const std::uint8_t* row = genotypes.row_data(n);
-    const std::size_t word = n / 64;
-    const std::uint64_t bit = 1ull << (n % 64);
-    for (std::size_t j = 0; j < genotypes.row_stride(); ++j) {
-      std::uint8_t byte = row[j];
-      while (byte != 0) {
-        const std::size_t snp = j * 8 +
-                                static_cast<std::size_t>(std::countr_zero(byte));
-        words_[snp * words_per_plane_ + word] |= bit;
-        byte = static_cast<std::uint8_t>(byte & (byte - 1));
+      words_per_plane_((num_individuals_ + 63) / 64),
+      words_(num_snps_ * words_per_plane_, 0),
+      counts_(num_snps_, 0) {
+  // Blocked transpose, 64 individuals x 64 SNPs at a time: each row gives
+  // 8 bytes (bit l % 8 of byte l / 8 is SNP l), each transposed word lands
+  // in one plane. Rows past row_end read as zero (zero tail bits); a row's
+  // last block reads only its remaining bytes and stores only real planes.
+  const std::size_t stride = genotypes.row_stride();
+  for (std::size_t word = 0; word < words_per_plane_; ++word) {
+    const std::size_t first = row_begin + word * 64;
+    const std::size_t rows = std::min<std::size_t>(64, row_end - first);
+    for (std::size_t snp = 0; snp < num_snps_; snp += 64) {
+      std::uint64_t block[64] = {};
+      const std::size_t bytes = std::min<std::size_t>(8, stride - snp / 8);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint8_t* row = genotypes.row_data(first + r) + snp / 8;
+        for (std::size_t b = 0; b < bytes; ++b) {
+          block[r] |= std::uint64_t{row[b]} << (8 * b);
+        }
+      }
+      transpose_64x64(block);
+      const std::size_t planes = std::min<std::size_t>(64, num_snps_ - snp);
+      for (std::size_t k = 0; k < planes; ++k) {
+        words_[(snp + k) * words_per_plane_ + word] = block[k];
       }
     }
   }

@@ -11,8 +11,10 @@
 // mu_xy = popcount(plane_x & plane_y)) derivable without touching the words
 // at all for the marginal terms.
 //
-// Built once per provisioned dataset and kept alongside the row-major matrix;
-// both layouts are charged against the EPC meter (see DESIGN.md §2.1).
+// Built once per provisioned dataset by a blocked 64x64 bit transpose that
+// reads the caller's rows in place. Inside an enclave the planes are the
+// only genotype layout, and the only one charged against the EPC meter (see
+// DESIGN.md §2.1).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,12 @@ namespace gendpr::genome {
 class BitPlanes {
  public:
   BitPlanes() = default;
-  explicit BitPlanes(const GenotypeMatrix& genotypes);
+  explicit BitPlanes(const GenotypeMatrix& genotypes)
+      : BitPlanes(genotypes, 0, genotypes.num_individuals()) {}
+  /// Planes of rows [row_begin, row_end) of `genotypes` (a GDO's partition),
+  /// read in place: individual 0 of the planes is row `row_begin`.
+  BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
+            std::size_t row_end);
 
   std::size_t num_individuals() const noexcept { return num_individuals_; }
   std::size_t num_snps() const noexcept { return num_snps_; }

@@ -3,10 +3,10 @@
 // A GWAS over L SNPs encodes each genome as one binary value per SNP
 // (paper §3.1, Table 1): 0 = only the major allele present, 1 = the minor
 // allele present. GenotypeMatrix stores N individuals x L SNPs bit-packed
-// (8 genotypes/byte), which keeps the simulated enclave working set small -
-// one of the design points the Table 3 reproduction and the packing ablation
-// bench measure. An unpacked byte-per-genotype variant exists for the
-// ablation comparison.
+// (8 genotypes/byte), one row per individual: the form in which cohorts are
+// generated, read from VCF-lite files and released. GenDPR enclaves never
+// hold it: they hold the SNP-major BitPlanes built from its rows
+// (bitplanes.hpp).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ class GenotypeMatrix {
     return bits_.data() + individual * row_stride_;
   }
 
-  /// Heap bytes used by the packed storage (EPC accounting).
+  /// Heap bytes used by the packed storage.
   std::size_t storage_bytes() const noexcept { return bits_.size(); }
 
   bool operator==(const GenotypeMatrix&) const = default;
@@ -64,35 +64,6 @@ class GenotypeMatrix {
   std::size_t num_snps_ = 0;
   std::size_t row_stride_ = 0;  // bytes per row
   common::Bytes bits_;
-};
-
-/// Unpacked (1 byte/genotype) storage; exists only for the packing ablation.
-class UnpackedGenotypeMatrix {
- public:
-  UnpackedGenotypeMatrix(std::size_t num_individuals, std::size_t num_snps)
-      : num_individuals_(num_individuals),
-        num_snps_(num_snps),
-        values_(num_individuals * num_snps, 0) {}
-
-  bool get(std::size_t individual, std::size_t snp) const noexcept {
-    return values_[individual * num_snps_ + snp] != 0;
-  }
-  void set(std::size_t individual, std::size_t snp, bool minor) noexcept {
-    values_[individual * num_snps_ + snp] = minor ? 1 : 0;
-  }
-  std::uint32_t allele_count(std::size_t snp) const noexcept {
-    std::uint32_t count = 0;
-    for (std::size_t n = 0; n < num_individuals_; ++n) {
-      count += values_[n * num_snps_ + snp];
-    }
-    return count;
-  }
-  std::size_t storage_bytes() const noexcept { return values_.size(); }
-
- private:
-  std::size_t num_individuals_;
-  std::size_t num_snps_;
-  std::vector<std::uint8_t> values_;
 };
 
 }  // namespace gendpr::genome

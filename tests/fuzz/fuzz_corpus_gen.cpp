@@ -31,6 +31,7 @@ using gendpr::core::MemberSession;
 using gendpr::core::OutFrame;
 using gendpr::core::ProtocolSession;
 using gendpr::core::SessionWants;
+using gendpr::genome::BitPlanes;
 
 /// Owning copy of an emitted frame's payload.
 gendpr::common::Bytes bytes_of(const gendpr::wire::WireBuffer& frame) {
@@ -100,14 +101,14 @@ int main(int argc, char** argv) {
         gendpr::crypto::Csprng(
             std::array<std::uint8_t, 32>{static_cast<std::uint8_t>(g + 1)})));
   }
-  LeaderSession leader(*platforms[0], 0, 3, cohort.cases.slice_rows(0, 8),
-                       cohort.controls, announce);
+  LeaderSession leader(*platforms[0], 0, 3, BitPlanes(cohort.cases, 0, 8),
+                       BitPlanes(cohort.controls), announce);
   // Observed only to confirm the transcript reaches every handler; the
   // recorded frames are the same either way.
   gendpr::obs::Observability observability;
   leader.set_observability(&observability);
-  MemberSession member1(*platforms[1], 1, 0, cohort.cases.slice_rows(8, 16));
-  MemberSession member2(*platforms[2], 2, 0, cohort.cases.slice_rows(16, 24));
+  MemberSession member1(*platforms[1], 1, 0, BitPlanes(cohort.cases, 8, 16));
+  MemberSession member2(*platforms[2], 2, 0, BitPlanes(cohort.cases, 16, 24));
   std::vector<ProtocolSession*> sessions{&leader, &member1, &member2};
 
   // Clean-run pump: FIFO frame routing, recording what GDO 0 (leader role)

@@ -162,14 +162,17 @@ int run_one_input(const std::uint8_t* data, std::size_t size) {
   if (data[0] % 2 == 0) {
     tee::Platform platform(2, authority,
                            crypto::Csprng(std::array<std::uint8_t, 32>{2}));
-    MemberSession member(platform, 1, 0, study.cohort.cases.slice_rows(8, 16));
+    MemberSession member(platform, 1, 0,
+                         genome::BitPlanes(study.cohort.cases, 8, 16));
     member.set_receive_timeout(std::chrono::milliseconds(100));
     drive(member, script);
   } else {
     tee::Platform platform(1, authority,
                            crypto::Csprng(std::array<std::uint8_t, 32>{1}));
-    LeaderSession leader(platform, 0, 3, study.cohort.cases.slice_rows(0, 8),
-                         study.cohort.controls, study.announce);
+    LeaderSession leader(platform, 0, 3,
+                         genome::BitPlanes(study.cohort.cases, 0, 8),
+                         genome::BitPlanes(study.cohort.controls),
+                         study.announce);
     leader.set_receive_timeout(std::chrono::milliseconds(100));
     drive(leader, script);
   }

@@ -145,12 +145,15 @@ TEST(CollusionOracleTest, DegradedRunMatchesOracleOverSurvivingSubsets) {
   input.ld_combinations = {{0, 1}};
   input.config = announce.config;
 
-  LeaderSession leader(platform0, 0, 3, input.case_slices[0], cohort.controls,
-                       announce);
+  LeaderSession leader(platform0, 0, 3,
+                       genome::BitPlanes(input.case_slices[0]),
+                       genome::BitPlanes(cohort.controls), announce);
   leader.set_receive_timeout(std::chrono::milliseconds(250));
-  MemberSession honest(platform1, 1, 0, input.case_slices[1]);
+  MemberSession honest(platform1, 1, 0,
+                       genome::BitPlanes(input.case_slices[1]));
   honest.set_receive_timeout(std::chrono::milliseconds(5000));
-  ScriptedMember crashing(platform2, 2, 0, input.case_slices[2],
+  ScriptedMember crashing(platform2, 2, 0,
+                          genome::BitPlanes(input.case_slices[2]),
                           ScriptedMember::until_summary());
   SessionHarness harness;
   harness.add(0, leader);

@@ -242,11 +242,12 @@ TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {
   ASSERT_TRUE(leader_hub.ok());
   ASSERT_TRUE(member_hub.ok());
 
-  LeaderSession leader(leader_platform, 0, 3, cohort.cases.slice_rows(0, 60),
-                       cohort.controls, announce);
+  LeaderSession leader(leader_platform, 0, 3,
+                       genome::BitPlanes(cohort.cases, 0, 60),
+                       genome::BitPlanes(cohort.controls), announce);
   leader.set_receive_timeout(std::chrono::milliseconds(300));
   MemberSession member(member_platform, 1, 0,
-                       cohort.cases.slice_rows(60, 120));
+                       genome::BitPlanes(cohort.cases, 60, 120));
 
   SessionDriver leader_driver(loop, *leader_hub.value(), leader);
   SessionDriver member_driver(loop, *member_hub.value(), member);
@@ -297,15 +298,15 @@ TEST(TcpFederationTest, StudyOverRealSocketsMatchesInProcess) {
 
   obs::Observability observability;
   LeaderSession leader(*platforms[0], 0, kGdos,
-                       cohort.cases.slice_rows(ranges[0].first,
-                                               ranges[0].second),
-                       cohort.controls, announce);
+                       genome::BitPlanes(cohort.cases, ranges[0].first,
+                                         ranges[0].second),
+                       genome::BitPlanes(cohort.controls), announce);
   leader.set_observability(&observability);
   std::vector<std::unique_ptr<MemberSession>> members;
   for (std::uint32_t g = 1; g < kGdos; ++g) {
     members.push_back(std::make_unique<MemberSession>(
         *platforms[g], g, 0,
-        cohort.cases.slice_rows(ranges[g].first, ranges[g].second)));
+        genome::BitPlanes(cohort.cases, ranges[g].first, ranges[g].second)));
     members.back()->set_observability(&observability);
   }
   StudyResult tcp_result;
@@ -378,9 +379,11 @@ TEST(TcpFederationTest, MemberSafeSetsMatchLeader) {
   announce.combinations =
       Coordinator::build_combinations(2, CollusionPolicy::none());
 
-  LeaderSession leader(*platforms[0], 0, 2, cohort.cases.slice_rows(0, 100),
-                       cohort.controls, announce);
-  MemberSession member(*platforms[1], 1, 0, cohort.cases.slice_rows(100, 200));
+  LeaderSession leader(*platforms[0], 0, 2,
+                       genome::BitPlanes(cohort.cases, 0, 100),
+                       genome::BitPlanes(cohort.controls), announce);
+  MemberSession member(*platforms[1], 1, 0,
+                       genome::BitPlanes(cohort.cases, 100, 200));
   SessionHarness harness(0, SessionHarness::Transport::epoll);
   harness.add(0, leader);
   harness.add(1, member);
@@ -404,18 +407,16 @@ TEST(TcpFederationTest, KilledMemberAbortsStudyPromptly) {
   announce.combinations =
       Coordinator::build_combinations(3, CollusionPolicy::none());
 
-  LeaderSession leader(*platforms[0], 0, 3, cohort.cases.slice_rows(0, 100),
-                       cohort.controls, announce);
+  LeaderSession leader(*platforms[0], 0, 3,
+                       genome::BitPlanes(cohort.cases, 0, 100),
+                       genome::BitPlanes(cohort.controls), announce);
   leader.set_receive_timeout(std::chrono::milliseconds(10000));
   MemberSession survivor(*platforms[1], 1, 0,
-                         cohort.cases.slice_rows(100, 200));
+                         genome::BitPlanes(cohort.cases, 100, 200));
   survivor.set_receive_timeout(std::chrono::milliseconds(10000));
-  ScriptedMember::Script script;
-  script.stop = ScriptedMember::Stop::after_handshake;
-  // Copied, not moved: GCC 12 with -fsanitize=address reports the move of
-  // the disengaged `raw_handshake` as -Wmaybe-uninitialized.
-  ScriptedMember doomed(*platforms[2], 2, 0, cohort.cases.slice_rows(200, 300),
-                        script);
+  ScriptedMember doomed(
+      *platforms[2], 2, 0, genome::BitPlanes(cohort.cases, 200, 300),
+      ScriptedMember::silent_at(ScriptedMember::Stop::after_handshake));
 
   SessionHarness harness(0, SessionHarness::Transport::epoll);
   harness.add(0, leader);

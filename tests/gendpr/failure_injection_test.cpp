@@ -42,16 +42,16 @@ struct LeaderFixture {
   /// The leader session (GDO 0) of a two-GDO study.
   std::unique_ptr<LeaderSession> make_leader() {
     return std::make_unique<LeaderSession>(
-        leader_platform, 0, 2, cohort.cases.slice_rows(0, 100),
-        cohort.controls, announce());
+        leader_platform, 0, 2, genome::BitPlanes(cohort.cases, 0, 100),
+        genome::BitPlanes(cohort.controls), announce());
   }
 
   /// A scripted member `gdo` holding the second half of the cases.
   std::unique_ptr<ScriptedMember> make_member(
       ScriptedMember::Script script, std::uint32_t gdo = 1) {
-    return std::make_unique<ScriptedMember>(member_platform, gdo, 0,
-                                            cohort.cases.slice_rows(100, 200),
-                                            std::move(script));
+    return std::make_unique<ScriptedMember>(
+        member_platform, gdo, 0, genome::BitPlanes(cohort.cases, 100, 200),
+        std::move(script));
   }
 
   /// Runs the leader against `member` (if any) and returns its outcome.
@@ -178,10 +178,10 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
   // combination to fall back on the phase aborts with a timeout naming it.
   LeaderFixture f;
   GdoEnclave leader_enclave(f.leader_platform, 0);
-  ASSERT_TRUE(
-      leader_enclave.provision_dataset(f.cohort.cases.slice_rows(0, 100))
-          .ok());
-  Coordinator coordinator(leader_enclave, f.cohort.controls, 2, f.announce());
+  const genome::BitPlanes leader_cases(f.cohort.cases, 0, 100);
+  ASSERT_TRUE(leader_enclave.provision_dataset(leader_cases).ok());
+  Coordinator coordinator(leader_enclave, genome::BitPlanes(f.cohort.controls),
+                          2, f.announce());
   SummaryStats member_stats;
   member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
   member_stats.n_case = 100;
@@ -203,7 +203,8 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
 TEST(CheckpointTest, SealRestoreRoundTrip) {
   LeaderFixture f;
   GdoEnclave enclave(f.member_platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(
+      enclave.provision_dataset(genome::BitPlanes(f.cohort.cases)).ok());
   StudyAnnounce announce = f.announce();
   ASSERT_TRUE(enclave.on_study_announce(announce).ok());
   ASSERT_TRUE(enclave.on_phase1(Phase1Result{{1, 2, 3}}).ok());
@@ -310,13 +311,14 @@ struct ThreeGdoFixture {
                      std::unique_ptr<MemberSession>& honest,
                      std::unique_ptr<LeaderSession>& leader) {
     leader = std::make_unique<LeaderSession>(
-        platform0, 0, 3, cohort.cases.slice_rows(0, 100), cohort.controls,
-        announce(policy));
+        platform0, 0, 3, genome::BitPlanes(cohort.cases, 0, 100),
+        genome::BitPlanes(cohort.controls), announce(policy));
     leader->set_receive_timeout(std::chrono::milliseconds(250));
-    honest = std::make_unique<MemberSession>(platform1, 1, 0,
-                                             cohort.cases.slice_rows(100, 200));
+    honest = std::make_unique<MemberSession>(
+        platform1, 1, 0, genome::BitPlanes(cohort.cases, 100, 200));
     honest->set_receive_timeout(member_timeout);
-    ScriptedMember crashing(platform2, 2, 0, cohort.cases.slice_rows(200, 300),
+    ScriptedMember crashing(platform2, 2, 0,
+                            genome::BitPlanes(cohort.cases, 200, 300),
                             ScriptedMember::until_summary());
     SessionHarness harness;
     harness.add(0, *leader);

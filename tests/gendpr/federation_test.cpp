@@ -165,6 +165,21 @@ TEST(FederationTest, OutOfRangeFprRejectedBeforeAnySession) {
   }
 }
 
+TEST(FederationTest, ReferenceOverOtherSnpsRejected) {
+  // With a reference panel over fewer SNPs than the cases, the leader would
+  // read the panel's counts past their end; the study refuses it up front.
+  genome::Cohort cohort = test_cohort(100, 100, 30);
+  cohort.controls = test_cohort(100, 100, 20).controls;
+  obs::Observability obs;
+  FederationSpec spec;
+  spec.num_gdos = 3;
+  spec.obs = &obs;
+  const auto result = run_federated_study(cohort, spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, common::Errc::invalid_argument);
+  EXPECT_TRUE(obs.trace.spans().empty());
+}
+
 TEST(FederationTest, NetworkCarriesOnlyCiphertext) {
   // Indirect check: total network traffic must exceed the plaintext payloads
   // by the AEAD overheads, and no genotype-sized transfers occur (genomes
@@ -188,7 +203,7 @@ TEST(FederationTest, EpcPeaksReported) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.value().epc_peak_leader, 0u);
   EXPECT_GT(result.value().epc_peak_members_max, 0u);
-  // Members hold roughly a GDO's slice of the bit-packed genomes.
+  // Members hold roughly a GDO's slice of the genomes, as bit planes.
   EXPECT_LT(result.value().epc_peak_members_max,
             tee::EpcMeter::kDefaultLimitBytes);
 }
@@ -253,6 +268,8 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
     EXPECT_GE(span.duration_ms, 0.0) << span.name << " left open";
   }
   EXPECT_EQ(name_counts["study"], 1);
+  // Building every GDO's planes and sessions is one step of its own.
+  EXPECT_EQ(name_counts["step.provision"], 1);
   for (const std::string phase : {"maf", "ld", "lr"}) {
     EXPECT_EQ(name_counts["phase." + phase], 1);
   }

@@ -67,15 +67,15 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
     fed.enclaves.push_back(
         std::make_unique<GdoEnclave>(*fed.platforms[g], g));
     EXPECT_TRUE(fed.enclaves[g]
-                    ->provision_dataset(cohort.cases.slice_rows(
-                        ranges[g].first, ranges[g].second))
+                    ->provision_dataset(genome::BitPlanes(
+                        cohort.cases, ranges[g].first, ranges[g].second))
                     .ok());
     EXPECT_TRUE(fed.enclaves[g]->on_study_announce(fed.announce).ok());
     EXPECT_TRUE(fed.enclaves[g]->on_phase1({fed.phase2.retained}).ok());
     fed.phase2.case_counts_per_gdo.push_back(
         fed.enclaves[g]->planes().allele_counts(fed.phase2.retained));
     fed.phase2.n_case_per_gdo.push_back(static_cast<std::uint32_t>(
-        fed.enclaves[g]->dataset().num_individuals()));
+        fed.enclaves[g]->planes().num_individuals()));
   }
   return fed;
 }
@@ -113,7 +113,7 @@ std::size_t check_against_matrix_path(Federation& fed,
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) return 0;
     planes[i] = std::move(reply).take();
-    const std::size_t rows = fed.enclaves[i]->dataset().num_individuals();
+    const std::size_t rows = fed.enclaves[i]->planes().num_individuals();
     EXPECT_EQ(planes[i].width, fed.phase2.retained.size());
     EXPECT_EQ(planes[i].words_per_column, (rows + 63) / 64);
     blocks[i].rows = rows;

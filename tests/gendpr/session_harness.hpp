@@ -116,7 +116,7 @@ class ScriptedMember : public ProtocolSession {
   };
 
   ScriptedMember(tee::Platform& platform, std::uint32_t gdo,
-                 std::uint32_t leader_gdo, genome::GenotypeMatrix cases,
+                 std::uint32_t leader_gdo, genome::BitPlanes cases,
                  Script script)
       : leader_gdo_(leader_gdo),
         enclave_(platform, gdo),
@@ -135,6 +135,13 @@ class ScriptedMember : public ProtocolSession {
                          enclave.make_summary_stats().serialize()))
           .value();
     };
+    return script;
+  }
+
+  /// A member that goes silent at `stop` without sending anything further.
+  static Script silent_at(Stop stop) {
+    Script script;
+    script.stop = stop;
     return script;
   }
 

@@ -85,13 +85,13 @@ struct StudyFixture {
   std::unique_ptr<LeaderSession> make_leader() {
     return std::make_unique<LeaderSession>(
         *platforms[0], 0, kGdos,
-        cohort.cases.slice_rows(ranges[0].first, ranges[0].second),
-        cohort.controls, announce);
+        genome::BitPlanes(cohort.cases, ranges[0].first, ranges[0].second),
+        genome::BitPlanes(cohort.controls), announce);
   }
   std::unique_ptr<MemberSession> make_member(std::uint32_t g) {
     return std::make_unique<MemberSession>(
         *platforms[g], g, 0,
-        cohort.cases.slice_rows(ranges[g].first, ranges[g].second));
+        genome::BitPlanes(cohort.cases, ranges[g].first, ranges[g].second));
   }
 
   tee::QuotingAuthority authority;
@@ -216,7 +216,7 @@ TEST(SessionTest, WrongAuthorityHandshakeIsRejected) {
   tee::Platform rogue_platform(9, rogue_authority,
                                crypto::Csprng(std::array<std::uint8_t, 32>{9}));
   MemberSession rogue(rogue_platform, 1, 0,
-                      fixture.cohort.cases.slice_rows(0, 40));
+                      genome::BitPlanes(fixture.cohort.cases, 0, 40));
   std::vector<OutFrame> handshake = rogue.step({});
   ASSERT_EQ(handshake.size(), 1u);
   leader->step({InFrame{1, bytes_of(handshake[0].payload)}});
@@ -297,9 +297,8 @@ TEST(SessionTest, UnexpectedMessageTypeFails) {
   // The test plays leader with the tee primitives directly, so it can seal
   // a syntactically valid record of a type the member must refuse.
   GdoEnclave fake_leader(*fixture.platforms[0], 0);
-  ASSERT_TRUE(
-      fake_leader.provision_dataset(fixture.cohort.cases.slice_rows(0, 40))
-          .ok());
+  const genome::BitPlanes leader_cases(fixture.cohort.cases, 0, 40);
+  ASSERT_TRUE(fake_leader.provision_dataset(leader_cases).ok());
   auto channel = fake_leader.channel_to(trusted_module_measurement(),
                                         /*initiator=*/false);
   ASSERT_TRUE(channel->complete(handshake[0].payload.payload()).ok());
@@ -422,7 +421,7 @@ TEST(SessionTest, ProvisionFailureSurfacesAtStart) {
   cohort_spec.num_snps = 32;
   cohort_spec.seed = 5;
   const genome::Cohort cohort = genome::generate_cohort(cohort_spec);
-  MemberSession member(tiny, 1, 0, cohort.cases.slice_rows(0, 64));
+  MemberSession member(tiny, 1, 0, genome::BitPlanes(cohort.cases, 0, 64));
   EXPECT_FALSE(member.provision_status().ok());
   EXPECT_EQ(member.provision_status().error().code,
             common::Errc::capacity_exceeded);

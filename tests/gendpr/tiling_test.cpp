@@ -130,22 +130,21 @@ TEST(TilingTest, DegradedDeadGdoRunMatchesMonolithic) {
     // f = 1: combinations {0,1}, {0,2}, {1,2} - losing GDO 2 leaves {0,1}.
     announce.combinations =
         Coordinator::build_combinations(3, CollusionPolicy::fixed(1));
-    LeaderSession leader(platform0, 0, 3, cohort.cases.slice_rows(0, 100),
-                         cohort.controls, announce);
+    LeaderSession leader(platform0, 0, 3,
+                         genome::BitPlanes(cohort.cases, 0, 100),
+                         genome::BitPlanes(cohort.controls), announce);
     leader.set_receive_timeout(std::chrono::milliseconds(400));
-    MemberSession honest(platform1, 1, 0, cohort.cases.slice_rows(100, 200));
+    MemberSession honest(platform1, 1, 0,
+                         genome::BitPlanes(cohort.cases, 100, 200));
     honest.set_receive_timeout(std::chrono::milliseconds(20000));
     // GDO 2 handshakes and processes the announce, then goes silent without
     // ever sending a summary: a crash right before phase-1 input
     // submission. Unlike a crash *after* the summary, this shape is
     // identical under any tile width, so the tiled and monolithic degraded
     // runs see the same dead set at the same phase.
-    ScriptedMember::Script script;
-    script.stop = ScriptedMember::Stop::after_announce;
-    // Copied, not moved: GCC 12 with -fsanitize=address reports the move of
-    // the disengaged `raw_handshake` as -Wmaybe-uninitialized.
-    ScriptedMember crashing(platform2, 2, 0, cohort.cases.slice_rows(200, 300),
-                            script);
+    ScriptedMember crashing(
+        platform2, 2, 0, genome::BitPlanes(cohort.cases, 200, 300),
+        ScriptedMember::silent_at(ScriptedMember::Stop::after_announce));
     SessionHarness harness;
     harness.add(0, leader);
     harness.add(1, honest);
@@ -197,11 +196,11 @@ TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
     announce.combinations =
         Coordinator::build_combinations(2, CollusionPolicy::none());
     LeaderSession leader(leader_platform, 0, 2,
-                         cohort.cases.slice_rows(0, 300), cohort.controls,
-                         announce);
+                         genome::BitPlanes(cohort.cases, 0, 300),
+                         genome::BitPlanes(cohort.controls), announce);
     leader.set_receive_timeout(std::chrono::milliseconds(20000));
     MemberSession member(member_platform, 1, 0,
-                         cohort.cases.slice_rows(300, 420));
+                         genome::BitPlanes(cohort.cases, 300, 420));
     member.set_receive_timeout(std::chrono::milliseconds(20000));
     SessionHarness harness;
     harness.add(0, leader);

@@ -26,6 +26,15 @@ struct Fixture {
     return spec;
   }());
 
+  /// Bit planes of all case rows, or of rows [begin, end).
+  genome::BitPlanes cases() const { return genome::BitPlanes(cohort.cases); }
+  genome::BitPlanes cases(std::size_t begin, std::size_t end) const {
+    return genome::BitPlanes(cohort.cases, begin, end);
+  }
+  genome::BitPlanes reference() const {
+    return genome::BitPlanes(cohort.controls);
+  }
+
   StudyAnnounce make_announce(std::uint32_t num_gdos,
                               CollusionPolicy policy) {
     StudyAnnounce announce;
@@ -87,12 +96,10 @@ TEST(BuildCombinationsTest, FClampedToGMinus1) {
 TEST(GdoEnclaveTest, ProvisionAccountsEpc) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
-  // Both genotype layouts are charged: the packed rows and the SNP-major
-  // bit planes built from them (DESIGN.md §2.1).
-  const genome::BitPlanes planes(f.cohort.cases);
-  EXPECT_EQ(f.platform.epc().in_use(),
-            f.cohort.cases.storage_bytes() + planes.storage_bytes());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
+  // The bit planes are the enclave's one genotype layout, and its one
+  // dataset charge (DESIGN.md §2.1).
+  EXPECT_EQ(f.platform.epc().in_use(), f.cases().storage_bytes());
 }
 
 TEST(GdoEnclaveTest, ProvisionRejectedOverEpcLimit) {
@@ -102,7 +109,7 @@ TEST(GdoEnclaveTest, ProvisionRejectedOverEpcLimit) {
                      /*epc_limit=*/16);
   Fixture f;
   GdoEnclave enclave(tiny, 0);
-  const auto status = enclave.provision_dataset(f.cohort.cases);
+  const auto status = enclave.provision_dataset(f.cases());
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, common::Errc::capacity_exceeded);
 }
@@ -110,7 +117,7 @@ TEST(GdoEnclaveTest, ProvisionRejectedOverEpcLimit) {
 TEST(GdoEnclaveTest, SummaryStatsMatchDataset) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   const SummaryStats stats = enclave.make_summary_stats();
   EXPECT_EQ(stats.n_case, f.cohort.cases.num_individuals());
   EXPECT_EQ(stats.case_counts, f.cohort.cases.allele_counts());
@@ -119,7 +126,7 @@ TEST(GdoEnclaveTest, SummaryStatsMatchDataset) {
 TEST(GdoEnclaveTest, AnnounceSnpMismatchRejected) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
   announce.num_snps = 7;  // wrong
   EXPECT_FALSE(enclave.on_study_announce(announce).ok());
@@ -128,7 +135,7 @@ TEST(GdoEnclaveTest, AnnounceSnpMismatchRejected) {
 TEST(GdoEnclaveTest, HandlersEnforcePhaseOrder) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   EXPECT_FALSE(enclave.on_phase1(Phase1Result{}).ok());
   EXPECT_FALSE(enclave.on_moments_request(MomentsRequest{}).ok());
   EXPECT_FALSE(enclave.on_phase3(Phase3Result{}).ok());
@@ -137,7 +144,7 @@ TEST(GdoEnclaveTest, HandlersEnforcePhaseOrder) {
 TEST(GdoEnclaveTest, MomentsRequestOutOfRangeRejected) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   ASSERT_TRUE(
       enclave.on_study_announce(f.make_announce(1, CollusionPolicy::none()))
           .ok());
@@ -153,7 +160,7 @@ Phase2Result make_phase2_counts(const GdoEnclave& enclave,
   phase2.retained = std::move(retained);
   phase2.reference_freq.assign(phase2.retained.size(), 0.25);
   const std::uint32_t n_case =
-      static_cast<std::uint32_t>(enclave.dataset().num_individuals());
+      static_cast<std::uint32_t>(enclave.planes().num_individuals());
   phase2.case_counts_per_gdo.assign(
       3, std::vector<std::uint32_t>(phase2.retained.size(), 7));
   phase2.case_counts_per_gdo[enclave.gdo_index()] =
@@ -166,7 +173,7 @@ Phase2Result make_phase2_counts(const GdoEnclave& enclave,
 TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   ASSERT_TRUE(enclave
                   .on_study_announce(
                       f.make_announce(3, CollusionPolicy::fixed(1)))
@@ -195,7 +202,7 @@ TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
 TEST(GdoEnclaveTest, Phase2FrequencySizeMismatchRejected) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   ASSERT_TRUE(
       enclave.on_study_announce(f.make_announce(1, CollusionPolicy::none()))
           .ok());
@@ -209,7 +216,7 @@ TEST(GdoEnclaveTest, Phase2MisattributedOwnCountsRejected) {
   // caught inside the enclave before any matrix is computed.
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   ASSERT_TRUE(enclave
                   .on_study_announce(
                       f.make_announce(3, CollusionPolicy::fixed(1)))
@@ -224,7 +231,7 @@ TEST(GdoEnclaveTest, Phase2MisattributedOwnCountsRejected) {
 TEST(GdoEnclaveTest, Phase2CoMemberCountOverPopulationRejected) {
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   ASSERT_TRUE(enclave
                   .on_study_announce(
                       f.make_announce(3, CollusionPolicy::fixed(1)))
@@ -237,7 +244,7 @@ TEST(GdoEnclaveTest, Phase2CoMemberCountOverPopulationRejected) {
 TEST(GdoEnclaveTest, Phase2SkipsCombinationsWithDeadMembers) {
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
   ASSERT_TRUE(enclave
                   .on_study_announce(
                       f.make_announce(3, CollusionPolicy::fixed(1)))
@@ -256,8 +263,8 @@ TEST(GdoEnclaveTest, Phase2SkipsCombinationsWithDeadMembers) {
 TEST(CoordinatorTest, RejectsBogusSummaries) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
-  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-  Coordinator coordinator(leader, f.cohort.controls, 2,
+  ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
+  Coordinator coordinator(leader, f.reference(), 2,
                           f.make_announce(2, CollusionPolicy::none()));
   SummaryStats bogus;
   bogus.case_counts = {1, 2};  // wrong length
@@ -279,8 +286,8 @@ TEST(CoordinatorTest, RejectsBogusSummaries) {
 TEST(CoordinatorTest, MafPhaseRequiresAllSummaries) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
-  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-  Coordinator coordinator(leader, f.cohort.controls, 3,
+  ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
+  Coordinator coordinator(leader, f.reference(), 3,
                           f.make_announce(3, CollusionPolicy::none()));
   EXPECT_FALSE(coordinator.phase1_ready());
   EXPECT_FALSE(coordinator.run_maf_phase().ok());
@@ -289,8 +296,8 @@ TEST(CoordinatorTest, MafPhaseRequiresAllSummaries) {
 TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
-  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-  Coordinator coordinator(leader, f.cohort.controls, 1,
+  ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
+  Coordinator coordinator(leader, f.reference(), 1,
                           f.make_announce(1, CollusionPolicy::none()));
   ASSERT_TRUE(coordinator.phase1_ready());
   const auto phase1 = coordinator.run_maf_phase();
@@ -314,8 +321,8 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
 TEST(CoordinatorTest, LrMatrixValidation) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
-  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-  Coordinator coordinator(leader, f.cohort.controls, 2,
+  ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
+  Coordinator coordinator(leader, f.reference(), 2,
                           f.make_announce(2, CollusionPolicy::none()));
   SummaryStats member_stats;
   member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
@@ -339,8 +346,8 @@ TEST(CoordinatorTest, LrMatrixValidation) {
 TEST(CoordinatorTest, LrPlanesBeforeLdPhaseRejected) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
-  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-  Coordinator coordinator(leader, f.cohort.controls, 2,
+  ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
+  Coordinator coordinator(leader, f.reference(), 2,
                           f.make_announce(2, CollusionPolicy::none()));
   EXPECT_EQ(coordinator.add_lr_planes(1, LrPlanes{}).error().code,
             common::Errc::state_violation);
@@ -357,14 +364,12 @@ struct PlaneGather {
   std::vector<LrPlanes> replies;
 
   PlaneGather() {
-    EXPECT_TRUE(
-        leader.provision_dataset(f.cohort.cases.slice_rows(0, 130)).ok());
+    EXPECT_TRUE(leader.provision_dataset(f.cases(0, 130)).ok());
     // 170 rows: three words per column, the last one padded.
-    EXPECT_TRUE(
-        member.provision_dataset(f.cohort.cases.slice_rows(130, 300)).ok());
+    EXPECT_TRUE(member.provision_dataset(f.cases(130, 300)).ok());
     StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
     announce.config.snp_tile_width = 8;
-    coordinator.emplace(leader, f.cohort.controls, 2, announce);
+    coordinator.emplace(leader, f.reference(), 2, announce);
     EXPECT_TRUE(member.on_study_announce(announce).ok());
     const genome::TilePlan& plan = coordinator->maf_plan();
     for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
@@ -467,13 +472,11 @@ struct WindowGather {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> fetched;
 
   WindowGather() {
-    EXPECT_TRUE(
-        leader.provision_dataset(f.cohort.cases.slice_rows(0, 130)).ok());
-    EXPECT_TRUE(
-        member.provision_dataset(f.cohort.cases.slice_rows(130, 300)).ok());
+    EXPECT_TRUE(leader.provision_dataset(f.cases(0, 130)).ok());
+    EXPECT_TRUE(member.provision_dataset(f.cases(130, 300)).ok());
     StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
     announce.config.snp_tile_width = 8;
-    coordinator.emplace(leader, f.cohort.controls, 2, announce);
+    coordinator.emplace(leader, f.reference(), 2, announce);
     EXPECT_TRUE(member.on_study_announce(announce).ok());
     const genome::TilePlan& maf_plan = coordinator->maf_plan();
     for (std::uint32_t k = 0; k < maf_plan.tile_count(); ++k) {
@@ -589,8 +592,8 @@ TEST(CoordinatorTest, LdWindowOutOfOrderOrRangeRejected) {
 TEST(CoordinatorTest, LdWindowBeforePhase1ResultRejected) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
-  ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-  Coordinator coordinator(leader, f.cohort.controls, 2,
+  ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
+  Coordinator coordinator(leader, f.reference(), 2,
                           f.make_announce(2, CollusionPolicy::none()));
   const common::Status status = coordinator.add_ld_window(1, LdWindow{});
   ASSERT_FALSE(status.ok());
@@ -614,8 +617,8 @@ TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
   for (const std::uint32_t co : {9u, 31u}) {
     Fixture f;
     GdoEnclave leader(f.platform, 0);
-    ASSERT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-    Coordinator coordinator(leader, f.cohort.controls, 2,
+    ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
+    Coordinator coordinator(leader, f.reference(), 2,
                             f.make_announce(2, CollusionPolicy::none()));
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 30);
@@ -647,8 +650,8 @@ struct RefetchFixture {
   std::optional<Coordinator> coordinator;
 
   RefetchFixture() {
-    EXPECT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-    coordinator.emplace(leader, f.cohort.controls, 3,
+    EXPECT_TRUE(leader.provision_dataset(f.cases()).ok());
+    coordinator.emplace(leader, f.reference(), 3,
                         f.make_announce(3, CollusionPolicy::fixed(1)));
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);

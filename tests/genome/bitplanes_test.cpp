@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "lr_reference.hpp"
@@ -27,18 +28,56 @@ GenotypeMatrix random_matrix(common::Rng& rng, std::size_t n, std::size_t l,
 /// the tail-word masking has to hold at every alignment.
 const std::size_t kPopulationSizes[] = {0, 1, 7, 63, 64, 65, 128, 200};
 
+/// SNP counts around the transpose's 64-SNP block: one partial block, one
+/// full block, a full block plus one SNP, and three blocks.
+const std::size_t kSnpCounts[] = {17, 63, 64, 65, 130};
+
+/// Checks every plane word of `planes` against rows [begin, end) of `m`,
+/// set bit by bit from get(), including the zero bits past the last row.
+void expect_planes_of_rows(const BitPlanes& planes, const GenotypeMatrix& m,
+                           std::size_t begin, std::size_t end) {
+  const std::size_t n = end - begin;
+  ASSERT_EQ(planes.num_individuals(), n);
+  ASSERT_EQ(planes.num_snps(), m.num_snps());
+  ASSERT_EQ(planes.words_per_plane(), (n + 63) / 64);
+  for (std::size_t l = 0; l < m.num_snps(); ++l) {
+    std::vector<std::uint64_t> want(planes.words_per_plane(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (m.get(begin + i, l)) want[i / 64] |= 1ull << (i % 64);
+    }
+    for (std::size_t w = 0; w < want.size(); ++w) {
+      ASSERT_EQ(planes.plane(l)[w], want[w])
+          << "rows [" << begin << ", " << end << ") snp " << l << " word " << w;
+    }
+    if (n % 64 != 0) {
+      EXPECT_EQ(planes.plane(l)[n / 64] >> (n % 64), 0u) << "snp " << l;
+    }
+  }
+}
+
 TEST(BitPlanesTest, GetMatchesMatrix) {
   common::Rng rng(11);
-  for (std::size_t n : kPopulationSizes) {
-    const GenotypeMatrix m = random_matrix(rng, n, 17, 0.4);
-    const BitPlanes planes(m);
-    EXPECT_EQ(planes.num_individuals(), n);
-    EXPECT_EQ(planes.num_snps(), 17u);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t l = 0; l < 17; ++l) {
-        EXPECT_EQ(planes.get(i, l), m.get(i, l)) << "n=" << n << " i=" << i
-                                                 << " l=" << l;
-      }
+  for (std::size_t l : kSnpCounts) {
+    for (std::size_t n : kPopulationSizes) {
+      const GenotypeMatrix m = random_matrix(rng, n, l, 0.4);
+      expect_planes_of_rows(BitPlanes(m), m, 0, n);
+    }
+  }
+}
+
+TEST(BitPlanesTest, RowRangeBuildMatchesGet) {
+  // A GDO's planes come straight from its row range of the pooled matrix;
+  // ranges start off byte and word boundaries and end anywhere.
+  common::Rng rng(17);
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 200}, {3, 70}, {13, 13}, {67, 131}, {129, 200}, {199, 200}};
+  for (std::size_t l : kSnpCounts) {
+    const GenotypeMatrix m = random_matrix(rng, 200, l, 0.5);
+    for (const auto& [begin, end] : ranges) {
+      const BitPlanes planes(m, begin, end);
+      expect_planes_of_rows(planes, m, begin, end);
+      EXPECT_EQ(planes.allele_counts(),
+                m.slice_rows(begin, end).allele_counts());
     }
   }
 }

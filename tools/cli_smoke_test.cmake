@@ -84,3 +84,35 @@ foreach(bad "--fpr;1.5" "--fpr;-0.5" "--power;1.2" "--maf;inf" "--ld;nan")
     message(FATAL_ERROR "assess ${bad} did not report an invalid value: ${err}")
   endif()
 endforeach()
+
+# A reference panel or slice over other SNPs than gdo0.vcf is refused rather
+# than read past its end: swap in the file of a 60-SNP workspace.
+file(MAKE_DIRECTORY ${WORKDIR}/short)
+execute_process(
+  COMMAND ${CLI} gen ${WORKDIR}/short --cases 400 --controls 400 --snps 60
+          --gdos 3
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gendpr gen of the 60-SNP workspace failed (${rc})")
+endif()
+foreach(file reference.vcf gdo0.vcf)
+  set(mixed ${WORKDIR}/mixed_${file})
+  file(MAKE_DIRECTORY ${mixed})
+  foreach(part gdo0.vcf gdo1.vcf gdo2.vcf reference.vcf)
+    if(part STREQUAL file)
+      configure_file(${WORKDIR}/short/${part} ${mixed}/${part} COPYONLY)
+    else()
+      configure_file(${WORKDIR}/${part} ${mixed}/${part} COPYONLY)
+    endif()
+  endforeach()
+  execute_process(
+    COMMAND ${CLI} assess ${mixed} --gdos 3
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "assess with a 60-SNP ${file} exited ${rc}, want 1")
+  endif()
+  if(NOT err MATCHES "differ")
+    message(FATAL_ERROR "assess with a 60-SNP ${file} did not name the "
+                        "mismatch: ${err}")
+  endif()
+endforeach()

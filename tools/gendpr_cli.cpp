@@ -236,14 +236,28 @@ common::Result<genome::Cohort> load_cohort(const Args& args) {
   genome::Cohort cohort;
   std::vector<genome::GenotypeMatrix> slices;
   std::size_t total = 0;
-  std::size_t snps = 0;
+  // Every file must list the first slice's SNPs (the reader ties the count
+  // to the list), or the study would index the shorter files past their end.
+  std::vector<std::string> snp_ids;
+  const auto same_snps = [&](const std::string& path,
+                             const genome::VcfLite& vcf) -> common::Status {
+    if (vcf.snp_ids == snp_ids) return common::Status::success();
+    return common::make_error(
+        common::Errc::invalid_argument,
+        path + " lists " + std::to_string(vcf.snp_ids.size()) +
+            " SNPs that differ from the " + std::to_string(snp_ids.size()) +
+            " of " + slice_path(args.dir, 0));
+  };
   for (std::uint32_t g = 0; g < args.gdos; ++g) {
-    auto vcf = genome::read_vcf_lite_file(slice_path(args.dir, g));
+    const std::string path = slice_path(args.dir, g);
+    auto vcf = genome::read_vcf_lite_file(path);
     if (!vcf.ok()) return vcf.error();
+    if (g == 0) snp_ids = vcf.value().snp_ids;
+    if (auto s = same_snps(path, vcf.value()); !s.ok()) return s.error();
     total += vcf.value().genotypes.num_individuals();
-    snps = vcf.value().genotypes.num_snps();
     slices.push_back(vcf.value().genotypes);
   }
+  const std::size_t snps = snp_ids.size();
   cohort.cases = genome::GenotypeMatrix(total, snps);
   std::size_t row = 0;
   for (const auto& slice : slices) {
@@ -255,6 +269,10 @@ common::Result<genome::Cohort> load_cohort(const Args& args) {
   }
   auto reference = genome::read_vcf_lite_file(reference_path(args.dir));
   if (!reference.ok()) return reference.error();
+  if (auto s = same_snps(reference_path(args.dir), reference.value());
+      !s.ok()) {
+    return s.error();
+  }
   cohort.controls = reference.value().genotypes;
   return cohort;
 }
