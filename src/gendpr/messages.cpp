@@ -29,10 +29,6 @@ std::size_t vec_u32_size(const std::vector<std::uint32_t>& v) {
   return varint_size(v.size()) + 4 * v.size();
 }
 
-std::size_t vec_f64_size(const std::vector<double>& v) {
-  return varint_size(v.size()) + 8 * v.size();
-}
-
 /// 4 f64 fields + u32 tile width (see write_config).
 constexpr std::size_t kConfigBytes = 4 * 8 + 4;
 
@@ -257,40 +253,12 @@ Result<LdWindow> LdWindow::deserialize(common::BytesView data) {
   return msg;
 }
 
-std::vector<double> Phase2Result::combination_case_freq(
-    const std::vector<std::uint32_t>& members) const {
-  std::uint64_t n_total = 0;
-  for (std::uint32_t g : members) n_total += n_case_per_gdo[g];
-  std::vector<double> freq(retained.size(), 0.0);
-  for (std::size_t i = 0; i < retained.size(); ++i) {
-    std::uint64_t count = 0;
-    for (std::uint32_t g : members) count += case_counts_per_gdo[g][i];
-    freq[i] = n_total == 0
-                  ? 0.0
-                  : static_cast<double>(count) / static_cast<double>(n_total);
-  }
-  return freq;
-}
-
 std::size_t Phase2Result::encoded_size() const {
-  std::size_t size = vec_u32_size(retained) + vec_f64_size(reference_freq) +
-                     varint_size(case_counts_per_gdo.size());
-  for (const auto& counts : case_counts_per_gdo) {
-    size += vec_u32_size(counts);
-  }
-  size += vec_u32_size(n_case_per_gdo) + vec_u32_size(dead_gdos) + 4 + 4;
-  return size;
+  return vec_u32_size(retained) + 4 + 4;
 }
 
 void Phase2Result::serialize_into(wire::Writer& w) const {
   w.vector_u32(retained);
-  w.vector_f64(reference_freq);
-  w.varint(case_counts_per_gdo.size());
-  for (const auto& counts : case_counts_per_gdo) {
-    w.vector_u32(counts);
-  }
-  w.vector_u32(n_case_per_gdo);
-  w.vector_u32(dead_gdos);
   w.u32(tile_index);
   w.u32(num_tiles);
 }
@@ -303,26 +271,6 @@ Result<Phase2Result> Phase2Result::deserialize(common::BytesView data) {
   auto retained = r.vector_u32();
   if (!retained.ok()) return retained.error();
   msg.retained = std::move(retained).take();
-  auto ref_freq = r.vector_f64();
-  if (!ref_freq.ok()) return ref_freq.error();
-  msg.reference_freq = std::move(ref_freq).take();
-  auto count = r.varint();
-  if (!count.ok()) return count.error();
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto counts = r.vector_u32();
-    if (!counts.ok()) return counts.error();
-    msg.case_counts_per_gdo.push_back(std::move(counts).take());
-  }
-  auto n_case = r.vector_u32();
-  if (!n_case.ok()) return n_case.error();
-  msg.n_case_per_gdo = std::move(n_case).take();
-  if (msg.n_case_per_gdo.size() != msg.case_counts_per_gdo.size()) {
-    return make_error(Errc::bad_message,
-                      "per-GDO population vector size mismatch");
-  }
-  auto dead = r.vector_u32();
-  if (!dead.ok()) return dead.error();
-  msg.dead_gdos = std::move(dead).take();
   auto tile = r.u32();
   if (!tile.ok()) return tile.error();
   msg.tile_index = tile.value();

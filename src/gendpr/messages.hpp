@@ -125,44 +125,18 @@ struct MomentsResponse {
   static common::Result<MomentsResponse> deserialize(common::BytesView data);
 };
 
-/// Leader -> members: SNPs retained after LD pruning plus the inputs of the
-/// LR test (paper Fig. 4 step 1). Instead of one case-frequency vector per
-/// combination (O(C·m) doubles), the leader ships each GDO's allele counts
-/// over L'' once (O(G·m)); any combination's frequency vector follows via
-/// `combination_case_freq`, and each member checks its own slot against
-/// its dataset. Trust-equivalent: counts and frequencies travel
-/// only between mutually attested enclaves on encrypted channels, and the
-/// per-GDO counts already crossed the wire in phase 1. Strictly smaller
-/// whenever C(G, G-f) > G, i.e. every f >= 2 setting.
+/// Leader -> members: SNPs retained after LD pruning (paper Fig. 4 step 1),
+/// one message per tile of the leader's phase-3 TilePlan over L''. The
+/// monolithic protocol is the `tile_index` 0 / `num_tiles` 1 special case;
+/// with tiling, `retained` holds only this tile's SNPs (global ids) and
+/// members reply with one LrPlanes per tile. Members need nothing else:
+/// they ship indicator bits and the leader weighs them with frequencies it
+/// derives itself from the phase-1 counts, so every GDO's counts stay
+/// inside the leader's enclave.
 struct Phase2Result {
-  std::vector<std::uint32_t> retained;  // L''
-  std::vector<double> reference_freq;   // over L''
-  /// Per-GDO case allele counts over L'', indexed by GDO. Dead GDOs keep an
-  /// empty slot so indices stay stable on the wire.
-  std::vector<std::vector<std::uint32_t>> case_counts_per_gdo;
-  /// Per-GDO case population sizes (0 for dead GDOs).
-  std::vector<std::uint32_t> n_case_per_gdo;
-  /// GDOs the leader declared unresponsive. Combinations containing any of
-  /// them are dropped (§5.6 degraded mode: surviving combinations still
-  /// complete), so members skip their slots when validating.
-  std::vector<std::uint32_t> dead_gdos;
-  /// Tile position within the leader's phase-3 TilePlan over L''. The
-  /// monolithic protocol is the `tile_index` 0 / `num_tiles` 1 special
-  /// case; with tiling, `retained`, `reference_freq` and the per-GDO count
-  /// vectors hold only this tile's columns (global SNP ids stay global) and
-  /// members reply with one LrPlanes per tile. Each tile message is
-  /// self-contained: a member needs no cross-tile state to answer it.
+  std::vector<std::uint32_t> retained;  // L'' (this tile's SNPs)
   std::uint32_t tile_index = 0;
   std::uint32_t num_tiles = 1;
-
-  /// Case-frequency vector of the combination whose honest subset is
-  /// `members`: exact u64 count and population sums over the members
-  /// (in the given order) followed by one divide per SNP. Integer sums are
-  /// order-independent and the divide is a single rounding, so the
-  /// frequencies — and hence the LR weights — are bit-identical to the
-  /// centralized computation over the pooled counts.
-  std::vector<double> combination_case_freq(
-      const std::vector<std::uint32_t>& members) const;
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;

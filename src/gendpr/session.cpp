@@ -914,10 +914,10 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   aggregation_watch.restart();
   obs::ScopedSpan lr_gather_span(obs::recorder_of(obs_),
                                  "step.gather_lr_matrices", study_span_);
-  // Phase-2 inputs go out as one self-contained message per tile of the
-  // phase-3 plan (a single message when tiling is off): each body is
-  // O(G·tile) with per-GDO counts. Members answer tile k with its planes
-  // while later tiles are still in flight.
+  // L'' goes out as one self-contained message per tile of the phase-3
+  // plan (a single message when tiling is off): each body is the tile's
+  // SNP ids, whatever the federation size. Members answer tile k with its
+  // planes while later tiles are still in flight.
   std::uint64_t phase2_body_bytes = 0;
   for (const Phase2Result& tile : coordinator_.phase2_tiles()) {
     const std::size_t body_size = tile.encoded_size();

@@ -53,9 +53,8 @@ struct StudyResult {
   /// Case population per GDO from its phase-1 summary (0 for a GDO that
   /// never reported). Public shape: it sizes each member's LR planes.
   std::vector<std::uint32_t> n_case_per_gdo;
-  /// Serialized size of the phase-2 result each member receives. With
-  /// per-GDO counts this is O(G·m) instead of the old O(C·m) frequency
-  /// vectors.
+  /// Serialized size of the phase-2 result each member receives, summed
+  /// over its tiles: L'' and two tile fields per tile, O(|L''|) whatever G.
   std::uint64_t phase2_body_bytes = 0;
   std::size_t ld_pairs_fetched = 0;
   std::uint64_t network_bytes_total = 0;

@@ -76,13 +76,21 @@ Status GdoEnclave::on_phase1(const Phase1Result& result) {
   if (!announce_.has_value()) {
     return make_error(Errc::state_violation, "phase1 before study announce");
   }
-  for (std::uint32_t snp : result.retained) {
-    if (snp >= announce_->num_snps) {
+  for (std::size_t i = 0; i < result.retained.size(); ++i) {
+    if (result.retained[i] >= announce_->num_snps) {
       return make_error(Errc::bad_message, "retained SNP out of range");
+    }
+    if (i > 0 && result.retained[i] <= result.retained[i - 1]) {
+      return make_error(Errc::bad_message,
+                        "retained SNPs not strictly ascending");
     }
   }
   l_prime_ = result.retained;
   return Status::success();
+}
+
+bool GdoEnclave::in_l_prime(std::uint32_t snp) const {
+  return std::binary_search(l_prime_.begin(), l_prime_.end(), snp);
 }
 
 genome::TilePlan GdoEnclave::ld_plan() const {
@@ -114,9 +122,8 @@ Result<MomentsResponse> GdoEnclave::on_moments_request(
     return make_error(Errc::state_violation,
                       "moments request before study announce");
   }
-  if (request.snp_a >= planes_.num_snps() ||
-      request.snp_b >= planes_.num_snps()) {
-    return make_error(Errc::bad_message, "moments request SNP out of range");
+  if (!in_l_prime(request.snp_a) || !in_l_prime(request.snp_b)) {
+    return make_error(Errc::bad_message, "moments request SNP outside L'");
   }
   MomentsResponse response;
   response.request_id = request.request_id;
@@ -141,78 +148,23 @@ Result<LrPlanes> GdoEnclave::on_phase2(const Phase2Result& result) {
   if (result.tile_index != phase2_next_tile_) {
     return make_error(Errc::state_violation, "phase2 tile out of order");
   }
-  const std::size_t num_gdos = result.case_counts_per_gdo.size();
-  if (result.n_case_per_gdo.size() != num_gdos) {
-    return make_error(Errc::bad_message,
-                      "per-GDO population vector size mismatch");
-  }
-  if (gdo_index_ >= num_gdos) {
-    return make_error(Errc::bad_message,
-                      "per-GDO counts do not cover this GDO");
-  }
-  for (std::uint32_t snp : result.retained) {
-    if (snp >= planes_.num_snps()) {
-      return make_error(Errc::bad_message, "phase2 SNP out of range");
+  // L'' is a subset of L' the leader streams in ascending order, so every
+  // SNP must be in L' and above the last one answered (across tiles too).
+  const std::uint32_t* previous =
+      l_double_prime_.empty() ? nullptr : &l_double_prime_.back();
+  for (const std::uint32_t& snp : result.retained) {
+    if (!in_l_prime(snp)) {
+      return make_error(Errc::bad_message, "phase2 SNP outside L'");
     }
-  }
-  if (result.reference_freq.size() != result.retained.size()) {
-    return make_error(Errc::bad_message, "reference frequency size mismatch");
-  }
-  for (std::uint32_t dead : result.dead_gdos) {
-    if (dead == gdo_index_) {
-      return make_error(Errc::state_violation,
-                        "leader declared this GDO dead yet keeps talking");
+    if (previous != nullptr && snp <= *previous) {
+      return make_error(Errc::bad_message,
+                        "phase2 SNPs not strictly ascending");
     }
-  }
-  // The leader cannot misattribute this GDO's contribution: its slot must
-  // match the local dataset exactly (the counts it reported in phase 1,
-  // restricted to L'').
-  if (result.n_case_per_gdo[gdo_index_] != planes_.num_individuals() ||
-      result.case_counts_per_gdo[gdo_index_] !=
-          planes_.allele_counts(result.retained)) {
-    return make_error(Errc::bad_message,
-                      "per-GDO counts disagree with the local dataset");
+    previous = &snp;
   }
   l_double_prime_.insert(l_double_prime_.end(), result.retained.begin(),
                          result.retained.end());
   phase2_next_tile_ = result.tile_index + 1;
-
-  // Every live combination containing this GDO must carry well-formed
-  // co-member slots: the leader weighs these bits with exactly those counts.
-  std::vector<bool> slot_checked(num_gdos, false);
-  for (const auto& members : announce_->combinations) {
-    if (std::find(members.begin(), members.end(), gdo_index_) ==
-        members.end()) {
-      continue;  // this GDO's data is not part of the combination
-    }
-    const bool combination_dead = std::any_of(
-        result.dead_gdos.begin(), result.dead_gdos.end(),
-        [&members](std::uint32_t dead) {
-          return std::find(members.begin(), members.end(), dead) !=
-                 members.end();
-        });
-    if (combination_dead) {
-      continue;  // unresponsive member: the leader dropped this combination
-    }
-    for (std::uint32_t g : members) {
-      if (g >= num_gdos) {
-        return make_error(Errc::bad_message,
-                          "combination member outside the per-GDO counts");
-      }
-      if (slot_checked[g]) continue;
-      slot_checked[g] = true;
-      if (result.case_counts_per_gdo[g].size() != result.retained.size()) {
-        return make_error(Errc::bad_message,
-                          "per-GDO count vector size mismatch");
-      }
-      for (std::uint32_t count : result.case_counts_per_gdo[g]) {
-        if (count > result.n_case_per_gdo[g]) {
-          return make_error(Errc::bad_message,
-                            "allele count exceeds population size");
-        }
-      }
-    }
-  }
 
   // The tile's SNP-major planes, copied verbatim: padding bits past n_case
   // are already zero in BitPlanes.
@@ -903,32 +855,6 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   outcome_.l_double_prime = l_double_prime_;
   obs::add_counter(obs_, "coordinator.ld_pairs_fetched", ld_pairs_);
 
-  Phase2Result result;
-  result.retained = l_double_prime_;
-  result.reference_freq.resize(l_double_prime_.size());
-  const std::uint64_t n_ref = reference_planes_.num_individuals();
-  for (std::size_t i = 0; i < l_double_prime_.size(); ++i) {
-    result.reference_freq[i] =
-        n_ref == 0 ? 0.0
-                   : static_cast<double>(
-                         reference_planes_.allele_count(l_double_prime_[i])) /
-                         static_cast<double>(n_ref);
-  }
-  // Per-GDO counts over L'' instead of per-combination frequency vectors:
-  // O(G·m) on the wire instead of O(C·m). Dead GDOs keep an empty slot so
-  // indices stay stable.
-  result.case_counts_per_gdo.resize(num_gdos_);
-  result.n_case_per_gdo.assign(num_gdos_, 0);
-  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-    if (dead_gdos_.count(g) > 0 || !summaries_[g].has_value()) continue;
-    auto& counts = result.case_counts_per_gdo[g];
-    counts.resize(l_double_prime_.size());
-    for (std::size_t i = 0; i < l_double_prime_.size(); ++i) {
-      counts[i] = summaries_[g]->case_counts[l_double_prime_[i]];
-    }
-    result.n_case_per_gdo[g] = summaries_[g]->n_case;
-  }
-  result.dead_gdos.assign(dead_gdos_.begin(), dead_gdos_.end());
   // Fix the phase-3 tile plan over L'' and size the per-GDO plane stores.
   // From here on, phase-2 bodies and member planes travel in L''-column
   // tiles.
@@ -940,7 +866,8 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   lr_planes_epc_.resize(num_gdos_);
   lr_plane_tiles_.assign(num_gdos_,
                          std::vector<bool>(lr_plan_.tile_count(), false));
-  phase2_full_ = result;
+  Phase2Result result;
+  result.retained = l_double_prime_;
   co_return result;
 }
 
@@ -956,18 +883,7 @@ std::vector<Phase2Result> Coordinator::phase2_tiles() {
   tiles.reserve(lr_plan_.tile_count());
   for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
     Phase2Result tile;
-    tile.retained = lr_plan_.slice(phase2_full_.retained, k);
-    tile.reference_freq = lr_plan_.slice(phase2_full_.reference_freq, k);
-    tile.case_counts_per_gdo.resize(num_gdos_);
-    for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-      // Dead GDOs keep their (empty) slot in every tile.
-      if (!phase2_full_.case_counts_per_gdo[g].empty()) {
-        tile.case_counts_per_gdo[g] =
-            lr_plan_.slice(phase2_full_.case_counts_per_gdo[g], k);
-      }
-    }
-    tile.n_case_per_gdo = phase2_full_.n_case_per_gdo;
-    tile.dead_gdos = phase2_full_.dead_gdos;
+    tile.retained = lr_plan_.slice(l_double_prime_, k);
     tile.tile_index = k;
     tile.num_tiles = lr_plan_.tile_count();
     tiles.push_back(std::move(tile));
@@ -1099,6 +1015,18 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
   }
   const stats::PlaneBlock reference =
       stats::plane_block(reference_planes_, l_double_prime_);
+  // Frequencies are count / population, one divide of exact integers (0 for
+  // an empty population), so the weights are bit-identical to the
+  // centralized computation over the pooled counts.
+  const auto frequency = [](std::uint64_t count, std::uint64_t n) {
+    return n == 0 ? 0.0 : static_cast<double>(count) / static_cast<double>(n);
+  };
+  const std::uint64_t n_ref = reference_planes_.num_individuals();
+  std::vector<double> reference_freq(l_double_prime_.size());
+  for (std::size_t i = 0; i < l_double_prime_.size(); ++i) {
+    reference_freq[i] =
+        frequency(reference_planes_.allele_count(l_double_prime_[i]), n_ref);
+  }
   stats::LrSelectionParams params;
   params.false_positive_rate = announce_.config.lr_false_positive_rate;
   params.power_threshold = announce_.config.lr_power_threshold;
@@ -1121,10 +1049,19 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
     for (std::uint32_t g : members) {  // ascending GDO order by construction
       case_blocks.push_back(blocks[g]);
     }
-    // The same count-derived frequencies the matrix path weighs with.
+    // Case frequencies from the members' summed phase-1 counts.
+    std::uint64_t n_case = 0;
+    for (std::uint32_t g : members) n_case += summaries_[g]->n_case;
+    std::vector<double> case_freq(l_double_prime_.size());
+    for (std::size_t i = 0; i < l_double_prime_.size(); ++i) {
+      std::uint64_t count = 0;
+      for (std::uint32_t g : members) {
+        count += summaries_[g]->case_counts[l_double_prime_[i]];
+      }
+      case_freq[i] = frequency(count, n_case);
+    }
     const stats::LrWeights weights =
-        stats::lr_weights(phase2_full_.combination_case_freq(members),
-                          phase2_full_.reference_freq);
+        stats::lr_weights(case_freq, reference_freq);
     const stats::LrSelectionResult selection = stats::select_safe_snps(
         case_blocks, reference, weights, params, fan_out ? nullptr : pool);
     for (std::uint32_t column : selection.safe_columns) {

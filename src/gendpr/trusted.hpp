@@ -65,6 +65,7 @@ class GdoEnclave : public tee::Enclave {
   SummaryStats make_summary_tile(std::uint32_t snp_begin,
                                  std::uint32_t snp_end,
                                  std::uint32_t tile_index) const;
+  /// Accepts L' (strictly ascending, within the announced SNP range).
   common::Status on_phase1(const Phase1Result& result);
   /// Tile plan over L' the LD windows stream in (empty before on_phase1).
   genome::TilePlan ld_plan() const;
@@ -73,15 +74,16 @@ class GdoEnclave : public tee::Enclave {
   /// rank_end), laid out as LdWindow documents.
   LdWindow make_ld_window(std::uint32_t rank_begin, std::uint32_t rank_end,
                           std::uint32_t tile_index) const;
-  /// Answers a pair the leader needs beyond the window.
+  /// Answers a pair the leader needs beyond the window; both SNPs must be
+  /// in L'.
   common::Result<MomentsResponse> on_moments_request(
       const MomentsRequest& request) const;
   /// Answers one phase-2 tile (paper Fig. 4 step 2) with this GDO's LR
   /// indicator planes over the tile's L'' columns: every combination's local
   /// LR matrix is a per-column weight select over exactly these bits, and
-  /// the leader computes the weights itself. The broadcast is validated
-  /// first: this GDO's own count slot must match its dataset and every live
-  /// co-member slot must be well formed.
+  /// the leader computes the weights itself. Every SNP must be in this
+  /// GDO's L' and above the last one answered, so the leader can read no
+  /// plane outside the study's L''.
   ///
   /// Under tiling the leader streams `result.num_tiles` tile messages in
   /// ascending `tile_index` order; each is answered independently and L''
@@ -106,6 +108,8 @@ class GdoEnclave : public tee::Enclave {
   common::Status restore_study_checkpoint(common::BytesView sealed);
 
  private:
+  bool in_l_prime(std::uint32_t snp) const;
+
   std::uint32_t gdo_index_;
   genome::BitPlanes planes_;
   tee::EpcAllocation planes_epc_;
@@ -244,8 +248,7 @@ class Coordinator {
   /// Finishes the LD phase: walks whatever advance_ld_walks has not (tiles
   /// without windows from every live member walk entirely through `fetch`,
   /// as for a coordinator that was never given windows) and intersects the
-  /// survivors. Also fixes the phase-3 tile plan over L'' and the
-  /// full-width phase-2 state the tile slices come from. `fetch` is taken
+  /// survivors. Also fixes the phase-3 tile plan over L''. `fetch` is taken
   /// by value: the coroutine frame owns its copy across suspensions.
   common::Task<common::Result<Phase2Result>> run_ld_phase_async(
       AsyncFetchMoments fetch);
@@ -273,7 +276,8 @@ class Coordinator {
   bool phase3_ready() const noexcept;
   /// Runs the safe-subset selection per live combination on bit planes —
   /// member blocks in ascending GDO order with the leader's own block in its
-  /// slot, the reference panel's planes, and the combination's weights —
+  /// slot, the reference panel's planes, and the combination's weights,
+  /// derived from its members' phase-1 counts and the reference panel —
   /// then intersects. `pool` (may be null) fans the combinations out; with
   /// a single live combination it is threaded into the selection instead.
   common::Result<Phase3Result> run_lr_phase(common::ThreadPool* pool);
@@ -390,9 +394,6 @@ class Coordinator {
 
   // Phase 3 state.
   std::vector<std::uint32_t> l_double_prime_;
-  /// Full-width phase-2 result the per-tile bodies are column slices of;
-  /// its counts give every combination's LR weights.
-  Phase2Result phase2_full_;
   /// Per GDO: received planes over all of L'' (column i at word
   /// i * ceil(n_case / 64)), the EPC charge for them, and which tiles
   /// arrived. Sized at the end of the LD phase.

@@ -1,6 +1,5 @@
 #include "wire/buffer_pool.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -9,19 +8,6 @@ namespace gendpr::wire {
 namespace {
 
 constexpr std::size_t kDefaultRetained = 64;
-
-std::size_t retained_from_env() {
-  const char* env = std::getenv("GENDPR_POOL_BUFFERS");
-  if (env == nullptr || *env == '\0') {
-    return kDefaultRetained;
-  }
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(env, &end, 10);
-  if (end == env || (end != nullptr && *end != '\0')) {
-    return kDefaultRetained;
-  }
-  return static_cast<std::size_t>(parsed);
-}
 
 void store_u32(std::uint8_t* out, std::uint32_t value) {
   out[0] = static_cast<std::uint8_t>(value & 0xff);
@@ -33,7 +19,7 @@ void store_u32(std::uint8_t* out, std::uint32_t value) {
 }  // namespace
 
 BufferPool::BufferPool(std::size_t max_retained)
-    : max_retained_(max_retained != 0 ? max_retained : retained_from_env()) {}
+    : max_retained_(max_retained != 0 ? max_retained : kDefaultRetained) {}
 
 common::Bytes BufferPool::acquire(std::size_t min_capacity) {
   common::Bytes storage;

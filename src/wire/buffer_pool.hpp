@@ -26,8 +26,7 @@
 namespace gendpr::wire {
 
 /// Thread-safe freelist of frame storage buffers. The retained-buffer cap
-/// defaults to `GENDPR_POOL_BUFFERS` (64 when unset); buffers released past
-/// the cap are simply freed.
+/// defaults to 64; buffers released past the cap are simply freed.
 class BufferPool {
  public:
   struct Stats {
@@ -38,7 +37,7 @@ class BufferPool {
     std::uint64_t copies = 0;  // payload copies made by from_payload
   };
 
-  /// `max_retained` caps the freelist; 0 means "use GENDPR_POOL_BUFFERS".
+  /// `max_retained` caps the freelist; 0 means the default cap of 64.
   explicit BufferPool(std::size_t max_retained = 0);
 
   BufferPool(const BufferPool&) = delete;

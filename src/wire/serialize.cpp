@@ -63,11 +63,6 @@ void Writer::vector_u64(const std::vector<std::uint64_t>& v) {
   for (std::uint64_t x : v) u64(x);
 }
 
-void Writer::vector_f64(const std::vector<double>& v) {
-  varint(v.size());
-  for (double x : v) f64(x);
-}
-
 void Writer::raw(common::BytesView data) {
   buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
@@ -182,20 +177,6 @@ Result<std::vector<std::uint64_t>> Reader::vector_u64() {
   std::vector<std::uint64_t> out;
   out.reserve(len.value());
   for (std::uint64_t i = 0; i < len.value(); ++i) out.push_back(u64().value());
-  return out;
-}
-
-Result<std::vector<double>> Reader::vector_f64() {
-  const std::size_t saved = pos_;
-  auto len = varint();
-  if (!len.ok()) return len.error();
-  if (len.value() > remaining() / 8) {
-    pos_ = saved;
-    return truncated("vector_f64 body");
-  }
-  std::vector<double> out;
-  out.reserve(len.value());
-  for (std::uint64_t i = 0; i < len.value(); ++i) out.push_back(f64().value());
   return out;
 }
 

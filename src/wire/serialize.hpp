@@ -45,7 +45,6 @@ class Writer {
   void string(const std::string& s);
   void vector_u32(const std::vector<std::uint32_t>& v);
   void vector_u64(const std::vector<std::uint64_t>& v);
-  void vector_f64(const std::vector<double>& v);
   /// Raw bytes with no length prefix (caller knows the framing).
   void raw(common::BytesView data);
 
@@ -73,7 +72,6 @@ class Reader {
   common::Result<std::string> string();
   common::Result<std::vector<std::uint32_t>> vector_u32();
   common::Result<std::vector<std::uint64_t>> vector_u64();
-  common::Result<std::vector<double>> vector_f64();
   /// Reads exactly n raw bytes.
   common::Result<common::Bytes> raw(std::size_t n);
 

@@ -12,6 +12,7 @@
 #include "gendpr/baselines.hpp"
 #include "gendpr/messages.hpp"
 #include "gendpr/report.hpp"
+#include "genome/tile_plan.hpp"
 #include "obs/observability.hpp"
 #include "tee/epc_meter.hpp"
 
@@ -79,6 +80,43 @@ TEST(FederationTest, ResultIndependentOfGdoCount) {
         << "G=" << g;
     EXPECT_EQ(result.value().outcome.l_safe, base.value().outcome.l_safe)
         << "G=" << g;
+  }
+}
+
+TEST(FederationTest, Phase2BodyIndependentOfGdoCount) {
+  // Each phase-2 tile carries exactly its slice of L'' and the tile
+  // position: the leader keeps every GDO's counts, so the body a member
+  // receives does not grow with the federation.
+  const genome::Cohort cohort = test_cohort();
+  for (std::uint32_t width : {0u, 32u}) {
+    std::vector<std::uint32_t> l_double_prime;
+    std::uint64_t body_bytes = 0;
+    for (std::uint32_t g : {3u, 6u}) {
+      FederationSpec spec;
+      spec.num_gdos = g;
+      spec.config.snp_tile_width = width;
+      const auto result = run_federated_study(cohort, spec);
+      ASSERT_TRUE(result.ok()) << "G=" << g << " width=" << width;
+      const StudyResult& study = result.value();
+      if (g == 3) {
+        l_double_prime = study.outcome.l_double_prime;
+        body_bytes = study.phase2_body_bytes;
+      }
+      EXPECT_EQ(study.outcome.l_double_prime, l_double_prime)
+          << "G=" << g << " width=" << width;
+      EXPECT_EQ(study.phase2_body_bytes, body_bytes)
+          << "G=" << g << " width=" << width;
+    }
+    ASSERT_FALSE(l_double_prime.empty());
+    const genome::TilePlan plan = genome::TilePlan::over(
+        static_cast<std::uint32_t>(l_double_prime.size()), width);
+    std::uint64_t trimmed = 0;
+    for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
+      trimmed += Phase2Result{plan.slice(l_double_prime, k), k,
+                              plan.tile_count()}
+                     .encoded_size();
+    }
+    EXPECT_EQ(body_bytes, trimmed) << "width=" << width;
   }
 }
 

@@ -21,9 +21,10 @@
 namespace gendpr::core {
 namespace {
 
-/// A federation of member enclaves plus the phase-2 broadcast a leader
-/// would send them (per-GDO counts over a retained SNP set) and the
-/// reference panel the leader holds.
+/// A federation of member enclaves plus the phase-2 message a leader would
+/// send them (a retained SNP set), the reference panel the leader holds,
+/// and the leader-side inputs of the weights: per-GDO counts over the
+/// retained set and the GDOs it declared dead.
 struct Federation {
   tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x42}};
   std::vector<std::unique_ptr<tee::Platform>> platforms;
@@ -31,6 +32,25 @@ struct Federation {
   StudyAnnounce announce;
   Phase2Result phase2;
   genome::BitPlanes reference;
+  std::vector<double> reference_freq;
+  std::vector<std::vector<std::uint32_t>> case_counts_per_gdo;
+  std::vector<std::uint32_t> n_case_per_gdo;
+  std::vector<std::uint32_t> dead_gdos;
+
+  /// Case frequencies of the combination `members`: exact integer sums of
+  /// counts and populations, then one divide per SNP.
+  std::vector<double> case_freq(
+      const std::vector<std::uint32_t>& members) const {
+    std::uint64_t n_total = 0;
+    for (std::uint32_t g : members) n_total += n_case_per_gdo[g];
+    std::vector<double> freq(phase2.retained.size(), 0.0);
+    for (std::size_t i = 0; i < freq.size(); ++i) {
+      std::uint64_t count = 0;
+      for (std::uint32_t g : members) count += case_counts_per_gdo[g][i];
+      freq[i] = static_cast<double>(count) / static_cast<double>(n_total);
+    }
+    return freq;
+  }
 };
 
 Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
@@ -56,8 +76,8 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
     fed.phase2.retained.push_back(s);
   }
   common::Rng rng(seed ^ 0x9e3779b9);
-  fed.phase2.reference_freq.resize(fed.phase2.retained.size());
-  for (auto& p : fed.phase2.reference_freq) p = rng.uniform(0.05, 0.95);
+  fed.reference_freq.resize(fed.phase2.retained.size());
+  for (auto& p : fed.reference_freq) p = rng.uniform(0.05, 0.95);
 
   for (std::uint32_t g = 0; g < num_gdos; ++g) {
     std::array<std::uint8_t, 32> platform_seed{};
@@ -72,9 +92,9 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
                     .ok());
     EXPECT_TRUE(fed.enclaves[g]->on_study_announce(fed.announce).ok());
     EXPECT_TRUE(fed.enclaves[g]->on_phase1({fed.phase2.retained}).ok());
-    fed.phase2.case_counts_per_gdo.push_back(
+    fed.case_counts_per_gdo.push_back(
         fed.enclaves[g]->planes().allele_counts(fed.phase2.retained));
-    fed.phase2.n_case_per_gdo.push_back(static_cast<std::uint32_t>(
+    fed.n_case_per_gdo.push_back(static_cast<std::uint32_t>(
         fed.enclaves[g]->planes().num_individuals()));
   }
   return fed;
@@ -132,14 +152,13 @@ std::size_t check_against_matrix_path(Federation& fed,
   for (std::size_t c = 0; c < fed.announce.combinations.size(); ++c) {
     const auto& members = fed.announce.combinations[c];
     const bool dead = std::any_of(
-        fed.phase2.dead_gdos.begin(), fed.phase2.dead_gdos.end(),
+        fed.dead_gdos.begin(), fed.dead_gdos.end(),
         [&members](std::uint32_t g) {
           return combination_contains(members, g);
         });
     if (dead) continue;
     const stats::LrWeights weights =
-        stats::lr_weights(fed.phase2.combination_case_freq(members),
-                          fed.phase2.reference_freq);
+        stats::lr_weights(fed.case_freq(members), fed.reference_freq);
     stats::LrMatrix case_lr;
     std::vector<stats::PlaneBlock> case_blocks;
     for (std::uint32_t g : members) {
@@ -190,11 +209,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LrPlanesEquivalenceDegradedTest, DeadGdoSkippedOthersBitIdentical) {
   Federation fed = make_federation(4, 1, 99);
-  // GDO 3 went silent after phase 1: its slot travels empty and every
-  // combination naming it is dropped.
-  fed.phase2.dead_gdos = {3};
-  fed.phase2.case_counts_per_gdo[3].clear();
-  fed.phase2.n_case_per_gdo[3] = 0;
+  // GDO 3 went silent after phase 1: every combination naming it is
+  // dropped.
+  fed.dead_gdos = {3};
   fed.enclaves.pop_back();  // the dead GDO never receives the broadcast
   std::size_t live = 0;
   for (const auto& members : fed.announce.combinations) {

@@ -101,61 +101,54 @@ TEST(MessagesTest, LdWindowMalformedRejected) {
 
 TEST(MessagesTest, Phase2ResultRoundTrip) {
   Phase2Result msg;
-  msg.retained = {1, 2};
-  msg.reference_freq = {0.25, 0.5};
-  msg.case_counts_per_gdo = {{3, 6}, {2, 4}};
-  msg.n_case_per_gdo = {10, 8};
-  const auto restored = Phase2Result::deserialize(msg.serialize());
+  msg.retained = {1, 2, 300};
+  msg.tile_index = 1;
+  msg.num_tiles = 3;
+  const common::Bytes bytes = msg.serialize();
+  EXPECT_EQ(bytes.size(), msg.encoded_size());
+  const auto restored = Phase2Result::deserialize(bytes);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().retained, msg.retained);
-  EXPECT_EQ(restored.value().reference_freq, msg.reference_freq);
-  EXPECT_EQ(restored.value().case_counts_per_gdo, msg.case_counts_per_gdo);
-  EXPECT_EQ(restored.value().n_case_per_gdo, msg.n_case_per_gdo);
+  EXPECT_EQ(restored.value().tile_index, 1u);
+  EXPECT_EQ(restored.value().num_tiles, 3u);
 }
 
 TEST(MessagesTest, Phase2ResultDeadGdosRoundTrip) {
+  // The leader keeps the dead set: a tile of a degraded study is the same
+  // three fields as a clean one, L'' followed by the tile position, with
+  // nothing per GDO.
   Phase2Result msg;
-  msg.retained = {3};
-  msg.reference_freq = {0.125};
-  // Dead GDO 1 keeps an empty count slot; indices stay stable on the wire.
-  msg.case_counts_per_gdo = {{2}, {}, {5}};
-  msg.n_case_per_gdo = {8, 0, 20};
-  msg.dead_gdos = {1, 4};
-  const auto restored = Phase2Result::deserialize(msg.serialize());
+  msg.retained = {3, 9};
+  msg.tile_index = 4;
+  msg.num_tiles = 5;
+  wire::Writer expected;
+  expected.vector_u32(msg.retained);
+  expected.u32(4);
+  expected.u32(5);
+  EXPECT_EQ(msg.serialize(), expected.buffer());
+  const auto restored = Phase2Result::deserialize(expected.buffer());
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value().dead_gdos, msg.dead_gdos);
-  EXPECT_EQ(restored.value().case_counts_per_gdo, msg.case_counts_per_gdo);
-  // An empty dead set round-trips too (the common, all-alive case).
-  Phase2Result healthy;
-  healthy.retained = {3};
-  healthy.reference_freq = {0.125};
-  healthy.case_counts_per_gdo = {{2}};
-  healthy.n_case_per_gdo = {8};
-  const auto restored_healthy = Phase2Result::deserialize(healthy.serialize());
-  ASSERT_TRUE(restored_healthy.ok());
-  EXPECT_TRUE(restored_healthy.value().dead_gdos.empty());
+  EXPECT_EQ(restored.value().retained, msg.retained);
+  EXPECT_EQ(restored.value().tile_index, 4u);
 }
 
 TEST(MessagesTest, Phase2ResultPopulationSizeMismatchRejected) {
-  // One count vector but two population sizes: structurally inconsistent.
+  // A body that still carries per-GDO populations after the tile fields is
+  // malformed, and so is a tile position outside its stream.
   Phase2Result msg;
   msg.retained = {3};
-  msg.reference_freq = {0.125};
-  msg.case_counts_per_gdo = {{2}};
-  msg.n_case_per_gdo = {8, 9};
-  EXPECT_FALSE(Phase2Result::deserialize(msg.serialize()).ok());
-}
-
-TEST(MessagesTest, Phase2CombinationCaseFreqIsExactIntegerRatio) {
-  Phase2Result msg;
-  msg.retained = {0, 1};
-  msg.reference_freq = {0.5, 0.5};
-  msg.case_counts_per_gdo = {{1, 2}, {3, 4}, {5, 6}};
-  msg.n_case_per_gdo = {10, 20, 30};
-  const auto freq = msg.combination_case_freq({0, 2});
-  ASSERT_EQ(freq.size(), 2u);
-  EXPECT_EQ(freq[0], 6.0 / 40.0);
-  EXPECT_EQ(freq[1], 8.0 / 40.0);
+  common::Bytes with_populations = msg.serialize();
+  wire::Writer populations;
+  populations.vector_u32({8, 9});
+  with_populations.insert(with_populations.end(),
+                          populations.buffer().begin(),
+                          populations.buffer().end());
+  EXPECT_EQ(Phase2Result::deserialize(with_populations).error().code,
+            common::Errc::bad_message);
+  msg.tile_index = 2;
+  msg.num_tiles = 2;
+  EXPECT_EQ(Phase2Result::deserialize(msg.serialize()).error().code,
+            common::Errc::bad_message);
 }
 
 TEST(MessagesTest, AbortNoticeRoundTrip) {
@@ -280,9 +273,6 @@ TEST(MessagesTest, TruncationRejectedEverywhere) {
   announce.combinations = {{0, 1}};
   Phase2Result phase2;
   phase2.retained = {1, 2, 3};
-  phase2.reference_freq = {0.1, 0.2, 0.3};
-  phase2.case_counts_per_gdo = {{1, 2, 3}};
-  phase2.n_case_per_gdo = {10};
   LrMatrices matrices;
   matrices.entries.push_back({0, stats::LrMatrix(2, 2)});
   const LrPlanes planes{0, 2, 1, {7, 9}};

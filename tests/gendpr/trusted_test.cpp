@@ -150,24 +150,49 @@ TEST(GdoEnclaveTest, MomentsRequestOutOfRangeRejected) {
           .ok());
   MomentsRequest request{0, 0, 100000};
   EXPECT_FALSE(enclave.on_moments_request(request).ok());
+  // In range but outside L': the leader may ask only for pairs the study
+  // retained.
+  ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 2, 5}}).ok());
+  EXPECT_EQ(enclave.on_moments_request(MomentsRequest{1, 0, 1}).error().code,
+            common::Errc::bad_message);
+  EXPECT_EQ(enclave.on_moments_request(MomentsRequest{2, 3, 5}).error().code,
+            common::Errc::bad_message);
+  const auto answered = enclave.on_moments_request(MomentsRequest{3, 2, 5});
+  ASSERT_TRUE(answered.ok());
+  EXPECT_EQ(answered.value().co_count, enclave.planes().pair_count(2, 5));
 }
 
-/// Per-GDO counts for a 3-GDO study whose slot for `enclave` matches its
-/// local dataset (the enclave verifies its own slot before computing).
-Phase2Result make_phase2_counts(const GdoEnclave& enclave,
-                                std::vector<std::uint32_t> retained) {
-  Phase2Result phase2;
-  phase2.retained = std::move(retained);
-  phase2.reference_freq.assign(phase2.retained.size(), 0.25);
-  const std::uint32_t n_case =
-      static_cast<std::uint32_t>(enclave.planes().num_individuals());
-  phase2.case_counts_per_gdo.assign(
-      3, std::vector<std::uint32_t>(phase2.retained.size(), 7));
-  phase2.case_counts_per_gdo[enclave.gdo_index()] =
-      enclave.planes().allele_counts(phase2.retained);
-  phase2.n_case_per_gdo = {100, 100, 100};
-  phase2.n_case_per_gdo[enclave.gdo_index()] = n_case;
-  return phase2;
+TEST(GdoEnclaveTest, Phase2SnpOutsideLPrimeRejected) {
+  Fixture f;
+  GdoEnclave enclave(f.platform, 1);
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
+  ASSERT_TRUE(enclave
+                  .on_study_announce(
+                      f.make_announce(3, CollusionPolicy::fixed(1)))
+                  .ok());
+  EXPECT_EQ(enclave.on_phase1(Phase1Result{{0, 2, 1}}).error().code,
+            common::Errc::bad_message);
+  EXPECT_EQ(enclave.on_phase1(Phase1Result{{0, 2, 2}}).error().code,
+            common::Errc::bad_message);
+  ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2, 5}}).ok());
+  const auto answer = [&enclave](std::vector<std::uint32_t> retained,
+                                 std::uint32_t tile_index) {
+    return enclave.on_phase2(Phase2Result{std::move(retained), tile_index, 2});
+  };
+  const auto expect_bad = [](const common::Result<LrPlanes>& reply) {
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.error().code, common::Errc::bad_message);
+  };
+  expect_bad(answer({3}, 0));     // in range, not in L'
+  expect_bad(answer({5, 1}, 0));  // descending within a tile
+  expect_bad(answer({1, 1}, 0));  // repeated within a tile
+  ASSERT_TRUE(answer({1, 5}, 0).ok());
+  expect_bad(answer({2}, 1));  // descending across the tile stream
+  // Tile 0 restarts the stream; a well-formed one is answered in full.
+  ASSERT_TRUE(answer({1}, 0).ok());
+  const auto last = answer({2, 5}, 1);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value().width, 2u);
 }
 
 TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
@@ -179,10 +204,7 @@ TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
                       f.make_announce(3, CollusionPolicy::fixed(1)))
                   .ok());
   ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2, 5}}).ok());
-  Phase2Result phase2 = make_phase2_counts(enclave, {1, 5});
-  phase2.tile_index = 0;
-  phase2.num_tiles = 2;
-  const auto planes = enclave.on_phase2(phase2);
+  const auto planes = enclave.on_phase2(Phase2Result{{1, 5}, 0, 2});
   ASSERT_TRUE(planes.ok());
   // One message for every combination: the tile's planes, verbatim.
   const std::size_t words = enclave.planes().words_per_plane();
@@ -197,67 +219,6 @@ TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
   EXPECT_TRUE(std::equal(planes.value().words.begin() + words,
                          planes.value().words.end(),
                          enclave.planes().plane(5)));
-}
-
-TEST(GdoEnclaveTest, Phase2FrequencySizeMismatchRejected) {
-  Fixture f;
-  GdoEnclave enclave(f.platform, 0);
-  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  ASSERT_TRUE(
-      enclave.on_study_announce(f.make_announce(1, CollusionPolicy::none()))
-          .ok());
-  Phase2Result phase2 = make_phase2_counts(enclave, {0, 1});
-  phase2.reference_freq = {0.2};  // wrong size
-  EXPECT_FALSE(enclave.on_phase2(phase2).ok());
-}
-
-TEST(GdoEnclaveTest, Phase2MisattributedOwnCountsRejected) {
-  // A leader shipping counts for this GDO that disagree with its dataset is
-  // caught inside the enclave before any matrix is computed.
-  Fixture f;
-  GdoEnclave enclave(f.platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  ASSERT_TRUE(enclave
-                  .on_study_announce(
-                      f.make_announce(3, CollusionPolicy::fixed(1)))
-                  .ok());
-  Phase2Result phase2 = make_phase2_counts(enclave, {0, 1, 2});
-  phase2.case_counts_per_gdo[1][0] += 1;  // tampered own slot
-  const auto tampered = enclave.on_phase2(phase2);
-  ASSERT_FALSE(tampered.ok());
-  EXPECT_EQ(tampered.error().code, common::Errc::bad_message);
-}
-
-TEST(GdoEnclaveTest, Phase2CoMemberCountOverPopulationRejected) {
-  Fixture f;
-  GdoEnclave enclave(f.platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  ASSERT_TRUE(enclave
-                  .on_study_announce(
-                      f.make_announce(3, CollusionPolicy::fixed(1)))
-                  .ok());
-  Phase2Result phase2 = make_phase2_counts(enclave, {0, 1, 2});
-  phase2.case_counts_per_gdo[0][2] = 101;  // exceeds n_case_per_gdo[0]
-  EXPECT_FALSE(enclave.on_phase2(phase2).ok());
-}
-
-TEST(GdoEnclaveTest, Phase2SkipsCombinationsWithDeadMembers) {
-  Fixture f;
-  GdoEnclave enclave(f.platform, 1);
-  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  ASSERT_TRUE(enclave
-                  .on_study_announce(
-                      f.make_announce(3, CollusionPolicy::fixed(1)))
-                  .ok());
-  Phase2Result phase2 = make_phase2_counts(enclave, {0, 1, 2});
-  phase2.dead_gdos = {0};
-  phase2.case_counts_per_gdo[0].clear();  // dead slot travels empty
-  phase2.n_case_per_gdo[0] = 0;
-  // Only {1,2} survives: {0,1} and {0,2} name the dead GDO 0, so its empty
-  // slot is never validated and the tile is answered as usual.
-  const auto planes = enclave.on_phase2(phase2);
-  ASSERT_TRUE(planes.ok());
-  EXPECT_EQ(planes.value().width, 3u);
 }
 
 TEST(CoordinatorTest, RejectsBogusSummaries) {
@@ -417,6 +378,48 @@ TEST(CoordinatorTest, LrPlanesFromHonestMemberCompletePhase3) {
   }
   EXPECT_TRUE(gather.coordinator->phase3_ready());
   EXPECT_TRUE(gather.coordinator->run_lr_phase(nullptr).ok());
+}
+
+TEST(CoordinatorTest, LrPhaseWeighsPooledCountRatios) {
+  // The leader derives each combination's weights itself: case frequencies
+  // are the members' summed phase-1 counts over their summed populations,
+  // reference frequencies the panel's counts over its size. Selecting with
+  // those weights on the same planes must reproduce its outcome exactly.
+  PlaneGather gather;
+  for (const LrPlanes& planes : gather.replies) {
+    ASSERT_TRUE(gather.coordinator->add_lr_planes(1, planes).ok());
+  }
+  ASSERT_TRUE(gather.coordinator->run_lr_phase(nullptr).ok());
+  const SelectionOutcome& outcome = gather.coordinator->outcome();
+  const std::vector<std::uint32_t>& snps = outcome.l_double_prime;
+  ASSERT_FALSE(snps.empty());
+
+  const genome::BitPlanes reference = gather.f.reference();
+  const double n_case = static_cast<double>(
+      gather.leader.planes().num_individuals() +
+      gather.member.planes().num_individuals());
+  const double n_ref = static_cast<double>(reference.num_individuals());
+  std::vector<double> case_freq;
+  std::vector<double> reference_freq;
+  for (std::uint32_t snp : snps) {
+    case_freq.push_back(static_cast<double>(
+                            gather.leader.planes().allele_count(snp) +
+                            gather.member.planes().allele_count(snp)) /
+                        n_case);
+    reference_freq.push_back(
+        static_cast<double>(reference.allele_count(snp)) / n_ref);
+  }
+  const stats::LrSelectionResult expected = stats::select_safe_snps(
+      {stats::plane_block(gather.leader.planes(), snps),
+       stats::plane_block(gather.member.planes(), snps)},
+      stats::plane_block(reference, snps),
+      stats::lr_weights(case_freq, reference_freq), stats::LrSelectionParams{});
+  std::vector<std::uint32_t> expected_safe;
+  for (std::uint32_t column : expected.safe_columns) {
+    expected_safe.push_back(snps[column]);
+  }
+  EXPECT_EQ(outcome.l_safe, expected_safe);
+  EXPECT_EQ(outcome.final_power, expected.final_power);
 }
 
 TEST(CoordinatorTest, LrPlanesFlippedBitRejected) {

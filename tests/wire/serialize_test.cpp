@@ -104,22 +104,20 @@ TEST(ReaderTest, VectorRoundTrips) {
   Writer w;
   w.vector_u32({1, 2, 3, 0xffffffff});
   w.vector_u64({42, 0xffffffffffffffffULL});
-  w.vector_f64({0.5, -2.5, 1e10});
   Reader r(w.buffer());
   EXPECT_EQ(r.vector_u32().value(),
             (std::vector<std::uint32_t>{1, 2, 3, 0xffffffff}));
   EXPECT_EQ(r.vector_u64().value(),
             (std::vector<std::uint64_t>{42, 0xffffffffffffffffULL}));
-  EXPECT_EQ(r.vector_f64().value(), (std::vector<double>{0.5, -2.5, 1e10}));
 }
 
 TEST(ReaderTest, EmptyVectors) {
   Writer w;
   w.vector_u32({});
-  w.vector_f64({});
+  w.vector_u64({});
   Reader r(w.buffer());
   EXPECT_TRUE(r.vector_u32().value().empty());
-  EXPECT_TRUE(r.vector_f64().value().empty());
+  EXPECT_TRUE(r.vector_u64().value().empty());
 }
 
 TEST(ReaderTest, TruncatedFixedWidthFails) {
@@ -179,11 +177,11 @@ TEST_P(SerializeFuzzTest, RandomRoundTrip) {
   }
   Writer w;
   w.vector_u64(u64s);
-  w.vector_f64(f64s);
+  for (double v : f64s) w.f64(v);
   w.bytes(blob);
   Reader r(w.buffer());
   EXPECT_EQ(r.vector_u64().value(), u64s);
-  EXPECT_EQ(r.vector_f64().value(), f64s);
+  for (double v : f64s) EXPECT_EQ(r.f64().value(), v);
   EXPECT_EQ(r.bytes().value(), blob);
   EXPECT_TRUE(r.exhausted());
 }
