@@ -561,28 +561,6 @@ common::Task<Status> LeaderSession::establish_channels() {
   co_return Status::success();
 }
 
-common::Task<Status> LeaderSession::send_record(std::uint32_t gdo_index,
-                                                MsgType type, MessageRef msg) {
-  if (channels_[gdo_index] == nullptr) {
-    co_return make_error(Errc::unknown_peer,
-                         "no channel to gdo " + std::to_string(gdo_index));
-  }
-  wire::WireBuffer record;
-  if (Status s = seal_enveloped(*channels_[gdo_index], wire_pool(), type, msg,
-                                record);
-      !s.ok()) {
-    co_return s;
-  }
-  obs::add_counter(obs_, "wire.serializations");
-  obs::add_counter(obs_, "wire.records_sent");
-  queue_frame(gdo_index, std::move(record));
-  const std::vector<SendFailure> failures = co_await flush_sends();
-  for (const SendFailure& failure : failures) {
-    if (failure.to_gdo == gdo_index) co_return Status(failure.error);
-  }
-  co_return Status::success();
-}
-
 common::Task<Status> LeaderSession::send_staged(std::uint32_t gdo_index,
                                                 StagedMessage& staging) {
   if (channels_[gdo_index] == nullptr) {
@@ -679,6 +657,36 @@ common::Task<Result<LeaderSession::GatherStep>> LeaderSession::next_record(
   }
 }
 
+common::Task<Result<double>> LeaderSession::gather(const char* phase,
+                                                   MsgType type,
+                                                   Coordinator::Stream stream,
+                                                   const Ingest& ingest) {
+  double wait_ms = 0;
+  // Re-asked after every arrival: a fetch inside `ingest` may take tiles of
+  // the stream too. A stream with no tiles owes nothing.
+  for (std::set<std::uint32_t> pending = coordinator_.members_owing(stream);
+       !pending.empty(); pending = coordinator_.members_owing(stream)) {
+    const Stopwatch wait_watch;
+    auto step = co_await next_record(phase, pending);
+    wait_ms += wait_watch.elapsed_ms();
+    if (!step.ok()) co_return step.error();
+    if (!step.value().got) break;
+    const std::uint32_t member = step.value().member;
+    auto opened = open_envelope(step.value().plaintext);
+    if (!opened.ok()) co_return opened.error();
+    if (opened.value().first != type) {
+      co_return make_error(Errc::state_violation,
+                           std::string(phase) + ": gdo " +
+                               std::to_string(member) +
+                               " sent an unexpected message type");
+    }
+    if (Status s = co_await ingest(member, opened.value().second); !s.ok()) {
+      co_return s.error();
+    }
+  }
+  co_return wait_ms;
+}
+
 ProtocolSession::Main LeaderSession::run_protocol() {
   auto result = co_await run_study_impl();
   if (!result.ok()) {
@@ -716,42 +724,32 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
       !s.ok()) {
     co_return s.error();
   }
-  // Each member streams one summary per tile of the phase-1 plan; a member
-  // stays pending until its last tile lands. After every arrival the leader
-  // assesses whatever tiles are now complete across all live members, so
-  // MAF math overlaps the remaining transfers (the pipelined engine's
-  // phase-1 half). Inline assessment time is attributed to indexing, not
-  // aggregation, to keep the Figure 5/6 categories honest.
-  const std::uint32_t maf_tile_count = coordinator_.maf_plan().tile_count();
-  std::vector<std::uint32_t> summary_tiles_left(num_gdos_, maf_tile_count);
+  // Each member streams one summary per tile of the phase-1 plan. After
+  // every arrival the leader assesses whatever tiles are now complete
+  // across all live members, so MAF math overlaps the remaining transfers
+  // (the pipelined engine's phase-1 half). Inline assessment time is
+  // attributed to indexing, not aggregation, to keep the Figure 5/6
+  // categories honest.
   double inline_assess_ms = 0;
   std::size_t maf_tiles_inline = 0;
-  std::set<std::uint32_t> pending = live_members();
-  // An empty phase-1 plan (zero SNPs) streams no summaries at all.
-  if (maf_tile_count == 0) pending.clear();
-  while (!pending.empty()) {
-    auto step = co_await next_record("data aggregation", pending);
-    if (!step.ok()) co_return step.error();
-    if (!step.value().got) break;
-    auto opened = open_envelope(step.value().plaintext);
-    if (!opened.ok()) co_return opened.error();
-    if (opened.value().first != MsgType::summary_stats) {
-      co_return make_error(Errc::state_violation, "expected summary stats");
-    }
-    auto stats = SummaryStats::deserialize(opened.value().second);
+  const auto take_summary = [this, &inline_assess_ms, &maf_tiles_inline](
+                                std::uint32_t member, common::BytesView body)
+      -> common::Task<Status> {
+    auto stats = SummaryStats::deserialize(body);
     if (!stats.ok()) co_return stats.error();
-    if (Status s = coordinator_.add_summary(step.value().member,
-                                            stats.value());
-        !s.ok()) {
-      co_return s.error();
-    }
-    if (--summary_tiles_left[step.value().member] == 0) {
-      pending.erase(step.value().member);
+    if (Status s = coordinator_.add_summary(member, stats.value()); !s.ok()) {
+      co_return s;
     }
     const Stopwatch assess_watch;
     maf_tiles_inline += coordinator_.assess_ready_maf_tiles();
     inline_assess_ms += assess_watch.elapsed_ms();
-    if (pending.empty()) break;
+    co_return Status::success();
+  };
+  if (auto waited = co_await gather("data aggregation", MsgType::summary_stats,
+                                    Coordinator::Stream::summaries,
+                                    take_summary);
+      !waited.ok()) {
+    co_return waited.error();
   }
   if (coordinator_.live_combination_count() == 0) {
     co_return dead_peers_error("data aggregation");
@@ -868,39 +866,28 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
     fetch_wait_ms_ += fetch_watch.elapsed_ms();
     co_return per_gdo;
   };
-  // Members still owing windows (a fetch may also have taken some).
-  const auto windows_pending = [this] {
-    std::set<std::uint32_t> owing;
-    for (std::uint32_t g : live_members()) {
-      if (!coordinator_.ld_windows_complete(g)) owing.insert(g);
-    }
-    return owing;
-  };
-  if (Status s = co_await coordinator_.advance_ld_walks(fetch); !s.ok()) {
-    co_return s.error();
-  }
-  if (fetch_error_.has_value()) co_return *fetch_error_;
-  for (pending = windows_pending(); !pending.empty();
-       pending = windows_pending()) {
-    const Stopwatch wait_watch;
-    auto step = co_await next_record("LD window gather", pending);
-    fetch_wait_ms_ += wait_watch.elapsed_ms();
-    if (!step.ok()) co_return step.error();
-    if (!step.value().got) break;
-    auto opened = open_envelope(step.value().plaintext);
-    if (!opened.ok()) co_return opened.error();
-    if (opened.value().first != MsgType::ld_window) {
-      co_return make_error(Errc::state_violation, "expected LD window");
-    }
-    if (Status s = take_window(step.value().member, opened.value().second);
-        !s.ok()) {
-      co_return s.error();
-    }
+  // Walks every tile now complete; a failure inside the fetch is the
+  // study's. The first call opens the LD phase, so the wait for windows sits
+  // inside it.
+  const auto advance = [this, &fetch]() -> common::Task<Status> {
     if (Status s = co_await coordinator_.advance_ld_walks(fetch); !s.ok()) {
-      co_return s.error();
+      co_return s;
     }
-    if (fetch_error_.has_value()) co_return *fetch_error_;
-  }
+    if (fetch_error_.has_value()) co_return Status(*fetch_error_);
+    co_return Status::success();
+  };
+  const auto take_window_and_walk =
+      [&take_window, &advance](std::uint32_t member,
+                               common::BytesView body) -> common::Task<Status> {
+    if (Status s = take_window(member, body); !s.ok()) co_return s;
+    co_return co_await advance();
+  };
+  if (Status s = co_await advance(); !s.ok()) co_return s.error();
+  auto windows_waited =
+      co_await gather("LD window gather", MsgType::ld_window,
+                      Coordinator::Stream::ld_windows, take_window_and_walk);
+  if (!windows_waited.ok()) co_return windows_waited.error();
+  fetch_wait_ms_ += windows_waited.value();
   if (coordinator_.live_combination_count() == 0) {
     co_return dead_peers_error("LD window gather");
   }
@@ -932,32 +919,18 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
 
   // --- Phase 3: gather every member's LR planes, then select. ---
   // Each member answers every phase-2 tile with one LrPlanes reply.
-  const std::uint32_t lr_tile_count = coordinator_.lr_plan().tile_count();
-  std::vector<std::uint32_t> lr_tiles_left(num_gdos_, lr_tile_count);
-  pending = live_members();
-  // An empty phase-3 plan (every SNP filtered before the LR test) was never
-  // broadcast, so members have nothing to answer.
-  if (lr_tile_count == 0) pending.clear();
-  while (!pending.empty()) {
-    auto step = co_await next_record("LR gather", pending);
-    if (!step.ok()) co_return step.error();
-    if (!step.value().got) break;
-    auto opened = open_envelope(step.value().plaintext);
-    if (!opened.ok()) co_return opened.error();
-    if (opened.value().first != MsgType::lr_planes) {
-      co_return make_error(Errc::state_violation, "expected LR planes");
-    }
-    auto planes = LrPlanes::deserialize(opened.value().second);
+  const auto take_planes = [this](std::uint32_t member,
+                                  common::BytesView body)
+      -> common::Task<Status> {
+    auto planes = LrPlanes::deserialize(body);
     if (!planes.ok()) co_return planes.error();
-    if (Status s = coordinator_.add_lr_planes(step.value().member,
-                                              planes.value());
-        !s.ok()) {
-      co_return s.error();
-    }
-    if (--lr_tiles_left[step.value().member] == 0) {
-      pending.erase(step.value().member);
-    }
-    if (pending.empty()) break;
+    co_return coordinator_.add_lr_planes(member, planes.value());
+  };
+  if (auto waited = co_await gather("LR gather", MsgType::lr_planes,
+                                    Coordinator::Stream::lr_planes,
+                                    take_planes);
+      !waited.ok()) {
+    co_return waited.error();
   }
   timings.aggregation_ms += aggregation_watch.elapsed_ms();
   lr_gather_span.end();
@@ -1012,8 +985,8 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   result.kernel_backend = genome::kernels::kernel_backend_name(
       genome::kernels::active_kernel_backend());
   result.snp_tile_width = coordinator_.announce().config.snp_tile_width;
-  result.maf_tiles = maf_tile_count;
-  result.lr_tiles = lr_tile_count;
+  result.maf_tiles = coordinator_.maf_plan().tile_count();
+  result.lr_tiles = coordinator_.lr_plan().tile_count();
   result.maf_tiles_assessed_inline = maf_tiles_inline;
   result.leader_inline_assess_ms = inline_assess_ms;
   if (obs_ != nullptr) {

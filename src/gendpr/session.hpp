@@ -21,6 +21,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -395,10 +396,6 @@ class LeaderSession : public ProtocolSession {
 
   common::Task<common::Result<StudyResult>> run_study_impl();
   common::Task<common::Status> establish_channels();
-  /// Serializes + envelopes `msg` straight into a pooled record buffer and
-  /// seals it in place: the single-recipient send path.
-  common::Task<common::Status> send_record(std::uint32_t gdo_index,
-                                           MsgType type, MessageRef msg);
   /// Seals an already-staged envelope for one more recipient (per-peer AEAD
   /// pass only; the plaintext was serialized once by stage_envelope).
   common::Task<common::Status> send_staged(std::uint32_t gdo_index,
@@ -407,6 +404,18 @@ class LeaderSession : public ProtocolSession {
   common::Task<void> broadcast_abort(common::Error error);
   common::Task<common::Result<GatherStep>> next_record(
       const char* phase, std::set<std::uint32_t>& pending);
+  /// Takes one record body of a gathered stream from `member`: adds it to
+  /// the coordinator and does the phase's work after an arrival.
+  using Ingest = std::function<common::Task<common::Status>(
+      std::uint32_t member, common::BytesView body)>;
+  /// The gather of Alg. 1, one routine for every member->leader stream:
+  /// hands each record (which must be `type`) to `ingest` until no live
+  /// member owes the coordinator a tile of `stream`. A member that misses
+  /// the deadline is declared dead; `phase` names the gather in logs and
+  /// errors. Returns the time spent waiting for records.
+  common::Task<common::Result<double>> gather(const char* phase, MsgType type,
+                                              Coordinator::Stream stream,
+                                              const Ingest& ingest);
   std::set<std::uint32_t> live_members() const;
   void sync_dead_peers();
   void mark_pending_dead(std::set<std::uint32_t>& pending, const char* phase);

@@ -275,14 +275,19 @@ struct RejectedCountError {
   common::Error error;
 };
 
+/// A member's input refused: bad_message naming the GDO.
+common::Error refused(std::uint32_t gdo_index, const std::string& why) {
+  return make_error(Errc::bad_message,
+                    "gdo " + std::to_string(gdo_index) + ": " + why);
+}
+
 /// Why member `gdo_index`'s count `co` for the pair (a, b) is refused.
 common::Error impossible_count(std::uint32_t gdo_index, std::uint32_t a,
                                std::uint32_t b, std::uint32_t co) {
-  std::string message = "gdo " + std::to_string(gdo_index);
-  message += ": co-occurrence count " + std::to_string(co);
-  message += " of SNPs " + std::to_string(a) + " and " + std::to_string(b);
-  message += " disagrees with the phase-1 counts";
-  return make_error(Errc::bad_message, std::move(message));
+  return refused(gdo_index, "co-occurrence count " + std::to_string(co) +
+                                " of SNPs " + std::to_string(a) + " and " +
+                                std::to_string(b) +
+                                " disagrees with the phase-1 counts");
 }
 }  // namespace
 
@@ -296,8 +301,7 @@ Coordinator::Coordinator(GdoEnclave& leader_enclave,
       summaries_(num_gdos) {
   maf_plan_ = genome::TilePlan::over(announce_.num_snps,
                                      announce_.config.snp_tile_width);
-  summary_tiles_.assign(
-      num_gdos_, std::vector<bool>(maf_plan_.tile_count(), false));
+  open_stream(Stream::summaries, maf_plan_.tile_count());
   maf_survivors_.assign(announce_.combinations.size(), {});
 }
 
@@ -344,6 +348,48 @@ std::vector<std::uint32_t> Coordinator::case_populations() const {
   return populations;
 }
 
+void Coordinator::open_stream(Stream stream, std::uint32_t tile_count) {
+  arrivals(stream).tile_count = tile_count;
+  arrivals(stream).received.assign(num_gdos_, 0);
+}
+
+Status Coordinator::admit_tile(Stream stream, std::uint32_t gdo_index,
+                               std::uint32_t tile) const {
+  static constexpr std::array<const char*, 3> kNames = {"summary", "LD window",
+                                                        "LR plane"};
+  const TileArrivals& record = arrivals(stream);
+  const std::uint32_t next = record.received[gdo_index];
+  if (tile < record.tile_count && tile == next) return Status::success();
+  return refused(gdo_index,
+                 kNames[static_cast<std::size_t>(stream)] +
+                     std::string(tile >= record.tile_count
+                                     ? " tile index out of range"
+                                 : tile < next ? " tile repeated"
+                                               : " tile out of order"));
+}
+
+bool Coordinator::tile_arrived(Stream stream, std::uint32_t tile) const {
+  const TileArrivals& record = arrivals(stream);
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (g == leader_->gdo_index()) continue;  // the leader's data is local
+    if (dead_gdos_.count(g) > 0) continue;    // dead GDOs never report
+    if (!record.open() || record.received[g] <= tile) return false;
+  }
+  return true;
+}
+
+std::set<std::uint32_t> Coordinator::members_owing(Stream stream) const {
+  const TileArrivals& record = arrivals(stream);
+  std::set<std::uint32_t> owing;
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (g == leader_->gdo_index() || dead_gdos_.count(g) > 0) continue;
+    if (!record.open() || record.received[g] < record.tile_count) {
+      owing.insert(g);
+    }
+  }
+  return owing;
+}
+
 common::Error Coordinator::no_live_combination_error(
     const std::string& phase) const {
   std::string message =
@@ -355,23 +401,20 @@ common::Error Coordinator::no_live_combination_error(
 
 Status Coordinator::add_summary(std::uint32_t gdo_index,
                                 const SummaryStats& stats) {
-  if (gdo_index >= num_gdos_) {
+  if (gdo_index >= num_gdos_ || gdo_index == leader_->gdo_index()) {
     return make_error(Errc::unknown_peer, "summary from unknown GDO");
   }
-  if (stats.tile_index >= maf_plan_.tile_count()) {
-    return make_error(Errc::bad_message, "summary tile index out of range");
+  if (Status s = admit_tile(Stream::summaries, gdo_index, stats.tile_index);
+      !s.ok()) {
+    return s;
   }
   if (stats.case_counts.size() != maf_plan_.width_of(stats.tile_index)) {
-    return make_error(Errc::bad_message, "summary count vector wrong size");
+    return refused(gdo_index, "summary count vector wrong size");
   }
   for (std::uint32_t count : stats.case_counts) {
     if (count > stats.n_case) {
-      return make_error(Errc::bad_message,
-                        "allele count exceeds population size");
+      return refused(gdo_index, "allele count exceeds population size");
     }
-  }
-  if (summary_tiles_[gdo_index][stats.tile_index]) {
-    return make_error(Errc::bad_message, "duplicate summary tile");
   }
   // Tiles assemble into one full-width summary; n_case rides along on every
   // tile and must never change mid-stream.
@@ -382,33 +425,13 @@ Status Coordinator::add_summary(std::uint32_t gdo_index,
     full.n_case = stats.n_case;
     slot = std::move(full);
   } else if (slot->n_case != stats.n_case) {
-    return make_error(Errc::bad_message,
-                      "population size differs across summary tiles");
+    return refused(gdo_index,
+                   "population size differs across summary tiles");
   }
   std::copy(stats.case_counts.begin(), stats.case_counts.end(),
             slot->case_counts.begin() + maf_plan_.begin(stats.tile_index));
-  summary_tiles_[gdo_index][stats.tile_index] = true;
+  ++arrivals(Stream::summaries).received[gdo_index];
   return Status::success();
-}
-
-bool Coordinator::phase1_ready() const noexcept {
-  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-    if (g == leader_->gdo_index()) continue;  // leader's summary is local
-    if (dead_gdos_.count(g) > 0) continue;    // dead GDOs never report
-    for (std::uint32_t k = 0; k < maf_plan_.tile_count(); ++k) {
-      if (!summary_tiles_[g][k]) return false;
-    }
-  }
-  return true;
-}
-
-bool Coordinator::maf_tile_ready(std::uint32_t tile) const {
-  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-    if (g == leader_->gdo_index()) continue;
-    if (dead_gdos_.count(g) > 0) continue;
-    if (!summary_tiles_[g][tile]) return false;
-  }
-  return true;
 }
 
 void Coordinator::assess_maf_tile(std::uint32_t tile) {
@@ -453,7 +476,7 @@ std::size_t Coordinator::assess_ready_maf_tiles() {
   }
   std::size_t assessed = 0;
   while (next_maf_tile_ < maf_plan_.tile_count() &&
-         maf_tile_ready(next_maf_tile_)) {
+         tile_arrived(Stream::summaries, next_maf_tile_)) {
     assess_maf_tile(next_maf_tile_);
     ++next_maf_tile_;
     ++assessed;
@@ -462,8 +485,10 @@ std::size_t Coordinator::assess_ready_maf_tiles() {
 }
 
 Result<Phase1Result> Coordinator::run_maf_phase() {
+  // Tiles are assessed once they arrived from every live member, so every
+  // tile assessed means every summary arrived.
   assess_ready_maf_tiles();
-  if (!phase1_ready() || next_maf_tile_ < maf_plan_.tile_count()) {
+  if (next_maf_tile_ < maf_plan_.tile_count()) {
     maf_span_.reset();
     return make_error(Errc::state_violation,
                       "MAF phase before all summaries arrived");
@@ -487,7 +512,7 @@ Result<Phase1Result> Coordinator::run_maf_phase() {
   ld_windows_.clear();
   ld_windows_.resize(ld_plan_.tile_count());
   for (std::vector<HeldWindow>& tile : ld_windows_) tile.resize(num_gdos_);
-  ld_windows_received_.assign(num_gdos_, 0);
+  open_stream(Stream::ld_windows, ld_plan_.tile_count());
   Phase1Result result;
   result.retained = l_prime_;
   return result;
@@ -540,31 +565,23 @@ Status Coordinator::add_ld_window(std::uint32_t gdo_index, LdWindow window) {
   // A late window from a GDO already declared dead: its combinations are
   // skipped, so the window is dropped.
   if (dead_gdos_.count(gdo_index) > 0) return Status::success();
-  const auto reject = [gdo_index](const std::string& why) {
-    return make_error(Errc::bad_message,
-                      "gdo " + std::to_string(gdo_index) + ": " + why);
-  };
-  if (ld_windows_received_.size() != num_gdos_ ||
+  if (!arrivals(Stream::ld_windows).open() ||
       !summaries_[gdo_index].has_value()) {
-    return reject("LD window before the phase-1 result");
+    return refused(gdo_index, "LD window before the phase-1 result");
   }
   const std::uint32_t tile = window.tile_index;
-  if (tile >= ld_plan_.tile_count()) {
-    return reject("LD window tile index out of range");
-  }
-  if (tile < ld_windows_received_[gdo_index]) {
-    return reject("repeated LD window tile");
-  }
-  if (tile > ld_windows_received_[gdo_index]) {
-    return reject("LD window tile out of order");
+  if (Status s = admit_tile(Stream::ld_windows, gdo_index, tile); !s.ok()) {
+    return s;
   }
   if (tile < next_ld_tile_) {
-    return reject("LD window for a tile already walked without it");
+    return refused(gdo_index,
+                   "LD window for a tile already walked without it");
   }
   const std::uint32_t begin = ld_plan_.begin(tile);
   const std::uint32_t width = ld_plan_.width_of(tile);
   if (window.counts.size() != std::size_t{width} * kLdWindow) {
-    return reject("LD window size is not the tile width times the window");
+    return refused(gdo_index,
+                   "LD window size is not the tile width times the window");
   }
   auto held = leader_->reserve_epc(window.counts.size() * 4);
   if (!held.ok()) return held.error();
@@ -575,8 +592,8 @@ Status Coordinator::add_ld_window(std::uint32_t gdo_index, LdWindow window) {
           window.counts[std::size_t{i} * kLdWindow + d - 1];
       if (d > rank) {
         if (co != 0) {
-          return reject("LD window padding nonzero at rank " +
-                        std::to_string(rank));
+          return refused(gdo_index, "LD window padding nonzero at rank " +
+                                        std::to_string(rank));
         }
         continue;
       }
@@ -587,7 +604,7 @@ Status Coordinator::add_ld_window(std::uint32_t gdo_index, LdWindow window) {
       }
     }
   }
-  ++ld_windows_received_[gdo_index];
+  ++arrivals(Stream::ld_windows).received[gdo_index];
   obs::add_counter(obs_, "ld.window_tiles");
   HeldWindow& slot = ld_windows_[tile][gdo_index];
   if (tile == next_ld_tile_) {
@@ -602,20 +619,6 @@ Status Coordinator::add_ld_window(std::uint32_t gdo_index, LdWindow window) {
     obs::add_counter(obs_, "ld.window_tiles_sealed_out");
   }
   return Status::success();
-}
-
-bool Coordinator::ld_windows_complete(std::uint32_t gdo_index) const {
-  return gdo_index < ld_windows_received_.size() &&
-         ld_windows_received_[gdo_index] == ld_plan_.tile_count();
-}
-
-bool Coordinator::ld_tile_ready(std::uint32_t tile) const {
-  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-    if (g == leader_->gdo_index()) continue;  // the leader's data is local
-    if (dead_gdos_.count(g) > 0) continue;    // dead GDOs never report
-    if (ld_windows_received_[g] <= tile) return false;
-  }
-  return true;
 }
 
 void Coordinator::begin_ld_phase() {
@@ -801,7 +804,7 @@ common::Task<Status> Coordinator::walk_ld_tile(std::uint32_t tile,
 common::Task<Status> Coordinator::advance_ld_walks(AsyncFetchMoments fetch) {
   begin_ld_phase();
   while (next_ld_tile_ < ld_plan_.tile_count() &&
-         ld_tile_ready(next_ld_tile_)) {
+         tile_arrived(Stream::ld_windows, next_ld_tile_)) {
     if (Status s = co_await walk_ld_tile(next_ld_tile_, true, fetch);
         !s.ok()) {
       ld_combination_spans_.clear();
@@ -864,8 +867,7 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   lr_planes_.assign(num_gdos_, {});
   lr_planes_epc_.clear();
   lr_planes_epc_.resize(num_gdos_);
-  lr_plane_tiles_.assign(num_gdos_,
-                         std::vector<bool>(lr_plan_.tile_count(), false));
+  open_stream(Stream::lr_planes, lr_plan_.tile_count());
   Phase2Result result;
   result.retained = l_double_prime_;
   co_return result;
@@ -891,44 +893,32 @@ std::vector<Phase2Result> Coordinator::phase2_tiles() {
   return tiles;
 }
 
-bool Coordinator::lr_tile_complete(std::uint32_t tile) const {
-  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-    if (g == leader_->gdo_index()) continue;  // the leader's planes are local
-    if (dead_gdos_.count(g) > 0) continue;    // dead GDOs never report
-    if (!lr_plane_tiles_[g][tile]) return false;
-  }
-  return true;
-}
-
 Status Coordinator::add_lr_planes(std::uint32_t gdo_index,
                                   const LrPlanes& planes) {
   if (gdo_index >= num_gdos_ || gdo_index == leader_->gdo_index()) {
     return make_error(Errc::unknown_peer, "LR planes from unknown GDO");
   }
-  if (lr_plane_tiles_.size() != num_gdos_) {
+  if (!arrivals(Stream::lr_planes).open()) {
     return make_error(Errc::state_violation, "LR planes before LD phase");
   }
-  const auto reject = [gdo_index](const std::string& why) {
-    return make_error(Errc::bad_message,
-                      "gdo " + std::to_string(gdo_index) + ": " + why);
-  };
   const std::uint32_t tile = planes.tile_index;
-  if (tile >= lr_plan_.tile_count()) {
-    return reject("LR plane tile index out of range");
+  if (Status s = admit_tile(Stream::lr_planes, gdo_index, tile); !s.ok()) {
+    return s;
   }
-  if (lr_plane_tiles_[gdo_index][tile]) return reject("repeated LR plane tile");
   if (planes.width != lr_plan_.width_of(tile)) {
-    return reject("LR plane width differs from the tile width");
+    return refused(gdo_index, "LR plane width differs from the tile width");
   }
   if (!summaries_[gdo_index].has_value()) {
-    return reject("LR planes from a GDO without a phase-1 summary");
+    return refused(gdo_index,
+                   "LR planes from a GDO without a phase-1 summary");
   }
   const SummaryStats& summary = *summaries_[gdo_index];
   const std::size_t words_per_column = (summary.n_case + 63) / 64;
   if (planes.words_per_column != words_per_column ||
       planes.words.size() != planes.width * words_per_column) {
-    return reject("LR plane words per column disagree with the phase-1 "
-                  "population");
+    return refused(gdo_index,
+                   "LR plane words per column disagree with the phase-1 "
+                   "population");
   }
   auto transient = leader_->reserve_epc(planes.words.size() * 8);
   if (!transient.ok()) return transient.error();
@@ -939,13 +929,14 @@ Status Coordinator::add_lr_planes(std::uint32_t gdo_index,
   for (std::uint32_t i = 0; i < planes.width; ++i) {
     const std::uint64_t* column = planes.words.data() + i * words_per_column;
     if (words_per_column > 0 && (column[words_per_column - 1] & padding) != 0) {
-      return reject("LR plane padding bits set past n_case");
+      return refused(gdo_index, "LR plane padding bits set past n_case");
     }
     const std::uint32_t snp = l_double_prime_[begin + i];
     if (ops.popcount_words(column, words_per_column) !=
         summary.case_counts[snp]) {
-      return reject("LR plane popcount disagrees with the phase-1 count of "
-                    "SNP " + std::to_string(snp));
+      return refused(gdo_index,
+                     "LR plane popcount disagrees with the phase-1 count of "
+                     "SNP " + std::to_string(snp));
     }
   }
   if (!lr_planes_epc_[gdo_index].has_value()) {
@@ -957,21 +948,13 @@ Status Coordinator::add_lr_planes(std::uint32_t gdo_index,
   }
   std::copy(planes.words.begin(), planes.words.end(),
             lr_planes_[gdo_index].begin() + begin * words_per_column);
-  lr_plane_tiles_[gdo_index][tile] = true;
+  ++arrivals(Stream::lr_planes).received[gdo_index];
   obs::add_counter(obs_, "lr.plane_tiles_received");
   obs::add_counter(obs_, "lr.plane_bytes", planes.words.size() * 8);
-  if (tile < lr_tile_spans_.size() && lr_tile_complete(tile)) {
+  if (tile < lr_tile_spans_.size() && tile_arrived(Stream::lr_planes, tile)) {
     lr_tile_spans_[tile].reset();
   }
   return Status::success();
-}
-
-bool Coordinator::phase3_ready() const noexcept {
-  if (lr_plane_tiles_.size() != num_gdos_) return false;
-  for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
-    if (!lr_tile_complete(k)) return false;
-  }
-  return true;
 }
 
 Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
@@ -982,7 +965,8 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
   }
   // Tiles a since-dead member never completed close here.
   lr_tile_spans_.clear();
-  if (!phase3_ready()) {
+  if (!arrivals(Stream::lr_planes).open() ||
+      !members_owing(Stream::lr_planes).empty()) {
     lr_span_.reset();
     return make_error(Errc::state_violation,
                       "LR phase before all planes arrived");

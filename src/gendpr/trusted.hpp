@@ -14,6 +14,7 @@
 // there.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -196,6 +197,19 @@ class Coordinator {
   static std::vector<std::vector<std::uint32_t>> build_combinations(
       std::uint32_t num_gdos, const CollusionPolicy& policy);
 
+  /// --- Member tile streams ---
+  /// The three member->leader streams of Alg. 1: phase-1 summaries, LD
+  /// windows and LR planes. Every member sends each tile of a stream once,
+  /// in ascending tile order; the add_* method of the stream refuses a tile
+  /// that is out of range, repeated or out of order as bad_message naming
+  /// the GDO. The leader's own data is local, so it never owes a tile.
+  enum class Stream : std::uint8_t { summaries, ld_windows, lr_planes };
+  /// Live members that still owe `stream` a tile: every live member before
+  /// the stream opens (summaries open with the announce, LD windows with
+  /// the MAF phase's L', LR planes with the LD phase's L''), none once each
+  /// sent its last tile.
+  std::set<std::uint32_t> members_owing(Stream stream) const;
+
   /// --- Tiling ---
   /// Phase-1 plan over the announced SNP range (fixed by the announce).
   const genome::TilePlan& maf_plan() const noexcept { return maf_plan_; }
@@ -204,11 +218,12 @@ class Coordinator {
 
   /// --- Phase 1 ---
   /// Ingests one summary tile from `gdo_index` (the whole vector when
-  /// tiling is off). Tiles may arrive in any order across GDOs; per GDO
-  /// each tile arrives once and n_case must be consistent across tiles.
+  /// tiling is off). Tiles interleave freely across GDOs; per GDO they
+  /// arrive in stream order, each holds the tile's width in counts, no
+  /// count exceeds n_case, and n_case is the same on every tile. Every
+  /// failure but an unknown GDO names the GDO and is bad_message.
   common::Status add_summary(std::uint32_t gdo_index,
                              const SummaryStats& stats);
-  bool phase1_ready() const noexcept;
   /// Pipelined MAF assessment: assesses every not-yet-assessed tile whose
   /// summaries arrived from all live members, in ascending tile order, and
   /// returns how many tiles were assessed. The host calls this after each
@@ -226,17 +241,14 @@ class Coordinator {
   const genome::TilePlan& ld_plan() const noexcept { return ld_plan_; }
   /// Ingests one member's LD window for one ld_plan() tile. Every failure
   /// names the GDO and is bad_message: the window must come after the MAF
-  /// phase, its tile must be in range and the GDO's next (no repeat, no
-  /// gap), it must hold width * kLdWindow counts, padding entries (no
-  /// partner rank) must be zero, and every count must fit the GDO's
-  /// phase-1 counts (co <= min(count_a, count_b) and count_a + count_b - co
-  /// <= n_case). A window from a GDO already declared dead is dropped. The
-  /// window is charged to the leader's EPC while its tile is the next to
-  /// walk; a window that arrives ahead of the walk is sealed out of the
-  /// enclave until then, so held windows stay O(tile).
+  /// phase, in stream order, it must hold width * kLdWindow counts, padding
+  /// entries (no partner rank) must be zero, and every count must fit the
+  /// GDO's phase-1 counts (co <= min(count_a, count_b) and count_a +
+  /// count_b - co <= n_case). A window from a GDO already declared dead is
+  /// dropped. The window is charged to the leader's EPC while its tile is
+  /// the next to walk; a window that arrives ahead of the walk is sealed out
+  /// of the enclave until then, so held windows stay O(tile).
   common::Status add_ld_window(std::uint32_t gdo_index, LdWindow window);
-  /// Every ld_plan() tile of `gdo_index`'s windows arrived.
-  bool ld_windows_complete(std::uint32_t gdo_index) const;
   /// Pipelined LD walk (Alg. 1 lines 28-57), the LD half of the inline tile
   /// engine: for every tile whose windows arrived from all live members, in
   /// ascending tile order, every live combination's walk moves through the
@@ -264,8 +276,8 @@ class Coordinator {
 
   /// --- Phase 3 ---
   /// Ingests one member's LR planes for one tile. Every failure names the
-  /// GDO and is bad_message: the tile index must be in range and new, the
-  /// width must equal the tile width, the words per column must equal
+  /// GDO and is bad_message: the tile must come in stream order, the width
+  /// must equal the tile width, the words per column must equal
   /// ceil(n_case / 64) from the GDO's phase-1 summary, padding bits past
   /// n_case must be zero, and each column's popcount must equal the GDO's
   /// phase-1 count for that SNP. Accepted planes are kept full-width per
@@ -273,7 +285,6 @@ class Coordinator {
   /// while it is checked and copied, so a tiled gather's transient
   /// footprint is O(tile).
   common::Status add_lr_planes(std::uint32_t gdo_index, const LrPlanes& planes);
-  bool phase3_ready() const noexcept;
   /// Runs the safe-subset selection per live combination on bit planes —
   /// member blocks in ascending GDO order with the leader's own block in its
   /// slot, the reference panel's planes, and the combination's weights,
@@ -298,6 +309,16 @@ class Coordinator {
     bool broadcast_done = false;
   };
 
+  /// Arrival record of one stream: per GDO, how many of its `tile_count`
+  /// tiles arrived, which is also the index the GDO sends next. Empty
+  /// until the stream opens.
+  struct TileArrivals {
+    std::uint32_t tile_count = 0;
+    std::vector<std::uint32_t> received;  // per GDO
+
+    bool open() const noexcept { return !received.empty(); }
+  };
+
   /// One member's window over one L' tile: its counts in EPC while the tile
   /// is the next to walk, otherwise sealed out of the enclave.
   struct HeldWindow {
@@ -315,10 +336,24 @@ class Coordinator {
                                                  std::uint32_t a,
                                                  std::uint32_t b,
                                                  std::uint32_t co) const;
+  TileArrivals& arrivals(Stream stream) {
+    return streams_[static_cast<std::size_t>(stream)];
+  }
+  const TileArrivals& arrivals(Stream stream) const {
+    return streams_[static_cast<std::size_t>(stream)];
+  }
+  /// Opens `stream` over `tile_count` tiles, none received yet.
+  void open_stream(Stream stream, std::uint32_t tile_count);
+  /// The one arrival rule: `tile` must be in range and the next `gdo_index`
+  /// owes on `stream` (no repeat, no gap). Admitting does not record the
+  /// tile; the add_* method counts it once its content checks pass.
+  common::Status admit_tile(Stream stream, std::uint32_t gdo_index,
+                            std::uint32_t tile) const;
+  /// Tile `tile` of `stream` arrived from every live member.
+  bool tile_arrived(Stream stream, std::uint32_t tile) const;
   /// Opens the LD phase once: its span, one span and walk per live
   /// combination, and the walks' association p-values.
   void begin_ld_phase();
-  bool ld_tile_ready(std::uint32_t tile) const;
   /// Moves every live walk through the ranks of `tile` (the next one),
   /// reading member counts from the tile's windows when `use_windows`.
   common::Task<common::Status> walk_ld_tile(std::uint32_t tile,
@@ -340,9 +375,6 @@ class Coordinator {
   /// SNP).
   std::vector<double> combination_chi2_p_values(
       const std::vector<std::uint32_t>& members) const;
-  bool maf_tile_ready(std::uint32_t tile) const;
-  /// Every live member's planes for LR tile `tile` arrived.
-  bool lr_tile_complete(std::uint32_t tile) const;
   void assess_maf_tile(std::uint32_t tile);
 
   GdoEnclave* leader_;
@@ -357,6 +389,9 @@ class Coordinator {
   // Liveness state: GDOs declared unresponsive by the host protocol layer.
   std::set<std::uint32_t> dead_gdos_;
 
+  // Arrival records, indexed by Stream.
+  std::array<TileArrivals, 3> streams_;
+
   // Tiling. The phase-1 plan is fixed by the announce; the phase-3 plan is
   // fixed over L'' at the end of the LD phase. Both phase spans open lazily
   // (first tile assessed mid-gather) and close when their phase finishes.
@@ -365,10 +400,8 @@ class Coordinator {
   std::optional<obs::ScopedSpan> maf_span_;
   std::optional<obs::ScopedSpan> lr_span_;
 
-  // Phase 1 state. Summaries assemble tile by tile into full-width vectors;
-  // summary_tiles_[g][k] tracks which tiles of GDO g have arrived.
+  // Phase 1 state. Summaries assemble tile by tile into full-width vectors.
   std::vector<std::optional<SummaryStats>> summaries_;  // per GDO
-  std::vector<std::vector<bool>> summary_tiles_;
   /// Per-combination MAF survivors accumulated in ascending tile order
   /// (empty vectors for combinations that died before assessment ended).
   std::vector<std::vector<std::uint32_t>> maf_survivors_;
@@ -384,7 +417,6 @@ class Coordinator {
   std::vector<stats::LdWalk> ld_walks_;                // per combination
   std::vector<std::vector<double>> ld_association_p_;  // per combination
   std::vector<std::vector<HeldWindow>> ld_windows_;    // [tile][GDO]
-  std::vector<std::uint32_t> ld_windows_received_;     // per GDO
   std::uint32_t next_ld_tile_ = 0;
   bool ld_started_ = false;
   std::map<std::uint32_t, PairMoments> rank_pairs_;
@@ -395,11 +427,10 @@ class Coordinator {
   // Phase 3 state.
   std::vector<std::uint32_t> l_double_prime_;
   /// Per GDO: received planes over all of L'' (column i at word
-  /// i * ceil(n_case / 64)), the EPC charge for them, and which tiles
-  /// arrived. Sized at the end of the LD phase.
+  /// i * ceil(n_case / 64)) and the EPC charge for them. Sized at the end
+  /// of the LD phase.
   std::vector<std::vector<std::uint64_t>> lr_planes_;
   std::vector<std::optional<tee::EpcAllocation>> lr_planes_epc_;
-  std::vector<std::vector<bool>> lr_plane_tiles_;
   std::vector<std::optional<obs::ScopedSpan>> lr_tile_spans_;
 
   SelectionOutcome outcome_;

@@ -65,15 +65,6 @@ BitPlanes::BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
   }
 }
 
-std::vector<std::uint32_t> BitPlanes::allele_counts(
-    const std::vector<std::uint32_t>& snps) const {
-  std::vector<std::uint32_t> counts(snps.size(), 0);
-  for (std::size_t i = 0; i < snps.size(); ++i) {
-    counts[i] = counts_[snps[i]];
-  }
-  return counts;
-}
-
 std::uint32_t BitPlanes::pair_count(std::size_t snp_a,
                                     std::size_t snp_b) const noexcept {
   return static_cast<std::uint32_t>(kernels::kernel_ops().and_popcount_words(

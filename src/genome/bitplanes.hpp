@@ -56,10 +56,6 @@ class BitPlanes {
     return counts_;
   }
 
-  /// Minor-allele counts restricted to the SNP subset `snps`.
-  std::vector<std::uint32_t> allele_counts(
-      const std::vector<std::uint32_t>& snps) const;
-
   /// popcount(plane_a AND plane_b): individuals carrying the minor allele at
   /// both SNPs - the only non-marginal term of the LD moment struct.
   std::uint32_t pair_count(std::size_t snp_a, std::size_t snp_b) const noexcept;

@@ -92,8 +92,11 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
                     .ok());
     EXPECT_TRUE(fed.enclaves[g]->on_study_announce(fed.announce).ok());
     EXPECT_TRUE(fed.enclaves[g]->on_phase1({fed.phase2.retained}).ok());
-    fed.case_counts_per_gdo.push_back(
-        fed.enclaves[g]->planes().allele_counts(fed.phase2.retained));
+    std::vector<std::uint32_t> counts;
+    for (std::uint32_t snp : fed.phase2.retained) {
+      counts.push_back(fed.enclaves[g]->planes().allele_count(snp));
+    }
+    fed.case_counts_per_gdo.push_back(std::move(counts));
     fed.n_case_per_gdo.push_back(static_cast<std::uint32_t>(
         fed.enclaves[g]->planes().num_individuals()));
   }

@@ -267,29 +267,38 @@ TEST(MessagesTest, UnknownTypeRejected) {
   EXPECT_FALSE(open_envelope(zero).ok());
 }
 
+/// Every strict prefix of `msg`'s encoding must fail `msg`'s own decoder.
+template <typename M>
+void expect_prefixes_rejected(const M& msg, const char* name) {
+  const common::Bytes full = msg.serialize();
+  ASSERT_TRUE(M::deserialize(full).ok()) << name;
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    EXPECT_FALSE(M::deserialize(common::BytesView(full.data(), len)).ok())
+        << name << " truncated to " << len << " of " << full.size()
+        << " bytes accepted";
+  }
+}
+
 TEST(MessagesTest, TruncationRejectedEverywhere) {
   StudyAnnounce announce;
+  announce.study_id = 7;
   announce.num_snps = 5;
-  announce.combinations = {{0, 1}};
-  Phase2Result phase2;
-  phase2.retained = {1, 2, 3};
+  announce.combinations = {{0, 1}, {2}};
+  expect_prefixes_rejected(announce, "StudyAnnounce");
+  expect_prefixes_rejected(SummaryStats{{1, 2, 3}, 40, 2}, "SummaryStats");
+  expect_prefixes_rejected(Phase1Result{{0, 4, 9}}, "Phase1Result");
+  expect_prefixes_rejected(
+      LdWindow{1, std::vector<std::uint32_t>(kLdWindow, 3)}, "LdWindow");
+  expect_prefixes_rejected(MomentsRequest{17, 3, 4}, "MomentsRequest");
+  expect_prefixes_rejected(MomentsResponse{17, 5}, "MomentsResponse");
+  expect_prefixes_rejected(Phase2Result{{1, 2, 3}, 1, 2}, "Phase2Result");
+  expect_prefixes_rejected(LrPlanes{0, 2, 1, {7, 9}}, "LrPlanes");
   LrMatrices matrices;
   matrices.entries.push_back({0, stats::LrMatrix(2, 2)});
-  const LrPlanes planes{0, 2, 1, {7, 9}};
-
-  const std::vector<common::Bytes> serialized = {
-      announce.serialize(), phase2.serialize(), matrices.serialize(),
-      planes.serialize()};
-  for (const auto& full : serialized) {
-    for (std::size_t len = 0; len < full.size(); ++len) {
-      const common::BytesView cut(full.data(), len);
-      EXPECT_FALSE(StudyAnnounce::deserialize(cut).ok() &&
-                   Phase2Result::deserialize(cut).ok() &&
-                   LrMatrices::deserialize(cut).ok() &&
-                   LrPlanes::deserialize(cut).ok())
-          << "truncation to " << len << " accepted";
-    }
-  }
+  expect_prefixes_rejected(matrices, "LrMatrices");
+  expect_prefixes_rejected(Phase3Result{{2, 8}, 0.25}, "Phase3Result");
+  expect_prefixes_rejected(AbortNotice{1, "gdo 1 unresponsive"},
+                           "AbortNotice");
 }
 
 TEST(MessagesTest, TrailingBytesRejected) {

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "common/rng.hpp"
 #include "genome/cohort.hpp"
+#include "obs/observability.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -221,6 +223,19 @@ TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
                          enclave.planes().plane(5)));
 }
 
+using Stream = Coordinator::Stream;
+
+/// Expects `status` to be a bad_message refusal naming GDO 1, with `why` in
+/// the reason.
+void expect_refused(const common::Status& status, const std::string& why) {
+  ASSERT_FALSE(status.ok()) << why;
+  EXPECT_EQ(status.error().code, common::Errc::bad_message);
+  EXPECT_NE(status.error().message.find("gdo 1"), std::string::npos)
+      << status.error().message;
+  EXPECT_NE(status.error().message.find(why), std::string::npos)
+      << status.error().message;
+}
+
 TEST(CoordinatorTest, RejectsBogusSummaries) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
@@ -230,18 +245,50 @@ TEST(CoordinatorTest, RejectsBogusSummaries) {
   SummaryStats bogus;
   bogus.case_counts = {1, 2};  // wrong length
   bogus.n_case = 10;
-  EXPECT_FALSE(coordinator.add_summary(1, bogus).ok());
+  expect_refused(coordinator.add_summary(1, bogus), "wrong size");
 
   SummaryStats inflated;
   inflated.case_counts.assign(f.cohort.cases.num_snps(), 100);
   inflated.n_case = 10;  // counts exceed population
-  EXPECT_FALSE(coordinator.add_summary(1, inflated).ok());
+  expect_refused(coordinator.add_summary(1, inflated), "exceeds population");
 
   SummaryStats ok;
   ok.case_counts.assign(f.cohort.cases.num_snps(), 1);
   ok.n_case = 10;
-  EXPECT_FALSE(coordinator.add_summary(7, ok).ok());  // unknown GDO
+  EXPECT_EQ(coordinator.add_summary(7, ok).error().code,
+            common::Errc::unknown_peer);
+  EXPECT_EQ(coordinator.add_summary(0, ok).error().code,
+            common::Errc::unknown_peer);  // the leader's summary is local
   EXPECT_TRUE(coordinator.add_summary(1, ok).ok());
+}
+
+TEST(CoordinatorTest, SummaryTilesAdmittedOnceInStreamOrder) {
+  Fixture f;
+  GdoEnclave leader(f.platform, 0);
+  GdoEnclave member(f.platform, 1);
+  ASSERT_TRUE(leader.provision_dataset(f.cases(0, 130)).ok());
+  ASSERT_TRUE(member.provision_dataset(f.cases(130, 300)).ok());
+  StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
+  announce.config.snp_tile_width = 8;
+  Coordinator coordinator(leader, f.reference(), 2, announce);
+  const genome::TilePlan& plan = coordinator.maf_plan();
+  ASSERT_GT(plan.tile_count(), 2u);
+  const auto tile = [&](std::uint32_t k) {
+    return member.make_summary_tile(plan.begin(k), plan.end(k), k);
+  };
+  expect_refused(coordinator.add_summary(1, tile(1)), "out of order");
+  ASSERT_TRUE(coordinator.add_summary(1, tile(0)).ok());
+  expect_refused(coordinator.add_summary(1, tile(0)), "repeated");
+  SummaryStats beyond = tile(1);
+  beyond.tile_index = plan.tile_count();
+  expect_refused(coordinator.add_summary(1, beyond), "out of range");
+  // Refused tiles are not counted: the member still owes the rest.
+  EXPECT_EQ(coordinator.members_owing(Stream::summaries),
+            std::set<std::uint32_t>{1});
+  for (std::uint32_t k = 1; k < plan.tile_count(); ++k) {
+    ASSERT_TRUE(coordinator.add_summary(1, tile(k)).ok());
+  }
+  EXPECT_TRUE(coordinator.members_owing(Stream::summaries).empty());
 }
 
 TEST(CoordinatorTest, MafPhaseRequiresAllSummaries) {
@@ -250,7 +297,8 @@ TEST(CoordinatorTest, MafPhaseRequiresAllSummaries) {
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
   Coordinator coordinator(leader, f.reference(), 3,
                           f.make_announce(3, CollusionPolicy::none()));
-  EXPECT_FALSE(coordinator.phase1_ready());
+  EXPECT_EQ(coordinator.members_owing(Stream::summaries),
+            (std::set<std::uint32_t>{1, 2}));
   EXPECT_FALSE(coordinator.run_maf_phase().ok());
 }
 
@@ -260,7 +308,7 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
   Coordinator coordinator(leader, f.reference(), 1,
                           f.make_announce(1, CollusionPolicy::none()));
-  ASSERT_TRUE(coordinator.phase1_ready());
+  ASSERT_TRUE(coordinator.members_owing(Stream::summaries).empty());
   const auto phase1 = coordinator.run_maf_phase();
   ASSERT_TRUE(phase1.ok());
   EXPECT_FALSE(phase1.value().retained.empty());
@@ -272,7 +320,7 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   ASSERT_TRUE(phase2.ok());
   EXPECT_LE(phase2.value().retained.size(), phase1.value().retained.size());
 
-  ASSERT_TRUE(coordinator.phase3_ready());
+  ASSERT_TRUE(coordinator.members_owing(Stream::lr_planes).empty());
   const auto phase3 = coordinator.run_lr_phase(nullptr);
   ASSERT_TRUE(phase3.ok());
   EXPECT_LE(phase3.value().safe.size(), phase2.value().retained.size());
@@ -356,27 +404,20 @@ struct PlaneGather {
     }
   }
 
-  /// Expects `planes` to be refused as bad_message naming GDO 1, with
-  /// `why` in the reason.
   void expect_rejected(const LrPlanes& planes, const std::string& why) {
-    const common::Status status = coordinator->add_lr_planes(1, planes);
-    ASSERT_FALSE(status.ok()) << why;
-    EXPECT_EQ(status.error().code, common::Errc::bad_message);
-    EXPECT_NE(status.error().message.find("gdo 1"), std::string::npos)
-        << status.error().message;
-    EXPECT_NE(status.error().message.find(why), std::string::npos)
-        << status.error().message;
+    expect_refused(coordinator->add_lr_planes(1, planes), why);
   }
 };
 
 TEST(CoordinatorTest, LrPlanesFromHonestMemberCompletePhase3) {
   PlaneGather gather;
   ASSERT_GT(gather.replies.size(), 1u);
-  EXPECT_FALSE(gather.coordinator->phase3_ready());
+  EXPECT_EQ(gather.coordinator->members_owing(Stream::lr_planes),
+            std::set<std::uint32_t>{1});
   for (const LrPlanes& planes : gather.replies) {
     ASSERT_TRUE(gather.coordinator->add_lr_planes(1, planes).ok());
   }
-  EXPECT_TRUE(gather.coordinator->phase3_ready());
+  EXPECT_TRUE(gather.coordinator->members_owing(Stream::lr_planes).empty());
   EXPECT_TRUE(gather.coordinator->run_lr_phase(nullptr).ok());
 }
 
@@ -462,6 +503,14 @@ TEST(CoordinatorTest, LrPlanesRepeatedTileRejected) {
   gather.expect_rejected(gather.replies[0], "repeated");
 }
 
+TEST(CoordinatorTest, LrPlanesOutOfOrderTileRejected) {
+  PlaneGather gather;
+  ASSERT_GT(gather.replies.size(), 1u);
+  gather.expect_rejected(gather.replies[1], "out of order");
+  // The refused tile does not count: tile 0 is still the one expected.
+  EXPECT_TRUE(gather.coordinator->add_lr_planes(1, gather.replies[0]).ok());
+}
+
 /// A leader and one honest member through phase 1 (tile width 8), plus the
 /// member's honest LD window for every L' tile. Shared by the window tests
 /// below.
@@ -510,16 +559,8 @@ struct WindowGather {
     };
   }
 
-  /// Expects `window` to be refused as bad_message naming GDO 1, with `why`
-  /// in the reason.
   void expect_rejected(const LdWindow& window, const std::string& why) {
-    const common::Status status = coordinator->add_ld_window(1, window);
-    ASSERT_FALSE(status.ok()) << why;
-    EXPECT_EQ(status.error().code, common::Errc::bad_message);
-    EXPECT_NE(status.error().message.find("gdo 1"), std::string::npos)
-        << status.error().message;
-    EXPECT_NE(status.error().message.find(why), std::string::npos)
-        << status.error().message;
+    expect_refused(coordinator->add_ld_window(1, window), why);
   }
 };
 
@@ -529,7 +570,7 @@ TEST(CoordinatorTest, LdWindowsServeInWindowPairsWithTheSameSelection) {
   for (const LdWindow& window : windowed.windows) {
     ASSERT_TRUE(windowed.coordinator->add_ld_window(1, window).ok());
   }
-  EXPECT_TRUE(windowed.coordinator->ld_windows_complete(1));
+  EXPECT_TRUE(windowed.coordinator->members_owing(Stream::ld_windows).empty());
   const auto with_windows =
       windowed.coordinator->run_ld_phase(windowed.honest_fetch());
   ASSERT_TRUE(with_windows.ok()) << with_windows.error().to_string();
@@ -609,9 +650,13 @@ TEST(CoordinatorTest, LdWindowBeforePhase1ResultRejected) {
 
 TEST(CoordinatorTest, LdWindowFromDeadGdoDropped) {
   WindowGather gather;
+  obs::Observability observability;
+  gather.coordinator->set_observability(&observability);
   ASSERT_TRUE(gather.coordinator->mark_gdo_dead(1).ok());
   EXPECT_TRUE(gather.coordinator->add_ld_window(1, gather.windows[0]).ok());
-  EXPECT_FALSE(gather.coordinator->ld_windows_complete(1));
+  EXPECT_EQ(observability.metrics.counter("ld.window_tiles"), 0u);
+  // A dead GDO owes nothing.
+  EXPECT_TRUE(gather.coordinator->members_owing(Stream::ld_windows).empty());
 }
 
 TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {

@@ -94,16 +94,6 @@ TEST(BitPlanesTest, AlleleCountsBitIdenticalToScalar) {
   }
 }
 
-TEST(BitPlanesTest, SubsetAlleleCountsBitIdenticalToScalar) {
-  common::Rng rng(13);
-  const GenotypeMatrix m = random_matrix(rng, 130, 40, 0.25);
-  const BitPlanes planes(m);
-  const std::vector<std::uint32_t> subset = {0, 5, 39, 17, 5};
-  EXPECT_EQ(planes.allele_counts(subset), m.allele_counts(subset));
-  EXPECT_EQ(planes.allele_counts(std::vector<std::uint32_t>{}),
-            m.allele_counts(std::vector<std::uint32_t>{}));
-}
-
 TEST(BitPlanesTest, TailWordBitsStaySilent) {
   // 65 individuals, all carriers: the second word of each plane holds exactly
   // one live bit; anything more would corrupt every popcount-based kernel.
