@@ -25,7 +25,8 @@ struct StudyConfig {
   std::uint32_t snp_tile_width = 0;
   /// Ignored: the collusion sweep has one mode. Kept only because the
   /// benchmark harness still sets it; removed by the next benchmark-only
-  /// change. It does not travel in the announce.
+  /// change. Like every field here it stays on the leader: members receive
+  /// only the study's SNP count and `snp_tile_width`.
   bool prune = true;
 
   bool operator==(const StudyConfig&) const = default;

@@ -107,8 +107,8 @@ Result<StudyResult> run_sessions(
     std::vector<std::unique_ptr<tee::Platform>>& platforms,
     std::uint32_t leader_gdo,
     const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-    const StudyAnnounce& announce, common::ThreadPool* pool,
-    obs::SpanId study_span, std::chrono::milliseconds receive_timeout,
+    common::ThreadPool* pool, obs::SpanId study_span,
+    std::chrono::milliseconds receive_timeout,
     std::vector<double>& member_compute_ms) {
   if (transport == FederationSpec::TransportMode::uring) {
     common::log_warn("federation",
@@ -159,7 +159,8 @@ Result<StudyResult> run_sessions(
   };
   LeaderSession leader(*platforms[leader_gdo], leader_gdo, spec.num_gdos,
                        case_planes(leader_gdo),
-                       genome::BitPlanes(cohort.controls), announce);
+                       genome::BitPlanes(cohort.controls), spec.config,
+                       spec.policy);
   leader.set_receive_timeout(receive_timeout);
   leader.set_observability(spec.obs, study_span);
   leader.set_pool(pool);
@@ -416,13 +417,6 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   const auto ranges =
       genome::equal_partition(cohort.cases.num_individuals(), spec.num_gdos);
 
-  StudyAnnounce announce;
-  announce.study_id = spec.seed;
-  announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-  announce.config = spec.config;
-  announce.combinations =
-      Coordinator::build_combinations(spec.num_gdos, spec.policy);
-
   const std::chrono::milliseconds receive_timeout(spec.receive_timeout_ms);
 
   // AEAD counters are process-wide; a per-run snapshot delta isolates this
@@ -431,16 +425,16 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
 
   // The leader's pool for the per-combination LR selections.
   std::unique_ptr<common::ThreadPool> pool;
-  if (spec.parallel_combinations && announce.combinations.size() > 1) {
+  if (spec.parallel_combinations &&
+      Coordinator::build_combinations(spec.num_gdos, spec.policy).size() > 1) {
     pool = std::make_unique<common::ThreadPool>();
   }
   setup_span.end();
 
   std::vector<double> member_compute_ms;
   auto result = run_sessions(cohort, spec, transport_mode_of(spec), platforms,
-                             leader_gdo, ranges, announce, pool.get(),
-                             study_span.id(), receive_timeout,
-                             member_compute_ms);
+                             leader_gdo, ranges, pool.get(), study_span.id(),
+                             receive_timeout, member_compute_ms);
   if (spec.obs != nullptr && pool != nullptr) {
     spec.obs->metrics.add_counter("pool.tasks_completed",
                                   pool->tasks_completed());

@@ -29,32 +29,6 @@ std::size_t vec_u32_size(const std::vector<std::uint32_t>& v) {
   return varint_size(v.size()) + 4 * v.size();
 }
 
-/// 4 f64 fields + u32 tile width (see write_config).
-constexpr std::size_t kConfigBytes = 4 * 8 + 4;
-
-void write_config(wire::Writer& w, const StudyConfig& config) {
-  w.f64(config.maf_cutoff);
-  w.f64(config.ld_cutoff);
-  w.f64(config.lr_false_positive_rate);
-  w.f64(config.lr_power_threshold);
-  w.u32(config.snp_tile_width);
-}
-
-Result<StudyConfig> read_config(wire::Reader& r) {
-  StudyConfig config;
-  for (double* field : {&config.maf_cutoff, &config.ld_cutoff,
-                        &config.lr_false_positive_rate,
-                        &config.lr_power_threshold}) {
-    auto v = r.f64();
-    if (!v.ok()) return v.error();
-    *field = v.value();
-  }
-  auto width = r.u32();
-  if (!width.ok()) return width.error();
-  config.snp_tile_width = width.value();
-  return config;
-}
-
 std::size_t matrix_size(const stats::LrMatrix& m) {
   return 4 + 4 + 8 * m.values().size();
 }
@@ -93,22 +67,11 @@ common::Bytes serialize_exact(const M& msg) {
 
 }  // namespace
 
-std::size_t StudyAnnounce::encoded_size() const {
-  std::size_t size = 8 + 4 + kConfigBytes + varint_size(combinations.size());
-  for (const auto& combination : combinations) {
-    size += vec_u32_size(combination);
-  }
-  return size;
-}
+std::size_t StudyAnnounce::encoded_size() const { return 4 + 4; }
 
 void StudyAnnounce::serialize_into(wire::Writer& w) const {
-  w.u64(study_id);
   w.u32(num_snps);
-  write_config(w, config);
-  w.varint(combinations.size());
-  for (const auto& combination : combinations) {
-    w.vector_u32(combination);
-  }
+  w.u32(snp_tile_width);
 }
 
 common::Bytes StudyAnnounce::serialize() const { return serialize_exact(*this); }
@@ -116,21 +79,10 @@ common::Bytes StudyAnnounce::serialize() const { return serialize_exact(*this); 
 Result<StudyAnnounce> StudyAnnounce::deserialize(common::BytesView data) {
   wire::Reader r(data);
   StudyAnnounce msg;
-  auto id = r.u64();
-  if (!id.ok()) return id.error();
-  msg.study_id = id.value();
-  auto snps = r.u32();
-  if (!snps.ok()) return snps.error();
-  msg.num_snps = snps.value();
-  auto config = read_config(r);
-  if (!config.ok()) return config.error();
-  msg.config = config.value();
-  auto count = r.varint();
-  if (!count.ok()) return count.error();
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto combination = r.vector_u32();
-    if (!combination.ok()) return combination.error();
-    msg.combinations.push_back(std::move(combination).take());
+  for (std::uint32_t* field : {&msg.num_snps, &msg.snp_tile_width}) {
+    auto v = r.u32();
+    if (!v.ok()) return v.error();
+    *field = v.value();
   }
   if (!r.exhausted()) return trailing();
   return msg;
@@ -358,13 +310,10 @@ Result<LrPlanes> LrPlanes::deserialize(common::BytesView data) {
   return msg;
 }
 
-std::size_t Phase3Result::encoded_size() const {
-  return vec_u32_size(safe) + 8;
-}
+std::size_t Phase3Result::encoded_size() const { return vec_u32_size(safe); }
 
 void Phase3Result::serialize_into(wire::Writer& w) const {
   w.vector_u32(safe);
-  w.f64(final_power);
 }
 
 common::Bytes Phase3Result::serialize() const { return serialize_exact(*this); }
@@ -375,9 +324,6 @@ Result<Phase3Result> Phase3Result::deserialize(common::BytesView data) {
   auto safe = r.vector_u32();
   if (!safe.ok()) return safe.error();
   msg.safe = std::move(safe).take();
-  auto power = r.f64();
-  if (!power.ok()) return power.error();
-  msg.final_power = power.value();
   if (!r.exhausted()) return trailing();
   return msg;
 }

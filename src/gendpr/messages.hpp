@@ -13,7 +13,6 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "gendpr/config.hpp"
 #include "stats/ld.hpp"
 #include "stats/lr_test.hpp"
 #include "wire/serialize.hpp"
@@ -38,15 +37,13 @@ enum class MsgType : std::uint8_t {
 /// before it. A protocol constant (both ends must agree on the layout).
 inline constexpr std::uint32_t kLdWindow = 8;
 
-/// Leader -> members: study parameters and the combination table for the
-/// configured collusion policy. combinations[i] lists the GDO indices whose
-/// data forms honest-subset i; members compute per-combination artifacts for
-/// the combinations containing them.
+/// Leader -> members: the SNP count of the study (the member's dataset must
+/// span it) and the tile width its summaries and LD windows stream in. That
+/// is all a member reads: the thresholds, the collusion policy and the
+/// combination table stay on the leader, which runs every decision.
 struct StudyAnnounce {
-  std::uint64_t study_id = 0;
   std::uint32_t num_snps = 0;
-  StudyConfig config;
-  std::vector<std::vector<std::uint32_t>> combinations;
+  std::uint32_t snp_tile_width = 0;
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
@@ -183,10 +180,9 @@ struct LrMatrices {
 };
 
 /// Leader -> members: the final safe SNP set (intersection over
-/// combinations) and the residual adversary power observed.
+/// combinations).
 struct Phase3Result {
   std::vector<std::uint32_t> safe;  // L_safe
-  double final_power = 0.0;
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;

@@ -353,7 +353,7 @@ ProtocolSession::Main MemberSession::run_protocol() {
         // counted, so the leader assesses tile k while this member is still
         // computing tile k+1.
         const genome::TilePlan plan = genome::TilePlan::over(
-            announce.value().num_snps, announce.value().config.snp_tile_width);
+            announce.value().num_snps, announce.value().snp_tile_width);
         for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
           const Stopwatch compute_watch;
           const SummaryStats stats =
@@ -457,12 +457,12 @@ ProtocolSession::Main MemberSession::run_protocol() {
 LeaderSession::LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,
                              std::uint32_t num_gdos, genome::BitPlanes cases,
                              genome::BitPlanes reference,
-                             StudyAnnounce announce)
+                             const StudyConfig& config,
+                             const CollusionPolicy& policy)
     : gdo_index_(gdo_index),
       num_gdos_(num_gdos),
       enclave_(platform, gdo_index),
-      coordinator_(enclave_, std::move(reference), num_gdos,
-                   std::move(announce)),
+      coordinator_(enclave_, std::move(reference), num_gdos, config, policy),
       channels_(num_gdos) {
   // Provisioning failures (EPC limit) surface from the protocol body, which
   // checks that the dataset is present before announcing.
@@ -705,10 +705,18 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   const crypto::AeadCounters aead_before = crypto::aead_counters();
   PhaseTimings timings;
 
-  if (Status valid = validate(coordinator_.announce().config); !valid.ok()) {
+  if (Status valid = validate(coordinator_.config()); !valid.ok()) {
     co_return valid.error();
   }
   if (!provision_status_.ok()) co_return provision_status_.error();
+  // The study spans the reference panel's SNPs; the leader's own counts
+  // must cover the same ones.
+  const StudyAnnounce announce = coordinator_.announce();
+  if (enclave_.planes().num_snps() != announce.num_snps) {
+    co_return make_error(Errc::invalid_argument,
+                         "leader dataset and reference panel differ in SNP "
+                         "count");
+  }
   {
     const obs::ScopedSpan handshake_span(obs::recorder_of(obs_),
                                          "step.handshake", study_span_);
@@ -719,8 +727,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   obs::ScopedSpan gather_span(obs::recorder_of(obs_), "step.gather_summaries",
                               study_span_);
   Stopwatch aggregation_watch;
-  if (Status s = co_await broadcast(MsgType::study_announce,
-                                    coordinator_.announce());
+  if (Status s = co_await broadcast(MsgType::study_announce, announce);
       !s.ok()) {
     co_return s.error();
   }
@@ -959,7 +966,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
                           coordinator_.dead_gdos().end());
   result.leader_gdo = gdo_index_;
   result.num_gdos = num_gdos_;
-  result.num_combinations = coordinator_.announce().combinations.size();
+  result.num_combinations = coordinator_.combinations().size();
   result.live_combinations = coordinator_.live_combination_count();
   result.combination_members_total = coordinator_.combination_members_total();
   result.n_case_per_gdo = coordinator_.case_populations();
@@ -984,7 +991,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
       aead_after.bytes_sealed - aead_before.bytes_sealed;
   result.kernel_backend = genome::kernels::kernel_backend_name(
       genome::kernels::active_kernel_backend());
-  result.snp_tile_width = coordinator_.announce().config.snp_tile_width;
+  result.snp_tile_width = coordinator_.config().snp_tile_width;
   result.maf_tiles = coordinator_.maf_plan().tile_count();
   result.lr_tiles = coordinator_.lr_plan().tile_count();
   result.maf_tiles_assessed_inline = maf_tiles_inline;

@@ -360,7 +360,8 @@ class LeaderSession : public ProtocolSession {
  public:
   LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,
                 std::uint32_t num_gdos, genome::BitPlanes cases,
-                genome::BitPlanes reference, StudyAnnounce announce);
+                genome::BitPlanes reference, const StudyConfig& config,
+                const CollusionPolicy& policy);
   ~LeaderSession() override;
 
   void set_observability(obs::Observability* obs,

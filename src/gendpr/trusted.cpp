@@ -39,11 +39,6 @@ Status GdoEnclave::on_study_announce(const StudyAnnounce& announce) {
     return make_error(Errc::invalid_argument,
                       "announced SNP count does not match local dataset");
   }
-  for (const auto& combination : announce.combinations) {
-    if (combination.empty()) {
-      return make_error(Errc::bad_message, "empty combination in announce");
-    }
-  }
   announce_ = announce;
   l_prime_.clear();
   l_double_prime_.clear();
@@ -96,7 +91,7 @@ bool GdoEnclave::in_l_prime(std::uint32_t snp) const {
 genome::TilePlan GdoEnclave::ld_plan() const {
   if (!announce_.has_value()) return {};
   return genome::TilePlan::over(static_cast<std::uint32_t>(l_prime_.size()),
-                                announce_->config.snp_tile_width);
+                                announce_->snp_tile_width);
 }
 
 LdWindow GdoEnclave::make_ld_window(std::uint32_t rank_begin,
@@ -139,14 +134,13 @@ Result<LrPlanes> GdoEnclave::on_phase2(const Phase2Result& result) {
   if (result.num_tiles == 0 || result.tile_index >= result.num_tiles) {
     return make_error(Errc::bad_message, "phase2 tile index out of range");
   }
-  // Tile 0 starts (or restarts) the phase-2 stream; later tiles must arrive
-  // in order so L'' assembles exactly as the leader sliced it.
-  if (result.tile_index == 0) {
-    l_double_prime_.clear();
-    phase2_next_tile_ = 0;
-  }
+  // The leader sends each tile once, in order, so L'' assembles exactly as
+  // it sliced it; a repeated tile is as much a violation as a skipped one.
   if (result.tile_index != phase2_next_tile_) {
-    return make_error(Errc::state_violation, "phase2 tile out of order");
+    return make_error(Errc::state_violation,
+                      result.tile_index < phase2_next_tile_
+                          ? "phase2 tile repeated"
+                          : "phase2 tile out of order");
   }
   // L'' is a subset of L' the leader streams in ascending order, so every
   // SNP must be in L' and above the last one answered (across tiles too).
@@ -293,16 +287,19 @@ common::Error impossible_count(std::uint32_t gdo_index, std::uint32_t a,
 
 Coordinator::Coordinator(GdoEnclave& leader_enclave,
                          genome::BitPlanes reference, std::uint32_t num_gdos,
-                         StudyAnnounce announce)
+                         const StudyConfig& config,
+                         const CollusionPolicy& policy)
     : leader_(&leader_enclave),
       reference_planes_(std::move(reference)),
       num_gdos_(num_gdos),
-      announce_(std::move(announce)),
+      config_(config),
+      combinations_(build_combinations(num_gdos, policy)),
       summaries_(num_gdos) {
-  maf_plan_ = genome::TilePlan::over(announce_.num_snps,
-                                     announce_.config.snp_tile_width);
+  maf_plan_ = genome::TilePlan::over(
+      static_cast<std::uint32_t>(reference_planes_.num_snps()),
+      config_.snp_tile_width);
   open_stream(Stream::summaries, maf_plan_.tile_count());
-  maf_survivors_.assign(announce_.combinations.size(), {});
+  maf_survivors_.assign(combinations_.size(), {});
 }
 
 Status Coordinator::mark_gdo_dead(std::uint32_t gdo_index) {
@@ -318,7 +315,7 @@ Status Coordinator::mark_gdo_dead(std::uint32_t gdo_index) {
 }
 
 bool Coordinator::combination_live(std::size_t combination_id) const {
-  for (std::uint32_t g : announce_.combinations[combination_id]) {
+  for (std::uint32_t g : combinations_[combination_id]) {
     if (dead_gdos_.count(g) > 0) return false;
   }
   return true;
@@ -326,7 +323,7 @@ bool Coordinator::combination_live(std::size_t combination_id) const {
 
 std::size_t Coordinator::live_combination_count() const {
   std::size_t live = 0;
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
+  for (std::size_t c = 0; c < combinations_.size(); ++c) {
     if (combination_live(c)) ++live;
   }
   return live;
@@ -334,8 +331,8 @@ std::size_t Coordinator::live_combination_count() const {
 
 std::size_t Coordinator::combination_members_total() const {
   std::size_t total = 0;
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-    if (combination_live(c)) total += announce_.combinations[c].size();
+  for (std::size_t c = 0; c < combinations_.size(); ++c) {
+    if (combination_live(c)) total += combinations_[c].size();
   }
   return total;
 }
@@ -421,7 +418,7 @@ Status Coordinator::add_summary(std::uint32_t gdo_index,
   auto& slot = summaries_[gdo_index];
   if (!slot.has_value()) {
     SummaryStats full;
-    full.case_counts.assign(announce_.num_snps, 0);
+    full.case_counts.assign(reference_planes_.num_snps(), 0);
     full.n_case = stats.n_case;
     slot = std::move(full);
   } else if (slot->n_case != stats.n_case) {
@@ -442,14 +439,14 @@ void Coordinator::assess_maf_tile(std::uint32_t tile) {
                                   "maf.tile." + std::to_string(tile),
                                   maf_span_->id());
   obs::add_counter(obs_, "coordinator.maf_tiles");
-  const double cutoff = announce_.config.maf_cutoff;
+  const double cutoff = config_.maf_cutoff;
   const std::uint32_t begin = maf_plan_.begin(tile);
   const std::uint32_t width = maf_plan_.width_of(tile);
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
+  for (std::size_t c = 0; c < combinations_.size(); ++c) {
     if (!combination_live(c)) continue;  // skip combos with dead members
     obs::add_counter(obs_, "coordinator.maf_combinations");
     obs::add_counter(obs_, "coordinator.maf_snps_evaluated", width);
-    const auto& members = announce_.combinations[c];
+    const auto& members = combinations_[c];
     std::uint64_t n_total = reference_planes_.num_individuals();
     for (std::uint32_t g : members) n_total += summaries_[g]->n_case;
     std::vector<double> maf(width, 0.0);
@@ -494,8 +491,8 @@ Result<Phase1Result> Coordinator::run_maf_phase() {
                       "MAF phase before all summaries arrived");
   }
   std::vector<std::vector<std::uint32_t>> per_combination;
-  per_combination.reserve(announce_.combinations.size());
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
+  per_combination.reserve(combinations_.size());
+  for (std::size_t c = 0; c < combinations_.size(); ++c) {
     // Only combinations still live saw every tile assessed (liveness is
     // monotone); partially assessed lists of since-died combinations drop.
     if (combination_live(c)) per_combination.push_back(maf_survivors_[c]);
@@ -508,7 +505,7 @@ Result<Phase1Result> Coordinator::run_maf_phase() {
   l_prime_ = intersect_sorted(per_combination);
   outcome_.l_prime = l_prime_;
   ld_plan_ = genome::TilePlan::over(static_cast<std::uint32_t>(l_prime_.size()),
-                                    announce_.config.snp_tile_width);
+                                    config_.snp_tile_width);
   ld_windows_.clear();
   ld_windows_.resize(ld_plan_.tile_count());
   for (std::vector<HeldWindow>& tile : ld_windows_) tile.resize(num_gdos_);
@@ -625,8 +622,8 @@ void Coordinator::begin_ld_phase() {
   if (ld_started_) return;
   ld_started_ = true;
   ld_span_.emplace(obs::recorder_of(obs_), "phase.ld", study_span_);
-  const std::size_t num_combinations = announce_.combinations.size();
-  ld_walks_.assign(num_combinations, stats::LdWalk(announce_.config.ld_cutoff));
+  const std::size_t num_combinations = combinations_.size();
+  ld_walks_.assign(num_combinations, stats::LdWalk(config_.ld_cutoff));
   ld_association_p_.assign(num_combinations, {});
   ld_combination_spans_.clear();
   ld_combination_spans_.resize(num_combinations);
@@ -636,7 +633,7 @@ void Coordinator::begin_ld_phase() {
     ld_combination_spans_[c].emplace(obs::recorder_of(obs_),
                                      "ld.combination." + std::to_string(c),
                                      ld_span_->id());
-    ld_association_p_[c] = combination_chi2_p_values(announce_.combinations[c]);
+    ld_association_p_[c] = combination_chi2_p_values(combinations_[c]);
   }
 }
 
@@ -767,7 +764,7 @@ common::Task<Status> Coordinator::walk_ld_tile(std::uint32_t tile,
     for (std::size_t c = 0; c < ld_walks_.size(); ++c) {
       if (!combination_live(c)) continue;
       stats::LdWalk& walk = ld_walks_[c];
-      const auto& members = announce_.combinations[c];
+      const auto& members = combinations_[c];
       try {
         // A pair the windows do not cover goes through the fetch on its
         // first touch (which asks every live member, whether or not this
@@ -838,7 +835,7 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
     co_return walked.error();
   }
   ld_combination_spans_.clear();
-  const std::size_t num_combinations = announce_.combinations.size();
+  const std::size_t num_combinations = combinations_.size();
 
   // A death discovered mid-phase invalidates every combination containing
   // the dead GDO, including ones whose walk had already finished (their LR
@@ -863,7 +860,7 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   // tiles.
   lr_plan_ = genome::TilePlan::over(
       static_cast<std::uint32_t>(l_double_prime_.size()),
-      announce_.config.snp_tile_width);
+      config_.snp_tile_width);
   lr_planes_.assign(num_gdos_, {});
   lr_planes_epc_.clear();
   lr_planes_epc_.resize(num_gdos_);
@@ -971,7 +968,7 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
     return make_error(Errc::state_violation,
                       "LR phase before all planes arrived");
   }
-  const std::size_t num_combinations = announce_.combinations.size();
+  const std::size_t num_combinations = combinations_.size();
   std::vector<std::size_t> live;
   for (std::size_t c = 0; c < num_combinations; ++c) {
     if (combination_live(c)) live.push_back(c);
@@ -1012,8 +1009,8 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
         frequency(reference_planes_.allele_count(l_double_prime_[i]), n_ref);
   }
   stats::LrSelectionParams params;
-  params.false_positive_rate = announce_.config.lr_false_positive_rate;
-  params.power_threshold = announce_.config.lr_power_threshold;
+  params.false_positive_rate = config_.lr_false_positive_rate;
+  params.power_threshold = config_.lr_power_threshold;
 
   // Several combinations fan out on the pool; a single one gets the pool
   // threaded into its selection instead. Never both: a nested parallel_for
@@ -1028,7 +1025,7 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
         obs::recorder_of(obs_), "lr.combination." + std::to_string(c),
         lr_span_->id());
     obs::add_counter(obs_, "lr.selections");
-    const auto& members = announce_.combinations[c];
+    const auto& members = combinations_[c];
     std::vector<stats::PlaneBlock> case_blocks;
     for (std::uint32_t g : members) {  // ascending GDO order by construction
       case_blocks.push_back(blocks[g]);
@@ -1070,7 +1067,6 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
   lr_span_.reset();
   Phase3Result result;
   result.safe = outcome_.l_safe;
-  result.final_power = outcome_.final_power;
   return result;
 }
 

@@ -160,10 +160,25 @@ class Coordinator {
   using AsyncFetchMoments = std::function<common::Task<CoCounts>(
       const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
+  /// The study plan lives here and nowhere else: the thresholds, and the
+  /// combination table built once from `policy`. The study spans the
+  /// reference panel's SNPs.
   Coordinator(GdoEnclave& leader_enclave, genome::BitPlanes reference,
-              std::uint32_t num_gdos, StudyAnnounce announce);
+              std::uint32_t num_gdos, const StudyConfig& config,
+              const CollusionPolicy& policy);
 
-  const StudyAnnounce& announce() const noexcept { return announce_; }
+  const StudyConfig& config() const noexcept { return config_; }
+  /// combinations()[i] lists the GDO indices whose data forms honest
+  /// subset i.
+  const std::vector<std::vector<std::uint32_t>>& combinations() const noexcept {
+    return combinations_;
+  }
+  /// The announce every member receives: the SNP count and the tile width,
+  /// nothing of the thresholds or the collusion policy.
+  StudyAnnounce announce() const {
+    return {static_cast<std::uint32_t>(reference_planes_.num_snps()),
+            config_.snp_tile_width};
+  }
 
   /// Attaches the run's observability bundle. Each analysis phase then opens
   /// a span under `study_span` with one child span per evaluated combination
@@ -193,7 +208,8 @@ class Coordinator {
   /// Phase-1 case population per GDO (0 before its first summary tile).
   std::vector<std::uint32_t> case_populations() const;
 
-  /// Builds the combination table for a policy (shared by runner and tests).
+  /// Builds the combination table for a policy (the one the constructor
+  /// keeps; public for the runner, benchmarks and tests).
   static std::vector<std::vector<std::uint32_t>> build_combinations(
       std::uint32_t num_gdos, const CollusionPolicy& policy);
 
@@ -211,7 +227,7 @@ class Coordinator {
   std::set<std::uint32_t> members_owing(Stream stream) const;
 
   /// --- Tiling ---
-  /// Phase-1 plan over the announced SNP range (fixed by the announce).
+  /// Phase-1 plan over the study's SNP range.
   const genome::TilePlan& maf_plan() const noexcept { return maf_plan_; }
   /// Phase-3 plan over L'' (valid after run_ld_phase).
   const genome::TilePlan& lr_plan() const noexcept { return lr_plan_; }
@@ -380,7 +396,8 @@ class Coordinator {
   GdoEnclave* leader_;
   genome::BitPlanes reference_planes_;
   std::uint32_t num_gdos_;
-  StudyAnnounce announce_;
+  StudyConfig config_;
+  std::vector<std::vector<std::uint32_t>> combinations_;
 
   // Observability (may be null: unobserved run).
   obs::Observability* obs_ = nullptr;
@@ -392,7 +409,7 @@ class Coordinator {
   // Arrival records, indexed by Stream.
   std::array<TileArrivals, 3> streams_;
 
-  // Tiling. The phase-1 plan is fixed by the announce; the phase-3 plan is
+  // Tiling. The phase-1 plan is fixed at construction; the phase-3 plan is
   // fixed over L'' at the end of the LD phase. Both phase spans open lazily
   // (first tile assessed mid-gather) and close when their phase finishes.
   genome::TilePlan maf_plan_;

@@ -1,7 +1,7 @@
 // Seed-corpus generator for the protocol-step fuzzer.
 //
 // Pumps one clean 3-GDO study entirely at the session step level — the same
-// fixture (cohort, seeds, announce) the fuzz harness builds its sessions
+// fixture (cohort, seeds, study plan) the fuzz harness builds its sessions
 // from, so every recorded frame decrypts against the harness's enclaves —
 // and writes the frames each role received as harness-format scripts:
 // a full-conversation seed per role plus one seed per individual frame.
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(corpus_dir);
 
   // The harness fixture, reproduced: same cohort, same platform seeds, same
-  // announce, leader = GDO 0 with slice [0,8), member 1 with [8,16).
+  // study plan, leader = GDO 0 with slice [0,8), member 1 with [8,16).
   gendpr::genome::CohortSpec cohort_spec;
   cohort_spec.num_case = 24;
   cohort_spec.num_control = 24;
@@ -86,12 +86,6 @@ int main(int argc, char** argv) {
   cohort_spec.seed = 1234;
   const gendpr::genome::Cohort cohort =
       gendpr::genome::generate_cohort(cohort_spec);
-  gendpr::core::StudyAnnounce announce;
-  announce.study_id = 1;
-  announce.num_snps = 8;
-  announce.combinations = gendpr::core::Coordinator::build_combinations(
-      3, gendpr::core::CollusionPolicy::none());
-
   gendpr::tee::QuotingAuthority authority(
       std::array<std::uint8_t, 32>{0x41});
   std::vector<std::unique_ptr<gendpr::tee::Platform>> platforms;
@@ -102,7 +96,8 @@ int main(int argc, char** argv) {
             std::array<std::uint8_t, 32>{static_cast<std::uint8_t>(g + 1)})));
   }
   LeaderSession leader(*platforms[0], 0, 3, BitPlanes(cohort.cases, 0, 8),
-                       BitPlanes(cohort.controls), announce);
+                       BitPlanes(cohort.controls), gendpr::core::StudyConfig{},
+                       gendpr::core::CollusionPolicy::none());
   // Observed only to confirm the transcript reaches every handler; the
   // recorded frames are the same either way.
   gendpr::obs::Observability observability;

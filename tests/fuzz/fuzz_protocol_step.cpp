@@ -44,13 +44,8 @@ struct Fixture {
     spec.num_snps = 8;
     spec.seed = 1234;
     cohort = genome::generate_cohort(spec);
-    announce.study_id = 1;
-    announce.num_snps = 8;
-    announce.combinations =
-        core::Coordinator::build_combinations(3, core::CollusionPolicy::none());
   }
   genome::Cohort cohort;
-  core::StudyAnnounce announce;
 };
 
 const Fixture& fixture() {
@@ -172,7 +167,7 @@ int run_one_input(const std::uint8_t* data, std::size_t size) {
     LeaderSession leader(platform, 0, 3,
                          genome::BitPlanes(study.cohort.cases, 0, 8),
                          genome::BitPlanes(study.cohort.controls),
-                         study.announce);
+                         core::StudyConfig{}, core::CollusionPolicy::none());
     leader.set_receive_timeout(std::chrono::milliseconds(100));
     drive(leader, script);
   }

@@ -130,12 +130,6 @@ TEST(CollusionOracleTest, DegradedRunMatchesOracleOverSurvivingSubsets) {
   tee::Platform platform2{3, authority,
                           crypto::Csprng(std::array<std::uint8_t, 32>{3})};
 
-  StudyAnnounce announce;
-  announce.study_id = 1;
-  announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-  announce.combinations =
-      Coordinator::build_combinations(3, CollusionPolicy::fixed(1));
-
   CollusionOracleInput input;
   for (std::size_t begin : {0, 100, 200}) {
     input.case_slices.push_back(cohort.cases.slice_rows(begin, begin + 100));
@@ -143,11 +137,11 @@ TEST(CollusionOracleTest, DegradedRunMatchesOracleOverSurvivingSubsets) {
   input.reference = cohort.controls;
   input.maf_combinations = honest_subsets(3, {1});
   input.ld_combinations = {{0, 1}};
-  input.config = announce.config;
 
   LeaderSession leader(platform0, 0, 3,
                        genome::BitPlanes(input.case_slices[0]),
-                       genome::BitPlanes(cohort.controls), announce);
+                       genome::BitPlanes(cohort.controls), input.config,
+                       CollusionPolicy::fixed(1));
   leader.set_receive_timeout(std::chrono::milliseconds(250));
   MemberSession honest(platform1, 1, 0,
                        genome::BitPlanes(input.case_slices[1]));

@@ -230,11 +230,6 @@ TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {
   tee::Platform member_platform(
       2, authority, crypto::Csprng(std::array<std::uint8_t, 32>{2}));
 
-  StudyAnnounce announce;
-  announce.num_snps = 30;
-  announce.combinations =
-      Coordinator::build_combinations(3, CollusionPolicy::none());
-
   net::EventLoop loop;
   ASSERT_TRUE(loop.valid());
   auto leader_hub = net::EpollHub::create(loop, node_id_of(0), 0);
@@ -244,7 +239,8 @@ TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {
 
   LeaderSession leader(leader_platform, 0, 3,
                        genome::BitPlanes(cohort.cases, 0, 60),
-                       genome::BitPlanes(cohort.controls), announce);
+                       genome::BitPlanes(cohort.controls), StudyConfig{},
+                       CollusionPolicy::none());
   leader.set_receive_timeout(std::chrono::milliseconds(300));
   MemberSession member(member_platform, 1, 0,
                        genome::BitPlanes(cohort.cases, 60, 120));
@@ -290,17 +286,12 @@ TEST(TcpFederationTest, StudyOverRealSocketsMatchesInProcess) {
   tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{0x71});
   auto platforms = make_platforms(kGdos, authority);
 
-  StudyAnnounce announce;
-  announce.study_id = 9;
-  announce.num_snps = 80;
-  announce.combinations =
-      Coordinator::build_combinations(kGdos, CollusionPolicy::none());
-
   obs::Observability observability;
   LeaderSession leader(*platforms[0], 0, kGdos,
                        genome::BitPlanes(cohort.cases, ranges[0].first,
                                          ranges[0].second),
-                       genome::BitPlanes(cohort.controls), announce);
+                       genome::BitPlanes(cohort.controls), StudyConfig{},
+                       CollusionPolicy::none());
   leader.set_observability(&observability);
   std::vector<std::unique_ptr<MemberSession>> members;
   for (std::uint32_t g = 1; g < kGdos; ++g) {
@@ -374,14 +365,10 @@ TEST(TcpFederationTest, MemberSafeSetsMatchLeader) {
   const genome::Cohort cohort = test_cohort(200, 200, 50, 66);
   tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{0x72});
   auto platforms = make_platforms(2, authority);
-  StudyAnnounce announce;
-  announce.num_snps = 50;
-  announce.combinations =
-      Coordinator::build_combinations(2, CollusionPolicy::none());
-
   LeaderSession leader(*platforms[0], 0, 2,
                        genome::BitPlanes(cohort.cases, 0, 100),
-                       genome::BitPlanes(cohort.controls), announce);
+                       genome::BitPlanes(cohort.controls), StudyConfig{},
+                       CollusionPolicy::none());
   MemberSession member(*platforms[1], 1, 0,
                        genome::BitPlanes(cohort.cases, 100, 200));
   SessionHarness harness(0, SessionHarness::Transport::epoll);
@@ -402,14 +389,10 @@ TEST(TcpFederationTest, KilledMemberAbortsStudyPromptly) {
   const genome::Cohort cohort = test_cohort(300, 200, 50, 77);
   tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{0x73});
   auto platforms = make_platforms(3, authority);
-  StudyAnnounce announce;
-  announce.num_snps = 50;
-  announce.combinations =
-      Coordinator::build_combinations(3, CollusionPolicy::none());
-
   LeaderSession leader(*platforms[0], 0, 3,
                        genome::BitPlanes(cohort.cases, 0, 100),
-                       genome::BitPlanes(cohort.controls), announce);
+                       genome::BitPlanes(cohort.controls), StudyConfig{},
+                       CollusionPolicy::none());
   leader.set_receive_timeout(std::chrono::milliseconds(10000));
   MemberSession survivor(*platforms[1], 1, 0,
                          genome::BitPlanes(cohort.cases, 100, 200));

@@ -31,19 +31,12 @@ struct LeaderFixture {
     cohort = genome::generate_cohort(spec);
   }
 
-  StudyAnnounce announce() const {
-    StudyAnnounce a;
-    a.study_id = 1;
-    a.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-    a.combinations = Coordinator::build_combinations(2, CollusionPolicy::none());
-    return a;
-  }
-
   /// The leader session (GDO 0) of a two-GDO study.
   std::unique_ptr<LeaderSession> make_leader() {
     return std::make_unique<LeaderSession>(
         leader_platform, 0, 2, genome::BitPlanes(cohort.cases, 0, 100),
-        genome::BitPlanes(cohort.controls), announce());
+        genome::BitPlanes(cohort.controls), StudyConfig{},
+        CollusionPolicy::none());
   }
 
   /// A scripted member `gdo` holding the second half of the cases.
@@ -125,7 +118,7 @@ TEST(FailureInjectionTest, WrongMessageTypeRejected) {
       replying([](GdoEnclave&, tee::SecureChannel& channel) {
         return channel
             .seal(envelope(MsgType::phase3_result,
-                           Phase3Result{{1, 2}, 0.0}.serialize()))
+                           Phase3Result{{1, 2}}.serialize()))
             .value();
       }));
   const common::Status result = f.run(*leader, member.get());
@@ -181,7 +174,7 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
   const genome::BitPlanes leader_cases(f.cohort.cases, 0, 100);
   ASSERT_TRUE(leader_enclave.provision_dataset(leader_cases).ok());
   Coordinator coordinator(leader_enclave, genome::BitPlanes(f.cohort.controls),
-                          2, f.announce());
+                          2, StudyConfig{}, CollusionPolicy::none());
   SummaryStats member_stats;
   member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
   member_stats.n_case = 100;
@@ -205,10 +198,11 @@ TEST(CheckpointTest, SealRestoreRoundTrip) {
   GdoEnclave enclave(f.member_platform, 1);
   ASSERT_TRUE(
       enclave.provision_dataset(genome::BitPlanes(f.cohort.cases)).ok());
-  StudyAnnounce announce = f.announce();
+  const StudyAnnounce announce{
+      static_cast<std::uint32_t>(f.cohort.cases.num_snps()), 0};
   ASSERT_TRUE(enclave.on_study_announce(announce).ok());
   ASSERT_TRUE(enclave.on_phase1(Phase1Result{{1, 2, 3}}).ok());
-  ASSERT_TRUE(enclave.on_phase3(Phase3Result{{2, 3}, 0.5}).ok());
+  ASSERT_TRUE(enclave.on_phase3(Phase3Result{{2, 3}}).ok());
 
   const common::Bytes checkpoint = enclave.seal_study_checkpoint();
 
@@ -296,14 +290,6 @@ struct ThreeGdoFixture {
     cohort = genome::generate_cohort(spec);
   }
 
-  StudyAnnounce announce(const CollusionPolicy& policy) const {
-    StudyAnnounce a;
-    a.study_id = 1;
-    a.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-    a.combinations = Coordinator::build_combinations(3, policy);
-    return a;
-  }
-
   /// Runs the study with GDO 2 crashing after its summary; returns the
   /// leader's outcome and leaves the honest member's state in `honest`.
   common::Status run(const CollusionPolicy& policy,
@@ -312,7 +298,7 @@ struct ThreeGdoFixture {
                      std::unique_ptr<LeaderSession>& leader) {
     leader = std::make_unique<LeaderSession>(
         platform0, 0, 3, genome::BitPlanes(cohort.cases, 0, 100),
-        genome::BitPlanes(cohort.controls), announce(policy));
+        genome::BitPlanes(cohort.controls), StudyConfig{}, policy);
     leader->set_receive_timeout(std::chrono::milliseconds(250));
     honest = std::make_unique<MemberSession>(
         platform1, 1, 0, genome::BitPlanes(cohort.cases, 100, 200));

@@ -29,7 +29,7 @@ struct Federation {
   tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x42}};
   std::vector<std::unique_ptr<tee::Platform>> platforms;
   std::vector<std::unique_ptr<GdoEnclave>> enclaves;
-  StudyAnnounce announce;
+  std::vector<std::vector<std::uint32_t>> combinations;
   Phase2Result phase2;
   genome::BitPlanes reference;
   std::vector<double> reference_freq;
@@ -66,13 +66,13 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
       genome::equal_partition(cohort.cases.num_individuals(), num_gdos);
   fed.reference = genome::BitPlanes(cohort.controls);
 
-  fed.announce.study_id = seed;
-  fed.announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-  fed.announce.combinations =
+  const StudyAnnounce announce{
+      static_cast<std::uint32_t>(cohort.cases.num_snps()), 0};
+  fed.combinations =
       Coordinator::build_combinations(num_gdos, CollusionPolicy::fixed(f));
 
   // Retained set: every third SNP (what survived phases 1-2).
-  for (std::uint32_t s = 0; s < fed.announce.num_snps; s += 3) {
+  for (std::uint32_t s = 0; s < announce.num_snps; s += 3) {
     fed.phase2.retained.push_back(s);
   }
   common::Rng rng(seed ^ 0x9e3779b9);
@@ -90,7 +90,7 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
                     ->provision_dataset(genome::BitPlanes(
                         cohort.cases, ranges[g].first, ranges[g].second))
                     .ok());
-    EXPECT_TRUE(fed.enclaves[g]->on_study_announce(fed.announce).ok());
+    EXPECT_TRUE(fed.enclaves[g]->on_study_announce(announce).ok());
     EXPECT_TRUE(fed.enclaves[g]->on_phase1({fed.phase2.retained}).ok());
     std::vector<std::uint32_t> counts;
     for (std::uint32_t snp : fed.phase2.retained) {
@@ -152,8 +152,8 @@ std::size_t check_against_matrix_path(Federation& fed,
     return fed.enclaves.size();
   };
   std::size_t compared = 0;
-  for (std::size_t c = 0; c < fed.announce.combinations.size(); ++c) {
-    const auto& members = fed.announce.combinations[c];
+  for (std::size_t c = 0; c < fed.combinations.size(); ++c) {
+    const auto& members = fed.combinations[c];
     const bool dead = std::any_of(
         fed.dead_gdos.begin(), fed.dead_gdos.end(),
         [&members](std::uint32_t g) {
@@ -196,7 +196,7 @@ TEST_P(LrPlanesEquivalenceTest, BasisPathMatchesLegacyRebuild) {
   const auto [num_gdos, f] = GetParam();
   Federation fed = make_federation(num_gdos, f, 7 * num_gdos + f);
   EXPECT_EQ(check_against_matrix_path(fed, nullptr),
-            fed.announce.combinations.size());
+            fed.combinations.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -217,7 +217,7 @@ TEST(LrPlanesEquivalenceDegradedTest, DeadGdoSkippedOthersBitIdentical) {
   fed.dead_gdos = {3};
   fed.enclaves.pop_back();  // the dead GDO never receives the broadcast
   std::size_t live = 0;
-  for (const auto& members : fed.announce.combinations) {
+  for (const auto& members : fed.combinations) {
     if (!combination_contains(members, 3)) ++live;
   }
   EXPECT_EQ(check_against_matrix_path(fed, nullptr), live);
@@ -227,7 +227,7 @@ TEST(LrPlanesEquivalenceDegradedTest, PooledDerivationsMatchSerial) {
   Federation fed = make_federation(5, 2, 123);
   common::ThreadPool pool;
   EXPECT_EQ(check_against_matrix_path(fed, &pool),
-            fed.announce.combinations.size());
+            fed.combinations.size());
 }
 
 /// Random SNP-major planes for `rows` individuals over `cols` columns.

@@ -58,35 +58,37 @@ std::vector<TranscriptEntry> pump_federation(
   return transcript;
 }
 
-/// Fixed 3-GDO study material shared by the tests below (leader = GDO 0).
+/// Fixed study material shared by the tests below (leader = GDO 0), three
+/// GDOs unless a test asks for more.
 struct StudyFixture {
   static constexpr std::uint32_t kGdos = 3;
 
-  StudyFixture() : authority(std::array<std::uint8_t, 32>{0x51}) {
+  explicit StudyFixture(std::uint32_t gdos = kGdos)
+      : num_gdos(gdos), authority(std::array<std::uint8_t, 32>{0x51}) {
     genome::CohortSpec cohort_spec;
     cohort_spec.num_case = 120;
     cohort_spec.num_control = 120;
     cohort_spec.num_snps = 40;
     cohort_spec.seed = 91;
     cohort = genome::generate_cohort(cohort_spec);
-    ranges = genome::equal_partition(cohort_spec.num_case, kGdos);
-    for (std::uint32_t g = 0; g < kGdos; ++g) {
+    ranges = genome::equal_partition(cohort_spec.num_case, num_gdos);
+    for (std::uint32_t g = 0; g < num_gdos; ++g) {
       platforms.push_back(std::make_unique<tee::Platform>(
           g + 1, authority,
           crypto::Csprng(
               std::array<std::uint8_t, 32>{static_cast<std::uint8_t>(g + 1)})));
     }
-    announce.study_id = 13;
-    announce.num_snps = static_cast<std::uint32_t>(cohort_spec.num_snps);
-    announce.combinations =
-        Coordinator::build_combinations(kGdos, CollusionPolicy::none());
   }
 
   std::unique_ptr<LeaderSession> make_leader() {
+    return make_leader(
+        genome::BitPlanes(cohort.cases, ranges[0].first, ranges[0].second));
+  }
+  /// A leader holding `cases` as its own dataset.
+  std::unique_ptr<LeaderSession> make_leader(genome::BitPlanes cases) {
     return std::make_unique<LeaderSession>(
-        *platforms[0], 0, kGdos,
-        genome::BitPlanes(cohort.cases, ranges[0].first, ranges[0].second),
-        genome::BitPlanes(cohort.controls), announce);
+        *platforms[0], 0, num_gdos, std::move(cases),
+        genome::BitPlanes(cohort.controls), config, policy);
   }
   std::unique_ptr<MemberSession> make_member(std::uint32_t g) {
     return std::make_unique<MemberSession>(
@@ -94,11 +96,13 @@ struct StudyFixture {
         genome::BitPlanes(cohort.cases, ranges[g].first, ranges[g].second));
   }
 
+  std::uint32_t num_gdos;
   tee::QuotingAuthority authority;
   genome::Cohort cohort;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   std::vector<std::unique_ptr<tee::Platform>> platforms;
-  StudyAnnounce announce;
+  StudyConfig config;
+  CollusionPolicy policy = CollusionPolicy::none();
 };
 
 TEST(SessionTest, GoldenTranscriptMatchesInProcessRun) {
@@ -177,13 +181,80 @@ TEST(SessionTest, HandshakeFromUnknownNodeFails) {
 
 TEST(SessionTest, LeaderRejectsOutOfRangeConfigBeforeHandshake) {
   StudyFixture fixture;
-  fixture.announce.config.lr_false_positive_rate = 1.5;
+  fixture.config.lr_false_positive_rate = 1.5;
   auto leader = fixture.make_leader();
   EXPECT_TRUE(leader->step({}).empty());
   ASSERT_EQ(leader->wants(), SessionWants::failed);
   EXPECT_EQ(leader->status().error().code, common::Errc::invalid_argument);
   EXPECT_NE(leader->status().error().message.find("lr_false_positive_rate"),
             std::string::npos);
+}
+
+TEST(SessionTest, LeaderRejectsDatasetOverOtherSnpsBeforeHandshake) {
+  // The study spans the reference panel's 40 SNPs; a leader whose own cases
+  // cover 30 would assess past the end of its counts.
+  StudyFixture fixture;
+  genome::CohortSpec narrow_spec;
+  narrow_spec.num_case = 40;
+  narrow_spec.num_control = 40;
+  narrow_spec.num_snps = 30;
+  narrow_spec.seed = 92;
+  const genome::Cohort narrow = genome::generate_cohort(narrow_spec);
+  auto leader = fixture.make_leader(genome::BitPlanes(narrow.cases));
+  EXPECT_TRUE(leader->step({}).empty());
+  ASSERT_EQ(leader->wants(), SessionWants::failed);
+  EXPECT_EQ(leader->status().error().code, common::Errc::invalid_argument);
+  EXPECT_NE(leader->status().error().message.find("SNP count"),
+            std::string::npos)
+      << leader->status().error().to_string();
+}
+
+TEST(SessionTest, AnnounceCarriesNothingOfTheCollusionPolicy) {
+  // The collusion sweep runs on the leader alone: the announce a member
+  // decrypts is the same bytes under every policy, so no member learns
+  // which honest subsets the leader evaluates.
+  std::vector<common::Bytes> plaintexts;
+  for (const CollusionPolicy& policy : {CollusionPolicy::none(),
+                                        CollusionPolicy::fixed(1),
+                                        CollusionPolicy::conservative()}) {
+    StudyFixture fixture(4);
+    fixture.policy = policy;
+    auto leader = fixture.make_leader();
+    // GDO 1 is played with the tee primitives so the test can read the
+    // plaintext; GDOs 2 and 3 are ordinary members.
+    GdoEnclave member(*fixture.platforms[1], 1);
+    auto channel = member.channel_to(trusted_module_measurement(),
+                                     /*initiator=*/true);
+    std::vector<InFrame> handshakes = {
+        InFrame{1, channel->handshake_message()}};
+    std::vector<std::unique_ptr<MemberSession>> others;
+    for (std::uint32_t g : {2u, 3u}) {
+      others.push_back(fixture.make_member(g));
+      std::vector<OutFrame> handshake = others.back()->step({});
+      ASSERT_EQ(handshake.size(), 1u);
+      handshakes.push_back(InFrame{g, bytes_of(handshake[0].payload)});
+    }
+    std::vector<common::Bytes> to_member;
+    for (const OutFrame& frame : leader->step(std::move(handshakes))) {
+      if (frame.to_gdo == 1) to_member.push_back(bytes_of(frame.payload));
+    }
+    ASSERT_EQ(leader->wants(), SessionWants::recv);
+    ASSERT_EQ(to_member.size(), 2u);  // handshake reply, then the announce
+    ASSERT_TRUE(channel->complete(to_member[0]).ok());
+    auto plaintext = channel->open(to_member[1]);
+    ASSERT_TRUE(plaintext.ok()) << plaintext.error().to_string();
+    plaintexts.push_back(std::move(plaintext).take());
+  }
+
+  const auto opened = open_envelope(plaintexts[0]);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(opened.value().first, MsgType::study_announce);
+  const auto announce = StudyAnnounce::deserialize(opened.value().second);
+  ASSERT_TRUE(announce.ok());
+  EXPECT_EQ(announce.value().num_snps, 40u);
+  EXPECT_EQ(announce.value().snp_tile_width, 0u);
+  EXPECT_EQ(plaintexts[1], plaintexts[0]) << "fixed(1)";
+  EXPECT_EQ(plaintexts[2], plaintexts[0]) << "conservative";
 }
 
 TEST(SessionTest, MalformedHandshakeFails) {

@@ -123,16 +123,13 @@ TEST(TilingTest, DegradedDeadGdoRunMatchesMonolithic) {
                             crypto::Csprng(std::array<std::uint8_t, 32>{2})};
     tee::Platform platform2{3, authority,
                             crypto::Csprng(std::array<std::uint8_t, 32>{3})};
-    StudyAnnounce announce;
-    announce.study_id = 1;
-    announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-    announce.config.snp_tile_width = width;
+    StudyConfig config;
+    config.snp_tile_width = width;
     // f = 1: combinations {0,1}, {0,2}, {1,2} - losing GDO 2 leaves {0,1}.
-    announce.combinations =
-        Coordinator::build_combinations(3, CollusionPolicy::fixed(1));
     LeaderSession leader(platform0, 0, 3,
                          genome::BitPlanes(cohort.cases, 0, 100),
-                         genome::BitPlanes(cohort.controls), announce);
+                         genome::BitPlanes(cohort.controls), config,
+                         CollusionPolicy::fixed(1));
     leader.set_receive_timeout(std::chrono::milliseconds(400));
     MemberSession honest(platform1, 1, 0,
                          genome::BitPlanes(cohort.cases, 100, 200));
@@ -189,15 +186,12 @@ TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
         1, authority, crypto::Csprng(std::array<std::uint8_t, 32>{1}), limit};
     tee::Platform member_platform{
         2, authority, crypto::Csprng(std::array<std::uint8_t, 32>{2}), limit};
-    StudyAnnounce announce;
-    announce.study_id = 1;
-    announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-    announce.config.snp_tile_width = width;
-    announce.combinations =
-        Coordinator::build_combinations(2, CollusionPolicy::none());
+    StudyConfig config;
+    config.snp_tile_width = width;
     LeaderSession leader(leader_platform, 0, 2,
                          genome::BitPlanes(cohort.cases, 0, 300),
-                         genome::BitPlanes(cohort.controls), announce);
+                         genome::BitPlanes(cohort.controls), config,
+                         CollusionPolicy::none());
     leader.set_receive_timeout(std::chrono::milliseconds(20000));
     MemberSession member(member_platform, 1, 0,
                          genome::BitPlanes(cohort.cases, 300, 420));

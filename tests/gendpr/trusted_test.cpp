@@ -37,14 +37,9 @@ struct Fixture {
     return genome::BitPlanes(cohort.controls);
   }
 
-  StudyAnnounce make_announce(std::uint32_t num_gdos,
-                              CollusionPolicy policy) {
-    StudyAnnounce announce;
-    announce.study_id = 1;
-    announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-    announce.combinations =
-        Coordinator::build_combinations(num_gdos, policy);
-    return announce;
+  /// The announce members receive for a study over this cohort.
+  StudyAnnounce make_announce() const {
+    return {static_cast<std::uint32_t>(cohort.cases.num_snps()), 0};
   }
 };
 
@@ -129,7 +124,7 @@ TEST(GdoEnclaveTest, AnnounceSnpMismatchRejected) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
   ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
+  StudyAnnounce announce = f.make_announce();
   announce.num_snps = 7;  // wrong
   EXPECT_FALSE(enclave.on_study_announce(announce).ok());
 }
@@ -147,9 +142,7 @@ TEST(GdoEnclaveTest, MomentsRequestOutOfRangeRejected) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
   ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  ASSERT_TRUE(
-      enclave.on_study_announce(f.make_announce(1, CollusionPolicy::none()))
-          .ok());
+  ASSERT_TRUE(enclave.on_study_announce(f.make_announce()).ok());
   MomentsRequest request{0, 0, 100000};
   EXPECT_FALSE(enclave.on_moments_request(request).ok());
   // In range but outside L': the leader may ask only for pairs the study
@@ -168,10 +161,7 @@ TEST(GdoEnclaveTest, Phase2SnpOutsideLPrimeRejected) {
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
   ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  ASSERT_TRUE(enclave
-                  .on_study_announce(
-                      f.make_announce(3, CollusionPolicy::fixed(1)))
-                  .ok());
+  ASSERT_TRUE(enclave.on_study_announce(f.make_announce()).ok());
   EXPECT_EQ(enclave.on_phase1(Phase1Result{{0, 2, 1}}).error().code,
             common::Errc::bad_message);
   EXPECT_EQ(enclave.on_phase1(Phase1Result{{0, 2, 2}}).error().code,
@@ -188,23 +178,23 @@ TEST(GdoEnclaveTest, Phase2SnpOutsideLPrimeRejected) {
   expect_bad(answer({3}, 0));     // in range, not in L'
   expect_bad(answer({5, 1}, 0));  // descending within a tile
   expect_bad(answer({1, 1}, 0));  // repeated within a tile
-  ASSERT_TRUE(answer({1, 5}, 0).ok());
+  ASSERT_TRUE(answer({1, 2}, 0).ok());
   expect_bad(answer({2}, 1));  // descending across the tile stream
-  // Tile 0 restarts the stream; a well-formed one is answered in full.
-  ASSERT_TRUE(answer({1}, 0).ok());
-  const auto last = answer({2, 5}, 1);
+  // The leader sends each tile once: a repeated tile 0 is refused like an
+  // out-of-order one, never taken as a restart.
+  const auto repeated = answer({1}, 0);
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.error().code, common::Errc::state_violation);
+  const auto last = answer({5}, 1);
   ASSERT_TRUE(last.ok());
-  EXPECT_EQ(last.value().width, 2u);
+  EXPECT_EQ(last.value().width, 1u);
 }
 
 TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
   ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
-  ASSERT_TRUE(enclave
-                  .on_study_announce(
-                      f.make_announce(3, CollusionPolicy::fixed(1)))
-                  .ok());
+  ASSERT_TRUE(enclave.on_study_announce(f.make_announce()).ok());
   ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2, 5}}).ok());
   const auto planes = enclave.on_phase2(Phase2Result{{1, 5}, 0, 2});
   ASSERT_TRUE(planes.ok());
@@ -240,8 +230,8 @@ TEST(CoordinatorTest, RejectsBogusSummaries) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-  Coordinator coordinator(leader, f.reference(), 2,
-                          f.make_announce(2, CollusionPolicy::none()));
+  Coordinator coordinator(leader, f.reference(), 2, StudyConfig{},
+                          CollusionPolicy::none());
   SummaryStats bogus;
   bogus.case_counts = {1, 2};  // wrong length
   bogus.n_case = 10;
@@ -268,9 +258,10 @@ TEST(CoordinatorTest, SummaryTilesAdmittedOnceInStreamOrder) {
   GdoEnclave member(f.platform, 1);
   ASSERT_TRUE(leader.provision_dataset(f.cases(0, 130)).ok());
   ASSERT_TRUE(member.provision_dataset(f.cases(130, 300)).ok());
-  StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
-  announce.config.snp_tile_width = 8;
-  Coordinator coordinator(leader, f.reference(), 2, announce);
+  StudyConfig config;
+  config.snp_tile_width = 8;
+  Coordinator coordinator(leader, f.reference(), 2, config,
+                          CollusionPolicy::none());
   const genome::TilePlan& plan = coordinator.maf_plan();
   ASSERT_GT(plan.tile_count(), 2u);
   const auto tile = [&](std::uint32_t k) {
@@ -295,8 +286,8 @@ TEST(CoordinatorTest, MafPhaseRequiresAllSummaries) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-  Coordinator coordinator(leader, f.reference(), 3,
-                          f.make_announce(3, CollusionPolicy::none()));
+  Coordinator coordinator(leader, f.reference(), 3, StudyConfig{},
+                          CollusionPolicy::none());
   EXPECT_EQ(coordinator.members_owing(Stream::summaries),
             (std::set<std::uint32_t>{1, 2}));
   EXPECT_FALSE(coordinator.run_maf_phase().ok());
@@ -306,8 +297,8 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-  Coordinator coordinator(leader, f.reference(), 1,
-                          f.make_announce(1, CollusionPolicy::none()));
+  Coordinator coordinator(leader, f.reference(), 1, StudyConfig{},
+                          CollusionPolicy::none());
   ASSERT_TRUE(coordinator.members_owing(Stream::summaries).empty());
   const auto phase1 = coordinator.run_maf_phase();
   ASSERT_TRUE(phase1.ok());
@@ -324,15 +315,15 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   const auto phase3 = coordinator.run_lr_phase(nullptr);
   ASSERT_TRUE(phase3.ok());
   EXPECT_LE(phase3.value().safe.size(), phase2.value().retained.size());
-  EXPECT_LE(phase3.value().final_power, 0.9);
+  EXPECT_LE(coordinator.outcome().final_power, 0.9);
 }
 
 TEST(CoordinatorTest, LrMatrixValidation) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-  Coordinator coordinator(leader, f.reference(), 2,
-                          f.make_announce(2, CollusionPolicy::none()));
+  Coordinator coordinator(leader, f.reference(), 2, StudyConfig{},
+                          CollusionPolicy::none());
   SummaryStats member_stats;
   member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
   member_stats.n_case = 50;
@@ -356,8 +347,8 @@ TEST(CoordinatorTest, LrPlanesBeforeLdPhaseRejected) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-  Coordinator coordinator(leader, f.reference(), 2,
-                          f.make_announce(2, CollusionPolicy::none()));
+  Coordinator coordinator(leader, f.reference(), 2, StudyConfig{},
+                          CollusionPolicy::none());
   EXPECT_EQ(coordinator.add_lr_planes(1, LrPlanes{}).error().code,
             common::Errc::state_violation);
 }
@@ -376,10 +367,11 @@ struct PlaneGather {
     EXPECT_TRUE(leader.provision_dataset(f.cases(0, 130)).ok());
     // 170 rows: three words per column, the last one padded.
     EXPECT_TRUE(member.provision_dataset(f.cases(130, 300)).ok());
-    StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
-    announce.config.snp_tile_width = 8;
-    coordinator.emplace(leader, f.reference(), 2, announce);
-    EXPECT_TRUE(member.on_study_announce(announce).ok());
+    StudyConfig config;
+    config.snp_tile_width = 8;
+    coordinator.emplace(leader, f.reference(), 2, config,
+                        CollusionPolicy::none());
+    EXPECT_TRUE(member.on_study_announce(coordinator->announce()).ok());
     const genome::TilePlan& plan = coordinator->maf_plan();
     for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
       EXPECT_TRUE(coordinator
@@ -526,10 +518,11 @@ struct WindowGather {
   WindowGather() {
     EXPECT_TRUE(leader.provision_dataset(f.cases(0, 130)).ok());
     EXPECT_TRUE(member.provision_dataset(f.cases(130, 300)).ok());
-    StudyAnnounce announce = f.make_announce(2, CollusionPolicy::none());
-    announce.config.snp_tile_width = 8;
-    coordinator.emplace(leader, f.reference(), 2, announce);
-    EXPECT_TRUE(member.on_study_announce(announce).ok());
+    StudyConfig config;
+    config.snp_tile_width = 8;
+    coordinator.emplace(leader, f.reference(), 2, config,
+                        CollusionPolicy::none());
+    EXPECT_TRUE(member.on_study_announce(coordinator->announce()).ok());
     const genome::TilePlan& maf_plan = coordinator->maf_plan();
     for (std::uint32_t k = 0; k < maf_plan.tile_count(); ++k) {
       EXPECT_TRUE(coordinator
@@ -637,8 +630,8 @@ TEST(CoordinatorTest, LdWindowBeforePhase1ResultRejected) {
   Fixture f;
   GdoEnclave leader(f.platform, 0);
   ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-  Coordinator coordinator(leader, f.reference(), 2,
-                          f.make_announce(2, CollusionPolicy::none()));
+  Coordinator coordinator(leader, f.reference(), 2, StudyConfig{},
+                          CollusionPolicy::none());
   const common::Status status = coordinator.add_ld_window(1, LdWindow{});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, common::Errc::bad_message);
@@ -666,8 +659,8 @@ TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
     Fixture f;
     GdoEnclave leader(f.platform, 0);
     ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-    Coordinator coordinator(leader, f.reference(), 2,
-                            f.make_announce(2, CollusionPolicy::none()));
+    Coordinator coordinator(leader, f.reference(), 2, StudyConfig{},
+                            CollusionPolicy::none());
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 30);
     member_stats.n_case = 50;
@@ -699,8 +692,8 @@ struct RefetchFixture {
 
   RefetchFixture() {
     EXPECT_TRUE(leader.provision_dataset(f.cases()).ok());
-    coordinator.emplace(leader, f.reference(), 3,
-                        f.make_announce(3, CollusionPolicy::fixed(1)));
+    coordinator.emplace(leader, f.reference(), 3, StudyConfig{},
+                        CollusionPolicy::fixed(1));
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
     member_stats.n_case = 400;

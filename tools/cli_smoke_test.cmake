@@ -57,9 +57,10 @@ foreach(bad bogus uring)
   endif()
 endforeach()
 
-# Removed flags and malformed numbers are usage errors too: every numeric
-# flag must parse as one whole token, with no sign on an unsigned field.
-foreach(bad "--no-prune" "--gdos;abc" "--tile-width;-1")
+# Removed flags, malformed numbers and exclusive flags together are usage
+# errors too: every numeric flag must parse as one whole token, with no sign
+# on an unsigned field, and --f excludes --conservative.
+foreach(bad "--no-prune" "--gdos;abc" "--tile-width;-1" "--f;1;--conservative")
   execute_process(
     COMMAND ${CLI} assess ${WORKDIR} ${bad}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

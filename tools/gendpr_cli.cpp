@@ -166,6 +166,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       return false;
     }
   }
+  if (args.conservative && args.f.has_value()) {
+    std::fprintf(stderr, "--f and --conservative are exclusive\n");
+    return false;
+  }
   if (const common::Status valid = core::validate(args.config); !valid.ok()) {
     std::fprintf(stderr, "invalid value: %s\n",
                  valid.error().message.c_str());
