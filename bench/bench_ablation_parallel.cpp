@@ -1,7 +1,7 @@
 // Ablation: §5.6's claim that combination evaluations "can be efficiently
 // conducted in parallel inside the leader enclave". Runs the same
-// collusion-tolerant study with the leader's per-combination LR selection
-// parallelized vs serialized.
+// collusion-tolerant study with and without the study's pool, which builds
+// the GDOs' bit planes and runs the per-combination LR selections.
 //
 // Note: on a single-core host the two are expected to tie; the bench also
 // reports the combination count so the reader can relate speedup to

@@ -1,9 +1,10 @@
 // Fixed-size thread pool.
 //
-// Used by the collusion-tolerant coordinator to evaluate the C(G, G-f)
-// combinations in parallel inside the leader enclave (paper §5.6: "can be
-// efficiently conducted in parallel inside the leader enclave"), and by the
-// ablation bench that compares serial vs parallel combination evaluation.
+// A federated study owns one. It builds every GDO's bit planes in parallel
+// (SNP blocks split across the workers), then the coordinator runs the LR
+// selections on it: the C(G, G-f) combinations side by side inside the
+// leader enclave (paper §5.6: "can be efficiently conducted in parallel
+// inside the leader enclave"), or a single combination's gap pass.
 #pragma once
 
 #include <atomic>

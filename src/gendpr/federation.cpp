@@ -150,17 +150,21 @@ Result<StudyResult> run_sessions(
   std::unique_ptr<net::Hub> leader_hub = std::move(leader_hub_result).take();
   leader_hub->set_buffer_pool(&run_pool);
 
-  // Provisioning: every GDO's planes come straight from its row range.
+  // Provisioning: every GDO's planes come straight from its row range,
+  // each build split across the study's pool. No loop thread runs yet, so
+  // the pool has the host to itself.
   obs::ScopedSpan provision_span(obs::recorder_of(spec.obs), "step.provision",
                                  study_span);
   const auto case_planes = [&](std::uint32_t gdo) {
     return genome::BitPlanes(cohort.cases, ranges[gdo].first,
-                             ranges[gdo].second);
+                             ranges[gdo].second, pool);
   };
-  LeaderSession leader(*platforms[leader_gdo], leader_gdo, spec.num_gdos,
-                       case_planes(leader_gdo),
-                       genome::BitPlanes(cohort.controls), spec.config,
-                       spec.policy);
+  LeaderSession leader(
+      *platforms[leader_gdo], leader_gdo, spec.num_gdos,
+      case_planes(leader_gdo),
+      genome::BitPlanes(cohort.controls, 0,
+                        cohort.controls.num_individuals(), pool),
+      spec.config, spec.policy);
   leader.set_receive_timeout(receive_timeout);
   leader.set_observability(spec.obs, study_span);
   leader.set_pool(pool);
@@ -423,10 +427,11 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   // study's sealing work (federation runs in one process are sequential).
   const crypto::AeadCounters aead_before = crypto::aead_counters();
 
-  // The leader's pool for the per-combination LR selections.
+  // The study's pool: it builds every GDO's planes, then runs the LR
+  // selections (the combinations side by side, or one combination's gap
+  // pass).
   std::unique_ptr<common::ThreadPool> pool;
-  if (spec.parallel_combinations &&
-      Coordinator::build_combinations(spec.num_gdos, spec.policy).size() > 1) {
+  if (spec.parallel_combinations) {
     pool = std::make_unique<common::ThreadPool>();
   }
   setup_span.end();

@@ -39,16 +39,20 @@ struct FederationSpec {
   std::uint32_t num_gdos = 3;
   /// Study thresholds, plus the engine shape: `config.snp_tile_width`
   /// rides in the announce, so setting it here turns the whole federation
-  /// tiled (per-tile phase-1/phase-3 messages, pipelined leader
-  /// assessment) without changing any result bits.
+  /// tiled (summaries, LD windows, phase-2 tiles and LR planes stream one
+  /// tile per message, with pipelined leader assessment) without changing
+  /// any result bits.
   StudyConfig config;
   CollusionPolicy policy = CollusionPolicy::none();
   /// Seeds leader election and all simulation crypto (deterministic runs).
   std::uint64_t seed = 7;
   /// Simulated EPC limit per platform.
   std::uint64_t epc_limit = tee::EpcMeter::kDefaultLimitBytes;
-  /// Evaluate per-combination LR selections in parallel inside the leader
-  /// enclave (§5.6: "efficiently conducted in parallel").
+  /// Give the study a thread pool (one worker per hardware thread). It
+  /// builds every GDO's bit planes during provisioning, then runs the LR
+  /// selections inside the leader enclave (§5.6: "efficiently conducted in
+  /// parallel"): the combinations side by side, or the one combination's
+  /// gap pass at f = 0. Results are bit-identical either way.
   bool parallel_combinations = true;
   /// Deadline for every protocol wait on every node, in milliseconds.
   /// 0 preserves the paper's original semantics (block forever). With a

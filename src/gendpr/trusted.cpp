@@ -211,6 +211,17 @@ Status GdoEnclave::on_phase3(const Phase3Result& result) {
   if (!announce_.has_value()) {
     return make_error(Errc::state_violation, "phase3 before study announce");
   }
+  // L_safe is a subset of the L'' this member assembled in phase 2, in
+  // ascending order; anything else would be sealed into its checkpoint.
+  for (std::size_t i = 0; i < result.safe.size(); ++i) {
+    if (i > 0 && result.safe[i] <= result.safe[i - 1]) {
+      return make_error(Errc::bad_message, "safe SNPs not strictly ascending");
+    }
+    if (!std::binary_search(l_double_prime_.begin(), l_double_prime_.end(),
+                            result.safe[i])) {
+      return make_error(Errc::bad_message, "safe SNP outside L''");
+    }
+  }
   l_safe_ = result.safe;
   study_complete_ = true;
   return Status::success();

@@ -91,6 +91,8 @@ class GdoEnclave : public tee::Enclave {
   /// accumulates across the stream. Out-of-order or repeated tiles are a
   /// protocol violation.
   common::Result<LrPlanes> on_phase2(const Phase2Result& result);
+  /// Accepts L_safe (strictly ascending, within the L'' assembled from the
+  /// phase-2 tiles) and marks the study complete.
   common::Status on_phase3(const Phase3Result& result);
 
   const std::vector<std::uint32_t>& retained_after_phase1() const noexcept {

@@ -1,7 +1,10 @@
 #include "genome/bitplanes.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
+#include "common/thread_pool.hpp"
 #include "genome/kernels/kernels.hpp"
 
 namespace gendpr::genome {
@@ -26,41 +29,68 @@ void transpose_64x64(std::uint64_t block[64]) noexcept {
 }  // namespace
 
 BitPlanes::BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
-                     std::size_t row_end)
+                     std::size_t row_end, common::ThreadPool* pool)
     : num_individuals_(row_end - row_begin),
       num_snps_(genotypes.num_snps()),
       words_per_plane_((num_individuals_ + 63) / 64),
       words_(num_snps_ * words_per_plane_, 0),
       counts_(num_snps_, 0) {
-  // Blocked transpose, 64 individuals x 64 SNPs at a time: each row gives
-  // 8 bytes (bit l % 8 of byte l / 8 is SNP l), each transposed word lands
-  // in one plane. Rows past row_end read as zero (zero tail bits); a row's
-  // last block reads only its remaining bytes and stores only real planes.
+  // Blocked transpose, 64 SNPs x 64 individuals at a time. The SNP block is
+  // the outer loop, so one block's planes stay hot while every individual
+  // word fills them and while they are popcounted, and the rows' next bytes
+  // stay in cache for the next block. Each row gives 8 bytes (bit l % 8 of
+  // byte l / 8 is SNP l). Rows past row_end read as zero (zero tail bits); a
+  // row's last block reads only its remaining bytes and stores only real
+  // planes.
   const std::size_t stride = genotypes.row_stride();
-  for (std::size_t word = 0; word < words_per_plane_; ++word) {
-    const std::size_t first = row_begin + word * 64;
-    const std::size_t rows = std::min<std::size_t>(64, row_end - first);
-    for (std::size_t snp = 0; snp < num_snps_; snp += 64) {
-      std::uint64_t block[64] = {};
+  const kernels::KernelOps& ops = kernels::kernel_ops();
+  const auto build_blocks = [&](std::size_t block_begin,
+                                std::size_t block_end) {
+    for (std::size_t snp = block_begin * 64; snp < block_end * 64;
+         snp += 64) {
       const std::size_t bytes = std::min<std::size_t>(8, stride - snp / 8);
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::uint8_t* row = genotypes.row_data(first + r) + snp / 8;
-        for (std::size_t b = 0; b < bytes; ++b) {
-          block[r] |= std::uint64_t{row[b]} << (8 * b);
+      const std::size_t planes = std::min<std::size_t>(64, num_snps_ - snp);
+      std::uint64_t* const out = words_.data() + snp * words_per_plane_;
+      for (std::size_t word = 0; word < words_per_plane_; ++word) {
+        const std::size_t first = row_begin + word * 64;
+        const std::size_t rows = std::min<std::size_t>(64, row_end - first);
+        std::uint64_t block[64] = {};
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::uint8_t* row = genotypes.row_data(first + r) + snp / 8;
+          if (bytes == 8 && std::endian::native == std::endian::little) {
+            std::memcpy(&block[r], row, 8);
+          } else {
+            for (std::size_t b = 0; b < bytes; ++b) {
+              block[r] |= std::uint64_t{row[b]} << (8 * b);
+            }
+          }
+        }
+        transpose_64x64(block);
+        for (std::size_t k = 0; k < planes; ++k) {
+          out[k * words_per_plane_ + word] = block[k];
         }
       }
-      transpose_64x64(block);
-      const std::size_t planes = std::min<std::size_t>(64, num_snps_ - snp);
       for (std::size_t k = 0; k < planes; ++k) {
-        words_[(snp + k) * words_per_plane_ + word] = block[k];
+        counts_[snp + k] = static_cast<std::uint32_t>(ops.popcount_words(
+            out + k * words_per_plane_, words_per_plane_));
       }
     }
+  };
+  // With a pool, each worker takes one contiguous range of SNP blocks (an
+  // empty one when there are more workers than blocks). The ranges write
+  // disjoint plane words and disjoint counts, so the words are the serial
+  // build's; the prefix sum below runs after the join.
+  const std::size_t blocks = (num_snps_ + 63) / 64;
+  if (pool == nullptr) {
+    build_blocks(0, blocks);
+  } else {
+    const std::size_t lanes = pool->size();
+    pool->parallel_for(lanes, [&](std::size_t lane) {
+      build_blocks(blocks * lane / lanes, blocks * (lane + 1) / lanes);
+    });
   }
-  const kernels::KernelOps& ops = kernels::kernel_ops();
   count_prefix_.assign(num_snps_ + 1, 0);
   for (std::size_t l = 0; l < num_snps_; ++l) {
-    counts_[l] = static_cast<std::uint32_t>(
-        ops.popcount_words(plane(l), words_per_plane_));
     count_prefix_[l + 1] = count_prefix_[l] + counts_[l];
   }
 }

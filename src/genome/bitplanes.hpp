@@ -12,8 +12,9 @@
 // at all for the marginal terms.
 //
 // Built once per provisioned dataset by a blocked 64x64 bit transpose that
-// reads the caller's rows in place. Inside an enclave the planes are the
-// only genotype layout, and the only one charged against the EPC meter (see
+// reads the caller's rows in place, split by SNP block across a thread pool
+// when the caller has one. Inside an enclave the planes are the only
+// genotype layout, and the only one charged against the EPC meter (see
 // DESIGN.md §2.1).
 #pragma once
 
@@ -21,6 +22,10 @@
 #include <vector>
 
 #include "genome/genotype.hpp"
+
+namespace gendpr::common {
+class ThreadPool;
+}  // namespace gendpr::common
 
 namespace gendpr::genome {
 
@@ -33,9 +38,12 @@ class BitPlanes {
   explicit BitPlanes(const GenotypeMatrix& genotypes)
       : BitPlanes(genotypes, 0, genotypes.num_individuals()) {}
   /// Planes of rows [row_begin, row_end) of `genotypes` (a GDO's partition),
-  /// read in place: individual 0 of the planes is row `row_begin`.
+  /// read in place: individual 0 of the planes is row `row_begin`. `pool`
+  /// (optional) splits the SNP blocks across its workers; the words and
+  /// counts are the same with or without it. Must not be called from a task
+  /// running on `pool`.
   BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
-            std::size_t row_end);
+            std::size_t row_end, common::ThreadPool* pool = nullptr);
 
   std::size_t num_individuals() const noexcept { return num_individuals_; }
   std::size_t num_snps() const noexcept { return num_snps_; }

@@ -130,6 +130,8 @@ TEST(CollusionTest, ParallelAndSerialCombinationEvaluationAgree) {
   EXPECT_EQ(parallel.value().outcome.l_safe, serial.value().outcome.l_safe);
   EXPECT_EQ(parallel.value().outcome.l_double_prime,
             serial.value().outcome.l_double_prime);
+  EXPECT_EQ(parallel.value().outcome.final_power,
+            serial.value().outcome.final_power);
 }
 
 TEST(CollusionTest, VulnerableSnpsDetectedOnSkewedCohort) {

@@ -202,6 +202,7 @@ TEST(CheckpointTest, SealRestoreRoundTrip) {
       static_cast<std::uint32_t>(f.cohort.cases.num_snps()), 0};
   ASSERT_TRUE(enclave.on_study_announce(announce).ok());
   ASSERT_TRUE(enclave.on_phase1(Phase1Result{{1, 2, 3}}).ok());
+  ASSERT_TRUE(enclave.on_phase2(Phase2Result{{2, 3}, 0, 1}).ok());
   ASSERT_TRUE(enclave.on_phase3(Phase3Result{{2, 3}}).ok());
 
   const common::Bytes checkpoint = enclave.seal_study_checkpoint();

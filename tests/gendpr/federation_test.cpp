@@ -133,6 +133,32 @@ TEST(FederationTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.value().leader_gdo, b.value().leader_gdo);
 }
 
+TEST(FederationTest, StudyPoolAtFZeroLeavesResultsUnchanged) {
+  // At f = 0 the study's pool builds every GDO's planes and runs the one
+  // combination's gap pass; neither may move a result bit. L'' must span
+  // more than one 64-column gap block for the pass to split.
+  const genome::Cohort cohort = test_cohort(600, 600, 400, 23);
+  for (const std::uint32_t tile_width : {0u, 96u}) {
+    FederationSpec spec;
+    spec.num_gdos = 3;
+    spec.seed = 29;
+    spec.config.snp_tile_width = tile_width;
+    spec.parallel_combinations = true;
+    const auto pooled = run_federated_study(cohort, spec);
+    spec.parallel_combinations = false;
+    const auto serial = run_federated_study(cohort, spec);
+    ASSERT_TRUE(pooled.ok()) << pooled.error().to_string();
+    ASSERT_TRUE(serial.ok()) << serial.error().to_string();
+    const SelectionOutcome& a = pooled.value().outcome;
+    const SelectionOutcome& b = serial.value().outcome;
+    EXPECT_GT(a.l_double_prime.size(), 64u);
+    EXPECT_EQ(a.l_prime, b.l_prime);
+    EXPECT_EQ(a.l_double_prime, b.l_double_prime);
+    EXPECT_EQ(a.l_safe, b.l_safe);
+    EXPECT_EQ(a.final_power, b.final_power);
+  }
+}
+
 TEST(FederationTest, LeaderElectionVariesWithSeed) {
   const genome::Cohort cohort = test_cohort(200, 200, 60);
   std::set<std::uint32_t> leaders;

@@ -213,6 +213,51 @@ TEST(GdoEnclaveTest, Phase2ReturnsTileIndicatorPlanes) {
                          enclave.planes().plane(5)));
 }
 
+TEST(GdoEnclaveTest, Phase3SafeSetNotAscendingRejected) {
+  Fixture f;
+  GdoEnclave enclave(f.platform, 1);
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
+  ASSERT_TRUE(enclave.on_study_announce(f.make_announce()).ok());
+  ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2, 5}}).ok());
+  ASSERT_TRUE(enclave.on_phase2(Phase2Result{{1, 2, 5}, 0, 1}).ok());
+  for (const std::vector<std::uint32_t>& safe :
+       {std::vector<std::uint32_t>{5, 1}, std::vector<std::uint32_t>{2, 2}}) {
+    const common::Status status = enclave.on_phase3(Phase3Result{safe});
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code, common::Errc::bad_message);
+  }
+  EXPECT_FALSE(enclave.study_complete());
+  EXPECT_TRUE(enclave.safe_snps().empty());
+  ASSERT_TRUE(enclave.on_phase3(Phase3Result{{1, 5}}).ok());
+  EXPECT_EQ(enclave.safe_snps(), (std::vector<std::uint32_t>{1, 5}));
+  EXPECT_TRUE(enclave.study_complete());
+}
+
+TEST(GdoEnclaveTest, Phase3SafeSnpOutsideLDoublePrimeRejected) {
+  Fixture f;
+  GdoEnclave enclave(f.platform, 1);
+  ASSERT_TRUE(enclave.provision_dataset(f.cases()).ok());
+  ASSERT_TRUE(enclave.on_study_announce(f.make_announce()).ok());
+  ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2, 5}}).ok());
+  ASSERT_TRUE(enclave.on_phase2(Phase2Result{{1, 5}, 0, 1}).ok());
+  // 2 is in L' but not in L''; 3 is in neither.
+  for (std::uint32_t outside : {2u, 3u}) {
+    const common::Status status =
+        enclave.on_phase3(Phase3Result{{1, outside}});
+    ASSERT_FALSE(status.ok()) << outside;
+    EXPECT_EQ(status.error().code, common::Errc::bad_message);
+  }
+  EXPECT_FALSE(enclave.study_complete());
+  // Nothing of L'' assembled yet: only the empty safe set is acceptable.
+  GdoEnclave fresh(f.platform, 2);
+  ASSERT_TRUE(fresh.provision_dataset(f.cases()).ok());
+  ASSERT_TRUE(fresh.on_study_announce(f.make_announce()).ok());
+  ASSERT_TRUE(fresh.on_phase1(Phase1Result{{0, 1}}).ok());
+  EXPECT_EQ(fresh.on_phase3(Phase3Result{{0}}).error().code,
+            common::Errc::bad_message);
+  EXPECT_TRUE(fresh.on_phase3(Phase3Result{}).ok());
+}
+
 using Stream = Coordinator::Stream;
 
 /// Expects `status` to be a bad_message refusal naming GDO 1, with `why` in

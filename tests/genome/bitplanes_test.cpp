@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "lr_reference.hpp"
 #include "stats/ld.hpp"
 #include "stats/lr_test.hpp"
@@ -78,6 +80,37 @@ TEST(BitPlanesTest, RowRangeBuildMatchesGet) {
       expect_planes_of_rows(planes, m, begin, end);
       EXPECT_EQ(planes.allele_counts(),
                 m.slice_rows(begin, end).allele_counts());
+    }
+  }
+}
+
+TEST(BitPlanesTest, PoolBuildMatchesSerial) {
+  // A pooled build gives each worker one contiguous range of 64-SNP blocks.
+  // L = 17, 63 and 64 are a single block and L = 65 two, so the larger
+  // pools run more tasks than there are blocks and some ranges are empty.
+  common::Rng rng(19);
+  const std::size_t snp_counts[] = {17, 63, 64, 65, 130, 1000};
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 200}, {3, 70}, {13, 13}, {67, 131}, {129, 200}};
+  for (std::size_t threads : {1, 2, 3, 5}) {
+    common::ThreadPool pool(threads);
+    for (std::size_t l : snp_counts) {
+      const GenotypeMatrix m = random_matrix(rng, 200, l, 0.5);
+      for (const auto& [begin, end] : ranges) {
+        const BitPlanes serial(m, begin, end);
+        const BitPlanes pooled(m, begin, end, &pool);
+        ASSERT_EQ(pooled.words_per_plane(), serial.words_per_plane());
+        ASSERT_EQ(pooled.num_snps(), serial.num_snps());
+        const std::size_t words = l * serial.words_per_plane();
+        EXPECT_TRUE(std::equal(pooled.plane(0), pooled.plane(0) + words,
+                               serial.plane(0)))
+            << threads << " threads, L=" << l << ", rows [" << begin << ", "
+            << end << ")";
+        EXPECT_EQ(pooled.allele_counts(), serial.allele_counts());
+        EXPECT_EQ(pooled.tile(0, l).total_allele_count(),
+                  serial.tile(0, l).total_allele_count());
+        expect_planes_of_rows(pooled, m, begin, end);
+      }
     }
   }
 }
