@@ -1,19 +1,10 @@
 #include "common/bytes.hpp"
 
-#include <stdexcept>
-
 namespace gendpr::common {
 
 namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 
 }  // namespace
 
@@ -23,23 +14,6 @@ std::string to_hex(BytesView data) {
   for (std::uint8_t b : data) {
     out.push_back(kHexDigits[b >> 4]);
     out.push_back(kHexDigits[b & 0x0f]);
-  }
-  return out;
-}
-
-Bytes from_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    throw std::invalid_argument("from_hex: odd-length input");
-  }
-  Bytes out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = hex_value(hex[i]);
-    const int lo = hex_value(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      throw std::invalid_argument("from_hex: non-hex character");
-    }
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // Byte-buffer utilities shared by every module.
 //
 // `Bytes` is the project-wide owning byte buffer; spans of `const std::uint8_t`
-// are used for non-owning views. Helpers here cover hex (for test vectors and
+// are used for non-owning views. Helpers here cover hex encoding (for
 // logging digests), constant-time comparison (for MAC verification), and
 // explicit zeroization of key material.
 #pragma once
@@ -19,10 +19,6 @@ using BytesView = std::span<const std::uint8_t>;
 
 /// Encodes `data` as lowercase hex.
 std::string to_hex(BytesView data);
-
-/// Decodes a hex string (upper or lower case). Throws std::invalid_argument
-/// on odd length or non-hex characters.
-Bytes from_hex(std::string_view hex);
 
 /// Constant-time equality; safe for comparing MACs and tags. Returns false
 /// for mismatched lengths (length is not secret in our protocols).

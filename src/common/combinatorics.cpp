@@ -4,16 +4,6 @@
 
 namespace gendpr::common {
 
-std::uint64_t binomial(unsigned n, unsigned k) noexcept {
-  if (k > n) return 0;
-  if (k > n - k) k = n - k;
-  std::uint64_t result = 1;
-  for (unsigned i = 1; i <= k; ++i) {
-    result = result * (n - k + i) / i;
-  }
-  return result;
-}
-
 std::vector<std::vector<std::size_t>> combinations(std::size_t n,
                                                    std::size_t k) {
   std::vector<std::vector<std::size_t>> out;

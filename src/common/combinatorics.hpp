@@ -8,10 +8,6 @@
 
 namespace gendpr::common {
 
-/// Binomial coefficient C(n, k) as a 64-bit value; saturates are not needed
-/// for our federation sizes (G <= 16 in all workloads). Returns 0 for k > n.
-std::uint64_t binomial(unsigned n, unsigned k) noexcept;
-
 /// Enumerates all k-element subsets of {0, .., n-1} in lexicographic order.
 /// Each subset is a sorted vector of indices.
 std::vector<std::vector<std::size_t>> combinations(std::size_t n,

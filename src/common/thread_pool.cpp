@@ -40,16 +40,18 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    const auto start = std::chrono::steady_clock::now();
     task();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    task_nanos_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()),
-        std::memory_order_relaxed);
-    tasks_completed_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+ThreadPool::TaskTimer::~TaskTimer() {
+  const auto elapsed = std::chrono::steady_clock::now() - start_;
+  pool_.task_nanos_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+              .count()),
+      std::memory_order_relaxed);
+  pool_.tasks_completed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ThreadPool::parallel_for(std::size_t count,

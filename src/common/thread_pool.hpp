@@ -8,6 +8,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -36,8 +37,13 @@ class ThreadPool {
   template <typename Fn>
   auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
     using ResultT = std::invoke_result_t<Fn>;
+    // The task is counted inside the packaged task, so the counters include
+    // it before its future is fulfilled.
     auto task = std::make_shared<std::packaged_task<ResultT()>>(
-        std::forward<Fn>(fn));
+        [this, body = std::forward<Fn>(fn)]() mutable -> ResultT {
+          const TaskTimer timer(*this);
+          return body();
+        });
     std::future<ResultT> future = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -66,6 +72,21 @@ class ThreadPool {
   }
 
  private:
+  /// Adds one task and its wall time to the counters when it leaves scope,
+  /// by return or by exception.
+  class TaskTimer {
+   public:
+    explicit TaskTimer(ThreadPool& pool) noexcept
+        : pool_(pool), start_(std::chrono::steady_clock::now()) {}
+    ~TaskTimer();
+    TaskTimer(const TaskTimer&) = delete;
+    TaskTimer& operator=(const TaskTimer&) = delete;
+
+   private:
+    ThreadPool& pool_;
+    std::chrono::steady_clock::time_point start_;
+  };
+
   void worker_loop();
 
   std::vector<std::thread> workers_;

@@ -1,8 +1,9 @@
 // AES-256 block cipher (FIPS 197).
 //
-// Only the raw block transform lives here; authenticated encryption is
-// provided by crypto/gcm.hpp on top. Verified against the FIPS 197 appendix
-// C.3 known-answer vector and NIST CAVP ECB vectors.
+// Only the raw forward block transform lives here: GCM runs AES in counter
+// mode, so nothing decrypts a block. Authenticated encryption is provided
+// by crypto/gcm.hpp on top. Verified against the FIPS 197 appendix C.3
+// known-answer vector.
 #pragma once
 
 #include <array>
@@ -35,8 +36,6 @@ class Aes256 {
 
   void encrypt_block(const std::uint8_t in[kAesBlockSize],
                      std::uint8_t out[kAesBlockSize]) const noexcept;
-  void decrypt_block(const std::uint8_t in[kAesBlockSize],
-                     std::uint8_t out[kAesBlockSize]) const noexcept;
 
   /// Encrypts four independent blocks with interleaved state. A single
   /// T-table block is latency-bound on the L1 load chain; four blocks in
@@ -53,7 +52,6 @@ class Aes256 {
  private:
   // 15 round keys of 16 bytes each, stored as 60 32-bit words.
   std::array<std::uint32_t, 4 * (kRounds + 1)> round_keys_{};
-  std::array<std::uint32_t, 4 * (kRounds + 1)> dec_round_keys_{};
 };
 
 }  // namespace gendpr::crypto

@@ -56,15 +56,6 @@ Result<stats::LrMatrix> read_matrix(wire::Reader& r) {
   return m;
 }
 
-/// One exact-sized serialization: reserve encoded_size(), write, take.
-template <typename M>
-common::Bytes serialize_exact(const M& msg) {
-  wire::Writer w;
-  w.reserve(msg.encoded_size());
-  msg.serialize_into(w);
-  return std::move(w).take();
-}
-
 }  // namespace
 
 std::size_t StudyAnnounce::encoded_size() const { return 4 + 4; }
@@ -73,8 +64,6 @@ void StudyAnnounce::serialize_into(wire::Writer& w) const {
   w.u32(num_snps);
   w.u32(snp_tile_width);
 }
-
-common::Bytes StudyAnnounce::serialize() const { return serialize_exact(*this); }
 
 Result<StudyAnnounce> StudyAnnounce::deserialize(common::BytesView data) {
   wire::Reader r(data);
@@ -97,8 +86,6 @@ void SummaryStats::serialize_into(wire::Writer& w) const {
   w.u32(n_case);
   w.u32(tile_index);
 }
-
-common::Bytes SummaryStats::serialize() const { return serialize_exact(*this); }
 
 Result<SummaryStats> SummaryStats::deserialize(common::BytesView data) {
   wire::Reader r(data);
@@ -124,8 +111,6 @@ void Phase1Result::serialize_into(wire::Writer& w) const {
   w.vector_u32(retained);
 }
 
-common::Bytes Phase1Result::serialize() const { return serialize_exact(*this); }
-
 Result<Phase1Result> Phase1Result::deserialize(common::BytesView data) {
   wire::Reader r(data);
   Phase1Result msg;
@@ -142,10 +127,6 @@ void MomentsRequest::serialize_into(wire::Writer& w) const {
   w.u32(request_id);
   w.u32(snp_a);
   w.u32(snp_b);
-}
-
-common::Bytes MomentsRequest::serialize() const {
-  return serialize_exact(*this);
 }
 
 Result<MomentsRequest> MomentsRequest::deserialize(common::BytesView data) {
@@ -167,10 +148,6 @@ void MomentsResponse::serialize_into(wire::Writer& w) const {
   w.u32(co_count);
 }
 
-common::Bytes MomentsResponse::serialize() const {
-  return serialize_exact(*this);
-}
-
 Result<MomentsResponse> MomentsResponse::deserialize(common::BytesView data) {
   wire::Reader r(data);
   MomentsResponse msg;
@@ -189,8 +166,6 @@ void LdWindow::serialize_into(wire::Writer& w) const {
   w.u32(tile_index);
   w.vector_u32(counts);
 }
-
-common::Bytes LdWindow::serialize() const { return serialize_exact(*this); }
 
 Result<LdWindow> LdWindow::deserialize(common::BytesView data) {
   wire::Reader r(data);
@@ -214,8 +189,6 @@ void Phase2Result::serialize_into(wire::Writer& w) const {
   w.u32(tile_index);
   w.u32(num_tiles);
 }
-
-common::Bytes Phase2Result::serialize() const { return serialize_exact(*this); }
 
 Result<Phase2Result> Phase2Result::deserialize(common::BytesView data) {
   wire::Reader r(data);
@@ -253,7 +226,12 @@ void LrMatrices::serialize_into(wire::Writer& w) const {
   w.u32(tile_index);
 }
 
-common::Bytes LrMatrices::serialize() const { return serialize_exact(*this); }
+common::Bytes LrMatrices::serialize() const {
+  wire::Writer w;
+  w.reserve(encoded_size());
+  serialize_into(w);
+  return std::move(w).take();
+}
 
 Result<LrMatrices> LrMatrices::deserialize(common::BytesView data) {
   wire::Reader r(data);
@@ -288,8 +266,6 @@ void LrPlanes::serialize_into(wire::Writer& w) const {
   w.vector_u64(words);
 }
 
-common::Bytes LrPlanes::serialize() const { return serialize_exact(*this); }
-
 Result<LrPlanes> LrPlanes::deserialize(common::BytesView data) {
   wire::Reader r(data);
   LrPlanes msg;
@@ -316,8 +292,6 @@ void Phase3Result::serialize_into(wire::Writer& w) const {
   w.vector_u32(safe);
 }
 
-common::Bytes Phase3Result::serialize() const { return serialize_exact(*this); }
-
 Result<Phase3Result> Phase3Result::deserialize(common::BytesView data) {
   wire::Reader r(data);
   Phase3Result msg;
@@ -337,8 +311,6 @@ void AbortNotice::serialize_into(wire::Writer& w) const {
   w.string(reason);
 }
 
-common::Bytes AbortNotice::serialize() const { return serialize_exact(*this); }
-
 Result<AbortNotice> AbortNotice::deserialize(common::BytesView data) {
   wire::Reader r(data);
   AbortNotice msg;
@@ -350,14 +322,6 @@ Result<AbortNotice> AbortNotice::deserialize(common::BytesView data) {
   msg.reason = std::move(reason).take();
   if (!r.exhausted()) return trailing();
   return msg;
-}
-
-common::Bytes envelope(MsgType type, common::BytesView body) {
-  common::Bytes out;
-  out.reserve(1 + body.size());
-  out.push_back(static_cast<std::uint8_t>(type));
-  common::append(out, body);
-  return out;
 }
 
 Result<std::pair<MsgType, common::BytesView>> open_envelope(

@@ -47,7 +47,6 @@ struct StudyAnnounce {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<StudyAnnounce> deserialize(common::BytesView data);
 };
 
@@ -65,7 +64,6 @@ struct SummaryStats {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<SummaryStats> deserialize(common::BytesView data);
 };
 
@@ -75,7 +73,6 @@ struct Phase1Result {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<Phase1Result> deserialize(common::BytesView data);
 };
 
@@ -93,7 +90,6 @@ struct LdWindow {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<LdWindow> deserialize(common::BytesView data);
 };
 
@@ -107,7 +103,6 @@ struct MomentsRequest {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<MomentsRequest> deserialize(common::BytesView data);
 };
 
@@ -118,7 +113,6 @@ struct MomentsResponse {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<MomentsResponse> deserialize(common::BytesView data);
 };
 
@@ -137,7 +131,6 @@ struct Phase2Result {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<Phase2Result> deserialize(common::BytesView data);
 };
 
@@ -157,7 +150,6 @@ struct LrPlanes {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<LrPlanes> deserialize(common::BytesView data);
 };
 
@@ -186,7 +178,6 @@ struct Phase3Result {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<Phase3Result> deserialize(common::BytesView data);
 };
 
@@ -201,14 +192,13 @@ struct AbortNotice {
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
   static common::Result<AbortNotice> deserialize(common::BytesView data);
 };
 
-/// Every message exposes the same three-method surface: encoded_size()
-/// returns the exact byte count serialize_into() will append, so the send
-/// path can reserve once (or serialize straight into a pooled wire buffer)
-/// and never regrow; serialize() is the owning convenience over the pair.
+/// Every message exposes the same surface: encoded_size() returns the exact
+/// byte count serialize_into() will append, so the send path serializes
+/// straight into a pooled wire buffer and never regrows; deserialize()
+/// reads a body back.
 
 /// Type-erased reference to any protocol message (anything with
 /// encoded_size()/serialize_into()). Lets the session send paths accept
@@ -235,9 +225,6 @@ class MessageRef {
   std::size_t (*size_)(const void*);
   void (*write_)(const void*, wire::Writer&);
 };
-
-/// Frames a message with its type tag.
-common::Bytes envelope(MsgType type, common::BytesView body);
 
 /// Splits an envelope into its type and body view. The body aliases `data`;
 /// it stays valid exactly as long as the caller's buffer does.

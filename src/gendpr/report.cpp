@@ -131,15 +131,4 @@ common::Status write_run_report(const std::string& path,
   return common::Status::success();
 }
 
-void export_traffic(const net::TrafficMeter& meter,
-                    obs::MetricsRegistry& metrics) {
-  for (const auto& link : meter.snapshot()) {
-    metrics.add_counter("net.link." + std::to_string(link.from) + "to" +
-                            std::to_string(link.to) + ".bytes",
-                        link.bytes);
-  }
-  metrics.add_counter("net.total_bytes", meter.total_bytes());
-  metrics.add_counter("net.total_messages", meter.total_messages());
-}
-
 }  // namespace gendpr::core

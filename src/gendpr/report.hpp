@@ -39,10 +39,4 @@ obs::JsonValue make_run_report(const StudyResult& study,
 common::Status write_run_report(const std::string& path,
                                 const obs::JsonValue& report);
 
-/// Exports a traffic meter's per-link counters into a registry under
-/// "net.link.<from>to<to>.bytes" (plus net.total_bytes/messages). Used by
-/// transports' owners when a run finishes; safe to call from any thread.
-void export_traffic(const net::TrafficMeter& meter,
-                    obs::MetricsRegistry& metrics);
-
 }  // namespace gendpr::core

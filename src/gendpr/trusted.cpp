@@ -176,43 +176,12 @@ Result<LrPlanes> GdoEnclave::on_phase2(const Phase2Result& result) {
   return planes;
 }
 
-common::Bytes GdoEnclave::seal_study_checkpoint() {
-  wire::Writer w;
-  w.u8(study_complete_ ? 1 : 0);
-  w.vector_u32(l_prime_);
-  w.vector_u32(l_double_prime_);
-  w.vector_u32(l_safe_);
-  return seal(w.buffer());
-}
-
-Status GdoEnclave::restore_study_checkpoint(common::BytesView sealed) {
-  auto plaintext = unseal(sealed);
-  if (!plaintext.ok()) return plaintext.error();
-  wire::Reader r(plaintext.value());
-  auto complete = r.u8();
-  if (!complete.ok()) return complete.error();
-  auto l_prime = r.vector_u32();
-  if (!l_prime.ok()) return l_prime.error();
-  auto l_double_prime = r.vector_u32();
-  if (!l_double_prime.ok()) return l_double_prime.error();
-  auto l_safe = r.vector_u32();
-  if (!l_safe.ok()) return l_safe.error();
-  if (!r.exhausted()) {
-    return make_error(Errc::bad_message, "trailing bytes in checkpoint");
-  }
-  study_complete_ = complete.value() != 0;
-  l_prime_ = std::move(l_prime).take();
-  l_double_prime_ = std::move(l_double_prime).take();
-  l_safe_ = std::move(l_safe).take();
-  return Status::success();
-}
-
 Status GdoEnclave::on_phase3(const Phase3Result& result) {
   if (!announce_.has_value()) {
     return make_error(Errc::state_violation, "phase3 before study announce");
   }
   // L_safe is a subset of the L'' this member assembled in phase 2, in
-  // ascending order; anything else would be sealed into its checkpoint.
+  // ascending order.
   for (std::size_t i = 0; i < result.safe.size(); ++i) {
     if (i > 0 && result.safe[i] <= result.safe[i - 1]) {
       return make_error(Errc::bad_message, "safe SNPs not strictly ascending");
@@ -269,8 +238,8 @@ std::vector<std::vector<std::uint32_t>> Coordinator::build_combinations(
 }
 
 namespace {
-/// Thrown by aggregate_pair when a member response is absent; converted to a
-/// protocol error at the run_ld_phase boundary.
+/// Thrown by aggregate_pair when a member response is absent; the walk
+/// declares the member dead and goes on without its combinations.
 struct MissingMomentsError {
   std::uint32_t gdo_index;
 };
@@ -581,10 +550,6 @@ Status Coordinator::add_ld_window(std::uint32_t gdo_index, LdWindow window) {
   if (Status s = admit_tile(Stream::ld_windows, gdo_index, tile); !s.ok()) {
     return s;
   }
-  if (tile < next_ld_tile_) {
-    return refused(gdo_index,
-                   "LD window for a tile already walked without it");
-  }
   const std::uint32_t begin = ld_plan_.begin(tile);
   const std::uint32_t width = ld_plan_.width_of(tile);
   if (window.counts.size() != std::size_t{width} * kLdWindow) {
@@ -649,8 +614,7 @@ void Coordinator::begin_ld_phase() {
 }
 
 Coordinator::PairMoments& Coordinator::touch_pair(std::uint32_t anchor,
-                                                  std::uint32_t rank,
-                                                  bool use_windows) {
+                                                  std::uint32_t rank) {
   auto [it, created] = rank_pairs_.try_emplace(anchor);
   PairMoments& entry = it->second;
   if (!created) return entry;
@@ -663,7 +627,6 @@ Coordinator::PairMoments& Coordinator::touch_pair(std::uint32_t anchor,
   entry.slots.resize(num_gdos_);
   entry.slots[leader_->gdo_index()] =
       stats::compute_ld_moments(leader_->planes(), a, b);
-  if (!use_windows) return entry;
   // Served by the windows when every live member's count is in one (with no
   // live member, every pair is).
   const std::uint32_t distance = rank - anchor;
@@ -747,26 +710,23 @@ common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
 }
 
 common::Task<Status> Coordinator::walk_ld_tile(std::uint32_t tile,
-                                               bool use_windows,
                                                const AsyncFetchMoments& fetch) {
   const obs::ScopedSpan tile_span(obs::recorder_of(obs_),
                                   "ld.tile." + std::to_string(tile),
                                   ld_span_->id());
   std::vector<HeldWindow>& windows = ld_windows_[tile];
-  if (use_windows) {
-    for (HeldWindow& window : windows) {
-      if (window.sealed.empty()) continue;
-      auto plaintext = leader_->unseal(window.sealed);
-      if (!plaintext.ok()) co_return plaintext.error();
-      wire::Reader r(plaintext.value());
-      auto counts = r.vector_u32();
-      if (!counts.ok()) co_return counts.error();
-      auto held = leader_->reserve_epc(counts.value().size() * 4);
-      if (!held.ok()) co_return held.error();
-      window.counts = std::move(counts).take();
-      window.epc = std::move(held).take();
-      window.sealed.clear();
-    }
+  for (HeldWindow& window : windows) {
+    if (window.sealed.empty()) continue;
+    auto plaintext = leader_->unseal(window.sealed);
+    if (!plaintext.ok()) co_return plaintext.error();
+    wire::Reader r(plaintext.value());
+    auto counts = r.vector_u32();
+    if (!counts.ok()) co_return counts.error();
+    auto held = leader_->reserve_epc(counts.value().size() * 4);
+    if (!held.ok()) co_return held.error();
+    window.counts = std::move(counts).take();
+    window.epc = std::move(held).take();
+    window.sealed.clear();
   }
   const std::uint32_t end = ld_plan_.end(tile);
   for (std::uint32_t rank = std::max(ld_plan_.begin(tile), 1u); rank < end;
@@ -780,7 +740,7 @@ common::Task<Status> Coordinator::walk_ld_tile(std::uint32_t tile,
         // A pair the windows do not cover goes through the fetch on its
         // first touch (which asks every live member, whether or not this
         // combination needs them) and whenever a member slot is empty.
-        PairMoments& entry = touch_pair(walk.anchor(), rank, use_windows);
+        PairMoments& entry = touch_pair(walk.anchor(), rank);
         stats::LdMoments total = entry.reference;
         bool complete = entry.broadcast_done;
         for (std::size_t k = 0; complete && k < members.size(); ++k) {
@@ -813,8 +773,7 @@ common::Task<Status> Coordinator::advance_ld_walks(AsyncFetchMoments fetch) {
   begin_ld_phase();
   while (next_ld_tile_ < ld_plan_.tile_count() &&
          tile_arrived(Stream::ld_windows, next_ld_tile_)) {
-    if (Status s = co_await walk_ld_tile(next_ld_tile_, true, fetch);
-        !s.ok()) {
+    if (Status s = co_await walk_ld_tile(next_ld_tile_, fetch); !s.ok()) {
       ld_combination_spans_.clear();
       ld_span_.reset();
       co_return s;
@@ -823,29 +782,19 @@ common::Task<Status> Coordinator::advance_ld_walks(AsyncFetchMoments fetch) {
   co_return Status::success();
 }
 
-Result<Phase2Result> Coordinator::run_ld_phase(const FetchMoments& fetch) {
-  // Adapt the blocking callback onto the canonical sans-IO phase: nothing in
-  // the adapted chain ever suspends, so run_sync drives it to completion on
-  // this stack (trusted-module tests use this path).
-  return common::run_sync(run_ld_phase_async(
-      [&fetch](const MomentsRequest& request,
-               const std::vector<std::uint32_t>& targets)
-          -> common::Task<CoCounts> { co_return fetch(request, targets); }));
-}
-
 common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
     AsyncFetchMoments fetch) {
-  Status walked = co_await advance_ld_walks(fetch);
-  // Tiles some live member sent no window for walk through the fetch alone.
-  while (walked.ok() && next_ld_tile_ < ld_plan_.tile_count()) {
-    walked = co_await walk_ld_tile(next_ld_tile_, false, fetch);
-  }
-  if (!walked.ok()) {
-    ld_combination_spans_.clear();
-    ld_span_.reset();
+  // Tiles are walked once their windows arrived from every live member, so
+  // every tile walked means every window arrived.
+  if (Status walked = co_await advance_ld_walks(fetch); !walked.ok()) {
     co_return walked.error();
   }
   ld_combination_spans_.clear();
+  if (next_ld_tile_ < ld_plan_.tile_count()) {
+    ld_span_.reset();
+    co_return make_error(Errc::state_violation,
+                         "LD phase before all windows arrived");
+  }
   const std::size_t num_combinations = combinations_.size();
 
   // A death discovered mid-phase invalidates every combination containing

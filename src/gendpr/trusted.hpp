@@ -103,13 +103,6 @@ class GdoEnclave : public tee::Enclave {
   }
   bool study_complete() const noexcept { return study_complete_; }
 
-  /// Persists the study progress outside the enclave via the platform's
-  /// sealing mechanism (§4: "a TEE data-sealing mechanism is used to store
-  /// data persistently outside the TEE"). Only an enclave with the same
-  /// measurement on the same platform can restore it.
-  common::Bytes seal_study_checkpoint();
-  common::Status restore_study_checkpoint(common::BytesView sealed);
-
  private:
   bool in_l_prime(std::uint32_t snp) const;
 
@@ -142,23 +135,16 @@ class Coordinator {
   /// answer from that GDO).
   using CoCounts = std::vector<std::optional<std::uint32_t>>;
 
-  /// `fetch_moments(request, targets)` must query exactly the member GDOs
-  /// listed in `targets` (never the leader) for the requested pair and
-  /// return their co-occurrence counts indexed by GDO index (other slots
-  /// empty). The host implements it with a send/gather over the secure
-  /// channels; a member that cannot be reached keeps an empty slot (and the
-  /// host marks the peer lost as usual). Only pairs the LD windows do not
-  /// cover are fetched. The coordinator targets every live member the first
-  /// time such a pair is touched, so each costs one round trip on a clean
-  /// run.
-  using FetchMoments = std::function<CoCounts(
-      const MomentsRequest&, const std::vector<std::uint32_t>&)>;
-
-  /// Sans-IO form of FetchMoments: returns a Task so the protocol session
-  /// can suspend the LD phase mid-walk while member responses are in flight
-  /// (the event-loop driver resumes it frame by frame). Same contract
-  /// otherwise. The blocking FetchMoments overload of run_ld_phase adapts
-  /// onto this one.
+  /// `fetch(request, targets)` must query exactly the member GDOs listed in
+  /// `targets` (never the leader) for the requested pair and return their
+  /// co-occurrence counts indexed by GDO index (other slots empty). It
+  /// returns a Task so the protocol session can suspend the LD phase
+  /// mid-walk while member responses are in flight (the event-loop driver
+  /// resumes it frame by frame); a member that cannot be reached keeps an
+  /// empty slot (and the host marks the peer lost as usual). Only pairs the
+  /// LD windows do not cover are fetched. The coordinator targets every live
+  /// member the first time such a pair is touched, so each costs one round
+  /// trip on a clean run.
   using AsyncFetchMoments = std::function<common::Task<CoCounts>(
       const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
@@ -231,7 +217,7 @@ class Coordinator {
   /// --- Tiling ---
   /// Phase-1 plan over the study's SNP range.
   const genome::TilePlan& maf_plan() const noexcept { return maf_plan_; }
-  /// Phase-3 plan over L'' (valid after run_ld_phase).
+  /// Phase-3 plan over L'' (valid after run_ld_phase_async).
   const genome::TilePlan& lr_plan() const noexcept { return lr_plan_; }
 
   /// --- Phase 1 ---
@@ -275,18 +261,15 @@ class Coordinator {
   /// each window arrival; the first call opens the `phase.ld` span, so the
   /// wait for windows sits inside the phase.
   common::Task<common::Status> advance_ld_walks(AsyncFetchMoments fetch);
-  /// Finishes the LD phase: walks whatever advance_ld_walks has not (tiles
-  /// without windows from every live member walk entirely through `fetch`,
-  /// as for a coordinator that was never given windows) and intersects the
-  /// survivors. Also fixes the phase-3 tile plan over L''. `fetch` is taken
-  /// by value: the coroutine frame owns its copy across suspensions.
+  /// Finishes the LD phase once every live member's windows arrived: walks
+  /// the tiles advance_ld_walks has not and intersects the survivors. Also
+  /// fixes the phase-3 tile plan over L''. A tile still owed a window is a
+  /// state_violation. `fetch` is taken by value: the coroutine frame owns
+  /// its copy across suspensions.
   common::Task<common::Result<Phase2Result>> run_ld_phase_async(
       AsyncFetchMoments fetch);
-  /// Blocking form of run_ld_phase_async (trusted-module tests): nothing in
-  /// the adapted chain suspends.
-  common::Result<Phase2Result> run_ld_phase(const FetchMoments& fetch);
-  /// Per-tile Phase2Result bodies (column slices of run_ld_phase's return
-  /// value; one entry per lr_plan() tile). Valid after run_ld_phase. The
+  /// Per-tile Phase2Result bodies (column slices of run_ld_phase_async's
+  /// result; one entry per lr_plan() tile). Valid after it. The
   /// LR phase starts here: this opens the `phase.lr` span and one
   /// `lr.tile.<k>` span per tile, each closing once every live member's
   /// planes for that tile arrived.
@@ -373,15 +356,13 @@ class Coordinator {
   /// combination, and the walks' association p-values.
   void begin_ld_phase();
   /// Moves every live walk through the ranks of `tile` (the next one),
-  /// reading member counts from the tile's windows when `use_windows`.
+  /// reading member counts from the tile's windows.
   common::Task<common::Status> walk_ld_tile(std::uint32_t tile,
-                                            bool use_windows,
                                             const AsyncFetchMoments& fetch);
   /// The cache entry of pair (anchor, rank), created on first touch with
   /// the leader's and reference moments and, when the windows cover it,
   /// every live member's.
-  PairMoments& touch_pair(std::uint32_t anchor, std::uint32_t rank,
-                          bool use_windows);
+  PairMoments& touch_pair(std::uint32_t anchor, std::uint32_t rank);
   /// Fallback for a pair some member slot of `members` lacks: fetches the
   /// missing counts, then aggregates.
   common::Task<stats::LdMoments> aggregate_pair_async(

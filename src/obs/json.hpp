@@ -3,8 +3,8 @@
 // Run reports, metric snapshots, and trace dumps all serialize through this
 // one value type so every telemetry artifact shares a single, dependency-free
 // code path. The writer emits deterministic output (object keys keep their
-// insertion order); the parser accepts standard JSON and exists so tests can
-// round-trip reports and so tools can re-ingest artifacts the CI uploads.
+// insertion order). Nothing shipped reads JSON back: the tests' reader lives
+// in tests/obs/json_parse.hpp.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/error.hpp"
 
 namespace gendpr::obs {
 
@@ -71,9 +70,6 @@ class JsonValue {
   /// Serializes the document. indent 0 produces compact single-line output;
   /// a positive indent pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
-
-  /// Parses a complete JSON document (trailing garbage is an error).
-  static common::Result<JsonValue> parse(std::string_view text);
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>

@@ -2,10 +2,6 @@
 
 namespace gendpr::obs {
 
-using common::Errc;
-using common::make_error;
-using common::Result;
-
 SpanId TraceRecorder::begin_span(std::string name, SpanId parent) {
   const double start = since_epoch_ms();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -53,36 +49,6 @@ JsonValue TraceRecorder::to_json() const {
     out.push_back(std::move(entry));
   }
   return out;
-}
-
-Result<std::vector<Span>> TraceRecorder::spans_from_json(
-    const JsonValue& json) {
-  if (!json.is_array()) {
-    return make_error(Errc::bad_message, "trace: expected a span array");
-  }
-  std::vector<Span> spans;
-  spans.reserve(json.as_array().size());
-  for (const JsonValue& entry : json.as_array()) {
-    const JsonValue* id = entry.find("id");
-    const JsonValue* parent = entry.find("parent");
-    const JsonValue* name = entry.find("name");
-    const JsonValue* start = entry.find("start_ms");
-    const JsonValue* duration = entry.find("duration_ms");
-    if (id == nullptr || !id->is_number() || parent == nullptr ||
-        name == nullptr || !name->is_string() || start == nullptr ||
-        !start->is_number() || duration == nullptr) {
-      return make_error(Errc::bad_message, "trace: malformed span entry");
-    }
-    Span span;
-    span.id = static_cast<SpanId>(id->as_number());
-    span.parent = parent->is_number() ? static_cast<SpanId>(parent->as_number())
-                                      : kNoSpan;
-    span.name = name->as_string();
-    span.start_ms = start->as_number();
-    span.duration_ms = duration->is_number() ? duration->as_number() : -1;
-    spans.push_back(std::move(span));
-  }
-  return spans;
 }
 
 }  // namespace gendpr::obs

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "obs/json.hpp"
 
 namespace gendpr::obs {
@@ -52,10 +51,6 @@ class TraceRecorder {
   /// Flat array of {"id","parent","name","start_ms","duration_ms"}; parent
   /// is null for top-level spans. Open spans carry a null duration.
   JsonValue to_json() const;
-
-  /// Inverse of to_json (for tests and report re-ingestion).
-  static common::Result<std::vector<Span>> spans_from_json(
-      const JsonValue& json);
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -32,13 +32,6 @@ double chi2_p_value(const SinglewiseTable& table) {
   return chi2_sf(chi2_statistic(table), 1.0);
 }
 
-double paper_chi2(std::uint64_t n_case_minor, std::uint64_t n_control_minor) {
-  if (n_control_minor == 0) return 0.0;
-  const double diff = static_cast<double>(n_case_minor) -
-                      static_cast<double>(n_control_minor);
-  return diff * diff / static_cast<double>(n_control_minor);
-}
-
 double minor_allele_frequency(std::uint64_t minor_count,
                               std::uint64_t total_count) {
   if (total_count == 0) {
@@ -55,11 +48,6 @@ std::vector<std::uint32_t> maf_filter(const std::vector<double>& maf,
     if (maf[l] >= cutoff) retained.push_back(static_cast<std::uint32_t>(l));
   }
   return retained;
-}
-
-std::uint32_t most_ranked(std::uint32_t l1, std::uint32_t l2,
-                          const std::vector<double>& p_values) {
-  return p_values[l2] < p_values[l1] ? l2 : l1;
 }
 
 }  // namespace gendpr::stats

@@ -34,9 +34,6 @@ double chi2_statistic(const SinglewiseTable& table);
 /// P-value of the Pearson statistic (chi-squared survival, 1 dof).
 double chi2_p_value(const SinglewiseTable& table);
 
-/// The simplified chi-squared printed in the paper's §3.1.
-double paper_chi2(std::uint64_t n_case_minor, std::uint64_t n_control_minor);
-
 /// Minor allele frequency from aggregate counts: total minor-allele count
 /// over total allele observations.
 double minor_allele_frequency(std::uint64_t minor_count,
@@ -46,10 +43,5 @@ double minor_allele_frequency(std::uint64_t minor_count,
 /// these; MAF below the cutoff marks rare, identifying variants).
 std::vector<std::uint32_t> maf_filter(const std::vector<double>& maf,
                                       double cutoff);
-
-/// Index of the better-ranked of two SNPs: the one with the smaller
-/// association p-value (paper's getMostRanked). Ties keep `l1`.
-std::uint32_t most_ranked(std::uint32_t l1, std::uint32_t l2,
-                          const std::vector<double>& p_values);
 
 }  // namespace gendpr::stats

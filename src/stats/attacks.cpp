@@ -7,21 +7,6 @@
 
 namespace gendpr::stats {
 
-double homer_statistic(const std::vector<std::uint8_t>& genotype,
-                       const std::vector<double>& case_freq,
-                       const std::vector<double>& reference_freq) {
-  if (genotype.size() != case_freq.size() ||
-      genotype.size() != reference_freq.size()) {
-    throw std::invalid_argument("homer_statistic: size mismatch");
-  }
-  double d = 0.0;
-  for (std::size_t l = 0; l < genotype.size(); ++l) {
-    const double y = genotype[l] != 0 ? 1.0 : 0.0;
-    d += std::abs(y - reference_freq[l]) - std::abs(y - case_freq[l]);
-  }
-  return d;
-}
-
 std::vector<double> homer_scores(const genome::GenotypeMatrix& population,
                                  const std::vector<std::uint32_t>& released,
                                  const std::vector<double>& case_freq,

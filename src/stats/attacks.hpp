@@ -21,13 +21,6 @@
 
 namespace gendpr::stats {
 
-/// Homer's D statistic for one individual over the released SNPs.
-/// `genotype[i]` is the victim's binary allele value at released SNP i;
-/// `case_freq` / `reference_freq` are the published frequencies.
-double homer_statistic(const std::vector<std::uint8_t>& genotype,
-                       const std::vector<double>& case_freq,
-                       const std::vector<double>& reference_freq);
-
 /// Homer scores for every individual of `population` over `released` SNPs.
 std::vector<double> homer_scores(const genome::GenotypeMatrix& population,
                                  const std::vector<std::uint32_t>& released,

@@ -16,22 +16,6 @@ LdMoments& LdMoments::operator+=(const LdMoments& other) noexcept {
   return *this;
 }
 
-LdMoments compute_ld_moments(const genome::GenotypeMatrix& genotypes,
-                             std::uint32_t snp_x, std::uint32_t snp_y) {
-  LdMoments m;
-  m.n = genotypes.num_individuals();
-  for (std::size_t i = 0; i < genotypes.num_individuals(); ++i) {
-    const double x = genotypes.get(i, snp_x) ? 1.0 : 0.0;
-    const double y = genotypes.get(i, snp_y) ? 1.0 : 0.0;
-    m.mu_x += x;
-    m.mu_y += y;
-    m.mu_xy += x * y;
-    m.mu_x2 += x * x;
-    m.mu_y2 += y * y;
-  }
-  return m;
-}
-
 LdMoments compute_ld_moments(const genome::BitPlanes& planes,
                              std::uint32_t snp_x, std::uint32_t snp_y) {
   LdMoments m;

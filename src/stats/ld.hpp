@@ -36,10 +36,6 @@ struct LdMoments {
   }
 };
 
-/// Moments of the pair (snp_x, snp_y) over all individuals of `genotypes`.
-LdMoments compute_ld_moments(const genome::GenotypeMatrix& genotypes,
-                             std::uint32_t snp_x, std::uint32_t snp_y);
-
 /// Word-parallel moments from SNP-major bit planes. For binary genotypes
 /// x = x^2, so mu_x = mu_x2 = count_x (cached per plane) and the only term
 /// needing a sweep is mu_xy = popcount(plane_x & plane_y). Sums of 0/1

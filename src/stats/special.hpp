@@ -1,6 +1,5 @@
 // Special functions needed for GWAS statistics: the regularized incomplete
-// gamma function (chi-squared survival function / p-values) and the normal
-// distribution (LR-test power approximations, DP calibration).
+// gamma function (chi-squared survival function / p-values).
 //
 // Implementations follow the classic series / continued-fraction split
 // (Numerical Recipes style) with double precision; tests compare against
@@ -18,12 +17,5 @@ double regularized_gamma_q(double a, double x);
 /// Survival function of the chi-squared distribution with k degrees of
 /// freedom: P[X >= x]. This is the p-value of a chi-squared statistic.
 double chi2_sf(double x, double k);
-
-/// Standard normal CDF.
-double normal_cdf(double x);
-
-/// Standard normal quantile (inverse CDF), p in (0, 1).
-/// Acklam's rational approximation refined by one Halley step (|err| < 1e-12).
-double normal_quantile(double p);
 
 }  // namespace gendpr::stats

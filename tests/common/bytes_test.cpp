@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hex.hpp"
+
 namespace gendpr::common {
 namespace {
 

@@ -8,6 +8,20 @@
 namespace gendpr::common {
 namespace {
 
+/// Binomial coefficient C(n, k) as a 64-bit value (no saturation: the
+/// federation sizes here stay small). Returns 0 for k > n. The count
+/// combinations() must produce.
+std::uint64_t binomial(unsigned n, unsigned k) noexcept {
+  if (k > n) return 0;
+  if (k > n - k) k = n - k;
+  std::uint64_t result = 1;
+  for (unsigned i = 1; i <= k; ++i) {
+    result = result * (n - k + i) / i;
+  }
+  return result;
+}
+
+
 TEST(BinomialTest, SmallValues) {
   EXPECT_EQ(binomial(0, 0), 1u);
   EXPECT_EQ(binomial(5, 0), 1u);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace gendpr::common {
@@ -75,6 +77,23 @@ TEST(ThreadPoolTest, ParallelForMoreWorkThanThreads) {
     sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 10000L * 9999L / 2);
+}
+
+TEST(ThreadPoolTest, CountersIncludeEveryTaskWhenParallelForReturns) {
+  // A task is counted before its future is fulfilled, so the counters read
+  // right after parallel_for returns already include all of its lanes.
+  ThreadPool pool(4);
+  std::uint64_t expected = 0;
+  double last_wall_ms = 0.0;
+  for (int round = 0; round < 200; ++round) {
+    pool.parallel_for(pool.size(), [](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    });
+    expected += pool.size();
+    ASSERT_EQ(pool.tasks_completed(), expected) << "round " << round;
+    ASSERT_GT(pool.task_wall_ms(), last_wall_ms) << "round " << round;
+    last_wall_ms = pool.task_wall_ms();
+  }
 }
 
 }  // namespace

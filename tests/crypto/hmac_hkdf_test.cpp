@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "hex.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "hex.hpp"
 #include "crypto/csprng.hpp"
 
 namespace gendpr::crypto {

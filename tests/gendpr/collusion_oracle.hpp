@@ -23,6 +23,7 @@
 
 #include "gendpr/config.hpp"
 #include "genome/genotype.hpp"
+#include "ld_reference.hpp"
 #include "lr_reference.hpp"
 #include "stats/association.hpp"
 #include "stats/ld.hpp"

@@ -14,6 +14,7 @@
 #include "gendpr/report.hpp"
 #include "gendpr/session.hpp"
 #include "gendpr/session_driver.hpp"
+#include "json_parse.hpp"
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
 #include "obs/observability.hpp"
@@ -332,7 +333,7 @@ TEST(TcpFederationTest, StudyOverRealSocketsMatchesInProcess) {
   context.obs = &observability;
   context.transport = "tcp";
   const obs::JsonValue report = make_run_report(tcp_result, context);
-  const auto parsed = obs::JsonValue::parse(report.dump());
+  const auto parsed = obs::parse_json(report.dump());
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().find("transport")->as_string(), "tcp");
   const obs::JsonValue* network_section = parsed.value().find("network");
@@ -349,7 +350,7 @@ TEST(TcpFederationTest, StudyOverRealSocketsMatchesInProcess) {
           ->as_number(),
       0.0);
   const auto spans =
-      obs::TraceRecorder::spans_from_json(*parsed.value().find("trace"));
+      obs::spans_from_json(*parsed.value().find("trace"));
   ASSERT_TRUE(spans.ok());
   for (const char* phase : {"phase.maf", "phase.ld", "phase.lr"}) {
     EXPECT_EQ(std::count_if(spans.value().begin(), spans.value().end(),

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "genome/cohort.hpp"
+#include "ld_phase.hpp"
 #include "session_harness.hpp"
 
 namespace gendpr::core {
@@ -100,7 +101,7 @@ TEST(FailureInjectionTest, TamperedRecordDetected) {
         common::Bytes record =
             channel
                 .seal(envelope(MsgType::summary_stats,
-                               enclave.make_summary_stats().serialize()))
+                               serialize(enclave.make_summary_stats())))
                 .value();
         record[record.size() / 2] ^= 0x01;
         return record;
@@ -118,7 +119,7 @@ TEST(FailureInjectionTest, WrongMessageTypeRejected) {
       replying([](GdoEnclave&, tee::SecureChannel& channel) {
         return channel
             .seal(envelope(MsgType::phase3_result,
-                           Phase3Result{{1, 2}}.serialize()))
+                           serialize(Phase3Result{{1, 2}})))
             .value();
       }));
   const common::Status result = f.run(*leader, member.get());
@@ -135,7 +136,7 @@ TEST(FailureInjectionTest, OversizedSummaryRejected) {
         SummaryStats bogus;
         bogus.case_counts.assign(9999, 1);
         bogus.n_case = 100;
-        return channel.seal(envelope(MsgType::summary_stats, bogus.serialize()))
+        return channel.seal(envelope(MsgType::summary_stats, serialize(bogus)))
             .value();
       }));
   const common::Status result = f.run(*leader, member.get());
@@ -154,7 +155,7 @@ TEST(FailureInjectionTest, ForgedLdWindowCountRejected) {
     const genome::TilePlan plan = enclave.ld_plan();
     LdWindow window = enclave.make_ld_window(plan.begin(0), plan.end(0), 0);
     window.counts[kLdWindow] = 1000000;  // rank 1 with rank 0
-    return channel.seal(envelope(MsgType::ld_window, window.serialize()))
+    return channel.seal(envelope(MsgType::ld_window, serialize(window)))
         .value();
   };
   auto member = f.make_member(std::move(script));
@@ -173,65 +174,32 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
   GdoEnclave leader_enclave(f.leader_platform, 0);
   const genome::BitPlanes leader_cases(f.cohort.cases, 0, 100);
   ASSERT_TRUE(leader_enclave.provision_dataset(leader_cases).ok());
+  // ld_cutoff 1: every pair is dependent, so the walk's anchor holds past
+  // the LD window and the leader must fetch pairs beyond it.
+  StudyConfig config;
+  config.ld_cutoff = 1.0;
   Coordinator coordinator(leader_enclave, genome::BitPlanes(f.cohort.controls),
-                          2, StudyConfig{}, CollusionPolicy::none());
+                          2, config, CollusionPolicy::none());
   SummaryStats member_stats;
   member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
   member_stats.n_case = 100;
   ASSERT_TRUE(coordinator.add_summary(1, member_stats).ok());
   ASSERT_TRUE(coordinator.run_maf_phase().ok());
 
-  auto silent_fetch = [](const MomentsRequest&,
-                         const std::vector<std::uint32_t>&) {
+  std::size_t fetches = 0;
+  auto silent_fetch = [&fetches](const MomentsRequest&,
+                                 const std::vector<std::uint32_t>&) {
+    ++fetches;
     return Coordinator::CoCounts{};  // no responses
   };
-  const auto result = coordinator.run_ld_phase(silent_fetch);
+  const auto result = run_ld_phase(
+      coordinator, {{1, uniform_windows(coordinator, 1)}}, silent_fetch);
+  EXPECT_EQ(fetches, 1u);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, common::Errc::timeout);
   EXPECT_NE(result.error().message.find("1"), std::string::npos)
       << result.error().to_string();
   EXPECT_EQ(coordinator.dead_gdos(), (std::set<std::uint32_t>{1}));
-}
-
-TEST(CheckpointTest, SealRestoreRoundTrip) {
-  LeaderFixture f;
-  GdoEnclave enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      enclave.provision_dataset(genome::BitPlanes(f.cohort.cases)).ok());
-  const StudyAnnounce announce{
-      static_cast<std::uint32_t>(f.cohort.cases.num_snps()), 0};
-  ASSERT_TRUE(enclave.on_study_announce(announce).ok());
-  ASSERT_TRUE(enclave.on_phase1(Phase1Result{{1, 2, 3}}).ok());
-  ASSERT_TRUE(enclave.on_phase2(Phase2Result{{2, 3}, 0, 1}).ok());
-  ASSERT_TRUE(enclave.on_phase3(Phase3Result{{2, 3}}).ok());
-
-  const common::Bytes checkpoint = enclave.seal_study_checkpoint();
-
-  GdoEnclave restored(f.member_platform, 1);
-  ASSERT_TRUE(restored.restore_study_checkpoint(checkpoint).ok());
-  EXPECT_EQ(restored.safe_snps(), (std::vector<std::uint32_t>{2, 3}));
-  EXPECT_EQ(restored.retained_after_phase1(),
-            (std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_TRUE(restored.study_complete());
-}
-
-TEST(CheckpointTest, OtherPlatformCannotRestore) {
-  LeaderFixture f;
-  GdoEnclave enclave(f.member_platform, 1);
-  ASSERT_TRUE(enclave.on_phase1(Phase1Result{}).ok() == false);  // sanity
-  const common::Bytes checkpoint = enclave.seal_study_checkpoint();
-  GdoEnclave other(f.leader_platform, 1);
-  EXPECT_FALSE(other.restore_study_checkpoint(checkpoint).ok());
-}
-
-TEST(CheckpointTest, TamperedCheckpointRejected) {
-  LeaderFixture f;
-  GdoEnclave enclave(f.member_platform, 1);
-  common::Bytes checkpoint = enclave.seal_study_checkpoint();
-  checkpoint[checkpoint.size() - 1] ^= 0x01;
-  const auto status = enclave.restore_study_checkpoint(checkpoint);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, common::Errc::decrypt_failed);
 }
 
 // ---------------------------------------------------------------------------

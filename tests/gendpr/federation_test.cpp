@@ -13,6 +13,7 @@
 #include "gendpr/messages.hpp"
 #include "gendpr/report.hpp"
 #include "genome/tile_plan.hpp"
+#include "json_parse.hpp"
 #include "obs/observability.hpp"
 #include "tee/epc_meter.hpp"
 
@@ -302,7 +303,7 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
   context.obs = &observability;
   const obs::JsonValue report = make_run_report(result.value(), context);
   // Assert on the serialized document, exactly what check_report.py consumes.
-  const auto parsed = obs::JsonValue::parse(report.dump(2));
+  const auto parsed = obs::parse_json(report.dump(2));
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().find("schema")->as_string(), kRunReportSchema);
 
@@ -324,7 +325,7 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
 
   const obs::JsonValue* trace = parsed.value().find("trace");
   ASSERT_NE(trace, nullptr);
-  const auto spans = obs::TraceRecorder::spans_from_json(*trace);
+  const auto spans = obs::spans_from_json(*trace);
   ASSERT_TRUE(spans.ok()) << spans.error().to_string();
   std::map<std::string, int> name_counts;
   for (const auto& span : spans.value()) {

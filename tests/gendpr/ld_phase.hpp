@@ -1,0 +1,71 @@
+// Drives a Coordinator's LD phase the way the leader session does, for the
+// trusted-module tests: every member's LD windows first, then
+// run_ld_phase_async under common::run_sync with a blocking fetch. Nothing
+// in the chain suspends, so run_sync finishes it on the caller's stack.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <vector>
+
+#include "gendpr/trusted.hpp"
+
+namespace gendpr::core {
+
+/// Answers one MomentsRequest for `targets`, indexed by GDO.
+using BlockingFetch = std::function<Coordinator::CoCounts(
+    const MomentsRequest&, const std::vector<std::uint32_t>&)>;
+
+/// An honest member's windows over every tile of its LD plan.
+inline std::vector<LdWindow> member_windows(const GdoEnclave& member) {
+  const genome::TilePlan plan = member.ld_plan();
+  std::vector<LdWindow> windows;
+  for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
+    windows.push_back(member.make_ld_window(plan.begin(k), plan.end(k), k));
+  }
+  return windows;
+}
+
+/// Windows of a scripted member whose every in-window pair counts `co`,
+/// over the coordinator's LD plan.
+inline std::vector<LdWindow> uniform_windows(const Coordinator& coordinator,
+                                             std::uint32_t co) {
+  const genome::TilePlan& plan = coordinator.ld_plan();
+  std::vector<LdWindow> windows;
+  for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
+    LdWindow window;
+    window.tile_index = k;
+    for (std::uint32_t rank = plan.begin(k); rank < plan.end(k); ++rank) {
+      for (std::uint32_t d = 1; d <= kLdWindow; ++d) {
+        window.counts.push_back(d <= rank ? co : 0);
+      }
+    }
+    windows.push_back(std::move(window));
+  }
+  return windows;
+}
+
+/// Feeds `windows[g]` for every member g, then finishes the LD phase with
+/// `fetch` answering the pairs the windows do not cover. A refused window
+/// fails the phase with its error.
+inline common::Result<Phase2Result> run_ld_phase(
+    Coordinator& coordinator,
+    const std::map<std::uint32_t, std::vector<LdWindow>>& windows,
+    BlockingFetch fetch) {
+  for (const auto& [gdo, stream] : windows) {
+    for (const LdWindow& window : stream) {
+      if (common::Status s = coordinator.add_ld_window(gdo, window); !s.ok()) {
+        return s.error();
+      }
+    }
+  }
+  return common::run_sync(coordinator.run_ld_phase_async(
+      [&fetch](const MomentsRequest& request,
+               const std::vector<std::uint32_t>& targets)
+          -> common::Task<Coordinator::CoCounts> {
+        co_return fetch(request, targets);
+      }));
+}
+
+}  // namespace gendpr::core

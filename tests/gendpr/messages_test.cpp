@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "message_bytes.hpp"
 #include "wire/serialize.hpp"
 
 namespace gendpr::core {
@@ -11,7 +12,7 @@ TEST(MessagesTest, StudyAnnounceRoundTrip) {
   StudyAnnounce msg;
   msg.num_snps = 1000;
   msg.snp_tile_width = 64;  // non-default: must survive the wire
-  const common::Bytes encoded = msg.serialize();
+  const common::Bytes encoded = serialize(msg);
   EXPECT_EQ(encoded.size(), 8u);  // u32 num_snps, u32 snp_tile_width
   EXPECT_EQ(msg.encoded_size(), encoded.size());
   const auto restored = StudyAnnounce::deserialize(encoded);
@@ -24,7 +25,7 @@ TEST(MessagesTest, SummaryStatsRoundTrip) {
   SummaryStats msg;
   msg.case_counts = {1, 2, 3, 1000000};
   msg.n_case = 4242;
-  const auto restored = SummaryStats::deserialize(msg.serialize());
+  const auto restored = SummaryStats::deserialize(serialize(msg));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().case_counts, msg.case_counts);
   EXPECT_EQ(restored.value().n_case, 4242u);
@@ -33,14 +34,14 @@ TEST(MessagesTest, SummaryStatsRoundTrip) {
 TEST(MessagesTest, Phase1ResultRoundTrip) {
   Phase1Result msg;
   msg.retained = {0, 5, 7, 999};
-  const auto restored = Phase1Result::deserialize(msg.serialize());
+  const auto restored = Phase1Result::deserialize(serialize(msg));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().retained, msg.retained);
 }
 
 TEST(MessagesTest, MomentsRequestResponseRoundTrip) {
   MomentsRequest request{17, 3, 4};
-  const auto restored_req = MomentsRequest::deserialize(request.serialize());
+  const auto restored_req = MomentsRequest::deserialize(serialize(request));
   ASSERT_TRUE(restored_req.ok());
   EXPECT_EQ(restored_req.value().request_id, 17u);
   EXPECT_EQ(restored_req.value().snp_a, 3u);
@@ -49,7 +50,7 @@ TEST(MessagesTest, MomentsRequestResponseRoundTrip) {
   MomentsResponse response;
   response.request_id = 17;
   response.co_count = 5;
-  const common::Bytes encoded = response.serialize();
+  const common::Bytes encoded = serialize(response);
   EXPECT_EQ(encoded.size(), 8u);  // request id + one u32 count
   const auto restored = MomentsResponse::deserialize(encoded);
   ASSERT_TRUE(restored.ok());
@@ -63,7 +64,7 @@ TEST(MessagesTest, LdWindowRoundTrip) {
   msg.counts.assign(2 * kLdWindow, 0);
   msg.counts[kLdWindow] = 7;
   msg.counts.back() = 0xffffffffu;
-  const common::Bytes encoded = msg.serialize();
+  const common::Bytes encoded = serialize(msg);
   EXPECT_EQ(encoded.size(), msg.encoded_size());
   const auto restored = LdWindow::deserialize(encoded);
   ASSERT_TRUE(restored.ok());
@@ -79,7 +80,7 @@ TEST(MessagesTest, LdWindowMalformedRejected) {
   LdWindow msg;
   msg.tile_index = 1;
   msg.counts = {1, 2, 3};
-  const common::Bytes full = msg.serialize();
+  const common::Bytes full = serialize(msg);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(
         LdWindow::deserialize(common::BytesView(full.data(), len)).ok())
@@ -101,7 +102,7 @@ TEST(MessagesTest, Phase2ResultRoundTrip) {
   msg.retained = {1, 2, 300};
   msg.tile_index = 1;
   msg.num_tiles = 3;
-  const common::Bytes bytes = msg.serialize();
+  const common::Bytes bytes = serialize(msg);
   EXPECT_EQ(bytes.size(), msg.encoded_size());
   const auto restored = Phase2Result::deserialize(bytes);
   ASSERT_TRUE(restored.ok());
@@ -122,7 +123,7 @@ TEST(MessagesTest, Phase2ResultDeadGdosRoundTrip) {
   expected.vector_u32(msg.retained);
   expected.u32(4);
   expected.u32(5);
-  EXPECT_EQ(msg.serialize(), expected.buffer());
+  EXPECT_EQ(serialize(msg), expected.buffer());
   const auto restored = Phase2Result::deserialize(expected.buffer());
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().retained, msg.retained);
@@ -134,7 +135,7 @@ TEST(MessagesTest, Phase2ResultPopulationSizeMismatchRejected) {
   // malformed, and so is a tile position outside its stream.
   Phase2Result msg;
   msg.retained = {3};
-  common::Bytes with_populations = msg.serialize();
+  common::Bytes with_populations = serialize(msg);
   wire::Writer populations;
   populations.vector_u32({8, 9});
   with_populations.insert(with_populations.end(),
@@ -144,7 +145,7 @@ TEST(MessagesTest, Phase2ResultPopulationSizeMismatchRejected) {
             common::Errc::bad_message);
   msg.tile_index = 2;
   msg.num_tiles = 2;
-  EXPECT_EQ(Phase2Result::deserialize(msg.serialize()).error().code,
+  EXPECT_EQ(Phase2Result::deserialize(serialize(msg)).error().code,
             common::Errc::bad_message);
 }
 
@@ -152,13 +153,13 @@ TEST(MessagesTest, AbortNoticeRoundTrip) {
   AbortNotice msg;
   msg.failed_gdo = 2;
   msg.reason = "LR gather timed out: unresponsive gdo(s): 2";
-  const auto restored = AbortNotice::deserialize(msg.serialize());
+  const auto restored = AbortNotice::deserialize(serialize(msg));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().failed_gdo, 2u);
   EXPECT_EQ(restored.value().reason, msg.reason);
 
   AbortNotice anonymous;  // no peer to blame
-  const auto restored_anon = AbortNotice::deserialize(anonymous.serialize());
+  const auto restored_anon = AbortNotice::deserialize(serialize(anonymous));
   ASSERT_TRUE(restored_anon.ok());
   EXPECT_EQ(restored_anon.value().failed_gdo, AbortNotice::kNoFailedGdo);
   EXPECT_TRUE(restored_anon.value().reason.empty());
@@ -168,7 +169,7 @@ TEST(MessagesTest, AbortNoticeTruncationRejected) {
   AbortNotice msg;
   msg.failed_gdo = 1;
   msg.reason = "gone";
-  const common::Bytes full = msg.serialize();
+  const common::Bytes full = serialize(msg);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(
         AbortNotice::deserialize(common::BytesView(full.data(), len)).ok())
@@ -197,7 +198,7 @@ TEST(MessagesTest, LrPlanesRoundTrip) {
   msg.width = 2;
   msg.words_per_column = 2;
   msg.words = {0x1, 0xffffffffffffffffull, 0x8000000000000000ull, 0x2a};
-  const common::Bytes encoded = msg.serialize();
+  const common::Bytes encoded = serialize(msg);
   EXPECT_EQ(encoded.size(), msg.encoded_size());
   const auto restored = LrPlanes::deserialize(encoded);
   ASSERT_TRUE(restored.ok());
@@ -209,7 +210,7 @@ TEST(MessagesTest, LrPlanesRoundTrip) {
 
 TEST(MessagesTest, LrPlanesTruncationRejected) {
   LrPlanes msg{1, 3, 2, {1, 2, 3, 4, 5, 6}};
-  const common::Bytes full = msg.serialize();
+  const common::Bytes full = serialize(msg);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(
         LrPlanes::deserialize(common::BytesView(full.data(), len)).ok())
@@ -222,7 +223,7 @@ TEST(MessagesTest, LrPlanesShapeMustMatchWordCount) {
   // malformed, whichever side is off.
   for (const LrPlanes& msg : {LrPlanes{0, 3, 2, {1, 2, 3, 4, 5}},
                               LrPlanes{0, 0xffffffffu, 0xffffffffu, {1}}}) {
-    const auto restored = LrPlanes::deserialize(msg.serialize());
+    const auto restored = LrPlanes::deserialize(serialize(msg));
     ASSERT_FALSE(restored.ok());
     EXPECT_EQ(restored.error().code, common::Errc::bad_message);
   }
@@ -231,7 +232,7 @@ TEST(MessagesTest, LrPlanesShapeMustMatchWordCount) {
 TEST(MessagesTest, Phase3ResultRoundTrip) {
   Phase3Result msg;
   msg.safe = {4, 8, 15};
-  const common::Bytes encoded = msg.serialize();
+  const common::Bytes encoded = serialize(msg);
   EXPECT_EQ(encoded.size(), 1u + 3 * 4);  // varint count, u32 safe[count]
   EXPECT_EQ(msg.encoded_size(), encoded.size());
   const auto restored = Phase3Result::deserialize(encoded);
@@ -268,7 +269,7 @@ TEST(MessagesTest, UnknownTypeRejected) {
 /// Every strict prefix of `msg`'s encoding must fail `msg`'s own decoder.
 template <typename M>
 void expect_prefixes_rejected(const M& msg, const char* name) {
-  const common::Bytes full = msg.serialize();
+  const common::Bytes full = serialize(msg);
   ASSERT_TRUE(M::deserialize(full).ok()) << name;
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(M::deserialize(common::BytesView(full.data(), len)).ok())
@@ -298,7 +299,7 @@ TEST(MessagesTest, TruncationRejectedEverywhere) {
 TEST(MessagesTest, TrailingBytesRejected) {
   Phase1Result msg;
   msg.retained = {1};
-  common::Bytes data = msg.serialize();
+  common::Bytes data = serialize(msg);
   data.push_back(0xff);
   EXPECT_FALSE(Phase1Result::deserialize(data).ok());
 }

@@ -11,6 +11,7 @@
 
 #include "gendpr/session.hpp"
 #include "gendpr/session_driver.hpp"
+#include "message_bytes.hpp"
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
 #include "net/memory_hub.hpp"
@@ -132,7 +133,7 @@ class ScriptedMember : public ProtocolSession {
     script.reply = [](GdoEnclave& enclave, tee::SecureChannel& channel) {
       return channel
           .seal(envelope(MsgType::summary_stats,
-                         enclave.make_summary_stats().serialize()))
+                         serialize(enclave.make_summary_stats())))
           .value();
     };
     return script;

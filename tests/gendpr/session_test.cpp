@@ -13,6 +13,7 @@
 #include "gendpr/messages.hpp"
 #include "gendpr/session.hpp"
 #include "gendpr/trusted.hpp"
+#include "message_bytes.hpp"
 #include "tee/attestation.hpp"
 
 namespace gendpr::core {

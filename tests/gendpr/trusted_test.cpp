@@ -9,7 +9,9 @@
 
 #include "common/rng.hpp"
 #include "genome/cohort.hpp"
+#include "ld_phase.hpp"
 #include "obs/observability.hpp"
+#include "stats/association.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -352,7 +354,7 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   auto fetch = [](const MomentsRequest&, const std::vector<std::uint32_t>&) {
     return Coordinator::CoCounts{};
   };
-  const auto phase2 = coordinator.run_ld_phase(fetch);
+  const auto phase2 = run_ld_phase(coordinator, {}, fetch);
   ASSERT_TRUE(phase2.ok());
   EXPECT_LE(phase2.value().retained.size(), phase1.value().retained.size());
 
@@ -379,7 +381,9 @@ TEST(CoordinatorTest, LrMatrixValidation) {
     per_gdo[1] = 1;
     return per_gdo;
   };
-  ASSERT_TRUE(coordinator.run_ld_phase(fetch).ok());
+  ASSERT_TRUE(
+      run_ld_phase(coordinator, {{1, uniform_windows(coordinator, 1)}}, fetch)
+          .ok());
 
   const LrPlanes planes{0, 1, 1, {0}};
   EXPECT_EQ(coordinator.add_lr_planes(7, planes).error().code,
@@ -433,7 +437,8 @@ struct PlaneGather {
       per_gdo[1] = member.on_moments_request(request).value().co_count;
       return per_gdo;
     };
-    EXPECT_TRUE(coordinator->run_ld_phase(fetch).ok());
+    EXPECT_TRUE(
+        run_ld_phase(*coordinator, {{1, member_windows(member)}}, fetch).ok());
     for (const Phase2Result& tile : coordinator->phase2_tiles()) {
       auto reply = member.on_phase2(tile);
       EXPECT_TRUE(reply.ok());
@@ -579,15 +584,12 @@ struct WindowGather {
     const auto phase1 = coordinator->run_maf_phase();
     EXPECT_TRUE(phase1.ok());
     EXPECT_TRUE(member.on_phase1(phase1.value()).ok());
-    const genome::TilePlan plan = member.ld_plan();
-    EXPECT_EQ(plan.tile_count(), coordinator->ld_plan().tile_count());
-    for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
-      windows.push_back(member.make_ld_window(plan.begin(k), plan.end(k), k));
-    }
+    windows = member_windows(member);
+    EXPECT_EQ(windows.size(), coordinator->ld_plan().tile_count());
   }
 
   /// The member answering every fetched pair honestly.
-  Coordinator::FetchMoments honest_fetch() {
+  BlockingFetch honest_fetch() {
     return [this](const MomentsRequest& request,
                   const std::vector<std::uint32_t>&) {
       fetched.emplace_back(request.snp_a, request.snp_b);
@@ -605,27 +607,35 @@ struct WindowGather {
 TEST(CoordinatorTest, LdWindowsServeInWindowPairsWithTheSameSelection) {
   WindowGather windowed;
   ASSERT_GT(windowed.windows.size(), 1u);
-  for (const LdWindow& window : windowed.windows) {
-    ASSERT_TRUE(windowed.coordinator->add_ld_window(1, window).ok());
-  }
-  EXPECT_TRUE(windowed.coordinator->members_owing(Stream::ld_windows).empty());
-  const auto with_windows =
-      windowed.coordinator->run_ld_phase(windowed.honest_fetch());
+  const auto with_windows = run_ld_phase(
+      *windowed.coordinator, {{1, windowed.windows}}, windowed.honest_fetch());
   ASSERT_TRUE(with_windows.ok()) << with_windows.error().to_string();
+  EXPECT_TRUE(windowed.coordinator->members_owing(Stream::ld_windows).empty());
 
-  // The same study walked through the fetch alone.
-  WindowGather fetch_only;
-  const auto without_windows =
-      fetch_only.coordinator->run_ld_phase(fetch_only.honest_fetch());
-  ASSERT_TRUE(without_windows.ok());
-  EXPECT_EQ(with_windows.value().retained, without_windows.value().retained);
-  EXPECT_EQ(windowed.coordinator->ld_pairs_fetched(),
-            fetch_only.coordinator->ld_pairs_fetched());
-  EXPECT_EQ(fetch_only.fetched.size(),
-            fetch_only.coordinator->ld_pairs_fetched());
-  // Only pairs further apart than the window were fetched.
-  EXPECT_LT(windowed.fetched.size(), fetch_only.fetched.size());
+  // The same walk over the pooled case planes and the reference panel, as
+  // a centralized holder of every genome would run it.
+  const genome::BitPlanes cases = windowed.f.cases();
+  const genome::BitPlanes reference = windowed.f.reference();
+  std::vector<double> association_p(cases.num_snps());
+  for (std::uint32_t l = 0; l < cases.num_snps(); ++l) {
+    association_p[l] = stats::chi2_p_value(stats::SinglewiseTable{
+        cases.allele_count(l), cases.num_individuals(),
+        reference.allele_count(l), reference.num_individuals()});
+  }
+  std::size_t pairs = 0;
   const auto& l_prime = windowed.coordinator->outcome().l_prime;
+  const std::vector<std::uint32_t> expected = stats::greedy_ld_prune(
+      l_prime, StudyConfig{}.ld_cutoff, association_p,
+      [&](std::uint32_t a, std::uint32_t b) {
+        ++pairs;
+        return stats::ld_p_value(stats::compute_ld_moments(cases, a, b) +
+                                 stats::compute_ld_moments(reference, a, b));
+      });
+  EXPECT_EQ(with_windows.value().retained, expected);
+  EXPECT_EQ(windowed.coordinator->ld_pairs_fetched(), pairs);
+  // The windows served some pairs; only pairs further apart than the
+  // window were fetched.
+  EXPECT_LT(windowed.fetched.size(), pairs);
   for (const auto& [a, b] : windowed.fetched) {
     const auto rank = [&](std::uint32_t snp) {
       return std::lower_bound(l_prime.begin(), l_prime.end(), snp) -
@@ -633,6 +643,18 @@ TEST(CoordinatorTest, LdWindowsServeInWindowPairsWithTheSameSelection) {
     };
     EXPECT_GT(rank(b) - rank(a), static_cast<std::ptrdiff_t>(kLdWindow));
   }
+}
+
+TEST(CoordinatorTest, LdPhaseRequiresAllWindows) {
+  WindowGather gather;
+  ASSERT_GT(gather.windows.size(), 1u);
+  const auto result = run_ld_phase(*gather.coordinator,
+                                   {{1, {gather.windows[0]}}},
+                                   gather.honest_fetch());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, common::Errc::state_violation);
+  EXPECT_EQ(gather.coordinator->members_owing(Stream::ld_windows),
+            std::set<std::uint32_t>{1});
 }
 
 TEST(CoordinatorTest, LdWindowForgedCountRejected) {
@@ -697,6 +719,14 @@ TEST(CoordinatorTest, LdWindowFromDeadGdoDropped) {
   EXPECT_TRUE(gather.coordinator->members_owing(Stream::ld_windows).empty());
 }
 
+/// ld_cutoff 1: every pair is dependent, so a walk's anchor holds past the
+/// LD window and the leader must fetch pairs beyond it.
+StudyConfig every_pair_dependent() {
+  StudyConfig config;
+  config.ld_cutoff = 1.0;
+  return config;
+}
+
 TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
   // Member summary: every SNP carried by 30 of 50 cases, so a pair's
   // co-occurrence count must lie in [30 + 30 - 50, 30] = [10, 30].
@@ -704,20 +734,24 @@ TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
     Fixture f;
     GdoEnclave leader(f.platform, 0);
     ASSERT_TRUE(leader.provision_dataset(f.cases()).ok());
-    Coordinator coordinator(leader, f.reference(), 2, StudyConfig{},
+    Coordinator coordinator(leader, f.reference(), 2, every_pair_dependent(),
                             CollusionPolicy::none());
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 30);
     member_stats.n_case = 50;
     ASSERT_TRUE(coordinator.add_summary(1, member_stats).ok());
     ASSERT_TRUE(coordinator.run_maf_phase().ok());
-    auto fetch = [co](const MomentsRequest&,
-                      const std::vector<std::uint32_t>&) {
+    std::size_t fetches = 0;
+    auto fetch = [co, &fetches](const MomentsRequest&,
+                                const std::vector<std::uint32_t>&) {
+      ++fetches;
       Coordinator::CoCounts per_gdo(2);
       per_gdo[1] = co;
       return per_gdo;
     };
-    const auto result = coordinator.run_ld_phase(fetch);
+    const auto result = run_ld_phase(
+        coordinator, {{1, uniform_windows(coordinator, 20)}}, fetch);
+    EXPECT_EQ(fetches, 1u);
     ASSERT_FALSE(result.ok()) << "co-count " << co << " accepted";
     EXPECT_EQ(result.error().code, common::Errc::bad_message);
     EXPECT_NE(result.error().message.find("gdo 1"), std::string::npos)
@@ -726,10 +760,11 @@ TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
   }
 }
 
-/// Three-GDO coordinator with identical member summaries: every combination
-/// ranks SNPs identically, so the greedy walks of {0,1} and {0,2} visit the
-/// same pairs and the second walk hits moments_cache_ entries created by the
-/// first. Used by the stale-slot regression test below.
+/// Three-GDO coordinator with identical member summaries and every pair
+/// dependent: every combination ranks SNPs identically, so the greedy walks
+/// of {0,1} and {0,2} fetch the same pairs beyond the LD window and the
+/// second walk hits pair-cache entries created by the first. Used by the
+/// stale-slot regression test below.
 struct RefetchFixture {
   Fixture f;
   GdoEnclave leader{f.platform, 0};
@@ -737,7 +772,7 @@ struct RefetchFixture {
 
   RefetchFixture() {
     EXPECT_TRUE(leader.provision_dataset(f.cases()).ok());
-    coordinator.emplace(leader, f.reference(), 3, StudyConfig{},
+    coordinator.emplace(leader, f.reference(), 3, every_pair_dependent(),
                         CollusionPolicy::fixed(1));
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
@@ -769,7 +804,9 @@ TEST(CoordinatorTest, StaleMomentsSlotRefetchedForLiveMember) {
     }
     return per_gdo;
   };
-  ASSERT_TRUE(rf.coordinator->run_ld_phase(fetch).ok());
+  const std::vector<LdWindow> windows = uniform_windows(*rf.coordinator, 1);
+  ASSERT_TRUE(
+      run_ld_phase(*rf.coordinator, {{1, windows}, {2, windows}}, fetch).ok());
   EXPECT_TRUE(rf.coordinator->dead_gdos().empty());
   ASSERT_FALSE(calls.empty());
   // First touch broadcast to both members; the lost slot was later

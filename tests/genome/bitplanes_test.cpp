@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "ld_reference.hpp"
 #include "lr_reference.hpp"
 #include "stats/ld.hpp"
 #include "stats/lr_test.hpp"

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "ld_reference.hpp"
 #include "stats/ld.hpp"
 
 namespace gendpr::genome {

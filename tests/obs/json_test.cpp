@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "json_parse.hpp"
+
 namespace gendpr::obs {
 namespace {
 
@@ -54,7 +56,7 @@ TEST(ObsJsonTest, RoundTripThroughParse) {
   doc.set("links", std::move(links));
 
   for (int indent : {0, 2}) {
-    const auto parsed = JsonValue::parse(doc.dump(indent));
+    const auto parsed = parse_json(doc.dump(indent));
     ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
     EXPECT_EQ(parsed.value().dump(), doc.dump()) << "indent=" << indent;
   }
@@ -62,7 +64,7 @@ TEST(ObsJsonTest, RoundTripThroughParse) {
 
 TEST(ObsJsonTest, ParseHandlesEscapesAndNesting) {
   const auto parsed =
-      JsonValue::parse("{\"s\": \"a\\u0041\\n\", \"a\": [1, [2, {}]]}");
+      parse_json("{\"s\": \"a\\u0041\\n\", \"a\": [1, [2, {}]]}");
   ASSERT_TRUE(parsed.ok());
   ASSERT_NE(parsed.value().find("s"), nullptr);
   EXPECT_EQ(parsed.value().find("s")->as_string(), "aA\n");
@@ -70,12 +72,12 @@ TEST(ObsJsonTest, ParseHandlesEscapesAndNesting) {
 }
 
 TEST(ObsJsonTest, ParseRejectsMalformedInput) {
-  EXPECT_FALSE(JsonValue::parse("").ok());
-  EXPECT_FALSE(JsonValue::parse("{").ok());
-  EXPECT_FALSE(JsonValue::parse("[1,]").ok());
-  EXPECT_FALSE(JsonValue::parse("nul").ok());
-  EXPECT_FALSE(JsonValue::parse("{\"a\":1} trailing").ok());
-  EXPECT_FALSE(JsonValue::parse("\"unterminated").ok());
+  EXPECT_FALSE(parse_json("").ok());
+  EXPECT_FALSE(parse_json("{").ok());
+  EXPECT_FALSE(parse_json("[1,]").ok());
+  EXPECT_FALSE(parse_json("nul").ok());
+  EXPECT_FALSE(parse_json("{\"a\":1} trailing").ok());
+  EXPECT_FALSE(parse_json("\"unterminated").ok());
 }
 
 }  // namespace

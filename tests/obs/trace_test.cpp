@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "json_parse.hpp"
+
 #include <thread>
 #include <vector>
 
@@ -59,7 +61,7 @@ TEST(ObsTraceTest, JsonRoundTrip) {
   const SpanId open = recorder.begin_span("unfinished");
   (void)open;
 
-  const auto round_tripped = TraceRecorder::spans_from_json(recorder.to_json());
+  const auto round_tripped = spans_from_json(recorder.to_json());
   ASSERT_TRUE(round_tripped.ok()) << round_tripped.error().to_string();
   const auto original = recorder.spans();
   ASSERT_EQ(round_tripped.value().size(), original.size());
@@ -74,10 +76,10 @@ TEST(ObsTraceTest, JsonRoundTrip) {
 }
 
 TEST(ObsTraceTest, SpansFromJsonRejectsNonTrace) {
-  EXPECT_FALSE(TraceRecorder::spans_from_json(JsonValue(3.0)).ok());
+  EXPECT_FALSE(spans_from_json(JsonValue(3.0)).ok());
   JsonValue bad = JsonValue::array();
   bad.push_back(JsonValue("not a span"));
-  EXPECT_FALSE(TraceRecorder::spans_from_json(bad).ok());
+  EXPECT_FALSE(spans_from_json(bad).ok());
 }
 
 TEST(ObsTraceTest, ScopedSpanToleratesNullRecorder) {

@@ -3,9 +3,31 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace gendpr::stats {
 namespace {
+
+// The paper's own notation (§3.1, Alg. 1's getMostRanked). The shipped code
+// runs the Pearson test and the LD walk (stats/ld.hpp) instead; these stay
+// with their tests for readers following the paper.
+
+/// The simplified chi-squared printed in the paper's §3.1.
+double paper_chi2(std::uint64_t n_case_minor, std::uint64_t n_control_minor) {
+  if (n_control_minor == 0) return 0.0;
+  const double diff = static_cast<double>(n_case_minor) -
+                      static_cast<double>(n_control_minor);
+  return diff * diff / static_cast<double>(n_control_minor);
+}
+
+/// Index of the better-ranked of two SNPs: the one with the smaller
+/// association p-value (paper's getMostRanked). Ties keep `l1`.
+std::uint32_t most_ranked(std::uint32_t l1, std::uint32_t l2,
+                          const std::vector<double>& p_values) {
+  return p_values[l2] < p_values[l1] ? l2 : l1;
+}
+
 
 TEST(Chi2StatisticTest, NoAssociationIsZero) {
   // Identical proportions in both populations.

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "genome/cohort.hpp"
@@ -12,6 +14,26 @@
 
 namespace gendpr::stats {
 namespace {
+
+/// Homer's D statistic for one individual over the released SNPs, one SNP
+/// at a time: the reference homer_scores is checked against.
+/// `genotype[i]` is the victim's binary allele value at released SNP i;
+/// `case_freq` / `reference_freq` are the published frequencies.
+double homer_statistic(const std::vector<std::uint8_t>& genotype,
+                       const std::vector<double>& case_freq,
+                       const std::vector<double>& reference_freq) {
+  if (genotype.size() != case_freq.size() ||
+      genotype.size() != reference_freq.size()) {
+    throw std::invalid_argument("homer_statistic: size mismatch");
+  }
+  double d = 0.0;
+  for (std::size_t l = 0; l < genotype.size(); ++l) {
+    const double y = genotype[l] != 0 ? 1.0 : 0.0;
+    d += std::abs(y - reference_freq[l]) - std::abs(y - case_freq[l]);
+  }
+  return d;
+}
+
 
 TEST(HomerStatisticTest, HandComputedValue) {
   // y = [1, 0], p_case = [0.8, 0.1], p_ref = [0.5, 0.5].

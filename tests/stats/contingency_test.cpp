@@ -1,8 +1,9 @@
-#include "stats/contingency.hpp"
+#include "contingency_reference.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "ld_reference.hpp"
 #include "stats/ld.hpp"
 
 namespace gendpr::stats {

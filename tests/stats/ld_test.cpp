@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "ld_reference.hpp"
 #include "stats/special.hpp"
 
 namespace gendpr::stats {

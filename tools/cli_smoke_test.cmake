@@ -86,8 +86,44 @@ foreach(bad "--fpr;1.5" "--fpr;-0.5" "--power;1.2" "--maf;inf" "--ld;nan")
   endif()
 endforeach()
 
+# A slice that no longer matches its signed manifest is refused, naming the
+# file: flip one genotype character of gdo1.vcf (its last line holds only
+# genotypes).
+file(MAKE_DIRECTORY ${WORKDIR}/tampered)
+foreach(part gdo0.vcf gdo0.manifest gdo1.manifest gdo2.vcf gdo2.manifest
+             reference.vcf)
+  configure_file(${WORKDIR}/${part} ${WORKDIR}/tampered/${part} COPYONLY)
+endforeach()
+file(READ ${WORKDIR}/gdo1.vcf slice)
+string(LENGTH "${slice}" slice_length)
+math(EXPR last "${slice_length} - 2")
+string(SUBSTRING "${slice}" ${last} 1 genotype)
+if(genotype STREQUAL "0")
+  set(flipped 1)
+else()
+  set(flipped 0)
+endif()
+string(SUBSTRING "${slice}" 0 ${last} head)
+file(WRITE ${WORKDIR}/tampered/gdo1.vcf "${head}${flipped}\n")
+foreach(command assess release)
+  execute_process(
+    COMMAND ${CLI} ${command} ${WORKDIR}/tampered --gdos 3
+            --out ${WORKDIR}/tampered/release.tsv
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${command} with a tampered gdo1.vcf exited ${rc}, "
+                        "want 1")
+  endif()
+  if(NOT err MATCHES "gdo1.vcf")
+    message(FATAL_ERROR "${command} with a tampered gdo1.vcf did not name "
+                        "the file: ${err}")
+  endif()
+endforeach()
+
 # A reference panel or slice over other SNPs than gdo0.vcf is refused rather
-# than read past its end: swap in the file of a 60-SNP workspace.
+# than read past its end: swap in the file of a 60-SNP workspace. Each slice
+# travels with its own signed manifest, so the swap passes verification and
+# reaches the SNP-list check.
 file(MAKE_DIRECTORY ${WORKDIR}/short)
 execute_process(
   COMMAND ${CLI} gen ${WORKDIR}/short --cases 400 --controls 400 --snps 60
@@ -101,9 +137,14 @@ foreach(file reference.vcf gdo0.vcf)
   file(MAKE_DIRECTORY ${mixed})
   foreach(part gdo0.vcf gdo1.vcf gdo2.vcf reference.vcf)
     if(part STREQUAL file)
-      configure_file(${WORKDIR}/short/${part} ${mixed}/${part} COPYONLY)
+      set(source ${WORKDIR}/short)
     else()
-      configure_file(${WORKDIR}/${part} ${mixed}/${part} COPYONLY)
+      set(source ${WORKDIR})
+    endif()
+    configure_file(${source}/${part} ${mixed}/${part} COPYONLY)
+    string(REPLACE ".vcf" ".manifest" manifest ${part})
+    if(EXISTS ${source}/${manifest})
+      configure_file(${source}/${manifest} ${mixed}/${manifest} COPYONLY)
     endif()
   endforeach()
   execute_process(

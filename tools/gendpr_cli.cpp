@@ -3,26 +3,30 @@
 // Subcommands:
 //   gendpr gen <dir> [--cases N] [--controls N] [--snps L] [--gdos G]
 //          [--seed S]
-//       Generates a synthetic cohort, splits the cases into per-GDO signed
-//       VCF-lite files under <dir> (plus the reference panel), and writes a
-//       roster manifest.
+//       Generates a synthetic cohort, splits the cases into per-GDO VCF-lite
+//       files under <dir>, each with a signed manifest (gdo<g>.manifest), plus
+//       the reference panel.
 //   gendpr assess <dir> [--gdos G] [--f F | --conservative] [--maf C]
 //          [--ld C] [--fpr R] [--power P] [--seed S] [--tile-width W]
 //          [--epc-mb M]
-//       Loads the cohort from <dir>, verifies dataset signatures, runs the
-//       federated assessment, and prints the per-phase outcome.
+//       Loads the cohort from <dir>, verifies each slice against its signed
+//       manifest, runs the federated assessment, and prints the per-phase
+//       outcome.
 //   gendpr release <dir> [--out FILE] [--dp-epsilon E] [assess flags]
 //       Runs the assessment and writes the released GWAS statistics (TSV);
 //       with --dp-epsilon also publishes the withheld complement under DP
 //       (the paper's §5.5 hybrid release).
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "gendpr/report.hpp"
 #include "genome/vcf_lite.hpp"
 #include "obs/observability.hpp"
+#include "wire/serialize.hpp"
 
 namespace {
 
@@ -186,8 +191,105 @@ std::string reference_path(const std::string& dir) {
   return dir + "/reference.vcf";
 }
 
+std::string manifest_path(const std::string& dir, std::uint32_t g) {
+  return dir + "/gdo" + std::to_string(g) + ".manifest";
+}
+
+std::string dataset_name(std::uint32_t g) { return "gdo" + std::to_string(g); }
+
 common::Bytes roster_key() {
   return common::to_bytes("gendpr-cli-roster-key-v1");
+}
+
+/// A manifest on disk: the fields its signature binds, then the signature.
+common::Bytes encode_manifest(const genome::DatasetManifest& manifest) {
+  wire::Writer w;
+  w.string(manifest.dataset_name);
+  w.u64(manifest.num_individuals);
+  w.u64(manifest.num_snps);
+  w.raw(common::BytesView(manifest.content_digest.data(),
+                          manifest.content_digest.size()));
+  w.raw(common::BytesView(manifest.signature.data(),
+                          manifest.signature.size()));
+  return std::move(w).take();
+}
+
+common::Result<genome::DatasetManifest> decode_manifest(
+    common::BytesView data) {
+  wire::Reader r(data);
+  genome::DatasetManifest manifest;
+  auto name = r.string();
+  if (!name.ok()) return name.error();
+  auto individuals = r.u64();
+  if (!individuals.ok()) return individuals.error();
+  auto snps = r.u64();
+  if (!snps.ok()) return snps.error();
+  auto digest = r.raw(manifest.content_digest.size());
+  if (!digest.ok()) return digest.error();
+  auto signature = r.raw(manifest.signature.size());
+  if (!signature.ok()) return signature.error();
+  if (!r.exhausted()) {
+    return common::make_error(common::Errc::bad_message,
+                              "trailing bytes after the manifest");
+  }
+  manifest.dataset_name = std::move(name).take();
+  manifest.num_individuals = individuals.value();
+  manifest.num_snps = snps.value();
+  std::copy(digest.value().begin(), digest.value().end(),
+            manifest.content_digest.begin());
+  std::copy(signature.value().begin(), signature.value().end(),
+            manifest.signature.begin());
+  return manifest;
+}
+
+common::Result<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return common::make_error(common::Errc::io_error,
+                              "cannot open for read: " + path);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+common::Status write_file(const std::string& path, common::BytesView data) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(data.data()),
+            static_cast<std::streamsize>(data.size()));
+  if (!out) {
+    return common::make_error(common::Errc::io_error,
+                              "cannot write " + path);
+  }
+  return common::Status::success();
+}
+
+/// Reads slice g only if its manifest verifies under the roster key: signed
+/// for dataset gdo<g>, over exactly the slice's text.
+common::Result<genome::VcfLite> read_signed_slice(const std::string& dir,
+                                                  std::uint32_t g) {
+  const std::string path = slice_path(dir, g);
+  auto text = read_file(path);
+  if (!text.ok()) return text.error();
+  auto encoded = read_file(manifest_path(dir, g));
+  if (!encoded.ok()) return encoded.error();
+  const auto refused = [&path](const std::string& why) {
+    return common::make_error(common::Errc::attestation_rejected,
+                              path + ": " + why);
+  };
+  auto manifest = decode_manifest(common::to_bytes(encoded.value()));
+  if (!manifest.ok()) {
+    return refused("malformed manifest: " + manifest.error().message);
+  }
+  if (manifest.value().dataset_name != dataset_name(g)) {
+    return refused("manifest signs dataset " + manifest.value().dataset_name);
+  }
+  if (auto s = genome::verify_dataset(manifest.value(), text.value(),
+                                      roster_key());
+      !s.ok()) {
+    return refused(s.error().message);
+  }
+  return genome::read_vcf_lite(text.value());
 }
 
 int cmd_gen(const Args& args) {
@@ -216,7 +318,13 @@ int cmd_gen(const Args& args) {
       return 1;
     }
     const genome::DatasetManifest manifest = genome::sign_dataset(
-        "gdo" + std::to_string(g), genome::write_vcf_lite(vcf), roster_key());
+        dataset_name(g), genome::write_vcf_lite(vcf), roster_key());
+    if (auto s = write_file(manifest_path(args.dir, g),
+                            encode_manifest(manifest));
+        !s.ok()) {
+      std::fprintf(stderr, "%s\n", s.error().to_string().c_str());
+      return 1;
+    }
     std::printf("  wrote %s (%zu genomes, digest %s...)\n", path.c_str(),
                 vcf.genotypes.num_individuals(),
                 common::to_hex(common::BytesView(
@@ -254,7 +362,7 @@ common::Result<genome::Cohort> load_cohort(const Args& args) {
   };
   for (std::uint32_t g = 0; g < args.gdos; ++g) {
     const std::string path = slice_path(args.dir, g);
-    auto vcf = genome::read_vcf_lite_file(path);
+    auto vcf = read_signed_slice(args.dir, g);
     if (!vcf.ok()) return vcf.error();
     if (g == 0) snp_ids = vcf.value().snp_ids;
     if (auto s = same_snps(path, vcf.value()); !s.ok()) return s.error();
