@@ -1,6 +1,5 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -9,38 +8,12 @@ namespace gendpr::common {
 
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::warn};
 std::mutex g_write_mutex;
-
-const char* level_tag(LogLevel level) noexcept {
-  switch (level) {
-    case LogLevel::debug:
-      return "DEBUG";
-    case LogLevel::info:
-      return "INFO ";
-    case LogLevel::warn:
-      return "WARN ";
-    case LogLevel::error:
-      return "ERROR";
-    case LogLevel::off:
-      return "OFF  ";
-  }
-  return "?????";
-}
 
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel log_level() noexcept {
-  return g_level.load(std::memory_order_relaxed);
-}
-
 void log_line(LogLevel level, const std::string& component,
               const std::string& message) {
-  if (level < log_level()) return;
   const auto now = std::chrono::system_clock::now();
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       now.time_since_epoch())
@@ -48,8 +21,9 @@ void log_line(LogLevel level, const std::string& component,
   std::lock_guard<std::mutex> lock(g_write_mutex);
   std::fprintf(stderr, "[%lld.%03lld] %s [%s] %s\n",
                static_cast<long long>(ms / 1000),
-               static_cast<long long>(ms % 1000), level_tag(level),
-               component.c_str(), message.c_str());
+               static_cast<long long>(ms % 1000),
+               level == LogLevel::warn ? "WARN " : "ERROR", component.c_str(),
+               message.c_str());
 }
 
 }  // namespace gendpr::common

@@ -1,24 +1,20 @@
-// Minimal leveled logger.
+// Minimal logger for warnings and errors.
 //
-// The federation runner and examples log milestone events (attestation
-// complete, phase results); tests run with the logger silenced. A free
-// function API keeps call sites terse and avoids a singleton object graph.
+// The federation runner and the transports log faults (a lost peer, a
+// malformed frame, an unusable environment value) as one line each on
+// stderr. Every line prints: there is no threshold to set. A free function
+// API keeps call sites terse and avoids a singleton object graph.
 #pragma once
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace gendpr::common {
 
-enum class LogLevel { debug = 0, info = 1, warn = 2, error = 3, off = 4 };
+enum class LogLevel { warn, error };
 
-/// Sets the global minimum level (default: warn, so library users are quiet
-/// by default and tests stay clean).
-void set_log_level(LogLevel level) noexcept;
-LogLevel log_level() noexcept;
-
-/// Writes one line to stderr if `level` passes the global threshold.
-/// Thread-safe (line-at-a-time).
+/// Writes one line to stderr. Thread-safe (line-at-a-time).
 void log_line(LogLevel level, const std::string& component,
               const std::string& message);
 
@@ -32,31 +28,15 @@ std::string concat(Args&&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(const std::string& component, Args&&... args) {
-  if (log_level() <= LogLevel::debug)
-    log_line(LogLevel::debug, component,
-             detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void log_info(const std::string& component, Args&&... args) {
-  if (log_level() <= LogLevel::info)
-    log_line(LogLevel::info, component,
-             detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
 void log_warn(const std::string& component, Args&&... args) {
-  if (log_level() <= LogLevel::warn)
-    log_line(LogLevel::warn, component,
-             detail::concat(std::forward<Args>(args)...));
+  log_line(LogLevel::warn, component,
+           detail::concat(std::forward<Args>(args)...));
 }
 
 template <typename... Args>
 void log_error(const std::string& component, Args&&... args) {
-  if (log_level() <= LogLevel::error)
-    log_line(LogLevel::error, component,
-             detail::concat(std::forward<Args>(args)...));
+  log_line(LogLevel::error, component,
+           detail::concat(std::forward<Args>(args)...));
 }
 
 }  // namespace gendpr::common

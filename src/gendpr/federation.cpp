@@ -19,7 +19,6 @@
 #include "net/hub.hpp"
 #include "net/memory_hub.hpp"
 #include "tee/attestation.hpp"
-#include "wire/buffer_pool.hpp"
 
 namespace gendpr::core {
 
@@ -134,11 +133,6 @@ Result<StudyResult> run_sessions(
     return *loops[loop_index_of(gdo, num_loops)];
   };
 
-  // One buffer pool for the whole run: sessions serialize records into it,
-  // hubs return frame storage to it once delivered. It is thread-safe, so
-  // sessions sharded across loops share it freely, and it must outlive
-  // every hub and session below.
-  wire::BufferPool run_pool;
   net::MemoryHub::Registry registry;
 
   // All loop-owned objects (hubs, sessions, drivers) are built and wired on
@@ -148,7 +142,6 @@ Result<StudyResult> run_sessions(
                                     node_id_of(leader_gdo));
   if (!leader_hub_result.ok()) return leader_hub_result.error();
   std::unique_ptr<net::Hub> leader_hub = std::move(leader_hub_result).take();
-  leader_hub->set_buffer_pool(&run_pool);
 
   // Provisioning: every GDO's planes come straight from its row range,
   // each build split across the study's pool. No loop thread runs yet, so
@@ -168,7 +161,6 @@ Result<StudyResult> run_sessions(
   leader.set_receive_timeout(receive_timeout);
   leader.set_observability(spec.obs, study_span);
   leader.set_pool(pool);
-  leader.set_wire_pool(&run_pool);
 
   std::vector<std::uint32_t> member_gdos;
   std::vector<std::unique_ptr<net::Hub>> member_hubs;
@@ -179,12 +171,10 @@ Result<StudyResult> run_sessions(
     if (!hub.ok()) return hub.error();
     member_gdos.push_back(g);
     member_hubs.push_back(std::move(hub).take());
-    member_hubs.back()->set_buffer_pool(&run_pool);
     members.push_back(std::make_unique<MemberSession>(
         *platforms[g], g, leader_gdo, case_planes(g)));
     members.back()->set_receive_timeout(receive_timeout);
     members.back()->set_observability(spec.obs);
-    members.back()->set_wire_pool(&run_pool);
   }
   // A member that failed to provision (EPC limit) would never handshake and
   // the leader would wait forever - surface the error up front.
@@ -318,34 +308,19 @@ Result<StudyResult> run_sessions(
           static_cast<double>(loop_peaks[i]));
     }
 
-    // Zero-copy path accounting: pool behavior plus per-hub wire stats.
-    // copies_per_frame divides every payload copy into a pooled buffer
-    // (WireBuffer::from_payload: the handshake messages) by the frames
-    // actually sent; the sealed-record path itself copies nothing.
-    std::uint64_t frames_sent = 0;
+    // Per-hub wire stats: gathered writes and frames lost with failed
+    // dials.
     std::uint64_t writev_batches = 0;
     std::uint64_t dial_dropped = 0;
     const auto harvest_wire = [&](const net::Hub& hub) {
       const net::Hub::WireStats& ws = hub.wire_stats();
-      frames_sent += ws.frames_sent;
       writev_batches += ws.writev_batches;
       dial_dropped += ws.dial_dropped_frames;
     };
     harvest_wire(*leader_hub);
     for (const auto& hub : member_hubs) harvest_wire(*hub);
-    const wire::BufferPool::Stats pool_stats = run_pool.stats();
-    spec.obs->metrics.add_counter("net.pool.hits", pool_stats.hits);
-    spec.obs->metrics.add_counter("net.pool.misses", pool_stats.misses);
-    spec.obs->metrics.max_gauge(
-        "net.pool.outstanding",
-        static_cast<double>(pool_stats.peak_outstanding));
     spec.obs->metrics.add_counter("wire.writev_batches", writev_batches);
     spec.obs->metrics.add_counter("net.dial.dropped_frames", dial_dropped);
-    if (frames_sent > 0) {
-      spec.obs->metrics.set_gauge("wire.copies_per_frame",
-                                  static_cast<double>(pool_stats.copies) /
-                                      static_cast<double>(frames_sent));
-    }
   }
 
   if (!leader.status().ok()) {
@@ -414,8 +389,6 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   // Random leader election (§5.2 pre-processing step 1).
   const std::uint32_t leader_gdo =
       static_cast<std::uint32_t>(sim_rng.uniform_int(spec.num_gdos));
-  common::log_info("federation", "elected leader gdo ", leader_gdo, " of ",
-                   spec.num_gdos);
 
   // Equal division of case genomes among members (§7).
   const auto ranges =

@@ -17,7 +17,7 @@ namespace gendpr::core {
 struct FederationSpec {
   /// What carries the frames between the GDO sessions; every mode runs the
   /// same sessions under the same event-loop driver, so the bytes and the
-  /// results are the same. `in_process` moves pooled buffers between
+  /// results are the same. `in_process` moves payload vectors between
   /// in-memory hubs (net::MemoryHub), one event-loop thread per GDO.
   /// `epoll` uses EpollHub sockets on loopback TCP. `uring` runs the epoll
   /// transport (with a log line); it stays only because the benchmark

@@ -196,9 +196,8 @@ struct AbortNotice {
 };
 
 /// Every message exposes the same surface: encoded_size() returns the exact
-/// byte count serialize_into() will append, so the send path serializes
-/// straight into a pooled wire buffer and never regrows; deserialize()
-/// reads a body back.
+/// byte count serialize_into() will append, so the send path reserves once
+/// and never regrows; deserialize() reads a body back.
 
 /// Type-erased reference to any protocol message (anything with
 /// encoded_size()/serialize_into()). Lets the session send paths accept

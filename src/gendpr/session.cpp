@@ -24,22 +24,8 @@ bool is_peer_loss(const common::Error& error) {
   return error.code == Errc::unknown_peer || error.code == Errc::io_error;
 }
 
-/// Serializes `msg` with its envelope type byte straight into a pooled
-/// record buffer (at its final wire position, after the frame/seq headroom)
-/// and seals it in place: one serialization, zero payload copies.
-common::Status seal_enveloped(tee::SecureChannel& channel,
-                              wire::BufferPool& pool, MsgType type,
-                              MessageRef msg, wire::WireBuffer& out) {
-  out = wire::WireBuffer::for_record(pool, 1 + msg.encoded_size());
-  wire::Writer w(std::move(out).release_storage());
-  w.u8(static_cast<std::uint8_t>(type));
-  msg.serialize_into(w);
-  out.adopt_storage(std::move(w).take());
-  return channel.seal_in_place(out);
-}
-
-/// Serializes `msg` once for fan-out; every recipient then costs only a
-/// seal_from (AEAD pass into its own pooled buffer).
+/// Serializes `msg` with its envelope type byte once; every recipient then
+/// costs only a seal (one AEAD pass into the record it sends).
 StagedMessage stage_envelope(MsgType type, MessageRef msg) {
   StagedMessage staging;
   wire::Writer w;
@@ -185,16 +171,8 @@ std::vector<OutFrame> ProtocolSession::step(std::vector<InFrame> frames,
   return emitted;
 }
 
-void ProtocolSession::queue_frame(std::uint32_t to_gdo,
-                                  wire::WireBuffer payload) {
-  outbox_.push_back(OutFrame{to_gdo, std::move(payload)});
-}
-
 void ProtocolSession::queue_frame(std::uint32_t to_gdo, common::Bytes payload) {
-  queue_frame(to_gdo,
-              wire::WireBuffer::from_payload(
-                  wire_pool(),
-                  common::BytesView(payload.data(), payload.size())));
+  outbox_.push_back(OutFrame{to_gdo, std::move(payload)});
 }
 
 std::set<std::uint32_t> ProtocolSession::take_lost_peers() {
@@ -232,7 +210,8 @@ bool ProtocolSession::input_ready() noexcept {
   return false;
 }
 
-void ProtocolSession::suspend_for_input(std::coroutine_handle<> handle) noexcept {
+void ProtocolSession::suspend_for_input(
+    std::coroutine_handle<> handle) noexcept {
   resume_ = handle;
   wants_ = SessionWants::recv;
   // Fresh deadline per wait: every receive gets the full timeout.
@@ -243,7 +222,8 @@ void ProtocolSession::suspend_for_input(std::coroutine_handle<> handle) noexcept
   }
 }
 
-void ProtocolSession::suspend_for_sends(std::coroutine_handle<> handle) noexcept {
+void ProtocolSession::suspend_for_sends(
+    std::coroutine_handle<> handle) noexcept {
   resume_ = handle;
   wants_ = SessionWants::send;
 }
@@ -285,14 +265,12 @@ common::Error MemberSession::wait_error(bool timed_out,
 }
 
 common::Task<Status> MemberSession::send_reply(MsgType type, MessageRef msg) {
-  wire::WireBuffer record;
-  if (Status s = seal_enveloped(*channel_, wire_pool(), type, msg, record);
-      !s.ok()) {
-    co_return s;
-  }
+  const StagedMessage staging = stage_envelope(type, msg);
+  auto record = channel_->seal(staging.bytes);
+  if (!record.ok()) co_return record.error();
   obs::add_counter(obs_, "wire.serializations");
   obs::add_counter(obs_, "wire.records_sent");
-  queue_frame(leader_gdo_, std::move(record));
+  queue_frame(leader_gdo_, std::move(record).take());
   const std::vector<SendFailure> failures = co_await flush_sends();
   if (!failures.empty()) co_return failures.front().error;
   co_return Status::success();
@@ -317,7 +295,6 @@ ProtocolSession::Main MemberSession::run_protocol() {
                          "in handshake");
   }
   if (Status s = channel_->complete(handshake.payload); !s.ok()) co_return s;
-  common::log_debug("member", "gdo ", gdo_index_, " channel established");
 
   // Serve phase requests until the study completes. One scratch buffer is
   // reused across records so the hot loop does not allocate per message.
@@ -526,7 +503,8 @@ common::Task<Status> LeaderSession::establish_channels() {
       break;
     }
     if (event.kind == Event::Kind::closed) {
-      co_return make_error(Errc::state_violation, "mailbox closed in handshake");
+      co_return make_error(Errc::state_violation,
+                           "mailbox closed in handshake");
     }
     const std::uint32_t member = event.from_gdo;
     if (member >= num_gdos_ || member == gdo_index_) {
@@ -567,14 +545,8 @@ common::Task<Status> LeaderSession::send_staged(std::uint32_t gdo_index,
     co_return make_error(Errc::unknown_peer,
                          "no channel to gdo " + std::to_string(gdo_index));
   }
-  wire::WireBuffer record;
-  if (Status s = channels_[gdo_index]->seal_from(
-          wire_pool(),
-          common::BytesView(staging.bytes.data(), staging.bytes.size()),
-          record);
-      !s.ok()) {
-    co_return s;
-  }
+  auto record = channels_[gdo_index]->seal(staging.bytes);
+  if (!record.ok()) co_return record.error();
   // The first recipient pays for the (single) serialization; every further
   // one is a pure fan-out reuse. Counted lazily at seal time so the
   // conservation law serializations + fanout_reuses == records_sent holds
@@ -586,7 +558,7 @@ common::Task<Status> LeaderSession::send_staged(std::uint32_t gdo_index,
     obs::add_counter(obs_, "wire.serializations");
   }
   obs::add_counter(obs_, "wire.records_sent");
-  queue_frame(gdo_index, std::move(record));
+  queue_frame(gdo_index, std::move(record).take());
   const std::vector<SendFailure> failures = co_await flush_sends();
   for (const SendFailure& failure : failures) {
     if (failure.to_gdo == gdo_index) co_return Status(failure.error);

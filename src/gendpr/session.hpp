@@ -37,7 +37,6 @@
 #include "gendpr/trusted.hpp"
 #include "obs/observability.hpp"
 #include "tee/enclave.hpp"
-#include "wire/buffer_pool.hpp"
 
 namespace gendpr::core {
 
@@ -51,12 +50,11 @@ enum class SessionWants {
 };
 
 /// A frame the session wants delivered to `to_gdo`. The payload is the
-/// sealed record (or handshake message) exactly as it must cross the wire,
-/// held in a pooled buffer with frame-header headroom so the transport can
-/// stamp the header and queue the bytes without copying.
+/// sealed record (or handshake message) exactly as it must cross the wire;
+/// the driver moves it into the hub.
 struct OutFrame {
   std::uint32_t to_gdo = 0;
-  wire::WireBuffer payload;
+  common::Bytes payload;
 };
 
 /// A message serialized (and enveloped) once for fan-out: broadcast and
@@ -117,10 +115,6 @@ class ProtocolSession {
   /// are copied into the input queue exactly like the owning overload.
   void on_frame(std::uint32_t from_gdo, common::BytesView payload,
                 TimePoint now);
-
-  /// Pool backing this session's outgoing frames (nullptr = the process-wide
-  /// wire::default_pool()). Call before start().
-  void set_wire_pool(wire::BufferPool* pool) noexcept { wire_pool_ = pool; }
 
   /// Reports the passage of time. Resumes a recv wait with a timeout event
   /// iff `now` has reached next_deadline(); earlier ticks are ignored, so
@@ -263,15 +257,7 @@ class ProtocolSession {
   }
 
   /// Queues one frame for the next flush_sends().
-  void queue_frame(std::uint32_t to_gdo, wire::WireBuffer payload);
-  /// Convenience for unpooled payloads (handshake messages): copies the
-  /// bytes into a pooled buffer. Not used on the steady-state record path.
   void queue_frame(std::uint32_t to_gdo, common::Bytes payload);
-
-  /// Pool to serialize outgoing frames into (set_wire_pool or the default).
-  wire::BufferPool& wire_pool() const noexcept {
-    return wire_pool_ != nullptr ? *wire_pool_ : wire::default_pool();
-  }
 
   /// Drains the transport-reported peer losses accumulated since the last
   /// call (the session-side analogue of the node's hook_dead_ set).
@@ -313,7 +299,6 @@ class ProtocolSession {
   std::set<std::uint32_t> lost_peers_;
   bool lost_wake_pending_ = false;
   bool closed_ = false;
-  wire::BufferPool* wire_pool_ = nullptr;
 };
 
 /// Member-side protocol session: handshakes with the leader, then answers

@@ -91,8 +91,8 @@ void SessionDriver::pump() {
       case SessionWants::send: {
         std::vector<SendFailure> failures;
         for (OutFrame& frame : session_->take_output()) {
-          const common::Status sent = hub_->send_frame(
-              node_id_of(frame.to_gdo), std::move(frame.payload));
+          const common::Status sent =
+              hub_->send(node_id_of(frame.to_gdo), std::move(frame.payload));
           if (!sent.ok()) {
             failures.push_back(SendFailure{frame.to_gdo, sent.error()});
           }

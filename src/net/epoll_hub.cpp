@@ -188,10 +188,9 @@ void EpollHub::read_frames(const std::shared_ptr<Conn>& conn) {
 }
 
 void EpollHub::enqueue_frame(const std::shared_ptr<Conn>& conn,
-                             wire::WireBuffer buf) {
-  conn->queued_bytes += buf.frame().size();
-  conn->write_queue.push_back(std::move(buf));
-  wire_stats_.frames_sent += 1;
+                             common::Bytes frame) {
+  conn->queued_bytes += frame.size();
+  conn->write_queue.push_back(std::move(frame));
   note_enqueued(conn->peer, conn->queued_bytes, conn->paused);
 }
 
@@ -202,9 +201,8 @@ void EpollHub::flush_writes(const std::shared_ptr<Conn>& conn) {
     // each. sendmsg rather than writev for MSG_NOSIGNAL.
     iovec iov[kWritevBatch];
     int iovcnt = 0;
-    for (const wire::WireBuffer& buf : conn->write_queue) {
+    for (const common::Bytes& frame : conn->write_queue) {
       if (iovcnt == kWritevBatch) break;
-      const common::BytesView frame = buf.frame();
       const std::size_t skip =
           iovcnt == 0 ? conn->write_offset : std::size_t{0};
       iov[iovcnt].iov_base =
@@ -227,10 +225,10 @@ void EpollHub::flush_writes(const std::shared_ptr<Conn>& conn) {
     conn->queued_bytes -= written;
     while (written > 0) {
       const std::size_t front_remaining =
-          conn->write_queue.front().frame().size() - conn->write_offset;
+          conn->write_queue.front().size() - conn->write_offset;
       if (written >= front_remaining) {
         written -= front_remaining;
-        conn->write_queue.pop_front();  // pooled storage returns here
+        conn->write_queue.pop_front();
         conn->write_offset = 0;
       } else {
         conn->write_offset += written;
@@ -387,13 +385,11 @@ void EpollHub::finish_dial(NodeId peer, const std::shared_ptr<Conn>& conn) {
   auto it = dials_.find(peer);
   // Hello first, then everything queued while the dial was in flight,
   // preserving send order.
-  wire::WireBuffer hello =
-      wire::WireBuffer::from_frame(pool(), wire::encode_hello(self_));
-  enqueue_frame(conn, std::move(hello));
+  enqueue_frame(conn, wire::encode_hello(self_));
   if (it != dials_.end()) {
-    for (wire::WireBuffer& buf : it->second.pending) {
-      meter_.record(self_, peer, buf.payload_size());
-      enqueue_frame(conn, std::move(buf));
+    for (common::Bytes& frame : it->second.pending) {
+      meter_.record(self_, peer, frame.size() - wire::kFrameHeaderBytes);
+      enqueue_frame(conn, std::move(frame));
     }
     dials_.erase(it);
   }
@@ -401,24 +397,24 @@ void EpollHub::finish_dial(NodeId peer, const std::shared_ptr<Conn>& conn) {
   flush_writes(conn);
 }
 
-Status EpollHub::send_frame(NodeId to, wire::WireBuffer buf) {
-  buf.finish_frame(self_);
+Status EpollHub::send(NodeId to, common::Bytes payload) {
+  common::Bytes frame = wire::encode_frame(self_, payload);
   if (auto dial = dials_.find(to); dial != dials_.end()) {
-    // Still pooled: the buffer waits in its wire shape until the dial
-    // resolves, with no eager re-encode and no extra copy.
-    dial->second.pending.push_back(std::move(buf));
+    // The frame waits in its wire shape until the dial resolves.
+    dial->second.pending.push_back(std::move(frame));
     return Status::success();
   }
   auto it = peers_.find(to);
   if (it == peers_.end()) {
     const bool lost = lost_peers_.count(to) > 0;
-    return make_error(Errc::unknown_peer,
-                      (lost ? "connection to node " : "no connection to node ") +
-                          std::to_string(to) + (lost ? " was lost" : ""));
+    return make_error(
+        Errc::unknown_peer,
+        (lost ? "connection to node " : "no connection to node ") +
+            std::to_string(to) + (lost ? " was lost" : ""));
   }
   const std::shared_ptr<Conn> conn = it->second;
-  meter_.record(self_, to, buf.payload_size());
-  enqueue_frame(conn, std::move(buf));
+  meter_.record(self_, to, payload.size());
+  enqueue_frame(conn, std::move(frame));
   // Opportunistic flush: most frames fit the socket buffer, so this usually
   // drains the queue without an epoll round trip.
   flush_writes(conn);

@@ -3,9 +3,9 @@
 //
 // EpollHub is a callback front-end for a single-threaded epoll loop: frames
 // arrive through set_frame_handler, connection losses through
-// set_peer_lost_handler, and send_frame() enqueues pooled WireBuffers into a
-// per-connection write queue flushed with gathered writes (one sendmsg batch
-// coalesces many small frames) as EPOLLOUT allows. Crossing the
+// set_peer_lost_handler, and send() encodes each payload into one whole frame
+// on a per-connection write queue flushed with gathered writes (one sendmsg
+// batch coalesces many small frames) as EPOLLOUT allows. Crossing the
 // per-connection write watermark fires the backpressure handler (see
 // net/hub.hpp). Dialing is nonblocking with timer-driven, jittered
 // exponential backoff, and frames sent while a dial is still in flight are
@@ -49,7 +49,7 @@ class EpollHub : public Hub {
                     DialOptions options) override;
   using Hub::connect_peer;
 
-  common::Status send_frame(NodeId to, wire::WireBuffer buf) override;
+  common::Status send(NodeId to, common::Bytes payload) override;
 
   bool is_connected(NodeId peer) const override;
 
@@ -67,7 +67,7 @@ class EpollHub : public Hub {
     bool awaiting_hello = false;  // inbound: first frame must be the hello
     bool paused = false;       // write queue above the high watermark
     wire::FrameDecoder decoder;
-    std::deque<wire::WireBuffer> write_queue;  // pooled, header-stamped frames
+    std::deque<common::Bytes> write_queue;  // whole frames, header included
     std::size_t write_offset = 0;  // bytes of the front frame already written
     std::size_t queued_bytes = 0;  // unsent bytes across the whole queue
     std::uint32_t watched_events = 0;
@@ -87,9 +87,9 @@ class EpollHub : public Hub {
     std::uint16_t port = 0;
     int attempts_left = 0;
     std::chrono::milliseconds backoff{0};
-    /// Pooled frames queued before the connection exists; flushed after the
+    /// Frames queued before the connection exists; flushed after the
     /// hello, or dropped (and counted) when the dial permanently fails.
-    std::deque<wire::WireBuffer> pending;
+    std::deque<common::Bytes> pending;
     std::optional<EventLoop::TimerId> retry_timer;
   };
 
@@ -99,7 +99,7 @@ class EpollHub : public Hub {
   void on_conn_ready(const std::shared_ptr<Conn>& conn, std::uint32_t events);
   void on_dial_writable(const std::shared_ptr<Conn>& conn);
   void read_frames(const std::shared_ptr<Conn>& conn);
-  void enqueue_frame(const std::shared_ptr<Conn>& conn, wire::WireBuffer buf);
+  void enqueue_frame(const std::shared_ptr<Conn>& conn, common::Bytes frame);
   void flush_writes(const std::shared_ptr<Conn>& conn);
   void update_events(const std::shared_ptr<Conn>& conn);
   /// Tears the connection down; established peers are reported lost.

@@ -29,7 +29,6 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "wire/buffer_pool.hpp"
 
 namespace gendpr::net {
 
@@ -74,9 +73,9 @@ class TrafficMeter {
 
 class Hub {
  public:
-  /// Inbound payloads are views into the hub's pooled receive buffer, valid
-  /// only for the duration of the call — sessions decrypt in place (open_to)
-  /// or copy before returning.
+  /// Inbound payloads are views into the hub's receive buffer, valid only
+  /// for the duration of the call — sessions decrypt in place (open_to) or
+  /// copy before returning.
   using FrameHandler =
       std::function<void(NodeId from, common::BytesView payload)>;
   using PeerLostHandler = std::function<void(NodeId peer)>;
@@ -108,9 +107,8 @@ class Hub {
     std::uint64_t peak_queued_bytes = 0;
   };
 
-  /// Zero-copy frame-path telemetry.
+  /// Frame-path telemetry.
   struct WireStats {
-    std::uint64_t frames_sent = 0;
     std::uint64_t writev_batches = 0;  // gathered sendmsg calls
     std::uint64_t dial_dropped_frames = 0;  // queued on dials that failed
   };
@@ -144,14 +142,6 @@ class Hub {
   const WireStats& wire_stats() const noexcept { return wire_stats_; }
   TrafficMeter& meter() noexcept { return meter_; }
 
-  /// Buffer pool backing this hub's frames. Defaults to the process-wide
-  /// pool; a federation run installs one pool shared with its sessions so
-  /// send buffers cycle session → hub → pool without crossing pools.
-  void set_buffer_pool(wire::BufferPool* pool) noexcept { pool_ = pool; }
-  wire::BufferPool& pool() noexcept {
-    return pool_ != nullptr ? *pool_ : wire::default_pool();
-  }
-
   /// Starts a nonblocking dial to a peer hub. Frames sent to `peer` before
   /// the dial completes are buffered and flushed (after the hello) once it
   /// does; if every attempt fails the peer is reported lost. In-memory hubs
@@ -162,21 +152,11 @@ class Hub {
     connect_peer(peer, host, port, DialOptions{});
   }
 
-  /// Enqueues one pooled frame for `peer`. The buffer arrives with its
-  /// payload in final wire position; the hub stamps the frame header
-  /// (finish_frame) and queues the buffer as-is — no copy between the
-  /// session and the kernel. Success means accepted for delivery (written as
-  /// the kernel allows), not yet on the wire; unknown_peer means there is no
-  /// live or in-flight connection to the peer.
-  virtual common::Status send_frame(NodeId to, wire::WireBuffer buf) = 0;
-
-  /// Convenience over send_frame for callers holding an owning payload
-  /// (tests, tools): copies once into a pooled buffer.
-  common::Status send(NodeId to, common::Bytes payload) {
-    return send_frame(to, wire::WireBuffer::from_payload(
-                              pool(), common::BytesView(payload.data(),
-                                                        payload.size())));
-  }
+  /// Enqueues one payload for `to`; the hub takes ownership of the bytes.
+  /// Success means accepted for delivery (written as the kernel allows), not
+  /// yet on the wire; unknown_peer means there is no live or in-flight
+  /// connection to the peer.
+  virtual common::Status send(NodeId to, common::Bytes payload) = 0;
 
   /// True while an established connection to `peer` is registered.
   virtual bool is_connected(NodeId peer) const = 0;
@@ -237,7 +217,6 @@ class Hub {
   Watermarks watermarks_;
   BackpressureStats bp_stats_;
   WireStats wire_stats_;
-  wire::BufferPool* pool_ = nullptr;
   TrafficMeter meter_;
   FrameHandler frame_handler_;
   PeerLostHandler peer_lost_handler_;

@@ -51,9 +51,6 @@ MemoryHub::~MemoryHub() {
   for (Item& item : undelivered) {
     if (item.kind == Item::Kind::link) links_[item.from] = std::move(item.peer);
   }
-  // Undelivered frames return their buffers to the pool here, while it is
-  // still alive.
-  undelivered.clear();
   for (const auto& [peer, peer_inbox] : links_) {
     push(peer_inbox, Item{Item::Kind::lost, self_, {}, nullptr});
   }
@@ -81,8 +78,8 @@ void MemoryHub::drain(const std::shared_ptr<Inbox>& inbox) {
     inbox->drain_posted = false;
   }
   // A handler may destroy the hub mid-batch. Items are popped before
-  // delivery so each frame's buffer is released as soon as its handler
-  // returns, not when the whole batch is done.
+  // delivery so each frame is freed as soon as its handler returns, not
+  // when the whole batch is done.
   while (!batch.empty() && inbox->hub != nullptr) {
     Item item = std::move(batch.front());
     batch.pop_front();
@@ -102,17 +99,10 @@ void MemoryHub::on_item(Item& item) {
       common::log_warn("memory", "hub ", self_, " lost peer ", item.from);
       if (peer_lost_handler_) peer_lost_handler_(item.from);
       return;
-    case Item::Kind::frame: {
-      const common::BytesView payload = item.frame.payload();
-      meter_.record(item.from, self_, payload.size());
-      if (frame_handler_) frame_handler_(item.from, payload);
-      // Freed, not pooled: the sender's pool would otherwise collect the
-      // largest records the receivers consumed and hold them for the rest
-      // of the run. (A socket hub's buffer returns once the kernel copied
-      // it, and the receiver never sees it.)
-      item.frame.discard();
+    case Item::Kind::frame:
+      meter_.record(item.from, self_, item.frame.size());
+      if (frame_handler_) frame_handler_(item.from, item.frame);
       return;
-    }
   }
 }
 
@@ -138,16 +128,18 @@ void MemoryHub::connect_peer(NodeId peer, const std::string& host,
   links_[peer] = std::move(peer_inbox);
 }
 
-Status MemoryHub::send_frame(NodeId to, wire::WireBuffer buf) {
+Status MemoryHub::send(NodeId to, common::Bytes payload) {
   auto it = links_.find(to);
   if (it == links_.end()) {
     const bool lost = lost_peers_.count(to) > 0;
-    return make_error(Errc::unknown_peer,
-                      (lost ? "connection to node " : "no connection to node ") +
-                          std::to_string(to) + (lost ? " was lost" : ""));
+    return make_error(
+        Errc::unknown_peer,
+        (lost ? "connection to node " : "no connection to node ") +
+            std::to_string(to) + (lost ? " was lost" : ""));
   }
-  const std::size_t bytes = buf.payload_size();
-  if (!push(it->second, Item{Item::Kind::frame, self_, std::move(buf), {}})) {
+  const std::size_t bytes = payload.size();
+  if (!push(it->second,
+            Item{Item::Kind::frame, self_, std::move(payload), {}})) {
     // The peer is gone; its loss notice is already queued for this hub.
     return make_error(Errc::unknown_peer,
                       "connection to node " + std::to_string(to) +
@@ -155,7 +147,6 @@ Status MemoryHub::send_frame(NodeId to, wire::WireBuffer buf) {
   }
   // Meter only delivered bytes, as the socket hubs do.
   meter_.record(self_, to, bytes);
-  wire_stats_.frames_sent += 1;
   return Status::success();
 }
 

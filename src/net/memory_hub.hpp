@@ -1,10 +1,10 @@
 // In-process transport behind the Hub seam.
 //
 // A MemoryHub is a GDO endpoint whose links are in-memory queues instead of
-// sockets. send_frame() moves the pooled WireBuffer itself into the peer
-// hub's inbox and, when the inbox was empty, posts one drain task to the
-// peer's EventLoop; the drain hands each payload view to the frame handler
-// on that loop's thread and the buffer then returns to its pool. No framing,
+// sockets. send() moves the payload vector itself into the peer hub's inbox
+// and, when the inbox was empty, posts one drain task to the peer's
+// EventLoop; the drain hands each payload view to the frame handler on that
+// loop's thread and frees the vector once the handler returns. No framing,
 // no copy, no syscall beyond the loop wakeup.
 //
 // Hubs find each other through a MemoryHub::Registry shared by one
@@ -58,7 +58,7 @@ class MemoryHub : public Hub {
                     DialOptions options) override;
   using Hub::connect_peer;
 
-  common::Status send_frame(NodeId to, wire::WireBuffer buf) override;
+  common::Status send(NodeId to, common::Bytes payload) override;
 
   bool is_connected(NodeId peer) const override;
 
@@ -69,7 +69,7 @@ class MemoryHub : public Hub {
     enum class Kind { frame, link, lost };
     Kind kind = Kind::frame;
     NodeId from = kNoNode;
-    wire::WireBuffer frame;
+    common::Bytes frame;
     std::shared_ptr<Inbox> peer;  // kind == link: the dialer's inbox
   };
 

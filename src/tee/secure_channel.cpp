@@ -133,57 +133,6 @@ common::Result<common::Bytes> SecureChannel::seal(
   return record;
 }
 
-common::Status SecureChannel::seal_in_place(wire::WireBuffer& buf) {
-  if (!established_) {
-    return common::make_error(common::Errc::state_violation,
-                              "seal before handshake completed");
-  }
-  constexpr std::size_t kBase =
-      wire::WireBuffer::kHeaderBytes + wire::WireBuffer::kSeqBytes;
-  common::Bytes& storage = buf.storage();
-  if (storage.size() < kBase) {
-    return common::make_error(common::Errc::state_violation,
-                              "seal_in_place on a non-record buffer");
-  }
-  const std::size_t plaintext_size = storage.size() - kBase;
-  const std::uint64_t seq = send_seq_++;
-  // for_record reserved the tag bytes up front, so this never reallocates —
-  // the plaintext view below stays valid.
-  storage.resize(storage.size() + crypto::kGcmTagSize);
-  std::uint8_t* seq_at = storage.data() + wire::WireBuffer::kHeaderBytes;
-  for (int i = 0; i < 8; ++i) {
-    seq_at[i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  send_ctx_->seal_into(nonce_for_seq(seq), common::BytesView(seq_at, 8),
-                       common::BytesView(storage.data() + kBase,
-                                         plaintext_size),
-                       storage.data() + kBase);
-  return common::Status::success();
-}
-
-common::Status SecureChannel::seal_from(wire::BufferPool& pool,
-                                        common::BytesView plaintext,
-                                        wire::WireBuffer& out) {
-  if (!established_) {
-    return common::make_error(common::Errc::state_violation,
-                              "seal before handshake completed");
-  }
-  constexpr std::size_t kBase =
-      wire::WireBuffer::kHeaderBytes + wire::WireBuffer::kSeqBytes;
-  wire::WireBuffer buf = wire::WireBuffer::for_record(pool, plaintext.size());
-  common::Bytes& storage = buf.storage();
-  storage.resize(kBase + plaintext.size() + crypto::kGcmTagSize);
-  const std::uint64_t seq = send_seq_++;
-  std::uint8_t* seq_at = storage.data() + wire::WireBuffer::kHeaderBytes;
-  for (int i = 0; i < 8; ++i) {
-    seq_at[i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  send_ctx_->seal_into(nonce_for_seq(seq), common::BytesView(seq_at, 8),
-                       plaintext, storage.data() + kBase);
-  out = std::move(buf);
-  return common::Status::success();
-}
-
 common::Result<common::Bytes> SecureChannel::open(common::BytesView record) {
   common::Bytes plaintext;
   if (auto status = open_to(record, plaintext); !status.ok()) {

@@ -23,7 +23,6 @@
 #include "crypto/csprng.hpp"
 #include "crypto/x25519.hpp"
 #include "tee/attestation.hpp"
-#include "wire/buffer_pool.hpp"
 
 namespace gendpr::tee {
 
@@ -56,20 +55,6 @@ class SecureChannel {
   /// written in place and doubles as the AAD, and the AEAD engine encrypts
   /// directly into the tail — no intermediate ciphertext copy.
   common::Result<common::Bytes> seal(common::BytesView plaintext);
-
-  /// Zero-copy variant of seal for the pooled frame path: `buf` was built
-  /// with WireBuffer::for_record and holds the plaintext at its final wire
-  /// position. The sequence header is written into the reserved slot and the
-  /// plaintext is encrypted in place (seal_into supports out == plaintext),
-  /// growing the buffer by the 16-byte tag — no copy at all.
-  common::Status seal_in_place(wire::WireBuffer& buf);
-
-  /// Fan-out variant: seals an externally staged plaintext (serialized once,
-  /// reused across peers) into a fresh pooled record buffer. The per-peer
-  /// cost is exactly the AEAD pass; the staging bytes are never copied
-  /// unencrypted.
-  common::Status seal_from(wire::BufferPool& pool, common::BytesView plaintext,
-                           wire::WireBuffer& out);
 
   /// Decrypts the next record; enforces strict sequence ordering.
   common::Result<common::Bytes> open(common::BytesView record);

@@ -73,7 +73,9 @@ class FrameDecoder {
   common::Result<std::optional<Frame>> next();
 
   /// Bytes buffered but not yet consumed by next().
-  std::size_t buffered() const noexcept { return stash_.size() + chunk_.size(); }
+  std::size_t buffered() const noexcept {
+    return stash_.size() + chunk_.size();
+  }
 
  private:
   /// Unconsumed remainder of the chunk passed to the last feed().

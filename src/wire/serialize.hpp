@@ -20,11 +20,6 @@ namespace gendpr::wire {
 class Writer {
  public:
   Writer() = default;
-  /// Adopts existing storage and appends at its end — the in-place
-  /// serialization hook for pooled WireBuffers, which hand over storage that
-  /// already holds frame/record headroom.
-  explicit Writer(common::Bytes storage) noexcept
-      : buffer_(std::move(storage)) {}
 
   /// Pre-sizes the buffer for `additional` more bytes; pairs with the
   /// messages' encoded_size() so serialization allocates at most once.

@@ -33,11 +33,6 @@ using gendpr::core::ProtocolSession;
 using gendpr::core::SessionWants;
 using gendpr::genome::BitPlanes;
 
-/// Owning copy of an emitted frame's payload.
-gendpr::common::Bytes bytes_of(const gendpr::wire::WireBuffer& frame) {
-  return gendpr::common::Bytes(frame.payload().begin(), frame.payload().end());
-}
-
 constexpr std::uint8_t kMemberRole = 0;
 constexpr std::uint8_t kLeaderRole = 1;
 
@@ -116,7 +111,7 @@ int main(int argc, char** argv) {
   const auto collect = [&](std::uint32_t from, std::vector<OutFrame> frames) {
     for (OutFrame& frame : frames) {
       in_flight.push_back(Delivery{
-          from, frame.to_gdo, bytes_of(frame.payload)});
+          from, frame.to_gdo, std::move(frame.payload)});
     }
   };
   for (std::uint32_t g = 0; g < sessions.size(); ++g) {

@@ -18,10 +18,10 @@ namespace {
 struct LeaderFixture {
   genome::Cohort cohort;
   tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x51}};
-  tee::Platform leader_platform{1, authority,
-                                crypto::Csprng(std::array<std::uint8_t, 32>{1})};
-  tee::Platform member_platform{2, authority,
-                                crypto::Csprng(std::array<std::uint8_t, 32>{2})};
+  tee::Platform leader_platform{
+      1, authority, crypto::Csprng(std::array<std::uint8_t, 32>{1})};
+  tee::Platform member_platform{
+      2, authority, crypto::Csprng(std::array<std::uint8_t, 32>{2})};
 
   LeaderFixture() {
     genome::CohortSpec spec;

@@ -21,11 +21,6 @@ namespace {
 
 using Clock = ProtocolSession::Clock;
 
-/// Owning copy of an emitted frame's payload.
-common::Bytes bytes_of(const wire::WireBuffer& frame) {
-  return common::Bytes(frame.payload().begin(), frame.payload().end());
-}
-
 /// One delivered frame of a pumped federation, in delivery order.
 struct TranscriptEntry {
   std::uint32_t from = 0;
@@ -42,7 +37,7 @@ std::vector<TranscriptEntry> pump_federation(
   const auto collect = [&](std::uint32_t from, std::vector<OutFrame> frames) {
     for (OutFrame& frame : frames) {
       in_flight.push_back(TranscriptEntry{
-          from, frame.to_gdo, bytes_of(frame.payload)});
+          from, frame.to_gdo, std::move(frame.payload)});
     }
   };
   for (std::uint32_t g = 0; g < sessions.size(); ++g) {
@@ -233,11 +228,11 @@ TEST(SessionTest, AnnounceCarriesNothingOfTheCollusionPolicy) {
       others.push_back(fixture.make_member(g));
       std::vector<OutFrame> handshake = others.back()->step({});
       ASSERT_EQ(handshake.size(), 1u);
-      handshakes.push_back(InFrame{g, bytes_of(handshake[0].payload)});
+      handshakes.push_back(InFrame{g, handshake[0].payload});
     }
     std::vector<common::Bytes> to_member;
     for (const OutFrame& frame : leader->step(std::move(handshakes))) {
-      if (frame.to_gdo == 1) to_member.push_back(bytes_of(frame.payload));
+      if (frame.to_gdo == 1) to_member.push_back(frame.payload);
     }
     ASSERT_EQ(leader->wants(), SessionWants::recv);
     ASSERT_EQ(to_member.size(), 2u);  // handshake reply, then the announce
@@ -272,7 +267,7 @@ TEST(SessionTest, TruncatedHandshakeFails) {
   auto member = fixture.make_member(1);
   std::vector<OutFrame> handshake = member->step({});
   ASSERT_EQ(handshake.size(), 1u);
-  common::Bytes truncated = bytes_of(handshake[0].payload);
+  common::Bytes truncated = handshake[0].payload;
   truncated.resize(truncated.size() / 2);
   leader->step({InFrame{1, std::move(truncated)}});
   ASSERT_EQ(leader->wants(), SessionWants::failed);
@@ -291,7 +286,7 @@ TEST(SessionTest, WrongAuthorityHandshakeIsRejected) {
                       genome::BitPlanes(fixture.cohort.cases, 0, 40));
   std::vector<OutFrame> handshake = rogue.step({});
   ASSERT_EQ(handshake.size(), 1u);
-  leader->step({InFrame{1, bytes_of(handshake[0].payload)}});
+  leader->step({InFrame{1, handshake[0].payload}});
   ASSERT_EQ(leader->wants(), SessionWants::failed);
   EXPECT_EQ(leader->status().error().code, common::Errc::attestation_rejected);
 }
@@ -308,12 +303,12 @@ TEST(SessionTest, TamperedRecordFailsDecryption) {
   ASSERT_EQ(hs1.size(), 1u);
   ASSERT_EQ(hs2.size(), 1u);
   std::vector<OutFrame> replies =
-      leader->step({InFrame{1, bytes_of(hs1[0].payload)},
-                    InFrame{2, bytes_of(hs2[0].payload)}});
+      leader->step({InFrame{1, hs1[0].payload},
+                    InFrame{2, hs2[0].payload}});
   common::Bytes to_member1;
   for (OutFrame& frame : replies) {
     if (frame.to_gdo == 1 && to_member1.empty()) {
-      to_member1 = bytes_of(frame.payload);
+      to_member1 = frame.payload;
     }
   }
   ASSERT_FALSE(to_member1.empty());
@@ -333,8 +328,8 @@ TEST(SessionTest, ReplayedRecordIsRejected) {
   std::vector<OutFrame> hs1 = member1->step({});
   std::vector<OutFrame> hs2 = member2->step({});
   std::vector<OutFrame> replies =
-      leader->step({InFrame{1, bytes_of(hs1[0].payload)},
-                    InFrame{2, bytes_of(hs2[0].payload)}});
+      leader->step({InFrame{1, hs1[0].payload},
+                    InFrame{2, hs2[0].payload}});
   // First frame to member 1 is its handshake reply; the next (the sealed
   // study announce) is the replay victim.
   common::Bytes reply1;
@@ -342,9 +337,9 @@ TEST(SessionTest, ReplayedRecordIsRejected) {
   for (OutFrame& frame : replies) {
     if (frame.to_gdo != 1) continue;
     if (reply1.empty()) {
-      reply1 = bytes_of(frame.payload);
+      reply1 = frame.payload;
     } else if (announce1.empty()) {
-      announce1 = bytes_of(frame.payload);
+      announce1 = frame.payload;
     }
   }
   ASSERT_FALSE(reply1.empty());
@@ -373,7 +368,7 @@ TEST(SessionTest, UnexpectedMessageTypeFails) {
   ASSERT_TRUE(fake_leader.provision_dataset(leader_cases).ok());
   auto channel = fake_leader.channel_to(trusted_module_measurement(),
                                         /*initiator=*/false);
-  ASSERT_TRUE(channel->complete(handshake[0].payload.payload()).ok());
+  ASSERT_TRUE(channel->complete(handshake[0].payload).ok());
   member->step({InFrame{0, channel->handshake_message()}});
   ASSERT_EQ(member->wants(), SessionWants::recv);
 
@@ -458,10 +453,10 @@ TEST(SessionTest, SilentMemberTimesOutAndSurvivorGetsAbortNotice) {
   std::vector<OutFrame> hs1 = member1->step({}, start);
   ASSERT_EQ(hs1.size(), 1u);
   std::vector<OutFrame> replies =
-      leader->step({InFrame{1, bytes_of(hs1[0].payload)}},
+      leader->step({InFrame{1, hs1[0].payload}},
                    start);
   ASSERT_EQ(replies.size(), 1u);
-  member1->step({InFrame{0, bytes_of(replies[0].payload)}},
+  member1->step({InFrame{0, replies[0].payload}},
                 start);
   ASSERT_EQ(member1->wants(), SessionWants::recv);
 
@@ -475,7 +470,7 @@ TEST(SessionTest, SilentMemberTimesOutAndSurvivorGetsAbortNotice) {
   ASSERT_EQ(aborts.size(), 1u);
   EXPECT_EQ(aborts[0].to_gdo, 1u);
 
-  member1->step({InFrame{0, bytes_of(aborts[0].payload)}});
+  member1->step({InFrame{0, aborts[0].payload}});
   ASSERT_EQ(member1->wants(), SessionWants::failed);
   EXPECT_EQ(member1->status().error().code, common::Errc::aborted);
   EXPECT_NE(member1->status().error().message.find("study aborted by leader"),
@@ -511,8 +506,8 @@ TEST(SessionTest, FramesArrivingMidComputeAreBuffered) {
   auto member2 = fixture.make_member(2);
   std::vector<OutFrame> hs1 = member1->step({});
   std::vector<OutFrame> hs2 = member2->step({});
-  leader->on_frame(1, bytes_of(hs1[0].payload), Clock::now());
-  leader->on_frame(2, bytes_of(hs2[0].payload), Clock::now());
+  leader->on_frame(1, hs1[0].payload, Clock::now());
+  leader->on_frame(2, hs2[0].payload, Clock::now());
   const std::vector<OutFrame> replies = leader->step({});
   ASSERT_EQ(leader->wants(), SessionWants::recv);
   // Handshake replies for both members plus the first sealed requests.

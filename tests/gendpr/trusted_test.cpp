@@ -47,7 +47,8 @@ struct Fixture {
 
 TEST(IntersectSortedTest, BasicCases) {
   EXPECT_TRUE(intersect_sorted({}).empty());
-  EXPECT_EQ(intersect_sorted({{1, 2, 3}}), (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(intersect_sorted({{1, 2, 3}}),
+            (std::vector<std::uint32_t>{1, 2, 3}));
   EXPECT_EQ(intersect_sorted({{1, 2, 3}, {2, 3, 4}}),
             (std::vector<std::uint32_t>{2, 3}));
   EXPECT_EQ(intersect_sorted({{1, 2}, {3, 4}}), (std::vector<std::uint32_t>{}));

@@ -235,7 +235,7 @@ def check_lr_counters(doc, study, tiles, dead_gdos, l_double_prime):
 
 
 def check_wire_counters(doc, study, tiles, degraded):
-    """Serialize-once accounting over the pooled send path.
+    """Serialize-once accounting over the sealed send path.
 
     Every sealed protocol record is either a message's first seal
     (``wire.serializations``) or a per-peer AEAD pass over an already-staged
@@ -252,7 +252,7 @@ def check_wire_counters(doc, study, tiles, degraded):
         return  # run was not observed; nothing to cross-check
     counters = metrics.get("counters", {})
     if "wire.records_sent" not in counters:
-        return  # report predates the pooled wire path
+        return  # report predates the wire counters
     serializations = counters.get("wire.serializations", 0)
     reuses = counters.get("wire.fanout_reuses", 0)
     records = counters["wire.records_sent"]

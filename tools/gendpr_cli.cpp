@@ -416,8 +416,8 @@ bool maybe_write_report(const Args& args, const core::StudyResult& result,
   core::ReportContext context;
   context.obs = &obs;
   context.study_id = args.seed;
-  const auto status =
-      core::write_run_report(args.report, core::make_run_report(result, context));
+  const auto status = core::write_run_report(
+      args.report, core::make_run_report(result, context));
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.error().to_string().c_str());
     return false;

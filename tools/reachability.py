@@ -39,7 +39,7 @@ MAIN_TARGETS = [
     "bench_fig5_runtime", "bench_fig6_runtime", "bench_table3_resources",
     "bench_table4_selection", "bench_table5_collusion",
     "bench_ablation_crypto", "bench_ablation_parallel",
-    "bench_ablation_attacks", "bench_ablation_kernels", "bench_ablation_wire",
+    "bench_ablation_attacks", "bench_ablation_kernels",
 ]
 PERFBENCH_TARGETS = ["perfbench_study"]
 OUTPUT_NAMES = {"gendpr_cli": "gendpr"}

@@ -17,8 +17,7 @@ build_dir="${repo_root}/build-bench"
 
 benches=("$@")
 if [[ ${#benches[@]} -eq 0 ]]; then
-  benches=(bench_ablation_crypto bench_ablation_kernels bench_ablation_wire
-           bench_fig6_runtime)
+  benches=(bench_ablation_crypto bench_ablation_kernels bench_fig6_runtime)
 fi
 
 # Reject unknown targets up front: a typo'd name used to surface only as a
