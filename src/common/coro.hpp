@@ -4,20 +4,16 @@
 // allocates the frame but runs nothing; `co_await`ing it starts the body via
 // symmetric transfer and resumes the awaiter when the body co_returns.
 // Exceptions thrown inside the body are captured and rethrown at the await
-// site, so error signalling (e.g. the coordinator's MissingMomentsError)
-// crosses suspension points exactly like it crosses ordinary calls.
+// site, so they cross suspension points exactly like they cross ordinary
+// calls.
 //
-// The protocol layer is written once as coroutines that suspend at its
-// receive points; `run_sync` drives such a chain to completion when every
-// awaitable in it completes without an external event (the compatibility
-// path for callers that still supply blocking callbacks).
+// The protocol sessions are written once as coroutines that suspend at
+// their receive and send-flush points; the session's driver resumes them.
 #pragma once
 
 #include <coroutine>
 #include <exception>
 #include <optional>
-#include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 namespace gendpr::common {
@@ -94,16 +90,6 @@ class [[nodiscard]] Task {
     if (handle_) handle_.destroy();
   }
 
-  bool valid() const noexcept { return static_cast<bool>(handle_); }
-  bool done() const noexcept { return handle_ && handle_.done(); }
-
-  /// Starts (or continues) the body on the current stack. Used by run_sync;
-  /// awaiting callers start the body through symmetric transfer instead.
-  void resume() { handle_.resume(); }
-
-  /// Result of a finished task; rethrows an exception captured in the body.
-  T result() { return handle_.promise().take_value(); }
-
   auto operator co_await() && noexcept {
     struct Awaiter {
       std::coroutine_handle<promise_type> handle;
@@ -135,19 +121,5 @@ inline Task<void> TaskPromise<void>::get_return_object() noexcept {
 }
 
 }  // namespace coro_detail
-
-/// Drives `task` to completion on the current stack and returns its result.
-/// Valid only when no awaitable in the chain suspends on an external event
-/// (every co_await completes synchronously); a task that is still pending
-/// after its synchronous run is a caller contract violation.
-template <typename T>
-T run_sync(Task<T> task) {
-  task.resume();
-  if (!task.done()) {
-    throw std::logic_error(
-        "run_sync: task suspended on an external event; it needs a driver");
-  }
-  return task.result();
-}
 
 }  // namespace gendpr::common

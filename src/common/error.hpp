@@ -44,8 +44,10 @@ struct Error {
 template <typename T>
 class Result {
  public:
-  Result(T value) : storage_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  Result(Error error) : storage_(std::move(error)) {}  // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(T value) : storage_(std::move(value)) {}
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Result(Error error) : storage_(std::move(error)) {}
 
   bool ok() const noexcept { return std::holds_alternative<T>(storage_); }
   explicit operator bool() const noexcept { return ok(); }
@@ -83,7 +85,8 @@ class Result {
 class Status {
  public:
   Status() = default;
-  Status(Error error) : error_(std::move(error)) {}  // NOLINT(google-explicit-constructor)
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  Status(Error error) : error_(std::move(error)) {}
 
   static Status success() { return Status(); }
 

@@ -1,8 +1,8 @@
-// Minimal logger for warnings and errors.
+// Minimal logger for warnings.
 //
 // The federation runner and the transports log faults (a lost peer, a
-// malformed frame, an unusable environment value) as one line each on
-// stderr. Every line prints: there is no threshold to set. A free function
+// malformed frame, an unusable environment value) as one warning line each
+// on stderr. Every line prints: there is no threshold to set. A free function
 // API keeps call sites terse and avoids a singleton object graph.
 #pragma once
 
@@ -12,11 +12,8 @@
 
 namespace gendpr::common {
 
-enum class LogLevel { warn, error };
-
-/// Writes one line to stderr. Thread-safe (line-at-a-time).
-void log_line(LogLevel level, const std::string& component,
-              const std::string& message);
+/// Writes one warning line to stderr. Thread-safe (line-at-a-time).
+void log_line(const std::string& component, const std::string& message);
 
 namespace detail {
 template <typename... Args>
@@ -29,14 +26,7 @@ std::string concat(Args&&... args) {
 
 template <typename... Args>
 void log_warn(const std::string& component, Args&&... args) {
-  log_line(LogLevel::warn, component,
-           detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void log_error(const std::string& component, Args&&... args) {
-  log_line(LogLevel::error, component,
-           detail::concat(std::forward<Args>(args)...));
+  log_line(component, detail::concat(std::forward<Args>(args)...));
 }
 
 }  // namespace gendpr::common

@@ -135,11 +135,14 @@ void Aes256::encrypt_block(const std::uint8_t in[kAesBlockSize],
   const EncTables& t = enc_tables();
   const std::uint32_t* rk = round_keys_.data();
 
-  std::uint32_t s0 = (std::uint32_t{in[0]} << 24) | (std::uint32_t{in[1]} << 16) |
+  std::uint32_t s0 = (std::uint32_t{in[0]} << 24) |
+                     (std::uint32_t{in[1]} << 16) |
                      (std::uint32_t{in[2]} << 8) | in[3];
-  std::uint32_t s1 = (std::uint32_t{in[4]} << 24) | (std::uint32_t{in[5]} << 16) |
+  std::uint32_t s1 = (std::uint32_t{in[4]} << 24) |
+                     (std::uint32_t{in[5]} << 16) |
                      (std::uint32_t{in[6]} << 8) | in[7];
-  std::uint32_t s2 = (std::uint32_t{in[8]} << 24) | (std::uint32_t{in[9]} << 16) |
+  std::uint32_t s2 = (std::uint32_t{in[8]} << 24) |
+                     (std::uint32_t{in[9]} << 16) |
                      (std::uint32_t{in[10]} << 8) | in[11];
   std::uint32_t s3 = (std::uint32_t{in[12]} << 24) |
                      (std::uint32_t{in[13]} << 16) |

@@ -1,5 +1,6 @@
 #include "gendpr/session.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -35,6 +36,12 @@ StagedMessage stage_envelope(MsgType type, MessageRef msg) {
   staging.bytes = std::move(w).take();
   return staging;
 }
+
+/// The record types each leader gather takes.
+constexpr MsgType kSummaryRecords[] = {MsgType::summary_stats};
+constexpr MsgType kLdRecords[] = {MsgType::ld_window,
+                                  MsgType::moments_response};
+constexpr MsgType kLrRecords[] = {MsgType::lr_planes};
 
 }  // namespace
 
@@ -629,34 +636,40 @@ common::Task<Result<LeaderSession::GatherStep>> LeaderSession::next_record(
   }
 }
 
-common::Task<Result<double>> LeaderSession::gather(const char* phase,
-                                                   MsgType type,
-                                                   Coordinator::Stream stream,
-                                                   const Ingest& ingest) {
+common::Task<Result<double>> LeaderSession::gather(
+    const char* phase, std::span<const MsgType> types,
+    const Owing& owing, const Ingest& ingest) {
   double wait_ms = 0;
-  // Re-asked after every arrival: a fetch inside `ingest` may take tiles of
-  // the stream too. A stream with no tiles owes nothing.
-  for (std::set<std::uint32_t> pending = coordinator_.members_owing(stream);
-       !pending.empty(); pending = coordinator_.members_owing(stream)) {
+  for (;;) {
+    // Re-asked after every arrival and every death.
+    auto pending = co_await owing();
+    if (!pending.ok()) co_return pending.error();
+    if (pending.value().empty()) co_return wait_ms;
     const Stopwatch wait_watch;
-    auto step = co_await next_record(phase, pending);
+    auto step = co_await next_record(phase, pending.value());
     wait_ms += wait_watch.elapsed_ms();
     if (!step.ok()) co_return step.error();
-    if (!step.value().got) break;
+    if (!step.value().got) continue;  // the pending members died
     const std::uint32_t member = step.value().member;
     auto opened = open_envelope(step.value().plaintext);
     if (!opened.ok()) co_return opened.error();
-    if (opened.value().first != type) {
+    const MsgType type = opened.value().first;
+    if (std::find(types.begin(), types.end(), type) == types.end()) {
       co_return make_error(Errc::state_violation,
                            std::string(phase) + ": gdo " +
                                std::to_string(member) +
                                " sent an unexpected message type");
     }
-    if (Status s = co_await ingest(member, opened.value().second); !s.ok()) {
+    if (Status s = ingest(member, type, opened.value().second); !s.ok()) {
       co_return s.error();
     }
   }
-  co_return wait_ms;
+}
+
+LeaderSession::Owing LeaderSession::owing_tiles(Coordinator::Stream stream) {
+  return [this, stream]() -> common::Task<Result<std::set<std::uint32_t>>> {
+    co_return coordinator_.members_owing(stream);
+  };
 }
 
 ProtocolSession::Main LeaderSession::run_protocol() {
@@ -712,21 +725,21 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   double inline_assess_ms = 0;
   std::size_t maf_tiles_inline = 0;
   const auto take_summary = [this, &inline_assess_ms, &maf_tiles_inline](
-                                std::uint32_t member, common::BytesView body)
-      -> common::Task<Status> {
+                                std::uint32_t member, MsgType,
+                                common::BytesView body) -> Status {
     auto stats = SummaryStats::deserialize(body);
-    if (!stats.ok()) co_return stats.error();
+    if (!stats.ok()) return stats.error();
     if (Status s = coordinator_.add_summary(member, stats.value()); !s.ok()) {
-      co_return s;
+      return s;
     }
     const Stopwatch assess_watch;
     maf_tiles_inline += coordinator_.assess_ready_maf_tiles();
     inline_assess_ms += assess_watch.elapsed_ms();
-    co_return Status::success();
+    return Status::success();
   };
-  if (auto waited = co_await gather("data aggregation", MsgType::summary_stats,
-                                    Coordinator::Stream::summaries,
-                                    take_summary);
+  if (auto waited = co_await gather(
+          "data aggregation", kSummaryRecords,
+          owing_tiles(Coordinator::Stream::summaries), take_summary);
       !waited.ok()) {
     co_return waited.error();
   }
@@ -758,124 +771,53 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   timings.aggregation_ms += aggregation_watch.elapsed_ms();
 
   // --- Phase 2: LD analysis. ---
-  // Members answer phase 1 with one LD window per L' tile. After every
-  // arrival the coordinator walks each tile now complete across the live
-  // members (the LD half of the inline tile engine); a pair further apart
-  // than the window costs one fetch round trip. Every wait on members,
-  // windows and fetches alike, counts as fetch wait.
-  fetch_wait_ms_ = 0;
+  // Members answer phase 1 with one LD window per L' tile. One gather takes
+  // windows and moments answers alike. Before each wait the coordinator
+  // walks every tile now complete across the live members (the LD half of
+  // the inline tile engine) until a pair further apart than the window
+  // stops it; the request it opens goes to every live member, and until
+  // they answered or died the wait is on them alone. Every wait on members,
+  // for windows and answers alike, counts as fetch wait.
   Stopwatch ld_watch;
-  // Ingests a window that arrived in a gather; a failure is the study's.
-  const auto take_window = [this](std::uint32_t member,
-                                  common::BytesView body) -> Status {
+  const auto walk = [this]() -> common::Task<Result<std::set<std::uint32_t>>> {
+    for (;;) {
+      auto opened = coordinator_.advance_ld_walks();
+      if (!opened.ok()) co_return opened.error();
+      if (!opened.value().has_value()) break;
+      if (Status s = co_await broadcast(MsgType::moments_request,
+                                        *opened.value());
+          !s.ok()) {
+        co_return s.error();
+      }
+    }
+    std::set<std::uint32_t> owing = coordinator_.members_owing_moments();
+    if (owing.empty()) {
+      owing = coordinator_.members_owing(Coordinator::Stream::ld_windows);
+    }
+    co_return owing;
+  };
+  const auto take_ld_record = [this](std::uint32_t member, MsgType type,
+                                     common::BytesView body) -> Status {
+    if (type == MsgType::moments_response) {
+      auto response = MomentsResponse::deserialize(body);
+      if (!response.ok()) return response.error();
+      return coordinator_.add_moments(member, response.value());
+    }
     auto window = LdWindow::deserialize(body);
     if (!window.ok()) return window.error();
     return coordinator_.add_ld_window(member, std::move(window).take());
   };
-  auto fetch = [this, &take_window](const MomentsRequest& request,
-                                    const std::vector<std::uint32_t>& targets)
-      -> common::Task<Coordinator::CoCounts> {
-    const Stopwatch fetch_watch;
-    Coordinator::CoCounts per_gdo(num_gdos_);
-    if (fetch_error_.has_value()) co_return per_gdo;  // the study has failed
-    // One serialization for the whole multicast; each target below costs
-    // only its own seal (send_staged).
-    StagedMessage staging = stage_envelope(MsgType::moments_request, request);
-    sync_dead_peers();
-    // The coordinator names the recipients (every live member on a pair's
-    // first touch, only members with an empty slot on a refetch); members
-    // that died since the request was composed are dropped here.
-    const std::set<std::uint32_t> live = live_members();
-    std::set<std::uint32_t> fetch_pending;
-    for (std::uint32_t g : targets) {
-      if (live.count(g) == 0) continue;
-      const Status s = co_await send_staged(g, staging);
-      if (!s.ok()) {
-        if (!is_peer_loss(s.error())) {
-          fetch_error_ = s.error();
-          break;
-        }
-        common::log_warn("leader", "moments request to gdo ", g,
-                         " failed: ", s.error().to_string());
-        (void)coordinator_.mark_gdo_dead(g);
-        continue;
-      }
-      fetch_pending.insert(g);
-    }
-    while (!fetch_error_.has_value() && !fetch_pending.empty()) {
-      auto step = co_await next_record("LD moments fetch", fetch_pending);
-      if (!step.ok()) {
-        fetch_error_ = step.error();
-        break;
-      }
-      if (!step.value().got) break;
-      const std::uint32_t member = step.value().member;
-      auto opened = open_envelope(step.value().plaintext);
-      if (!opened.ok()) {
-        fetch_error_ = opened.error();
-        break;
-      }
-      // A member sends all its windows before it reads a request, so later
-      // tiles' windows may precede the response on its channel.
-      if (opened.value().first == MsgType::ld_window) {
-        if (Status s = take_window(member, opened.value().second); !s.ok()) {
-          fetch_error_ = s.error();
-        }
-        continue;
-      }
-      if (opened.value().first != MsgType::moments_response) {
-        fetch_error_ =
-            make_error(Errc::state_violation, "expected moments response");
-        break;
-      }
-      auto response = MomentsResponse::deserialize(opened.value().second);
-      if (!response.ok()) {
-        fetch_error_ = response.error();
-        break;
-      }
-      if (response.value().request_id != request.request_id) {
-        fetch_error_ = make_error(Errc::bad_message,
-                                  "gdo " + std::to_string(member) +
-                                      ": moments response to another request");
-        break;
-      }
-      per_gdo[member] = response.value().co_count;
-      fetch_pending.erase(member);
-    }
-    fetch_wait_ms_ += fetch_watch.elapsed_ms();
-    co_return per_gdo;
-  };
-  // Walks every tile now complete; a failure inside the fetch is the
-  // study's. The first call opens the LD phase, so the wait for windows sits
-  // inside it.
-  const auto advance = [this, &fetch]() -> common::Task<Status> {
-    if (Status s = co_await coordinator_.advance_ld_walks(fetch); !s.ok()) {
-      co_return s;
-    }
-    if (fetch_error_.has_value()) co_return Status(*fetch_error_);
-    co_return Status::success();
-  };
-  const auto take_window_and_walk =
-      [&take_window, &advance](std::uint32_t member,
-                               common::BytesView body) -> common::Task<Status> {
-    if (Status s = take_window(member, body); !s.ok()) co_return s;
-    co_return co_await advance();
-  };
-  if (Status s = co_await advance(); !s.ok()) co_return s.error();
-  auto windows_waited =
-      co_await gather("LD window gather", MsgType::ld_window,
-                      Coordinator::Stream::ld_windows, take_window_and_walk);
-  if (!windows_waited.ok()) co_return windows_waited.error();
-  fetch_wait_ms_ += windows_waited.value();
+  auto fetch_wait_ms =
+      co_await gather("LD phase", kLdRecords, walk, take_ld_record);
+  if (!fetch_wait_ms.ok()) co_return fetch_wait_ms.error();
   if (coordinator_.live_combination_count() == 0) {
-    co_return dead_peers_error("LD window gather");
+    co_return dead_peers_error("LD phase");
   }
-  auto phase2 = co_await coordinator_.run_ld_phase_async(fetch);
-  if (fetch_error_.has_value()) co_return *fetch_error_;
+  auto phase2 = coordinator_.run_ld_phase();
   if (!phase2.ok()) co_return phase2.error();
-  timings.ld_ms += ld_watch.elapsed_ms() - fetch_wait_ms_;
-  timings.aggregation_ms += fetch_wait_ms_;
-  obs::observe(obs_, "leader.ld_fetch_wait_ms", fetch_wait_ms_);
+  timings.ld_ms += ld_watch.elapsed_ms() - fetch_wait_ms.value();
+  timings.aggregation_ms += fetch_wait_ms.value();
+  obs::observe(obs_, "leader.ld_fetch_wait_ms", fetch_wait_ms.value());
 
   aggregation_watch.restart();
   obs::ScopedSpan lr_gather_span(obs::recorder_of(obs_),
@@ -898,15 +840,14 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
 
   // --- Phase 3: gather every member's LR planes, then select. ---
   // Each member answers every phase-2 tile with one LrPlanes reply.
-  const auto take_planes = [this](std::uint32_t member,
-                                  common::BytesView body)
-      -> common::Task<Status> {
+  const auto take_planes = [this](std::uint32_t member, MsgType,
+                                  common::BytesView body) -> Status {
     auto planes = LrPlanes::deserialize(body);
-    if (!planes.ok()) co_return planes.error();
-    co_return coordinator_.add_lr_planes(member, planes.value());
+    if (!planes.ok()) return planes.error();
+    return coordinator_.add_lr_planes(member, planes.value());
   };
-  if (auto waited = co_await gather("LR gather", MsgType::lr_planes,
-                                    Coordinator::Stream::lr_planes,
+  if (auto waited = co_await gather("LR gather", kLrRecords,
+                                    owing_tiles(Coordinator::Stream::lr_planes),
                                     take_planes);
       !waited.ok()) {
     co_return waited.error();

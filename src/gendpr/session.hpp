@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -390,18 +391,25 @@ class LeaderSession : public ProtocolSession {
   common::Task<void> broadcast_abort(common::Error error);
   common::Task<common::Result<GatherStep>> next_record(
       const char* phase, std::set<std::uint32_t>& pending);
-  /// Takes one record body of a gathered stream from `member`: adds it to
-  /// the coordinator and does the phase's work after an arrival.
-  using Ingest = std::function<common::Task<common::Status>(
-      std::uint32_t member, common::BytesView body)>;
+  /// Takes one record body of a gathered stream from `member` into the
+  /// coordinator, with the work its arrival unlocks.
+  using Ingest = std::function<common::Status(
+      std::uint32_t member, MsgType type, common::BytesView body)>;
+  /// Names the members the gather waits on next (empty once the phase has
+  /// all it needs); the LD phase first walks as far as it can and sends the
+  /// request the walk opened.
+  using Owing =
+      std::function<common::Task<common::Result<std::set<std::uint32_t>>>()>;
   /// The gather of Alg. 1, one routine for every member->leader stream:
-  /// hands each record (which must be `type`) to `ingest` until no live
-  /// member owes the coordinator a tile of `stream`. A member that misses
-  /// the deadline is declared dead; `phase` names the gather in logs and
-  /// errors. Returns the time spent waiting for records.
-  common::Task<common::Result<double>> gather(const char* phase, MsgType type,
-                                              Coordinator::Stream stream,
-                                              const Ingest& ingest);
+  /// hands each record (whose type must be one of `types`) to `ingest`
+  /// until `owing` names no member. A member that misses the deadline is
+  /// declared dead; `phase` names the gather in logs and errors. Returns
+  /// the time spent waiting for records.
+  common::Task<common::Result<double>> gather(
+      const char* phase, std::span<const MsgType> types,
+      const Owing& owing, const Ingest& ingest);
+  /// The members that owe `stream` a tile, as a gather's `owing`.
+  Owing owing_tiles(Coordinator::Stream stream);
   std::set<std::uint32_t> live_members() const;
   void sync_dead_peers();
   void mark_pending_dead(std::set<std::uint32_t>& pending, const char* phase);
@@ -414,10 +422,6 @@ class LeaderSession : public ProtocolSession {
   std::vector<std::unique_ptr<tee::SecureChannel>> channels_;  // per GDO
   common::Status provision_status_;
   bool channels_established_ = false;
-  /// Fatal error detected inside the phase-2 fetch callback (its signature
-  /// cannot return one); checked after every LD walk advance.
-  std::optional<common::Error> fetch_error_;
-  double fetch_wait_ms_ = 0;  // LD phase: time waiting on windows and fetches
   obs::Observability* obs_ = nullptr;
   obs::SpanId study_span_ = obs::kNoSpan;
   common::ThreadPool* pool_ = nullptr;

@@ -238,17 +238,6 @@ std::vector<std::vector<std::uint32_t>> Coordinator::build_combinations(
 }
 
 namespace {
-/// Thrown by aggregate_pair when a member response is absent; the walk
-/// declares the member dead and goes on without its combinations.
-struct MissingMomentsError {
-  std::uint32_t gdo_index;
-};
-/// Thrown by aggregate_pair when a fetched count contradicts the member's
-/// phase-1 summary; the LD phase fails with `error`.
-struct RejectedCountError {
-  common::Error error;
-};
-
 /// A member's input refused: bad_message naming the GDO.
 common::Error refused(std::uint32_t gdo_index, const std::string& why) {
   return make_error(Errc::bad_message,
@@ -633,174 +622,148 @@ Coordinator::PairMoments& Coordinator::touch_pair(std::uint32_t anchor,
   const std::size_t offset =
       std::size_t{rank - ld_plan_.begin(next_ld_tile_)} * kLdWindow +
       distance - 1;
+  std::vector<std::uint32_t> live;
   for (std::uint32_t g = 0; g < num_gdos_; ++g) {
     if (g == leader_->gdo_index() || dead_gdos_.count(g) > 0) continue;
-    if (distance > kLdWindow) return entry;
+    live.push_back(g);
+    if (distance > kLdWindow) continue;
     // Validated on arrival (add_ld_window).
     entry.slots[g] = member_moments(
         g, a, b, ld_windows_[next_ld_tile_][g].counts[offset]);
   }
-  entry.broadcast_done = true;
-  obs::add_counter(obs_, "ld.window_pairs");
+  if (distance <= kLdWindow || live.empty()) {
+    obs::add_counter(obs_, "ld.window_pairs");
+    return entry;
+  }
+  // Beyond the window: one request to every live member, whether or not
+  // the combination at hand needs them, so each later combination reads the
+  // pair from the cache. One sequential round trip on the LD critical path.
+  OpenRequest& open = ld_request_.emplace();
+  open.request.request_id = next_moments_request_++;
+  open.request.snp_a = a;
+  open.request.snp_b = b;
+  open.anchor = anchor;
+  open.addressed = std::move(live);
+  obs::add_counter(obs_, "ld.round_trips");
+  obs::add_counter(obs_, "coordinator.ld_member_requests",
+                   open.addressed.size());
   return entry;
 }
 
-common::Task<stats::LdMoments> Coordinator::aggregate_pair_async(
-    const std::vector<std::uint32_t>& members, std::uint32_t anchor,
-    std::uint32_t rank, const AsyncFetchMoments& fetch) {
-  const std::uint32_t a = l_prime_[anchor];
-  const std::uint32_t b = l_prime_[rank];
-  PairMoments& entry = rank_pairs_.at(anchor);
-  // Decide who to query this round. The first touch of a pair broadcasts to
-  // every live member, so a clean run pays one round trip per distinct pair
-  // and every later combination reads the pair from the cache. A slot that
-  // is still empty for a live member of the combination at hand gets a
-  // targeted refetch before the aggregation may fail: otherwise a hole left
-  // by an earlier mid-walk death (the broadcast that created the entry lost
-  // a different member) would re-throw MissingMomentsError on every later
-  // touch and falsely kill a healthy GDO.
-  std::vector<std::uint32_t> targets;
-  if (!entry.broadcast_done) {
-    for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-      if (g == leader_->gdo_index()) continue;
-      if (dead_gdos_.count(g) > 0) continue;
-      if (!entry.slots[g].has_value()) targets.push_back(g);
-    }
-    entry.broadcast_done = true;
-  } else {
-    for (std::uint32_t g : members) {
-      if (g == leader_->gdo_index()) continue;
-      if (dead_gdos_.count(g) > 0) continue;
-      if (!entry.slots[g].has_value()) targets.push_back(g);
+std::set<std::uint32_t> Coordinator::members_owing_moments() const {
+  std::set<std::uint32_t> owing;
+  if (!ld_request_.has_value()) return owing;
+  const PairMoments& entry = rank_pairs_.at(ld_request_->anchor);
+  for (std::uint32_t g : ld_request_->addressed) {
+    if (dead_gdos_.count(g) == 0 && !entry.slots[g].has_value()) {
+      owing.insert(g);
     }
   }
-  if (!targets.empty()) {
-    MomentsRequest request;
-    request.request_id = next_moments_request_++;
-    request.snp_a = a;
-    request.snp_b = b;
-    // One sequential round trip on the LD critical path.
-    obs::add_counter(obs_, "ld.round_trips");
-    CoCounts fetched = co_await fetch(request, targets);
-    fetched.resize(num_gdos_);
-    // The fetch suspended; re-resolve the entry (map nodes are stable, but
-    // stay defensive against a future cache policy).
-    PairMoments& slot = rank_pairs_.at(anchor);
-    for (std::uint32_t g : targets) {
-      if (!fetched[g].has_value()) continue;
-      slot.slots[g] = member_moments(g, a, b, *fetched[g]);
-      if (!slot.slots[g].has_value()) {
-        throw RejectedCountError{impossible_count(g, a, b, *fetched[g])};
-      }
-    }
-    obs::add_counter(obs_, "coordinator.ld_member_requests", targets.size());
-  }
-  const PairMoments& final_entry = rank_pairs_.at(anchor);
-  stats::LdMoments total = final_entry.reference;
-  for (std::uint32_t g : members) {
-    if (!final_entry.slots[g].has_value()) {
-      // A missing response from a combination member must never silently
-      // skew the aggregate with zero moments: the walk for this combination
-      // aborts (its GDO is marked dead and the combination dropped).
-      throw MissingMomentsError{g};
-    }
-    total += *final_entry.slots[g];
-  }
-  co_return total;
+  return owing;
 }
 
-common::Task<Status> Coordinator::walk_ld_tile(std::uint32_t tile,
-                                               const AsyncFetchMoments& fetch) {
-  const obs::ScopedSpan tile_span(obs::recorder_of(obs_),
-                                  "ld.tile." + std::to_string(tile),
-                                  ld_span_->id());
-  std::vector<HeldWindow>& windows = ld_windows_[tile];
-  for (HeldWindow& window : windows) {
+Status Coordinator::add_moments(std::uint32_t gdo_index,
+                                const MomentsResponse& response) {
+  if (!ld_request_.has_value()) {
+    return refused(gdo_index, "moments response without an open request");
+  }
+  const std::vector<std::uint32_t>& addressed = ld_request_->addressed;
+  if (std::find(addressed.begin(), addressed.end(), gdo_index) ==
+      addressed.end()) {
+    return refused(gdo_index,
+                   "moments response to a request that did not address it");
+  }
+  std::optional<stats::LdMoments>& slot =
+      rank_pairs_.at(ld_request_->anchor).slots[gdo_index];
+  if (slot.has_value()) return refused(gdo_index, "moments response repeated");
+  const MomentsRequest& request = ld_request_->request;
+  if (response.request_id != request.request_id) {
+    return refused(gdo_index, "moments response to another request");
+  }
+  slot = member_moments(gdo_index, request.snp_a, request.snp_b,
+                        response.co_count);
+  if (!slot.has_value()) {
+    return impossible_count(gdo_index, request.snp_a, request.snp_b,
+                            response.co_count);
+  }
+  return Status::success();
+}
+
+Status Coordinator::open_ld_tile() {
+  ld_tile_span_.emplace(obs::recorder_of(obs_),
+                        "ld.tile." + std::to_string(next_ld_tile_),
+                        ld_span_->id());
+  ld_rank_ = ld_plan_.begin(next_ld_tile_);
+  for (HeldWindow& window : ld_windows_[next_ld_tile_]) {
     if (window.sealed.empty()) continue;
     auto plaintext = leader_->unseal(window.sealed);
-    if (!plaintext.ok()) co_return plaintext.error();
+    if (!plaintext.ok()) return plaintext.error();
     wire::Reader r(plaintext.value());
     auto counts = r.vector_u32();
-    if (!counts.ok()) co_return counts.error();
+    if (!counts.ok()) return counts.error();
     auto held = leader_->reserve_epc(counts.value().size() * 4);
-    if (!held.ok()) co_return held.error();
+    if (!held.ok()) return held.error();
     window.counts = std::move(counts).take();
     window.epc = std::move(held).take();
     window.sealed.clear();
   }
-  const std::uint32_t end = ld_plan_.end(tile);
-  for (std::uint32_t rank = std::max(ld_plan_.begin(tile), 1u); rank < end;
-       ++rank) {
-    rank_pairs_.clear();
-    for (std::size_t c = 0; c < ld_walks_.size(); ++c) {
-      if (!combination_live(c)) continue;
-      stats::LdWalk& walk = ld_walks_[c];
-      const auto& members = combinations_[c];
-      try {
-        // A pair the windows do not cover goes through the fetch on its
-        // first touch (which asks every live member, whether or not this
-        // combination needs them) and whenever a member slot is empty.
-        PairMoments& entry = touch_pair(walk.anchor(), rank);
-        stats::LdMoments total = entry.reference;
-        bool complete = entry.broadcast_done;
-        for (std::size_t k = 0; complete && k < members.size(); ++k) {
-          const std::optional<stats::LdMoments>& slot = entry.slots[members[k]];
-          complete = slot.has_value();
-          if (complete) total += *slot;
-        }
-        if (!complete) {
-          total = co_await aggregate_pair_async(members, walk.anchor(), rank,
-                                                fetch);
-        }
-        walk.step(stats::ld_p_value(total), ld_association_p_[c][walk.anchor()],
-                  ld_association_p_[c][rank]);
-      } catch (const MissingMomentsError& missing) {
-        // The GDO went silent mid-walk: declare it dead and keep going with
-        // the combinations that do not need its data.
-        dead_gdos_.insert(missing.gdo_index);
-      } catch (const RejectedCountError& rejected) {
-        co_return Status(rejected.error);
-      }
-    }
-  }
-  rank_pairs_.clear();
-  windows.clear();  // releases their EPC
-  ++next_ld_tile_;
-  co_return Status::success();
+  return Status::success();
 }
 
-common::Task<Status> Coordinator::advance_ld_walks(AsyncFetchMoments fetch) {
+Result<std::optional<MomentsRequest>> Coordinator::advance_ld_walks() {
   begin_ld_phase();
+  if (!members_owing_moments().empty()) return std::optional<MomentsRequest>();
+  ld_request_.reset();
   while (next_ld_tile_ < ld_plan_.tile_count() &&
          tile_arrived(Stream::ld_windows, next_ld_tile_)) {
-    if (Status s = co_await walk_ld_tile(next_ld_tile_, fetch); !s.ok()) {
-      ld_combination_spans_.clear();
-      ld_span_.reset();
-      co_return s;
+    if (!ld_tile_span_.has_value()) {
+      if (Status s = open_ld_tile(); !s.ok()) {
+        ld_tile_span_.reset();
+        ld_combination_spans_.clear();
+        ld_span_.reset();
+        return s.error();
+      }
     }
+    // Each rank's pairs are decided combination by combination; a walk
+    // already past ld_rank_ was stepped before the walk stopped on a
+    // request. A member with an empty slot after its request died, so its
+    // combinations are no longer live.
+    for (; ld_rank_ < ld_plan_.end(next_ld_tile_); ++ld_rank_) {
+      for (std::size_t c = 0; c < ld_walks_.size(); ++c) {
+        stats::LdWalk& walk = ld_walks_[c];
+        if (!combination_live(c) || walk.next() != ld_rank_) continue;
+        const PairMoments& entry = touch_pair(walk.anchor(), ld_rank_);
+        if (ld_request_.has_value()) {
+          return std::optional<MomentsRequest>(ld_request_->request);
+        }
+        stats::LdMoments total = entry.reference;
+        for (std::uint32_t g : combinations_[c]) total += *entry.slots[g];
+        walk.step(stats::ld_p_value(total), ld_association_p_[c][walk.anchor()],
+                  ld_association_p_[c][ld_rank_]);
+      }
+      rank_pairs_.clear();
+    }
+    ld_windows_[next_ld_tile_].clear();  // releases their EPC
+    ld_tile_span_.reset();
+    ++next_ld_tile_;
   }
-  co_return Status::success();
+  return std::optional<MomentsRequest>();
 }
 
-common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
-    AsyncFetchMoments fetch) {
-  // Tiles are walked once their windows arrived from every live member, so
-  // every tile walked means every window arrived.
-  if (Status walked = co_await advance_ld_walks(fetch); !walked.ok()) {
-    co_return walked.error();
+Result<Phase2Result> Coordinator::run_ld_phase() {
+  // Tiles are walked once their windows arrived from every live member and
+  // each request was answered, so every tile walked means the walk is done.
+  // A walk that is not done can still resume.
+  if (!ld_started_ || next_ld_tile_ < ld_plan_.tile_count()) {
+    return make_error(Errc::state_violation,
+                      "LD phase before every window and answer arrived");
   }
   ld_combination_spans_.clear();
-  if (next_ld_tile_ < ld_plan_.tile_count()) {
-    ld_span_.reset();
-    co_return make_error(Errc::state_violation,
-                         "LD phase before all windows arrived");
-  }
   const std::size_t num_combinations = combinations_.size();
 
   // A death discovered mid-phase invalidates every combination containing
   // the dead GDO, including ones whose walk had already finished (their LR
-  // planes could never be gathered in phase 3). A walk that threw named one
-  // of its own members, so its combination is no longer live either.
+  // planes could never be gathered in phase 3).
   std::vector<std::vector<std::uint32_t>> live_lists;
   for (std::size_t c = 0; c < num_combinations; ++c) {
     if (combination_live(c)) {
@@ -809,7 +772,7 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   }
   ld_span_.reset();
   if (live_lists.empty()) {
-    co_return no_live_combination_error("LD phase");
+    return no_live_combination_error("LD phase");
   }
   l_double_prime_ = intersect_sorted(live_lists);
   outcome_.l_double_prime = l_double_prime_;
@@ -827,7 +790,7 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   open_stream(Stream::lr_planes, lr_plan_.tile_count());
   Phase2Result result;
   result.retained = l_double_prime_;
-  co_return result;
+  return result;
 }
 
 std::vector<Phase2Result> Coordinator::phase2_tiles() {

@@ -16,13 +16,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <vector>
 
-#include "common/coro.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "gendpr/config.hpp"
@@ -131,23 +129,6 @@ struct SelectionOutcome {
 /// and the leader GDO's own enclave for its local dataset.
 class Coordinator {
  public:
-  /// Co-occurrence counts of one pair, indexed by GDO (empty slot = no
-  /// answer from that GDO).
-  using CoCounts = std::vector<std::optional<std::uint32_t>>;
-
-  /// `fetch(request, targets)` must query exactly the member GDOs listed in
-  /// `targets` (never the leader) for the requested pair and return their
-  /// co-occurrence counts indexed by GDO index (other slots empty). It
-  /// returns a Task so the protocol session can suspend the LD phase
-  /// mid-walk while member responses are in flight (the event-loop driver
-  /// resumes it frame by frame); a member that cannot be reached keeps an
-  /// empty slot (and the host marks the peer lost as usual). Only pairs the
-  /// LD windows do not cover are fetched. The coordinator targets every live
-  /// member the first time such a pair is touched, so each costs one round
-  /// trip on a clean run.
-  using AsyncFetchMoments = std::function<common::Task<CoCounts>(
-      const MomentsRequest&, const std::vector<std::uint32_t>&)>;
-
   /// The study plan lives here and nowhere else: the thresholds, and the
   /// combination table built once from `policy`. The study spans the
   /// reference panel's SNPs.
@@ -217,7 +198,7 @@ class Coordinator {
   /// --- Tiling ---
   /// Phase-1 plan over the study's SNP range.
   const genome::TilePlan& maf_plan() const noexcept { return maf_plan_; }
-  /// Phase-3 plan over L'' (valid after run_ld_phase_async).
+  /// Phase-3 plan over L'' (valid after run_ld_phase).
   const genome::TilePlan& lr_plan() const noexcept { return lr_plan_; }
 
   /// --- Phase 1 ---
@@ -254,22 +235,34 @@ class Coordinator {
   /// of the enclave until then, so held windows stay O(tile).
   common::Status add_ld_window(std::uint32_t gdo_index, LdWindow window);
   /// Pipelined LD walk (Alg. 1 lines 28-57), the LD half of the inline tile
-  /// engine: for every tile whose windows arrived from all live members, in
-  /// ascending tile order, every live combination's walk moves through the
-  /// tile's ranks, then the tile's windows are released. A pair more than
-  /// kLdWindow ranks apart goes through `fetch`. The host calls this after
-  /// each window arrival; the first call opens the `phase.ld` span, so the
-  /// wait for windows sits inside the phase.
-  common::Task<common::Status> advance_ld_walks(AsyncFetchMoments fetch);
-  /// Finishes the LD phase once every live member's windows arrived: walks
-  /// the tiles advance_ld_walks has not and intersects the survivors. Also
-  /// fixes the phase-3 tile plan over L''. A tile still owed a window is a
-  /// state_violation. `fetch` is taken by value: the coroutine frame owns
-  /// its copy across suspensions.
-  common::Task<common::Result<Phase2Result>> run_ld_phase_async(
-      AsyncFetchMoments fetch);
-  /// Per-tile Phase2Result bodies (column slices of run_ld_phase_async's
-  /// result; one entry per lr_plan() tile). Valid after it. The
+  /// engine. Moves every live combination's walk as far as the arrived
+  /// windows and answered counts allow: through each tile whose windows
+  /// arrived from all live members, in ascending tile order, releasing the
+  /// tile's windows after it. A pair more than kLdWindow ranks apart stops
+  /// the walk: its first touch opens one MomentsRequest to every live member,
+  /// and the walk goes on once each of them answered (add_moments) or was
+  /// marked dead. Returns the request when this call opened one, for the
+  /// host to send to members_owing_moments(); nullopt when the walk waits on
+  /// windows or on the open request, or is done. The host calls this after
+  /// each arrival; the first call opens the `phase.ld` span, so the wait for
+  /// windows sits inside the phase.
+  common::Result<std::optional<MomentsRequest>> advance_ld_walks();
+  /// Live members that still owe the open MomentsRequest its answer (empty
+  /// when none is open).
+  std::set<std::uint32_t> members_owing_moments() const;
+  /// Ingests one member's answer to the open MomentsRequest. Every failure
+  /// names the GDO and is bad_message: no request is open, the request did
+  /// not address the GDO, the GDO already answered it, the id is not the
+  /// request's, or the count does not fit the GDO's phase-1 counts (as for
+  /// a window). A refused answer is not counted.
+  common::Status add_moments(std::uint32_t gdo_index,
+                             const MomentsResponse& response);
+  /// Finishes the LD phase once the walk is done: intersects the survivors
+  /// and fixes the phase-3 tile plan over L''. A walk still owed a window or
+  /// an answer is a state_violation.
+  common::Result<Phase2Result> run_ld_phase();
+  /// Per-tile Phase2Result bodies (column slices of run_ld_phase's result;
+  /// one entry per lr_plan() tile). Valid after it. The
   /// LR phase starts here: this opens the `phase.lr` span and one
   /// `lr.tile.<k>` span per tile, each closing once every live member's
   /// planes for that tile arrived.
@@ -297,17 +290,23 @@ class Coordinator {
   const SelectionOutcome& outcome() const noexcept { return outcome_; }
 
   /// Count of distinct SNP pairs the LD walks evaluated, served by a
-  /// window or by one fetch each.
+  /// window or by one MomentsRequest each.
   std::size_t ld_pairs_fetched() const noexcept { return ld_pairs_; }
 
  private:
   /// Moments of one pair (l'[anchor], l'[rank]) for the rank being walked:
-  /// per-GDO slots, the reference panel's moments, and whether the
-  /// first-touch broadcast already went out.
+  /// per-GDO slots and the reference panel's moments.
   struct PairMoments {
     std::vector<std::optional<stats::LdMoments>> slots;  // per GDO
     stats::LdMoments reference;
-    bool broadcast_done = false;
+  };
+
+  /// The MomentsRequest the walk stopped on: the pair's anchor rank and the
+  /// members it addressed (every member live when it opened).
+  struct OpenRequest {
+    MomentsRequest request;
+    std::uint32_t anchor = 0;
+    std::vector<std::uint32_t> addressed;
   };
 
   /// Arrival record of one stream: per GDO, how many of its `tile_count`
@@ -331,8 +330,8 @@ class Coordinator {
   /// Member `gdo_index`'s moments of the pair (a, b) from its co-occurrence
   /// count and phase-1 summary: mu_x = mu_x2 = count_a, mu_y = mu_y2 =
   /// count_b, mu_xy = co, n = n_case. The one path from a member count to
-  /// moments, for windows and fetches alike; nullopt when the count cannot
-  /// come from that summary.
+  /// moments, for windows and requested counts alike; nullopt when the count
+  /// cannot come from that summary.
   std::optional<stats::LdMoments> member_moments(std::uint32_t gdo_index,
                                                  std::uint32_t a,
                                                  std::uint32_t b,
@@ -355,19 +354,14 @@ class Coordinator {
   /// Opens the LD phase once: its span, one span and walk per live
   /// combination, and the walks' association p-values.
   void begin_ld_phase();
-  /// Moves every live walk through the ranks of `tile` (the next one),
-  /// reading member counts from the tile's windows.
-  common::Task<common::Status> walk_ld_tile(std::uint32_t tile,
-                                            const AsyncFetchMoments& fetch);
+  /// Starts the walk of tile next_ld_tile_: its span, and its windows
+  /// unsealed into EPC.
+  common::Status open_ld_tile();
   /// The cache entry of pair (anchor, rank), created on first touch with
   /// the leader's and reference moments and, when the windows cover it,
-  /// every live member's.
+  /// every live member's. Opens a MomentsRequest for a created entry the
+  /// windows do not cover.
   PairMoments& touch_pair(std::uint32_t anchor, std::uint32_t rank);
-  /// Fallback for a pair some member slot of `members` lacks: fetches the
-  /// missing counts, then aggregates.
-  common::Task<stats::LdMoments> aggregate_pair_async(
-      const std::vector<std::uint32_t>& members, std::uint32_t anchor,
-      std::uint32_t rank, const AsyncFetchMoments& fetch);
   common::Error no_live_combination_error(const std::string& phase) const;
   /// Chi-squared association p-values for the combination's pooled cases vs
   /// the reference over L', indexed by L' rank (the LD walk ranks no other
@@ -407,9 +401,10 @@ class Coordinator {
   std::vector<std::vector<std::uint32_t>> maf_survivors_;
   std::uint32_t next_maf_tile_ = 0;
 
-  // Phase 2 state. Every walk moves rank by rank through ld_plan_, so a pair
-  // (anchor, rank) is only ever needed while `rank` is walked: the pair
-  // cache holds one rank's pairs, keyed by anchor rank.
+  // Phase 2 state. Every combination's walk keeps its own position (its next
+  // rank); the walks are brought up to ld_rank_ together, so a pair (anchor,
+  // rank) is only ever needed while `rank` is walked: the pair cache holds
+  // one rank's pairs, keyed by anchor rank.
   std::vector<std::uint32_t> l_prime_;
   genome::TilePlan ld_plan_;
   std::optional<obs::ScopedSpan> ld_span_;
@@ -418,10 +413,14 @@ class Coordinator {
   std::vector<std::vector<double>> ld_association_p_;  // per combination
   std::vector<std::vector<HeldWindow>> ld_windows_;    // [tile][GDO]
   std::uint32_t next_ld_tile_ = 0;
+  std::uint32_t ld_rank_ = 0;
+  /// Span of tile next_ld_tile_ while it is walked (its windows unsealed).
+  std::optional<obs::ScopedSpan> ld_tile_span_;
   bool ld_started_ = false;
   std::map<std::uint32_t, PairMoments> rank_pairs_;
+  std::optional<OpenRequest> ld_request_;
   std::size_t ld_pairs_ = 0;
-  /// Monotone id for MomentsRequests (one per fetch round, not per pair).
+  /// Monotone id for MomentsRequests (one per request, not per member).
   std::uint32_t next_moments_request_ = 0;
 
   // Phase 3 state.

@@ -54,8 +54,8 @@ Cohort generate_cohort(const CohortSpec& spec) {
   }
 
   // Choose associated SNPs without replacement.
-  const std::size_t num_associated = static_cast<std::size_t>(
-      std::floor(spec.associated_fraction * static_cast<double>(spec.num_snps)));
+  const std::size_t num_associated = static_cast<std::size_t>(std::floor(
+      spec.associated_fraction * static_cast<double>(spec.num_snps)));
   const std::vector<std::size_t> perm = rng.permutation(spec.num_snps);
   cohort.associated_snps.assign(perm.begin(), perm.begin() + num_associated);
   std::sort(cohort.associated_snps.begin(), cohort.associated_snps.end());

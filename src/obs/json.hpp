@@ -52,7 +52,9 @@ class JsonValue {
 
   bool as_bool() const { return std::get<bool>(storage_); }
   double as_number() const { return std::get<double>(storage_); }
-  const std::string& as_string() const { return std::get<std::string>(storage_); }
+  const std::string& as_string() const {
+    return std::get<std::string>(storage_);
+  }
   const Array& as_array() const { return std::get<Array>(storage_); }
   Array& as_array() { return std::get<Array>(storage_); }
   const Object& as_object() const { return std::get<Object>(storage_); }

@@ -39,13 +39,15 @@ JsonValue TraceRecorder::to_json() const {
   for (const Span& span : spans_) {
     JsonValue entry = JsonValue::object();
     entry.set("id", static_cast<std::uint64_t>(span.id));
-    entry.set("parent", span.parent == kNoSpan
-                            ? JsonValue(nullptr)
-                            : JsonValue(static_cast<std::uint64_t>(span.parent)));
+    entry.set("parent",
+              span.parent == kNoSpan
+                  ? JsonValue(nullptr)
+                  : JsonValue(static_cast<std::uint64_t>(span.parent)));
     entry.set("name", span.name);
     entry.set("start_ms", span.start_ms);
-    entry.set("duration_ms", span.duration_ms < 0 ? JsonValue(nullptr)
-                                                  : JsonValue(span.duration_ms));
+    entry.set("duration_ms", span.duration_ms < 0
+                                 ? JsonValue(nullptr)
+                                 : JsonValue(span.duration_ms));
     out.push_back(std::move(entry));
   }
   return out;

@@ -72,8 +72,9 @@ class ScopedSpan {
   ScopedSpan() = default;
   ScopedSpan(TraceRecorder* recorder, std::string name, SpanId parent = kNoSpan)
       : recorder_(recorder),
-        id_(recorder == nullptr ? kNoSpan
-                                : recorder->begin_span(std::move(name), parent)) {}
+        id_(recorder == nullptr
+                ? kNoSpan
+                : recorder->begin_span(std::move(name), parent)) {}
   ~ScopedSpan() { end(); }
 
   ScopedSpan(const ScopedSpan&) = delete;

@@ -79,10 +79,8 @@ Result<std::uint8_t> Reader::u8() {
 
 Result<std::uint16_t> Reader::u16() {
   if (remaining() < 2) return truncated("u16");
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) {
-    v = static_cast<std::uint16_t>(v | (std::uint16_t{data_[pos_ + i]} << (8 * i)));
-  }
+  const auto v =
+      static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
   pos_ += 2;
   return v;
 }

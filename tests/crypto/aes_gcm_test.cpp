@@ -25,8 +25,9 @@ GcmNonce nonce_from_hex(const std::string& hex) {
 
 // FIPS 197 appendix C.3 known-answer test.
 TEST(Aes256Test, Fips197AppendixC3) {
-  const Bytes key =
-      from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  const Bytes key = from_hex(
+      "000102030405060708090a0b0c0d0e0f"
+      "101112131415161718191a1b1c1d1e1f");
   const Bytes plaintext = from_hex("00112233445566778899aabbccddeeff");
   Aes256 aes(key);
   std::uint8_t ciphertext[16];

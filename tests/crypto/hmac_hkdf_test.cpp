@@ -40,10 +40,9 @@ TEST(HmacTest, Rfc4231Case3) {
 
 TEST(HmacTest, Rfc4231Case6LargerThanBlockKey) {
   const Bytes key(131, 0xaa);
-  EXPECT_EQ(
-      mac_hex(key, to_bytes(
-                       "Test Using Larger Than Block-Size Key - Hash Key First")),
-      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(mac_hex(key, to_bytes("Test Using Larger Than Block-Size Key - "
+                                  "Hash Key First")),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
 TEST(HmacTest, Rfc4231Case7LargerKeyAndData) {
@@ -106,9 +105,15 @@ TEST(HkdfTest, Rfc5869Case1) {
 
 TEST(HkdfTest, Rfc5869Case2LongInputs) {
   Bytes ikm, salt, info;
-  for (int i = 0x00; i <= 0x4f; ++i) ikm.push_back(static_cast<std::uint8_t>(i));
-  for (int i = 0x60; i <= 0xaf; ++i) salt.push_back(static_cast<std::uint8_t>(i));
-  for (int i = 0xb0; i <= 0xff; ++i) info.push_back(static_cast<std::uint8_t>(i));
+  for (int i = 0x00; i <= 0x4f; ++i) {
+    ikm.push_back(static_cast<std::uint8_t>(i));
+  }
+  for (int i = 0x60; i <= 0xaf; ++i) {
+    salt.push_back(static_cast<std::uint8_t>(i));
+  }
+  for (int i = 0xb0; i <= 0xff; ++i) {
+    info.push_back(static_cast<std::uint8_t>(i));
+  }
   const Bytes okm = hkdf(salt, ikm, info, 82);
   EXPECT_EQ(to_hex(okm),
             "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"

@@ -21,9 +21,8 @@ genome::Cohort cohort_for(std::uint64_t seed, std::size_t n_case = 800,
 
 /// Property sweep: over cohorts, federation sizes, and seeds, GenDPR's
 /// selection is byte-identical to the centralized baseline at every phase.
-class EquivalenceSweep
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::uint32_t>> {
-};
+using SweepParam = std::tuple<std::uint64_t, std::uint32_t>;
+class EquivalenceSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(EquivalenceSweep, GenDprMatchesCentralizedEveryPhase) {
   const auto [seed, num_gdos] = GetParam();

@@ -10,6 +10,7 @@
 
 #include "genome/cohort.hpp"
 #include "ld_phase.hpp"
+#include "obs/observability.hpp"
 #include "session_harness.hpp"
 
 namespace gendpr::core {
@@ -33,11 +34,11 @@ struct LeaderFixture {
   }
 
   /// The leader session (GDO 0) of a two-GDO study.
-  std::unique_ptr<LeaderSession> make_leader() {
+  std::unique_ptr<LeaderSession> make_leader(
+      const StudyConfig& config = StudyConfig{}) {
     return std::make_unique<LeaderSession>(
         leader_platform, 0, 2, genome::BitPlanes(cohort.cases, 0, 100),
-        genome::BitPlanes(cohort.controls), StudyConfig{},
-        CollusionPolicy::none());
+        genome::BitPlanes(cohort.controls), config, CollusionPolicy::none());
   }
 
   /// A scripted member `gdo` holding the second half of the cases.
@@ -190,7 +191,7 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
   auto silent_fetch = [&fetches](const MomentsRequest&,
                                  const std::vector<std::uint32_t>&) {
     ++fetches;
-    return Coordinator::CoCounts{};  // no responses
+    return MemberCounts{};  // no responses
   };
   const auto result = run_ld_phase(
       coordinator, {{1, uniform_windows(coordinator, 1)}}, silent_fetch);
@@ -200,6 +201,37 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
   EXPECT_NE(result.error().message.find("1"), std::string::npos)
       << result.error().to_string();
   EXPECT_EQ(coordinator.dead_gdos(), (std::set<std::uint32_t>{1}));
+}
+
+TEST(FailureInjectionTest, UnansweredMomentsRequestTimesOutStudy) {
+  // The member sends its honest LD window, then never answers a moments
+  // request. The leader waits on the request's answer alone, and its
+  // deadline ends the study with a timeout naming the member.
+  LeaderFixture f;
+  StudyConfig config;
+  config.ld_cutoff = 1.0;  // the walk's anchor holds past the LD window
+  obs::Observability observability;  // outlives the leader's open spans
+  auto leader = f.make_leader(config);
+  leader->set_observability(&observability);
+  leader->set_receive_timeout(std::chrono::milliseconds(250));
+  ScriptedMember::Script script = ScriptedMember::until_summary();
+  script.after_phase1 = [](GdoEnclave& enclave, tee::SecureChannel& channel) {
+    const genome::TilePlan plan = enclave.ld_plan();
+    LdWindow window = enclave.make_ld_window(plan.begin(0), plan.end(0), 0);
+    return channel.seal(envelope(MsgType::ld_window, serialize(window)))
+        .value();
+  };
+  auto member = f.make_member(std::move(script));
+  const auto start = std::chrono::steady_clock::now();
+  const common::Status result = f.run(*leader, member.get());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, common::Errc::timeout);
+  EXPECT_NE(result.error().message.find("unresponsive gdo(s): 1"),
+            std::string::npos)
+      << result.error().to_string();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ(observability.metrics.counter("ld.window_tiles"), 1u);
+  EXPECT_EQ(observability.metrics.counter("ld.round_trips"), 1u);
 }
 
 // ---------------------------------------------------------------------------

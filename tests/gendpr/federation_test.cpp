@@ -20,7 +20,8 @@
 namespace gendpr::core {
 namespace {
 
-genome::Cohort test_cohort(std::size_t n_case = 600, std::size_t n_control = 600,
+genome::Cohort test_cohort(std::size_t n_case = 600,
+                           std::size_t n_control = 600,
                            std::size_t n_snps = 150, std::uint64_t seed = 9) {
   genome::CohortSpec spec;
   spec.num_case = n_case;

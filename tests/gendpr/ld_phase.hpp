@@ -1,20 +1,27 @@
 // Drives a Coordinator's LD phase the way the leader session does, for the
-// trusted-module tests: every member's LD windows first, then
-// run_ld_phase_async under common::run_sync with a blocking fetch. Nothing
-// in the chain suspends, so run_sync finishes it on the caller's stack.
+// trusted-module tests: every member's LD windows first, then the walk,
+// answering each MomentsRequest it opens with a blocking fetch. A member
+// whose count the fetch leaves out is marked dead, as the session's deadline
+// would.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "gendpr/trusted.hpp"
 
 namespace gendpr::core {
 
+/// Co-occurrence counts of one pair, indexed by GDO (empty slot = no
+/// answer from that GDO).
+using MemberCounts = std::vector<std::optional<std::uint32_t>>;
+
 /// Answers one MomentsRequest for `targets`, indexed by GDO.
-using BlockingFetch = std::function<Coordinator::CoCounts(
+using BlockingFetch = std::function<MemberCounts(
     const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
 /// An honest member's windows over every tile of its LD plan.
@@ -48,11 +55,11 @@ inline std::vector<LdWindow> uniform_windows(const Coordinator& coordinator,
 
 /// Feeds `windows[g]` for every member g, then finishes the LD phase with
 /// `fetch` answering the pairs the windows do not cover. A refused window
-/// fails the phase with its error.
+/// or answer fails the phase with its error.
 inline common::Result<Phase2Result> run_ld_phase(
     Coordinator& coordinator,
     const std::map<std::uint32_t, std::vector<LdWindow>>& windows,
-    BlockingFetch fetch) {
+    const BlockingFetch& fetch) {
   for (const auto& [gdo, stream] : windows) {
     for (const LdWindow& window : stream) {
       if (common::Status s = coordinator.add_ld_window(gdo, window); !s.ok()) {
@@ -60,12 +67,25 @@ inline common::Result<Phase2Result> run_ld_phase(
       }
     }
   }
-  return common::run_sync(coordinator.run_ld_phase_async(
-      [&fetch](const MomentsRequest& request,
-               const std::vector<std::uint32_t>& targets)
-          -> common::Task<Coordinator::CoCounts> {
-        co_return fetch(request, targets);
-      }));
+  for (;;) {
+    auto opened = coordinator.advance_ld_walks();
+    if (!opened.ok()) return opened.error();
+    if (!opened.value().has_value()) break;
+    const MomentsRequest request = *opened.value();
+    const std::set<std::uint32_t> owing = coordinator.members_owing_moments();
+    const std::vector<std::uint32_t> targets(owing.begin(), owing.end());
+    const MemberCounts counts = fetch(request, targets);
+    for (std::uint32_t g : targets) {
+      if (g >= counts.size() || !counts[g].has_value()) {
+        (void)coordinator.mark_gdo_dead(g);
+        continue;
+      }
+      const common::Status s = coordinator.add_moments(
+          g, MomentsResponse{request.request_id, *counts[g]});
+      if (!s.ok()) return s.error();
+    }
+  }
+  return coordinator.run_ld_phase();
 }
 
 }  // namespace gendpr::core

@@ -45,7 +45,8 @@ TEST(TilingTest, TiledMatchesMonolithicAcrossWidthsAndPolicies) {
     for (unsigned f : {0u, 1u, 2u}) {
       FederationSpec spec;
       spec.num_gdos = g;
-      spec.policy = f == 0 ? CollusionPolicy::none() : CollusionPolicy::fixed(f);
+      spec.policy =
+          f == 0 ? CollusionPolicy::none() : CollusionPolicy::fixed(f);
       const auto mono = run_federated_study(cohort, spec);
       ASSERT_TRUE(mono.ok()) << "G=" << g << " f=" << f << ": "
                              << mono.error().to_string();

@@ -263,12 +263,14 @@ TEST(GdoEnclaveTest, Phase3SafeSnpOutsideLDoublePrimeRejected) {
 
 using Stream = Coordinator::Stream;
 
-/// Expects `status` to be a bad_message refusal naming GDO 1, with `why` in
-/// the reason.
-void expect_refused(const common::Status& status, const std::string& why) {
+/// Expects `status` to be a bad_message refusal naming GDO `gdo`, with `why`
+/// in the reason.
+void expect_refused(const common::Status& status, const std::string& why,
+                    std::uint32_t gdo = 1) {
   ASSERT_FALSE(status.ok()) << why;
   EXPECT_EQ(status.error().code, common::Errc::bad_message);
-  EXPECT_NE(status.error().message.find("gdo 1"), std::string::npos)
+  EXPECT_NE(status.error().message.find("gdo " + std::to_string(gdo)),
+            std::string::npos)
       << status.error().message;
   EXPECT_NE(status.error().message.find(why), std::string::npos)
       << status.error().message;
@@ -353,7 +355,7 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   EXPECT_FALSE(phase1.value().retained.empty());
 
   auto fetch = [](const MomentsRequest&, const std::vector<std::uint32_t>&) {
-    return Coordinator::CoCounts{};
+    return MemberCounts{};
   };
   const auto phase2 = run_ld_phase(coordinator, {}, fetch);
   ASSERT_TRUE(phase2.ok());
@@ -378,7 +380,7 @@ TEST(CoordinatorTest, LrMatrixValidation) {
   ASSERT_TRUE(coordinator.add_summary(1, member_stats).ok());
   ASSERT_TRUE(coordinator.run_maf_phase().ok());
   auto fetch = [&](const MomentsRequest&, const std::vector<std::uint32_t>&) {
-    Coordinator::CoCounts per_gdo(2);
+    MemberCounts per_gdo(2);
     per_gdo[1] = 1;
     return per_gdo;
   };
@@ -434,7 +436,7 @@ struct PlaneGather {
     EXPECT_TRUE(member.on_phase1(phase1.value()).ok());
     auto fetch = [this](const MomentsRequest& request,
                         const std::vector<std::uint32_t>&) {
-      Coordinator::CoCounts per_gdo(2);
+      MemberCounts per_gdo(2);
       per_gdo[1] = member.on_moments_request(request).value().co_count;
       return per_gdo;
     };
@@ -594,7 +596,7 @@ struct WindowGather {
     return [this](const MomentsRequest& request,
                   const std::vector<std::uint32_t>&) {
       fetched.emplace_back(request.snp_a, request.snp_b);
-      Coordinator::CoCounts per_gdo(2);
+      MemberCounts per_gdo(2);
       per_gdo[1] = member.on_moments_request(request).value().co_count;
       return per_gdo;
     };
@@ -746,7 +748,7 @@ TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
     auto fetch = [co, &fetches](const MomentsRequest&,
                                 const std::vector<std::uint32_t>&) {
       ++fetches;
-      Coordinator::CoCounts per_gdo(2);
+      MemberCounts per_gdo(2);
       per_gdo[1] = co;
       return per_gdo;
     };
@@ -763,15 +765,14 @@ TEST(CoordinatorTest, FetchedCountOutsidePhase1BoundsRejected) {
 
 /// Three-GDO coordinator with identical member summaries and every pair
 /// dependent: every combination ranks SNPs identically, so the greedy walks
-/// of {0,1} and {0,2} fetch the same pairs beyond the LD window and the
-/// second walk hits pair-cache entries created by the first. Used by the
-/// stale-slot regression test below.
-struct RefetchFixture {
+/// of {0,1}, {0,2} and {1,2} need the same pairs beyond the LD window. Both
+/// members' windows are in.
+struct FarPairFixture {
   Fixture f;
   GdoEnclave leader{f.platform, 0};
   std::optional<Coordinator> coordinator;
 
-  RefetchFixture() {
+  FarPairFixture() {
     EXPECT_TRUE(leader.provision_dataset(f.cases()).ok());
     coordinator.emplace(leader, f.reference(), 3, every_pair_dependent(),
                         CollusionPolicy::fixed(1));
@@ -781,43 +782,116 @@ struct RefetchFixture {
     EXPECT_TRUE(coordinator->add_summary(1, member_stats).ok());
     EXPECT_TRUE(coordinator->add_summary(2, member_stats).ok());
     EXPECT_TRUE(coordinator->run_maf_phase().ok());
+    for (const LdWindow& window : uniform_windows(*coordinator, 1)) {
+      EXPECT_TRUE(coordinator->add_ld_window(1, window).ok());
+      EXPECT_TRUE(coordinator->add_ld_window(2, window).ok());
+    }
+  }
+
+  /// Answers every request with a count of 1 from each member it names.
+  static MemberCounts answer_all(const MomentsRequest&,
+                                 const std::vector<std::uint32_t>& targets) {
+    MemberCounts per_gdo(3);
+    for (std::uint32_t g : targets) per_gdo[g] = 1;
+    return per_gdo;
+  }
+
+  /// Walks up to the first pair beyond the window and returns the request
+  /// the walk stopped on.
+  MomentsRequest first_request() {
+    auto opened = coordinator->advance_ld_walks();
+    EXPECT_TRUE(opened.ok());
+    EXPECT_TRUE(opened.ok() && opened.value().has_value());
+    return opened.ok() && opened.value().has_value() ? *opened.value()
+                                                     : MomentsRequest{};
   }
 };
 
-TEST(CoordinatorTest, StaleMomentsSlotRefetchedForLiveMember) {
-  // The first touch of a pair broadcasts to all live members. If GDO 2's
-  // response is lost in transit (without GDO 2 being unresponsive at the
-  // network layer, so it is never marked dead), the cached entry keeps an
-  // empty slot. When combination {0,2} later aggregates the same pair, the
-  // coordinator must re-request the missing slot from the live member
-  // instead of replaying MissingMomentsError from the stale cache entry -
-  // which used to kill combination {0,2} and {1,2} and silently shrink the
-  // assessment.
-  RefetchFixture rf;
-  std::vector<std::vector<std::uint32_t>> calls;
-  auto fetch = [&](const MomentsRequest&,
-                   const std::vector<std::uint32_t>& targets) {
-    calls.push_back(targets);
-    Coordinator::CoCounts per_gdo(3);
-    for (std::uint32_t g : targets) {
-      if (calls.size() == 1 && g == 2) continue;  // drop GDO 2's response
-      per_gdo[g] = 1;
-    }
-    return per_gdo;
-  };
-  const std::vector<LdWindow> windows = uniform_windows(*rf.coordinator, 1);
+TEST(CoordinatorTest, WalkWaitsForEveryAddressedLiveMember) {
+  // A pair beyond the window opens one request to every live member. The
+  // walk does not pass the pair while a live member still owes its answer,
+  // and a member that answers last is not written off: once it answered,
+  // every combination stays live.
+  FarPairFixture fp;
+  Coordinator& coordinator = *fp.coordinator;
+  const MomentsRequest request = fp.first_request();
+  EXPECT_EQ(coordinator.members_owing_moments(),
+            (std::set<std::uint32_t>{1, 2}));
+  ASSERT_TRUE(coordinator.add_moments(1, {request.request_id, 1}).ok());
+  const std::size_t pairs = coordinator.ld_pairs_fetched();
+  const auto stalled = coordinator.advance_ld_walks();
+  ASSERT_TRUE(stalled.ok());
+  EXPECT_FALSE(stalled.value().has_value());
+  EXPECT_EQ(coordinator.members_owing_moments(), std::set<std::uint32_t>{2});
+  EXPECT_EQ(coordinator.ld_pairs_fetched(), pairs);
+  EXPECT_EQ(coordinator.run_ld_phase().error().code,
+            common::Errc::state_violation);
+
+  ASSERT_TRUE(coordinator.add_moments(2, {request.request_id, 1}).ok());
+  EXPECT_TRUE(coordinator.members_owing_moments().empty());
+  ASSERT_TRUE(run_ld_phase(coordinator, {}, FarPairFixture::answer_all).ok());
+  EXPECT_GT(coordinator.ld_pairs_fetched(), pairs);
+  EXPECT_TRUE(coordinator.dead_gdos().empty());
+  EXPECT_EQ(coordinator.live_combination_count(),
+            coordinator.combinations().size());
+}
+
+TEST(CoordinatorTest, MomentsWithoutOpenRequestRefused) {
+  FarPairFixture fp;
+  // Before the walk opened a request, and after the walk finished.
+  expect_refused(fp.coordinator->add_moments(1, {0, 1}),
+                 "without an open request");
   ASSERT_TRUE(
-      run_ld_phase(*rf.coordinator, {{1, windows}, {2, windows}}, fetch).ok());
-  EXPECT_TRUE(rf.coordinator->dead_gdos().empty());
-  ASSERT_FALSE(calls.empty());
-  // First touch broadcast to both members; the lost slot was later
-  // re-requested from GDO 2 alone.
-  EXPECT_EQ(calls.front(), (std::vector<std::uint32_t>{1, 2}));
-  bool refetched = false;
-  for (std::size_t i = 1; i < calls.size(); ++i) {
-    refetched |= calls[i] == std::vector<std::uint32_t>{2};
-  }
-  EXPECT_TRUE(refetched);
+      run_ld_phase(*fp.coordinator, {}, FarPairFixture::answer_all).ok());
+  expect_refused(fp.coordinator->add_moments(1, {0, 1}),
+                 "without an open request");
+}
+
+TEST(CoordinatorTest, MomentsForAnotherRequestRefused) {
+  FarPairFixture fp;
+  const MomentsRequest request = fp.first_request();
+  expect_refused(fp.coordinator->add_moments(1, {request.request_id + 1, 1}),
+                 "another request");
+  EXPECT_EQ(fp.coordinator->members_owing_moments(),
+            (std::set<std::uint32_t>{1, 2}));
+}
+
+TEST(CoordinatorTest, MomentsFromUnaddressedGdoRefused) {
+  FarPairFixture fp;
+  // GDO 2 died before the request opened, so it addressed GDO 1 alone; the
+  // leader's own data is local and never addressed.
+  ASSERT_TRUE(fp.coordinator->mark_gdo_dead(2).ok());
+  const MomentsRequest request = fp.first_request();
+  EXPECT_EQ(fp.coordinator->members_owing_moments(),
+            std::set<std::uint32_t>{1});
+  expect_refused(fp.coordinator->add_moments(2, {request.request_id, 1}),
+                 "did not address", 2);
+  expect_refused(fp.coordinator->add_moments(0, {request.request_id, 1}),
+                 "did not address", 0);
+  EXPECT_EQ(fp.coordinator->members_owing_moments(),
+            std::set<std::uint32_t>{1});
+}
+
+TEST(CoordinatorTest, RepeatedMomentsRefused) {
+  FarPairFixture fp;
+  const MomentsRequest request = fp.first_request();
+  ASSERT_TRUE(fp.coordinator->add_moments(1, {request.request_id, 1}).ok());
+  expect_refused(fp.coordinator->add_moments(1, {request.request_id, 2}),
+                 "repeated");
+  EXPECT_EQ(fp.coordinator->members_owing_moments(),
+            std::set<std::uint32_t>{2});
+}
+
+TEST(CoordinatorTest, ImpossibleMomentsCountRefused) {
+  // Every SNP is carried by 5 of GDO 1's 400 cases, so no pair co-occurs
+  // more than 5 times.
+  FarPairFixture fp;
+  const MomentsRequest request = fp.first_request();
+  expect_refused(fp.coordinator->add_moments(1, {request.request_id, 6}),
+                 "disagrees with the phase-1 counts");
+  EXPECT_EQ(fp.coordinator->members_owing_moments(),
+            (std::set<std::uint32_t>{1, 2}));
+  EXPECT_TRUE(fp.coordinator->add_moments(1, {request.request_id, 5}).ok());
 }
 
 }  // namespace

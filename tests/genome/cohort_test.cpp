@@ -116,8 +116,8 @@ TEST(CohortTest, AssociatedSnpsShiftCaseFrequency) {
   const auto control_counts = cohort.controls.allele_counts();
   double mean_shift = 0.0;
   for (std::uint32_t l : cohort.associated_snps) {
-    const double case_freq =
-        static_cast<double>(case_counts[l]) / static_cast<double>(spec.num_case);
+    const double case_freq = static_cast<double>(case_counts[l]) /
+                             static_cast<double>(spec.num_case);
     const double control_freq = static_cast<double>(control_counts[l]) /
                                 static_cast<double>(spec.num_control);
     mean_shift += case_freq - control_freq;

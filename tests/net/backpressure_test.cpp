@@ -165,7 +165,8 @@ TEST(BackpressureTest, PausedPeerDoesNotBlockASibling) {
   ASSERT_TRUE(fast.ok());
   std::map<NodeId, std::vector<common::Bytes>> fast_received;
   fast.value()->set_frame_handler([&](NodeId from, common::BytesView payload) {
-    fast_received[from].push_back(common::Bytes(payload.begin(), payload.end()));
+    fast_received[from].push_back(
+        common::Bytes(payload.begin(), payload.end()));
   });
 
   hub->connect_peer(1, "127.0.0.1", reader.port);

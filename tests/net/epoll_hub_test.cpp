@@ -117,7 +117,8 @@ TEST(EpollHubTest, ExhaustedDialReportsPeerLost) {
   probe.value().reset();
 
   std::vector<NodeId> lost;
-  hub.value()->set_peer_lost_handler([&](NodeId peer) { lost.push_back(peer); });
+  hub.value()->set_peer_lost_handler(
+      [&](NodeId peer) { lost.push_back(peer); });
   EpollHub::DialOptions options;
   options.max_attempts = 2;
   options.initial_backoff = 5ms;

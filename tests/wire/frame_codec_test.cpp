@@ -58,8 +58,8 @@ common::Bytes encode_stream(const std::vector<ExpectedFrame>& frames) {
 /// offsets), draining after every feed, and returns the decoded frames.
 /// Every payload is copied out before the next feed/next, per the borrow
 /// discipline.
-std::vector<ExpectedFrame> decode_chunked(const common::Bytes& stream,
-                                          const std::vector<std::size_t>& cuts) {
+std::vector<ExpectedFrame> decode_chunked(
+    const common::Bytes& stream, const std::vector<std::size_t>& cuts) {
   FrameDecoder decoder;
   std::vector<ExpectedFrame> decoded;
   std::size_t begin = 0;
