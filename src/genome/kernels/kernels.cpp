@@ -1,5 +1,6 @@
 #include "genome/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +31,77 @@ std::uint64_t and_popcount_words_portable(const std::uint64_t* a,
   return count;
 }
 
+namespace {
+
+template <bool kUndo>
+SweepCounts sweep_rows(double* scores, std::size_t n,
+                       const WeightedBits* undo, const WeightedBits& add,
+                       double lo, double hi, double* band) {
+  SweepCounts counts;
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::uint64_t word = add.bits[base / 64];
+    const std::uint64_t undo_word = kUndo ? undo->bits[base / 64] : 0;
+    const std::size_t rows = std::min<std::size_t>(64, n - base);
+    for (std::size_t k = 0; k < rows; ++k) {
+      double s = scores[base + k];
+      if constexpr (kUndo) s -= undo->weight[(undo_word >> k) & 1];
+      s += add.weight[(word >> k) & 1];
+      scores[base + k] = s;
+      const bool from_lo = s >= lo;
+      const bool to_hi = s <= hi;
+      counts.below += from_lo ? 0 : 1;
+      counts.above += to_hi ? 0 : 1;
+      // Written at the band's end every time, kept only when it advances.
+      band[counts.band] = s;
+      counts.band += from_lo && to_hi ? 1 : 0;
+    }
+  }
+  return counts;
+}
+
+}  // namespace
+
+SweepCounts sweep_scores_portable(double* scores, std::size_t n,
+                                  const WeightedBits* undo,
+                                  const WeightedBits& add, double lo,
+                                  double hi, double* band) {
+  return undo != nullptr
+             ? sweep_rows<true>(scores, n, undo, add, lo, hi, band)
+             : sweep_rows<false>(scores, n, undo, add, lo, hi, band);
+}
+
+void column_sums_portable(const std::uint64_t* const* columns,
+                          std::size_t width, std::size_t rows,
+                          const double* minor, const double* major,
+                          double* sums) {
+  // Up to 64 columns advance together, one row at a time, so the adds of
+  // different columns overlap while each column keeps its row order.
+  constexpr std::size_t kChunk = 64;
+  std::uint64_t minor_bits[kChunk];
+  std::uint64_t major_bits[kChunk];
+  std::uint64_t words[kChunk];
+  for (std::size_t begin = 0; begin < width; begin += kChunk) {
+    const std::size_t chunk = std::min(kChunk, width - begin);
+    for (std::size_t i = 0; i < chunk; ++i) {
+      minor_bits[i] = std::bit_cast<std::uint64_t>(minor[begin + i]);
+      major_bits[i] = std::bit_cast<std::uint64_t>(major[begin + i]);
+    }
+    for (std::size_t base = 0; base < rows; base += 64) {
+      for (std::size_t i = 0; i < chunk; ++i) {
+        words[i] = columns[begin + i][base / 64];
+      }
+      const std::size_t bits = std::min<std::size_t>(64, rows - base);
+      for (std::size_t k = 0; k < bits; ++k) {
+        for (std::size_t i = 0; i < chunk; ++i) {
+          const std::uint64_t take_minor = 0 - ((words[i] >> k) & 1);
+          sums[begin + i] += std::bit_cast<double>(
+              (minor_bits[i] & take_minor) | (major_bits[i] & ~take_minor));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace detail
 
 namespace {
@@ -37,16 +109,22 @@ namespace {
 constexpr KernelOps kPortableOps = {
     &detail::popcount_words_portable,
     &detail::and_popcount_words_portable,
+    &detail::sweep_scores_portable,
+    &detail::column_sums_portable,
 };
 
 constexpr KernelOps kAvx2Ops = {
     &detail::popcount_words_avx2,
     &detail::and_popcount_words_avx2,
+    &detail::sweep_scores_avx2,
+    &detail::column_sums_avx2,
 };
 
 constexpr KernelOps kAvx512Ops = {
     &detail::popcount_words_avx512,
     &detail::and_popcount_words_avx512,
+    &detail::sweep_scores_avx512,
+    &detail::column_sums_avx512,
 };
 
 KernelBackend best_available_backend() noexcept {

@@ -1,9 +1,13 @@
 // Runtime-dispatched SIMD kernels for the bit-plane hot loops.
 //
-// The two loops that dominate wide studies — per-plane popcounts (allele
-// counts) and AND+popcount over plane pairs (the one non-marginal LD
-// moment) — are pure integer operations, so a vectorized backend is
-// bit-identical to the portable one. This header is the seam: the same
+// Two loops dominate the count phases of wide studies — per-plane
+// popcounts (allele counts) and AND+popcount over plane pairs (the one
+// non-marginal LD moment) — and two dominate the LR selection: the
+// per-candidate sweep over every row's running score and the per-column
+// sums of the gap pass. The popcounts are pure integer operations; the LR
+// kernels do the same IEEE additions in the same order in every lane as the
+// portable loop does per row, so every vectorized backend is bit-identical
+// to the portable one. This header is the seam: the same
 // pattern as crypto's AEAD engine (crypto/gcm_backend.hpp), with each ISA
 // variant compiled in its own translation unit under scoped compiler flags
 // and a CPUID-probing dispatcher choosing at runtime. The dispatcher, not
@@ -37,6 +41,20 @@ bool kernel_backend_available(KernelBackend backend) noexcept;
 /// the best available backend when unset, unknown, or unavailable.
 KernelBackend default_kernel_backend() noexcept;
 
+/// One column of the LR selection: row r's bit is bit r % 64 of
+/// bits[r / 64], and the row's weight is weight[bit] ({major, minor}).
+struct WeightedBits {
+  const std::uint64_t* bits = nullptr;
+  double weight[2] = {0.0, 0.0};
+};
+
+/// What one `KernelOps::sweep_scores` pass counted.
+struct SweepCounts {
+  std::size_t below = 0;  // updated scores not >= lo
+  std::size_t above = 0;  // updated scores not <= hi
+  std::size_t band = 0;   // updated scores in [lo, hi], written to `band`
+};
+
 /// The dispatch table. All entries are total functions: n == 0 is fine and
 /// every backend returns bit-identical results for identical inputs.
 struct KernelOps {
@@ -45,6 +63,23 @@ struct KernelOps {
   /// Sum of std::popcount(a[i] & b[i]) over [0..n).
   std::uint64_t (*and_popcount_words)(const std::uint64_t* a,
                                       const std::uint64_t* b, std::size_t n);
+  /// One pass of the LR selection over n rows' running scores. Each score
+  /// becomes fl(fl(s - undo.weight[b']) + add.weight[b]), b' and b being
+  /// the row's bits in `undo` and `add`; the subtraction is skipped when
+  /// `undo` is null. Counts the updated scores below `lo` and above `hi`
+  /// (a NaN would count as both), and writes those in [lo, hi] to
+  /// band[0, counts.band) in no promised order; `band` has room for n
+  /// doubles.
+  SweepCounts (*sweep_scores)(double* scores, std::size_t n,
+                              const WeightedBits* undo,
+                              const WeightedBits& add, double lo, double hi,
+                              double* band);
+  /// sums[i] += (bit r of columns[i] ? minor[i] : major[i]) for each
+  /// column i in [0, width), adding rows r = 0, 1, ..., rows - 1 in
+  /// ascending order; each column holds ceil(rows / 64) words.
+  void (*column_sums)(const std::uint64_t* const* columns, std::size_t width,
+                      std::size_t rows, const double* minor,
+                      const double* major, double* sums);
 };
 
 /// Ops for an explicit backend; unavailable backends resolve to portable.

@@ -1,5 +1,6 @@
 // AVX2 kernels: Harley-Seal carry-save popcount with the vpshufb nibble-LUT
-// digit counter. Compiled with -mavx2 only
+// digit counter, and the LR selection's sweep and column sums, four doubles
+// per vector selected by sign-bit blends. Compiled with -mavx2 only
 // (see src/genome/CMakeLists.txt); the dispatcher guarantees the CPU and OS
 // support YMM state before any function here is called.
 #include "genome/kernels/kernels_backend.hpp"
@@ -89,7 +90,197 @@ inline std::uint64_t harley_seal(std::size_t vectors, LoadFn load) noexcept {
   return reduce_add256(total);
 }
 
+/// Per 4-bit row mask: the blend mask (lane j all ones when bit j is set)
+/// and the vpermd indices that move the set lanes' doubles to the front,
+/// in lane order.
+struct NibbleTables {
+  alignas(32) std::uint64_t select[16][4];
+  alignas(32) std::int32_t compress[16][8];
+};
+
+constexpr NibbleTables make_nibble_tables() {
+  NibbleTables tables{};
+  for (int mask = 0; mask < 16; ++mask) {
+    int out = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      const bool set = ((mask >> lane) & 1) != 0;
+      tables.select[mask][lane] = set ? ~std::uint64_t{0} : 0;
+      if (set) {
+        tables.compress[mask][2 * out] = 2 * lane;
+        tables.compress[mask][2 * out + 1] = 2 * lane + 1;
+        ++out;
+      }
+    }
+  }
+  return tables;
+}
+
+constexpr NibbleTables kNibble = make_nibble_tables();
+
+inline __m256d select_mask(unsigned nibble) noexcept {
+  return _mm256_load_pd(
+      reinterpret_cast<const double*>(kNibble.select[nibble]));
+}
+
+/// Four rows of the sweep; `undo_bits` and `bits` are their 4-bit masks.
+template <bool kUndo>
+inline void sweep4(double* scores, unsigned undo_bits, unsigned bits,
+                   const __m256d undo[2], const __m256d add[2], __m256d lo,
+                   __m256d hi, double* band, std::size_t& in_band,
+                   __m256i& from_lo_count, __m256i& to_hi_count) {
+  __m256d s = _mm256_loadu_pd(scores);
+  if constexpr (kUndo) {
+    s = _mm256_sub_pd(
+        s, _mm256_blendv_pd(undo[0], undo[1], select_mask(undo_bits)));
+  }
+  s = _mm256_add_pd(s, _mm256_blendv_pd(add[0], add[1], select_mask(bits)));
+  _mm256_storeu_pd(scores, s);
+  // Compare masks are all ones (-1) per lane that holds: subtracting them
+  // counts the rows from lo and to hi, and the caller takes the rest.
+  const __m256d from_lo = _mm256_cmp_pd(s, lo, _CMP_GE_OQ);
+  const __m256d to_hi = _mm256_cmp_pd(s, hi, _CMP_LE_OQ);
+  from_lo_count =
+      _mm256_sub_epi64(from_lo_count, _mm256_castpd_si256(from_lo));
+  to_hi_count = _mm256_sub_epi64(to_hi_count, _mm256_castpd_si256(to_hi));
+  const auto in = static_cast<unsigned>(
+      _mm256_movemask_pd(_mm256_and_pd(from_lo, to_hi)));
+  // All four lanes are stored; in_band is at most this vector's first row,
+  // so they land inside the n doubles the band has room for.
+  const __m256i order = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kNibble.compress[in]));
+  _mm256_storeu_pd(band + in_band,
+                   _mm256_castps_pd(_mm256_permutevar8x32_ps(
+                       _mm256_castpd_ps(s), order)));
+  in_band += static_cast<std::size_t>(_mm_popcnt_u32(in));
+}
+
+template <bool kUndo>
+SweepCounts sweep(double* scores, std::size_t n, const WeightedBits* undo,
+                  const WeightedBits& add, double lo, double hi,
+                  double* band) {
+  __m256d undo_v[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+  if constexpr (kUndo) {
+    undo_v[0] = _mm256_set1_pd(undo->weight[0]);
+    undo_v[1] = _mm256_set1_pd(undo->weight[1]);
+  }
+  const __m256d add_v[2] = {_mm256_set1_pd(add.weight[0]),
+                            _mm256_set1_pd(add.weight[1])};
+  const __m256d lo_v = _mm256_set1_pd(lo);
+  const __m256d hi_v = _mm256_set1_pd(hi);
+  __m256i from_lo_count = _mm256_setzero_si256();
+  __m256i to_hi_count = _mm256_setzero_si256();
+  std::size_t in_band = 0;
+  // One plane word per 64 rows; its sixteen nibbles select for sixteen
+  // vectors.
+  std::size_t r = 0;
+  for (; r + 64 <= n; r += 64) {
+    const std::uint64_t word = add.bits[r / 64];
+    const std::uint64_t undo_word = kUndo ? undo->bits[r / 64] : 0;
+#pragma GCC unroll 16
+    for (unsigned j = 0; j < 64; j += 4) {
+      sweep4<kUndo>(scores + r + j,
+                    static_cast<unsigned>(undo_word >> j) & 0xfu,
+                    static_cast<unsigned>(word >> j) & 0xfu, undo_v, add_v,
+                    lo_v, hi_v, band, in_band, from_lo_count,
+                    to_hi_count);
+    }
+  }
+  for (; r + 4 <= n; r += 4) {
+    const std::size_t shift = r % 64;
+    sweep4<kUndo>(
+        scores + r,
+        kUndo ? static_cast<unsigned>(undo->bits[r / 64] >> shift) & 0xfu : 0,
+        static_cast<unsigned>(add.bits[r / 64] >> shift) & 0xfu, undo_v,
+        add_v, lo_v, hi_v, band, in_band, from_lo_count, to_hi_count);
+  }
+  SweepCounts counts;
+  counts.below = r - reduce_add256(from_lo_count);
+  counts.above = r - reduce_add256(to_hi_count);
+  counts.band = in_band;
+  // The last n % 4 rows, one at a time as the portable kernel runs them.
+  for (; r < n; ++r) {
+    const std::size_t shift = r % 64;
+    double s = scores[r];
+    if constexpr (kUndo) s -= undo->weight[(undo->bits[r / 64] >> shift) & 1];
+    s += add.weight[(add.bits[r / 64] >> shift) & 1];
+    scores[r] = s;
+    const bool from_lo = s >= lo;
+    const bool to_hi = s <= hi;
+    counts.below += from_lo ? 0 : 1;
+    counts.above += to_hi ? 0 : 1;
+    band[counts.band] = s;
+    counts.band += from_lo && to_hi ? 1 : 0;
+  }
+  return counts;
+}
+
+/// Columns per chunk of the column sums: four vectors, so four independent
+/// add chains hide the add latency.
+constexpr std::size_t kSumChunk = 16;
+
 }  // namespace
+
+SweepCounts sweep_scores_avx2(double* scores, std::size_t n,
+                              const WeightedBits* undo,
+                              const WeightedBits& add, double lo, double hi,
+                              double* band) {
+  return undo != nullptr ? sweep<true>(scores, n, undo, add, lo, hi, band)
+                         : sweep<false>(scores, n, undo, add, lo, hi, band);
+}
+
+void column_sums_avx2(const std::uint64_t* const* columns, std::size_t width,
+                      std::size_t rows, const double* minor,
+                      const double* major, double* sums) {
+  constexpr std::size_t kVectors = kSumChunk / 4;
+  for (std::size_t begin = 0; begin < width; begin += kSumChunk) {
+    // A short last chunk runs padded with zero weights and zero bits; only
+    // its real columns are stored back.
+    const std::size_t chunk =
+        width - begin < kSumChunk ? width - begin : kSumChunk;
+    alignas(32) double minor_pad[kSumChunk] = {};
+    alignas(32) double major_pad[kSumChunk] = {};
+    alignas(32) double sum_pad[kSumChunk] = {};
+    for (std::size_t i = 0; i < chunk; ++i) {
+      minor_pad[i] = minor[begin + i];
+      major_pad[i] = major[begin + i];
+      sum_pad[i] = sums[begin + i];
+    }
+    __m256d minor_v[kVectors];
+    __m256d major_v[kVectors];
+    __m256d acc[kVectors];
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      minor_v[v] = _mm256_load_pd(minor_pad + 4 * v);
+      major_v[v] = _mm256_load_pd(major_pad + 4 * v);
+      acc[v] = _mm256_load_pd(sum_pad + 4 * v);
+    }
+    alignas(32) std::uint64_t words[kSumChunk] = {};
+    for (std::size_t base = 0; base < rows; base += 64) {
+      for (std::size_t i = 0; i < chunk; ++i) {
+        words[i] = columns[begin + i][base / 64];
+      }
+      __m256i word_v[kVectors];
+      for (std::size_t v = 0; v < kVectors; ++v) {
+        word_v[v] = _mm256_load_si256(
+            reinterpret_cast<const __m256i*>(words + 4 * v));
+      }
+      const std::size_t bits = rows - base < 64 ? rows - base : 64;
+      for (std::size_t k = 0; k < bits; ++k) {
+        for (std::size_t v = 0; v < kVectors; ++v) {
+          // blendv reads each lane's sign bit: shift row k's bit there.
+          const __m256d take_minor =
+              _mm256_castsi256_pd(_mm256_slli_epi64(word_v[v], 63));
+          acc[v] = _mm256_add_pd(
+              acc[v], _mm256_blendv_pd(major_v[v], minor_v[v], take_minor));
+          word_v[v] = _mm256_srli_epi64(word_v[v], 1);
+        }
+      }
+    }
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      _mm256_store_pd(sum_pad + 4 * v, acc[v]);
+    }
+    for (std::size_t i = 0; i < chunk; ++i) sums[begin + i] = sum_pad[i];
+  }
+}
 
 std::uint64_t popcount_words_avx2(const std::uint64_t* words, std::size_t n) {
   const std::size_t vectors = n / 4;
@@ -132,6 +323,14 @@ std::uint64_t and_popcount_words_avx2(const std::uint64_t*,
                                       const std::uint64_t*, std::size_t) {
   return 0;
 }
+
+SweepCounts sweep_scores_avx2(double*, std::size_t, const WeightedBits*,
+                              const WeightedBits&, double, double, double*) {
+  return {};
+}
+
+void column_sums_avx2(const std::uint64_t* const*, std::size_t, std::size_t,
+                      const double*, const double*, double*) {}
 
 #endif  // defined(__AVX2__)
 

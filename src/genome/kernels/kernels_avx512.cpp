@@ -1,4 +1,6 @@
-// AVX-512 kernels: native vpopcntq per-lane popcounts. Compiled with
+// AVX-512 kernels: native vpopcntq per-lane popcounts, and the LR
+// selection's sweep and column sums, eight doubles per vector with the
+// row bits as k-masks. Compiled with
 // -mavx512f -mavx512bw -mavx512vpopcntdq only
 // (see src/genome/CMakeLists.txt); the dispatcher checks ZMM state and the
 // VPOPCNTDQ CPUID bit before calling in.
@@ -65,6 +67,145 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,
   return count;
 }
 
+namespace {
+
+std::size_t count(__mmask8 mask) {
+  return static_cast<std::size_t>(_mm_popcnt_u32(mask));
+}
+
+/// Eight rows of the sweep; `live` masks off the rows past n in the tail.
+template <bool kUndo>
+inline void sweep8(double* scores, __mmask8 undo_bits, __mmask8 bits,
+                   __mmask8 live, const __m512d undo[2], const __m512d add[2],
+                   __m512d lo, __m512d hi, double* band,
+                   SweepCounts& counts) {
+  __m512d s = _mm512_maskz_loadu_pd(live, scores);
+  if constexpr (kUndo) {
+    s = _mm512_sub_pd(s, _mm512_mask_blend_pd(undo_bits, undo[0], undo[1]));
+  }
+  s = _mm512_add_pd(s, _mm512_mask_blend_pd(bits, add[0], add[1]));
+  _mm512_mask_storeu_pd(scores, live, s);
+  // Two compares on port 5, which the compress also needs; the counts
+  // come from mask logic.
+  const __mmask8 from_lo = _mm512_cmp_pd_mask(s, lo, _CMP_GE_OQ);
+  const __mmask8 to_hi = _mm512_cmp_pd_mask(s, hi, _CMP_LE_OQ);
+  const auto in = static_cast<__mmask8>(live & from_lo & to_hi);
+  counts.below += count(static_cast<__mmask8>(live & ~from_lo));
+  counts.above += count(static_cast<__mmask8>(live & ~to_hi));
+  _mm512_mask_compressstoreu_pd(band + counts.band, in, s);
+  counts.band += count(in);
+}
+
+template <bool kUndo>
+SweepCounts sweep(double* scores, std::size_t n, const WeightedBits* undo,
+                  const WeightedBits& add, double lo, double hi,
+                  double* band) {
+  __m512d undo_v[2] = {_mm512_setzero_pd(), _mm512_setzero_pd()};
+  if constexpr (kUndo) {
+    undo_v[0] = _mm512_set1_pd(undo->weight[0]);
+    undo_v[1] = _mm512_set1_pd(undo->weight[1]);
+  }
+  const __m512d add_v[2] = {_mm512_set1_pd(add.weight[0]),
+                            _mm512_set1_pd(add.weight[1])};
+  const __m512d lo_v = _mm512_set1_pd(lo);
+  const __m512d hi_v = _mm512_set1_pd(hi);
+  SweepCounts counts;
+  // One plane word per 64 rows; its eight bytes are the k-masks of eight
+  // vectors.
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::uint64_t word = add.bits[base / 64];
+    const std::uint64_t undo_word = kUndo ? undo->bits[base / 64] : 0;
+    const std::size_t rows = n - base;
+    if (rows >= 64) {
+#pragma GCC unroll 8
+      for (unsigned j = 0; j < 64; j += 8) {
+        sweep8<kUndo>(scores + base + j, static_cast<__mmask8>(undo_word >> j),
+                      static_cast<__mmask8>(word >> j), 0xff, undo_v, add_v,
+                      lo_v, hi_v, band, counts);
+      }
+      continue;
+    }
+    for (unsigned j = 0; j < rows; j += 8) {
+      const auto live = static_cast<__mmask8>(
+          rows - j >= 8 ? 0xffu : (1u << (rows - j)) - 1);
+      sweep8<kUndo>(scores + base + j, static_cast<__mmask8>(undo_word >> j),
+                    static_cast<__mmask8>(word >> j), live, undo_v, add_v,
+                    lo_v, hi_v, band, counts);
+    }
+  }
+  return counts;
+}
+
+/// Columns per chunk of the column sums: four vectors, so four independent
+/// add chains hide the add latency.
+constexpr std::size_t kSumChunk = 32;
+
+}  // namespace
+
+SweepCounts sweep_scores_avx512(double* scores, std::size_t n,
+                                const WeightedBits* undo,
+                                const WeightedBits& add, double lo,
+                                double hi, double* band) {
+  return undo != nullptr ? sweep<true>(scores, n, undo, add, lo, hi, band)
+                         : sweep<false>(scores, n, undo, add, lo, hi, band);
+}
+
+void column_sums_avx512(const std::uint64_t* const* columns,
+                        std::size_t width, std::size_t rows,
+                        const double* minor, const double* major,
+                        double* sums) {
+  constexpr std::size_t kVectors = kSumChunk / 8;
+  for (std::size_t begin = 0; begin < width; begin += kSumChunk) {
+    // A short last chunk runs padded with zero weights and zero bits; only
+    // its real columns are stored back.
+    const std::size_t chunk =
+        width - begin < kSumChunk ? width - begin : kSumChunk;
+    alignas(64) double minor_pad[kSumChunk] = {};
+    alignas(64) double major_pad[kSumChunk] = {};
+    alignas(64) double sum_pad[kSumChunk] = {};
+    for (std::size_t i = 0; i < chunk; ++i) {
+      minor_pad[i] = minor[begin + i];
+      major_pad[i] = major[begin + i];
+      sum_pad[i] = sums[begin + i];
+    }
+    __m512d minor_v[kVectors];
+    __m512d major_v[kVectors];
+    __m512d acc[kVectors];
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      minor_v[v] = _mm512_load_pd(minor_pad + 8 * v);
+      major_v[v] = _mm512_load_pd(major_pad + 8 * v);
+      acc[v] = _mm512_load_pd(sum_pad + 8 * v);
+    }
+    alignas(64) std::uint64_t words[kSumChunk] = {};
+    for (std::size_t base = 0; base < rows; base += 64) {
+      for (std::size_t i = 0; i < chunk; ++i) {
+        words[i] = columns[begin + i][base / 64];
+      }
+      __m512i word_v[kVectors];
+      for (std::size_t v = 0; v < kVectors; ++v) {
+        word_v[v] = _mm512_load_si512(words + 8 * v);
+      }
+      // Row k's bit is tested in place; doubling the probe moves it on
+      // (a shift here trips GCC 12's -Wmaybe-uninitialized on
+      // _mm512_undefined_epi32).
+      __m512i probe = _mm512_set1_epi64(1);
+      const std::size_t bits = rows - base < 64 ? rows - base : 64;
+      for (std::size_t k = 0; k < bits; ++k) {
+        for (std::size_t v = 0; v < kVectors; ++v) {
+          const __mmask8 take_minor = _mm512_test_epi64_mask(word_v[v], probe);
+          acc[v] = _mm512_add_pd(
+              acc[v], _mm512_mask_blend_pd(take_minor, major_v[v], minor_v[v]));
+        }
+        probe = _mm512_add_epi64(probe, probe);
+      }
+    }
+    for (std::size_t v = 0; v < kVectors; ++v) {
+      _mm512_store_pd(sum_pad + 8 * v, acc[v]);
+    }
+    for (std::size_t i = 0; i < chunk; ++i) sums[begin + i] = sum_pad[i];
+  }
+}
+
 #else  // !GENDPR_AVX512_KERNELS
 
 // Stubs for builds without AVX-512 codegen; the dispatcher never calls them.
@@ -78,6 +219,15 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t*,
                                         const std::uint64_t*, std::size_t) {
   return 0;
 }
+
+SweepCounts sweep_scores_avx512(double*, std::size_t, const WeightedBits*,
+                                const WeightedBits&, double, double,
+                                double*) {
+  return {};
+}
+
+void column_sums_avx512(const std::uint64_t* const*, std::size_t,
+                        std::size_t, const double*, const double*, double*) {}
 
 #endif  // GENDPR_AVX512_KERNELS
 

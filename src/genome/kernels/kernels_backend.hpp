@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "genome/kernels/kernels.hpp"
+
 namespace gendpr::genome::kernels::detail {
 
 // kernels.cpp — portable reference implementations (the bit-identity oracle).
@@ -19,19 +21,43 @@ std::uint64_t popcount_words_portable(const std::uint64_t* words,
 std::uint64_t and_popcount_words_portable(const std::uint64_t* a,
                                           const std::uint64_t* b,
                                           std::size_t n);
+SweepCounts sweep_scores_portable(double* scores, std::size_t n,
+                                  const WeightedBits* undo,
+                                  const WeightedBits& add, double lo,
+                                  double hi, double* band);
+void column_sums_portable(const std::uint64_t* const* columns,
+                          std::size_t width, std::size_t rows,
+                          const double* minor, const double* major,
+                          double* sums);
 
-// kernels_avx2.cpp — Harley-Seal + vpshufb LUT (compiled with -mavx2).
+// kernels_avx2.cpp — Harley-Seal + vpshufb LUT popcounts, blendv/vpermd LR
+// kernels (compiled with -mavx2).
 bool avx2_kernels_compiled() noexcept;
 std::uint64_t popcount_words_avx2(const std::uint64_t* words, std::size_t n);
 std::uint64_t and_popcount_words_avx2(const std::uint64_t* a,
                                       const std::uint64_t* b, std::size_t n);
+SweepCounts sweep_scores_avx2(double* scores, std::size_t n,
+                              const WeightedBits* undo,
+                              const WeightedBits& add, double lo,
+                              double hi, double* band);
+void column_sums_avx2(const std::uint64_t* const* columns, std::size_t width,
+                      std::size_t rows, const double* minor,
+                      const double* major, double* sums);
 
-// kernels_avx512.cpp — vpopcntq (compiled with
+// kernels_avx512.cpp — vpopcntq popcounts, k-mask LR kernels (compiled with
 // -mavx512f -mavx512bw -mavx512vpopcntdq).
 bool avx512_kernels_compiled() noexcept;
 std::uint64_t popcount_words_avx512(const std::uint64_t* words,
                                     std::size_t n);
 std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,
                                         const std::uint64_t* b, std::size_t n);
+SweepCounts sweep_scores_avx512(double* scores, std::size_t n,
+                                const WeightedBits* undo,
+                                const WeightedBits& add, double lo,
+                                double hi, double* band);
+void column_sums_avx512(const std::uint64_t* const* columns,
+                        std::size_t width, std::size_t rows,
+                        const double* minor, const double* major,
+                        double* sums);
 
 }  // namespace gendpr::genome::kernels::detail

@@ -1,12 +1,12 @@
 #include "stats/lr_test.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+
+#include "genome/kernels/kernels.hpp"
 
 namespace gendpr::stats {
 
@@ -169,32 +169,15 @@ struct PlaneSource {
 
   std::size_t rows() const noexcept { return total_rows; }
 
+  /// The dispatched column-sum kernel, block by block: each column still
+  /// adds its rows in ascending order.
   void sum_columns(std::size_t col_begin, std::size_t col_end,
                    double* sums) const {
-    const std::size_t width = col_end - col_begin;
-    std::uint64_t minor[kGapColumnBlock];
-    std::uint64_t major[kGapColumnBlock];
-    for (std::size_t i = 0; i < width; ++i) {
-      minor[i] = std::bit_cast<std::uint64_t>(
-          weights.when_minor[col_begin + i]);
-      major[i] = std::bit_cast<std::uint64_t>(
-          weights.when_major[col_begin + i]);
-    }
-    std::uint64_t words[kGapColumnBlock];
+    const genome::kernels::KernelOps& ops = genome::kernels::kernel_ops();
     for (const PlaneBlock& block : blocks) {
-      for (std::size_t base = 0; base < block.rows; base += 64) {
-        for (std::size_t i = 0; i < width; ++i) {
-          words[i] = block.columns[col_begin + i][base / 64];
-        }
-        const std::size_t bits = std::min<std::size_t>(64, block.rows - base);
-        for (std::size_t k = 0; k < bits; ++k) {
-          for (std::size_t i = 0; i < width; ++i) {
-            const std::uint64_t take_minor = 0 - ((words[i] >> k) & 1);
-            sums[i] += std::bit_cast<double>((minor[i] & take_minor) |
-                                             (major[i] & ~take_minor));
-          }
-        }
-      }
+      ops.column_sums(block.columns.data() + col_begin, col_end - col_begin,
+                      block.rows, weights.when_minor.data() + col_begin,
+                      weights.when_major.data() + col_begin, sums);
     }
   }
 };
@@ -314,164 +297,17 @@ LrSelectionResult matrix_select(const MatrixSource& cases,
   return result;
 }
 
-/// One reference individual's running LR score.
-struct RankedScore {
-  double score;
-  std::uint32_t row;
-};
-
-/// The reference scores kept in ascending order across candidates. A
-/// candidate adds one of two weights to every score, chosen by the row's
-/// bit; rounded addition is monotone, so each bit class keeps its relative
-/// order and one stable partition plus one merge re-sorts the whole array.
-/// Scores must be finite: the merge's sentinels are the two infinities.
-class SortedReference {
- public:
-  SortedReference(const PlaneBlock& block, const LrWeights& weights)
-      : block_(block),
-        weights_(weights),
-        ranked_(block.rows),
-        runs_(block.rows + 4) {
-    for (std::size_t r = 0; r < ranked_.size(); ++r) {
-      ranked_[r] = {0.0, static_cast<std::uint32_t>(r)};
-    }
-  }
-
-  /// Adds column c's weights into the runs buffer, partitioned by bit:
-  ///   [-inf] [ones ascending] [+inf] [+inf] [zeros descending] [-inf]
-  /// Both runs are stable, so both stay sorted. The sorted array is left
-  /// as it was until commit() or roll_back().
-  void stage(std::uint32_t c) {
-    const std::uint64_t* bits = block_.columns[c];
-    const double weight[2] = {weights_.when_major[c], weights_.when_minor[c]};
-    const std::size_t n = ranked_.size();
-    std::size_t front = 1;
-    std::size_t back = n + 2;
-    for (const RankedScore& entry : ranked_) {
-      const std::uint64_t bit = (bits[entry.row / 64] >> (entry.row % 64)) & 1;
-      const RankedScore moved{entry.score + weight[bit], entry.row};
-      // Both slots lie in the unfilled gap [front, back]; only the one
-      // whose cursor advances keeps this entry.
-      runs_[front] = moved;
-      runs_[back] = moved;
-      front += bit;
-      back -= 1 - bit;
-    }
-    ones_ = front - 1;
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    runs_[0].score = -kInf;
-    runs_[ones_ + 1].score = kInf;
-    runs_[ones_ + 2].score = kInf;
-    runs_[n + 3].score = -kInf;
-  }
-
-  /// The k-th smallest (1-based) staged score: the same multiset and order
-  /// statistic as sorting the staged scores and reading [k - 1]. Binary
-  /// search for how many of the k smallest come from the ones run.
-  double staged_kth(std::size_t k) const {
-    const std::size_t zeros = ranked_.size() - ones_;
-    std::size_t lo = k > zeros ? k - zeros : 0;
-    std::size_t hi = std::min(k, ones_);
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (one(mid) < zero(k - mid - 1)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    // The k smallest are ones [0, lo) and zeros [0, k - lo).
-    if (lo == 0) return zero(k - 1);
-    if (lo == k) return one(k - 1);
-    return std::max(one(lo - 1), zero(k - lo - 1));
-  }
-
-  /// Keeps the staged scores: merges the two runs back into sorted order.
-  /// Two independent merges run in one loop, the smaller half from the
-  /// runs' low ends and the larger half from their high ends, stopping at
-  /// the infinities instead of testing bounds. Ties go to the ones run at
-  /// the low end and the zeros run at the high end, so the halves split
-  /// one total order and never take the same entry.
-  void commit() {
-    const std::size_t n = ranked_.size();
-    std::size_t one_lo = 1;           // smallest one not yet placed
-    std::size_t zero_lo = n + 2;      // smallest zero not yet placed
-    std::size_t one_hi = ones_;       // largest one not yet placed
-    std::size_t zero_hi = ones_ + 3;  // largest zero not yet placed
-    RankedScore* out = ranked_.data();
-    for (std::size_t k = 0; k < n / 2; ++k) {
-      const bool low_zero = runs_[zero_lo].score < runs_[one_lo].score;
-      out[k] = runs_[low_zero ? zero_lo : one_lo];
-      one_lo += low_zero ? 0 : 1;
-      zero_lo -= low_zero ? 1 : 0;
-      const bool high_one = runs_[one_hi].score > runs_[zero_hi].score;
-      out[n - 1 - k] = runs_[high_one ? one_hi : zero_hi];
-      one_hi -= high_one ? 1 : 0;
-      zero_hi += high_one ? 0 : 1;
-    }
-    if (n % 2 != 0) {
-      const bool low_zero = runs_[zero_lo].score < runs_[one_lo].score;
-      out[n / 2] = runs_[low_zero ? zero_lo : one_lo];
-    }
-  }
-
-  /// Drops the staged scores the way the matrix path rolls a candidate
-  /// back, s = fl(fl(s + w) - w), then merges. The rollback is monotone
-  /// within each bit class only: two equal scores in different classes can
-  /// round apart, so the runs are merged again rather than reused in their
-  /// old order. Each run holds one class, so no bit is read here.
-  void roll_back(std::uint32_t c) {
-    const double minor = weights_.when_minor[c];
-    const double major = weights_.when_major[c];
-    const std::size_t n = ranked_.size();
-    for (std::size_t t = 1; t <= ones_; ++t) runs_[t].score -= minor;
-    for (std::size_t t = ones_ + 3; t <= n + 2; ++t) runs_[t].score -= major;
-    commit();
-  }
-
- private:
-  /// The t-th smallest staged score with bit 1, and with bit 0.
-  double one(std::size_t t) const { return runs_[1 + t].score; }
-  double zero(std::size_t t) const {
-    return runs_[ranked_.size() + 2 - t].score;
-  }
-
-  const PlaneBlock& block_;
-  const LrWeights& weights_;
-  std::vector<RankedScore> ranked_;  // ascending by score
-  std::vector<RankedScore> runs_;    // stage()'s layout
-  std::size_t ones_ = 0;
-};
-
-/// sums[r] += w (sign = +1) or -= w (sign = -1) for every case row, w being
-/// column c's weight for the row's bit; returns how many updated sums
-/// exceed `threshold`. One sweep per 64-row plane word.
-std::size_t sweep_cases(std::span<const PlaneBlock> blocks,
-                        const LrWeights& weights, std::uint32_t c,
-                        double sign, double threshold, double* sums) {
-  // sign is +-1, so these products are exact and s + (-w) is s - w.
-  const double weight[2] = {sign * weights.when_major[c],
-                            sign * weights.when_minor[c]};
-  std::size_t above = 0;
-  for (const PlaneBlock& block : blocks) {
-    const std::uint64_t* bits = block.columns[c];
-    for (std::size_t base = 0; base < block.rows; base += 64) {
-      const std::uint64_t word = bits[base / 64];
-      const std::size_t n = std::min<std::size_t>(64, block.rows - base);
-      for (std::size_t k = 0; k < n; ++k) {
-        const double s = sums[k] + weight[(word >> k) & 1];
-        sums[k] = s;
-        above += s > threshold ? 1 : 0;
-      }
-      sums += n;
-    }
-  }
-  return above;
-}
-
-/// The safe-subset search on indicator bits. Every score sees the same adds
-/// and rollbacks, in the same order, as in matrix_select, and the quantile
-/// is the same order statistic, so the result is bit-identical to it.
+/// The safe-subset search on indicator bits, with every score kept in row
+/// order. The threshold t is the rank-th smallest reference score; rounded
+/// addition is monotone, so after a candidate with weights {w0, w1} it lies
+/// in the bracket [fl(t + min w), fl(t + max w)], and a pending rollback
+/// first widens t to [min, max] of fl(t - w_prev) over both bits. One
+/// kernel pass per population rolls back, adds, counts the rows below
+/// (reference) and above (cases) the bracket and collects the rows inside
+/// it; nth_element then runs on the reference band only. Every score sees
+/// the same adds and rollbacks, in the same order, as in matrix_select, and
+/// the threshold is the same order statistic, so the result is
+/// bit-identical to it.
 LrSelectionResult plane_select(std::span<const PlaneBlock> case_blocks,
                                const PlaneBlock& reference,
                                const LrWeights& weights, std::size_t cols,
@@ -492,27 +328,65 @@ LrSelectionResult plane_select(std::span<const PlaneBlock> case_blocks,
   const std::vector<std::uint32_t> order = admission_order(
       cases, PlaneSource(std::span(&reference, 1), weights), cols, pool);
 
-  SortedReference ref(reference, weights);
+  const genome::kernels::KernelOps& ops = genome::kernels::kernel_ops();
   const std::size_t rank =
       quantile_rank(params.false_positive_rate, reference.rows);
-  std::vector<double> case_sums(case_rows, 0.0);
+  std::vector<double> ref_scores(reference.rows, 0.0);
+  std::vector<double> ref_band(reference.rows);
+  std::vector<double> case_scores(case_rows, 0.0);
+  std::vector<double> case_band(case_rows);
+  double threshold = 0.0;  // of the current scores, all +0.0 at first
+  bool rejected = false;
+  std::uint32_t previous = 0;
   std::vector<std::uint32_t> kept;
+  const auto column = [&weights](const PlaneBlock& block, std::uint32_t c) {
+    return genome::kernels::WeightedBits{
+        block.columns[c], {weights.when_major[c], weights.when_minor[c]}};
+  };
   for (std::uint32_t candidate : order) {
-    ref.stage(candidate);
-    const double threshold = ref.staged_kth(rank);
+    const auto undo = column(reference, previous);
+    const auto add = column(reference, candidate);
+    double lo = threshold;
+    double hi = threshold;
+    if (rejected) {
+      lo = std::min(threshold - undo.weight[0], threshold - undo.weight[1]);
+      hi = std::max(threshold - undo.weight[0], threshold - undo.weight[1]);
+    }
+    lo += std::min(add.weight[0], add.weight[1]);
+    hi += std::max(add.weight[0], add.weight[1]);
+    const genome::kernels::SweepCounts ref =
+        ops.sweep_scores(ref_scores.data(), reference.rows,
+                         rejected ? &undo : nullptr, add, lo, hi,
+                         ref_band.data());
+    std::size_t above = 0;
+    std::size_t case_in_band = 0;
+    double* scores = case_scores.data();
+    for (const PlaneBlock& block : case_blocks) {
+      const auto block_undo = column(block, previous);
+      const genome::kernels::SweepCounts swept = ops.sweep_scores(
+          scores, block.rows, rejected ? &block_undo : nullptr,
+          column(block, candidate), lo, hi, case_band.data() + case_in_band);
+      above += swept.above;
+      case_in_band += swept.band;
+      scores += block.rows;
+    }
+    // The bracket holds the rank-th score: below < rank <= below + band.
+    const auto nth = ref_band.begin() +
+                     static_cast<std::ptrdiff_t>(rank - ref.below - 1);
+    std::nth_element(ref_band.begin(), nth,
+                     ref_band.begin() + static_cast<std::ptrdiff_t>(ref.band));
+    threshold = *nth;
+    for (std::size_t i = 0; i < case_in_band; ++i) {
+      above += case_band[i] > threshold ? 1 : 0;
+    }
     const double power =
-        static_cast<double>(sweep_cases(case_blocks, weights, candidate, 1.0,
-                                        threshold, case_sums.data())) /
-        static_cast<double>(case_rows);
-    if (power <= params.power_threshold) {
-      ref.commit();
+        static_cast<double>(above) / static_cast<double>(case_rows);
+    rejected = !(power <= params.power_threshold);
+    previous = candidate;
+    if (!rejected) {
       kept.push_back(candidate);
       result.final_power = power;
       result.final_threshold = threshold;
-    } else {
-      ref.roll_back(candidate);
-      sweep_cases(case_blocks, weights, candidate, -1.0, threshold,
-                  case_sums.data());
     }
   }
   std::sort(kept.begin(), kept.end());
@@ -546,7 +420,8 @@ LrSelectionResult select_safe_snps(const std::vector<PlaneBlock>& case_blocks,
       !std::all_of(case_blocks.begin(), case_blocks.end(), fits)) {
     throw std::invalid_argument("select_safe_snps: column count mismatch");
   }
-  // The sorted-scores engine stops its merges at infinite sentinels.
+  // The bracket is rounded arithmetic on the weights: with an infinite
+  // weight, t - w or a score's rollback could be inf - inf, a NaN.
   const auto finite = [](double w) { return std::isfinite(w); };
   if (!std::all_of(weights.when_minor.begin(), weights.when_minor.end(),
                    finite) ||

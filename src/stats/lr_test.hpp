@@ -122,17 +122,21 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
 /// column instead of materialized matrices. `case_blocks` are the case
 /// populations in merge order (ascending GDO order in the protocol); every
 /// block, and `reference`, has `weights.when_minor.size()` columns, and the
-/// weights must be finite (lr_weights clamps the frequencies); a mismatch
-/// or a non-finite weight throws std::invalid_argument. The
-/// reference scores stay sorted across candidates: each candidate
-/// partitions them by bit and merges the two runs back, so the quantile is
-/// an order statistic of two sorted runs instead of an nth_element. Every
-/// score still sees `bit ? when_minor : when_major` added (and subtracted
-/// on rollback) in the matrix overload's order, so gap, threshold, power
-/// and the safe set are bit-identical to `select_safe_snps` over the
-/// concatenated `build_lr_matrix` matrices (property-tested). `pool`
-/// (optional) parallelises only the gap pass here; the candidate loop is
-/// serial. No nesting, as in the matrix overload.
+/// weights must be finite (lr_weights clamps the frequencies), because the
+/// quantile bracket below is rounded arithmetic on them and inf - inf is a
+/// NaN; a mismatch or a non-finite weight throws std::invalid_argument.
+/// Scores stay in row order. Each candidate is one pass per population of
+/// the dispatched `sweep_scores` kernel (genome/kernels): it rolls back a
+/// rejected predecessor, adds `bit ? when_minor : when_major`, counts the
+/// rows outside a bracket that provably holds the new threshold and
+/// collects the rows inside it, so nth_element runs on that band only.
+/// Every score still sees the adds and rollback subtractions in the matrix
+/// overload's order, so gap, threshold, power and the safe set are
+/// bit-identical to `select_safe_snps` over the concatenated
+/// `build_lr_matrix` matrices (property-tested) under every kernel backend.
+/// `pool` (optional) parallelises only the gap pass here, whose per-column
+/// sums are the `column_sums` kernel; the candidate loop is serial. No
+/// nesting, as in the matrix overload.
 LrSelectionResult select_safe_snps(const std::vector<PlaneBlock>& case_blocks,
                                    const PlaneBlock& reference,
                                    const LrWeights& weights,

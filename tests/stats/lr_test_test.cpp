@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "common/rng.hpp"
@@ -87,7 +88,7 @@ LrWeights random_weights(std::size_t cols, std::uint64_t seed) {
 }
 
 TEST(PlaneSelectionTest, BitIdenticalToMatrixSelection) {
-  // The plane path (sorted reference scores, partition by bit and merge)
+  // The plane path (row-order scores, a bracketed quantile on the band)
   // against the matrix path (nth_element per candidate), bit for bit.
   // Case blocks of 70, 0 and 130 rows: off the 64-row word boundary, and
   // one GDO with no case rows. Every fifth column has p-hat = p, so both
@@ -158,6 +159,54 @@ TEST(PlaneSelectionTest, BitIdenticalToMatrixSelection) {
   EXPECT_GT(rejected, kept / 4);
 }
 
+TEST(PlaneSelectionTest, LongRejectionRunsMatchMatrixSelection) {
+  // Power limit 0.05 on a real signal rejects candidate after candidate (at
+  // most 4 of 90 are kept), so each pass rolls the last one back before
+  // adding the next and the bracket is widened by the rollback every time;
+  // a bracket that skips the widening returns other safe sets at FPR 0.3
+  // and 0.5. 1,203 reference rows and case blocks of 301 and 599 rows put
+  // every SIMD kernel's main loop and its tail to work.
+  std::vector<std::uint32_t> snps(90);
+  std::iota(snps.begin(), snps.end(), 0u);
+  const genome::BitPlanes first(random_genotypes(301, 90, 11, 0.33));
+  const genome::BitPlanes second(random_genotypes(599, 90, 12, 0.33));
+  const genome::BitPlanes panel(random_genotypes(1203, 90, 13, 0.3));
+  std::vector<double> case_f(snps.size());
+  std::vector<double> ref_f(snps.size());
+  for (std::uint32_t s : snps) {
+    case_f[s] = static_cast<double>(first.allele_count(s) +
+                                    second.allele_count(s)) /
+                900.0;
+    ref_f[s] = static_cast<double>(panel.allele_count(s)) / 1203.0;
+  }
+  const LrWeights w = lr_weights(case_f, ref_f);
+  LrMatrix case_lr = build_lr_matrix(first, snps, w);
+  reference::append_rows(case_lr, build_lr_matrix(second, snps, w));
+  const LrMatrix ref_lr = build_lr_matrix(panel, snps, w);
+  common::ThreadPool pool(2);
+  for (double fpr : {0.1, 0.3, 0.5}) {
+    LrSelectionParams params;
+    params.power_threshold = 0.05;
+    params.false_positive_rate = fpr;
+    const LrSelectionResult expected =
+        select_safe_snps(case_lr, ref_lr, params);
+    EXPECT_GE(snps.size() - expected.safe_columns.size(), 60u)
+        << "fpr " << fpr;
+    EXPECT_GE(expected.safe_columns.size(), 1u) << "fpr " << fpr;
+    common::ThreadPool* pools[] = {&pool, nullptr};
+    for (common::ThreadPool* maybe_pool : pools) {
+      const LrSelectionResult got = select_safe_snps(
+          {plane_block(first, snps), plane_block(second, snps)},
+          plane_block(panel, snps), w, params, maybe_pool);
+      EXPECT_EQ(got.safe_columns, expected.safe_columns) << "fpr " << fpr;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_power),
+                std::bit_cast<std::uint64_t>(expected.final_power));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_threshold),
+                std::bit_cast<std::uint64_t>(expected.final_threshold));
+    }
+  }
+}
+
 TEST(PlaneSelectionTest, EmptyColumnsGiveEmptyResult) {
   const genome::BitPlanes planes(random_genotypes(10, 4, 5));
   const LrSelectionResult result = select_safe_snps(
@@ -181,6 +230,9 @@ TEST(PlaneSelectionTest, ColumnMismatchThrows) {
 }
 
 TEST(PlaneSelectionTest, NonFiniteWeightThrows) {
+  // The quantile bracket is rounded arithmetic on the weights: with an
+  // infinite weight, a rollback could compute inf - inf, a NaN that no
+  // bracket holds.
   const genome::BitPlanes planes(random_genotypes(10, 4, 5));
   for (double bad : {std::numeric_limits<double>::infinity(),
                      std::numeric_limits<double>::quiet_NaN()}) {
