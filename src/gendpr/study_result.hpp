@@ -28,7 +28,12 @@ struct PhaseTimings {
   double indexing_ms = 0;     // "Indexing/Sorting/AlleleFreq.": MAF phase math
   double ld_ms = 0;           // "LD analysis"
   double lr_ms = 0;           // "LR-test analysis"
-  double total_ms = 0;        // end-to-end including setup
+  // Wall time of the whole assessment. A federated study's stopwatch starts
+  // when the leader starts the study (LeaderSession::run_study_impl), after
+  // every GDO's planes are provisioned, so it covers the handshake and the
+  // three phases but not `step.provision` or the set-up before it; the
+  // baselines time their whole run, plane builds included.
+  double total_ms = 0;
 };
 
 struct StudyResult {
@@ -41,7 +46,9 @@ struct StudyResult {
   /// Wall time modelled for a real multi-host deployment: members compute
   /// concurrently there, so serialized member compute collapses to the
   /// slowest member: total - sum(member compute) + max(member compute).
-  /// On a single-core simulation host total_ms serializes everything.
+  /// On a single-core simulation host total_ms serializes everything. Built
+  /// on timings.total_ms, it starts after provisioning too: the plane
+  /// builds are not in it.
   double modelled_distributed_ms = 0;
   std::uint32_t leader_gdo = 0;
   std::uint32_t num_gdos = 0;

@@ -1,8 +1,6 @@
 #include "genome/bitplanes.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "common/thread_pool.hpp"
 #include "genome/kernels/kernels.hpp"
@@ -11,20 +9,12 @@ namespace gendpr::genome {
 
 namespace {
 
-/// In-place transpose of a 64x64 bit matrix (bit c of block[r] is row r,
-/// column c): swaps the off-diagonal halves, then quarters, down to single
-/// bits (Hacker's Delight, §7-3).
-void transpose_64x64(std::uint64_t block[64]) noexcept {
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (unsigned width = 32; width != 0; width >>= 1, mask ^= mask << width) {
-    for (unsigned r = 0; r < 64; r = ((r | width) + 1) & ~width) {
-      const std::uint64_t swap =
-          ((block[r] >> width) ^ block[r | width]) & mask;
-      block[r] ^= swap << width;
-      block[r | width] ^= swap;
-    }
-  }
-}
+/// Plane words per group: 512 individuals, one 64-byte line of a plane.
+constexpr std::size_t kGroupWords = 8;
+
+/// How far ahead of the block being transposed its rows are prefetched:
+/// two 64-byte lines, 16 blocks.
+constexpr std::size_t kRowsAhead = 128;
 
 }  // namespace
 
@@ -33,54 +23,72 @@ BitPlanes::BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
     : num_individuals_(row_end - row_begin),
       num_snps_(genotypes.num_snps()),
       words_per_plane_((num_individuals_ + 63) / 64),
-      words_(num_snps_ * words_per_plane_, 0),
+      words_(std::make_unique_for_overwrite<std::uint64_t[]>(
+          num_snps_ * words_per_plane_)),
       counts_(num_snps_, 0) {
-  // Blocked transpose, 64 SNPs x 64 individuals at a time. The SNP block is
-  // the outer loop, so one block's planes stay hot while every individual
-  // word fills them and while they are popcounted, and the rows' next bytes
-  // stay in cache for the next block. Each row gives 8 bytes (bit l % 8 of
-  // byte l / 8 is SNP l). Rows past row_end read as zero (zero tail bits); a
-  // row's last block reads only its remaining bytes and stores only real
-  // planes.
+  // Blocked transpose, 64 SNPs x 64 individuals at a time. A worker owns a
+  // contiguous range of 64-SNP blocks and walks it by groups of
+  // kGroupWords plane words (512 rows), the group outer and its blocks
+  // inner: each of a block's planes receives kGroupWords consecutive words
+  // in one burst, and consecutive blocks read the next 8 bytes of the same
+  // rows while their cache lines are still hot. Each row gives 8 bytes per
+  // block (bit l % 8 of byte l / 8 is SNP l); a row's last block reads only
+  // its remaining bytes, rows past row_end read as zero (zero tail bits),
+  // and only real planes are stored. Every word of words_ is written
+  // exactly once, by the worker that owns its block, so the storage is left
+  // uninitialised and each worker first-touches its own pages.
   const std::size_t stride = genotypes.row_stride();
+  const std::size_t blocks = (num_snps_ + 63) / 64;
   const kernels::KernelOps& ops = kernels::kernel_ops();
+  // Per-SNP popcounts, added by the kernel from the words it returns; a
+  // block's counts belong to the worker that owns the block.
+  std::vector<std::uint64_t> counts(blocks * 64, 0);
   const auto build_blocks = [&](std::size_t block_begin,
                                 std::size_t block_end) {
-    for (std::size_t snp = block_begin * 64; snp < block_end * 64;
-         snp += 64) {
-      const std::size_t bytes = std::min<std::size_t>(8, stride - snp / 8);
-      const std::size_t planes = std::min<std::size_t>(64, num_snps_ - snp);
-      std::uint64_t* const out = words_.data() + snp * words_per_plane_;
-      for (std::size_t word = 0; word < words_per_plane_; ++word) {
-        const std::size_t first = row_begin + word * 64;
-        const std::size_t rows = std::min<std::size_t>(64, row_end - first);
-        std::uint64_t block[64] = {};
-        for (std::size_t r = 0; r < rows; ++r) {
-          const std::uint8_t* row = genotypes.row_data(first + r) + snp / 8;
-          if (bytes == 8 && std::endian::native == std::endian::little) {
-            std::memcpy(&block[r], row, 8);
-          } else {
-            for (std::size_t b = 0; b < bytes; ++b) {
-              block[r] |= std::uint64_t{row[b]} << (8 * b);
-            }
+    std::uint64_t block[64];
+    const std::size_t snp_end = std::min(num_snps_, block_end * 64);
+    for (std::size_t group = 0; group < words_per_plane_;
+         group += kGroupWords) {
+      const std::size_t group_end =
+          std::min(words_per_plane_, group + kGroupWords);
+      const std::size_t group_rows_end =
+          std::min(row_end, row_begin + group_end * 64);
+      for (std::size_t snp = block_begin * 64; snp < snp_end; snp += 64) {
+        const std::size_t bytes = std::min<std::size_t>(8, stride - snp / 8);
+        const std::size_t planes = std::min<std::size_t>(64, num_snps_ - snp);
+        std::uint64_t* const out = words_.get() + snp * words_per_plane_;
+        // Neither stream is one the hardware prefetchers follow, and both
+        // miss to DRAM: the group's rows move on by 64 bytes every 8
+        // blocks, so those bytes are fetched kRowsAhead bytes early, and
+        // the next block's plane lines are fetched for writing while this
+        // block is transposed.
+        if (snp % 512 == 0 && snp / 8 + kRowsAhead < stride) {
+          for (std::size_t r = row_begin + group * 64; r < group_rows_end;
+               ++r) {
+            __builtin_prefetch(genotypes.row_data(r) + snp / 8 + kRowsAhead);
           }
         }
-        transpose_64x64(block);
-        for (std::size_t k = 0; k < planes; ++k) {
-          out[k * words_per_plane_ + word] = block[k];
+        for (std::size_t next = snp + 64; next < std::min(snp + 128, snp_end);
+             ++next) {
+          __builtin_prefetch(plane(next) + group, 1);
+          __builtin_prefetch(plane(next) + group_end - 1, 1);
         }
-      }
-      for (std::size_t k = 0; k < planes; ++k) {
-        counts_[snp + k] = static_cast<std::uint32_t>(ops.popcount_words(
-            out + k * words_per_plane_, words_per_plane_));
+        for (std::size_t word = group; word < group_end; ++word) {
+          const std::size_t first = row_begin + word * 64;
+          ops.transpose_block(genotypes.row_data(first) + snp / 8, stride,
+                              std::min<std::size_t>(64, row_end - first),
+                              bytes, block, counts.data() + snp);
+          for (std::size_t k = 0; k < planes; ++k) {
+            out[k * words_per_plane_ + word] = block[k];
+          }
+        }
       }
     }
   };
-  // With a pool, each worker takes one contiguous range of SNP blocks (an
-  // empty one when there are more workers than blocks). The ranges write
-  // disjoint plane words and disjoint counts, so the words are the serial
-  // build's; the prefix sum below runs after the join.
-  const std::size_t blocks = (num_snps_ + 63) / 64;
+  // With a pool, each worker takes one contiguous range of blocks (an empty
+  // one when there are more workers than blocks). The ranges write disjoint
+  // plane words and counts, so both are the serial build's; the counts are
+  // narrowed after the join.
   if (pool == nullptr) {
     build_blocks(0, blocks);
   } else {
@@ -91,6 +99,7 @@ BitPlanes::BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
   }
   count_prefix_.assign(num_snps_ + 1, 0);
   for (std::size_t l = 0; l < num_snps_; ++l) {
+    counts_[l] = static_cast<std::uint32_t>(counts[l]);
     count_prefix_[l + 1] = count_prefix_[l] + counts_[l];
   }
 }

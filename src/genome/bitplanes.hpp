@@ -11,14 +11,16 @@
 // mu_xy = popcount(plane_x & plane_y)) derivable without touching the words
 // at all for the marginal terms.
 //
-// Built once per provisioned dataset by a blocked 64x64 bit transpose that
-// reads the caller's rows in place, split by SNP block across a thread pool
-// when the caller has one. Inside an enclave the planes are the only
-// genotype layout, and the only one charged against the EPC meter (see
-// DESIGN.md §2.1).
+// Built once per provisioned dataset by a blocked 64x64 bit transpose (the
+// dispatched kernels::KernelOps::transpose_block) that reads the caller's
+// rows in place, 512 individuals by 64 SNPs at a time, split by SNP block
+// across a thread pool when the caller has one. Inside an enclave the
+// planes are the only genotype layout, and the only one charged against the
+// EPC meter (see DESIGN.md §2.1).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "genome/genotype.hpp"
@@ -32,6 +34,7 @@ namespace gendpr::genome {
 /// Column-major, 64-bit-word-packed transpose of a GenotypeMatrix with
 /// cached per-SNP minor-allele popcounts. Tail bits (individual indices
 /// >= num_individuals in the last word of each plane) are always zero.
+/// Move-only: the planes are handed to their enclave, never copied.
 class BitPlanes {
  public:
   BitPlanes() = default;
@@ -39,8 +42,8 @@ class BitPlanes {
       : BitPlanes(genotypes, 0, genotypes.num_individuals()) {}
   /// Planes of rows [row_begin, row_end) of `genotypes` (a GDO's partition),
   /// read in place: individual 0 of the planes is row `row_begin`. `pool`
-  /// (optional) splits the SNP blocks across its workers; the words and
-  /// counts are the same with or without it. Must not be called from a task
+  /// (optional) splits the work across its workers; the words and counts
+  /// are the same with or without it. Must not be called from a task
   /// running on `pool`.
   BitPlanes(const GenotypeMatrix& genotypes, std::size_t row_begin,
             std::size_t row_end, common::ThreadPool* pool = nullptr);
@@ -51,7 +54,7 @@ class BitPlanes {
 
   /// Words of SNP `snp`'s plane (bit n = individual n's genotype).
   const std::uint64_t* plane(std::size_t snp) const noexcept {
-    return words_.data() + snp * words_per_plane_;
+    return words_.get() + snp * words_per_plane_;
   }
 
   /// Cached minor-allele count at `snp` (popcount of its plane).
@@ -134,7 +137,7 @@ class BitPlanes {
 
   /// Heap bytes of the plane words + count caches (EPC accounting).
   std::size_t storage_bytes() const noexcept {
-    return words_.size() * sizeof(std::uint64_t) +
+    return num_snps_ * words_per_plane_ * sizeof(std::uint64_t) +
            counts_.size() * sizeof(std::uint32_t) +
            count_prefix_.size() * sizeof(std::uint64_t);
   }
@@ -143,7 +146,10 @@ class BitPlanes {
   std::size_t num_individuals_ = 0;
   std::size_t num_snps_ = 0;
   std::size_t words_per_plane_ = 0;
-  std::vector<std::uint64_t> words_;  // plane-contiguous: snp * words_per_plane
+  // num_snps * words_per_plane words, plane-contiguous (snp *
+  // words_per_plane). Allocated without zero-filling: the build writes
+  // every word once.
+  std::unique_ptr<std::uint64_t[]> words_;
   std::vector<std::uint32_t> counts_;
   // count_prefix_[l] = sum of counts_[0..l); tile count totals in O(1).
   std::vector<std::uint64_t> count_prefix_{0};

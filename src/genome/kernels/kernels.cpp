@@ -12,6 +12,47 @@ namespace gendpr::genome::kernels {
 
 namespace detail {
 
+namespace {
+
+/// In-place transpose of a 64x64 bit matrix (bit c of block[r] is row r,
+/// column c): swaps the off-diagonal halves, then quarters, down to single
+/// bits (Hacker's Delight, §7-3).
+void transpose_64x64(std::uint64_t block[64]) noexcept {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned width = 32; width != 0; width >>= 1, mask ^= mask << width) {
+    for (unsigned r = 0; r < 64; r = ((r | width) + 1) & ~width) {
+      const std::uint64_t swap =
+          ((block[r] >> width) ^ block[r | width]) & mask;
+      block[r] ^= swap << width;
+      block[r | width] ^= swap;
+    }
+  }
+}
+
+}  // namespace
+
+void transpose_block_portable(const std::uint8_t* rows,
+                              std::size_t row_stride, std::size_t num_rows,
+                              std::size_t bytes, std::uint64_t planes[64],
+                              std::uint64_t counts[64]) {
+  // planes[r] holds row r (byte b in bits 8b..8b+7) until the transpose.
+  for (std::size_t r = 0; r < 64; ++r) planes[r] = 0;
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    const std::uint8_t* row = rows + r * row_stride;
+    if (bytes == 8 && std::endian::native == std::endian::little) {
+      std::memcpy(&planes[r], row, 8);
+    } else {
+      for (std::size_t b = 0; b < bytes; ++b) {
+        planes[r] |= std::uint64_t{row[b]} << (8 * b);
+      }
+    }
+  }
+  transpose_64x64(planes);
+  for (std::size_t l = 0; l < 64; ++l) {
+    counts[l] += static_cast<std::uint64_t>(std::popcount(planes[l]));
+  }
+}
+
 std::uint64_t popcount_words_portable(const std::uint64_t* words,
                                       std::size_t n) {
   std::uint64_t count = 0;
@@ -107,6 +148,7 @@ void column_sums_portable(const std::uint64_t* const* columns,
 namespace {
 
 constexpr KernelOps kPortableOps = {
+    &detail::transpose_block_portable,
     &detail::popcount_words_portable,
     &detail::and_popcount_words_portable,
     &detail::sweep_scores_portable,
@@ -114,6 +156,7 @@ constexpr KernelOps kPortableOps = {
 };
 
 constexpr KernelOps kAvx2Ops = {
+    &detail::transpose_block_avx2,
     &detail::popcount_words_avx2,
     &detail::and_popcount_words_avx2,
     &detail::sweep_scores_avx2,
@@ -121,6 +164,7 @@ constexpr KernelOps kAvx2Ops = {
 };
 
 constexpr KernelOps kAvx512Ops = {
+    &detail::transpose_block_avx512,
     &detail::popcount_words_avx512,
     &detail::and_popcount_words_avx512,
     &detail::sweep_scores_avx512,

@@ -1,16 +1,18 @@
 // Runtime-dispatched SIMD kernels for the bit-plane hot loops.
 //
-// Two loops dominate the count phases of wide studies — per-plane
-// popcounts (allele counts) and AND+popcount over plane pairs (the one
-// non-marginal LD moment) — and two dominate the LR selection: the
-// per-candidate sweep over every row's running score and the per-column
-// sums of the gap pass. The popcounts are pure integer operations; the LR
-// kernels do the same IEEE additions in the same order in every lane as the
-// portable loop does per row, so every vectorized backend is bit-identical
-// to the portable one. This header is the seam: the same
-// pattern as crypto's AEAD engine (crypto/gcm_backend.hpp), with each ISA
-// variant compiled in its own translation unit under scoped compiler flags
-// and a CPUID-probing dispatcher choosing at runtime. The dispatcher, not
+// One loop dominates provisioning — the 64x64 bit transpose that turns a
+// GDO's packed rows into SNP-major planes — two dominate the count phases
+// of wide studies — per-plane popcounts (allele counts) and AND+popcount
+// over plane pairs (the one non-marginal LD moment) — and two dominate the
+// LR selection: the per-candidate sweep over every row's running score and
+// the per-column sums of the gap pass. The transpose and the popcounts are
+// pure integer operations; the LR kernels do the same IEEE additions in the
+// same order in every lane as the portable loop does per row, so every
+// vectorized backend is bit-identical to the portable one. This header is
+// the seam: the same pattern as crypto's AEAD engine
+// (crypto/gcm_backend.hpp), with each ISA variant compiled in its own
+// translation unit under scoped compiler flags and a CPUID-probing
+// dispatcher choosing at runtime. The dispatcher, not
 // the kernels, checks CPU support; a kernel TU is only entered when its ISA
 // is both compiled in and advertised by the executing CPU.
 //
@@ -25,9 +27,9 @@
 namespace gendpr::genome::kernels {
 
 enum class KernelBackend : std::uint8_t {
-  portable = 0,  // std::popcount, any CPU
+  portable = 0,  // std::popcount, shift-mask transpose, any CPU
   avx2 = 1,      // Harley-Seal CSA + vpshufb nibble-LUT popcount
-  avx512 = 2,    // vpopcntq (AVX-512F/BW/VPOPCNTDQ)
+  avx512 = 2,    // vpopcntq, vpmovb2m transpose (AVX-512F/BW/VPOPCNTDQ)
 };
 
 /// Stable lowercase name, exported as the run report's `kernel.backend`.
@@ -58,6 +60,16 @@ struct SweepCounts {
 /// The dispatch table. All entries are total functions: n == 0 is fine and
 /// every backend returns bit-identical results for identical inputs.
 struct KernelOps {
+  /// Bit transpose of one block of a row-major packed genotype matrix: up
+  /// to 64 rows by up to 64 SNPs. Row r < num_rows starts at
+  /// rows + r * row_stride, and bit l % 8 of its byte l / 8 is SNP l. Sets
+  /// planes[l] (bit r = row r's SNP l) for every l in [0, 64) and adds
+  /// popcount(planes[l]) to counts[l]. Reads exactly the first `bytes`
+  /// bytes of each of the `num_rows` rows; rows past num_rows and bytes
+  /// past `bytes` read as zero. num_rows <= 64, bytes <= 8.
+  void (*transpose_block)(const std::uint8_t* rows, std::size_t row_stride,
+                          std::size_t num_rows, std::size_t bytes,
+                          std::uint64_t planes[64], std::uint64_t counts[64]);
   /// Sum of std::popcount over words[0..n).
   std::uint64_t (*popcount_words)(const std::uint64_t* words, std::size_t n);
   /// Sum of std::popcount(a[i] & b[i]) over [0..n).

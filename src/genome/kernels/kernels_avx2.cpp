@@ -1,6 +1,7 @@
-// AVX2 kernels: Harley-Seal carry-save popcount with the vpshufb nibble-LUT
-// digit counter, and the LR selection's sweep and column sums, four doubles
-// per vector selected by sign-bit blends. Compiled with -mavx2 only
+// AVX2 kernels: the plane transpose (an unpack network and vpmovmskb),
+// Harley-Seal carry-save popcount with the vpshufb nibble-LUT digit
+// counter, and the LR selection's sweep and column sums, four doubles per
+// vector selected by sign-bit blends. Compiled with -mavx2 only
 // (see src/genome/CMakeLists.txt); the dispatcher guarantees the CPU and OS
 // support YMM state before any function here is called.
 #include "genome/kernels/kernels_backend.hpp"
@@ -8,7 +9,7 @@
 #if defined(__AVX2__)
 #include <immintrin.h>
 
-#include <bit>
+#include <cstring>
 #endif
 
 namespace gendpr::genome::kernels::detail {
@@ -218,7 +219,104 @@ SweepCounts sweep(double* scores, std::size_t n, const WeightedBits* undo,
 /// add chains hide the add latency.
 constexpr std::size_t kSumChunk = 16;
 
+/// Byte transpose of 32 rows: qword p of rows[k] holds row 8p + k, and
+/// byte r of columns[b] becomes byte b of row r. Three in-lane unpack
+/// stages interleave bytes, then 16- and 32-bit units of vector pairs, so
+/// qword e of lane m of an output holds byte b of the rows in qword
+/// 2m + x of every input; a qword unpack of the x = 0 and x = 1 outputs
+/// puts those rows in order.
+inline void rows_to_byte_columns(const __m256i rows[8], __m256i columns[8]) {
+  __m256i pairs[8];  // [2i + x]: rows[2i], rows[2i + 1] at qwords 2m + x
+  for (int i = 0; i < 4; ++i) {
+    pairs[2 * i] = _mm256_unpacklo_epi8(rows[2 * i], rows[2 * i + 1]);
+    pairs[2 * i + 1] = _mm256_unpackhi_epi8(rows[2 * i], rows[2 * i + 1]);
+  }
+  __m256i quads[8];  // [4h + 2x + y]: rows[4h..4h+3], bytes 4y..4y+3
+  for (int h = 0; h < 2; ++h) {
+    for (int x = 0; x < 2; ++x) {
+      const __m256i lo = pairs[4 * h + x];
+      const __m256i hi = pairs[4 * h + 2 + x];
+      quads[4 * h + 2 * x] = _mm256_unpacklo_epi16(lo, hi);
+      quads[4 * h + 2 * x + 1] = _mm256_unpackhi_epi16(lo, hi);
+    }
+  }
+  for (int y = 0; y < 2; ++y) {
+    __m256i octets[2][2];  // [x][z]: bytes 4y + 2z + e in qword e
+    for (int x = 0; x < 2; ++x) {
+      const __m256i lo = quads[2 * x + y];
+      const __m256i hi = quads[4 + 2 * x + y];
+      octets[x][0] = _mm256_unpacklo_epi32(lo, hi);
+      octets[x][1] = _mm256_unpackhi_epi32(lo, hi);
+    }
+    for (int z = 0; z < 2; ++z) {
+      columns[4 * y + 2 * z] =
+          _mm256_unpacklo_epi64(octets[0][z], octets[1][z]);
+      columns[4 * y + 2 * z + 1] =
+          _mm256_unpackhi_epi64(octets[0][z], octets[1][z]);
+    }
+  }
+}
+
+inline long long load_row(const std::uint8_t* row) noexcept {
+  long long word;
+  std::memcpy(&word, row, 8);
+  return word;
+}
+
 }  // namespace
+
+void transpose_block_avx2(const std::uint8_t* rows, std::size_t row_stride,
+                          std::size_t num_rows, std::size_t bytes,
+                          std::uint64_t planes[64], std::uint64_t counts[64]) {
+  // Rows 32h..32h+31 fill the half h of every plane word: qword p of
+  // half[h][k] is row 32h + 8p + k.
+  __m256i half[2][8];
+  if (num_rows == 64 && bytes == 8) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t k = 0; k < 8; ++k) {
+        const std::uint8_t* row = rows + (32 * h + k) * row_stride;
+        half[h][k] = _mm256_setr_epi64x(
+            load_row(row), load_row(row + 8 * row_stride),
+            load_row(row + 16 * row_stride), load_row(row + 24 * row_stride));
+      }
+    }
+  } else {
+    // The last rows of a range or a row's last block: copy what is there,
+    // the rest stays zero.
+    alignas(32) std::uint64_t staged[2][8][4] = {};
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      std::memcpy(&staged[r / 32][r % 8][r % 32 / 8], rows + r * row_stride,
+                  bytes);
+    }
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t k = 0; k < 8; ++k) {
+        half[h][k] = _mm256_load_si256(
+            reinterpret_cast<const __m256i*>(staged[h][k]));
+      }
+    }
+  }
+  // vpmovmskb takes bit 7 of every byte; a byte add moves the next bit up.
+  for (std::size_t h = 0; h < 2; ++h) {
+    __m256i columns[8];
+    rows_to_byte_columns(half[h], columns);
+    for (std::size_t b = 0; b < 8; ++b) {
+      __m256i bits = columns[b];
+      for (std::size_t t = 8; t-- > 0;) {
+        const auto word = static_cast<std::uint64_t>(
+            static_cast<std::uint32_t>(_mm256_movemask_epi8(bits)));
+        if (h == 0) {
+          planes[8 * b + t] = word;
+        } else {
+          planes[8 * b + t] |= word << 32;
+        }
+        bits = _mm256_add_epi8(bits, bits);
+      }
+    }
+  }
+  for (std::size_t l = 0; l < 64; ++l) {
+    counts[l] += static_cast<std::uint64_t>(_mm_popcnt_u64(planes[l]));
+  }
+}
 
 SweepCounts sweep_scores_avx2(double* scores, std::size_t n,
                               const WeightedBits* undo,
@@ -289,7 +387,7 @@ std::uint64_t popcount_words_avx2(const std::uint64_t* words, std::size_t n) {
         reinterpret_cast<const __m256i*>(words + i * 4));
   });
   for (std::size_t i = vectors * 4; i < n; ++i) {
-    count += static_cast<std::uint64_t>(std::popcount(words[i]));
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(words[i]));
   }
   return count;
 }
@@ -305,7 +403,7 @@ std::uint64_t and_popcount_words_avx2(const std::uint64_t* a,
     return _mm256_and_si256(va, vb);
   });
   for (std::size_t i = vectors * 4; i < n; ++i) {
-    count += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] & b[i]));
   }
   return count;
 }
@@ -314,6 +412,9 @@ std::uint64_t and_popcount_words_avx2(const std::uint64_t* a,
 
 // Stubs for builds without AVX2 codegen; the dispatcher never calls them.
 bool avx2_kernels_compiled() noexcept { return false; }
+
+void transpose_block_avx2(const std::uint8_t*, std::size_t, std::size_t,
+                          std::size_t, std::uint64_t*, std::uint64_t*) {}
 
 std::uint64_t popcount_words_avx2(const std::uint64_t*, std::size_t) {
   return 0;

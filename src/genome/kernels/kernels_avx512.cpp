@@ -1,6 +1,7 @@
-// AVX-512 kernels: native vpopcntq per-lane popcounts, and the LR
-// selection's sweep and column sums, eight doubles per vector with the
-// row bits as k-masks. Compiled with
+// AVX-512 kernels: the plane transpose (row gathers, an unpack network and
+// vpmovb2m), native vpopcntq per-lane popcounts, and the LR selection's
+// sweep and column sums, eight doubles per vector with the row bits as
+// k-masks. Compiled with
 // -mavx512f -mavx512bw -mavx512vpopcntdq only
 // (see src/genome/CMakeLists.txt); the dispatcher checks ZMM state and the
 // VPOPCNTDQ CPUID bit before calling in.
@@ -11,7 +12,7 @@
 #define GENDPR_AVX512_KERNELS 1
 #include <immintrin.h>
 
-#include <bit>
+#include <cstring>
 #endif
 
 namespace gendpr::genome::kernels::detail {
@@ -33,7 +34,101 @@ std::uint64_t sum_lanes(__m512i v) {
   return sum;
 }
 
+// Full masks for the zero-masking unpacks: the plain 32- and 64-bit ones
+// merge into _mm512_undefined_epi32(), which GCC 12 flags with a
+// false-positive -Wuninitialized.
+constexpr __mmask16 kAll16 = 0xffff;
+constexpr __mmask8 kAll8 = 0xff;
+
+/// Byte transpose of the block: qword p of rows[k] holds row 8p + k, and
+/// byte r of columns[b] becomes byte b of row r. Three in-lane unpack
+/// stages interleave bytes, then 16- and 32-bit units of vector pairs, so
+/// qword e of lane m of an output holds byte b of the rows in qword
+/// 2m + x of every input; a qword unpack of the x = 0 and x = 1 outputs
+/// puts those rows in order.
+void rows_to_byte_columns(const __m512i rows[8], __m512i columns[8]) {
+  __m512i pairs[8];  // [2i + x]: rows[2i], rows[2i + 1] at qwords 2m + x
+  for (int i = 0; i < 4; ++i) {
+    pairs[2 * i] = _mm512_unpacklo_epi8(rows[2 * i], rows[2 * i + 1]);
+    pairs[2 * i + 1] = _mm512_unpackhi_epi8(rows[2 * i], rows[2 * i + 1]);
+  }
+  __m512i quads[8];  // [4h + 2x + y]: rows[4h..4h+3], bytes 4y..4y+3
+  for (int h = 0; h < 2; ++h) {
+    for (int x = 0; x < 2; ++x) {
+      const __m512i lo = pairs[4 * h + x];
+      const __m512i hi = pairs[4 * h + 2 + x];
+      quads[4 * h + 2 * x] = _mm512_unpacklo_epi16(lo, hi);
+      quads[4 * h + 2 * x + 1] = _mm512_unpackhi_epi16(lo, hi);
+    }
+  }
+  for (int y = 0; y < 2; ++y) {
+    __m512i octets[2][2];  // [x][z]: bytes 4y + 2z + e in qword e
+    for (int x = 0; x < 2; ++x) {
+      const __m512i lo = quads[2 * x + y];
+      const __m512i hi = quads[4 + 2 * x + y];
+      octets[x][0] = _mm512_maskz_unpacklo_epi32(kAll16, lo, hi);
+      octets[x][1] = _mm512_maskz_unpackhi_epi32(kAll16, lo, hi);
+    }
+    for (int z = 0; z < 2; ++z) {
+      columns[4 * y + 2 * z] =
+          _mm512_maskz_unpacklo_epi64(kAll8, octets[0][z], octets[1][z]);
+      columns[4 * y + 2 * z + 1] =
+          _mm512_maskz_unpackhi_epi64(kAll8, octets[0][z], octets[1][z]);
+    }
+  }
+}
+
 }  // namespace
+
+void transpose_block_avx512(const std::uint8_t* rows, std::size_t row_stride,
+                            std::size_t num_rows, std::size_t bytes,
+                            std::uint64_t planes[64],
+                            std::uint64_t counts[64]) {
+  __m512i gathered[8];  // qword p of gathered[k] = row 8p + k
+  if (bytes == 8) {
+    // Whole 8-byte rows: one masked gather per vector, so rows past
+    // num_rows are never touched and read as zero.
+    const auto stride = static_cast<long long>(row_stride);
+    const __m512i index =
+        _mm512_setr_epi64(0, 8 * stride, 16 * stride, 24 * stride,
+                          32 * stride, 40 * stride, 48 * stride, 56 * stride);
+    for (std::size_t k = 0; k < 8; ++k) {
+      const std::size_t live_rows = num_rows > k ? (num_rows - k + 7) / 8 : 0;
+      const auto live = static_cast<__mmask8>((1u << live_rows) - 1);
+      gathered[k] = _mm512_mask_i64gather_epi64(
+          _mm512_setzero_si512(), live,
+          _mm512_add_epi64(index,
+                           _mm512_set1_epi64(static_cast<long long>(k) *
+                                             stride)),
+          rows, 1);
+    }
+  } else {
+    // A row's last block: copy its `bytes` bytes, the rest stays zero.
+    alignas(64) std::uint64_t staged[8][8] = {};
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      std::memcpy(&staged[r % 8][r / 8], rows + r * row_stride, bytes);
+    }
+    for (std::size_t k = 0; k < 8; ++k) {
+      gathered[k] = _mm512_load_si512(staged[k]);
+    }
+  }
+  __m512i columns[8];
+  rows_to_byte_columns(gathered, columns);
+  // vpmovb2m takes bit 7 of every byte; a byte add moves the next bit up.
+  for (std::size_t b = 0; b < 8; ++b) {
+    __m512i bits = columns[b];
+    for (std::size_t t = 8; t-- > 0;) {
+      planes[8 * b + t] = _mm512_movepi8_mask(bits);
+      bits = _mm512_add_epi8(bits, bits);
+    }
+  }
+  for (std::size_t i = 0; i < 64; i += 8) {
+    const __m512i sum =
+        _mm512_add_epi64(_mm512_loadu_si512(counts + i),
+                         _mm512_popcnt_epi64(_mm512_loadu_si512(planes + i)));
+    _mm512_storeu_si512(counts + i, sum);
+  }
+}
 
 std::uint64_t popcount_words_avx512(const std::uint64_t* words,
                                     std::size_t n) {
@@ -45,7 +140,7 @@ std::uint64_t popcount_words_avx512(const std::uint64_t* words,
   }
   std::uint64_t count = sum_lanes(total);
   for (; i < n; ++i) {
-    count += static_cast<std::uint64_t>(std::popcount(words[i]));
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(words[i]));
   }
   return count;
 }
@@ -62,7 +157,7 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,
   }
   std::uint64_t count = sum_lanes(total);
   for (; i < n; ++i) {
-    count += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
+    count += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] & b[i]));
   }
   return count;
 }
@@ -210,6 +305,9 @@ void column_sums_avx512(const std::uint64_t* const* columns,
 
 // Stubs for builds without AVX-512 codegen; the dispatcher never calls them.
 bool avx512_kernels_compiled() noexcept { return false; }
+
+void transpose_block_avx512(const std::uint8_t*, std::size_t, std::size_t,
+                            std::size_t, std::uint64_t*, std::uint64_t*) {}
 
 std::uint64_t popcount_words_avx512(const std::uint64_t*, std::size_t) {
   return 0;

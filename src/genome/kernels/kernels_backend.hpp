@@ -16,6 +16,10 @@
 namespace gendpr::genome::kernels::detail {
 
 // kernels.cpp — portable reference implementations (the bit-identity oracle).
+void transpose_block_portable(const std::uint8_t* rows,
+                              std::size_t row_stride, std::size_t num_rows,
+                              std::size_t bytes, std::uint64_t planes[64],
+                              std::uint64_t counts[64]);
 std::uint64_t popcount_words_portable(const std::uint64_t* words,
                                       std::size_t n);
 std::uint64_t and_popcount_words_portable(const std::uint64_t* a,
@@ -30,9 +34,12 @@ void column_sums_portable(const std::uint64_t* const* columns,
                           const double* minor, const double* major,
                           double* sums);
 
-// kernels_avx2.cpp — Harley-Seal + vpshufb LUT popcounts, blendv/vpermd LR
-// kernels (compiled with -mavx2).
+// kernels_avx2.cpp — unpack + vpmovmskb transpose, Harley-Seal + vpshufb
+// LUT popcounts, blendv/vpermd LR kernels (compiled with -mavx2).
 bool avx2_kernels_compiled() noexcept;
+void transpose_block_avx2(const std::uint8_t* rows, std::size_t row_stride,
+                          std::size_t num_rows, std::size_t bytes,
+                          std::uint64_t planes[64], std::uint64_t counts[64]);
 std::uint64_t popcount_words_avx2(const std::uint64_t* words, std::size_t n);
 std::uint64_t and_popcount_words_avx2(const std::uint64_t* a,
                                       const std::uint64_t* b, std::size_t n);
@@ -44,9 +51,14 @@ void column_sums_avx2(const std::uint64_t* const* columns, std::size_t width,
                       std::size_t rows, const double* minor,
                       const double* major, double* sums);
 
-// kernels_avx512.cpp — vpopcntq popcounts, k-mask LR kernels (compiled with
+// kernels_avx512.cpp — gather + unpack + vpmovb2m transpose, vpopcntq
+// popcounts, k-mask LR kernels (compiled with
 // -mavx512f -mavx512bw -mavx512vpopcntdq).
 bool avx512_kernels_compiled() noexcept;
+void transpose_block_avx512(const std::uint8_t* rows, std::size_t row_stride,
+                            std::size_t num_rows, std::size_t bytes,
+                            std::uint64_t planes[64],
+                            std::uint64_t counts[64]);
 std::uint64_t popcount_words_avx512(const std::uint64_t* words,
                                     std::size_t n);
 std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,

@@ -173,8 +173,9 @@ TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
   // combination to fall back on the phase aborts with a timeout naming it.
   LeaderFixture f;
   GdoEnclave leader_enclave(f.leader_platform, 0);
-  const genome::BitPlanes leader_cases(f.cohort.cases, 0, 100);
-  ASSERT_TRUE(leader_enclave.provision_dataset(leader_cases).ok());
+  ASSERT_TRUE(leader_enclave
+                  .provision_dataset(genome::BitPlanes(f.cohort.cases, 0, 100))
+                  .ok());
   // ld_cutoff 1: every pair is dependent, so the walk's anchor holds past
   // the LD window and the leader must fetch pairs beyond it.
   StudyConfig config;

@@ -364,8 +364,10 @@ TEST(SessionTest, UnexpectedMessageTypeFails) {
   // The test plays leader with the tee primitives directly, so it can seal
   // a syntactically valid record of a type the member must refuse.
   GdoEnclave fake_leader(*fixture.platforms[0], 0);
-  const genome::BitPlanes leader_cases(fixture.cohort.cases, 0, 40);
-  ASSERT_TRUE(fake_leader.provision_dataset(leader_cases).ok());
+  ASSERT_TRUE(
+      fake_leader
+          .provision_dataset(genome::BitPlanes(fixture.cohort.cases, 0, 40))
+          .ok());
   auto channel = fake_leader.channel_to(trusted_module_measurement(),
                                         /*initiator=*/false);
   ASSERT_TRUE(channel->complete(handshake[0].payload).ok());

@@ -116,6 +116,59 @@ TEST(BitPlanesTest, PoolBuildMatchesSerial) {
   }
 }
 
+/// Shapes across the build's loop (groups of 8 words = 512 rows, with the
+/// 64-SNP blocks inner): populations just below, on and above one group and
+/// over two, ranges that start off word and group boundaries or end at the
+/// matrix's last row, and SNP counts off the byte boundary whose last block
+/// holds 1, 7 or 57 SNPs. L = 505 is 8 blocks, more than the largest pool.
+const std::size_t kGroupSnpCounts[] = {65, 71, 121, 505};
+const std::pair<std::size_t, std::size_t> kGroupRanges[] = {
+    {0, 511}, {0, 512}, {0, 513}, {0, 1100}, {1, 1100},
+    {37, 549}, {500, 1025}, {511, 1100}, {1000, 1100}, {1099, 1100}};
+
+TEST(BitPlanesTest, RowRangeBuildCrossesWordGroups) {
+  common::Rng rng(23);
+  for (std::size_t l : kGroupSnpCounts) {
+    const GenotypeMatrix m = random_matrix(rng, 1100, l, 0.5);
+    for (const auto& [begin, end] : kGroupRanges) {
+      const BitPlanes planes(m, begin, end);
+      expect_planes_of_rows(planes, m, begin, end);
+      EXPECT_EQ(planes.allele_counts(),
+                m.slice_rows(begin, end).allele_counts());
+    }
+  }
+}
+
+TEST(BitPlanesTest, PoolBuildCrossesWordGroups) {
+  // A pooled build gives each worker one contiguous range of 64-SNP blocks,
+  // and each worker's loop crosses the 512-row groups of its blocks. At
+  // L = 65, 71 and 121 (2 blocks) the larger pools leave workers idle; at
+  // L = 505 (8 blocks) every worker of every pool gets blocks, and the last
+  // worker's range ends with the 57-SNP tail block.
+  common::Rng rng(29);
+  for (std::size_t threads : {1, 2, 3, 5}) {
+    common::ThreadPool pool(threads);
+    for (std::size_t l : kGroupSnpCounts) {
+      const GenotypeMatrix m = random_matrix(rng, 1100, l, 0.5);
+      for (const auto& [begin, end] : kGroupRanges) {
+        const BitPlanes serial(m, begin, end);
+        const BitPlanes pooled(m, begin, end, &pool);
+        ASSERT_EQ(pooled.words_per_plane(), serial.words_per_plane());
+        const std::size_t words = l * serial.words_per_plane();
+        EXPECT_TRUE(std::equal(pooled.plane(0), pooled.plane(0) + words,
+                               serial.plane(0)))
+            << threads << " threads, L=" << l << ", rows [" << begin << ", "
+            << end << ")";
+        EXPECT_EQ(pooled.allele_counts(), serial.allele_counts());
+        EXPECT_EQ(pooled.tile(0, l).total_allele_count(),
+                  serial.tile(0, l).total_allele_count());
+        EXPECT_EQ(pooled.storage_bytes(), serial.storage_bytes());
+        expect_planes_of_rows(pooled, m, begin, end);
+      }
+    }
+  }
+}
+
 TEST(BitPlanesTest, AlleleCountsBitIdenticalToScalar) {
   common::Rng rng(12);
   for (std::size_t n : kPopulationSizes) {

@@ -1,8 +1,9 @@
 // Portable-vs-SIMD kernel equivalence: every compiled-and-supported backend
 // must agree bit for bit with the portable reference on randomized planes,
-// tail words, and degenerate all-zero/all-one inputs, and the LR kernels'
-// doubles must match bit for bit too. Skipping unavailable backends
-// (non-x86 hosts, old CPUs) keeps the suite green everywhere.
+// transpose blocks of every shape, tail words, and degenerate
+// all-zero/all-one inputs, and the LR kernels' doubles must match bit for
+// bit too. Skipping unavailable backends (non-x86 hosts, old CPUs) keeps
+// the suite green everywhere.
 #include "genome/kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -96,6 +97,79 @@ TEST(KernelsTest, PopcountDegenerateAllZeroAllOne) {
       EXPECT_EQ(ops.popcount_words(ones.data(), n), n * 64);
       EXPECT_EQ(ops.and_popcount_words(zeros.data(), ones.data(), n), 0u);
       EXPECT_EQ(ops.and_popcount_words(ones.data(), ones.data(), n), n * 64);
+    }
+  }
+}
+
+/// One transpose_block call: the 64 plane words, and `counts_before` with
+/// the call's popcounts added.
+struct TransposeRun {
+  std::vector<std::uint64_t> planes;
+  std::vector<std::uint64_t> counts;
+};
+
+TransposeRun run_transpose(const KernelOps& ops, const std::uint8_t* rows,
+                           std::size_t stride, std::size_t num_rows,
+                           std::size_t bytes,
+                           const std::vector<std::uint64_t>& counts_before) {
+  TransposeRun run;
+  run.planes.assign(64, 0x5a5a5a5a5a5a5a5aull);  // every word is overwritten
+  run.counts = counts_before;
+  ops.transpose_block(rows, stride, num_rows, bytes, run.planes.data(),
+                      run.counts.data());
+  return run;
+}
+
+TEST(KernelsTest, TransposeMatchesPortable) {
+  // Every backend against the portable kernel, and the portable kernel
+  // against a bit-by-bit transpose. The rows sit at the very end of their
+  // own heap buffer (the last row's last byte read is the buffer's last
+  // byte), so a backend that reads past `bytes` or past num_rows trips
+  // AddressSanitizer.
+  common::Rng rng(0x7a5);
+  const KernelOps& portable = kernel_ops_for(KernelBackend::portable);
+  std::vector<KernelBackend> backends = available_simd_backends();
+  backends.push_back(KernelBackend::portable);
+  for (std::size_t bytes = 1; bytes <= 8; ++bytes) {
+    for (std::size_t num_rows = 0; num_rows <= 64; ++num_rows) {
+      for (std::size_t pad : {0u, 3u, 1242u}) {
+        const std::size_t stride = bytes + pad;
+        const std::size_t size =
+            num_rows == 0 ? 1 : (num_rows - 1) * stride + bytes;
+        std::vector<std::uint8_t> matrix(size);
+        for (auto& byte : matrix) {
+          byte = static_cast<std::uint8_t>(rng.next());
+        }
+        std::vector<std::uint64_t> counts_before(64);
+        for (auto& count : counts_before) count = rng.next() >> 8;
+        std::vector<std::uint64_t> want_planes(64, 0);
+        for (std::size_t r = 0; r < num_rows; ++r) {
+          for (std::size_t l = 0; l < 8 * bytes; ++l) {
+            if ((matrix[r * stride + l / 8] >> (l % 8)) & 1) {
+              want_planes[l] |= 1ull << r;
+            }
+          }
+        }
+        const TransposeRun want = run_transpose(
+            portable, matrix.data(), stride, num_rows, bytes, counts_before);
+        ASSERT_EQ(want.planes, want_planes)
+            << "rows=" << num_rows << " bytes=" << bytes;
+        for (std::size_t l = 0; l < 64; ++l) {
+          ASSERT_EQ(want.counts[l] - counts_before[l],
+                    static_cast<std::uint64_t>(std::popcount(want_planes[l])));
+        }
+        for (KernelBackend backend : backends) {
+          const TransposeRun got =
+              run_transpose(kernel_ops_for(backend), matrix.data(), stride,
+                            num_rows, bytes, counts_before);
+          EXPECT_EQ(got.planes, want.planes)
+              << kernel_backend_name(backend) << " rows=" << num_rows
+              << " bytes=" << bytes << " stride=" << stride;
+          EXPECT_EQ(got.counts, want.counts)
+              << kernel_backend_name(backend) << " rows=" << num_rows
+              << " bytes=" << bytes << " stride=" << stride;
+        }
+      }
     }
   }
 }
