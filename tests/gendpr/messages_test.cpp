@@ -3,10 +3,20 @@
 #include <gtest/gtest.h>
 
 #include "message_bytes.hpp"
+#include "pinned_messages.hpp"
 #include "wire/serialize.hpp"
 
 namespace gendpr::core {
 namespace {
+
+TEST(MessagesTest, EncodingsArePinned) {
+  // Every message type, LrMatrices included, against its hand-written body.
+  const std::vector<PinnedEncoding> pins = pinned_encodings();
+  EXPECT_EQ(pins.size(), 11u);
+  for (const PinnedEncoding& pin : pins) {
+    EXPECT_EQ(pin.encoded, pin.expected) << pin.name;
+  }
+}
 
 TEST(MessagesTest, StudyAnnounceRoundTrip) {
   StudyAnnounce msg;
