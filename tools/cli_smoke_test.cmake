@@ -158,3 +158,38 @@ foreach(file reference.vcf gdo0.vcf)
                         "mismatch: ${err}")
   endif()
 endforeach()
+
+# The study splits the cases equally among the GDOs, as `gen` does, so a
+# slice of another size would leave genomes under the wrong GDO. Take gdo1
+# (135 genomes, signed) from a 405-case workspace into the 400-case one:
+# 134 + 135 + 133 = 402 cases split 134/134/134, so gdo1 is the first slice
+# off its range, and both loaders refuse the workspace naming it.
+file(MAKE_DIRECTORY ${WORKDIR}/wide)
+execute_process(
+  COMMAND ${CLI} gen ${WORKDIR}/wide --cases 405 --controls 400 --snps 120
+          --gdos 3
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gendpr gen of the 405-case workspace failed (${rc})")
+endif()
+set(resplit ${WORKDIR}/resplit)
+file(MAKE_DIRECTORY ${resplit})
+foreach(part gdo0.vcf gdo0.manifest gdo2.vcf gdo2.manifest reference.vcf)
+  configure_file(${WORKDIR}/${part} ${resplit}/${part} COPYONLY)
+endforeach()
+foreach(part gdo1.vcf gdo1.manifest)
+  configure_file(${WORKDIR}/wide/${part} ${resplit}/${part} COPYONLY)
+endforeach()
+foreach(command assess release)
+  execute_process(
+    COMMAND ${CLI} ${command} ${resplit} --gdos 3 --out ${resplit}/release.tsv
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${command} with a 135-genome gdo1.vcf exited ${rc}, "
+                        "want 1")
+  endif()
+  if(NOT err MATCHES "gdo1.vcf holds 135 genomes")
+    message(FATAL_ERROR "${command} with a 135-genome gdo1.vcf did not name "
+                        "the slice: ${err}")
+  endif()
+endforeach()

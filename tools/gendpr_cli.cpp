@@ -369,6 +369,21 @@ common::Result<genome::Cohort> load_cohort(const Args& args) {
     total += vcf.value().genotypes.num_individuals();
     slices.push_back(vcf.value().genotypes);
   }
+  // The study splits the cases again with equal_partition, as `gen` did: a
+  // slice of another size would leave some GDO's genomes with a neighbour.
+  const auto ranges = genome::equal_partition(total, args.gdos);
+  for (std::uint32_t g = 0; g < args.gdos; ++g) {
+    const std::size_t rows = slices[g].num_individuals();
+    const std::size_t assigned = ranges[g].second - ranges[g].first;
+    if (rows == assigned) continue;
+    return common::make_error(
+        common::Errc::invalid_argument,
+        slice_path(args.dir, g) + " holds " + std::to_string(rows) +
+            " genomes, but a study of " + std::to_string(total) +
+            " cases over " + std::to_string(args.gdos) + " GDOs assigns " +
+            std::to_string(assigned) + " to GDO " + std::to_string(g) +
+            " (slices must split the cases as `gen` does)");
+  }
   const std::size_t snps = snp_ids.size();
   cohort.cases = genome::GenotypeMatrix(total, snps);
   std::size_t row = 0;
