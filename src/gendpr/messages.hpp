@@ -2,9 +2,13 @@
 //
 // Every message travels as plaintext only *inside* enclaves: hosts see the
 // serialized form already sealed into a SecureChannel record. The envelope
-// is one type byte followed by the message body; deserialization is fully
-// bounds-checked (wire::Reader) and rejects trailing garbage, so malformed
-// or truncated inputs from a compromised host surface as bad_message.
+// is one type byte (the message's kType) followed by the message body.
+//
+// Each struct's static fields() list is its wire layout, in order; the
+// walker in wire/fields.hpp derives wire::encoded_size, wire::encode_into
+// and wire::decode<M> from it. Decoding is fully bounds-checked and rejects
+// trailing garbage, so malformed or truncated inputs from a compromised
+// host surface as bad_message.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +19,24 @@
 #include "common/error.hpp"
 #include "stats/ld.hpp"
 #include "stats/lr_test.hpp"
+#include "wire/fields.hpp"
 #include "wire/serialize.hpp"
+
+namespace gendpr::wire {
+
+/// An LrMatrix field: u32 rows, u32 cols, then the rows x cols cells as
+/// f64, row by row. Decoding checks the cells fit the rest of the body
+/// before it allocates.
+template <>
+struct FieldCodec<stats::LrMatrix> {
+  static std::size_t size(const stats::LrMatrix& m) {
+    return 4 + 4 + 8 * m.values().size();
+  }
+  static void write(Writer& w, const stats::LrMatrix& m);
+  static common::Status read(Reader& r, stats::LrMatrix& m);
+};
+
+}  // namespace gendpr::wire
 
 namespace gendpr::core {
 
@@ -42,12 +63,16 @@ inline constexpr std::uint32_t kLdWindow = 8;
 /// is all a member reads: the thresholds, the collusion policy and the
 /// combination table stay on the leader, which runs every decision.
 struct StudyAnnounce {
+  static constexpr MsgType kType = MsgType::study_announce;
+
   std::uint32_t num_snps = 0;
   std::uint32_t snp_tile_width = 0;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<StudyAnnounce> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.num_snps);
+    f(m.snp_tile_width);
+  }
 };
 
 /// Member -> leader: local allele-count vector over one SNP tile and the
@@ -57,23 +82,29 @@ struct StudyAnnounce {
 /// tile, each body bounded by the tile width, and the leader assesses tiles
 /// as soon as every live member delivered them.
 struct SummaryStats {
+  static constexpr MsgType kType = MsgType::summary_stats;
+
   std::vector<std::uint32_t> case_counts;
   std::uint32_t n_case = 0;
   /// Which tile of the announce-derived TilePlan `case_counts` covers.
   std::uint32_t tile_index = 0;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<SummaryStats> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.case_counts);
+    f(m.n_case);
+    f(m.tile_index);
+  }
 };
 
 /// Leader -> members: SNPs retained by the (intersected) MAF analysis.
 struct Phase1Result {
+  static constexpr MsgType kType = MsgType::phase1_result;
+
   std::vector<std::uint32_t> retained;  // L'
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<Phase1Result> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.retained); }
 };
 
 /// Member -> leader, unrequested, after Phase1Result: the co-occurrence
@@ -85,35 +116,48 @@ struct Phase1Result {
 /// phase-1 allele counts and n_case the leader already holds, one count is
 /// everything the additive LD moments of a pair need from a member.
 struct LdWindow {
+  static constexpr MsgType kType = MsgType::ld_window;
+
   std::uint32_t tile_index = 0;
   std::vector<std::uint32_t> counts;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<LdWindow> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.tile_index);
+    f(m.counts);
+  }
 };
 
 /// Leader -> members: request for the co-occurrence count of one SNP pair
 /// the walk needs beyond the LD window (sent to every live member on the
 /// pair's first touch, to a member with a missing count afterwards).
 struct MomentsRequest {
+  static constexpr MsgType kType = MsgType::moments_request;
+
   std::uint32_t request_id = 0;
   std::uint32_t snp_a = 0;
   std::uint32_t snp_b = 0;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<MomentsRequest> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.request_id);
+    f(m.snp_a);
+    f(m.snp_b);
+  }
 };
 
 /// Member -> leader: popcount(plane[snp_a] & plane[snp_b]) for the request.
 struct MomentsResponse {
+  static constexpr MsgType kType = MsgType::moments_response;
+
   std::uint32_t request_id = 0;
   std::uint32_t co_count = 0;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<MomentsResponse> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.request_id);
+    f(m.co_count);
+  }
 };
 
 /// Leader -> members: SNPs retained after LD pruning (paper Fig. 4 step 1),
@@ -125,13 +169,20 @@ struct MomentsResponse {
 /// derives itself from the phase-1 counts, so every GDO's counts stay
 /// inside the leader's enclave.
 struct Phase2Result {
+  static constexpr MsgType kType = MsgType::phase2_result;
+
   std::vector<std::uint32_t> retained;  // L'' (this tile's SNPs)
   std::uint32_t tile_index = 0;
   std::uint32_t num_tiles = 1;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<Phase2Result> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.retained);
+    f(m.tile_index);
+    f(m.num_tiles);
+  }
+  /// Run by wire::decode once the fields parse.
+  common::Status validate() const;
 };
 
 /// Member -> leader: the member's LR indicator bits over one phase-2 tile's
@@ -143,14 +194,22 @@ struct Phase2Result {
 /// the leader computes itself, so this is the same information in 1/64 of
 /// the bytes.
 struct LrPlanes {
+  static constexpr MsgType kType = MsgType::lr_planes;
+
   std::uint32_t tile_index = 0;
   std::uint32_t width = 0;
   std::uint32_t words_per_column = 0;
   std::vector<std::uint64_t> words;  // width * words_per_column, by column
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<LrPlanes> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.tile_index);
+    f(m.width);
+    f(m.words_per_column);
+    f(m.words);
+  }
+  /// Run by wire::decode once the fields parse.
+  common::Status validate() const;
 };
 
 /// Local LR matrices, one per combination that includes a GDO, each built
@@ -161,68 +220,57 @@ struct LrMatrices {
   struct Entry {
     std::uint32_t combination_id = 0;
     stats::LrMatrix matrix;
+
+    template <class M, class F>
+    static void fields(M& m, F&& f) {
+      f(m.combination_id);
+      f(m.matrix);
+    }
   };
   std::vector<Entry> entries;
   std::uint32_t tile_index = 0;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  common::Bytes serialize() const;
-  static common::Result<LrMatrices> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.entries);
+    f(m.tile_index);
+  }
+
+  /// wire::encode / wire::decode under the names the benchmark harness
+  /// times; they stay only for it and go with the next benchmark-only
+  /// change.
+  common::Bytes serialize() const { return wire::encode(*this); }
+  static common::Result<LrMatrices> deserialize(common::BytesView data) {
+    return wire::decode<LrMatrices>(data);
+  }
 };
 
 /// Leader -> members: the final safe SNP set (intersection over
 /// combinations).
 struct Phase3Result {
+  static constexpr MsgType kType = MsgType::phase3_result;
+
   std::vector<std::uint32_t> safe;  // L_safe
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<Phase3Result> deserialize(common::BytesView data);
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.safe); }
 };
 
 /// Leader -> members: the study cannot complete; stop waiting for further
 /// phase requests. `failed_gdo` names the unresponsive GDO that triggered
 /// the abort (kNoFailedGdo when the cause is not a specific peer).
 struct AbortNotice {
+  static constexpr MsgType kType = MsgType::abort_notice;
   static constexpr std::uint32_t kNoFailedGdo = 0xffffffffu;
 
   std::uint32_t failed_gdo = kNoFailedGdo;
   std::string reason;
 
-  std::size_t encoded_size() const;
-  void serialize_into(wire::Writer& w) const;
-  static common::Result<AbortNotice> deserialize(common::BytesView data);
-};
-
-/// Every message exposes the same surface: encoded_size() returns the exact
-/// byte count serialize_into() will append, so the send path reserves once
-/// and never regrows; deserialize() reads a body back.
-
-/// Type-erased reference to any protocol message (anything with
-/// encoded_size()/serialize_into()). Lets the session send paths accept
-/// every message type through one non-template signature while keeping the
-/// message structs plain aggregates with no common base.
-class MessageRef {
- public:
-  template <typename M>
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  MessageRef(const M& msg) noexcept
-      : obj_(&msg),
-        size_([](const void* p) {
-          return static_cast<const M*>(p)->encoded_size();
-        }),
-        write_([](const void* p, wire::Writer& w) {
-          static_cast<const M*>(p)->serialize_into(w);
-        }) {}
-
-  std::size_t encoded_size() const { return size_(obj_); }
-  void serialize_into(wire::Writer& w) const { write_(obj_, w); }
-
- private:
-  const void* obj_;
-  std::size_t (*size_)(const void*);
-  void (*write_)(const void*, wire::Writer&);
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.failed_gdo);
+    f(m.reason);
+  }
 };
 
 /// Splits an envelope into its type and body view. The body aliases `data`;

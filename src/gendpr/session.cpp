@@ -25,14 +25,15 @@ bool is_peer_loss(const common::Error& error) {
   return error.code == Errc::unknown_peer || error.code == Errc::io_error;
 }
 
-/// Serializes `msg` with its envelope type byte once; every recipient then
-/// costs only a seal (one AEAD pass into the record it sends).
-StagedMessage stage_envelope(MsgType type, MessageRef msg) {
+/// Serializes `msg` behind its type byte once; every recipient then costs
+/// only a seal (one AEAD pass into the record it sends).
+template <class M>
+StagedMessage stage_envelope(const M& msg) {
   StagedMessage staging;
   wire::Writer w;
-  w.reserve(1 + msg.encoded_size());
-  w.u8(static_cast<std::uint8_t>(type));
-  msg.serialize_into(w);
+  w.reserve(1 + wire::encoded_size(msg));
+  w.u8(static_cast<std::uint8_t>(M::kType));
+  wire::encode_into(w, msg);
   staging.bytes = std::move(w).take();
   return staging;
 }
@@ -271,8 +272,9 @@ common::Error MemberSession::wait_error(bool timed_out,
                     std::string("mailbox closed ") + where);
 }
 
-common::Task<Status> MemberSession::send_reply(MsgType type, MessageRef msg) {
-  const StagedMessage staging = stage_envelope(type, msg);
+template <class M>
+common::Task<Status> MemberSession::send_reply(const M& msg) {
+  const StagedMessage staging = stage_envelope(msg);
   auto record = channel_->seal(staging.bytes);
   if (!record.ok()) co_return record.error();
   obs::add_counter(obs_, "wire.serializations");
@@ -327,7 +329,7 @@ ProtocolSession::Main MemberSession::run_protocol() {
 
     switch (type) {
       case MsgType::study_announce: {
-        auto announce = StudyAnnounce::deserialize(body);
+        auto announce = wire::decode<StudyAnnounce>(body);
         if (!announce.ok()) co_return announce.error();
         if (Status s = enclave_.on_study_announce(announce.value()); !s.ok()) {
           co_return s;
@@ -343,15 +345,14 @@ ProtocolSession::Main MemberSession::run_protocol() {
           const SummaryStats stats =
               enclave_.make_summary_tile(plan.begin(k), plan.end(k), k);
           compute_ms_ += compute_watch.elapsed_ms();
-          if (Status s = co_await send_reply(MsgType::summary_stats, stats);
-              !s.ok()) {
+          if (Status s = co_await send_reply(stats); !s.ok()) {
             co_return s;
           }
         }
         break;
       }
       case MsgType::phase1_result: {
-        auto result = Phase1Result::deserialize(body);
+        auto result = wire::decode<Phase1Result>(body);
         if (!result.ok()) co_return result.error();
         if (Status s = enclave_.on_phase1(result.value()); !s.ok()) {
           co_return s;
@@ -371,29 +372,26 @@ ProtocolSession::Main MemberSession::run_protocol() {
           compute_ms_ += compute_watch.elapsed_ms();
           obs::max_gauge(obs_, "epc.member.peak_bytes",
                          static_cast<double>(enclave_.platform().epc().peak()));
-          if (Status s = co_await send_reply(MsgType::ld_window, window);
-              !s.ok()) {
+          if (Status s = co_await send_reply(window); !s.ok()) {
             co_return s;
           }
         }
         break;
       }
       case MsgType::moments_request: {
-        auto request = MomentsRequest::deserialize(body);
+        auto request = wire::decode<MomentsRequest>(body);
         if (!request.ok()) co_return request.error();
         const Stopwatch compute_watch;
         auto response = enclave_.on_moments_request(request.value());
         compute_ms_ += compute_watch.elapsed_ms();
         if (!response.ok()) co_return response.error();
-        if (Status s = co_await send_reply(MsgType::moments_response,
-                                           response.value());
-            !s.ok()) {
+        if (Status s = co_await send_reply(response.value()); !s.ok()) {
           co_return s;
         }
         break;
       }
       case MsgType::phase2_result: {
-        auto result = Phase2Result::deserialize(body);
+        auto result = wire::decode<Phase2Result>(body);
         if (!result.ok()) co_return result.error();
         const Stopwatch compute_watch;
         auto planes = enclave_.on_phase2(result.value());
@@ -401,14 +399,13 @@ ProtocolSession::Main MemberSession::run_protocol() {
         if (!planes.ok()) co_return planes.error();
         obs::max_gauge(obs_, "epc.member.peak_bytes",
                        static_cast<double>(enclave_.platform().epc().peak()));
-        if (Status s = co_await send_reply(MsgType::lr_planes, planes.value());
-            !s.ok()) {
+        if (Status s = co_await send_reply(planes.value()); !s.ok()) {
           co_return s;
         }
         break;
       }
       case MsgType::phase3_result: {
-        auto result = Phase3Result::deserialize(body);
+        auto result = wire::decode<Phase3Result>(body);
         if (!result.ok()) co_return result.error();
         if (Status s = enclave_.on_phase3(result.value()); !s.ok()) {
           co_return s;
@@ -416,7 +413,7 @@ ProtocolSession::Main MemberSession::run_protocol() {
         break;
       }
       case MsgType::abort_notice: {
-        auto notice = AbortNotice::deserialize(body);
+        auto notice = wire::decode<AbortNotice>(body);
         if (!notice.ok()) co_return notice.error();
         std::string reason = "study aborted by leader";
         if (notice.value().failed_gdo != AbortNotice::kNoFailedGdo) {
@@ -573,9 +570,10 @@ common::Task<Status> LeaderSession::send_staged(std::uint32_t gdo_index,
   co_return Status::success();
 }
 
-common::Task<Status> LeaderSession::broadcast(MsgType type, MessageRef msg) {
+template <class M>
+common::Task<Status> LeaderSession::broadcast(const M& msg) {
   sync_dead_peers();
-  StagedMessage staging = stage_envelope(type, msg);
+  StagedMessage staging = stage_envelope(msg);
   for (std::uint32_t g : live_members()) {
     Status s = co_await send_staged(g, staging);
     if (s.ok()) continue;
@@ -595,7 +593,7 @@ common::Task<void> LeaderSession::broadcast_abort(common::Error error) {
   const auto& dead = coordinator_.dead_gdos();
   if (!dead.empty()) notice.failed_gdo = *dead.begin();
   notice.reason = error.to_string();
-  StagedMessage staging = stage_envelope(MsgType::abort_notice, notice);
+  StagedMessage staging = stage_envelope(notice);
   for (std::uint32_t g : live_members()) {
     (void)co_await send_staged(g, staging);  // best effort
   }
@@ -712,8 +710,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   obs::ScopedSpan gather_span(obs::recorder_of(obs_), "step.gather_summaries",
                               study_span_);
   Stopwatch aggregation_watch;
-  if (Status s = co_await broadcast(MsgType::study_announce, announce);
-      !s.ok()) {
+  if (Status s = co_await broadcast(announce); !s.ok()) {
     co_return s.error();
   }
   // Each member streams one summary per tile of the phase-1 plan. After
@@ -727,7 +724,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   const auto take_summary = [this, &inline_assess_ms, &maf_tiles_inline](
                                 std::uint32_t member, MsgType,
                                 common::BytesView body) -> Status {
-    auto stats = SummaryStats::deserialize(body);
+    auto stats = wire::decode<SummaryStats>(body);
     if (!stats.ok()) return stats.error();
     if (Status s = coordinator_.add_summary(member, stats.value()); !s.ok()) {
       return s;
@@ -763,8 +760,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   {
     const obs::ScopedSpan broadcast_span(obs::recorder_of(obs_),
                                          "step.broadcast_phase1", study_span_);
-    if (Status s = co_await broadcast(MsgType::phase1_result, phase1.value());
-        !s.ok()) {
+    if (Status s = co_await broadcast(phase1.value()); !s.ok()) {
       co_return s.error();
     }
   }
@@ -784,9 +780,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
       auto opened = coordinator_.advance_ld_walks();
       if (!opened.ok()) co_return opened.error();
       if (!opened.value().has_value()) break;
-      if (Status s = co_await broadcast(MsgType::moments_request,
-                                        *opened.value());
-          !s.ok()) {
+      if (Status s = co_await broadcast(*opened.value()); !s.ok()) {
         co_return s.error();
       }
     }
@@ -799,11 +793,11 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   const auto take_ld_record = [this](std::uint32_t member, MsgType type,
                                      common::BytesView body) -> Status {
     if (type == MsgType::moments_response) {
-      auto response = MomentsResponse::deserialize(body);
+      auto response = wire::decode<MomentsResponse>(body);
       if (!response.ok()) return response.error();
       return coordinator_.add_moments(member, response.value());
     }
-    auto window = LdWindow::deserialize(body);
+    auto window = wire::decode<LdWindow>(body);
     if (!window.ok()) return window.error();
     return coordinator_.add_ld_window(member, std::move(window).take());
   };
@@ -828,12 +822,12 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   // planes while later tiles are still in flight.
   std::uint64_t phase2_body_bytes = 0;
   for (const Phase2Result& tile : coordinator_.phase2_tiles()) {
-    const std::size_t body_size = tile.encoded_size();
+    const std::size_t body_size = wire::encoded_size(tile);
     phase2_body_bytes += body_size;
     obs::add_counter(obs_, "leader.phase2_body_bytes", body_size);
     obs::add_counter(obs_, "leader.phase2_broadcast_bytes",
                      body_size * live_members().size());
-    if (Status s = co_await broadcast(MsgType::phase2_result, tile); !s.ok()) {
+    if (Status s = co_await broadcast(tile); !s.ok()) {
       co_return s.error();
     }
   }
@@ -842,7 +836,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   // Each member answers every phase-2 tile with one LrPlanes reply.
   const auto take_planes = [this](std::uint32_t member, MsgType,
                                   common::BytesView body) -> Status {
-    auto planes = LrPlanes::deserialize(body);
+    auto planes = wire::decode<LrPlanes>(body);
     if (!planes.ok()) return planes.error();
     return coordinator_.add_lr_planes(member, planes.value());
   };
@@ -864,8 +858,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   {
     const obs::ScopedSpan broadcast_span(obs::recorder_of(obs_),
                                          "step.broadcast_phase3", study_span_);
-    if (Status s = co_await broadcast(MsgType::phase3_result, phase3.value());
-        !s.ok()) {
+    if (Status s = co_await broadcast(phase3.value()); !s.ok()) {
       co_return s.error();
     }
   }

@@ -325,7 +325,8 @@ class MemberSession : public ProtocolSession {
   Main run_protocol() override;
 
  private:
-  common::Task<common::Status> send_reply(MsgType type, MessageRef msg);
+  template <class M>
+  common::Task<common::Status> send_reply(const M& msg);
   common::Error wait_error(bool timed_out, const char* where) const;
 
   std::uint32_t gdo_index_;
@@ -387,7 +388,8 @@ class LeaderSession : public ProtocolSession {
   /// pass only; the plaintext was serialized once by stage_envelope).
   common::Task<common::Status> send_staged(std::uint32_t gdo_index,
                                            StagedMessage& staging);
-  common::Task<common::Status> broadcast(MsgType type, MessageRef msg);
+  template <class M>
+  common::Task<common::Status> broadcast(const M& msg);
   common::Task<void> broadcast_abort(common::Error error);
   common::Task<common::Result<GatherStep>> next_record(
       const char* phase, std::set<std::uint32_t>& pending);

@@ -4,8 +4,8 @@
 
 #include "common/combinatorics.hpp"
 #include "genome/kernels/kernels.hpp"
-#include "wire/serialize.hpp"
 #include "stats/association.hpp"
+#include "wire/fields.hpp"
 
 namespace gendpr::core {
 
@@ -575,9 +575,7 @@ Status Coordinator::add_ld_window(std::uint32_t gdo_index, LdWindow window) {
   } else {
     // Ahead of the walk: sealed out of the enclave until its tile is next,
     // so the windows held in EPC stay O(tile).
-    wire::Writer w;
-    w.vector_u32(window.counts);
-    slot.sealed = leader_->seal(w.buffer());
+    slot.sealed = leader_->seal(wire::encode(window));
     obs::add_counter(obs_, "ld.window_tiles_sealed_out");
   }
   return Status::success();
@@ -698,12 +696,11 @@ Status Coordinator::open_ld_tile() {
     if (window.sealed.empty()) continue;
     auto plaintext = leader_->unseal(window.sealed);
     if (!plaintext.ok()) return plaintext.error();
-    wire::Reader r(plaintext.value());
-    auto counts = r.vector_u32();
-    if (!counts.ok()) return counts.error();
-    auto held = leader_->reserve_epc(counts.value().size() * 4);
+    auto unsealed = wire::decode<LdWindow>(plaintext.value());
+    if (!unsealed.ok()) return unsealed.error();
+    auto held = leader_->reserve_epc(unsealed.value().counts.size() * 4);
     if (!held.ok()) return held.error();
-    window.counts = std::move(counts).take();
+    window.counts = std::move(unsealed).take().counts;
     window.epc = std::move(held).take();
     window.sealed.clear();
   }

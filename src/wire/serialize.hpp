@@ -2,7 +2,8 @@
 // length-prefixed strings/blobs, and homogeneous vectors.
 //
 // Every protocol message in gendpr/messages.hpp serializes through Writer and
-// parses through Reader. Reader never trusts lengths: all reads are
+// parses through Reader, by way of the field-list walker in wire/fields.hpp.
+// Reader never trusts lengths: all reads are
 // bounds-checked and return Errc::bad_message on truncation, which the
 // failure-injection tests exercise with corrupted and truncated frames.
 #pragma once
@@ -21,8 +22,8 @@ class Writer {
  public:
   Writer() = default;
 
-  /// Pre-sizes the buffer for `additional` more bytes; pairs with the
-  /// messages' encoded_size() so serialization allocates at most once.
+  /// Pre-sizes the buffer for `additional` more bytes; pairs with
+  /// wire::encoded_size() so serialization allocates at most once.
   void reserve(std::size_t additional) {
     buffer_.reserve(buffer_.size() + additional);
   }

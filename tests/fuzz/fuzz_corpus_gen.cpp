@@ -8,6 +8,9 @@
 // Every written file is immediately replayed through the harness as a
 // self-check, so a stale fixture fails here instead of silently degrading
 // the corpus.
+//
+// It also writes the codec harness's seeds: each pinned message body behind
+// its type byte (codec_<name>), each of which must decode.
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -16,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_message_codecs.hpp"
 #include "fuzz_protocol_step.hpp"
+#include "pinned_messages.hpp"
 
 #include "gendpr/session.hpp"
 #include "genome/cohort.hpp"
@@ -46,8 +51,8 @@ void append_frame_op(std::vector<std::uint8_t>& script, std::uint32_t from,
   script.insert(script.end(), payload.begin(), payload.end());
 }
 
-bool write_and_check(const std::filesystem::path& path,
-                     const std::vector<std::uint8_t>& bytes) {
+bool write_seed(const std::filesystem::path& path,
+                const std::vector<std::uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.string().c_str());
@@ -56,10 +61,32 @@ bool write_and_check(const std::filesystem::path& path,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   out.close();
-  gendpr::fuzz::run_one_input(bytes.data(), bytes.size());  // self-check
   std::fprintf(stderr, "seed: %s (%zu bytes)\n", path.string().c_str(),
                bytes.size());
   return true;
+}
+
+bool write_and_check(const std::filesystem::path& path,
+                     const std::vector<std::uint8_t>& bytes) {
+  if (!write_seed(path, bytes)) return false;
+  gendpr::fuzz::run_one_input(bytes.data(), bytes.size());  // self-check
+  return true;
+}
+
+bool write_codec_seeds(const std::filesystem::path& corpus_dir) {
+  bool ok = true;
+  for (const gendpr::core::PinnedEncoding& pin :
+       gendpr::core::pinned_encodings()) {
+    std::vector<std::uint8_t> seed{pin.tag};
+    seed.insert(seed.end(), pin.expected.begin(), pin.expected.end());
+    if (!gendpr::fuzz::check_message_codecs(seed.data(), seed.size())) {
+      std::fprintf(stderr, "pinned %s body does not decode\n", pin.name);
+      ok = false;
+    }
+    ok = write_seed(corpus_dir / (std::string("codec_") + pin.name), seed) &&
+         ok;
+  }
+  return ok;
 }
 
 }  // namespace
@@ -71,6 +98,7 @@ int main(int argc, char** argv) {
   }
   const std::filesystem::path corpus_dir = argv[1];
   std::filesystem::create_directories(corpus_dir);
+  if (!write_codec_seeds(corpus_dir)) return 1;
 
   // The harness fixture, reproduced: same cohort, same platform seeds, same
   // study plan, leader = GDO 0 with slice [0,8), member 1 with [8,16).

@@ -1,6 +1,7 @@
-// Shared entry point of the protocol-step fuzz harness: libFuzzer's
-// LLVMFuzzerTestOneInput forwards here, and so do the standalone replay
-// main (non-Clang builds) and the corpus generator's self-check.
+// Shared entry point of the protocol-step fuzz harness: its
+// LLVMFuzzerTestOneInput (called by libFuzzer, or by the standalone replay
+// main in non-Clang builds) forwards here, and so does the corpus
+// generator's self-check.
 #pragma once
 
 #include <cstddef>

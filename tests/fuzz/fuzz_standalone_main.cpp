@@ -1,11 +1,14 @@
 // Replay main for compilers without libFuzzer (GCC builds): runs every file
-// named on the command line through the fuzz harness once. Used locally to
-// reproduce CI crash artifacts and to smoke the harness in tier-1 runs.
+// named on the command line once through the LLVMFuzzerTestOneInput of the
+// harness it is linked with. Used locally to reproduce CI crash artifacts.
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <vector>
 
-#include "fuzz_protocol_step.hpp"
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size);
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -20,7 +23,7 @@ int main(int argc, char** argv) {
     }
     const std::vector<std::uint8_t> data(
         (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    gendpr::fuzz::run_one_input(data.data(), data.size());
+    LLVMFuzzerTestOneInput(data.data(), data.size());
     std::fprintf(stderr, "ok: %s (%zu bytes)\n", argv[i], data.size());
   }
   return 0;

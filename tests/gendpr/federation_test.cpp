@@ -114,9 +114,8 @@ TEST(FederationTest, Phase2BodyIndependentOfGdoCount) {
         static_cast<std::uint32_t>(l_double_prime.size()), width);
     std::uint64_t trimmed = 0;
     for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
-      trimmed += Phase2Result{plan.slice(l_double_prime, k), k,
-                              plan.tile_count()}
-                     .encoded_size();
+      trimmed += wire::encoded_size(
+          Phase2Result{plan.slice(l_double_prime, k), k, plan.tile_count()});
     }
     EXPECT_EQ(body_bytes, trimmed) << "width=" << width;
   }

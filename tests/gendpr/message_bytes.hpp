@@ -1,23 +1,19 @@
 // Owning encodings of protocol messages for tests that build frames by
-// hand. The sessions never need them: they serialize each message straight
-// into a pooled wire buffer behind its type byte (stage_envelope).
+// hand. The sessions never need them: they encode each message once, behind
+// its type byte, into the buffer every recipient's record is sealed from
+// (stage_envelope).
 #pragma once
-
-#include <utility>
 
 #include "common/bytes.hpp"
 #include "gendpr/messages.hpp"
-#include "wire/serialize.hpp"
+#include "wire/fields.hpp"
 
 namespace gendpr::core {
 
-/// The message's body, encoded_size() bytes exactly.
+/// The message's body, wire::encoded_size(msg) bytes exactly.
 template <typename M>
 common::Bytes serialize(const M& msg) {
-  wire::Writer w;
-  w.reserve(msg.encoded_size());
-  msg.serialize_into(w);
-  return std::move(w).take();
+  return wire::encode(msg);
 }
 
 /// Frames a message body with its type tag.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz_message_codecs.hpp"
 #include "message_bytes.hpp"
 #include "pinned_messages.hpp"
 #include "wire/serialize.hpp"
@@ -18,14 +19,34 @@ TEST(MessagesTest, EncodingsArePinned) {
   }
 }
 
+TEST(MessagesTest, CodecFuzzHarnessReplaysPinnedSeeds) {
+  // Smoke of fuzz_message_codecs: each pinned body behind its type byte is
+  // a seed that must decode and pass the harness's re-encode checks, and
+  // every single bit flip of its body that still decodes must pass them too
+  // (the harness aborts on a violation).
+  for (const PinnedEncoding& pin : pinned_encodings()) {
+    common::Bytes seed{pin.tag};
+    seed.insert(seed.end(), pin.expected.begin(), pin.expected.end());
+    EXPECT_TRUE(fuzz::check_message_codecs(seed.data(), seed.size()))
+        << pin.name;
+    for (std::size_t i = 1; i < seed.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        common::Bytes flipped = seed;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        (void)fuzz::check_message_codecs(flipped.data(), flipped.size());
+      }
+    }
+  }
+}
+
 TEST(MessagesTest, StudyAnnounceRoundTrip) {
   StudyAnnounce msg;
   msg.num_snps = 1000;
   msg.snp_tile_width = 64;  // non-default: must survive the wire
   const common::Bytes encoded = serialize(msg);
   EXPECT_EQ(encoded.size(), 8u);  // u32 num_snps, u32 snp_tile_width
-  EXPECT_EQ(msg.encoded_size(), encoded.size());
-  const auto restored = StudyAnnounce::deserialize(encoded);
+  EXPECT_EQ(wire::encoded_size(msg), encoded.size());
+  const auto restored = wire::decode<StudyAnnounce>(encoded);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().num_snps, 1000u);
   EXPECT_EQ(restored.value().snp_tile_width, 64u);
@@ -35,7 +56,7 @@ TEST(MessagesTest, SummaryStatsRoundTrip) {
   SummaryStats msg;
   msg.case_counts = {1, 2, 3, 1000000};
   msg.n_case = 4242;
-  const auto restored = SummaryStats::deserialize(serialize(msg));
+  const auto restored = wire::decode<SummaryStats>(serialize(msg));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().case_counts, msg.case_counts);
   EXPECT_EQ(restored.value().n_case, 4242u);
@@ -44,14 +65,14 @@ TEST(MessagesTest, SummaryStatsRoundTrip) {
 TEST(MessagesTest, Phase1ResultRoundTrip) {
   Phase1Result msg;
   msg.retained = {0, 5, 7, 999};
-  const auto restored = Phase1Result::deserialize(serialize(msg));
+  const auto restored = wire::decode<Phase1Result>(serialize(msg));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().retained, msg.retained);
 }
 
 TEST(MessagesTest, MomentsRequestResponseRoundTrip) {
   MomentsRequest request{17, 3, 4};
-  const auto restored_req = MomentsRequest::deserialize(serialize(request));
+  const auto restored_req = wire::decode<MomentsRequest>(serialize(request));
   ASSERT_TRUE(restored_req.ok());
   EXPECT_EQ(restored_req.value().request_id, 17u);
   EXPECT_EQ(restored_req.value().snp_a, 3u);
@@ -62,7 +83,7 @@ TEST(MessagesTest, MomentsRequestResponseRoundTrip) {
   response.co_count = 5;
   const common::Bytes encoded = serialize(response);
   EXPECT_EQ(encoded.size(), 8u);  // request id + one u32 count
-  const auto restored = MomentsResponse::deserialize(encoded);
+  const auto restored = wire::decode<MomentsResponse>(encoded);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().request_id, 17u);
   EXPECT_EQ(restored.value().co_count, 5u);
@@ -75,8 +96,8 @@ TEST(MessagesTest, LdWindowRoundTrip) {
   msg.counts[kLdWindow] = 7;
   msg.counts.back() = 0xffffffffu;
   const common::Bytes encoded = serialize(msg);
-  EXPECT_EQ(encoded.size(), msg.encoded_size());
-  const auto restored = LdWindow::deserialize(encoded);
+  EXPECT_EQ(encoded.size(), wire::encoded_size(msg));
+  const auto restored = wire::decode<LdWindow>(encoded);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().tile_index, 3u);
   EXPECT_EQ(restored.value().counts, msg.counts);
@@ -93,18 +114,18 @@ TEST(MessagesTest, LdWindowMalformedRejected) {
   const common::Bytes full = serialize(msg);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(
-        LdWindow::deserialize(common::BytesView(full.data(), len)).ok())
+        wire::decode<LdWindow>(common::BytesView(full.data(), len)).ok())
         << "truncation to " << len << " accepted";
   }
   common::Bytes trailing = full;
   trailing.push_back(0);
-  EXPECT_FALSE(LdWindow::deserialize(trailing).ok());
+  EXPECT_FALSE(wire::decode<LdWindow>(trailing).ok());
 
   // A count vector longer than the body must fail cleanly, not allocate.
   wire::Writer w;
   w.u32(0);
   w.varint(0xffffffffu);
-  EXPECT_FALSE(LdWindow::deserialize(w.buffer()).ok());
+  EXPECT_FALSE(wire::decode<LdWindow>(w.buffer()).ok());
 }
 
 TEST(MessagesTest, Phase2ResultRoundTrip) {
@@ -113,8 +134,8 @@ TEST(MessagesTest, Phase2ResultRoundTrip) {
   msg.tile_index = 1;
   msg.num_tiles = 3;
   const common::Bytes bytes = serialize(msg);
-  EXPECT_EQ(bytes.size(), msg.encoded_size());
-  const auto restored = Phase2Result::deserialize(bytes);
+  EXPECT_EQ(bytes.size(), wire::encoded_size(msg));
+  const auto restored = wire::decode<Phase2Result>(bytes);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().retained, msg.retained);
   EXPECT_EQ(restored.value().tile_index, 1u);
@@ -134,7 +155,7 @@ TEST(MessagesTest, Phase2ResultDeadGdosRoundTrip) {
   expected.u32(4);
   expected.u32(5);
   EXPECT_EQ(serialize(msg), expected.buffer());
-  const auto restored = Phase2Result::deserialize(expected.buffer());
+  const auto restored = wire::decode<Phase2Result>(expected.buffer());
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().retained, msg.retained);
   EXPECT_EQ(restored.value().tile_index, 4u);
@@ -151,11 +172,11 @@ TEST(MessagesTest, Phase2ResultPopulationSizeMismatchRejected) {
   with_populations.insert(with_populations.end(),
                           populations.buffer().begin(),
                           populations.buffer().end());
-  EXPECT_EQ(Phase2Result::deserialize(with_populations).error().code,
+  EXPECT_EQ(wire::decode<Phase2Result>(with_populations).error().code,
             common::Errc::bad_message);
   msg.tile_index = 2;
   msg.num_tiles = 2;
-  EXPECT_EQ(Phase2Result::deserialize(serialize(msg)).error().code,
+  EXPECT_EQ(wire::decode<Phase2Result>(serialize(msg)).error().code,
             common::Errc::bad_message);
 }
 
@@ -163,13 +184,13 @@ TEST(MessagesTest, AbortNoticeRoundTrip) {
   AbortNotice msg;
   msg.failed_gdo = 2;
   msg.reason = "LR gather timed out: unresponsive gdo(s): 2";
-  const auto restored = AbortNotice::deserialize(serialize(msg));
+  const auto restored = wire::decode<AbortNotice>(serialize(msg));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().failed_gdo, 2u);
   EXPECT_EQ(restored.value().reason, msg.reason);
 
   AbortNotice anonymous;  // no peer to blame
-  const auto restored_anon = AbortNotice::deserialize(serialize(anonymous));
+  const auto restored_anon = wire::decode<AbortNotice>(serialize(anonymous));
   ASSERT_TRUE(restored_anon.ok());
   EXPECT_EQ(restored_anon.value().failed_gdo, AbortNotice::kNoFailedGdo);
   EXPECT_TRUE(restored_anon.value().reason.empty());
@@ -182,7 +203,7 @@ TEST(MessagesTest, AbortNoticeTruncationRejected) {
   const common::Bytes full = serialize(msg);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(
-        AbortNotice::deserialize(common::BytesView(full.data(), len)).ok())
+        wire::decode<AbortNotice>(common::BytesView(full.data(), len)).ok())
         << "truncation to " << len << " accepted";
   }
 }
@@ -209,8 +230,8 @@ TEST(MessagesTest, LrPlanesRoundTrip) {
   msg.words_per_column = 2;
   msg.words = {0x1, 0xffffffffffffffffull, 0x8000000000000000ull, 0x2a};
   const common::Bytes encoded = serialize(msg);
-  EXPECT_EQ(encoded.size(), msg.encoded_size());
-  const auto restored = LrPlanes::deserialize(encoded);
+  EXPECT_EQ(encoded.size(), wire::encoded_size(msg));
+  const auto restored = wire::decode<LrPlanes>(encoded);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().tile_index, 3u);
   EXPECT_EQ(restored.value().width, 2u);
@@ -223,7 +244,7 @@ TEST(MessagesTest, LrPlanesTruncationRejected) {
   const common::Bytes full = serialize(msg);
   for (std::size_t len = 0; len < full.size(); ++len) {
     EXPECT_FALSE(
-        LrPlanes::deserialize(common::BytesView(full.data(), len)).ok())
+        wire::decode<LrPlanes>(common::BytesView(full.data(), len)).ok())
         << "truncation to " << len << " accepted";
   }
 }
@@ -233,7 +254,7 @@ TEST(MessagesTest, LrPlanesShapeMustMatchWordCount) {
   // malformed, whichever side is off.
   for (const LrPlanes& msg : {LrPlanes{0, 3, 2, {1, 2, 3, 4, 5}},
                               LrPlanes{0, 0xffffffffu, 0xffffffffu, {1}}}) {
-    const auto restored = LrPlanes::deserialize(serialize(msg));
+    const auto restored = wire::decode<LrPlanes>(serialize(msg));
     ASSERT_FALSE(restored.ok());
     EXPECT_EQ(restored.error().code, common::Errc::bad_message);
   }
@@ -244,8 +265,8 @@ TEST(MessagesTest, Phase3ResultRoundTrip) {
   msg.safe = {4, 8, 15};
   const common::Bytes encoded = serialize(msg);
   EXPECT_EQ(encoded.size(), 1u + 3 * 4);  // varint count, u32 safe[count]
-  EXPECT_EQ(msg.encoded_size(), encoded.size());
-  const auto restored = Phase3Result::deserialize(encoded);
+  EXPECT_EQ(wire::encoded_size(msg), encoded.size());
+  const auto restored = wire::decode<Phase3Result>(encoded);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value().safe, msg.safe);
 }
@@ -280,9 +301,9 @@ TEST(MessagesTest, UnknownTypeRejected) {
 template <typename M>
 void expect_prefixes_rejected(const M& msg, const char* name) {
   const common::Bytes full = serialize(msg);
-  ASSERT_TRUE(M::deserialize(full).ok()) << name;
+  ASSERT_TRUE(wire::decode<M>(full).ok()) << name;
   for (std::size_t len = 0; len < full.size(); ++len) {
-    EXPECT_FALSE(M::deserialize(common::BytesView(full.data(), len)).ok())
+    EXPECT_FALSE(wire::decode<M>(common::BytesView(full.data(), len)).ok())
         << name << " truncated to " << len << " of " << full.size()
         << " bytes accepted";
   }
@@ -311,7 +332,7 @@ TEST(MessagesTest, TrailingBytesRejected) {
   msg.retained = {1};
   common::Bytes data = serialize(msg);
   data.push_back(0xff);
-  EXPECT_FALSE(Phase1Result::deserialize(data).ok());
+  EXPECT_FALSE(wire::decode<Phase1Result>(data).ok());
 }
 
 TEST(MessagesTest, MaliciousMatrixDimensionsRejected) {
@@ -321,7 +342,7 @@ TEST(MessagesTest, MaliciousMatrixDimensionsRejected) {
   w.u32(0);             // combination id
   w.u32(0xffffffff);    // rows
   w.u32(0xffffffff);    // cols
-  EXPECT_FALSE(LrMatrices::deserialize(w.buffer()).ok());
+  EXPECT_FALSE(wire::decode<LrMatrices>(w.buffer()).ok());
 }
 
 }  // namespace

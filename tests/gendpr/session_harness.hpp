@@ -184,7 +184,7 @@ class ScriptedMember : public ProtocolSession {
     if (!plaintext.ok()) co_return plaintext.error();
     auto opened = open_envelope(plaintext.value());
     if (!opened.ok()) co_return opened.error();
-    auto announce = StudyAnnounce::deserialize(opened.value().second);
+    auto announce = wire::decode<StudyAnnounce>(opened.value().second);
     if (!announce.ok()) co_return announce.error();
     if (auto s = enclave_.on_study_announce(announce.value()); !s.ok()) {
       co_return s;
@@ -209,7 +209,7 @@ class ScriptedMember : public ProtocolSession {
     if (!phase1_plaintext.ok()) co_return phase1_plaintext.error();
     auto phase1_opened = open_envelope(phase1_plaintext.value());
     if (!phase1_opened.ok()) co_return phase1_opened.error();
-    auto phase1 = Phase1Result::deserialize(phase1_opened.value().second);
+    auto phase1 = wire::decode<Phase1Result>(phase1_opened.value().second);
     if (!phase1.ok()) co_return phase1.error();
     if (auto s = enclave_.on_phase1(phase1.value()); !s.ok()) co_return s;
     queue_frame(leader_gdo_, script_.after_phase1(enclave_, *channel));

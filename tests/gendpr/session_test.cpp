@@ -245,7 +245,7 @@ TEST(SessionTest, AnnounceCarriesNothingOfTheCollusionPolicy) {
   const auto opened = open_envelope(plaintexts[0]);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value().first, MsgType::study_announce);
-  const auto announce = StudyAnnounce::deserialize(opened.value().second);
+  const auto announce = wire::decode<StudyAnnounce>(opened.value().second);
   ASSERT_TRUE(announce.ok());
   EXPECT_EQ(announce.value().num_snps, 40u);
   EXPECT_EQ(announce.value().snp_tile_width, 0u);
