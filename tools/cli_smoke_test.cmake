@@ -163,7 +163,8 @@ endforeach()
 # slice of another size would leave genomes under the wrong GDO. Take gdo1
 # (135 genomes, signed) from a 405-case workspace into the 400-case one:
 # 134 + 135 + 133 = 402 cases split 134/134/134, so gdo1 is the first slice
-# off its range, and both loaders refuse the workspace naming it.
+# off its range, and both loaders refuse the workspace naming it. A study of
+# no GDOs has no split and is refused too.
 file(MAKE_DIRECTORY ${WORKDIR}/wide)
 execute_process(
   COMMAND ${CLI} gen ${WORKDIR}/wide --cases 405 --controls 400 --snps 120
@@ -181,6 +182,12 @@ foreach(part gdo1.vcf gdo1.manifest)
   configure_file(${WORKDIR}/wide/${part} ${resplit}/${part} COPYONLY)
 endforeach()
 foreach(command assess release)
+  execute_process(
+    COMMAND ${CLI} ${command} ${WORKDIR} --gdos 0 --out ${resplit}/release.tsv
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${command} --gdos 0 exited ${rc}, want 1")
+  endif()
   execute_process(
     COMMAND ${CLI} ${command} ${resplit} --gdos 3 --out ${resplit}/release.tsv
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -345,6 +345,10 @@ int cmd_gen(const Args& args) {
 }
 
 common::Result<genome::Cohort> load_cohort(const Args& args) {
+  if (args.gdos == 0) {
+    return common::make_error(common::Errc::invalid_argument,
+                              "a study needs at least one GDO");
+  }
   genome::Cohort cohort;
   std::vector<genome::GenotypeMatrix> slices;
   std::size_t total = 0;
