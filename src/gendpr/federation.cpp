@@ -42,29 +42,6 @@ FederationSpec::TransportMode transport_mode_of(const FederationSpec& spec) {
   return spec.transport;
 }
 
-/// Resolves the event-loop count: GENDPR_EVENT_LOOPS overrides the spec.
-std::uint32_t event_loops_of(const FederationSpec& spec) {
-  std::uint32_t loops = spec.event_loops;
-  const char* env = std::getenv("GENDPR_EVENT_LOOPS");
-  if (env != nullptr) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1 && parsed <= 64) {
-      loops = static_cast<std::uint32_t>(parsed);
-    } else {
-      common::log_warn("federation", "invalid GENDPR_EVENT_LOOPS value '",
-                       env, "'; using the spec's event_loops");
-    }
-  }
-  return loops == 0 ? 1 : loops;
-}
-
-/// Stable loop assignment for a GDO: depends only on (gdo, num_loops),
-/// never on thread timing, so every run shards (and behaves) identically.
-std::size_t loop_index_of(std::uint32_t gdo, std::size_t num_loops) {
-  return gdo % num_loops;
-}
-
 /// Creates the hub for `transport` on `loop`: in-memory for in_process,
 /// otherwise an epoll socket hub listening on loopback.
 Result<std::unique_ptr<net::Hub>> make_hub(FederationSpec::TransportMode mode,
@@ -95,11 +72,11 @@ const char* transport_label(FederationSpec::TransportMode mode) {
 /// hub per GDO (members dial the leader — the star topology the protocol
 /// already assumes), one SessionDriver per session. In process, the hubs
 /// are in-memory and every GDO gets its own loop thread, the parallelism of
-/// one host per GDO. Over sockets (epoll hubs on loopback TCP)
-/// the sessions are sharded across `spec.event_loops` loops. The leader's
-/// loop runs on the calling thread and every other loop on its own thread;
-/// cross-loop work travels only through EventLoop::post. Fills
-/// `member_compute_ms` for the distributed-wall-time model.
+/// one host per GDO. Over sockets (epoll hubs on loopback TCP) one loop
+/// drives every session. The leader's loop runs on the calling thread and
+/// every other loop on its own thread; cross-loop work travels only through
+/// EventLoop::post. Fills `member_compute_ms` for the distributed-wall-time
+/// model.
 Result<StudyResult> run_sessions(
     const genome::Cohort& cohort, const FederationSpec& spec,
     FederationSpec::TransportMode transport,
@@ -115,10 +92,8 @@ Result<StudyResult> run_sessions(
     transport = FederationSpec::TransportMode::epoll;
   }
   const std::size_t num_loops =
-      transport == FederationSpec::TransportMode::in_process
-          ? spec.num_gdos
-          : std::max<std::size_t>(
-                1, std::min<std::size_t>(event_loops_of(spec), spec.num_gdos));
+      transport == FederationSpec::TransportMode::in_process ? spec.num_gdos
+                                                             : 1;
 
   std::vector<std::unique_ptr<net::EventLoop>> loops;
   loops.reserve(num_loops);
@@ -130,7 +105,7 @@ Result<StudyResult> run_sessions(
     }
   }
   const auto loop_of = [&](std::uint32_t gdo) -> net::EventLoop& {
-    return *loops[loop_index_of(gdo, num_loops)];
+    return *loops[gdo % num_loops];
   };
 
   net::MemoryHub::Registry registry;
@@ -265,7 +240,7 @@ Result<StudyResult> run_sessions(
   // The leader's loop runs on this thread, the others on their own. Keeping
   // the leader, which holds a study's largest buffers, on the caller's
   // thread lets successive studies reuse the same allocator arena.
-  const std::size_t leader_loop = loop_index_of(leader_gdo, num_loops);
+  const std::size_t leader_loop = leader_gdo % num_loops;
   std::vector<std::thread> threads;
   threads.reserve(num_loops - 1);
   for (std::size_t i = 0; i < num_loops; ++i) {
@@ -279,34 +254,7 @@ Result<StudyResult> run_sessions(
   // Loop threads are joined: session and hub state is safely readable from
   // this thread again.
   if (spec.obs != nullptr) {
-    std::uint64_t pauses = 0;
-    std::uint64_t resumes = 0;
-    std::uint64_t stalled = leader_driver.stalled_flushes();
-    std::vector<std::uint64_t> loop_peaks(num_loops, 0);
-    const auto harvest = [&](std::uint32_t gdo, const net::Hub& hub) {
-      const net::Hub::BackpressureStats& bp = hub.backpressure();
-      pauses += bp.pauses;
-      resumes += bp.resumes;
-      auto& peak = loop_peaks[loop_index_of(gdo, num_loops)];
-      peak = std::max(peak, bp.peak_queued_bytes);
-    };
-    harvest(leader_gdo, *leader_hub);
-    for (std::size_t i = 0; i < member_hubs.size(); ++i) {
-      harvest(member_gdos[i], *member_hubs[i]);
-      stalled += member_drivers[i]->stalled_flushes();
-    }
     spec.obs->metrics.set_label("net.transport", transport_label(transport));
-    spec.obs->metrics.set_gauge("net.event_loops",
-                                static_cast<double>(num_loops));
-    spec.obs->metrics.add_counter("net.backpressure.pauses", pauses);
-    spec.obs->metrics.add_counter("net.backpressure.resumes", resumes);
-    spec.obs->metrics.add_counter("net.backpressure.stalled_flushes",
-                                  stalled);
-    for (std::size_t i = 0; i < num_loops; ++i) {
-      spec.obs->metrics.max_gauge(
-          "net.loop" + std::to_string(i) + ".peak_queued_bytes",
-          static_cast<double>(loop_peaks[i]));
-    }
 
     // Per-hub wire stats: gathered writes and frames lost with failed
     // dials.

@@ -19,7 +19,8 @@ struct FederationSpec {
   /// same sessions under the same event-loop driver, so the bytes and the
   /// results are the same. `in_process` moves payload vectors between
   /// in-memory hubs (net::MemoryHub), one event-loop thread per GDO.
-  /// `epoll` uses EpollHub sockets on loopback TCP. `uring` runs the epoll
+  /// `epoll` uses EpollHub sockets on loopback TCP, every session on one
+  /// event loop on the calling thread. `uring` runs the epoll
   /// transport (with a log line); it stays only because the benchmark
   /// harness names it and goes with the next benchmark-only change. The
   /// GENDPR_TRANSPORT environment variable ("epoll" / "in_process")
@@ -27,13 +28,9 @@ struct FederationSpec {
   enum class TransportMode { in_process, epoll, uring };
   TransportMode transport = TransportMode::in_process;
 
-  /// Number of event-loop threads the epoll transport shards its
-  /// sessions across (GDO g runs on loop g mod event_loops, so the
-  /// placement — and every protocol byte — is independent of thread
-  /// timing). 1 = the single-loop mode, run on the calling thread. Capped
-  /// at the number of GDOs; `in_process` always runs one loop per GDO. The
-  /// GENDPR_EVENT_LOOPS environment variable overrides this field when
-  /// set.
+  /// Ignored: the loop count follows from `transport` (one for epoll, one
+  /// per GDO in process). Kept only because the benchmark harness still
+  /// sets it; removed by the next benchmark-only change.
   std::uint32_t event_loops = 1;
 
   std::uint32_t num_gdos = 3;

@@ -19,28 +19,12 @@ SessionDriver::SessionDriver(net::EventLoop& loop, net::Hub& hub,
     pump();
   });
   hub_->set_peer_lost_handler([this](net::NodeId peer) { on_peer_lost(peer); });
-  hub_->set_backpressure_handler([this](net::NodeId peer, bool paused) {
-    if (paused) {
-      paused_peers_.insert(peer);
-      return;
-    }
-    paused_peers_.erase(peer);
-    // Last paused connection drained: deliver the withheld flush
-    // acknowledgement so the session resumes from its send point.
-    if (stall_pending_ && paused_peers_.empty()) {
-      stall_pending_ = false;
-      session_->on_sends_complete(std::move(stalled_failures_), Clock::now());
-      stalled_failures_.clear();
-      pump();
-    }
-  });
 }
 
 SessionDriver::~SessionDriver() {
   if (deadline_timer_.has_value()) loop_->cancel_timer(*deadline_timer_);
   hub_->set_frame_handler(nullptr);
   hub_->set_peer_lost_handler(nullptr);
-  hub_->set_backpressure_handler(nullptr);
 }
 
 void SessionDriver::start() {
@@ -49,30 +33,12 @@ void SessionDriver::start() {
 }
 
 void SessionDriver::close() {
-  // A session stalled at its flush point is suspended waiting for the send
-  // acknowledgement, not for transport events — release it first so the
-  // closed notification lands on a session that can observe it.
-  if (stall_pending_) {
-    stall_pending_ = false;
-    paused_peers_.clear();
-    session_->on_sends_complete(std::move(stalled_failures_), Clock::now());
-    stalled_failures_.clear();
-  }
   session_->on_transport_closed(Clock::now());
   pump();
 }
 
 void SessionDriver::on_peer_lost(net::NodeId peer) {
   if (peer == net::kNoNode) return;
-  // Hubs release a dying connection's pause before reporting the loss, so
-  // this erase is normally a no-op; kept as a belt-and-braces guard against
-  // a stall on a peer that no longer exists.
-  paused_peers_.erase(peer);
-  if (stall_pending_ && paused_peers_.empty()) {
-    stall_pending_ = false;
-    session_->on_sends_complete(std::move(stalled_failures_), Clock::now());
-    stalled_failures_.clear();
-  }
   session_->on_peer_lost(peer - 1, Clock::now());
   pump();
 }
@@ -96,18 +62,6 @@ void SessionDriver::pump() {
           if (!sent.ok()) {
             failures.push_back(SendFailure{frame.to_gdo, sent.error()});
           }
-        }
-        if (!paused_peers_.empty()) {
-          // Some connection sits above its watermark: withhold the
-          // acknowledgement, leaving the session suspended at this flush.
-          // The backpressure resume delivers it once the queues drain, so
-          // a slow peer bounds this session's queue growth to one batch
-          // past the high watermark — and stalls nobody else.
-          stall_pending_ = true;
-          stalled_failures_ = std::move(failures);
-          stalled_flushes_ += 1;
-          running = false;
-          break;
         }
         session_->on_sends_complete(std::move(failures), Clock::now());
         break;

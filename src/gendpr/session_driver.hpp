@@ -4,22 +4,13 @@
 // epoll) on a shared EventLoop: hub frames become session on_frame events,
 // hub losses become on_peer_lost, the session's recv deadline is mirrored
 // into a loop timer that fires on_tick, and every wants()==send flush is
-// handed to the hub.
-//
-// Write-side backpressure: when the hub reports a connection above its high
-// watermark, the driver withholds the on_sends_complete acknowledgement —
-// the session stays suspended at its flush point and produces nothing more
-// until the hub drains below the low watermark. Only this session stalls;
-// every other session on the loop keeps running, so a slow peer can never
-// head-of-line-block the federation. Any number of drivers (a whole
-// federation) can share one loop thread, or each can get a loop of its own.
+// handed to the hub and acknowledged as soon as the hub accepts it. Any
+// number of drivers (a whole federation) can share one loop thread, or each
+// can get a loop of its own.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
-#include <vector>
 
 #include "gendpr/session.hpp"
 #include "net/event_loop.hpp"
@@ -30,8 +21,7 @@ namespace gendpr::core {
 class SessionDriver {
  public:
   /// Binds `session` to `hub` on `loop`; all three must outlive the driver.
-  /// The hub's frame/peer-lost/backpressure handlers are claimed by this
-  /// driver.
+  /// The hub's frame and peer-lost handlers are claimed by this driver.
   SessionDriver(net::EventLoop& loop, net::Hub& hub, ProtocolSession& session);
   ~SessionDriver();
 
@@ -61,10 +51,6 @@ class SessionDriver {
            session_->wants() == SessionWants::failed;
   }
 
-  /// Number of send flushes whose acknowledgement was withheld because a
-  /// peer connection sat above its watermark (backpressure stalls).
-  std::uint64_t stalled_flushes() const noexcept { return stalled_flushes_; }
-
  private:
   void pump();
   void rearm_deadline();
@@ -74,12 +60,6 @@ class SessionDriver {
   ProtocolSession* session_;
   std::optional<net::EventLoop::TimerId> deadline_timer_;
   std::function<void()> on_finished_;
-  std::set<net::NodeId> paused_peers_;
-  /// Failures of the flush whose acknowledgement is deferred until every
-  /// paused peer resumes (meaningful only while stall_pending_).
-  std::vector<SendFailure> stalled_failures_;
-  bool stall_pending_ = false;
-  std::uint64_t stalled_flushes_ = 0;
   bool notified_ = false;
   bool pumping_ = false;
 };

@@ -187,13 +187,6 @@ void EpollHub::read_frames(const std::shared_ptr<Conn>& conn) {
   }
 }
 
-void EpollHub::enqueue_frame(const std::shared_ptr<Conn>& conn,
-                             common::Bytes frame) {
-  conn->queued_bytes += frame.size();
-  conn->write_queue.push_back(std::move(frame));
-  note_enqueued(conn->peer, conn->queued_bytes, conn->paused);
-}
-
 void EpollHub::flush_writes(const std::shared_ptr<Conn>& conn) {
   while (!conn->write_queue.empty()) {
     // Gathered write: batch every queued frame (up to kWritevBatch) into one
@@ -222,7 +215,6 @@ void EpollHub::flush_writes(const std::shared_ptr<Conn>& conn) {
     }
     wire_stats_.writev_batches += 1;
     std::size_t written = static_cast<std::size_t>(n);
-    conn->queued_bytes -= written;
     while (written > 0) {
       const std::size_t front_remaining =
           conn->write_queue.front().size() - conn->write_offset;
@@ -237,9 +229,6 @@ void EpollHub::flush_writes(const std::shared_ptr<Conn>& conn) {
     }
   }
   update_events(conn);
-  // Resume last: the handler may synchronously queue more frames, which
-  // must observe a consistent epoll mask first.
-  note_drained(conn->peer, conn->queued_bytes, conn->paused);
 }
 
 void EpollHub::update_events(const std::shared_ptr<Conn>& conn) {
@@ -257,7 +246,6 @@ void EpollHub::drop_conn(const std::shared_ptr<Conn>& conn) {
   conn->fd = -1;
   const NodeId peer = conn->peer;
   if (peer == kNoNode) return;
-  release_pause_on_drop(peer, conn->paused);
   auto it = peers_.find(peer);
   if (it == peers_.end() || it->second != conn) return;
   peers_.erase(it);
@@ -385,11 +373,11 @@ void EpollHub::finish_dial(NodeId peer, const std::shared_ptr<Conn>& conn) {
   auto it = dials_.find(peer);
   // Hello first, then everything queued while the dial was in flight,
   // preserving send order.
-  enqueue_frame(conn, wire::encode_hello(self_));
+  conn->write_queue.push_back(wire::encode_hello(self_));
   if (it != dials_.end()) {
     for (common::Bytes& frame : it->second.pending) {
       meter_.record(self_, peer, frame.size() - wire::kFrameHeaderBytes);
-      enqueue_frame(conn, std::move(frame));
+      conn->write_queue.push_back(std::move(frame));
     }
     dials_.erase(it);
   }
@@ -414,7 +402,7 @@ Status EpollHub::send(NodeId to, common::Bytes payload) {
   }
   const std::shared_ptr<Conn> conn = it->second;
   meter_.record(self_, to, payload.size());
-  enqueue_frame(conn, std::move(frame));
+  conn->write_queue.push_back(std::move(frame));
   // Opportunistic flush: most frames fit the socket buffer, so this usually
   // drains the queue without an epoll round trip.
   flush_writes(conn);

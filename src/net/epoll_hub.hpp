@@ -5,9 +5,9 @@
 // arrive through set_frame_handler, connection losses through
 // set_peer_lost_handler, and send() encodes each payload into one whole frame
 // on a per-connection write queue flushed with gathered writes (one sendmsg
-// batch coalesces many small frames) as EPOLLOUT allows. Crossing the
-// per-connection write watermark fires the backpressure handler (see
-// net/hub.hpp). Dialing is nonblocking with timer-driven, jittered
+// batch coalesces many small frames) as EPOLLOUT allows. The queue has no
+// watermark: a peer that does not read holds back only its own connection
+// (see net/hub.hpp). Dialing is nonblocking with timer-driven, jittered
 // exponential backoff, and frames sent while a dial is still in flight are
 // buffered and flushed in order once it completes — so any number of GDO
 // endpoints (and their protocol sessions) can share one thread. Every
@@ -65,11 +65,9 @@ class EpollHub : public Hub {
     NodeId peer = kNoNode;     // known after dial / after inbound hello
     bool connecting = false;   // dial awaiting EPOLLOUT + SO_ERROR check
     bool awaiting_hello = false;  // inbound: first frame must be the hello
-    bool paused = false;       // write queue above the high watermark
     wire::FrameDecoder decoder;
     std::deque<common::Bytes> write_queue;  // whole frames, header included
     std::size_t write_offset = 0;  // bytes of the front frame already written
-    std::size_t queued_bytes = 0;  // unsent bytes across the whole queue
     std::uint32_t watched_events = 0;
   };
 
@@ -99,7 +97,6 @@ class EpollHub : public Hub {
   void on_conn_ready(const std::shared_ptr<Conn>& conn, std::uint32_t events);
   void on_dial_writable(const std::shared_ptr<Conn>& conn);
   void read_frames(const std::shared_ptr<Conn>& conn);
-  void enqueue_frame(const std::shared_ptr<Conn>& conn, common::Bytes frame);
   void flush_writes(const std::shared_ptr<Conn>& conn);
   void update_events(const std::shared_ptr<Conn>& conn);
   /// Tears the connection down; established peers are reported lost.

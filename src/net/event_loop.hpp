@@ -9,9 +9,10 @@
 //
 // The one cross-thread entry point is post(): any thread may enqueue a task,
 // an eventfd wakes the loop, and the task runs on the loop thread. This is
-// how a sharded federation (one loop per core) injects work into a sibling
-// loop — connection handoffs, straggler teardown, shutdown wakeups — without
-// ever sharing loop state across threads.
+// how the in-process federation (one loop per GDO) injects work into a
+// sibling loop — a member's failure reported to the leader, straggler
+// teardown, shutdown wakeups — without ever sharing loop state across
+// threads.
 #pragma once
 
 #include <chrono>

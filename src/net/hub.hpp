@@ -7,11 +7,10 @@
 // so the session driver and the federation runner are written once against
 // the seam and never know what carries the bytes.
 //
-// Write-side backpressure lives here: every connection accounts the bytes
-// queued but not yet on the wire, and crossing the high watermark fires the
-// backpressure handler with paused=true (resumed at the low watermark).
-// Drivers use the pause to stop pulling frames out of their session, so one
-// slow peer stalls exactly one session — never the loop, never a sibling.
+// There is no flow control: send() always accepts the frame and the hub
+// queues it until the peer reads. The protocol fixes each session's output
+// in a study, so a connection's queue never holds more than one session's
+// output, no more than the data that session already holds (DESIGN.md §6.4).
 //
 // Threading: everything here, handlers included, runs on the loop thread.
 #pragma once
@@ -79,10 +78,6 @@ class Hub {
   using FrameHandler =
       std::function<void(NodeId from, common::BytesView payload)>;
   using PeerLostHandler = std::function<void(NodeId peer)>;
-  /// paused=true: the connection to `peer` crossed the high watermark and
-  /// the producer should stop queueing. paused=false: drained below the low
-  /// watermark (or the connection died), producing may resume.
-  using BackpressureHandler = std::function<void(NodeId peer, bool paused)>;
 
   /// Dial behaviour: attempts spaced by exponential backoff starting at
   /// `initial_backoff` (doubling per retry) with uniform random jitter of
@@ -91,20 +86,6 @@ class Hub {
   struct DialOptions {
     int max_attempts = 5;
     std::chrono::milliseconds initial_backoff{25};
-  };
-
-  /// Per-connection write-queue watermarks, in bytes of encoded frames not
-  /// yet written to the socket. high must be > low.
-  struct Watermarks {
-    std::size_t high = 1u << 20;  // pause above 1 MiB queued
-    std::size_t low = 1u << 19;   // resume below 512 KiB
-  };
-
-  /// Aggregated backpressure telemetry across every connection of the hub.
-  struct BackpressureStats {
-    std::uint64_t pauses = 0;
-    std::uint64_t resumes = 0;
-    std::uint64_t peak_queued_bytes = 0;
   };
 
   /// Frame-path telemetry.
@@ -131,14 +112,6 @@ class Hub {
   void set_peer_lost_handler(PeerLostHandler handler) {
     peer_lost_handler_ = std::move(handler);
   }
-  /// Watermark pause/resume callback (see BackpressureHandler).
-  void set_backpressure_handler(BackpressureHandler handler) {
-    backpressure_handler_ = std::move(handler);
-  }
-  /// Replaces the default watermarks. Call before traffic flows.
-  void set_watermarks(Watermarks watermarks) { watermarks_ = watermarks; }
-
-  const BackpressureStats& backpressure() const noexcept { return bp_stats_; }
   const WireStats& wire_stats() const noexcept { return wire_stats_; }
   TrafficMeter& meter() noexcept { return meter_; }
 
@@ -178,49 +151,12 @@ class Hub {
     return backoff + std::chrono::milliseconds(dist(jitter_rng_));
   }
 
-  /// Watermark bookkeeping after a connection's queue grew to `queued`
-  /// bytes. `paused` is the connection's pause flag.
-  void note_enqueued(NodeId peer, std::size_t queued, bool& paused) {
-    if (queued > bp_stats_.peak_queued_bytes) {
-      bp_stats_.peak_queued_bytes = queued;
-    }
-    if (!paused && queued > watermarks_.high) {
-      paused = true;
-      bp_stats_.pauses += 1;
-      if (backpressure_handler_) backpressure_handler_(peer, true);
-    }
-  }
-
-  /// Watermark bookkeeping after a connection's queue drained to `queued`
-  /// bytes.
-  void note_drained(NodeId peer, std::size_t queued, bool& paused) {
-    if (paused && queued < watermarks_.low) {
-      paused = false;
-      bp_stats_.resumes += 1;
-      if (backpressure_handler_) backpressure_handler_(peer, false);
-    }
-  }
-
-  /// A dying connection releases its pause so the producer is never left
-  /// stalled on a peer that no longer exists (the loss itself is reported
-  /// separately).
-  void release_pause_on_drop(NodeId peer, bool& paused) {
-    if (paused) {
-      paused = false;
-      bp_stats_.resumes += 1;
-      if (backpressure_handler_) backpressure_handler_(peer, false);
-    }
-  }
-
   NodeId self_;
   std::uint16_t port_;
-  Watermarks watermarks_;
-  BackpressureStats bp_stats_;
   WireStats wire_stats_;
   TrafficMeter meter_;
   FrameHandler frame_handler_;
   PeerLostHandler peer_lost_handler_;
-  BackpressureHandler backpressure_handler_;
   std::minstd_rand jitter_rng_;
 };
 

@@ -15,9 +15,8 @@
 //
 // Threading: like every Hub, a MemoryHub and its handlers belong to its
 // loop's thread. Only the registry and each hub's inbox are shared across
-// threads (both mutex-guarded), so hubs on different loops of a sharded
-// federation exchange frames safely. In-memory links never push back: the
-// backpressure handler is never fired.
+// threads (both mutex-guarded), so the hubs of an in-process federation,
+// each on its own GDO's loop, exchange frames safely.
 #pragma once
 
 #include <map>

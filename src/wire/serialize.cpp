@@ -1,5 +1,6 @@
 #include "wire/serialize.hpp"
 
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -8,6 +9,48 @@ namespace gendpr::wire {
 using common::Errc;
 using common::Error;
 using common::Result;
+
+namespace {
+
+/// Appends `words` in little-endian order: on a little-endian host that is
+/// their memory image, so one bulk copy.
+template <typename Word>
+void append_words(common::Bytes& buffer, const std::vector<Word>& words) {
+  const std::size_t at = buffer.size();
+  buffer.resize(at + words.size() * sizeof(Word));
+  std::uint8_t* out = buffer.data() + at;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!words.empty()) {
+      std::memcpy(out, words.data(), words.size() * sizeof(Word));
+    }
+  } else {
+    for (const Word w : words) {
+      for (std::size_t i = 0; i < sizeof(Word); ++i) {
+        *out++ = static_cast<std::uint8_t>(w >> (8 * i));
+      }
+    }
+  }
+}
+
+/// Reads `count` little-endian words from `in`, which holds at least
+/// `count * sizeof(Word)` bytes.
+template <typename Word>
+std::vector<Word> load_words(const std::uint8_t* in, std::size_t count) {
+  std::vector<Word> words(count);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count != 0) std::memcpy(words.data(), in, count * sizeof(Word));
+  } else {
+    for (Word& w : words) {
+      w = 0;
+      for (std::size_t i = 0; i < sizeof(Word); ++i) {
+        w |= static_cast<Word>(Word{*in++} << (8 * i));
+      }
+    }
+  }
+  return words;
+}
+
+}  // namespace
 
 void Writer::u8(std::uint8_t v) { buffer_.push_back(v); }
 
@@ -55,12 +98,12 @@ void Writer::string(const std::string& s) {
 
 void Writer::vector_u32(const std::vector<std::uint32_t>& v) {
   varint(v.size());
-  for (std::uint32_t x : v) u32(x);
+  append_words(buffer_, v);
 }
 
 void Writer::vector_u64(const std::vector<std::uint64_t>& v) {
   varint(v.size());
-  for (std::uint64_t x : v) u64(x);
+  append_words(buffer_, v);
 }
 
 void Writer::raw(common::BytesView data) {
@@ -156,11 +199,8 @@ Result<std::vector<std::uint32_t>> Reader::vector_u32() {
     pos_ = saved;
     return truncated("vector_u32 body");
   }
-  std::vector<std::uint32_t> out;
-  out.reserve(len.value());
-  for (std::uint64_t i = 0; i < len.value(); ++i) {
-    out.push_back(u32().value());  // length pre-validated above
-  }
+  auto out = load_words<std::uint32_t>(data_.data() + pos_, len.value());
+  pos_ += len.value() * 4;
   return out;
 }
 
@@ -172,9 +212,8 @@ Result<std::vector<std::uint64_t>> Reader::vector_u64() {
     pos_ = saved;
     return truncated("vector_u64 body");
   }
-  std::vector<std::uint64_t> out;
-  out.reserve(len.value());
-  for (std::uint64_t i = 0; i < len.value(); ++i) out.push_back(u64().value());
+  auto out = load_words<std::uint64_t>(data_.data() + pos_, len.value());
+  pos_ += len.value() * 8;
   return out;
 }
 

@@ -1,7 +1,6 @@
 // Federation over the socket hubs: every GDO is a sans-IO session on its
-// own hub (loopback TCP), driven by one or more event-loop threads.
-// However the sessions are sharded across loops, the results must be
-// bit-identical to the in-process run over in-memory hubs.
+// own hub (loopback TCP), all driven by one event-loop thread. The results
+// must be bit-identical to the in-process run over in-memory hubs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,35 +63,6 @@ TEST(EpollFederationTest, EightGdoStudyOnOneThreadMatchesThreaded) {
   EXPECT_EQ(epoll.value().network_links.size(), 14u);
 }
 
-TEST(EpollFederationTest, MultiLoopShardingMatchesSingleLoop) {
-  // Same G=8 study, sessions sharded across 3 event-loop threads: placement
-  // must not leak into the protocol, so every selection is bit-identical.
-  const genome::Cohort cohort = test_cohort(400, 300, 60, 321);
-
-  FederationSpec spec;
-  spec.num_gdos = 8;
-  spec.seed = 17;
-  spec.parallel_combinations = false;
-  spec.transport = FederationSpec::TransportMode::in_process;
-  const auto in_process = run_federated_study(cohort, spec);
-  ASSERT_TRUE(in_process.ok()) << in_process.error().to_string();
-
-  obs::Observability observability;
-  spec.transport = FederationSpec::TransportMode::epoll;
-  spec.event_loops = 3;
-  spec.obs = &observability;
-  const auto sharded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(sharded.ok()) << sharded.error().to_string();
-
-  EXPECT_EQ(sharded.value().outcome.l_prime,
-            in_process.value().outcome.l_prime);
-  EXPECT_EQ(sharded.value().outcome.l_double_prime,
-            in_process.value().outcome.l_double_prime);
-  EXPECT_EQ(sharded.value().outcome.l_safe, in_process.value().outcome.l_safe);
-  EXPECT_EQ(sharded.value().network_links.size(), 14u);
-  EXPECT_EQ(observability.metrics.gauge("net.event_loops"), 3.0);
-}
-
 TEST(EpollFederationTest, UringModeRunsTheEpollTransport) {
   // TransportMode::uring survives only as a name: the study runs on the
   // epoll hubs and says so, and GENDPR_TRANSPORT=uring is an unknown value
@@ -120,25 +90,6 @@ TEST(EpollFederationTest, UringModeRunsTheEpollTransport) {
   ::unsetenv("GENDPR_TRANSPORT");
   ASSERT_TRUE(env_uring.ok()) << env_uring.error().to_string();
   EXPECT_EQ(env_observability.metrics.label("net.transport"), "in_process");
-}
-
-TEST(EpollFederationTest, EventLoopsEnvOverrideShardsTheStudy) {
-  const genome::Cohort cohort = test_cohort(150, 150, 40, 654);
-  FederationSpec spec;
-  spec.num_gdos = 4;
-  spec.transport = FederationSpec::TransportMode::in_process;
-  const auto in_process = run_federated_study(cohort, spec);
-  ASSERT_TRUE(in_process.ok());
-
-  obs::Observability observability;
-  spec.transport = FederationSpec::TransportMode::epoll;
-  spec.obs = &observability;
-  ASSERT_EQ(::setenv("GENDPR_EVENT_LOOPS", "2", 1), 0);
-  const auto sharded = run_federated_study(cohort, spec);
-  ::unsetenv("GENDPR_EVENT_LOOPS");
-  ASSERT_TRUE(sharded.ok()) << sharded.error().to_string();
-  EXPECT_EQ(sharded.value().outcome.l_safe, in_process.value().outcome.l_safe);
-  EXPECT_EQ(observability.metrics.gauge("net.event_loops"), 2.0);
 }
 
 TEST(EpollFederationTest, TransportEnvOverrideSelectsEpoll) {

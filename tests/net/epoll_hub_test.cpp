@@ -2,8 +2,10 @@
 // buffering of frames sent while a dial is in flight, dial retries and bad
 // addresses, large and many frames over one connection, the federation's
 // star topology, peer-loss reporting on both connection death and dial
-// exhaustion, traffic metering, and the inbound hello check against raw
-// sockets — all on a single thread.
+// exhaustion, traffic metering, the inbound hello check against raw
+// sockets, and a peer that stops reading (its backlog is delivered intact
+// once it reads, holds back no sibling connection, and dies cleanly) — all
+// on a single thread.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -187,8 +189,8 @@ TEST(EpollHubTest, LargePayloadRoundTrip) {
   });
   a.value()->connect_peer(2, "127.0.0.1", b.value()->port());
 
-  // Far past one receive buffer and the write watermark: the frame crosses
-  // many partial writes and reads.
+  // Far past one receive buffer: the frame crosses many partial writes and
+  // reads.
   common::Rng rng(3);
   common::Bytes big(2 * 1024 * 1024);
   for (auto& byte : big) byte = static_cast<std::uint8_t>(rng.next());
@@ -333,6 +335,208 @@ TEST(EpollHubTest, ThreeHubStar) {
   ASSERT_TRUE(leader.value()->send(3, bytes_of({0x02})).ok());
   loop.run_until([&] { return replies == 2; });
   EXPECT_EQ(replies, 2u);
+}
+
+constexpr std::size_t kChunk = 8 * 1024;
+constexpr int kMaxIterations = 20000;  // safety cap, never a real bound
+
+/// A TCP endpoint that accepts one connection and reads only when told to:
+/// the peer that stops reading, which the hub must not let poison anything
+/// else.
+struct SlowReader {
+  int listen_fd = -1;
+  int conn_fd = -1;
+  std::uint16_t port = 0;
+  common::Bytes stream;  // every byte read so far
+
+  SlowReader() {
+    listen_fd =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    ::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    ::listen(listen_fd, 4);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    port = ntohs(addr.sin_port);
+  }
+  SlowReader(const SlowReader&) = delete;
+  SlowReader& operator=(const SlowReader&) = delete;
+
+  bool try_accept() {
+    if (conn_fd >= 0) return true;
+    conn_fd = ::accept4(listen_fd, nullptr, nullptr,
+                        SOCK_NONBLOCK | SOCK_CLOEXEC);
+    return conn_fd >= 0;
+  }
+
+  /// Reads whatever has arrived, up to 64 KiB, onto `stream`.
+  void drain() {
+    if (!try_accept()) return;
+    std::uint8_t buf[64 * 1024];
+    const ssize_t n = ::recv(conn_fd, buf, sizeof(buf), 0);
+    if (n > 0) stream.insert(stream.end(), buf, buf + n);
+  }
+
+  void kill_connection() {
+    if (conn_fd >= 0) {
+      ::close(conn_fd);
+      conn_fd = -1;
+    }
+  }
+
+  ~SlowReader() {
+    kill_connection();
+    if (listen_fd >= 0) ::close(listen_fd);
+  }
+};
+
+std::unique_ptr<EpollHub> make_hub(EventLoop& loop, NodeId self) {
+  auto hub = EpollHub::create(loop, self, 0);
+  EXPECT_TRUE(hub.ok());
+  return std::move(hub).take();
+}
+
+/// The k-th frame payload of a backlog: distinct from its neighbours, so a
+/// reordered, dropped or torn frame shows.
+common::Bytes numbered_chunk(std::size_t k) {
+  common::Bytes chunk(kChunk);
+  for (std::size_t j = 0; j < kChunk; ++j) {
+    chunk[j] = static_cast<std::uint8_t>(k * 131 + j);
+  }
+  return chunk;
+}
+
+/// Dials `peer` at the reader and waits until the connection is up.
+void connect_reader(EventLoop& loop, Hub& hub, NodeId peer,
+                    SlowReader& reader) {
+  hub.connect_peer(peer, "127.0.0.1", reader.port);
+  loop.run_until([&] {
+    reader.try_accept();
+    return hub.is_connected(peer);
+  });
+}
+
+/// Sends numbered chunks to `peer`, which does not read, until one stays
+/// in the hub's queue: a send whose opportunistic flush makes no write
+/// means the kernel's socket buffers are full, so the connection now holds
+/// a backlog (its front frame usually half written). Returns the frames
+/// sent.
+std::size_t fill_until_backlogged(Hub& hub, NodeId peer) {
+  for (std::size_t sent = 0; sent < kMaxIterations;) {
+    const std::uint64_t batches = hub.wire_stats().writev_batches;
+    EXPECT_TRUE(hub.send(peer, numbered_chunk(sent)).ok());
+    ++sent;
+    if (hub.wire_stats().writev_batches == batches) return sent;
+  }
+  ADD_FAILURE() << "the kernel accepted every frame";
+  return kMaxIterations;
+}
+
+TEST(EpollHubTest, BacklogToAStalledReaderArrivesInOrderOnceItReads) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  auto hub = make_hub(loop, 2);
+  SlowReader reader;
+  connect_reader(loop, *hub, 1, reader);
+
+  const std::size_t sent = fill_until_backlogged(*hub, 1);
+  ASSERT_GT(sent, 1u);
+
+  // The reader catches up; the loop's EPOLLOUT writes the backlog out.
+  // Every byte arrives: the hello (empty payload) plus every framed chunk.
+  const std::size_t expected =
+      wire::kFrameHeaderBytes + sent * (wire::kFrameHeaderBytes + kChunk);
+  for (int i = 0; i < kMaxIterations && reader.stream.size() < expected;
+       ++i) {
+    reader.drain();
+    loop.poll_once(1ms);
+  }
+  ASSERT_EQ(reader.stream.size(), expected);
+
+  wire::FrameDecoder decoder;
+  decoder.feed(reader.stream);
+  auto hello = decoder.next();
+  ASSERT_TRUE(hello.ok() && hello.value().has_value());
+  EXPECT_TRUE(hello.value()->is_hello());
+  EXPECT_EQ(hello.value()->from, 2u);
+  for (std::size_t k = 0; k < sent; ++k) {
+    auto frame = decoder.next();
+    ASSERT_TRUE(frame.ok() && frame.value().has_value()) << "frame " << k;
+    EXPECT_EQ(frame.value()->from, 2u);
+    const common::Bytes want = numbered_chunk(k);
+    ASSERT_TRUE(std::equal(frame.value()->payload.begin(),
+                           frame.value()->payload.end(), want.begin(),
+                           want.end()))
+        << "frame " << k << " reordered or torn";
+  }
+  auto end = decoder.next();
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end.value().has_value());
+}
+
+TEST(EpollHubTest, StalledReaderDoesNotDelayASibling) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  auto hub = make_hub(loop, 3);
+  auto fast = make_hub(loop, 2);
+  std::size_t fast_received = 0;
+  fast->set_frame_handler([&](NodeId from, common::BytesView) {
+    EXPECT_EQ(from, 3u);
+    ++fast_received;
+  });
+  SlowReader reader;
+  connect_reader(loop, *hub, 1, reader);
+  hub->connect_peer(2, "127.0.0.1", fast->port());
+  loop.run_until([&] { return hub->is_connected(2); });
+
+  fill_until_backlogged(*hub, 1);
+
+  // The healthy link keeps flowing while the stalled one holds its
+  // backlog: no head-of-line blocking across connections.
+  // Bounded polls, not run_until: a hub that held the sibling back would
+  // otherwise hang the test instead of failing it.
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(hub->send(2, bytes_of({0x42})).ok());
+  for (int i = 0; i < kMaxIterations && fast_received < 50; ++i) {
+    loop.poll_once(1ms);
+  }
+  EXPECT_EQ(fast_received, 50u);
+
+  // The stalled connection is still up and still backlogged: one more
+  // frame to it makes no write.
+  EXPECT_TRUE(hub->is_connected(1));
+  const std::uint64_t batches = hub->wire_stats().writev_batches;
+  ASSERT_TRUE(hub->send(1, numbered_chunk(0)).ok());
+  EXPECT_EQ(hub->wire_stats().writev_batches, batches);
+  EXPECT_TRUE(reader.stream.empty());
+}
+
+TEST(EpollHubTest, PeerClosedMidPartialWriteIsLostOnce) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  auto hub = make_hub(loop, 2);
+  std::vector<NodeId> lost;
+  hub->set_peer_lost_handler([&](NodeId peer) { lost.push_back(peer); });
+  SlowReader reader;
+  connect_reader(loop, *hub, 1, reader);
+
+  fill_until_backlogged(*hub, 1);
+
+  // The peer dies with a multi-frame backlog mid-flight (socket buffers
+  // full, a partial write pending). The hub drops the connection and
+  // reports the loss exactly once.
+  reader.kill_connection();
+  loop.run_until([&] { return !lost.empty(); });
+  for (int i = 0; i < 20; ++i) loop.poll_once(1ms);
+  EXPECT_EQ(lost, std::vector<NodeId>{1});
+  EXPECT_FALSE(hub->is_connected(1));
+  const common::Status sent = hub->send(1, bytes_of({1}));
+  ASSERT_FALSE(sent.ok());
+  EXPECT_EQ(sent.error().code, common::Errc::unknown_peer);
+  // Teardown frees the dead connection's queue cleanly (ASan/LSan guard
+  // the buffers).
 }
 
 }  // namespace

@@ -60,7 +60,8 @@ endforeach()
 # Removed flags, malformed numbers and exclusive flags together are usage
 # errors too: every numeric flag must parse as one whole token, with no sign
 # on an unsigned field, and --f excludes --conservative.
-foreach(bad "--no-prune" "--gdos;abc" "--tile-width;-1" "--f;1;--conservative")
+foreach(bad "--no-prune" "--event-loops;3" "--gdos;abc" "--tile-width;-1"
+            "--f;1;--conservative")
   execute_process(
     COMMAND ${CLI} assess ${WORKDIR} ${bad}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -163,8 +164,7 @@ endforeach()
 # slice of another size would leave genomes under the wrong GDO. Take gdo1
 # (135 genomes, signed) from a 405-case workspace into the 400-case one:
 # 134 + 135 + 133 = 402 cases split 134/134/134, so gdo1 is the first slice
-# off its range, and both loaders refuse the workspace naming it. A study of
-# no GDOs has no split and is refused too.
+# off its range, and both loaders refuse the workspace naming it.
 file(MAKE_DIRECTORY ${WORKDIR}/wide)
 execute_process(
   COMMAND ${CLI} gen ${WORKDIR}/wide --cases 405 --controls 400 --snps 120
@@ -183,12 +183,6 @@ foreach(part gdo1.vcf gdo1.manifest)
 endforeach()
 foreach(command assess release)
   execute_process(
-    COMMAND ${CLI} ${command} ${WORKDIR} --gdos 0 --out ${resplit}/release.tsv
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 1)
-    message(FATAL_ERROR "${command} --gdos 0 exited ${rc}, want 1")
-  endif()
-  execute_process(
     COMMAND ${CLI} ${command} ${resplit} --gdos 3 --out ${resplit}/release.tsv
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 1)
@@ -198,5 +192,21 @@ foreach(command assess release)
   if(NOT err MATCHES "gdo1.vcf holds 135 genomes")
     message(FATAL_ERROR "${command} with a 135-genome gdo1.vcf did not name "
                         "the slice: ${err}")
+  endif()
+endforeach()
+
+# A study of no GDOs has no split: every subcommand refuses it as a usage
+# error before touching the workspace.
+set(nogdos ${WORKDIR}/nogdos)
+file(MAKE_DIRECTORY ${nogdos})
+foreach(command gen assess release)
+  execute_process(
+    COMMAND ${CLI} ${command} ${nogdos} --gdos 0 --out ${nogdos}/release.tsv
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${command} --gdos 0 exited ${rc}, want 2")
+  endif()
+  if(NOT err MATCHES "a study needs at least one GDO")
+    message(FATAL_ERROR "${command} --gdos 0 did not say why: ${err}")
   endif()
 endforeach()

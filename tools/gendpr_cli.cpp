@@ -59,7 +59,6 @@ struct Args {
   std::string report;
   core::FederationSpec::TransportMode transport =
       core::FederationSpec::TransportMode::in_process;
-  std::uint32_t event_loops = 1;
 };
 
 void usage() {
@@ -70,8 +69,7 @@ void usage() {
                "           --fpr R --power P --seed S --report FILE\n"
                "           --tile-width W (SNPs per pipeline tile, 0 = off)\n"
                "           --epc-mb M (per-enclave EPC limit, MiB)\n"
-               "           --transport in_process|epoll "
-               "--event-loops N\n"
+               "           --transport in_process|epoll\n"
                "  release: assess options plus --out FILE --dp-epsilon E\n");
 }
 
@@ -160,8 +158,6 @@ bool parse_args(int argc, char** argv, Args& args) {
         std::fprintf(stderr, "unknown --transport: %s\n", value);
         return false;
       }
-    } else if (flag == "--event-loops") {
-      parsed = parse_unsigned(value, args.event_loops);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -170,6 +166,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), value);
       return false;
     }
+  }
+  if (args.gdos == 0) {
+    std::fprintf(stderr, "a study needs at least one GDO\n");
+    return false;
   }
   if (args.conservative && args.f.has_value()) {
     std::fprintf(stderr, "--f and --conservative are exclusive\n");
@@ -345,10 +345,6 @@ int cmd_gen(const Args& args) {
 }
 
 common::Result<genome::Cohort> load_cohort(const Args& args) {
-  if (args.gdos == 0) {
-    return common::make_error(common::Errc::invalid_argument,
-                              "a study needs at least one GDO");
-  }
   genome::Cohort cohort;
   std::vector<genome::GenotypeMatrix> slices;
   std::size_t total = 0;
@@ -417,7 +413,6 @@ common::Result<core::StudyResult> run_assessment(const Args& args,
   spec.seed = args.seed;
   spec.epc_limit = args.epc_limit;
   spec.obs = obs;
-  spec.event_loops = args.event_loops == 0 ? 1 : args.event_loops;
   spec.transport = args.transport;
   if (args.conservative) {
     spec.policy = core::CollusionPolicy::conservative();

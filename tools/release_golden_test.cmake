@@ -25,8 +25,7 @@ set(digests "")
 
 # The transport under test is the one named on the command line, never one
 # inherited from the environment.
-set(run ${CMAKE_COMMAND} -E env --unset=GENDPR_TRANSPORT
-        --unset=GENDPR_EVENT_LOOPS ${CLI})
+set(run ${CMAKE_COMMAND} -E env --unset=GENDPR_TRANSPORT ${CLI})
 
 function(generate g)
   file(MAKE_DIRECTORY ${WORKDIR}/c${g})
@@ -93,11 +92,11 @@ foreach(g 3 4 5 6)
   endforeach()
 endforeach()
 
-# Two more FPR/power points, and session placement across event loops.
+# Two more FPR/power points, and a G=8 federation over sockets.
 check(g3_f1_fpr0.05_power0.15 3 --f 1 --fpr 0.05 --power 0.15)
 check(g3_f1_fpr0.3_power0.3 3 --f 1 --fpr 0.3 --power 0.3)
 generate(8)
-check(g8_f1_epoll_loops3 8 --f 1 --transport epoll --event-loops 3)
+check(g8_f1_epoll 8 --f 1 --transport epoll)
 
 if(UPDATE)
   file(WRITE ${GOLDEN} "${digests}")
