@@ -1,12 +1,10 @@
 #include "gendpr/federation.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
@@ -68,15 +66,12 @@ const char* transport_label(FederationSpec::TransportMode mode) {
   return "?";
 }
 
-/// Runs the whole federation as sans-IO sessions on event-loop threads: one
-/// hub per GDO (members dial the leader — the star topology the protocol
-/// already assumes), one SessionDriver per session. In process, the hubs
-/// are in-memory and every GDO gets its own loop thread, the parallelism of
-/// one host per GDO. Over sockets (epoll hubs on loopback TCP) one loop
-/// drives every session. The leader's loop runs on the calling thread and
-/// every other loop on its own thread; cross-loop work travels only through
-/// EventLoop::post. Fills `member_compute_ms` for the distributed-wall-time
-/// model.
+/// Runs the whole federation as sans-IO sessions on one event loop on the
+/// calling thread: one hub per GDO (members dial the leader - the star
+/// topology the protocol already assumes), one SessionDriver per session.
+/// In process the hubs are in-memory; over sockets they are epoll hubs on
+/// loopback TCP. Fills `member_compute_ms` for the distributed-wall-time
+/// model, which stands in for one host per GDO.
 Result<StudyResult> run_sessions(
     const genome::Cohort& cohort, const FederationSpec& spec,
     FederationSpec::TransportMode transport,
@@ -91,36 +86,20 @@ Result<StudyResult> run_sessions(
                      "the io_uring transport is gone; running epoll");
     transport = FederationSpec::TransportMode::epoll;
   }
-  const std::size_t num_loops =
-      transport == FederationSpec::TransportMode::in_process ? spec.num_gdos
-                                                             : 1;
-
-  std::vector<std::unique_ptr<net::EventLoop>> loops;
-  loops.reserve(num_loops);
-  for (std::size_t i = 0; i < num_loops; ++i) {
-    loops.push_back(std::make_unique<net::EventLoop>());
-    if (!loops.back()->valid()) {
-      return common::make_error(common::Errc::io_error,
-                                "epoll_create1/eventfd failed");
-    }
+  net::EventLoop loop;
+  if (!loop.valid()) {
+    return common::make_error(common::Errc::io_error, "epoll_create1 failed");
   }
-  const auto loop_of = [&](std::uint32_t gdo) -> net::EventLoop& {
-    return *loops[gdo % num_loops];
-  };
-
   net::MemoryHub::Registry registry;
 
-  // All loop-owned objects (hubs, sessions, drivers) are built and wired on
-  // this thread BEFORE any loop thread starts; thread creation publishes
-  // them. After that, each object is touched only by its loop's thread.
-  auto leader_hub_result = make_hub(transport, registry, loop_of(leader_gdo),
-                                    node_id_of(leader_gdo));
+  auto leader_hub_result =
+      make_hub(transport, registry, loop, node_id_of(leader_gdo));
   if (!leader_hub_result.ok()) return leader_hub_result.error();
   std::unique_ptr<net::Hub> leader_hub = std::move(leader_hub_result).take();
 
   // Provisioning: every GDO's planes come straight from its row range,
-  // each build split across the study's pool. No loop thread runs yet, so
-  // the pool has the host to itself.
+  // each build split across the study's pool. No session runs yet, so the
+  // pool has the host to itself.
   obs::ScopedSpan provision_span(obs::recorder_of(spec.obs), "step.provision",
                                  study_span);
   const auto case_planes = [&](std::uint32_t gdo) {
@@ -142,7 +121,7 @@ Result<StudyResult> run_sessions(
   std::vector<std::unique_ptr<MemberSession>> members;
   for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
     if (g == leader_gdo) continue;
-    auto hub = make_hub(transport, registry, loop_of(g), node_id_of(g));
+    auto hub = make_hub(transport, registry, loop, node_id_of(g));
     if (!hub.ok()) return hub.error();
     member_gdos.push_back(g);
     member_hubs.push_back(std::move(hub).take());
@@ -160,62 +139,42 @@ Result<StudyResult> run_sessions(
   }
   provision_span.end();
 
-  SessionDriver leader_driver(loop_of(leader_gdo), *leader_hub, leader);
+  SessionDriver leader_driver(loop, *leader_hub, leader);
   std::vector<std::unique_ptr<SessionDriver>> member_drivers;
   member_drivers.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    member_drivers.push_back(std::make_unique<SessionDriver>(
-        loop_of(member_gdos[i]), *member_hubs[i], *members[i]));
+    member_drivers.push_back(
+        std::make_unique<SessionDriver>(loop, *member_hubs[i], *members[i]));
   }
-
-  // Completion accounting that works across loop threads: every driver's
-  // on_finished (running on its own loop's thread) decrements `remaining`;
-  // the last one flips `all_done` and wakes every loop so the pollers exit.
-  std::atomic<std::uint32_t> remaining{
-      static_cast<std::uint32_t>(1 + member_drivers.size())};
-  std::atomic<bool> all_done{false};
-  const auto note_finished = [&] {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      all_done.store(true, std::memory_order_release);
-      for (auto& loop : loops) loop->post([] {});
-    }
-  };
 
   // A member whose own session fails while the leader still runs (EPC
   // exhausted building its LD windows, say) hangs up on the leader, as its
   // host's dropped connection would, so the leader declares it dead instead
   // of waiting on it; its error is then the study's root cause. A member
-  // told to stop by the leader's abort notice is not one.
-  std::atomic<bool> leader_running{true};
+  // told to stop by the leader's abort notice is not one. The loss reaches
+  // the leader as a posted task, outside the member's own dispatch.
   std::vector<char> failed_first(member_drivers.size(), 0);
   for (std::size_t i = 0; i < member_drivers.size(); ++i) {
     member_drivers[i]->set_on_finished([&, i] {
       const common::Status& status = members[i]->status();
       if (!status.ok() && status.error().code != common::Errc::aborted &&
-          leader_running.load(std::memory_order_acquire)) {
+          !leader_driver.finished()) {
         failed_first[i] = 1;
-        loop_of(leader_gdo).post([&, peer = node_id_of(member_gdos[i])] {
+        loop.post([&, peer = node_id_of(member_gdos[i])] {
           if (!leader_driver.finished()) leader_driver.on_peer_lost(peer);
         });
       }
-      note_finished();
     });
   }
   // When the leader fails, surviving members normally learn it from the
   // abort notice; a member whose connection (or handshake) never came up
   // would wait forever with no timeout configured. Give the notices half a
-  // second to flush, then force the stragglers' transports closed — each on
-  // its own loop thread, reached through post().
+  // second to flush, then force the stragglers' transports closed.
   leader_driver.set_on_finished([&] {
-    leader_running.store(false, std::memory_order_release);
-    const bool leader_failed = !leader.status().ok();
-    note_finished();
-    if (!leader_failed) return;
-    loop_of(leader_gdo).add_timer_after(std::chrono::milliseconds{500}, [&] {
-      for (std::size_t i = 0; i < member_drivers.size(); ++i) {
-        loop_of(member_gdos[i]).post([driver = member_drivers[i].get()] {
-          if (!driver->finished()) driver->close();
-        });
+    if (leader.status().ok()) return;
+    loop.add_timer_after(std::chrono::milliseconds{500}, [&] {
+      for (auto& driver : member_drivers) {
+        if (!driver->finished()) driver->close();
       }
     });
   });
@@ -229,30 +188,28 @@ Result<StudyResult> run_sessions(
   }
   leader_driver.start();
 
-  // poll_once (not run_until): a loop whose sessions all finished still has
-  // nothing to tear down until every loop is done, and the bounded wait
-  // means even a lost wakeup cannot hang the join.
-  const auto run_loop = [&all_done](net::EventLoop& loop) {
-    while (!all_done.load(std::memory_order_acquire)) {
-      loop.poll_once(std::chrono::milliseconds{100});
-    }
+  const auto all_finished = [&] {
+    return leader_driver.finished() &&
+           std::all_of(member_drivers.begin(), member_drivers.end(),
+                       [](const auto& driver) { return driver->finished(); });
   };
-  // The leader's loop runs on this thread, the others on their own. Keeping
-  // the leader, which holds a study's largest buffers, on the caller's
-  // thread lets successive studies reuse the same allocator arena.
-  const std::size_t leader_loop = leader_gdo % num_loops;
-  std::vector<std::thread> threads;
-  threads.reserve(num_loops - 1);
-  for (std::size_t i = 0; i < num_loops; ++i) {
-    if (i == leader_loop) continue;
-    threads.emplace_back(
-        [&run_loop, loop = loops[i].get()] { run_loop(*loop); });
+  loop.run_until(all_finished);
+  if (!all_finished()) {
+    // run_until gave up: nothing queued, timed or watched is left that
+    // could bring a frame to the sessions still waiting.
+    std::string waiting = leader_driver.finished()
+                              ? ""
+                              : std::to_string(leader_gdo) + " (leader)";
+    for (std::size_t i = 0; i < member_drivers.size(); ++i) {
+      if (member_drivers[i]->finished()) continue;
+      if (!waiting.empty()) waiting += ", ";
+      waiting += std::to_string(member_gdos[i]);
+    }
+    return common::make_error(
+        common::Errc::state_violation,
+        "the event loop ran dry; still waiting: GDO " + waiting);
   }
-  run_loop(*loops[leader_loop]);
-  for (auto& thread : threads) thread.join();
 
-  // Loop threads are joined: session and hub state is safely readable from
-  // this thread again.
   if (spec.obs != nullptr) {
     spec.obs->metrics.set_label("net.transport", transport_label(transport));
 

@@ -15,22 +15,21 @@
 namespace gendpr::core {
 
 struct FederationSpec {
-  /// What carries the frames between the GDO sessions; every mode runs the
-  /// same sessions under the same event-loop driver, so the bytes and the
-  /// results are the same. `in_process` moves payload vectors between
-  /// in-memory hubs (net::MemoryHub), one event-loop thread per GDO.
-  /// `epoll` uses EpollHub sockets on loopback TCP, every session on one
-  /// event loop on the calling thread. `uring` runs the epoll
-  /// transport (with a log line); it stays only because the benchmark
-  /// harness names it and goes with the next benchmark-only change. The
-  /// GENDPR_TRANSPORT environment variable ("epoll" / "in_process")
-  /// overrides this field when set.
+  /// What carries the frames between the GDO sessions. Every mode runs the
+  /// same sessions under the same driver, all on one event loop on the
+  /// calling thread, so the bytes and the results are the same.
+  /// `in_process` moves payload vectors between in-memory hubs
+  /// (net::MemoryHub); `epoll` uses EpollHub sockets on loopback TCP.
+  /// `uring` runs the epoll transport (with a log line); it stays only
+  /// because the benchmark harness names it and goes with the next
+  /// benchmark-only change. The GENDPR_TRANSPORT environment variable
+  /// ("epoll" / "in_process") overrides this field when set.
   enum class TransportMode { in_process, epoll, uring };
   TransportMode transport = TransportMode::in_process;
 
-  /// Ignored: the loop count follows from `transport` (one for epoll, one
-  /// per GDO in process). Kept only because the benchmark harness still
-  /// sets it; removed by the next benchmark-only change.
+  /// Ignored: every transport runs one loop. Kept only because the
+  /// benchmark harness still sets it; removed by the next benchmark-only
+  /// change.
   std::uint32_t event_loops = 1;
 
   std::uint32_t num_gdos = 3;

@@ -6,7 +6,6 @@
 
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
-#include "crypto/aead.hpp"
 #include "genome/kernels/kernels.hpp"
 
 namespace gendpr::core {
@@ -685,7 +684,6 @@ ProtocolSession::Main LeaderSession::run_protocol() {
 
 common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   const Stopwatch total_watch;
-  const crypto::AeadCounters aead_before = crypto::aead_counters();
   PhaseTimings timings;
 
   if (Status valid = validate(coordinator_.config()); !valid.ok()) {
@@ -878,23 +876,8 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   result.n_case_per_gdo = coordinator_.case_populations();
   result.phase2_body_bytes = phase2_body_bytes;
   result.ld_pairs_fetched = coordinator_.ld_pairs_fetched();
-  // network_bytes_total / leader_bytes_received / network_links belong to
-  // the transport meter; the driver fills them after the session finishes.
-  const tee::EpcMeter& epc = enclave_.platform().epc();
-  result.epc_peak_per_gdo.assign(num_gdos_, 0);
-  result.epc_peak_per_gdo[gdo_index_] = epc.peak();
-  result.epc_limit_bytes = epc.limit();
-  result.epc_peak_leader = epc.peak();
-  // In-process federations overwrite these with a run-wide delta; for a
-  // standalone (TCP) leader this process-local delta is the leader's own
-  // sealing volume.
-  const crypto::AeadCounters aead_after = crypto::aead_counters();
-  result.crypto_backend =
-      crypto::aead_backend_name(crypto::default_aead_backend());
-  result.crypto_records_sealed =
-      aead_after.records_sealed - aead_before.records_sealed;
-  result.crypto_bytes_sealed =
-      aead_after.bytes_sealed - aead_before.bytes_sealed;
+  // The transport meter, the EPC peaks and the AEAD counters are run-wide;
+  // the federation runner fills them after every session finished.
   result.kernel_backend = genome::kernels::kernel_backend_name(
       genome::kernels::active_kernel_backend());
   result.snp_tile_width = coordinator_.config().snp_tile_width;
@@ -903,10 +886,6 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   result.maf_tiles_assessed_inline = maf_tiles_inline;
   result.leader_inline_assess_ms = inline_assess_ms;
   if (obs_ != nullptr) {
-    // Counters are exported by the federation runner from a run-wide delta
-    // (which also covers provisioning-time sealing); only the label is set
-    // here so standalone-leader reports still name their backend.
-    obs_->metrics.set_label("crypto.backend", result.crypto_backend);
     obs_->metrics.set_label("kernel.backend", result.kernel_backend);
     obs_->metrics.set_gauge("tiles.width",
                             static_cast<double>(result.snp_tile_width));

@@ -4,9 +4,8 @@
 // epoll) on a shared EventLoop: hub frames become session on_frame events,
 // hub losses become on_peer_lost, the session's recv deadline is mirrored
 // into a loop timer that fires on_tick, and every wants()==send flush is
-// handed to the hub and acknowledged as soon as the hub accepts it. Any
-// number of drivers (a whole federation) can share one loop thread, or each
-// can get a loop of its own.
+// handed to the hub and acknowledged as soon as the hub accepts it. The
+// drivers of a whole federation share one loop on the calling thread.
 #pragma once
 
 #include <functional>
@@ -28,7 +27,7 @@ class SessionDriver {
   SessionDriver(const SessionDriver&) = delete;
   SessionDriver& operator=(const SessionDriver&) = delete;
 
-  /// Invoked (once) on the loop thread when the session reaches done or
+  /// Invoked (once) from the loop when the session reaches done or
   /// failed. Set before start().
   void set_on_finished(std::function<void()> on_finished) {
     on_finished_ = std::move(on_finished);

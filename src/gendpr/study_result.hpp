@@ -72,9 +72,8 @@ struct StudyResult {
   /// teardown. The meter sees both directions of every link the leader
   /// terminates, which in the star topology is all protocol traffic.
   std::vector<net::TrafficMeter::Link> network_links;
-  /// EPC peak per GDO, indexed by GDO. The leader fills its own entry; the
-  /// single-host runner fills every entry before tearing platforms down.
-  /// Entries for GDOs whose platform was unobservable stay 0.
+  /// EPC peak per GDO, indexed by GDO; the federation runner fills every
+  /// entry before tearing the platforms down.
   std::vector<std::uint64_t> epc_peak_per_gdo;
   /// The per-platform EPC limit the run was configured with (0 = unknown).
   std::uint64_t epc_limit_bytes = 0;

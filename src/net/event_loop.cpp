@@ -1,7 +1,6 @@
 #include "net/event_loop.hpp"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <array>
@@ -15,21 +14,9 @@ using common::Errc;
 using common::make_error;
 using common::Status;
 
-EventLoop::EventLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ >= 0 && wake_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
-      ::close(wake_fd_);
-      wake_fd_ = -1;
-    }
-  }
-}
+EventLoop::EventLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
 
 EventLoop::~EventLoop() {
-  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
@@ -79,28 +66,19 @@ void EventLoop::cancel_timer(TimerId id) {
 }
 
 void EventLoop::post(std::function<void()> fn) {
-  {
-    const std::lock_guard<std::mutex> lock(posted_mutex_);
-    posted_.push_back(std::move(fn));
-  }
-  const std::uint64_t one = 1;
-  // A full eventfd counter (EAGAIN) already guarantees a pending wakeup.
-  [[maybe_unused]] const ssize_t n =
-      ::write(wake_fd_, &one, sizeof(one));
+  posted_.push_back(std::move(fn));
 }
 
 void EventLoop::run_posted_tasks() {
-  // Swap under the lock, run outside it: a task may post again (even to
-  // this loop) without deadlocking. Tasks posted mid-drain run next batch.
+  // Run a swapped-out batch: a task may post again, and those tasks wait
+  // for the next dispatch.
   std::deque<std::function<void()>> batch;
-  {
-    const std::lock_guard<std::mutex> lock(posted_mutex_);
-    batch.swap(posted_);
-  }
+  batch.swap(posted_);
   for (auto& fn : batch) fn();
 }
 
 int EventLoop::wait_timeout_ms(std::chrono::milliseconds max_wait) const {
+  if (!posted_.empty()) return 0;
   if (timers_.empty()) {
     return max_wait.count() < 0 ? -1 : static_cast<int>(max_wait.count());
   }
@@ -126,20 +104,17 @@ void EventLoop::run_due_timers() {
 }
 
 void EventLoop::poll_once(std::chrono::milliseconds max_wait) {
+  const int timeout_ms = wait_timeout_ms(max_wait);
   std::array<epoll_event, 64> events;
-  const int n = ::epoll_wait(epoll_fd_, events.data(),
-                             static_cast<int>(events.size()),
-                             wait_timeout_ms(max_wait));
-  if (n < 0 && errno != EINTR) return;
+  int n = 0;
+  // With no fd watched, only a timer's wait needs the syscall.
+  if (!handlers_.empty() || timeout_ms != 0) {
+    n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
+                     timeout_ms);
+    if (n < 0 && errno != EINTR) return;
+  }
   for (int i = 0; i < n; ++i) {
-    const int fd = events[static_cast<std::size_t>(i)].data.fd;
-    if (fd == wake_fd_) {
-      std::uint64_t drained = 0;
-      [[maybe_unused]] const ssize_t r =
-          ::read(wake_fd_, &drained, sizeof(drained));
-      continue;  // the post queue is drained below regardless
-    }
-    auto it = handlers_.find(fd);
+    auto it = handlers_.find(events[static_cast<std::size_t>(i)].data.fd);
     if (it == handlers_.end()) continue;  // unwatched by an earlier handler
     // Keep the handler alive across the call: it may unwatch its own fd.
     const std::shared_ptr<IoHandler> handler = it->second;
@@ -151,21 +126,7 @@ void EventLoop::poll_once(std::chrono::milliseconds max_wait) {
 
 void EventLoop::run_until(const std::function<bool()>& done) {
   while (!done()) {
-    if (handlers_.empty() && timers_.empty()) {
-      // Nothing watched and no timers: only a cross-thread post could wake
-      // us, and those drain here before we give up on the loop. A task may
-      // post further tasks mid-drain; those keep the loop alive too.
-      run_posted_tasks();
-      bool more_posted;
-      {
-        const std::lock_guard<std::mutex> lock(posted_mutex_);
-        more_posted = !posted_.empty();
-      }
-      if (done() || (handlers_.empty() && timers_.empty() && !more_posted)) {
-        return;
-      }
-      continue;
-    }
+    if (handlers_.empty() && timers_.empty() && posted_.empty()) return;
     poll_once(std::chrono::milliseconds{-1});
   }
 }

@@ -1,18 +1,17 @@
 // Single-threaded epoll event loop.
 //
-// One EventLoop drives any number of fds and timers on the caller's thread:
-// handlers registered with watch() run when their fd is ready, timers run
-// when their due time passes, and run_until() dispatches both until a
-// predicate says the work is done. Watch/modify/timer calls must come from
-// the loop thread — which is exactly the execution model the sans-IO
-// sessions want: one thread, many sessions, no data races by construction.
+// One EventLoop drives any number of fds, timers and posted tasks on the
+// caller's thread: handlers registered with watch() run when their fd is
+// ready, timers run when their due time passes, posted tasks run on the
+// next dispatch, and run_until() dispatches all three until a predicate
+// says the work is done. Every call must come from the loop's thread,
+// which is exactly the execution model the sans-IO sessions want: one
+// thread, many sessions, no data races by construction.
 //
-// The one cross-thread entry point is post(): any thread may enqueue a task,
-// an eventfd wakes the loop, and the task runs on the loop thread. This is
-// how the in-process federation (one loop per GDO) injects work into a
-// sibling loop — a member's failure reported to the leader, straggler
-// teardown, shutdown wakeups — without ever sharing loop state across
-// threads.
+// post() defers work to the loop instead of running it inside the caller.
+// MemoryHub delivers frames this way, so no frame handler runs inside a
+// send(), and the federation runner hands a member's failure to the
+// leader's driver this way, outside the member's own dispatch.
 #pragma once
 
 #include <chrono>
@@ -21,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "common/error.hpp"
 
@@ -47,7 +45,7 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  bool valid() const noexcept { return epoll_fd_ >= 0 && wake_fd_ >= 0; }
+  bool valid() const noexcept { return epoll_fd_ >= 0; }
 
   /// Registers `fd` for `events`; the handler is kept alive by the loop
   /// while watched (and through its own dispatch even if it unwatches
@@ -67,19 +65,18 @@ class EventLoop {
   }
   void cancel_timer(TimerId id);
 
-  /// Enqueues `fn` to run on the loop thread and wakes the loop. The ONLY
-  /// entry point that is safe from any thread; everything a foreign thread
-  /// wants done to loop-owned state goes through here. Posted tasks never
-  /// count as pending work for run_until's nothing-can-wake-us exit (a task
-  /// already enqueued still runs first).
+  /// Queues `fn` to run on the next dispatch, after the ready fds' handlers
+  /// and in post order. A task posted while the queue drains runs on the
+  /// dispatch after. While a task is queued, poll_once does not block.
   void post(std::function<void()> fn);
 
-  /// Dispatches fd and timer events until `done()` returns true (checked
-  /// after every dispatch batch) or nothing is left that could ever wake
-  /// the loop (no watched fds and no timers).
+  /// Dispatches fd events, posted tasks and timers until `done()` returns
+  /// true (checked after every dispatch batch) or nothing is left that
+  /// could ever wake the loop (no watched fds, no timers, no queued tasks).
   void run_until(const std::function<bool()>& done);
 
-  /// Runs at most one epoll_wait batch with the given cap on blocking time.
+  /// Runs at most one epoll_wait batch with the given cap on blocking time
+  /// (none while a task is queued; negative means no cap).
   void poll_once(std::chrono::milliseconds max_wait);
 
  private:
@@ -88,7 +85,6 @@ class EventLoop {
   void run_posted_tasks();
 
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd; watched directly, never in handlers_
   std::map<int, std::shared_ptr<IoHandler>> handlers_;
   struct Timer {
     TimerId id;
@@ -96,8 +92,7 @@ class EventLoop {
   };
   std::multimap<TimePoint, Timer> timers_;
   TimerId next_timer_id_ = 1;
-  std::mutex posted_mutex_;                       // guards posted_ only
-  std::deque<std::function<void()>> posted_;      // cross-thread task queue
+  std::deque<std::function<void()>> posted_;
 };
 
 }  // namespace gendpr::net

@@ -3,28 +3,24 @@
 namespace gendpr::net {
 
 void TrafficMeter::record(NodeId from, NodeId to, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
   LinkStats& stats = links_[{from, to}];
   stats.bytes += bytes;
   stats.messages += 1;
 }
 
 std::uint64_t TrafficMeter::total_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& [link, stats] : links_) total += stats.bytes;
   return total;
 }
 
 std::uint64_t TrafficMeter::total_messages() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& [link, stats] : links_) total += stats.messages;
   return total;
 }
 
 std::uint64_t TrafficMeter::bytes_sent_by(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& [link, stats] : links_) {
     if (link.first == node) total += stats.bytes;
@@ -33,7 +29,6 @@ std::uint64_t TrafficMeter::bytes_sent_by(NodeId node) const {
 }
 
 std::uint64_t TrafficMeter::bytes_received_by(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
   for (const auto& [link, stats] : links_) {
     if (link.second == node) total += stats.bytes;
@@ -42,7 +37,6 @@ std::uint64_t TrafficMeter::bytes_received_by(NodeId node) const {
 }
 
 std::vector<TrafficMeter::Link> TrafficMeter::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Link> links;
   links.reserve(links_.size());
   for (const auto& [link, stats] : links_) {
@@ -52,7 +46,6 @@ std::vector<TrafficMeter::Link> TrafficMeter::snapshot() const {
 }
 
 void TrafficMeter::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
   links_.clear();
 }
 

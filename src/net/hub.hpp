@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <random>
 #include <string>
 #include <utility>
@@ -36,7 +35,7 @@ using NodeId = std::uint32_t;
 inline constexpr NodeId kNoNode = 0;
 
 /// Payload byte counters per directed link, plus totals, for the §7.1
-/// bandwidth accounting. Thread-safe.
+/// bandwidth accounting. Like its hub, it belongs to the loop's thread.
 class TrafficMeter {
  public:
   void record(NodeId from, NodeId to, std::size_t bytes);
@@ -66,7 +65,6 @@ class TrafficMeter {
     std::uint64_t bytes = 0;
     std::uint64_t messages = 0;
   };
-  mutable std::mutex mutex_;
   std::map<std::pair<NodeId, NodeId>, LinkStats> links_;
 };
 

@@ -16,11 +16,9 @@ struct MemoryHub::Inbox {
       : loop(&owner_loop), hub(owner) {}
 
   EventLoop* loop;
-  std::mutex mutex;  // guards items, drain_posted, and writes to hub
   std::deque<Item> items;
   bool drain_posted = false;
-  /// Null once the hub is destroyed; later deliveries are refused. Written
-  /// only on the loop thread, so the drain may read it without the lock.
+  /// Null once the hub is destroyed; later deliveries are refused.
   MemoryHub* hub;
 };
 
@@ -28,24 +26,17 @@ MemoryHub::MemoryHub(Registry& registry, EventLoop& loop, NodeId self)
     : Hub(self, 0),
       registry_(&registry),
       inbox_(std::make_shared<Inbox>(loop, this)) {
-  const std::lock_guard<std::mutex> lock(registry_->mutex_);
   registry_->inboxes_[self] = inbox_;
 }
 
 MemoryHub::~MemoryHub() {
-  {
-    const std::lock_guard<std::mutex> lock(registry_->mutex_);
-    auto it = registry_->inboxes_.find(self_);
-    if (it != registry_->inboxes_.end() && it->second == inbox_) {
-      registry_->inboxes_.erase(it);
-    }
+  auto it = registry_->inboxes_.find(self_);
+  if (it != registry_->inboxes_.end() && it->second == inbox_) {
+    registry_->inboxes_.erase(it);
   }
+  inbox_->hub = nullptr;
   std::deque<Item> undelivered;
-  {
-    const std::lock_guard<std::mutex> lock(inbox_->mutex);
-    inbox_->hub = nullptr;
-    undelivered.swap(inbox_->items);
-  }
+  undelivered.swap(inbox_->items);
   // Every linked peer learns this endpoint is gone, including dialers whose
   // link was still queued here.
   for (Item& item : undelivered) {
@@ -57,26 +48,20 @@ MemoryHub::~MemoryHub() {
 }
 
 bool MemoryHub::push(const std::shared_ptr<Inbox>& inbox, Item item) {
-  bool post = false;
-  {
-    const std::lock_guard<std::mutex> lock(inbox->mutex);
-    if (inbox->hub == nullptr) return false;
-    inbox->items.push_back(std::move(item));
-    post = !std::exchange(inbox->drain_posted, true);
-  }
+  if (inbox->hub == nullptr) return false;
+  inbox->items.push_back(std::move(item));
   // One drain task per batch: deliveries that land before it runs ride
-  // along without another wakeup.
-  if (post) inbox->loop->post([inbox] { drain(inbox); });
+  // along without another task.
+  if (!std::exchange(inbox->drain_posted, true)) {
+    inbox->loop->post([inbox] { drain(inbox); });
+  }
   return true;
 }
 
 void MemoryHub::drain(const std::shared_ptr<Inbox>& inbox) {
   std::deque<Item> batch;
-  {
-    const std::lock_guard<std::mutex> lock(inbox->mutex);
-    batch.swap(inbox->items);
-    inbox->drain_posted = false;
-  }
+  batch.swap(inbox->items);
+  inbox->drain_posted = false;
   // A handler may destroy the hub mid-batch. Items are popped before
   // delivery so each frame is freed as soon as its handler returns, not
   // when the whole batch is done.
@@ -112,11 +97,8 @@ void MemoryHub::connect_peer(NodeId peer, const std::string& host,
   (void)port;
   (void)options;
   std::shared_ptr<Inbox> peer_inbox;
-  {
-    const std::lock_guard<std::mutex> lock(registry_->mutex_);
-    auto it = registry_->inboxes_.find(peer);
-    if (it != registry_->inboxes_.end()) peer_inbox = it->second;
-  }
+  auto it = registry_->inboxes_.find(peer);
+  if (it != registry_->inboxes_.end()) peer_inbox = it->second;
   if (peer_inbox == nullptr ||
       !push(peer_inbox, Item{Item::Kind::link, self_, {}, inbox_})) {
     // Nobody to dial: fail the way an exhausted socket dial does, through

@@ -3,9 +3,9 @@
 // A MemoryHub is a GDO endpoint whose links are in-memory queues instead of
 // sockets. send() moves the payload vector itself into the peer hub's inbox
 // and, when the inbox was empty, posts one drain task to the peer's
-// EventLoop; the drain hands each payload view to the frame handler on that
-// loop's thread and frees the vector once the handler returns. No framing,
-// no copy, no syscall beyond the loop wakeup.
+// EventLoop; the drain hands each payload view to the frame handler and
+// frees the vector once the handler returns. No framing, no copy, no
+// syscall.
 //
 // Hubs find each other through a MemoryHub::Registry shared by one
 // in-process federation. connect_peer() links two hubs in both directions
@@ -13,15 +13,13 @@
 // accepted TCP dial with its hello), and destroying a hub reports it lost to
 // every linked peer: the in-memory analogue of a dropped connection.
 //
-// Threading: like every Hub, a MemoryHub and its handlers belong to its
-// loop's thread. Only the registry and each hub's inbox are shared across
-// threads (both mutex-guarded), so the hubs of an in-process federation,
-// each on its own GDO's loop, exchange frames safely.
+// Threading: the hubs of one registry, their inboxes and their handlers
+// all belong to one loop's thread, so nothing here is locked. A send only
+// queues the frame; the peer's handler runs later, from the loop.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 
@@ -44,7 +42,6 @@ class MemoryHub : public Hub {
 
    private:
     friend class MemoryHub;
-    std::mutex mutex_;
     std::map<NodeId, std::shared_ptr<Inbox>> inboxes_;
   };
 
@@ -74,7 +71,7 @@ class MemoryHub : public Hub {
 
   /// Queues `item` for the inbox's hub; false when that hub is gone.
   static bool push(const std::shared_ptr<Inbox>& inbox, Item item);
-  /// Delivers everything queued so far; runs on the inbox's loop thread.
+  /// Delivers everything queued so far; runs as a task on the inbox's loop.
   static void drain(const std::shared_ptr<Inbox>& inbox);
   void on_item(Item& item);
 

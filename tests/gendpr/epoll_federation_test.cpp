@@ -259,6 +259,11 @@ TEST(TcpFederationTest, StudyOverRealSocketsMatchesInProcess) {
     tcp_result.network_bytes_total = harness.hub(0).meter().total_bytes();
     tcp_result.network_links = harness.hub(0).meter().snapshot();
   }
+  // The EPC peaks are run-wide too: like the federation runner, the host
+  // that owns the platforms fills them in.
+  for (const auto& platform : platforms) {
+    tcp_result.epc_peak_per_gdo.push_back(platform->epc().peak());
+  }
   for (const auto& member : members) {
     EXPECT_TRUE(member->status().ok()) << member->status().error().to_string();
     EXPECT_TRUE(member->enclave().study_complete());

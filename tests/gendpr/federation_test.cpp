@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,6 +134,36 @@ TEST(FederationTest, DeterministicForSameSeed) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().outcome.l_safe, b.value().outcome.l_safe);
   EXPECT_EQ(a.value().leader_gdo, b.value().leader_gdo);
+
+  // Tiled, every session runs on one loop in process, so even the counts
+  // that follow arrival order (LD windows sealed out ahead of the walk, and
+  // with them the sealing volume) repeat exactly. The environment could
+  // force the epoll transport, whose arrival order follows the kernel.
+  const char* forced = std::getenv("GENDPR_TRANSPORT");
+  const std::optional<std::string> saved =
+      forced != nullptr ? std::optional<std::string>(forced) : std::nullopt;
+  ::unsetenv("GENDPR_TRANSPORT");
+  const genome::Cohort tiled_cohort = test_cohort(300, 300, 400, 5);
+  spec.config.snp_tile_width = 32;
+  std::vector<StudyResult> runs;
+  std::vector<std::uint64_t> sealed_out;
+  for (int run = 0; run < 5; ++run) {
+    obs::Observability observability;
+    spec.obs = &observability;
+    auto result = run_federated_study(tiled_cohort, spec);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    runs.push_back(std::move(result).take());
+    sealed_out.push_back(
+        observability.metrics.counter("ld.window_tiles_sealed_out"));
+  }
+  if (saved.has_value()) ::setenv("GENDPR_TRANSPORT", saved->c_str(), 1);
+  EXPECT_GT(sealed_out[0], 0u);
+  for (std::size_t run = 1; run < runs.size(); ++run) {
+    EXPECT_EQ(runs[run].outcome.l_safe, runs[0].outcome.l_safe);
+    EXPECT_EQ(runs[run].crypto_records_sealed, runs[0].crypto_records_sealed);
+    EXPECT_EQ(runs[run].crypto_bytes_sealed, runs[0].crypto_bytes_sealed);
+    EXPECT_EQ(sealed_out[run], sealed_out[0]) << "run " << run;
+  }
 }
 
 TEST(FederationTest, StudyPoolAtFZeroLeavesResultsUnchanged) {

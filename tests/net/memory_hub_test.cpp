@@ -1,13 +1,13 @@
 // MemoryHub tests: linking through the registry, ordered delivery on the
 // receiving hub's loop, peer-loss reporting on hub destruction and failed
-// dials, cross-loop senders, and traffic metering.
+// dials, interleaved senders, and traffic metering.
 #include "net/memory_hub.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "net/event_loop.hpp"
@@ -121,37 +121,33 @@ TEST(MemoryHubTest, DroppedSendNotMetered) {
   EXPECT_EQ(a.meter().total_bytes(), 0u);
 }
 
-TEST(MemoryHubTest, PerSenderFifoUnderConcurrentSenders) {
-  // Eight hubs, each on its own loop thread, flood one sink hub: every
-  // frame arrives, in send order per sender, on the sink's loop.
+TEST(MemoryHubTest, PerSenderFifoUnderInterleavedSenders) {
+  // Eight hubs on the sink's loop take turns sending to one sink hub, and
+  // the sink's own drain tasks run between rounds: every frame arrives, in
+  // send order per sender.
   constexpr int kSenders = 8;
   constexpr int kPerSender = 200;
+  EventLoop loop;
   MemoryHub::Registry registry;
-  EventLoop sink_loop;
-  MemoryHub sink_hub(registry, sink_loop, 100);
+  MemoryHub sink_hub(registry, loop, 100);
   Sink sink(sink_hub);
 
-  std::vector<std::unique_ptr<EventLoop>> loops;
   std::vector<std::unique_ptr<MemoryHub>> senders;
   for (int s = 0; s < kSenders; ++s) {
-    loops.push_back(std::make_unique<EventLoop>());
     senders.push_back(std::make_unique<MemoryHub>(
-        registry, *loops.back(), static_cast<NodeId>(s + 1)));
+        registry, loop, static_cast<NodeId>(s + 1)));
+    senders.back()->connect_peer(100, "", 0);
   }
-  std::vector<std::thread> threads;
-  for (int s = 0; s < kSenders; ++s) {
-    threads.emplace_back([&, s] {
-      senders[s]->connect_peer(100, "", 0);
-      for (int i = 0; i < kPerSender; ++i) {
-        EXPECT_TRUE(senders[s]
-                        ->send(100, Bytes{static_cast<std::uint8_t>(i & 0xff),
-                                          static_cast<std::uint8_t>(i >> 8)})
-                        .ok());
-      }
-    });
+  for (int i = 0; i < kPerSender; ++i) {
+    for (int s = 0; s < kSenders; ++s) {
+      ASSERT_TRUE(senders[s]
+                      ->send(100, Bytes{static_cast<std::uint8_t>(i & 0xff),
+                                        static_cast<std::uint8_t>(i >> 8)})
+                      .ok());
+    }
+    if (i % 7 == 0) loop.poll_once(std::chrono::milliseconds{0});
   }
-  for (auto& thread : threads) thread.join();
-  sink_loop.run_until([&] { return sink.total == kSenders * kPerSender; });
+  loop.run_until([&] { return sink.total == kSenders * kPerSender; });
   ASSERT_EQ(sink.total, static_cast<std::size_t>(kSenders * kPerSender));
   for (int s = 0; s < kSenders; ++s) {
     const auto& frames = sink.frames[static_cast<NodeId>(s + 1)];
