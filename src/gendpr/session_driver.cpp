@@ -44,47 +44,33 @@ void SessionDriver::on_peer_lost(net::NodeId peer) {
 }
 
 void SessionDriver::pump() {
-  // Reentrancy guard: hub_->send inside the loop below can synchronously
-  // tear a connection down and fire the peer-lost handler, which calls
-  // pump() again. The inner call must not acknowledge the flush the outer
-  // one is still collecting failures for — the loss is already recorded in
-  // the session, so the outer loop picks it up.
+  // Reentrancy guard: hub_->send below can synchronously tear a connection
+  // down and fire the peer-lost handler, which calls pump() again. The loss
+  // is recorded in the session by then, and this loop sends whatever the
+  // session queued in response.
   if (pumping_) return;
   pumping_ = true;
-  bool running = true;
-  while (running) {
-    switch (session_->wants()) {
-      case SessionWants::send: {
-        std::vector<SendFailure> failures;
-        for (OutFrame& frame : session_->take_output()) {
-          const common::Status sent =
-              hub_->send(node_id_of(frame.to_gdo), std::move(frame.payload));
-          if (!sent.ok()) {
-            failures.push_back(SendFailure{frame.to_gdo, sent.error()});
-          }
-        }
-        session_->on_sends_complete(std::move(failures), Clock::now());
-        break;
+  for (std::vector<OutFrame> out = session_->take_output(); !out.empty();
+       out = session_->take_output()) {
+    for (OutFrame& frame : out) {
+      // A hub refuses a frame only for a lost peer; the session learns of
+      // it the one way it learns of every loss.
+      if (!hub_->send(node_id_of(frame.to_gdo), std::move(frame.payload))
+               .ok()) {
+        session_->on_peer_lost(frame.to_gdo, Clock::now());
       }
-      case SessionWants::recv:
-        rearm_deadline();
-        running = false;
-        break;
-      case SessionWants::done:
-      case SessionWants::failed:
-        if (deadline_timer_.has_value()) {
-          loop_->cancel_timer(*deadline_timer_);
-          deadline_timer_.reset();
-        }
-        if (!notified_ && on_finished_) {
-          notified_ = true;
-          on_finished_();
-        }
-        running = false;
-        break;
-      case SessionWants::idle:
-        running = false;
-        break;
+    }
+  }
+  if (session_->wants() == SessionWants::recv) {
+    rearm_deadline();
+  } else if (finished()) {
+    if (deadline_timer_.has_value()) {
+      loop_->cancel_timer(*deadline_timer_);
+      deadline_timer_.reset();
+    }
+    if (!notified_ && on_finished_) {
+      notified_ = true;
+      on_finished_();
     }
   }
   pumping_ = false;

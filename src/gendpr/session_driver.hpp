@@ -3,9 +3,10 @@
 // A SessionDriver binds one ProtocolSession to one net::Hub (in-memory or
 // epoll) on a shared EventLoop: hub frames become session on_frame events,
 // hub losses become on_peer_lost, the session's recv deadline is mirrored
-// into a loop timer that fires on_tick, and every wants()==send flush is
-// handed to the hub and acknowledged as soon as the hub accepts it. The
-// drivers of a whole federation share one loop on the calling thread.
+// into a loop timer that fires on_tick, and after every event the frames
+// the session queued go to the hub; a frame the hub refuses is reported
+// back as on_peer_lost. The drivers of a whole federation share one loop on
+// the calling thread.
 #pragma once
 
 #include <functional>

@@ -1,22 +1,21 @@
 // libFuzzer harness for the sans-IO protocol sessions.
 //
-// Each input is a little event script driven straight into the session step
-// surface — the same entry points the epoll driver and the blocking pumps
-// use. The first byte picks the role (member or leader); the rest is a
-// sequence of operations: deliver a frame (mutated wire bytes included),
-// tick past the receive deadline, report a peer loss, close the transport,
-// or fail a pending send. The seed corpus wraps the frames of a recorded
-// clean 3-GDO run in this format, so the fuzzer starts from real handshakes
-// and sealed records and mutates from there.
+// Each input is a little event script driven straight into the session's
+// event surface — the same entry points the event-loop driver uses. The
+// first byte picks the role (member or leader); the rest is a sequence of
+// operations: deliver a frame (mutated wire bytes included), tick past the
+// receive deadline, report a peer loss (the driver reports a refused send
+// the same way), or close the transport. The seed corpus wraps the frames
+// of a recorded clean 3-GDO run in this format, so the fuzzer starts from
+// real handshakes and sealed records and mutates from there.
 //
-// The harness asserts the driver contract rather than protocol success: a
-// session fed arbitrary events must always settle into exactly one of
-// done/failed/recv, never crash, never leak, and never keep output queued
-// after a flush was acknowledged.
+// The harness asserts the driver contract rather than protocol success:
+// after every event, with its output drained, a session fed arbitrary
+// events is in exactly one of recv/done/failed with a consistent status,
+// and it never crashes or leaks.
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include "fuzz_protocol_step.hpp"
 
@@ -29,9 +28,7 @@ namespace {
 
 using core::LeaderSession;
 using core::MemberSession;
-using core::OutFrame;
 using core::ProtocolSession;
-using core::SendFailure;
 using core::SessionWants;
 
 /// One fixed tiny study: enough structure for every protocol phase while
@@ -54,56 +51,55 @@ const Fixture& fixture() {
 }
 
 /// Consumes the script one field at a time; reads past the end return 0.
-/// The send-failure decisions read from the BACK of the script so they
-/// cannot shear the frame encoding at the front out of alignment — the
-/// fuzzer gets a dedicated control region instead.
 struct Script {
   const std::uint8_t* data;
   std::size_t size;
   std::size_t pos = 0;
-  std::size_t back;
 
-  Script(const std::uint8_t* bytes, std::size_t count)
-      : data(bytes), size(count), back(count) {}
-
-  bool done() const { return pos >= back; }
-  std::uint8_t u8() { return pos < back ? data[pos++] : 0; }
-  std::uint8_t u8_back() { return back > pos ? data[--back] : 0; }
+  bool done() const { return pos >= size; }
+  std::uint8_t u8() { return pos < size ? data[pos++] : 0; }
   std::uint16_t u16() {
     const std::uint16_t lo = u8();
     const std::uint16_t hi = u8();
     return static_cast<std::uint16_t>(lo | (hi << 8));
   }
-  common::Bytes payload(std::size_t len) {
-    const std::size_t take = std::min(len, back - std::min(pos, back));
-    common::Bytes bytes(data + pos, data + pos + take);
+  common::BytesView payload(std::size_t len) {
+    const std::size_t take = std::min(len, size - std::min(pos, size));
+    const common::BytesView bytes(data + pos, take);
     pos += take;
     return bytes;
   }
 };
 
+/// The driver contract every entry point keeps: with its output drained
+/// the session waits for input or has finished, with a status to match.
+void check_settled(ProtocolSession& session) {
+  (void)session.take_output();
+  switch (session.wants()) {
+    case SessionWants::done:
+      if (!session.status().ok()) std::abort();
+      break;
+    case SessionWants::failed:
+      if (session.status().ok()) std::abort();
+      break;
+    case SessionWants::recv:
+      break;
+    case SessionWants::idle:
+      std::abort();  // start() was called
+  }
+}
+
 void drive(ProtocolSession& session, Script script) {
   using Clock = ProtocolSession::Clock;
   Clock::time_point now = Clock::now();
   session.start(now);
+  check_settled(session);
   // Bound the event count: a script byte can always mint one more op, and
   // the fuzzer should explore breadth, not spin one session forever.
   for (int ops = 0; ops < 512; ++ops) {
     if (session.wants() == SessionWants::done ||
         session.wants() == SessionWants::failed) {
       break;
-    }
-    if (session.wants() == SessionWants::send) {
-      std::vector<OutFrame> frames = session.take_output();
-      std::vector<SendFailure> failures;
-      if (script.u8_back() % 8 == 1 && !frames.empty()) {
-        failures.push_back(SendFailure{
-            frames.front().to_gdo,
-            common::make_error(common::Errc::unknown_peer,
-                               "fuzz: peer connection lost")});
-      }
-      session.on_sends_complete(std::move(failures), now);
-      continue;
     }
     if (script.done()) break;
     switch (script.u8() % 5) {
@@ -129,21 +125,7 @@ void drive(ProtocolSession& session, Script script) {
         session.on_tick(now);
         break;
     }
-  }
-  // Contract: after any event sequence the session is in a defined state
-  // with a consistent status.
-  switch (session.wants()) {
-    case SessionWants::done:
-      if (!session.status().ok()) std::abort();
-      break;
-    case SessionWants::failed:
-      if (session.status().ok()) std::abort();
-      break;
-    case SessionWants::recv:
-      break;
-    case SessionWants::send:
-    case SessionWants::idle:
-      std::abort();  // drive() always settles sends; start() was called
+    check_settled(session);
   }
 }
 

@@ -351,5 +351,24 @@ TEST(LivenessTest, SurvivingMemberReceivesAbortNotice) {
       << honest->status().error().to_string();
 }
 
+TEST(LivenessTest, RefusedSendReachesTheSessionAsPeerLoss) {
+  // A member whose hub never linked to the leader: the hub refuses the
+  // handshake and has no loss of its own to report, so only the driver can
+  // tell the session that its leader is out of reach.
+  LeaderFixture f;
+  MemberSession member(f.member_platform, 1, 0,
+                       genome::BitPlanes(f.cohort.cases, 100, 200));
+  net::EventLoop loop;
+  net::MemoryHub::Registry registry;
+  net::MemoryHub hub(registry, loop, node_id_of(1));
+  SessionDriver driver(loop, hub, member);
+  driver.start();
+  ASSERT_TRUE(driver.finished());
+  EXPECT_EQ(member.status().error().code, common::Errc::unknown_peer);
+  EXPECT_NE(member.status().error().message.find("leader gdo 0"),
+            std::string::npos)
+      << member.status().error().to_string();
+}
+
 }  // namespace
 }  // namespace gendpr::core

@@ -151,13 +151,11 @@ class ScriptedMember : public ProtocolSession {
     if (!provision_status_.ok()) co_return provision_status_;
     if (script_.raw_handshake.has_value()) {
       queue_frame(leader_gdo_, *script_.raw_handshake);
-      (void)co_await flush_sends();
       co_return common::Status::success();
     }
     auto channel = enclave_.channel_to(trusted_module_measurement(),
                                        /*initiator=*/true);
     queue_frame(leader_gdo_, channel->handshake_message());
-    (void)co_await flush_sends();
 
     Event handshake = co_await wait_input();
     while (handshake.kind == Event::Kind::wake) {
@@ -194,7 +192,6 @@ class ScriptedMember : public ProtocolSession {
     }
 
     queue_frame(leader_gdo_, script_.reply(enclave_, *channel));
-    (void)co_await flush_sends();
     if (!script_.after_phase1) co_return common::Status::success();
 
     Event phase1_record = co_await wait_input();
@@ -213,7 +210,6 @@ class ScriptedMember : public ProtocolSession {
     if (!phase1.ok()) co_return phase1.error();
     if (auto s = enclave_.on_phase1(phase1.value()); !s.ok()) co_return s;
     queue_frame(leader_gdo_, script_.after_phase1(enclave_, *channel));
-    (void)co_await flush_sends();
     co_return common::Status::success();
   }
 
