@@ -7,8 +7,8 @@
 // site, so they cross suspension points exactly like they cross ordinary
 // calls.
 //
-// The protocol sessions are written once as coroutines that suspend at
-// their receive and send-flush points; the session's driver resumes them.
+// The protocol sessions are written once as coroutines that suspend only at
+// their receive points; the session's driver resumes them.
 #pragma once
 
 #include <coroutine>
@@ -36,39 +36,25 @@ struct FinalAwaiter {
 };
 
 template <typename T>
-struct TaskPromiseBase {
+struct TaskPromise {
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
-
-  std::suspend_always initial_suspend() noexcept { return {}; }
-  FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() noexcept { error = std::current_exception(); }
-};
-
-template <typename T>
-struct TaskPromise : TaskPromiseBase<T> {
   std::optional<T> value;
 
   Task<T> get_return_object() noexcept;
+  std::suspend_always initial_suspend() noexcept { return {}; }
+  FinalAwaiter final_suspend() noexcept { return {}; }
+  void unhandled_exception() noexcept { error = std::current_exception(); }
   void return_value(T v) { value.emplace(std::move(v)); }
   T take_value() {
-    if (this->error) std::rethrow_exception(this->error);
+    if (error) std::rethrow_exception(error);
     return std::move(*value);
-  }
-};
-
-template <>
-struct TaskPromise<void> : TaskPromiseBase<void> {
-  Task<void> get_return_object() noexcept;
-  void return_void() noexcept {}
-  void take_value() {
-    if (this->error) std::rethrow_exception(this->error);
   }
 };
 
 }  // namespace coro_detail
 
-template <typename T = void>
+template <typename T>
 class [[nodiscard]] Task {
  public:
   using promise_type = coro_detail::TaskPromise<T>;
@@ -113,11 +99,6 @@ namespace coro_detail {
 template <typename T>
 Task<T> TaskPromise<T>::get_return_object() noexcept {
   return Task<T>(std::coroutine_handle<TaskPromise<T>>::from_promise(*this));
-}
-
-inline Task<void> TaskPromise<void>::get_return_object() noexcept {
-  return Task<void>(
-      std::coroutine_handle<TaskPromise<void>>::from_promise(*this));
 }
 
 }  // namespace coro_detail

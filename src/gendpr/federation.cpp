@@ -169,12 +169,12 @@ Result<StudyResult> run_sessions(
   // When the leader fails, surviving members normally learn it from the
   // abort notice; a member whose connection (or handshake) never came up
   // would wait forever with no timeout configured. Give the notices half a
-  // second to flush, then force the stragglers' transports closed.
+  // second to flush, then tell the stragglers their leader is gone.
   leader_driver.set_on_finished([&] {
     if (leader.status().ok()) return;
     loop.add_timer_after(std::chrono::milliseconds{500}, [&] {
       for (auto& driver : member_drivers) {
-        if (!driver->finished()) driver->close();
+        if (!driver->finished()) driver->on_peer_lost(node_id_of(leader_gdo));
       }
     });
   });

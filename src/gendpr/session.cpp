@@ -31,6 +31,12 @@ StagedMessage stage_envelope(const M& msg) {
   return staging;
 }
 
+/// `error`, caused by GDO `gdo`'s bytes, naming that GDO; the code stays.
+common::Error blame(std::uint32_t gdo, common::Error error) {
+  error.message = "gdo " + std::to_string(gdo) + ": " + error.message;
+  return error;
+}
+
 /// The record types each leader gather takes.
 constexpr MsgType kSummaryRecords[] = {MsgType::summary_stats};
 constexpr MsgType kLdRecords[] = {MsgType::ld_window,
@@ -77,44 +83,25 @@ void ProtocolSession::start(TimePoint now) {
 void ProtocolSession::on_frame(std::uint32_t from_gdo,
                                common::BytesView payload, TimePoint now) {
   now_ = now;
-  if (wants_ == SessionWants::recv && input_queue_.empty()) {
-    // Direct handoff: the protocol body consumes the view (decrypts or
-    // parses it) before this call returns, so no owning copy is needed.
-    Event event;
-    event.kind = Event::Kind::frame;
-    event.from_gdo = from_gdo;
-    event.payload = payload;
-    deliver_event(std::move(event));
-    return;
-  }
-  input_queue_.push_back(
-      InFrame{from_gdo, common::Bytes(payload.begin(), payload.end())});
-  if (wants_ != SessionWants::recv) return;  // buffered like a mailbox
-  deliver_event(pop_queued_frame());
+  // Idle, done or failed: nobody is waiting for it.
+  if (wants_ != SessionWants::recv) return;
+  deliver_event(Event{Event::Kind::frame, from_gdo, payload});
 }
 
 void ProtocolSession::on_tick(TimePoint now) {
   now_ = now;
   if (wants_ != SessionWants::recv) return;
   if (!wait_deadline_.has_value() || now < *wait_deadline_) return;
-  deliver_event(Event{Event::Kind::timeout, 0, {}, {}});
+  deliver_event(Event{Event::Kind::timeout, 0, {}});
 }
 
 void ProtocolSession::on_peer_lost(std::uint32_t gdo_index, TimePoint now) {
   now_ = now;
   lost_peers_.insert(gdo_index);
   if (wants_ == SessionWants::recv) {
-    deliver_event(Event{Event::Kind::wake, 0, {}, {}});
+    deliver_event(Event{Event::Kind::wake, 0, {}});
   } else {
     lost_wake_pending_ = true;
-  }
-}
-
-void ProtocolSession::on_transport_closed(TimePoint now) {
-  now_ = now;
-  closed_ = true;
-  if (wants_ == SessionWants::recv) {
-    deliver_event(Event{Event::Kind::closed, 0, {}, {}});
   }
 }
 
@@ -150,33 +137,6 @@ void ProtocolSession::finish(common::Status status) noexcept {
   wait_deadline_.reset();
 }
 
-ProtocolSession::Event ProtocolSession::pop_queued_frame() {
-  Event event;
-  event.kind = Event::Kind::frame;
-  event.from_gdo = input_queue_.front().from_gdo;
-  event.owned = std::move(input_queue_.front().payload);
-  event.payload = common::BytesView(event.owned.data(), event.owned.size());
-  input_queue_.pop_front();
-  return event;
-}
-
-bool ProtocolSession::input_ready() noexcept {
-  if (!input_queue_.empty()) {
-    pending_event_ = pop_queued_frame();
-    return true;
-  }
-  if (lost_wake_pending_) {
-    lost_wake_pending_ = false;
-    pending_event_ = Event{Event::Kind::wake, 0, {}, {}};
-    return true;
-  }
-  if (closed_) {
-    pending_event_ = Event{Event::Kind::closed, 0, {}, {}};
-    return true;
-  }
-  return false;
-}
-
 void ProtocolSession::suspend_for_input(
     std::coroutine_handle<> handle) noexcept {
   resume_ = handle;
@@ -192,7 +152,7 @@ void ProtocolSession::suspend_for_input(
 void ProtocolSession::deliver_event(Event event) {
   auto handle = std::exchange(resume_, {});
   if (!handle) return;
-  pending_event_ = std::move(event);
+  pending_event_ = event;
   wait_deadline_.reset();
   handle.resume();
 }
@@ -211,29 +171,28 @@ MemberSession::MemberSession(tee::Platform& platform, std::uint32_t gdo_index,
 
 MemberSession::~MemberSession() { destroy_coroutine(); }
 
-common::Error MemberSession::wait_error(Event::Kind kind,
-                                        const char* where) const {
-  // Translates a wait that ended without a frame into the member's study
-  // status: expiry and loss name the leader (the only peer this node waits
-  // on).
-  if (kind == Event::Kind::timeout) {
-    return make_error(Errc::timeout,
-                      "gdo " + std::to_string(gdo_index_) + ": leader gdo " +
-                          std::to_string(leader_gdo_) + " unresponsive (" +
-                          where + " deadline expired)");
-  }
-  if (kind == Event::Kind::wake) {
-    return make_error(Errc::unknown_peer,
-                      "gdo " + std::to_string(gdo_index_) +
-                          ": connection to leader gdo " +
-                          std::to_string(leader_gdo_) + " lost " + where);
-  }
-  return make_error(Errc::state_violation,
-                    std::string("mailbox closed ") + where);
-}
-
 bool MemberSession::leader_lost() {
   return take_lost_peers().count(leader_gdo_) != 0;
+}
+
+Status MemberSession::check_wait(const Event& event, const char* where) const {
+  const std::string self = "gdo " + std::to_string(gdo_index_) + ": ";
+  const std::string leader = "leader gdo " + std::to_string(leader_gdo_);
+  switch (event.kind) {
+    case Event::Kind::frame:
+      if (event.from_gdo == leader_gdo_) return Status::success();
+      return make_error(Errc::unknown_peer,
+                        self + "frame from gdo " +
+                            std::to_string(event.from_gdo) + ", not from " +
+                            leader + " (" + where + ")");
+    case Event::Kind::timeout:
+      return make_error(Errc::timeout, self + leader + " unresponsive (" +
+                                           where + " deadline expired)");
+    case Event::Kind::wake:
+      break;
+  }
+  return make_error(Errc::unknown_peer,
+                    self + "connection to " + leader + " lost " + where);
 }
 
 template <class M>
@@ -259,9 +218,7 @@ ProtocolSession::Main MemberSession::run_protocol() {
   while (handshake.kind == Event::Kind::wake && !leader_lost()) {
     handshake = co_await wait_input();
   }
-  if (handshake.kind != Event::Kind::frame) {
-    co_return wait_error(handshake.kind, "in handshake");
-  }
+  if (Status s = check_wait(handshake, "in handshake"); !s.ok()) co_return s;
   if (Status s = channel_->complete(handshake.payload); !s.ok()) co_return s;
 
   // Serve phase requests until the study completes. One scratch buffer is
@@ -272,9 +229,7 @@ ProtocolSession::Main MemberSession::run_protocol() {
     while (message.kind == Event::Kind::wake && !leader_lost()) {
       message = co_await wait_input();
     }
-    if (message.kind != Event::Kind::frame) {
-      co_return wait_error(message.kind, "mid-study");
-    }
+    if (Status s = check_wait(message, "mid-study"); !s.ok()) co_return s;
     if (Status s = channel_->open_to(message.payload, plaintext_scratch);
         !s.ok()) {
       co_return s;
@@ -459,24 +414,29 @@ common::Task<Status> LeaderSession::establish_channels() {
     sync_dead_peers();
     for (std::uint32_t gdo : coordinator_.dead_gdos()) pending.erase(gdo);
     if (pending.empty()) break;
-    Event event = co_await wait_input();
+    const Event event = co_await wait_input();
     if (event.kind == Event::Kind::wake) continue;
     if (event.kind == Event::Kind::timeout) {
       mark_pending_dead(pending, "handshake");
       break;
-    }
-    if (event.kind == Event::Kind::closed) {
-      co_return make_error(Errc::state_violation,
-                           "mailbox closed in handshake");
     }
     const std::uint32_t member = event.from_gdo;
     if (member >= num_gdos_ || member == gdo_index_) {
       co_return make_error(Errc::unknown_peer, "handshake from unknown node");
     }
     if (coordinator_.dead_gdos().count(member) != 0) continue;
+    // Each member handshakes once: a second one would replace a live
+    // channel.
+    if (channels_[member] != nullptr) {
+      co_return make_error(Errc::bad_message,
+                           "gdo " + std::to_string(member) +
+                               ": second handshake");
+    }
     auto channel = enclave_.channel_to(trusted_module_measurement(),
                                        /*initiator=*/false);
-    if (Status s = channel->complete(event.payload); !s.ok()) co_return s;
+    if (Status s = channel->complete(event.payload); !s.ok()) {
+      co_return blame(member, s.error());
+    }
     queue_frame(member, channel->handshake_message());
     channels_[member] = std::move(channel);
     pending.erase(member);
@@ -531,58 +491,40 @@ void LeaderSession::broadcast_abort(common::Error error) {
   }
 }
 
-common::Task<Result<LeaderSession::GatherStep>> LeaderSession::next_record(
-    const char* phase, std::set<std::uint32_t>& pending) {
-  for (;;) {
-    sync_dead_peers();
-    for (std::uint32_t gdo : coordinator_.dead_gdos()) pending.erase(gdo);
-    if (pending.empty()) co_return GatherStep{};
-    Event event = co_await wait_input();
-    if (event.kind == Event::Kind::wake) continue;  // losses synced above
-    if (event.kind == Event::Kind::timeout) {
-      mark_pending_dead(pending, phase);
-      co_return GatherStep{};
-    }
-    if (event.kind == Event::Kind::closed) {
-      co_return make_error(Errc::state_violation, "mailbox closed mid-study");
-    }
-    const std::uint32_t member = event.from_gdo;
-    if (member >= num_gdos_) {
-      co_return make_error(Errc::unknown_peer, "record from unknown node");
-    }
-    // A record from a declared-dead member means it was slow, not gone;
-    // its combinations are already skipped, so drop the late arrival.
-    if (coordinator_.dead_gdos().count(member) != 0) continue;
-    if (channels_[member] == nullptr) {
-      co_return make_error(Errc::unknown_peer, "record from unknown node");
-    }
-    auto plaintext = channels_[member]->open(event.payload);
-    if (!plaintext.ok()) co_return plaintext.error();
-    GatherStep step;
-    step.got = true;
-    step.member = member;
-    step.plaintext = std::move(plaintext).take();
-    co_return step;
-  }
-}
-
 common::Task<Result<double>> LeaderSession::gather(
     const char* phase, std::span<const MsgType> types,
     const Owing& owing, const Ingest& ingest) {
   double wait_ms = 0;
+  common::Bytes plaintext;  // one buffer for every record of the gather
   for (;;) {
+    sync_dead_peers();
     // Re-asked after every arrival and every death.
     auto pending = owing();
     if (!pending.ok()) co_return pending.error();
     if (pending.value().empty()) co_return wait_ms;
     const Stopwatch wait_watch;
-    auto step = co_await next_record(phase, pending.value());
+    const Event event = co_await wait_input();
+    if (event.kind == Event::Kind::timeout) {
+      mark_pending_dead(pending.value(), phase);
+    }
+    const std::uint32_t member = event.from_gdo;
+    // A wake's losses are synced at the top. A record from a declared-dead
+    // member means it was slow, not gone; its combinations are already
+    // skipped, so drop the late arrival.
+    if (event.kind != Event::Kind::frame ||
+        coordinator_.dead_gdos().count(member) != 0) {
+      wait_ms += wait_watch.elapsed_ms();
+      continue;
+    }
+    if (member >= num_gdos_ || channels_[member] == nullptr) {
+      co_return make_error(Errc::unknown_peer, "record from unknown node");
+    }
+    const Status opened_record =
+        channels_[member]->open_to(event.payload, plaintext);
     wait_ms += wait_watch.elapsed_ms();
-    if (!step.ok()) co_return step.error();
-    if (!step.value().got) continue;  // the pending members died
-    const std::uint32_t member = step.value().member;
-    auto opened = open_envelope(step.value().plaintext);
-    if (!opened.ok()) co_return opened.error();
+    if (!opened_record.ok()) co_return blame(member, opened_record.error());
+    auto opened = open_envelope(plaintext);
+    if (!opened.ok()) co_return blame(member, opened.error());
     const MsgType type = opened.value().first;
     if (std::find(types.begin(), types.end(), type) == types.end()) {
       co_return make_error(Errc::state_violation,
@@ -656,7 +598,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
                                 std::uint32_t member, MsgType,
                                 common::BytesView body) -> Status {
     auto stats = wire::decode<SummaryStats>(body);
-    if (!stats.ok()) return stats.error();
+    if (!stats.ok()) return blame(member, stats.error());
     if (Status s = coordinator_.add_summary(member, stats.value()); !s.ok()) {
       return s;
     }
@@ -723,11 +665,11 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
                                      common::BytesView body) -> Status {
     if (type == MsgType::moments_response) {
       auto response = wire::decode<MomentsResponse>(body);
-      if (!response.ok()) return response.error();
+      if (!response.ok()) return blame(member, response.error());
       return coordinator_.add_moments(member, response.value());
     }
     auto window = wire::decode<LdWindow>(body);
-    if (!window.ok()) return window.error();
+    if (!window.ok()) return blame(member, window.error());
     return coordinator_.add_ld_window(member, std::move(window).take());
   };
   auto fetch_wait_ms =
@@ -766,7 +708,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   const auto take_planes = [this](std::uint32_t member, MsgType,
                                   common::BytesView body) -> Status {
     auto planes = wire::decode<LrPlanes>(body);
-    if (!planes.ok()) return planes.error();
+    if (!planes.ok()) return blame(member, planes.error());
     return coordinator_.add_lr_planes(member, planes.value());
   };
   if (auto waited = co_await gather("LR gather", kLrRecords,

@@ -2,14 +2,18 @@
 //
 // A ProtocolSession is the per-node protocol state machine with every I/O
 // dependency inverted: no sockets, no threads, no clocks inside. The driver
-// feeds events in (`start`, `on_frame`, `on_tick`, `on_peer_lost`,
-// `on_transport_closed`) and after each one hands the frames the session
-// queued meanwhile (`take_output()`) to its transport; a send the transport
-// refuses comes back as `on_peer_lost`. wants() tells whether the session
-// waits for input or has finished. Deadlines are pure data: a recv wait
-// publishes its expiry through next_deadline() and the driver reports the
-// passage of time with on_tick(now), so the timeout/abort semantics are the
-// same under any front-end.
+// feeds events in through four entry points (`start`, `on_frame`,
+// `on_tick`, `on_peer_lost`) and after each one hands the frames the
+// session queued meanwhile (`take_output()`) to its transport; a send the
+// transport refuses comes back as `on_peer_lost`. After start() the session
+// is in recv, done or failed whenever an entry point returns: the body
+// suspends only while it waits, and each wait ends in one of three ways, a
+// frame, a deadline or a peer loss. There is no input mailbox: a frame for
+// a session that is not waiting (not yet started, or finished) is dropped.
+// Deadlines are pure data: a recv wait publishes its expiry through
+// next_deadline() and the driver reports the passage of time with
+// on_tick(now), so the timeout/abort semantics are the same under any
+// front-end.
 //
 // The protocol bodies are written once as C++20 coroutines (run_protocol)
 // that suspend only at their receive points; the event-loop host
@@ -21,7 +25,6 @@
 #include <chrono>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -45,7 +48,7 @@ namespace gendpr::core {
 /// What a session needs from its driver to make progress.
 enum class SessionWants {
   idle,    // constructed; start() not yet called
-  recv,    // waiting for a frame, a tick past next_deadline(), or a close
+  recv,    // waiting for a frame, a tick past next_deadline(), or a loss
   done,    // protocol finished cleanly; status().ok()
   failed,  // protocol finished with an error; see status()
 };
@@ -98,11 +101,9 @@ class ProtocolSession {
   /// the driver's thread, never concurrently.
   void start(TimePoint now);
 
-  /// Delivers one frame. When the session is blocked on a receive the view
-  /// is handed to the protocol body directly (it aliases the caller's
-  /// buffer and is consumed before this call returns); otherwise the bytes
-  /// are copied into an input queue and taken in order at the next
-  /// receives, exactly like a transport mailbox would buffer them.
+  /// Delivers one frame to the waiting protocol body. The view aliases the
+  /// caller's buffer and is consumed before this call returns. A frame for
+  /// a session that is not waiting (idle, done or failed) is dropped.
   void on_frame(std::uint32_t from_gdo, common::BytesView payload,
                 TimePoint now);
 
@@ -113,14 +114,10 @@ class ProtocolSession {
 
   /// Reports that the transport lost the connection to a peer, or refused a
   /// frame for it. Queues the loss for the protocol body (leader waits fold
-  /// it into the dead set; a member fails on its leader's) and wakes a
-  /// blocked recv wait once so the body can react. Repeats are harmless.
+  /// it into the dead set; a member fails on its leader's) and wakes the
+  /// current recv wait, or the next one if the body is not waiting, once so
+  /// the body can react. Repeats are harmless.
   void on_peer_lost(std::uint32_t gdo_index, TimePoint now);
-
-  /// Reports that the session's own transport endpoint is gone (mailbox
-  /// closed / event loop shutting down). The current and every later recv
-  /// wait resumes with a closed event.
-  void on_transport_closed(TimePoint now);
 
   SessionWants wants() const noexcept { return wants_; }
 
@@ -146,18 +143,15 @@ class ProtocolSession {
                              TimePoint now = TimePoint{});
 
  protected:
-  /// One resumption cause for a suspended receive point. Frame payloads are
-  /// views: a frame that passed through the input queue views its own
-  /// `owned` backing (moved along with the event), while a frame delivered
-  /// straight from the transport aliases the receive buffer and is valid
-  /// only until the coroutine next suspends — the protocol bodies decrypt
-  /// or parse every payload before their next co_await.
+  /// One resumption cause for a suspended receive point. A frame's payload
+  /// aliases the driver's receive buffer and is valid only until the
+  /// coroutine next suspends: the protocol bodies decrypt or parse every
+  /// payload before their next co_await.
   struct Event {
-    enum class Kind { frame, timeout, wake, closed };
+    enum class Kind { frame, timeout, wake };
     Kind kind = Kind::wake;
     std::uint32_t from_gdo = 0;
     common::BytesView payload;
-    common::Bytes owned;
   };
 
   /// Root coroutine of a protocol body. Lazily started; its co_returned
@@ -210,18 +204,21 @@ class ProtocolSession {
   /// everything else, sends included, is ordinary synchronous code.
   virtual Main run_protocol() = 0;
 
-  /// Awaits the next input event (frame / timeout / wake / closed).
-  /// Completes immediately when input is already queued; otherwise suspends
-  /// with wants()==recv and arms the configured receive deadline.
+  /// Awaits the next input event (frame / timeout / wake). Completes at
+  /// once with a wake when a peer loss arrived while the body was not
+  /// waiting; otherwise suspends with wants()==recv and arms the configured
+  /// receive deadline.
   auto wait_input() {
     struct Awaiter {
       ProtocolSession* session;
-      bool await_ready() noexcept { return session->input_ready(); }
+      bool await_ready() noexcept {
+        return std::exchange(session->lost_wake_pending_, false);
+      }
       void await_suspend(std::coroutine_handle<> handle) noexcept {
         session->suspend_for_input(handle);
       }
       Event await_resume() noexcept {
-        return std::move(session->pending_event_);
+        return std::exchange(session->pending_event_, Event{});
       }
     };
     return Awaiter{this};
@@ -234,14 +231,6 @@ class ProtocolSession {
   /// call (the session-side analogue of the node's hook_dead_ set).
   std::set<std::uint32_t> take_lost_peers();
 
-  /// Time of the most recent driver entry (metrics/debugging only — never
-  /// control flow; deadlines are handled by the wait plumbing itself).
-  TimePoint now() const noexcept { return now_; }
-
-  std::chrono::milliseconds receive_timeout() const noexcept {
-    return receive_timeout_;
-  }
-
   /// Destroys the protocol coroutine frame. Derived destructors call this
   /// first so frame-held locals never outlive the members they reference.
   void destroy_coroutine() noexcept { main_.reset(); }
@@ -250,9 +239,6 @@ class ProtocolSession {
   friend struct Main::promise_type;
 
   void finish(common::Status status) noexcept;
-  /// Takes the oldest buffered frame as a frame event (queue non-empty).
-  Event pop_queued_frame();
-  bool input_ready() noexcept;
   void suspend_for_input(std::coroutine_handle<> handle) noexcept;
   void deliver_event(Event event);
 
@@ -264,11 +250,9 @@ class ProtocolSession {
   std::optional<TimePoint> wait_deadline_;
   std::coroutine_handle<> resume_;
   Event pending_event_;
-  std::deque<InFrame> input_queue_;
   std::vector<OutFrame> outbox_;
   std::set<std::uint32_t> lost_peers_;
   bool lost_wake_pending_ = false;
-  bool closed_ = false;
 };
 
 /// Member-side protocol session: handshakes with the leader, then answers
@@ -296,9 +280,12 @@ class MemberSession : public ProtocolSession {
  private:
   template <class M>
   common::Status send_reply(const M& msg);
-  common::Error wait_error(Event::Kind kind, const char* where) const;
   /// Drains the reported losses; true if the leader is among them.
   bool leader_lost();
+  /// Ok for a frame from the leader; otherwise the member's study status,
+  /// naming the peer at fault: an expired deadline or a lost leader names
+  /// the leader, a frame from any other GDO names its sender.
+  common::Status check_wait(const Event& event, const char* where) const;
 
   std::uint32_t gdo_index_;
   std::uint32_t leader_gdo_;
@@ -344,15 +331,6 @@ class LeaderSession : public ProtocolSession {
   Main run_protocol() override;
 
  private:
-  /// One arrival during a phase gather: either a decrypted record from a
-  /// live member (`got == true`) or the news that every still-pending
-  /// member has been declared dead (`got == false`, gather is over).
-  struct GatherStep {
-    bool got = false;
-    std::uint32_t member = 0;
-    common::Bytes plaintext;
-  };
-
   common::Task<common::Result<StudyResult>> run_study_impl();
   common::Task<common::Status> establish_channels();
   /// Seals an already-staged envelope for one more recipient (per-peer AEAD
@@ -361,8 +339,6 @@ class LeaderSession : public ProtocolSession {
   template <class M>
   common::Status broadcast(const M& msg);
   void broadcast_abort(common::Error error);
-  common::Task<common::Result<GatherStep>> next_record(
-      const char* phase, std::set<std::uint32_t>& pending);
   /// Takes one record body of a gathered stream from `member` into the
   /// coordinator, with the work its arrival unlocks.
   using Ingest = std::function<common::Status(
@@ -371,11 +347,12 @@ class LeaderSession : public ProtocolSession {
   /// all it needs); the LD phase first walks as far as it can and sends the
   /// request the walk opened.
   using Owing = std::function<common::Result<std::set<std::uint32_t>>()>;
-  /// The gather of Alg. 1, one routine for every member->leader stream:
-  /// hands each record (whose type must be one of `types`) to `ingest`
-  /// until `owing` names no member. A member that misses the deadline is
-  /// declared dead; `phase` names the gather in logs and errors. Returns
-  /// the time spent waiting for records.
+  /// The gather of Alg. 1, one coroutine for every member->leader stream:
+  /// folds in the reported losses, asks `owing`, waits, and hands each
+  /// record (whose type must be one of `types`) to `ingest`, until `owing`
+  /// names no member. Members still owed at the deadline are declared dead;
+  /// `phase` names the gather in logs and errors. Returns the time spent
+  /// waiting for records and opening them.
   common::Task<common::Result<double>> gather(
       const char* phase, std::span<const MsgType> types,
       const Owing& owing, const Ingest& ingest);

@@ -12,9 +12,8 @@ SessionDriver::SessionDriver(net::EventLoop& loop, net::Hub& hub,
     : loop_(&loop), hub_(&hub), session_(&session) {
   hub_->set_frame_handler([this](net::NodeId from, common::BytesView payload) {
     if (from == net::kNoNode) return;
-    // Zero-copy delivery: the view aliases the hub's receive buffer; the
-    // session either consumes it before returning or copies it into its
-    // input queue.
+    // Zero-copy delivery: the view aliases the hub's receive buffer, and
+    // the session consumes it (or drops it) before returning.
     session_->on_frame(from - 1, payload, Clock::now());
     pump();
   });
@@ -29,11 +28,6 @@ SessionDriver::~SessionDriver() {
 
 void SessionDriver::start() {
   session_->start(Clock::now());
-  pump();
-}
-
-void SessionDriver::close() {
-  session_->on_transport_closed(Clock::now());
   pump();
 }
 

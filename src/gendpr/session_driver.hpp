@@ -37,13 +37,9 @@ class SessionDriver {
   /// Starts the session and pumps it to its first suspension.
   void start();
 
-  /// Forces the session's transport closed (e.g. loop shutdown): the
-  /// current and all later recv waits resume with a closed event.
-  void close();
-
   /// Reports peer `peer` gone, exactly as the hub reports a dropped
-  /// connection (the federation runner uses it when a member's own session
-  /// fails while its hub stays up).
+  /// connection (the federation runner uses it when a session's peer fails
+  /// while its hub stays up).
   void on_peer_lost(net::NodeId peer);
 
   bool finished() const noexcept {

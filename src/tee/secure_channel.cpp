@@ -133,14 +133,6 @@ common::Result<common::Bytes> SecureChannel::seal(
   return record;
 }
 
-common::Result<common::Bytes> SecureChannel::open(common::BytesView record) {
-  common::Bytes plaintext;
-  if (auto status = open_to(record, plaintext); !status.ok()) {
-    return status.error();
-  }
-  return plaintext;
-}
-
 common::Status SecureChannel::open_to(common::BytesView record,
                                       common::Bytes& plaintext) {
   if (!established_) {

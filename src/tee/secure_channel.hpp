@@ -56,11 +56,9 @@ class SecureChannel {
   /// directly into the tail — no intermediate ciphertext copy.
   common::Result<common::Bytes> seal(common::BytesView plaintext);
 
-  /// Decrypts the next record; enforces strict sequence ordering.
-  common::Result<common::Bytes> open(common::BytesView record);
-
-  /// Scratch-reuse variant of open: decrypts into `plaintext` (resized to
-  /// fit), so receive loops amortize one allocation across records.
+  /// Decrypts the next record into `plaintext` (resized to fit), so receive
+  /// loops amortize one allocation across records; enforces strict sequence
+  /// ordering.
   common::Status open_to(common::BytesView record, common::Bytes& plaintext);
 
   /// AEAD backend the established channel dispatches to.

@@ -5,9 +5,9 @@
 // first byte picks the role (member or leader); the rest is a sequence of
 // operations: deliver a frame (mutated wire bytes included), tick past the
 // receive deadline, report a peer loss (the driver reports a refused send
-// the same way), or close the transport. The seed corpus wraps the frames
-// of a recorded clean 3-GDO run in this format, so the fuzzer starts from
-// real handshakes and sealed records and mutates from there.
+// the same way), or tick early. The seed corpus wraps the frames of a
+// recorded clean 3-GDO run in this format, so the fuzzer starts from real
+// handshakes and sealed records and mutates from there.
 //
 // The harness asserts the driver contract rather than protocol success:
 // after every event, with its output drained, a session fed arbitrary
@@ -102,7 +102,7 @@ void drive(ProtocolSession& session, Script script) {
       break;
     }
     if (script.done()) break;
-    switch (script.u8() % 5) {
+    switch (script.u8() % 4) {
       case 0: {  // deliver a frame
         const std::uint32_t from = script.u8() % 4;
         session.on_frame(from, script.payload(script.u16()), now);
@@ -117,9 +117,6 @@ void drive(ProtocolSession& session, Script script) {
       }
       case 2:  // a peer connection drops
         session.on_peer_lost(script.u8() % 4, now);
-        break;
-      case 3:  // this node's own transport goes away
-        session.on_transport_closed(now);
         break;
       default:  // spurious early tick: must be ignored
         session.on_tick(now);

@@ -14,6 +14,8 @@
 #include "gendpr/baselines.hpp"
 #include "gendpr/messages.hpp"
 #include "gendpr/report.hpp"
+#include "genome/bitplanes.hpp"
+#include "genome/cohort.hpp"
 #include "genome/tile_plan.hpp"
 #include "json_parse.hpp"
 #include "obs/observability.hpp"
@@ -543,6 +545,43 @@ TEST(FederationTest, UnobservedRunRecordsNothing) {
   EXPECT_EQ(report.find("trace"), nullptr);
   EXPECT_EQ(report.find("metrics"), nullptr);
   EXPECT_NE(report.find("phases"), nullptr);
+}
+
+TEST(FederationTest, LeaderProvisionFailureEndsTheStragglers) {
+  // Only the leader fails to provision, so it fails before it ever answers
+  // a handshake and sends no abort notice. With no receive timeout the
+  // members would wait forever; the runner's straggler cut tells them their
+  // leader is gone, and the study reports the leader's own error.
+  const genome::Cohort cohort = test_cohort(129, 129, 150, 2);
+  for (const auto transport : {FederationSpec::TransportMode::in_process,
+                               FederationSpec::TransportMode::epoll}) {
+    SCOPED_TRACE(transport == FederationSpec::TransportMode::epoll
+                     ? "epoll"
+                     : "in process");
+    FederationSpec spec;
+    spec.num_gdos = 2;
+    spec.seed = 2;
+    spec.transport = transport;
+    const auto clean = run_federated_study(cohort, spec);
+    ASSERT_TRUE(clean.ok()) << clean.error().to_string();
+    // The EPC limit sits between the member's planes and the leader's.
+    const std::uint32_t leader = clean.value().leader_gdo;
+    const auto ranges = genome::equal_partition(129, 2);
+    const auto planes_bytes = [&](std::uint32_t g) {
+      return genome::BitPlanes(cohort.cases, ranges[g].first,
+                               ranges[g].second)
+          .storage_bytes();
+    };
+    const std::size_t leader_bytes = planes_bytes(leader);
+    const std::size_t member_bytes = planes_bytes(1 - leader);
+    ASSERT_LT(member_bytes, leader_bytes);
+    spec.epc_limit = (member_bytes + leader_bytes) / 2;
+
+    const auto result = run_federated_study(cohort, spec);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code, common::Errc::capacity_exceeded)
+        << result.error().to_string();
+  }
 }
 
 TEST(FederationTest, TinyEpcLimitFailsCleanly) {

@@ -178,9 +178,12 @@ class ScriptedMember : public ProtocolSession {
       co_return common::make_error(common::Errc::state_violation,
                                    "scripted member: no announce");
     }
-    auto plaintext = channel->open(announce_record.payload);
-    if (!plaintext.ok()) co_return plaintext.error();
-    auto opened = open_envelope(plaintext.value());
+    common::Bytes plaintext;
+    if (auto s = channel->open_to(announce_record.payload, plaintext);
+        !s.ok()) {
+      co_return s;
+    }
+    auto opened = open_envelope(plaintext);
     if (!opened.ok()) co_return opened.error();
     auto announce = wire::decode<StudyAnnounce>(opened.value().second);
     if (!announce.ok()) co_return announce.error();
@@ -202,9 +205,11 @@ class ScriptedMember : public ProtocolSession {
       co_return common::make_error(common::Errc::state_violation,
                                    "scripted member: no phase-1 result");
     }
-    auto phase1_plaintext = channel->open(phase1_record.payload);
-    if (!phase1_plaintext.ok()) co_return phase1_plaintext.error();
-    auto phase1_opened = open_envelope(phase1_plaintext.value());
+    if (auto s = channel->open_to(phase1_record.payload, plaintext);
+        !s.ok()) {
+      co_return s;
+    }
+    auto phase1_opened = open_envelope(plaintext);
     if (!phase1_opened.ok()) co_return phase1_opened.error();
     auto phase1 = wire::decode<Phase1Result>(phase1_opened.value().second);
     if (!phase1.ok()) co_return phase1.error();

@@ -306,9 +306,10 @@ TEST(SessionTest, AnnounceCarriesNothingOfTheCollusionPolicy) {
     ASSERT_EQ(leader->wants(), SessionWants::recv);
     ASSERT_EQ(to_member.size(), 2u);  // handshake reply, then the announce
     ASSERT_TRUE(channel->complete(to_member[0]).ok());
-    auto plaintext = channel->open(to_member[1]);
-    ASSERT_TRUE(plaintext.ok()) << plaintext.error().to_string();
-    plaintexts.push_back(std::move(plaintext).take());
+    common::Bytes plaintext;
+    const common::Status opened = channel->open_to(to_member[1], plaintext);
+    ASSERT_TRUE(opened.ok()) << opened.error().to_string();
+    plaintexts.push_back(std::move(plaintext));
   }
 
   const auto opened = open_envelope(plaintexts[0]);
@@ -358,6 +359,59 @@ TEST(SessionTest, WrongAuthorityHandshakeIsRejected) {
   leader->step({InFrame{1, handshake[0].payload}});
   ASSERT_EQ(leader->wants(), SessionWants::failed);
   EXPECT_EQ(leader->status().error().code, common::Errc::attestation_rejected);
+  EXPECT_EQ(leader->status().error().message.rfind("gdo 1: ", 0), 0u)
+      << leader->status().error().to_string();
+}
+
+TEST(SessionTest, LeaderRefusesASecondHandshake) {
+  // A handshake from an already-established member would replace its live
+  // channel; the leader refuses it, naming the member.
+  StudyFixture fixture;
+  auto leader = fixture.make_leader();
+  auto member = fixture.make_member(1);
+  std::vector<OutFrame> handshake = member->step({});
+  ASSERT_EQ(handshake.size(), 1u);
+  EXPECT_EQ(leader->step({InFrame{1, handshake[0].payload}}).size(), 1u);
+  ASSERT_EQ(leader->wants(), SessionWants::recv);
+  EXPECT_TRUE(leader->step({InFrame{1, handshake[0].payload}}).empty());
+  ASSERT_EQ(leader->wants(), SessionWants::failed);
+  EXPECT_EQ(leader->status().error().code, common::Errc::bad_message);
+  EXPECT_NE(leader->status().error().message.find("gdo 1: second handshake"),
+            std::string::npos)
+      << leader->status().error().to_string();
+}
+
+TEST(SessionTest, MemberTakesFramesOnlyFromItsLeader) {
+  // The test plays leader with the tee primitives. The right bytes from the
+  // wrong sender fail the member, in the handshake and mid-study alike, with
+  // an error naming the sender.
+  StudyFixture fixture;
+  for (const bool mid_study : {false, true}) {
+    SCOPED_TRACE(mid_study ? "mid-study" : "in handshake");
+    auto member = fixture.make_member(1);
+    std::vector<OutFrame> handshake = member->step({});
+    ASSERT_EQ(handshake.size(), 1u);
+    GdoEnclave fake_leader(*fixture.platforms[0], 0);
+    auto channel = fake_leader.channel_to(trusted_module_measurement(),
+                                          /*initiator=*/false);
+    ASSERT_TRUE(channel->complete(handshake[0].payload).ok());
+    common::Bytes frame = channel->handshake_message();
+    if (mid_study) {
+      member->step({InFrame{0, std::move(frame)}});
+      ASSERT_EQ(member->wants(), SessionWants::recv);
+      StudyAnnounce announce;
+      announce.num_snps = 40;
+      frame = channel->seal(envelope(MsgType::study_announce,
+                                     serialize(announce)))
+                  .value();
+    }
+    member->step({InFrame{2, std::move(frame)}});
+    ASSERT_EQ(member->wants(), SessionWants::failed);
+    EXPECT_EQ(member->status().error().code, common::Errc::unknown_peer);
+    EXPECT_NE(member->status().error().message.find("frame from gdo 2"),
+              std::string::npos)
+        << member->status().error().to_string();
+  }
 }
 
 TEST(SessionTest, TamperedRecordFailsDecryption) {
@@ -386,6 +440,36 @@ TEST(SessionTest, TamperedRecordFailsDecryption) {
   member1->step({InFrame{0, std::move(to_member1)}});
   ASSERT_EQ(member1->wants(), SessionWants::failed);
   EXPECT_FALSE(member1->status().ok());
+}
+
+TEST(SessionTest, TamperedRecordToTheLeaderNamesTheMember) {
+  // Member 1's summary is tampered on its way to the leader: the leader's
+  // study fails on the record's open, with an error naming GDO 1.
+  StudyFixture fixture;
+  auto leader = fixture.make_leader();
+  auto member1 = fixture.make_member(1);
+  auto member2 = fixture.make_member(2);
+  std::vector<OutFrame> hs1 = member1->step({});
+  std::vector<OutFrame> hs2 = member2->step({});
+  ASSERT_EQ(hs1.size(), 1u);
+  ASSERT_EQ(hs2.size(), 1u);
+  std::vector<InFrame> to_member1;
+  for (OutFrame& frame : leader->step({InFrame{1, hs1[0].payload},
+                                       InFrame{2, hs2[0].payload}})) {
+    if (frame.to_gdo == 1) {
+      to_member1.push_back(InFrame{0, std::move(frame.payload)});
+    }
+  }
+  ASSERT_EQ(to_member1.size(), 2u);  // handshake reply, then the announce
+  std::vector<OutFrame> summary = member1->step(std::move(to_member1));
+  ASSERT_EQ(member1->wants(), SessionWants::recv);
+  ASSERT_EQ(summary.size(), 1u);
+  summary[0].payload[summary[0].payload.size() / 2] ^= 0x01;
+  leader->step({InFrame{1, std::move(summary[0].payload)}});
+  ASSERT_EQ(leader->wants(), SessionWants::failed);
+  EXPECT_EQ(leader->status().error().code, common::Errc::decrypt_failed);
+  EXPECT_EQ(leader->status().error().message.rfind("gdo 1: ", 0), 0u)
+      << leader->status().error().to_string();
 }
 
 TEST(SessionTest, ReplayedRecordIsRejected) {
@@ -496,18 +580,6 @@ TEST(SessionTest, MemberHandshakeDeadlineExpires) {
             std::string::npos);
 }
 
-TEST(SessionTest, MemberTransportClosedFails) {
-  StudyFixture fixture;
-  auto member = fixture.make_member(1);
-  member->step({});
-  ASSERT_EQ(member->wants(), SessionWants::recv);
-  member->on_transport_closed(Clock::now());
-  ASSERT_EQ(member->wants(), SessionWants::failed);
-  EXPECT_EQ(member->status().error().code, common::Errc::state_violation);
-  EXPECT_NE(member->status().error().message.find("mailbox closed"),
-            std::string::npos);
-}
-
 TEST(SessionTest, LeaderHandshakeDeadlineMarksAllDead) {
   StudyFixture fixture;
   auto leader = fixture.make_leader();
@@ -590,30 +662,6 @@ TEST(SessionTest, ProvisionFailureSurfacesAtStart) {
   member.step({});
   ASSERT_EQ(member.wants(), SessionWants::failed);
   EXPECT_EQ(member.status().error().code, common::Errc::capacity_exceeded);
-}
-
-TEST(SessionTest, FramesArrivingMidComputeAreBuffered) {
-  // Both handshakes land before the leader's protocol body ever runs: the
-  // session must queue them like a mailbox and consume them in order.
-  StudyFixture fixture;
-  auto leader = fixture.make_leader();
-  auto member1 = fixture.make_member(1);
-  auto member2 = fixture.make_member(2);
-  std::vector<OutFrame> hs1 = member1->step({});
-  std::vector<OutFrame> hs2 = member2->step({});
-  leader->on_frame(1, hs1[0].payload, Clock::now());
-  leader->on_frame(2, hs2[0].payload, Clock::now());
-  const std::vector<OutFrame> replies = leader->step({});
-  ASSERT_EQ(leader->wants(), SessionWants::recv);
-  // Handshake replies for both members plus the first sealed requests.
-  std::size_t to1 = 0;
-  std::size_t to2 = 0;
-  for (const OutFrame& frame : replies) {
-    to1 += frame.to_gdo == 1 ? 1 : 0;
-    to2 += frame.to_gdo == 2 ? 1 : 0;
-  }
-  EXPECT_GE(to1, 1u);
-  EXPECT_GE(to2, 1u);
 }
 
 }  // namespace

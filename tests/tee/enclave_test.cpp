@@ -64,9 +64,9 @@ TEST(EnclaveTest, ChannelBetweenEnclavesOnDistinctPlatforms) {
   ASSERT_TRUE(channel_b->complete(channel_a->handshake_message()).ok());
 
   const common::Bytes msg = common::to_bytes("intermediate aggregate");
-  const auto opened = channel_b->open(channel_a->seal(msg).value());
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(opened.value(), msg);
+  common::Bytes opened;
+  ASSERT_TRUE(channel_b->open_to(channel_a->seal(msg).value(), opened).ok());
+  EXPECT_EQ(opened, msg);
 }
 
 TEST(EnclaveTest, EpcReservationEnforced) {
