@@ -1,14 +1,17 @@
 // Ablation: what share of GenDPR's end-to-end time is cryptography?
 // (DESIGN.md §4). Measures the AEAD record path at the three message sizes
 // the protocol actually ships - allele-count vectors (4*L bytes), moment
-// responses (~56 bytes), and LR matrix payloads (MBs) - plus the attested
-// handshake, and contrasts a full federated run against the same pipeline
-// with no network/crypto (the centralized baseline).
+// responses (~56 bytes), and LR matrix payloads (MBs) - plus one X25519
+// scalar multiplication and the attested handshake, and contrasts a full
+// federated run against the same pipeline with no network/crypto (the
+// centralized baseline).
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 #include "crypto/aead.hpp"
+#include "crypto/csprng.hpp"
 #include "crypto/gcm.hpp"
+#include "crypto/x25519.hpp"
 #include "gendpr/baselines.hpp"
 #include "tee/secure_channel.hpp"
 
@@ -105,6 +108,20 @@ BENCHMARK(BM_Crypto_ContextOpen)
     ->Args({4000, 1})
     ->Args({1 << 22, 0})
     ->Args({1 << 22, 1});
+
+// One scalar multiplication, the unit of the handshake: each channel end
+// runs two (its keypair and the shared secret). Each output is the next
+// scalar, so no call can be hoisted out of the loop.
+void BM_Crypto_X25519(benchmark::State& state) {
+  crypto::Csprng rng(std::array<std::uint8_t, 32>{3});
+  const crypto::X25519Key peer = crypto::x25519_base(rng.array<32>());
+  crypto::X25519Key scalar = rng.array<32>();
+  for (auto _ : state) {
+    scalar = crypto::x25519(scalar, peer);
+    benchmark::DoNotOptimize(scalar);
+  }
+}
+BENCHMARK(BM_Crypto_X25519)->Unit(benchmark::kMicrosecond);
 
 void BM_Crypto_AttestedHandshake(benchmark::State& state) {
   tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{1});

@@ -130,8 +130,10 @@ Result<StudyResult> run_sessions(
     members.back()->set_receive_timeout(receive_timeout);
     members.back()->set_observability(spec.obs);
   }
-  // A member that failed to provision (EPC limit) would never handshake and
-  // the leader would wait forever - surface the error up front.
+  // A GDO that failed to provision (EPC limit) would fail its session at
+  // once: a member before it handshakes, the leader before it sends anything
+  // its members could hear. Surface the error before any session starts.
+  if (!leader.provision_status().ok()) return leader.provision_status().error();
   for (const auto& member : members) {
     if (!member->provision_status().ok()) {
       return member->provision_status().error();

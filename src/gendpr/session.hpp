@@ -319,6 +319,11 @@ class LeaderSession : public ProtocolSession {
   /// serial). Call before start().
   void set_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
 
+  /// Dataset provisioning outcome (EPC failures surface before start()).
+  const common::Status& provision_status() const noexcept {
+    return provision_status_;
+  }
+
   const GdoEnclave& enclave() const noexcept { return enclave_; }
   const Coordinator& coordinator() const noexcept { return coordinator_; }
 

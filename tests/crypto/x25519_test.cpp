@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/bytes.hpp"
-#include "hex.hpp"
 #include "crypto/csprng.hpp"
+#include "hex.hpp"
+#include "x25519_reference.hpp"
 
 namespace gendpr::crypto {
 namespace {
@@ -63,6 +68,97 @@ TEST(X25519Test, Rfc7748DiffieHellman) {
   EXPECT_EQ(key_hex(alice_shared),
             "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
   EXPECT_EQ(alice_shared, bob_shared);
+}
+
+// RFC 7748 section 5.2 iterated vector: k = u = 9, then each round's output
+// becomes the next scalar and the previous scalar the next u.
+TEST(X25519Test, Rfc7748IteratedVector) {
+  X25519Key k{};
+  k[0] = 9;
+  X25519Key u = k;
+  for (int i = 1; i <= 1000; ++i) {
+    const X25519Key r = x25519(k, u);
+    u = k;
+    k = r;
+    if (i == 1) {
+      EXPECT_EQ(key_hex(k), "422c8e7a6227d7bca1350b3e2bb7279f"
+                            "7897b87bb6854b783c60e80311ae3079");
+    }
+  }
+  EXPECT_EQ(key_hex(k), "684cf59ba83309552800ef566f2f4d3c"
+                        "1c3887c49360e3875f2eb94d99532c51");
+}
+
+// RFC 7748 section 5: a u-coordinate in [p, 2^255) is reduced mod p, so
+// u = p + 9 acts as u = 9.
+TEST(X25519Test, NonCanonicalInputReducesModP) {
+  const X25519Key scalar = key_from_hex(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  X25519Key nine{};
+  nine[0] = 9;
+  const X25519Key p_plus_9 = key_from_hex(
+      "f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  EXPECT_EQ(key_hex(x25519(scalar, nine)),
+            "1c9fd88f45606d932a80c71824ae151d15d73e77de38e8e000852e614fae7019");
+  EXPECT_EQ(x25519(scalar, p_plus_9), x25519(scalar, nine));
+}
+
+// Differential check against the TweetNaCl-field reference on seeded random
+// (scalar, u) pairs. Random u values have bit 255 set half the time.
+TEST(X25519Test, MatchesReferenceOnRandomPairs) {
+  Csprng rng(std::array<std::uint8_t, 32>{0x25, 0x51, 0x19});
+  for (int i = 0; i < 2000; ++i) {
+    const X25519Key scalar = rng.array<32>();
+    const X25519Key u = rng.array<32>();
+    ASSERT_EQ(key_hex(x25519(scalar, u)), key_hex(reference::x25519(scalar, u)))
+        << "pair " << i << ": scalar " << key_hex(scalar) << ", u "
+        << key_hex(u);
+  }
+}
+
+// u values at the edges of the field and of the 51-bit limbs: 0, 1, p - 1,
+// p, p + 1, 2^255 - 1 (every limb all ones) and each single limb all ones,
+// each also with bit 255 set.
+TEST(X25519Test, MatchesReferenceOnLimbEdgeInputs) {
+  std::vector<X25519Key> edges;
+  const auto little_endian = [](const std::string& big_endian_hex) {
+    X25519Key key = key_from_hex(big_endian_hex);
+    std::reverse(key.begin(), key.end());
+    return key;
+  };
+  const std::string p =
+      "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed";
+  edges.push_back(X25519Key{});                                 // 0
+  edges.push_back(little_endian(std::string(63, '0') + "1"));   // 1
+  edges.push_back(little_endian(p.substr(0, 63) + "c"));        // p - 1
+  edges.push_back(little_endian(p));                            // p
+  edges.push_back(little_endian(p.substr(0, 63) + "e"));        // p + 1
+  edges.push_back(little_endian("7f" + std::string(62, 'f')));  // 2^255 - 1
+  for (int limb = 0; limb < 5; ++limb) {
+    X25519Key u{};
+    for (int bit = 51 * limb; bit < 51 * (limb + 1); ++bit) {
+      u[bit >> 3] |= static_cast<std::uint8_t>(1u << (bit & 7));
+    }
+    edges.push_back(u);
+  }
+  for (std::size_t i = 0, n = edges.size(); i < n; ++i) {
+    X25519Key high = edges[i];
+    high[31] |= 0x80;
+    edges.push_back(high);
+  }
+
+  Csprng rng(std::array<std::uint8_t, 32>{0xed, 0x9e});
+  X25519Key ones;
+  ones.fill(0xff);
+  const X25519Key scalars[] = {X25519Key{}, ones, rng.array<32>(),
+                               rng.array<32>()};
+  for (const X25519Key& u : edges) {
+    for (const X25519Key& scalar : scalars) {
+      EXPECT_EQ(key_hex(x25519(scalar, u)),
+                key_hex(reference::x25519(scalar, u)))
+          << "scalar " << key_hex(scalar) << ", u " << key_hex(u);
+    }
+  }
 }
 
 TEST(X25519Test, KeypairConsistency) {

@@ -547,11 +547,11 @@ TEST(FederationTest, UnobservedRunRecordsNothing) {
   EXPECT_NE(report.find("phases"), nullptr);
 }
 
-TEST(FederationTest, LeaderProvisionFailureEndsTheStragglers) {
-  // Only the leader fails to provision, so it fails before it ever answers
-  // a handshake and sends no abort notice. With no receive timeout the
-  // members would wait forever; the runner's straggler cut tells them their
-  // leader is gone, and the study reports the leader's own error.
+TEST(FederationTest, LeaderProvisionFailureFailsBeforeAnySessionStarts) {
+  // Only the leader fails to provision. Its session would fail before it
+  // ever answers a handshake, and send no abort notice, so the runner
+  // checks the leader's provisioning next to the members' and reports the
+  // leader's own error before any session starts.
   const genome::Cohort cohort = test_cohort(129, 129, 150, 2);
   for (const auto transport : {FederationSpec::TransportMode::in_process,
                                FederationSpec::TransportMode::epoll}) {
