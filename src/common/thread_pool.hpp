@@ -1,10 +1,12 @@
 // Fixed-size thread pool.
 //
 // A federated study owns one. It builds every GDO's bit planes in parallel
-// (SNP blocks split across the workers), then the coordinator runs the LR
-// selections on it: the C(G, G-f) combinations side by side inside the
-// leader enclave (paper §5.6: "can be efficiently conducted in parallel
-// inside the leader enclave"), or a single combination's gap pass.
+// (SNP blocks split across the workers), then the coordinator runs on it
+// the LD phase's association p-values (blocks of ranks of every
+// combination) and the LR selections: the C(G, G-f) combinations side by
+// side inside the leader enclave (paper §5.6: "can be efficiently
+// conducted in parallel inside the leader enclave"), or a single
+// combination's gap pass.
 #pragma once
 
 #include <atomic>

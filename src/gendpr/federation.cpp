@@ -168,10 +168,12 @@ Result<StudyResult> run_sessions(
       }
     });
   }
-  // When the leader fails, surviving members normally learn it from the
-  // abort notice; a member whose connection (or handshake) never came up
-  // would wait forever with no timeout configured. Give the notices half a
-  // second to flush, then tell the stragglers their leader is gone.
+  // When the leader fails, every surviving member with a channel learns it
+  // from the abort notice, in the handshake round too. A member without
+  // one (its connection never came up, or the leader never completed its
+  // handshake) would wait forever with no timeout configured. Give the
+  // notices half a second to flush, then tell the stragglers their leader
+  // is gone.
   leader_driver.set_on_finished([&] {
     if (leader.status().ok()) return;
     loop.add_timer_after(std::chrono::milliseconds{500}, [&] {

@@ -441,9 +441,6 @@ common::Task<Status> LeaderSession::establish_channels() {
     channels_[member] = std::move(channel);
     pending.erase(member);
   }
-  // Any established channel is reachable for abort notices from here on,
-  // even if the handshake round itself ends in a timeout below.
-  channels_established_ = true;
   if (coordinator_.live_combination_count() == 0) {
     co_return dead_peers_error("handshake");
   }
@@ -547,10 +544,11 @@ LeaderSession::Owing LeaderSession::owing_tiles(Coordinator::Stream stream) {
 ProtocolSession::Main LeaderSession::run_protocol() {
   auto result = co_await run_study_impl();
   if (!result.ok()) {
-    // On failure after channel setup, a best-effort abort notice is sent to
-    // the surviving members so they stop waiting instead of running into
-    // their own deadlines.
-    if (channels_established_) broadcast_abort(result.error());
+    // On failure, a best-effort abort notice goes to every surviving member
+    // with a channel, so it stops waiting instead of running into its own
+    // deadline; inside the handshake round that is every member whose
+    // handshake completed.
+    broadcast_abort(result.error());
     co_return Status(result.error());
   }
   result_ = std::move(result).take();
@@ -721,7 +719,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   lr_gather_span.end();
 
   Stopwatch lr_watch;
-  auto phase3 = coordinator_.run_lr_phase(pool_);
+  auto phase3 = coordinator_.run_lr_phase();
   if (!phase3.ok()) co_return phase3.error();
   timings.lr_ms += lr_watch.elapsed_ms();
 

@@ -315,9 +315,12 @@ class LeaderSession : public ProtocolSession {
     study_span_ = study_span;
     coordinator_.set_observability(obs, study_span);
   }
-  /// Thread pool for the LR phase's per-combination evaluation (nullptr =
-  /// serial). Call before start().
-  void set_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
+  /// The study's thread pool (nullptr = serial), handed to the coordinator:
+  /// the LD phase's association p-values and the LR phase's per-combination
+  /// selections run on it. Call before start().
+  void set_pool(common::ThreadPool* pool) noexcept {
+    coordinator_.set_pool(pool);
+  }
 
   /// Dataset provisioning outcome (EPC failures surface before start()).
   const common::Status& provision_status() const noexcept {
@@ -374,10 +377,8 @@ class LeaderSession : public ProtocolSession {
   Coordinator coordinator_;
   std::vector<std::unique_ptr<tee::SecureChannel>> channels_;  // per GDO
   common::Status provision_status_;
-  bool channels_established_ = false;
   obs::Observability* obs_ = nullptr;
   obs::SpanId study_span_ = obs::kNoSpan;
-  common::ThreadPool* pool_ = nullptr;
   StudyResult result_;
 };
 

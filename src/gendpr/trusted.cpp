@@ -263,7 +263,8 @@ Coordinator::Coordinator(GdoEnclave& leader_enclave,
       num_gdos_(num_gdos),
       config_(config),
       combinations_(build_combinations(num_gdos, policy)),
-      summaries_(num_gdos) {
+      summaries_(num_gdos),
+      ld_cutoff_(config.ld_cutoff) {
   maf_plan_ = genome::TilePlan::over(
       static_cast<std::uint32_t>(reference_planes_.num_snps()),
       config_.snp_tile_width);
@@ -484,22 +485,45 @@ Result<Phase1Result> Coordinator::run_maf_phase() {
   return result;
 }
 
-std::vector<double> Coordinator::combination_chi2_p_values(
-    const std::vector<std::uint32_t>& members) const {
-  std::uint64_t n_case = 0;
-  for (std::uint32_t g : members) n_case += summaries_[g]->n_case;
-  const std::uint64_t n_ref = reference_planes_.num_individuals();
-  std::vector<double> p_values(l_prime_.size(), 1.0);
-  for (std::size_t rank = 0; rank < l_prime_.size(); ++rank) {
-    const std::uint32_t l = l_prime_[rank];
-    std::uint64_t case_minor = 0;
-    for (std::uint32_t g : members) case_minor += summaries_[g]->case_counts[l];
-    const stats::SinglewiseTable table{
-        case_minor, n_case, reference_planes_.allele_count(l), n_ref};
-    p_values[rank] = stats::chi2_p_value(table);
+void Coordinator::compute_association_p_values() {
+  // Blocks of ranks split a single combination's vector too (Fig. 6).
+  constexpr std::size_t kRankBlock = 1024;
+  const std::size_t ranks = l_prime_.size();
+  const std::size_t blocks = (ranks + kRankBlock - 1) / kRankBlock;
+  std::vector<std::size_t> live;
+  std::vector<std::uint64_t> n_case(combinations_.size(), 0);
+  for (std::size_t c = 0; c < combinations_.size(); ++c) {
+    if (!combination_live(c)) continue;
+    live.push_back(c);
+    ld_association_p_[c].resize(ranks);
+    for (std::uint32_t g : combinations_[c]) n_case[c] += summaries_[g]->n_case;
   }
-  obs::add_counter(obs_, "coordinator.chi2_values_computed", l_prime_.size());
-  return p_values;
+  const std::uint64_t n_ref = reference_planes_.num_individuals();
+  // Each unit writes its own slice of one preallocated vector and reads
+  // only state fixed before the LD phase.
+  const auto fill = [&](std::size_t unit) {
+    const std::size_t c = live[unit / blocks];
+    const std::size_t begin = unit % blocks * kRankBlock;
+    const std::size_t end = std::min(ranks, begin + kRankBlock);
+    for (std::size_t rank = begin; rank < end; ++rank) {
+      const std::uint32_t l = l_prime_[rank];
+      std::uint64_t case_minor = 0;
+      for (std::uint32_t g : combinations_[c]) {
+        case_minor += summaries_[g]->case_counts[l];
+      }
+      const stats::SinglewiseTable table{
+          case_minor, n_case[c], reference_planes_.allele_count(l), n_ref};
+      ld_association_p_[c][rank] = stats::chi2_p_value(table);
+    }
+  };
+  const std::size_t units = live.size() * blocks;
+  if (pool_ != nullptr) {
+    pool_->parallel_for(units, fill);
+  } else {
+    for (std::size_t unit = 0; unit < units; ++unit) fill(unit);
+  }
+  obs::add_counter(obs_, "coordinator.chi2_values_computed",
+                   live.size() * ranks);
 }
 
 std::optional<stats::LdMoments> Coordinator::member_moments(
@@ -586,7 +610,7 @@ void Coordinator::begin_ld_phase() {
   ld_started_ = true;
   ld_span_.emplace(obs::recorder_of(obs_), "phase.ld", study_span_);
   const std::size_t num_combinations = combinations_.size();
-  ld_walks_.assign(num_combinations, stats::LdWalk(config_.ld_cutoff));
+  ld_walks_.assign(num_combinations, stats::LdWalk());
   ld_association_p_.assign(num_combinations, {});
   ld_combination_spans_.clear();
   ld_combination_spans_.resize(num_combinations);
@@ -596,8 +620,8 @@ void Coordinator::begin_ld_phase() {
     ld_combination_spans_[c].emplace(obs::recorder_of(obs_),
                                      "ld.combination." + std::to_string(c),
                                      ld_span_->id());
-    ld_association_p_[c] = combination_chi2_p_values(combinations_[c]);
   }
+  compute_association_p_values();
 }
 
 Coordinator::PairMoments& Coordinator::touch_pair(std::uint32_t anchor,
@@ -630,7 +654,7 @@ Coordinator::PairMoments& Coordinator::touch_pair(std::uint32_t anchor,
         g, a, b, ld_windows_[next_ld_tile_][g].counts[offset]);
   }
   if (distance <= kLdWindow || live.empty()) {
-    obs::add_counter(obs_, "ld.window_pairs");
+    ++ld_window_pairs_unflushed_;
     return entry;
   }
   // Beyond the window: one request to every live member, whether or not
@@ -709,6 +733,21 @@ Status Coordinator::open_ld_tile() {
 
 Result<std::optional<MomentsRequest>> Coordinator::advance_ld_walks() {
   begin_ld_phase();
+  auto walked = walk_ready_ld_tiles();
+  // Every exit of the walk, a stop on a request or a failure included, adds
+  // the pairs it counted, so ld.window_pairs + ld.round_trips ==
+  // coordinator.ld_pairs_fetched holds at any stop. Both counters are added
+  // together, so a walk that never needs chi2_sf reports 0 evaluations.
+  if (ld_window_pairs_unflushed_ + ld_p_values_unflushed_ > 0) {
+    obs::add_counter(obs_, "ld.window_pairs", ld_window_pairs_unflushed_);
+    obs::add_counter(obs_, "ld.p_values_evaluated", ld_p_values_unflushed_);
+    ld_window_pairs_unflushed_ = 0;
+    ld_p_values_unflushed_ = 0;
+  }
+  return walked;
+}
+
+Result<std::optional<MomentsRequest>> Coordinator::walk_ready_ld_tiles() {
   if (!members_owing_moments().empty()) return std::optional<MomentsRequest>();
   ld_request_.reset();
   while (next_ld_tile_ < ld_plan_.tile_count() &&
@@ -735,7 +774,10 @@ Result<std::optional<MomentsRequest>> Coordinator::advance_ld_walks() {
         }
         stats::LdMoments total = entry.reference;
         for (std::uint32_t g : combinations_[c]) total += *entry.slots[g];
-        walk.step(stats::ld_p_value(total), ld_association_p_[c][walk.anchor()],
+        const stats::LdCutoff::Decision decision =
+            ld_cutoff_.decide(stats::ld_statistic(total));
+        ld_p_values_unflushed_ += decision.evaluated;
+        walk.step(decision.independent, ld_association_p_[c][walk.anchor()],
                   ld_association_p_[c][ld_rank_]);
       }
       rank_pairs_.clear();
@@ -874,7 +916,7 @@ Status Coordinator::add_lr_planes(std::uint32_t gdo_index,
   return Status::success();
 }
 
-Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
+Result<Phase3Result> Coordinator::run_lr_phase() {
   if (!lr_span_.has_value()) {
     // Driven without phase2_tiles() (trusted-module tests): open the phase
     // span here so the selection spans below have their parent.
@@ -935,7 +977,7 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
   // Several combinations fan out on the pool; a single one gets the pool
   // threaded into its selection instead. Never both: a nested parallel_for
   // from inside a pool worker could starve.
-  const bool fan_out = pool != nullptr && live.size() > 1;
+  const bool fan_out = pool_ != nullptr && live.size() > 1;
   std::vector<std::vector<std::uint32_t>> per_combination(num_combinations);
   std::vector<double> per_combination_power(num_combinations, 0.0);
   auto evaluate = [&](std::size_t c) {
@@ -964,14 +1006,14 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
     const stats::LrWeights weights =
         stats::lr_weights(case_freq, reference_freq);
     const stats::LrSelectionResult selection = stats::select_safe_snps(
-        case_blocks, reference, weights, params, fan_out ? nullptr : pool);
+        case_blocks, reference, weights, params, fan_out ? nullptr : pool_);
     for (std::uint32_t column : selection.safe_columns) {
       per_combination[c].push_back(l_double_prime_[column]);
     }
     per_combination_power[c] = selection.final_power;
   };
   if (fan_out) {
-    pool->parallel_for(live.size(), [&](std::size_t i) { evaluate(live[i]); });
+    pool_->parallel_for(live.size(), [&](std::size_t i) { evaluate(live[i]); });
   } else {
     for (std::size_t c : live) evaluate(c);
   }

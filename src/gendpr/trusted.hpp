@@ -158,6 +158,10 @@ class Coordinator {
     obs_ = obs;
     study_span_ = study_span;
   }
+  /// The study's thread pool (nullptr, the default, runs serially). The LD
+  /// phase computes its association p-values on it, and the LR phase fans
+  /// its selections out on it; the two never overlap.
+  void set_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
 
   /// --- Liveness (degraded mode) ---
   /// Marks a GDO as unresponsive: every later phase skips combinations
@@ -283,9 +287,9 @@ class Coordinator {
   /// member blocks in ascending GDO order with the leader's own block in its
   /// slot, the reference panel's planes, and the combination's weights,
   /// derived from its members' phase-1 counts and the reference panel —
-  /// then intersects. `pool` (may be null) fans the combinations out; with
-  /// a single live combination it is threaded into the selection instead.
-  common::Result<Phase3Result> run_lr_phase(common::ThreadPool* pool);
+  /// then intersects. The pool (set_pool) fans the combinations out; with a
+  /// single live combination it is threaded into the selection instead.
+  common::Result<Phase3Result> run_lr_phase();
 
   const SelectionOutcome& outcome() const noexcept { return outcome_; }
 
@@ -354,6 +358,8 @@ class Coordinator {
   /// Opens the LD phase once: its span, one span and walk per live
   /// combination, and the walks' association p-values.
   void begin_ld_phase();
+  /// Moves the walks through every ready tile (advance_ld_walks' body).
+  common::Result<std::optional<MomentsRequest>> walk_ready_ld_tiles();
   /// Starts the walk of tile next_ld_tile_: its span, and its windows
   /// unsealed into EPC.
   common::Status open_ld_tile();
@@ -363,11 +369,11 @@ class Coordinator {
   /// windows do not cover.
   PairMoments& touch_pair(std::uint32_t anchor, std::uint32_t rank);
   common::Error no_live_combination_error(const std::string& phase) const;
-  /// Chi-squared association p-values for the combination's pooled cases vs
-  /// the reference over L', indexed by L' rank (the LD walk ranks no other
-  /// SNP).
-  std::vector<double> combination_chi2_p_values(
-      const std::vector<std::uint32_t>& members) const;
+  /// Fills ld_association_p_ for every live combination: the chi-squared
+  /// association p-values of its pooled cases vs the reference over L',
+  /// indexed by L' rank (the LD walk ranks no other SNP). One unit per
+  /// (combination, rank block), on the pool when there is one.
+  void compute_association_p_values();
   void assess_maf_tile(std::uint32_t tile);
 
   GdoEnclave* leader_;
@@ -379,6 +385,7 @@ class Coordinator {
   // Observability (may be null: unobserved run).
   obs::Observability* obs_ = nullptr;
   obs::SpanId study_span_ = obs::kNoSpan;
+  common::ThreadPool* pool_ = nullptr;
 
   // Liveness state: GDOs declared unresponsive by the host protocol layer.
   std::set<std::uint32_t> dead_gdos_;
@@ -409,6 +416,7 @@ class Coordinator {
   genome::TilePlan ld_plan_;
   std::optional<obs::ScopedSpan> ld_span_;
   std::vector<std::optional<obs::ScopedSpan>> ld_combination_spans_;
+  stats::LdCutoff ld_cutoff_;
   std::vector<stats::LdWalk> ld_walks_;                // per combination
   std::vector<std::vector<double>> ld_association_p_;  // per combination
   std::vector<std::vector<HeldWindow>> ld_windows_;    // [tile][GDO]
@@ -420,6 +428,10 @@ class Coordinator {
   std::map<std::uint32_t, PairMoments> rank_pairs_;
   std::optional<OpenRequest> ld_request_;
   std::size_t ld_pairs_ = 0;
+  /// ld.window_pairs and ld.p_values_evaluated not yet added to the
+  /// registry: counted per pair, added once per advance_ld_walks call.
+  std::size_t ld_window_pairs_unflushed_ = 0;
+  std::size_t ld_p_values_unflushed_ = 0;
   /// Monotone id for MomentsRequests (one per request, not per member).
   std::uint32_t next_moments_request_ = 0;
 

@@ -17,6 +17,7 @@
 
 #include "genome/bitplanes.hpp"
 #include "genome/genotype.hpp"
+#include "stats/special.hpp"
 
 namespace gendpr::stats {
 
@@ -48,31 +49,66 @@ LdMoments compute_ld_moments(const genome::BitPlanes& planes,
 /// (constant) columns.
 double ld_r2(const LdMoments& moments);
 
+/// The correlation's chi-squared statistic n * r^2 (0 for an empty
+/// population).
+double ld_statistic(const LdMoments& moments);
+
 /// P-value of the correlation (chi-squared approximation: n * r^2, 1 dof).
 double ld_p_value(const LdMoments& moments);
+
+/// The LD walk's test `chi2_sf(x, 1) > cutoff` ("independent") for a
+/// statistic x = n * r^2, decided from x itself wherever that is provably
+/// the computed function's answer. Built once per cutoff: a bisection on
+/// the computed chi2_sf finds the critical statistic x_c, and the bracket
+/// [lower(), upper()] lies 0.1% either side of it. Below the bracket the pair
+/// is independent, above it dependent; inside it, and for NaN, chi2_sf is
+/// evaluated exactly as ld_p_value does. Each edge is kept only when the
+/// error bound of chi2_sf shows it sound (DESIGN.md §3.3); otherwise it
+/// moves out to -inf (lower) or +inf (upper) and those statistics take the
+/// exact path, as every statistic does for a cutoff outside (0, 1).
+class LdCutoff {
+ public:
+  explicit LdCutoff(double cutoff);
+
+  struct Decision {
+    bool independent;
+    bool evaluated;  // chi2_sf ran (the statistic was inside the bracket)
+  };
+  Decision decide(double statistic) const {
+    if (statistic < lower_) return {true, false};
+    if (statistic > upper_) return {false, false};
+    return {chi2_sf(statistic, 1.0) > cutoff_, true};
+  }
+
+  double lower() const noexcept { return lower_; }
+  double upper() const noexcept { return upper_; }
+
+ private:
+  double cutoff_;
+  double lower_;
+  double upper_;
+};
 
 /// One greedy LD walk (Algorithm 1 lines 28-57) as explicit state over the
 /// ranks of an ordered SNP list: the rank of the current comparison anchor,
 /// the next rank to compare against it, and the ranks retained so far. Each
-/// step decides one adjacent-in-walk pair: an independent pair (p-value >
-/// cutoff) keeps the anchor and makes the next SNP the anchor; a dependent
+/// step decides one adjacent-in-walk pair: an independent pair (LD p-value
+/// > cutoff) keeps the anchor and makes the next SNP the anchor; a dependent
 /// pair keeps only the better-ranked SNP (smaller association p-value) as
 /// the anchor. The state advances one rank per step, so a caller may move it
 /// over any rank range and suspend between steps (the federated leader walks
 /// every combination through one L' tile at a time).
 class LdWalk {
  public:
-  explicit LdWalk(double ld_cutoff) noexcept : ld_cutoff_(ld_cutoff) {}
-
   /// The next pair to decide is (anchor(), next()), as ranks.
   std::uint32_t anchor() const noexcept { return anchor_; }
   std::uint32_t next() const noexcept { return next_; }
 
-  /// Decides the pair (anchor(), next()) from its LD p-value and the
+  /// Decides the pair (anchor(), next()) from its LD test outcome and the
   /// association p-values of its two SNPs, then moves to the next rank.
-  void step(double pair_p_value, double anchor_association_p,
+  void step(bool independent, double anchor_association_p,
             double next_association_p) {
-    if (pair_p_value > ld_cutoff_) {
+    if (independent) {
       // Independent: the anchor survives; next becomes the anchor.
       retained_.push_back(anchor_);
       anchor_ = next_;
@@ -88,7 +124,6 @@ class LdWalk {
       const std::vector<std::uint32_t>& snps) const;
 
  private:
-  double ld_cutoff_;
   std::uint32_t anchor_ = 0;
   std::uint32_t next_ = 1;
   std::vector<std::uint32_t> retained_;  // ranks
@@ -97,17 +132,18 @@ class LdWalk {
 /// Greedy LD pruning over an ordered SNP list with a blocking p-value
 /// callback: `pair_p_value(a, b)` supplies the LD p-value of a pair and
 /// abstracts who owns the genomes (local baselines, oracles, property
-/// tests). Runs the same LdWalk the federated leader drives tile by tile.
+/// tests). Runs the same LdWalk the federated leader drives tile by tile,
+/// on the exact p-value of every pair (the leader decides from LdCutoff).
 template <typename PairPValueFn>
 std::vector<std::uint32_t> greedy_ld_prune(
     const std::vector<std::uint32_t>& snps, double ld_cutoff,
     const std::vector<double>& association_p_values,
     PairPValueFn&& pair_p_value) {
-  LdWalk walk(ld_cutoff);
+  LdWalk walk;
   while (walk.next() < snps.size()) {
     const std::uint32_t a = snps[walk.anchor()];
     const std::uint32_t b = snps[walk.next()];
-    walk.step(pair_p_value(a, b), association_p_values[a],
+    walk.step(pair_p_value(a, b) > ld_cutoff, association_p_values[a],
               association_p_values[b]);
   }
   return walk.survivors(snps);

@@ -1,5 +1,7 @@
 #include "stats/special.hpp"
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -10,6 +12,14 @@ namespace {
 
 constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-15;
+
+/// ln Gamma(a) for a > 0. std::lgamma also stores the sign in the global
+/// `signgam`, a data race once p-values run on several threads at once;
+/// lgamma_r returns the same value and writes the sign to a local.
+double log_gamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
 
 /// P(a,x) by its power series; converges fast for x < a + 1.
 double gamma_p_series(double a, double x) {
@@ -22,7 +32,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::abs(term) < std::abs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 /// Q(a,x) by Lentz's continued fraction; converges fast for x >= a + 1.
@@ -44,7 +54,7 @@ double gamma_q_continued_fraction(double a, double x) {
     h *= delta;
     if (std::abs(delta - 1.0) < kEpsilon) break;
   }
-  return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+  return std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
 }
 
 }  // namespace

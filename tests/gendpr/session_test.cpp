@@ -365,7 +365,8 @@ TEST(SessionTest, WrongAuthorityHandshakeIsRejected) {
 
 TEST(SessionTest, LeaderRefusesASecondHandshake) {
   // A handshake from an already-established member would replace its live
-  // channel; the leader refuses it, naming the member.
+  // channel; the leader refuses it, naming the member, and sends the member
+  // its abort notice over the channel it has.
   StudyFixture fixture;
   auto leader = fixture.make_leader();
   auto member = fixture.make_member(1);
@@ -373,12 +374,52 @@ TEST(SessionTest, LeaderRefusesASecondHandshake) {
   ASSERT_EQ(handshake.size(), 1u);
   EXPECT_EQ(leader->step({InFrame{1, handshake[0].payload}}).size(), 1u);
   ASSERT_EQ(leader->wants(), SessionWants::recv);
-  EXPECT_TRUE(leader->step({InFrame{1, handshake[0].payload}}).empty());
+  const std::vector<OutFrame> abort =
+      leader->step({InFrame{1, handshake[0].payload}});
+  ASSERT_EQ(abort.size(), 1u);
+  EXPECT_EQ(abort[0].to_gdo, 1u);
   ASSERT_EQ(leader->wants(), SessionWants::failed);
   EXPECT_EQ(leader->status().error().code, common::Errc::bad_message);
   EXPECT_NE(leader->status().error().message.find("gdo 1: second handshake"),
             std::string::npos)
       << leader->status().error().to_string();
+}
+
+TEST(SessionTest, FailureInHandshakeRoundAbortsEstablishedMembers) {
+  // Members 1 and 2 completed their handshakes while 3 has not yet sent
+  // one; member 1's second handshake fails the leader inside the round.
+  // Every member with a channel is told at once, so none waits out a
+  // deadline.
+  StudyFixture fixture(4);
+  auto leader = fixture.make_leader();
+  std::vector<std::unique_ptr<MemberSession>> members;
+  std::vector<common::Bytes> handshakes;
+  for (std::uint32_t g = 1; g <= 2; ++g) {
+    members.push_back(fixture.make_member(g));
+    std::vector<OutFrame> handshake = members.back()->step({});
+    ASSERT_EQ(handshake.size(), 1u);
+    handshakes.push_back(handshake[0].payload);
+    std::vector<OutFrame> reply =
+        leader->step({InFrame{g, handshake[0].payload}});
+    ASSERT_EQ(reply.size(), 1u);
+    members.back()->step({InFrame{0, reply[0].payload}});
+    ASSERT_EQ(members.back()->wants(), SessionWants::recv);
+  }
+  std::vector<OutFrame> aborts = leader->step({InFrame{1, handshakes[0]}});
+  ASSERT_EQ(leader->wants(), SessionWants::failed);
+  EXPECT_EQ(leader->status().error().code, common::Errc::bad_message);
+  ASSERT_EQ(aborts.size(), 2u);
+  for (const OutFrame& frame : aborts) {
+    ASSERT_TRUE(frame.to_gdo == 1u || frame.to_gdo == 2u) << frame.to_gdo;
+    MemberSession& member = *members[frame.to_gdo - 1];
+    member.step({InFrame{0, frame.payload}});
+    ASSERT_EQ(member.wants(), SessionWants::failed);
+    EXPECT_EQ(member.status().error().code, common::Errc::aborted);
+    EXPECT_NE(member.status().error().message.find("second handshake"),
+              std::string::npos)
+        << member.status().error().to_string();
+  }
+  EXPECT_NE(aborts[0].to_gdo, aborts[1].to_gdo);
 }
 
 TEST(SessionTest, MemberTakesFramesOnlyFromItsLeader) {

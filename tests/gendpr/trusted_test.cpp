@@ -362,7 +362,7 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   EXPECT_LE(phase2.value().retained.size(), phase1.value().retained.size());
 
   ASSERT_TRUE(coordinator.members_owing(Stream::lr_planes).empty());
-  const auto phase3 = coordinator.run_lr_phase(nullptr);
+  const auto phase3 = coordinator.run_lr_phase();
   ASSERT_TRUE(phase3.ok());
   EXPECT_LE(phase3.value().safe.size(), phase2.value().retained.size());
   EXPECT_LE(coordinator.outcome().final_power, 0.9);
@@ -463,7 +463,7 @@ TEST(CoordinatorTest, LrPlanesFromHonestMemberCompletePhase3) {
     ASSERT_TRUE(gather.coordinator->add_lr_planes(1, planes).ok());
   }
   EXPECT_TRUE(gather.coordinator->members_owing(Stream::lr_planes).empty());
-  EXPECT_TRUE(gather.coordinator->run_lr_phase(nullptr).ok());
+  EXPECT_TRUE(gather.coordinator->run_lr_phase().ok());
 }
 
 TEST(CoordinatorTest, LrPhaseWeighsPooledCountRatios) {
@@ -475,7 +475,7 @@ TEST(CoordinatorTest, LrPhaseWeighsPooledCountRatios) {
   for (const LrPlanes& planes : gather.replies) {
     ASSERT_TRUE(gather.coordinator->add_lr_planes(1, planes).ok());
   }
-  ASSERT_TRUE(gather.coordinator->run_lr_phase(nullptr).ok());
+  ASSERT_TRUE(gather.coordinator->run_lr_phase().ok());
   const SelectionOutcome& outcome = gather.coordinator->outcome();
   const std::vector<std::uint32_t>& snps = outcome.l_double_prime;
   ASSERT_FALSE(snps.empty());

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "ld_reference.hpp"
 #include "stats/special.hpp"
 
 namespace gendpr::stats {
 namespace {
+
+// chi2_sf(x, 1) is 0 from about x = 1,490 on.
+constexpr double kMaxSweep = 1600.0;
 
 genome::GenotypeMatrix random_matrix(std::size_t n, std::size_t l,
                                      std::uint64_t seed, double p = 0.3) {
@@ -148,6 +156,84 @@ TEST(GreedyLdPruneTest, EmptyAndSingleton) {
   EXPECT_EQ(greedy_ld_prune(one, 1e-5, assoc_p,
                             [](std::uint32_t, std::uint32_t) { return 0.5; }),
             one);
+}
+
+/// Statistics across both bracket edges of `cutoff` (dense relative steps
+/// and the nearest doubles around each finite edge) and over the whole
+/// range, 0 and NaN included.
+std::vector<double> decision_sweep(const LdCutoff& cutoff) {
+  std::vector<double> xs = {0.0, std::nan(""), 3.0, kMaxSweep};
+  for (double x = 1e-40; x < kMaxSweep; x *= 1.002) xs.push_back(x);
+  for (const double edge : {cutoff.lower(), cutoff.upper()}) {
+    if (!std::isfinite(edge)) continue;
+    for (int k = -3000; k <= 3000; ++k) xs.push_back(edge * (1.0 + k * 1e-6));
+    double below = edge;
+    double above = edge;
+    for (int k = 0; k < 200; ++k) {
+      xs.push_back(below = std::nextafter(below, 0.0));
+      xs.push_back(above = std::nextafter(above, kMaxSweep));
+    }
+  }
+  return xs;
+}
+
+TEST(LdCutoffTest, DecisionIsTheChi2SfComparison) {
+  // Q(1/2, 3/2): the cutoff whose critical statistic is the series /
+  // continued-fraction switch at x = 3.
+  const double at_switch = chi2_sf(3.0, 1.0);
+  for (const double value :
+       {1e-5, 0.05, at_switch, 0.0, -0.5, 1.0, 1e-300}) {
+    SCOPED_TRACE(value);
+    const LdCutoff cutoff(value);
+    std::size_t evaluated = 0;
+    for (const double x : decision_sweep(cutoff)) {
+      const LdCutoff::Decision decision = cutoff.decide(x);
+      ASSERT_EQ(decision.independent, chi2_sf(x, 1.0) > value) << "x " << x;
+      ASSERT_EQ(decision.evaluated, !(x < cutoff.lower() || x > cutoff.upper()))
+          << "x " << x;
+      evaluated += decision.evaluated;
+    }
+    if (value > 0.0 && value < 1.0) {
+      // Both edges were shown sound, and the statistic decides all but the
+      // statistics near the critical one.
+      ASSERT_TRUE(std::isfinite(cutoff.lower()));
+      ASSERT_TRUE(std::isfinite(cutoff.upper()));
+      EXPECT_LT(cutoff.lower(), cutoff.upper());
+      EXPECT_TRUE(cutoff.decide(cutoff.lower() / 2).independent);
+      EXPECT_FALSE(cutoff.decide(cutoff.lower() / 2).evaluated);
+      EXPECT_FALSE(cutoff.decide(cutoff.upper() * 2).independent);
+      EXPECT_FALSE(cutoff.decide(cutoff.upper() * 2).evaluated);
+    } else {
+      // No shortcut: every statistic takes the exact path.
+      EXPECT_EQ(cutoff.lower(), -std::numeric_limits<double>::infinity());
+      EXPECT_EQ(cutoff.upper(), std::numeric_limits<double>::infinity());
+    }
+    EXPECT_GT(evaluated, 0u);
+  }
+  // The bracket covers the branch switch when the crossing sits on it.
+  const LdCutoff switching(at_switch);
+  EXPECT_LT(switching.lower(), 3.0);
+  EXPECT_GT(switching.upper(), 3.0);
+}
+
+TEST(LdCutoffTest, Chi2SfMeetsTheBoundTheBracketAssumes) {
+  // The soundness check takes |computed - true| <= 1e-9 * true (+1e-310
+  // near underflow); the computed function stays far inside it on both
+  // branches. erfc(sqrt(x / 2)) in long double is the true function.
+  double worst = 0;
+  for (double x = 1e-300; x < 1400.0; x *= 1.0005) {
+    const long double truth = std::erfc(std::sqrt(static_cast<long double>(x) / 2));
+    const long double error =
+        std::fabs(static_cast<long double>(chi2_sf(x, 1.0)) - truth) / truth;
+    worst = std::max(worst, static_cast<double>(error));
+  }
+  for (double x = 2.9; x < 3.1; x += 1e-6) {  // around the branch switch
+    const long double truth = std::erfc(std::sqrt(static_cast<long double>(x) / 2));
+    const long double error =
+        std::fabs(static_cast<long double>(chi2_sf(x, 1.0)) - truth) / truth;
+    worst = std::max(worst, static_cast<double>(error));
+  }
+  EXPECT_LT(worst, 1e-11);
 }
 
 }  // namespace
